@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload vet bench-alloc bench-alloc-smoke bench-metrics bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke bench-wire bench-wire-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload vet bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke bench-wire bench-wire-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -23,12 +23,14 @@ race-audit: vet
 race-metrics: vet
 	$(GO) test -race ./internal/metrics/... ./internal/peer/... ./internal/ratelimit/... ./internal/store/...
 
-# race-codec exercises the parallel decode engine and everything that
-# feeds it: concurrent producers into rlnc.Pipeline, the GF kernels
-# under them, and the client fetch path that shares one sink across
-# per-peer goroutines.
+# race-codec exercises the parallel codec on both sides of the wire:
+# concurrent producers into rlnc.Pipeline, concurrent minting from one
+# rlnc.Encoder, the GF kernels under them (GF(2^32) differential
+# included), the client fetch path that shares one sink across per-peer
+# goroutines, and core's streaming write path (encode workers, per-peer
+# senders, one-of-four-peers-fails and stalled-peer cancellation).
 race-codec: vet
-	$(GO) test -race ./internal/rlnc/... ./internal/gf/... ./internal/client/...
+	$(GO) test -race ./internal/rlnc/... ./internal/gf/... ./internal/client/... ./internal/core/...
 
 # race-wire is the zero-copy hot-path regression suite under the race
 # detector: the buffer pool's refcounting, the FrameReader/FrameWriter
@@ -137,12 +139,22 @@ bench-metrics:
 # claim).
 bench-rlnc:
 	$(GO) test -bench 'BenchmarkMulAddSlice|BenchmarkDecode' -benchmem -run '^$$' ./internal/gf/ ./internal/rlnc/
-	$(GO) run ./cmd/benchrlc -codec -size 1048576 -reps 5 -json BENCH_rlnc.json
+	$(GO) run ./cmd/benchrlc -codec -size 1048576 -reps 5 -before BENCH_rlnc.json -json BENCH_rlnc.json
 
 # bench-rlnc-smoke is the quick CI variant: tiny generations, one rep,
 # throwaway report — it proves the grid runs, not the numbers.
 bench-rlnc-smoke:
 	$(GO) run ./cmd/benchrlc -codec -size 65536 -reps 1 -json /tmp/BENCH_rlnc_smoke.json
+
+# bench-e2e-smoke compiles and exercises cmd/bench, the end-to-end
+# benchmark the growth driver runs (BENCHMARK.json). It is a module of
+# its own, so `go build ./...` and `go test ./...` never see it and an
+# API rename in core/client/chunk/rlnc would otherwise break it
+# silently: this runs its own tests, then one seconds-long pass over all
+# four workloads (build outputs and scratch stay under .bench_build/).
+bench-e2e-smoke:
+	cd cmd/bench && GOFLAGS=-mod=readonly GOWORK=off $(GO) test ./...
+	bash cmd/bench/run.sh -smoke
 
 # bench-wire measures the zero-copy wire hot path end to end over
 # loopback TCP — decode-pipeline ceiling, transport-only throughput,
@@ -192,16 +204,18 @@ bench-alloc-smoke:
 chaos: vet
 	$(GO) test -race -count=2 ./internal/netsim/...
 
-# fuzz-smoke gives each wire fuzz target a short adversarial run on
-# top of the checked-in seed corpus (which plain `go test` already
-# replays). New crashers land in internal/wire/testdata/fuzz/.
+# fuzz-smoke gives each wire fuzz target, and the GF(2^32) kernel's
+# differential fuzzer, a short adversarial run on top of the seed
+# corpus (which plain `go test` already replays). New crashers land in
+# the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzFrameReader -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzHandshakeResponder -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzHandshakeInitiator -fuzztime 10s -run '^$$' ./internal/wire/
+	$(GO) test -fuzz FuzzKernel32 -fuzztime 10s -run '^$$' ./internal/gf/
 
 # ci is what the GitHub workflow runs.
-ci: vet build test race-metrics race-audit race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
+ci: vet build test bench-e2e-smoke race-metrics race-audit race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
 
-check: build test race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
+check: build test bench-e2e-smoke race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos

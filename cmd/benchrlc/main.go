@@ -43,6 +43,7 @@ func run(args []string, out io.Writer) error {
 	codec := fs.Bool("codec", false, "benchmark the codec engines (encode, both decoders) instead of the Table I/II grid")
 	reps := fs.Int("reps", 5, "codec mode: timed runs per cell after one warmup")
 	jsonPath := fs.String("json", "", "codec mode: also write the JSON report here")
+	beforePath := fs.String("before", "", "codec mode: carry each cell's MB/s from this earlier report forward as before_mb_per_s")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -50,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("size, repeat, and reps must be positive")
 	}
 	if *codec {
-		return runCodec(*size, *reps, *seed, *jsonPath, out)
+		return runCodec(*size, *reps, *seed, *jsonPath, *beforePath, out)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))

@@ -200,27 +200,18 @@ func (c *Client) dial(ctx context.Context, addr string, role wire.Role) (net.Con
 }
 
 // Disseminate uploads a batch of encoded messages to one peer,
-// confirming each PUT. This is the initialization-phase transfer that
+// confirming every PUT. This is the initialization-phase transfer that
 // runs "when some upload bandwidth is available".
 func (c *Client) Disseminate(ctx context.Context, addr string, msgs []*rlnc.Message) error {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
+	u, err := c.OpenUpload(ctx, addr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	for _, msg := range msgs {
-		buf, err := msg.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		if err := wire.WriteFrame(conn, wire.TypePut, buf); err != nil {
-			return err
-		}
-		if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
-			return fmt.Errorf("client: put to %s: %w", addr, err)
-		}
+	if err := u.Put(msgs); err != nil {
+		u.Close()
+		return err
 	}
-	return wire.WriteFrame(conn, wire.TypeBye, nil)
+	return u.Close()
 }
 
 // Patch sends delta messages to a peer, which applies each one to the
@@ -228,24 +219,15 @@ func (c *Client) Disseminate(ctx context.Context, addr string, msgs []*rlnc.Mess
 // Only the file's owner (the identity that first uploaded it) will be
 // accepted.
 func (c *Client) Patch(ctx context.Context, addr string, deltas []*rlnc.Message) error {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
+	u, err := c.OpenUpload(ctx, addr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	for _, msg := range deltas {
-		buf, err := msg.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		if err := wire.WriteFrame(conn, wire.TypePatch, buf); err != nil {
-			return err
-		}
-		if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
-			return fmt.Errorf("client: patch to %s: %w", addr, err)
-		}
+	if err := u.Patch(deltas); err != nil {
+		u.Close()
+		return err
 	}
-	return wire.WriteFrame(conn, wire.TypeBye, nil)
+	return u.Close()
 }
 
 // ListFiles asks a peer which generations it stores (identifiers and

@@ -20,7 +20,6 @@ import (
 	"asymshare/internal/auth"
 	"asymshare/internal/chunk"
 	"asymshare/internal/client"
-	"asymshare/internal/rlnc"
 )
 
 // ErrBadHandle is returned for malformed share handles.
@@ -125,23 +124,18 @@ func (s *System) ShareFile(ctx context.Context, name string, data []byte, peerAd
 	if err != nil {
 		return nil, err
 	}
+	// Generation-major, so every peer's connection has work from the
+	// start and the encode of one batch overlaps the upload of others.
+	jobs := make([]shareJob, 0, share.NumChunks()*len(peerAddrs))
+	for c := 0; c < share.NumChunks(); c++ {
+		for i := range peerAddrs {
+			jobs = append(jobs, shareJob{dest: i, chunk: c, rank: i})
+		}
+	}
 	result := &ShareResult{Secret: secret}
-	for i, addr := range peerAddrs {
-		batches, err := share.BatchForPeer(i, 1<<31-1)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch for peer %d: %w", i, err)
-		}
-		var flat []*rlnc.Message
-		for _, b := range batches {
-			flat = append(flat, b...)
-		}
-		if err := s.client.Disseminate(ctx, addr, flat); err != nil {
-			return nil, fmt.Errorf("core: disseminate to %s: %w", addr, err)
-		}
-		result.MessagesSent += len(flat)
-		for _, m := range flat {
-			result.BytesSent += int64(len(m.Payload) + 16)
-		}
+	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, len(peerAddrs), jobs, s.uploadSinks(peerAddrs))
+	if err != nil {
+		return nil, err
 	}
 	result.Handle = Handle{Manifest: share.Manifest, Peers: append([]string(nil), peerAddrs...)}
 	return result, nil

@@ -13,7 +13,6 @@ import (
 	"asymshare/internal/chunk"
 	"asymshare/internal/client"
 	"asymshare/internal/ring"
-	"asymshare/internal/rlnc"
 )
 
 // PeersForChunk returns the addresses holding chunk i: the placed set
@@ -50,33 +49,27 @@ func (s *System) ShareFilePlaced(ctx context.Context, name string, data []byte,
 		return nil, err
 	}
 
-	result := &ShareResult{Secret: secret}
 	chunkPeers := make([][]string, share.NumChunks())
-	// Group uploads per peer address so each peer gets one connection.
-	perPeer := make(map[string][]*rlnc.Message)
+	// One destination (one connection) per distinct address.
+	var addrs []string
+	destOf := make(map[string]int)
+	var jobs []shareJob
 	for i := 0; i < share.NumChunks(); i++ {
-		info := share.Manifest.Chunks[i]
-		addrs := r.Place(info.FileID, replicas)
-		chunkPeers[i] = addrs
-		for rank, addr := range addrs {
-			batch, err := share.Encoder(i).BatchForPeer(rank, info.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: chunk %d rank %d: %w", i, rank, err)
+		chunkPeers[i] = r.Place(share.Manifest.Chunks[i].FileID, replicas)
+		for rank, addr := range chunkPeers[i] {
+			d, ok := destOf[addr]
+			if !ok {
+				d = len(addrs)
+				destOf[addr] = d
+				addrs = append(addrs, addr)
 			}
-			for _, msg := range batch {
-				share.Manifest.Chunks[i].Digests[msg.MessageID] = msg.Digest()
-			}
-			perPeer[addr] = append(perPeer[addr], batch...)
+			jobs = append(jobs, shareJob{dest: d, chunk: i, rank: rank})
 		}
 	}
-	for addr, msgs := range perPeer {
-		if err := s.client.Disseminate(ctx, addr, msgs); err != nil {
-			return nil, fmt.Errorf("core: disseminate to %s: %w", addr, err)
-		}
-		result.MessagesSent += len(msgs)
-		for _, m := range msgs {
-			result.BytesSent += int64(len(m.Payload) + 16)
-		}
+	result := &ShareResult{Secret: secret}
+	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, len(addrs), jobs, s.uploadSinks(addrs))
+	if err != nil {
+		return nil, err
 	}
 	result.Handle = Handle{
 		Manifest:   share.Manifest,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"asymshare/internal/chunk"
+	"asymshare/internal/gf"
 	"asymshare/internal/rlnc"
 )
 
@@ -64,26 +65,29 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 		if err != nil {
 			return nil, err
 		}
-		// Each peer holds the batch its index was minted with; batch
-		// message-ids depend only on (file-id, secret), so the owner can
-		// recompute them without contacting anyone.
-		oldEnc, err := rlnc.NewEncoder(params, info.FileID, secret, oldChunks[idx])
-		if err != nil {
-			return nil, err
-		}
+		// Payload buffers reused across peers: one per delta of a batch
+		// (Patch needs them all live) plus one for the digest refresh.
+		cb := params.ChunkBytes()
+		bufs := make([]byte, (params.K+1)*cb)
+		fresh := rlnc.Message{FileID: info.FileID, Payload: bufs[params.K*cb:]}
 		for peerIdx, addr := range h.Peers {
-			batch, err := oldEnc.BatchForPeer(peerIdx, params.K)
+			// Each peer holds the batch its index was minted with; batch
+			// message-ids depend only on (file-id, secret), so the owner
+			// can recompute them without contacting anyone — or minting
+			// the old version.
+			ids, err := newEnc.BatchIDs(peerIdx, params.K)
 			if err != nil {
 				return nil, fmt.Errorf("core: chunk %d peer %d: %w", idx, peerIdx, err)
 			}
-			deltas := make([]*rlnc.Message, 0, len(batch))
-			for _, msg := range batch {
-				if delta.IsNoop(msg.MessageID) {
-					continue
+			deltas := make([]*rlnc.Message, 0, len(ids))
+			for _, id := range ids {
+				payload := bufs[len(deltas)*cb:][:cb]
+				delta.DeltaInto(id, payload)
+				if gf.IsZeroSlice(payload) {
+					continue // the stored message is already the new version's
 				}
-				d := delta.Delta(msg.MessageID)
-				deltas = append(deltas, d)
-				result.BytesSent += int64(len(d.Payload) + 16)
+				deltas = append(deltas, &rlnc.Message{FileID: info.FileID, MessageID: id, Payload: payload})
+				result.BytesSent += int64(cb + rlnc.MessageHeaderBytes)
 			}
 			if len(deltas) == 0 {
 				continue
@@ -94,8 +98,10 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 			result.MessagesPatched += len(deltas)
 			// Refresh the digests the manifest publishes for this peer's
 			// patched messages.
-			for _, msg := range batch {
-				info.Digests[msg.MessageID] = newEnc.Message(msg.MessageID).Digest()
+			for _, d := range deltas {
+				fresh.MessageID = d.MessageID
+				newEnc.MessageInto(d.MessageID, fresh.Payload)
+				info.Digests[d.MessageID] = fresh.Digest()
 			}
 		}
 	}

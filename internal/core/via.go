@@ -16,6 +16,7 @@ import (
 	"asymshare/internal/client"
 	"asymshare/internal/discovery"
 	"asymshare/internal/gossip"
+	"asymshare/internal/rlnc"
 )
 
 // AnnounceHandleVia registers every (chunk file-id -> peer address)
@@ -103,24 +104,25 @@ func (s *System) ShareFileGossip(ctx context.Context, name string, data []byte,
 	}
 	// One full-rank batch (peer index 0): any single complete copy of it
 	// decodes, and every onward hop is innovation-aware gossip.
-	batches, err := share.BatchForPeer(0, 1<<31-1)
-	if err != nil {
-		return nil, fmt.Errorf("core: mint seed batch: %w", err)
+	jobs := make([]shareJob, share.NumChunks())
+	for c := range jobs {
+		jobs[c] = shareJob{chunk: c}
+	}
+	seed := func(context.Context, int) (batchSink, error) {
+		return batchSink{
+			put: func(info *chunk.ChunkInfo, msgs []*rlnc.Message) error {
+				if err := eng.Seed(info.FileID, info.K, len(msgs[0].Payload), msgs); err != nil {
+					return fmt.Errorf("core: seed chunk %d: %w", info.FileID, err)
+				}
+				return nil
+			},
+			done: func() error { return nil },
+		}, nil
 	}
 	result := &ShareResult{Secret: secret}
-	for i, batch := range batches {
-		info := share.Manifest.Chunks[i]
-		payloadLen := 0
-		if len(batch) > 0 {
-			payloadLen = len(batch[0].Payload)
-		}
-		if err := eng.Seed(info.FileID, info.K, payloadLen, batch); err != nil {
-			return nil, fmt.Errorf("core: seed chunk %d: %w", info.FileID, err)
-		}
-		result.MessagesSent += len(batch)
-		for _, m := range batch {
-			result.BytesSent += int64(len(m.Payload) + 16)
-		}
+	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, 1, jobs, seed)
+	if err != nil {
+		return nil, err
 	}
 	var peers []string
 	if serveAddr != "" {

@@ -2,11 +2,9 @@ package gf
 
 // GF(2^32) implementation. Log/antilog tables are infeasible at this
 // size, so element products use carry-less shift-and-xor multiplication
-// reduced by the primitive polynomial x^32 + x^22 + x^2 + x + 1, and the
-// packed-slice routines amortize that cost with per-constant 4-bit
-// window tables (eight tables of sixteen entries per call).
-
-import "encoding/binary"
+// reduced by the primitive polynomial x^32 + x^22 + x^2 + x + 1. The
+// packed-slice routines are thin callers of the region kernel in
+// kernel32.go, the one GF(2^32) region implementation.
 
 type gf32Field struct{}
 
@@ -66,62 +64,10 @@ func (f gf32Field) Exp(a uint32, n uint64) uint32 {
 	return expGeneric(f, a, n)
 }
 
-// windowTables builds the eight 16-entry tables t[w][n] = c * (n << 4w)
-// that let a 32-bit symbol be multiplied by c with eight lookups.
-func gf32WindowTables(c uint32) [8][16]uint32 {
-	var t [8][16]uint32
-	// t[0][n] = c*n for nibble n; each later window is the previous one
-	// multiplied by x^4 (i.e. shifted up one nibble in the field).
-	for n := uint32(1); n < 16; n++ {
-		t[0][n] = gf32Mul(c, n)
-	}
-	for w := 1; w < 8; w++ {
-		for n := 1; n < 16; n++ {
-			t[w][n] = gf32Mul(t[w-1][n], 0x10)
-		}
-	}
-	return t
-}
-
 func (f gf32Field) AddScaledSlice(dst, src []byte, c uint32) {
-	if len(dst) != len(src) {
-		panic("gf: AddScaledSlice length mismatch")
-	}
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		AddSlice(dst, src)
-		return
-	}
-	t := gf32WindowTables(c)
-	for i := 0; i+3 < len(src); i += 4 {
-		s := binary.LittleEndian.Uint32(src[i:])
-		if s == 0 {
-			continue
-		}
-		p := t[0][s&0xF] ^ t[1][(s>>4)&0xF] ^ t[2][(s>>8)&0xF] ^ t[3][(s>>12)&0xF] ^
-			t[4][(s>>16)&0xF] ^ t[5][(s>>20)&0xF] ^ t[6][(s>>24)&0xF] ^ t[7][s>>28]
-		binary.LittleEndian.PutUint32(dst[i:], binary.LittleEndian.Uint32(dst[i:])^p)
-	}
+	MulAddSlice(f, dst, src, c)
 }
 
 func (f gf32Field) ScaleSlice(dst []byte, c uint32) {
-	if c == 1 {
-		return
-	}
-	if c == 0 {
-		clear(dst)
-		return
-	}
-	t := gf32WindowTables(c)
-	for i := 0; i+3 < len(dst); i += 4 {
-		s := binary.LittleEndian.Uint32(dst[i:])
-		if s == 0 {
-			continue
-		}
-		p := t[0][s&0xF] ^ t[1][(s>>4)&0xF] ^ t[2][(s>>8)&0xF] ^ t[3][(s>>12)&0xF] ^
-			t[4][(s>>16)&0xF] ^ t[5][(s>>20)&0xF] ^ t[6][(s>>24)&0xF] ^ t[7][s>>28]
-		binary.LittleEndian.PutUint32(dst[i:], p)
-	}
+	MulSlice(f, dst, c)
 }

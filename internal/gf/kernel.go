@@ -7,9 +7,10 @@ package gf
 // product c*s over GF(2^p) is linear in s, so it decomposes over any
 // split of s's bits. For p=8 a low/high *nibble* pair of 16-entry
 // tables covers every byte (c*s = lo[s&0xF] ^ hi[s>>4]); for p=16 a
-// low/high *byte* pair of 256-entry tables covers every symbol. The
-// one-shot entry points (MulAddSlice, MulSlice, MulAddWords, MulWords)
-// build the small tables on the stack per call; MulTable amortizes the
+// low/high *byte* pair of 256-entry tables covers every symbol; for
+// p=32 four byte-window tables do (kernel32.go). The one-shot entry
+// points (MulAddSlice, MulSlice, MulAddWords, MulWords) build the
+// tables on the stack per call; MulTable amortizes the
 // build across many regions — the decode pipeline initializes one table
 // per elimination factor and reuses it for every payload segment.
 //
@@ -18,8 +19,8 @@ package gf
 
 import "encoding/binary"
 
-// mulFn returns a closure computing c*s for table building, plus ok
-// when f is a log/antilog table field (p <= 16).
+// kernelTables returns f as a log/antilog table field (p <= 16), whose
+// exp/log rows the split-table builders read.
 func kernelTables(f Field) (*tableField, bool) {
 	tf, ok := f.(*tableField)
 	return tf, ok
@@ -28,7 +29,6 @@ func kernelTables(f Field) (*tableField, bool) {
 // MulAddSlice computes dst[i] ^= c*src[i] over packed symbol vectors,
 // like Field.AddScaledSlice, but word-at-a-time with per-constant split
 // tables. dst and src must have equal length and must not overlap.
-// Fields without table kernels (p=32) fall back to f.AddScaledSlice.
 func MulAddSlice(f Field, dst, src []byte, c uint32) {
 	c &= f.Mask()
 	if len(dst) != len(src) {
@@ -39,6 +39,12 @@ func MulAddSlice(f Field, dst, src []byte, c uint32) {
 	}
 	if c == 1 {
 		AddSlice(dst, src)
+		return
+	}
+	if _, ok := f.(gf32Field); ok {
+		var m mul32
+		m.init(c)
+		m.mulAdd(dst, src)
 		return
 	}
 	tf, ok := kernelTables(f)
@@ -85,6 +91,12 @@ func MulSlice(f Field, dst []byte, c uint32) {
 	}
 	if c == 0 {
 		clear(dst)
+		return
+	}
+	if _, ok := f.(gf32Field); ok {
+		var m mul32
+		m.init(c)
+		m.mul(dst)
 		return
 	}
 	tf, ok := kernelTables(f)
@@ -405,7 +417,8 @@ type MulTable struct {
 	row8   [256]byte   // p=4/p=8 expanded byte row for the scalar path
 	lo16   [256]uint16 // p=16 low-byte split
 	hi16   [256]uint16 // p=16 high-byte split
-	kernel bool        // table kernels available (p <= 16)
+	m32    mul32       // p=32 affine blocks or byte-window tables
+	kernel bool        // table kernels available (every built-in field)
 }
 
 // Init (re)builds the table for constant c over f.
@@ -413,8 +426,15 @@ func (t *MulTable) Init(f Field, c uint32) {
 	c &= f.Mask()
 	t.f = f
 	t.c = c
-	tf, ok := kernelTables(f)
 	t.bits = f.Bits()
+	if _, ok := f.(gf32Field); ok {
+		t.kernel = true
+		if c > 1 {
+			t.m32.init(c)
+		}
+		return
+	}
+	tf, ok := kernelTables(f)
 	t.kernel = ok
 	if !ok || c == 0 {
 		return
@@ -447,6 +467,8 @@ func (t *MulTable) MulAdd(dst, src []byte) {
 		AddSlice(dst, src)
 	case !t.kernel:
 		t.f.AddScaledSlice(dst, src, t.c)
+	case t.bits == Bits32:
+		t.m32.mulAdd(dst, src)
 	case t.bits == Bits16:
 		mulAddByteSplit(&t.lo16, &t.hi16, dst, src)
 	case haveVecP8:
@@ -465,6 +487,8 @@ func (t *MulTable) Mul(dst []byte) {
 		clear(dst)
 	case !t.kernel:
 		t.f.ScaleSlice(dst, t.c)
+	case t.bits == Bits32:
+		t.m32.mul(dst)
 	case t.bits == Bits16:
 		mulByteSplit(&t.lo16, &t.hi16, dst)
 	case haveVecP8:
@@ -483,7 +507,9 @@ func (t *MulTable) Mul(dst []byte) {
 // sources, so dst is loaded and stored once per 64-bit word regardless
 // of how many rows are folded in. scale may be nil (no normalization).
 // All tables must be built over the same field; every src must be at
-// least as long as dst.
+// least as long as dst. p=32 folds one source at a time instead: eight
+// 4 KiB table sets in one loop spill L1 and run slower than eight
+// passes over an L2-resident dst.
 func AccumSlices(dst []byte, srcs [][]byte, tabs []MulTable, scale *MulTable) {
 	if len(srcs) != len(tabs) {
 		panic("gf: AccumSlices srcs/tabs length mismatch")
@@ -506,12 +532,9 @@ func AccumSlices(dst []byte, srcs [][]byte, tabs []MulTable, scale *MulTable) {
 			panic("gf: AccumSlices mixed field widths")
 		}
 	}
-	if !kernel {
-		// No table kernels for this width: fold sources one at a time
-		// through the field's own path.
-		f := tabs[0].f
+	if !kernel || bits == Bits32 {
 		for i := range tabs {
-			f.AddScaledSlice(dst, srcs[i][:len(dst)], tabs[i].c)
+			tabs[i].MulAdd(dst, srcs[i][:len(dst)])
 		}
 		if scale != nil {
 			scale.Mul(dst)

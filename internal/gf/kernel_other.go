@@ -9,3 +9,8 @@ const haveVecP8 = false
 
 func mulAddVecP8(lo, hi *[16]byte, dst, src []byte) int { return 0 }
 func mulVecP8(lo, hi *[16]byte, dst []byte) int         { return 0 }
+
+const haveGFNI = false
+
+func mulAddVec32(k *affine32, dst, src []byte) int { return 0 }
+func mulVec32(k *affine32, dst []byte) int         { return 0 }

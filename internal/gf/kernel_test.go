@@ -208,12 +208,16 @@ func TestMulAddWordsMatchesMulLoop(t *testing.T) {
 // the speedup the decode pipeline is built on.
 func BenchmarkMulAddSlice(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	for _, bits := range []uint{Bits8, Bits16} {
+	for _, bits := range []uint{Bits8, Bits16, Bits32} {
 		f := MustNew(bits)
-		for _, n := range []int{4096, 16384} {
+		sizes := []int{4096, 16384}
+		if bits == Bits32 {
+			sizes = []int{4096, 131072} // 131072 B = one default-plan chunk (m = 32768)
+		}
+		for _, n := range sizes {
 			src := randVec(rng, n)
 			dst := randVec(rng, n)
-			c := uint32(0xA7) & f.Mask()
+			c := uint32(0xA7C3_51A7) & f.Mask()
 			b.Run(fmt.Sprintf("kernel/p%d/%dB", bits, n), func(b *testing.B) {
 				b.SetBytes(int64(n))
 				for i := 0; i < b.N; i++ {

@@ -180,6 +180,11 @@ func TestWireDifferentialReplays(t *testing.T) {
 		ctx := testCtx(t)
 		c := Start(t, seed, 3)
 		gen := c.SeedGeneration(ctx, 63, 8, 512, 4096, 4)
+		// As in runPartitionFetch: the survivors alone hold k messages, so
+		// without a head start for the victim whether its link is cut
+		// before the decode completes — and so the event log — is a race.
+		c.Fabric.SetLink("peer0", HostUser, netsim.LinkPolicy{Latency: 2 * time.Millisecond})
+		c.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{Latency: 2 * time.Millisecond})
 		c.Fabric.SetLink("peer2", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200})
 		addrs := c.Lookup(ctx, HostUser, gen.FileID)
 		cl := c.UserClient(client.Options{PeerRetries: -1})

@@ -8,17 +8,49 @@ package rlnc
 
 import (
 	"fmt"
+	"sync"
 
 	"asymshare/internal/gf"
 )
 
 // Encoder produces encoded messages for one generation (one file, or
-// one 1 MB chunk of a large file — see package chunk).
+// one 1 MB chunk of a large file — see package chunk). It is safe for
+// concurrent use.
 type Encoder struct {
 	params Params
 	fileID uint64
 	gen    *CoeffGenerator
 	chunks [][]byte // k packed chunks, zero-padded to ChunkBytes
+
+	mu   sync.Mutex
+	free []*mintScratch // idle per-caller scratch, one per concurrent minter at peak
+}
+
+// mintScratch is what minting one message needs beyond the payload: a
+// keyed row stream, the row it fills and one product table. Callers
+// borrow it for the duration of a call, so steady-state minting
+// allocates nothing.
+type mintScratch struct {
+	rows *RowStream
+	row  []uint32
+	tab  gf.MulTable
+}
+
+func (e *Encoder) getScratch() *mintScratch {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.free); n > 0 {
+		sc := e.free[n-1]
+		e.free = e.free[:n-1]
+		return sc
+	}
+	return &mintScratch{rows: e.gen.Stream(), row: make([]uint32, e.params.K)}
+}
+
+func (e *Encoder) putScratch(sc *mintScratch) {
+	e.mu.Lock()
+	e.free = append(e.free, sc)
+	e.mu.Unlock()
 }
 
 // NewEncoder splits data into k chunks per params and prepares the
@@ -56,17 +88,32 @@ func (e *Encoder) Params() Params { return e.params }
 // FileID returns the generation's file identifier.
 func (e *Encoder) FileID() uint64 { return e.fileID }
 
+// MessageInto deterministically mints the payload of the message with
+// the given message-id into payload, which the caller owns and which
+// must be exactly ChunkBytes long; its previous contents are
+// overwritten. The result depends only on (secret, file-id,
+// message-id, data).
+func (e *Encoder) MessageInto(messageID uint64, payload []byte) {
+	if len(payload) != e.params.ChunkBytes() {
+		panic("rlnc: MessageInto payload length mismatch")
+	}
+	sc := e.getScratch()
+	sc.rows.RowInto(e.fileID, messageID, sc.row)
+	clear(payload)
+	for j, c := range sc.row {
+		if c != 0 {
+			sc.tab.Init(e.params.Field, c)
+			sc.tab.MulAdd(payload, e.chunks[j])
+		}
+	}
+	e.putScratch(sc)
+}
+
 // Message deterministically produces the encoded message with the given
 // message-id.
 func (e *Encoder) Message(messageID uint64) *Message {
-	f := e.params.Field
-	row := e.gen.Row(e.fileID, messageID)
 	payload := make([]byte, e.params.ChunkBytes())
-	for j, c := range row {
-		if c != 0 {
-			f.AddScaledSlice(payload, e.chunks[j], c)
-		}
-	}
+	e.MessageInto(messageID, payload)
 	return &Message{FileID: e.fileID, MessageID: messageID, Payload: payload}
 }
 
@@ -84,10 +131,7 @@ const batchStride = uint64(1) << 32
 // single complete batch. The decoder re-derives rows from the ids, so
 // skipped ids cost nothing.
 func (e *Encoder) BatchForPeer(peer, n int) ([]*Message, error) {
-	if peer < 0 || n <= 0 || n > e.params.K {
-		return nil, fmt.Errorf("%w: peer=%d n=%d (k=%d)", ErrBadParams, peer, n, e.params.K)
-	}
-	ids, err := e.independentIDs(uint64(peer)*batchStride, n)
+	ids, err := e.BatchIDs(peer, n)
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +140,16 @@ func (e *Encoder) BatchForPeer(peer, n int) ([]*Message, error) {
 		msgs = append(msgs, e.Message(id))
 	}
 	return msgs, nil
+}
+
+// BatchIDs returns the message-ids of BatchForPeer(peer, n) without
+// minting any payload. The ids depend only on (secret, file-id), not on
+// the data, so any version of a generation yields the same ids.
+func (e *Encoder) BatchIDs(peer, n int) ([]uint64, error) {
+	if peer < 0 || n <= 0 || n > e.params.K {
+		return nil, fmt.Errorf("%w: peer=%d n=%d (k=%d)", ErrBadParams, peer, n, e.params.K)
+	}
+	return e.independentIDs(uint64(peer)*batchStride, n)
 }
 
 // independentIDs scans ids from start, returning the first n whose
@@ -107,16 +161,16 @@ func (e *Encoder) independentIDs(start uint64, n int) ([]uint64, error) {
 	echelon := make([][]uint32, 0, n)
 	pivots := make([]int, 0, n)
 	ids := make([]uint64, 0, n)
-	row := make([]uint32, e.params.K)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
 
 	// The scan window is far smaller than batchStride; with random rows
 	// the expected number of skips is < 2 even over GF(16).
 	const maxScan = 1 << 16
 	for off := uint64(0); off < maxScan && len(ids) < n; off++ {
 		id := start + off
-		e.gen.RowInto(e.fileID, id, row)
 		cand := make([]uint32, e.params.K)
-		copy(cand, row)
+		sc.rows.RowInto(e.fileID, id, cand)
 		if !reduceRow(f, cand, echelon, pivots, nil, nil) {
 			continue // dependent; skip this id
 		}

@@ -5,6 +5,7 @@ package rlnc
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -143,37 +144,108 @@ func TestMessagesAfterDoneAreIgnored(t *testing.T) {
 // secret), since coefficients depend only on (fileID, id).
 func TestEncoderLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	f := gf.MustNew(gf.Bits8)
-	k := 4
-	p := mustParams(t, f, k, 16, k*16)
-	a := randomData(rng, p.DataLen)
-	b := randomData(rng, p.DataLen)
-	sum := make([]byte, len(a))
-	for i := range sum {
-		sum[i] = a[i] ^ b[i]
-	}
-	encA, err := NewEncoder(p, 9, testSecret(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encB, err := NewEncoder(p, 9, testSecret(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encSum, err := NewEncoder(p, 9, testSecret(), sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := uint64(0); id < 8; id++ {
-		ya := encA.Message(id).Payload
-		yb := encB.Message(id).Payload
-		ys := encSum.Message(id).Payload
-		for i := range ys {
-			if ys[i] != ya[i]^yb[i] {
-				t.Fatalf("linearity violated at message %d byte %d", id, i)
+	for _, bits := range []uint{gf.Bits8, gf.Bits32} {
+		f := gf.MustNew(bits)
+		k := 4
+		p := mustParams(t, f, k, 19, k*gf.VecBytes(bits, 19))
+		a := randomData(rng, p.DataLen)
+		b := randomData(rng, p.DataLen)
+		sum := make([]byte, len(a))
+		for i := range sum {
+			sum[i] = a[i] ^ b[i]
+		}
+		encA, err := NewEncoder(p, 9, testSecret(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encB, err := NewEncoder(p, 9, testSecret(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encSum, err := NewEncoder(p, 9, testSecret(), sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := uint64(0); id < 8; id++ {
+			ya := encA.Message(id).Payload
+			yb := encB.Message(id).Payload
+			ys := encSum.Message(id).Payload
+			for i := range ys {
+				if ys[i] != ya[i]^yb[i] {
+					t.Fatalf("GF(2^%d): linearity violated at message %d byte %d", bits, id, i)
+				}
 			}
 		}
 	}
+}
+
+// TestEncoderMatchesRowTimesChunks is Eq. (1) checked symbol by symbol
+// with Field.Mul, independent of every region kernel: Y_i[s] = sum_j
+// beta_ij * X_j[s].
+func TestEncoderMatchesRowTimesChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, bits := range []uint{gf.Bits4, gf.Bits8, gf.Bits16, gf.Bits32} {
+		f := gf.MustNew(bits)
+		k, m := 5, 38 // GF(2^32): 152-byte payloads, two vector steps and a tail
+		p := mustParams(t, f, k, m, k*gf.VecBytes(bits, m)-3)
+		data := randomData(rng, p.DataLen)
+		enc, err := NewEncoder(p, 11, testSecret(), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		padded := make([]byte, p.CapacityBytes())
+		copy(padded, data)
+		cb := p.ChunkBytes()
+		for id := uint64(0); id < 6; id++ {
+			row := enc.gen.Row(11, id)
+			got := enc.Message(id).Payload
+			for s := 0; s < m; s++ {
+				var want uint32
+				for j := 0; j < k; j++ {
+					want ^= f.Mul(row[j], gf.GetSym(bits, padded[j*cb:(j+1)*cb], s))
+				}
+				if sym := gf.GetSym(bits, got, s); sym != want {
+					t.Fatalf("GF(2^%d) id %d symbol %d: %#x, want %#x", bits, id, s, sym, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEncoderConcurrentMinting mints the same ids from several
+// goroutines at once (run under -race via `make race-codec`): the
+// per-caller scratch must keep them independent.
+func TestEncoderConcurrentMinting(t *testing.T) {
+	f := gf.MustNew(gf.Bits32)
+	p := mustParams(t, f, 8, 64, 8*256)
+	enc, err := NewEncoder(p, 5, testSecret(), randomData(rand.New(rand.NewSource(65)), p.DataLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ids = 32
+	want := make([]Digest, ids)
+	for id := range want {
+		want[id] = enc.Message(uint64(id)).Digest()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := &Message{FileID: 5, Payload: make([]byte, p.ChunkBytes())}
+			for id := 0; id < ids; id++ {
+				m.MessageID = uint64(id)
+				enc.MessageInto(m.MessageID, m.Payload)
+				if m.Digest() != want[id] {
+					t.Errorf("id %d: concurrent mint differs", id)
+				}
+				if _, err := enc.BatchIDs(id%3, 8); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func FuzzMessageUnmarshal(f *testing.F) {

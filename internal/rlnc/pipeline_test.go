@@ -59,7 +59,7 @@ func scrambledStream(enc *Encoder, rng *rand.Rand, k int) []*Message {
 // derivation: the pipeline's coefficient replay depends on them being
 // byte-for-byte the same stream.
 func TestRowStreamMatchesRow(t *testing.T) {
-	for _, bits := range []uint{gf.Bits4, gf.Bits8, gf.Bits16} {
+	for _, bits := range []uint{gf.Bits4, gf.Bits8, gf.Bits16, gf.Bits32} {
 		f := gf.MustNew(bits)
 		for _, k := range []int{1, 7, 64, 200} {
 			g, err := NewCoeffGenerator(f, k, testSecret())
@@ -88,7 +88,7 @@ func TestRowStreamMatchesRow(t *testing.T) {
 // output and identical accounting from the parallel pipeline and the
 // sequential decoder.
 func TestPipelineMatchesSequentialDecoder(t *testing.T) {
-	for _, bits := range []uint{gf.Bits8, gf.Bits16} {
+	for _, bits := range []uint{gf.Bits8, gf.Bits16, gf.Bits32} {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("p%d_w%d", bits, workers), func(t *testing.T) {
 				k := 24

@@ -64,6 +64,12 @@ func (d *DeltaEncoder) Delta(messageID uint64) *Message {
 	return d.enc.Message(messageID)
 }
 
+// DeltaInto mints the delta payload for one message-id into payload
+// (exactly ChunkBytes long, caller-owned), like Encoder.MessageInto.
+func (d *DeltaEncoder) DeltaInto(messageID uint64, payload []byte) {
+	d.enc.MessageInto(messageID, payload)
+}
+
 // IsNoop reports whether the delta for the given id is all-zero (the
 // peer's stored message is already correct and nothing need be sent).
 func (d *DeltaEncoder) IsNoop(messageID uint64) bool {
