@@ -26,22 +26,24 @@ race-metrics: vet
 # race-codec exercises the parallel codec on both sides of the wire:
 # concurrent producers into rlnc.Pipeline, concurrent minting from one
 # rlnc.Encoder, the GF kernels under them (GF(2^32) differential
-# included), the client fetch path that shares one sink across per-peer
-# goroutines, and core's streaming write path (encode workers, per-peer
-# senders, one-of-four-peers-fails and stalled-peer cancellation).
+# included), and core's streaming write path (encode workers, per-peer
+# senders, one-of-four-peers-fails and stalled-peer cancellation). The
+# client's read path, which shares one pipeline across per-peer stream
+# goroutines, runs under the detector in race-overload.
 race-codec: vet
-	$(GO) test -race ./internal/rlnc/... ./internal/gf/... ./internal/client/... ./internal/core/...
+	$(GO) test -race ./internal/rlnc/... ./internal/gf/... ./internal/core/...
 
 # race-wire is the zero-copy hot-path regression suite under the race
 # detector: the buffer pool's refcounting, the FrameReader/FrameWriter
 # differential and allocation proofs, AddBytes into the pipeline, and
-# the muxed PeerSession (demux goroutine vs per-stream consumers).
+# the peer's serve path. (The PeerSession on the other end — demux
+# goroutine vs per-stream consumers — is race-overload's.)
 # The alloc gates themselves (`TestFrame*SteadyStateAllocs`,
 # `TestMuxedDataPathSteadyStateAllocs`, `TestAddBytesSteadyStateAllocs`)
 # only count allocations without -race, so run the wire package plain
 # too.
 race-wire: vet
-	$(GO) test -race ./internal/wire/... ./internal/rlnc/... ./internal/client/... ./internal/peer/...
+	$(GO) test -race ./internal/wire/... ./internal/rlnc/... ./internal/peer/...
 	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/wire/ ./internal/rlnc/
 
 # race-store exercises the durability layer under the race detector,
@@ -105,12 +107,14 @@ overload-smoke:
 	$(GO) test -run 'Admission|Shed|Brownout|Expired|Breaker|Hedge|Busy|Deadline|DuplicateStreamError' \
 		./internal/peer/ ./internal/client/ ./internal/wire/
 
-# race-overload is the same acceptance slice under the race detector:
-# the shared-sink hedge path (per-chunk progress counters vs the demux
-# goroutine), the breaker state machine, and the peer's admission
-# bookkeeping are all cross-goroutine by construction. The admission
-# alloc gates (TestAdmission*Allocs) only count without -race, so the
-# peer package runs those plain too.
+# race-overload is the same acceptance slice under the race detector,
+# plus the whole client package — the one place CI runs it with -race:
+# the session set (links redialing under concurrent chunk streams), the
+# chunk ladder (per-rung progress counters vs the demux goroutine, one
+# pipeline shared by every rung), the breaker state machine, and the
+# peer's admission bookkeeping are all cross-goroutine by construction.
+# The admission alloc gates (TestAdmission*Allocs) only count without
+# -race, so the peer package runs those plain too.
 race-overload: vet
 	$(GO) test -race -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer' \
 		./internal/netsim/harness/

@@ -2,13 +2,13 @@ package client
 
 // Per-peer circuit breaker (DESIGN.md §15). A peer that fails
 // BreakerThreshold consecutive times is quarantined: the hedged chunk
-// scheduler stops ranking it into the ladder until its cooldown lapses,
+// ladder ranks it below every healthy rung until its cooldown lapses,
 // then admits exactly one half-open probe stream. A successful probe
 // closes the breaker; a failed one re-opens it with a doubled cooldown,
-// capped at maxBreakerCooldown. The breaker only gates the hedged path
-// — the classic parallel fetch and its retry loop are deliberately left
-// breaker-blind so a client with no healthy alternatives still tries
-// every peer it knows.
+// capped at maxBreakerCooldown. The breaker only orders the hedged
+// ladder — the unhedged one launches every rung regardless, and a
+// hedged ladder that runs dry tries its quarantined rungs too, so a
+// client with no healthy alternatives still tries every peer it knows.
 
 import "time"
 

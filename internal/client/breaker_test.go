@@ -95,23 +95,24 @@ func TestBreakerFailedProbeDoublesCooldown(t *testing.T) {
 
 func TestHealthOrderRanksAndQuarantines(t *testing.T) {
 	h, now := testRegistry(Options{BreakerThreshold: 1, BreakerCooldown: time.Second})
-	fast := &PeerSession{addr: "fast"}
-	slow := &PeerSession{addr: "slow"}
-	sick := &PeerSession{addr: "sick"}
+	fast := &peerLink{addr: "fast"}
+	slow := &peerLink{addr: "slow"}
+	sick := &peerLink{addr: "sick"}
 	h.recordSuccess("fast", 10*time.Millisecond)
 	h.recordSuccess("slow", 500*time.Millisecond)
 	h.recordFailure("sick")
 
-	ladder, probeFrom := h.order([]*PeerSession{slow, sick, fast}, 0)
-	if len(ladder) != 2 || probeFrom != 2 {
-		t.Fatalf("ladder %d long, probeFrom %d: quarantined peer not excluded", len(ladder), probeFrom)
+	ladder, probeFrom, coolFrom := h.order([]*peerLink{slow, sick, fast}, 0)
+	if len(ladder) != 3 || probeFrom != 2 || coolFrom != 2 || ladder[2] != sick {
+		t.Fatalf("ladder %d long, probeFrom %d, coolFrom %d: quarantined peer not held back as the last resort",
+			len(ladder), probeFrom, coolFrom)
 	}
 	if ladder[0] != fast || ladder[1] != slow {
 		t.Fatalf("ladder order [%s %s], want healthiest first", ladder[0].addr, ladder[1].addr)
 	}
 
 	// Rotation spreads concurrent chunks across healthy peers only.
-	ladder, _ = h.order([]*PeerSession{slow, sick, fast}, 1)
+	ladder, _, _ = h.order([]*peerLink{slow, sick, fast}, 1)
 	if ladder[0] != slow {
 		t.Fatalf("rotated ladder starts at %s, want slow", ladder[0].addr)
 	}
@@ -119,10 +120,10 @@ func TestHealthOrderRanksAndQuarantines(t *testing.T) {
 	// After the cooldown the sick peer rejoins as a probe candidate,
 	// always ranked after the healthy rungs.
 	*now = now.Add(time.Second)
-	ladder, probeFrom = h.order([]*PeerSession{sick, fast, slow}, 0)
-	if len(ladder) != 3 || probeFrom != 2 || ladder[2] != sick {
-		t.Fatalf("probe candidate placement wrong: len %d probeFrom %d last %s",
-			len(ladder), probeFrom, ladder[len(ladder)-1].addr)
+	ladder, probeFrom, coolFrom = h.order([]*peerLink{sick, fast, slow}, 0)
+	if len(ladder) != 3 || probeFrom != 2 || coolFrom != 3 || ladder[2] != sick {
+		t.Fatalf("probe candidate placement wrong: len %d probeFrom %d coolFrom %d last %s",
+			len(ladder), probeFrom, coolFrom, ladder[len(ladder)-1].addr)
 	}
 }
 
@@ -164,7 +165,7 @@ func TestShedProbeReleasesHalfOpenSlot(t *testing.T) {
 	if !h.allow("p") {
 		t.Fatal("peer still excluded after its shed probe resolved")
 	}
-	ladder, probeFrom := h.order([]*PeerSession{{addr: "p"}}, 0)
+	ladder, probeFrom, _ := h.order([]*peerLink{{addr: "p"}}, 0)
 	if len(ladder) != 1 || probeFrom != 1 {
 		t.Fatalf("ladder len %d probeFrom %d, want the peer back as a healthy rung", len(ladder), probeFrom)
 	}
@@ -182,9 +183,9 @@ func TestShedsFeedScoreNotBreaker(t *testing.T) {
 		t.Fatalf("snapshot %+v, want 10 sheds and 0 failures", s)
 	}
 	// But they do nudge the ranking behind an unshedded peer.
-	calm := &PeerSession{addr: "calm"}
-	busy := &PeerSession{addr: "busy"}
-	ladder, _ := h.order([]*PeerSession{busy, calm}, 0)
+	calm := &peerLink{addr: "calm"}
+	busy := &peerLink{addr: "busy"}
+	ladder, _, _ := h.order([]*peerLink{busy, calm}, 0)
 	if ladder[0] != calm {
 		t.Fatal("shed-heavy peer ranked ahead of a calm one")
 	}

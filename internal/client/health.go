@@ -3,7 +3,7 @@ package client
 // Per-peer health tracking for the resilient fetch path (DESIGN.md
 // §15). Every peer the client talks to accumulates an EWMA of stream
 // latency, failure and shed counts, and a circuit-breaker state
-// (breaker.go). The hedged chunk scheduler (hedge.go) ranks sessions by
+// (breaker.go). The hedged chunk ladder (ladder.go) ranks peers by
 // these scores, and the hedge delay — how long a stream may make no
 // progress before it is re-issued on the next-healthiest peer — is
 // derived from a small reservoir of recent stream latencies (p95 with
@@ -197,45 +197,44 @@ func (p *peerHealth) scoreLocked() float64 {
 	return p.ewmaSeconds + 0.5*float64(p.consecFails) + 0.02*sheds
 }
 
-// order ranks sessions for the hedge ladder. The first return value is
-// the ladder: closed-breaker peers healthiest-first, rotated by rotate
-// so concurrent chunks spread across equally healthy peers, followed by
-// cooled-down quarantined peers (probe candidates). probeFrom is the
-// index where those candidates begin (== len when there are none).
-// Peers still inside their breaker cooldown are excluded entirely.
-func (h *healthRegistry) order(sessions []*PeerSession, rotate int) (ladder []*PeerSession, probeFrom int) {
+// order ranks links for the hedged ladder: closed-breaker peers
+// healthiest-first, rotated by rotate so concurrent chunks spread across
+// equally healthy peers; from probeFrom, quarantined peers whose
+// cooldown has lapsed (half-open probe candidates); from coolFrom, peers
+// still inside their cooldown, which only a ladder with nothing else
+// left will try.
+func (h *healthRegistry) order(links []*peerLink, rotate int) (ladder []*peerLink, probeFrom, coolFrom int) {
 	type ranked struct {
-		s     *PeerSession
+		l     *peerLink
 		score float64
 	}
 	h.mu.Lock()
 	now := h.now()
-	healthy := make([]ranked, 0, len(sessions))
-	var probes []*PeerSession
-	for _, s := range sessions {
-		p, ok := h.peers[s.Addr()]
+	healthy := make([]ranked, 0, len(links))
+	var probes, cooling []*peerLink
+	for _, l := range links {
+		p, ok := h.peers[l.addr]
 		switch {
-		case !ok || p.state == breakerClosed:
-			var score float64
-			if ok {
-				score = p.scoreLocked()
-			}
-			healthy = append(healthy, ranked{s: s, score: score})
+		case !ok:
+			healthy = append(healthy, ranked{l: l})
+		case p.state == breakerClosed:
+			healthy = append(healthy, ranked{l: l, score: p.scoreLocked()})
 		case p.allowLocked(now):
-			probes = append(probes, s)
+			probes = append(probes, l)
+		default:
+			cooling = append(cooling, l)
 		}
 	}
 	h.mu.Unlock()
 	sort.SliceStable(healthy, func(i, j int) bool { return healthy[i].score < healthy[j].score })
-	ladder = make([]*PeerSession, 0, len(healthy)+len(probes))
-	if n := len(healthy); n > 0 {
-		r := rotate % n
-		for i := 0; i < n; i++ {
-			ladder = append(ladder, healthy[(r+i)%n].s)
-		}
+	ladder = make([]*peerLink, 0, len(links))
+	for i, n := 0, len(healthy); i < n; i++ {
+		ladder = append(ladder, healthy[(rotate+i)%n].l)
 	}
 	probeFrom = len(ladder)
-	return append(ladder, probes...), probeFrom
+	ladder = append(ladder, probes...)
+	coolFrom = len(ladder)
+	return append(ladder, cooling...), probeFrom, coolFrom
 }
 
 // hedgeDelay returns how long a chunk stream may sit without progress

@@ -78,11 +78,9 @@ func TestHedgedAllQuarantinedLaunchesPrimaryOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sess, err := c.NewPeerSession(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	set := c.newSessionSet(ctx)
+	defer set.close()
+	links := set.open([]string{addr})
 
 	// Quarantine the peer with an already-lapsed cooldown so the ladder
 	// consists solely of probe candidates.
@@ -93,9 +91,8 @@ func TestHedgedAllQuarantinedLaunchesPrimaryOnce(t *testing.T) {
 	p.openUntil = time.Now().Add(-time.Millisecond)
 	c.health.mu.Unlock()
 
-	sessions := []*PeerSession{sess}
-	if ladder, probeFrom := c.health.order(sessions, 0); len(ladder) != 1 || probeFrom != 0 {
-		t.Fatalf("sanity: ladder len %d probeFrom %d, want 1 and 0", len(ladder), probeFrom)
+	if ladder, probeFrom, coolFrom := c.health.order(links, 0); len(ladder) != 1 || probeFrom != 0 || coolFrom != 1 {
+		t.Fatalf("sanity: ladder len %d probeFrom %d coolFrom %d, want 1, 0 and 1", len(ladder), probeFrom, coolFrom)
 	}
 
 	info := share.Manifest.Chunks[0]
@@ -103,7 +100,8 @@ func TestHedgedAllQuarantinedLaunchesPrimaryOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piece, _, err := c.fetchChunkHedged(ctx, sessions, 0, params, info.FileID, secret, info.Digests)
+	piece, _, err := c.fetchChunk(ctx, links, 0,
+		FetchRequest{Params: params, FileID: info.FileID, Secret: secret, Digests: info.Digests})
 	if err != nil {
 		t.Fatalf("all-quarantined hedged fetch: %v", err)
 	}

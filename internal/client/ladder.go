@@ -1,0 +1,228 @@
+package client
+
+// The chunk ladder (DESIGN.md §15): the one way a generation is
+// downloaded. Every link of the session set is a rung, every rung
+// streams into one shared RLNC pipeline, and the chunk is done at rank
+// k — whichever stream delivers the last innovative message wins, and
+// duplicates are just redundant rows, so racing rungs is always safe.
+//
+// Unhedged, every rung launches at t = 0: maximum instantaneous
+// goodput, maximum redundant upload, breakers ignored. With
+// Options.Hedge the rungs are ranked by health and launched one at a
+// time: the chunk starts on the single healthiest peer, and only when
+// no byte arrives for a full hedge delay (p95-based, health.go), or a
+// rung ends without completing the chunk, is it re-issued on the next.
+// Quarantined peers whose breaker cooldown has lapsed ride along as
+// half-open probes so recovery is observed without risking the chunk
+// on them, and a ladder that runs dry launches whatever it has not yet
+// tried — quarantined or not — before giving up.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"asymshare/internal/rlnc"
+)
+
+// rung tracks one launched stream of a chunk.
+type rung struct {
+	link    *peerLink
+	started time.Time
+	bytes   atomic.Int64
+	err     error // written by the stream goroutine, read after wg.Wait
+}
+
+// fetchChunk downloads and decodes the generation req names over links
+// (req.Peers is not consulted). rotate — the chunk index — spreads
+// concurrent hedged chunks across equally healthy peers.
+func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, req FetchRequest) ([]byte, FetchStats, error) {
+	stats := FetchStats{BytesFrom: make(map[string]uint64, len(links))}
+	fail := func(err error) ([]byte, FetchStats, error) {
+		c.m.recordFetch(stats, 0, err)
+		return nil, stats, err
+	}
+	if len(links) == 0 {
+		return fail(ErrNoPeers)
+	}
+	ladder, probeFrom, coolFrom := links, len(links), len(links)
+	if c.opt.Hedge {
+		ladder, probeFrom, coolFrom = c.health.order(links, rotate)
+	}
+	sink, err := rlnc.NewPipeline(req.Params, req.FileID, req.Secret, req.Digests, rlnc.PipelineConfig{})
+	if err != nil {
+		return fail(err)
+	}
+	defer sink.Close()
+	stopSampling := c.m.sampleDecode(sink.Telemetry)
+
+	start := time.Now()
+	streamCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	var (
+		mu          sync.Mutex // guards stats.BytesFrom
+		wg          sync.WaitGroup
+		progress    atomic.Int64
+		rungs       = make([]*rung, len(ladder))
+		results     = make(chan struct{}, len(ladder))
+		outstanding int
+	)
+	launch := func(i int) {
+		r := &rung{link: ladder[i], started: time.Now()}
+		rungs[i] = r
+		outstanding++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sreq := StreamRequest{FileID: req.FileID, Priority: req.Priority}
+			r.err = r.link.fetchStream(streamCtx, sreq, sink, func(fingerprint string, n int) {
+				r.bytes.Add(int64(n))
+				progress.Add(int64(n))
+				mu.Lock()
+				stats.BytesFrom[fingerprint] += uint64(n)
+				mu.Unlock()
+			})
+			results <- struct{}{}
+		}()
+	}
+	// launchNext re-issues the chunk on the first unlaunched rung below
+	// limit.
+	launchNext := func(limit int) bool {
+		for i := 0; i < limit; i++ {
+			if rungs[i] == nil {
+				launch(i)
+				return true
+			}
+		}
+		return false
+	}
+
+	if c.opt.Hedge {
+		// One primary plus every claimable half-open probe. The probes
+		// are why a quarantined peer can ever be observed recovering:
+		// its single post-cooldown stream runs alongside a healthy
+		// primary, so the chunk never depends on it. Only a peer with a
+		// live session is probed: whether one can be had at all is the
+		// link's own redial loop to find out, and a probe parked on a
+		// dial would be reaped with its slot still claimed. With no
+		// healthy rung the first of the rest doubles as the primary,
+		// unclaimed, and the probe loop skips it — launching it twice
+		// would open a duplicate stream on its session.
+		launch(0)
+		for i := probeFrom; i < coolFrom; i++ {
+			if rungs[i] == nil && ladder[i].connected() && c.health.beginProbe(ladder[i].addr) {
+				launch(i)
+			}
+		}
+	} else {
+		for i := range ladder {
+			launch(i)
+		}
+	}
+
+	delay := c.health.hedgeDelay()
+	timer := time.NewTimer(delay)
+	defer timer.Stop()
+	var lastProgress int64
+loop:
+	for outstanding > 0 {
+		select {
+		case <-ctx.Done():
+			break loop
+		case <-results:
+			outstanding--
+			if sink.Done() {
+				break loop
+			}
+			// The rung ended — exhausted, shed for good, or failed —
+			// without completing the chunk: walk the ladder now rather
+			// than waiting out the hedge timer, and once nothing healthy
+			// is left or running, spend the last resort.
+			if !launchNext(probeFrom) && outstanding == 0 {
+				for launchNext(len(ladder)) {
+				}
+			}
+		case <-timer.C:
+			if progress.Load() == lastProgress && !sink.Done() {
+				// A full hedge delay with not one byte of progress:
+				// re-issue the chunk on the next-healthiest peer. The
+				// straggler keeps running — it may still win — until
+				// the chunk completes and cancel() reaps it.
+				if launchNext(probeFrom) {
+					c.m.hedgeLaunched.Inc()
+				}
+			}
+			lastProgress = progress.Load()
+			timer.Reset(delay)
+		}
+	}
+	cancel()
+	wg.Wait()
+	stats.Elapsed = time.Since(start)
+	stopSampling()
+
+	completed := sink.Done()
+	c.classify(rungs, completed, delay)
+
+	st := sink.Stats()
+	stats.Messages = st.Received
+	stats.Innovative = st.Accepted
+	stats.Rejected = st.Rejected
+
+	if !completed {
+		err := ctx.Err()
+		if err == nil {
+			errs := make([]error, 0, len(rungs))
+			for _, r := range rungs {
+				if r != nil {
+					errs = append(errs, r.err)
+				}
+			}
+			err = fmt.Errorf("%w: rank %d of %d (%s)",
+				ErrIncomplete, sink.Rank(), req.Params.K, joinErrs(errs))
+		}
+		return fail(err)
+	}
+	data, err := sink.Decode()
+	if err != nil {
+		return fail(err)
+	}
+	c.m.recordFetch(stats, len(data), nil)
+	c.m.recordDecodeTelemetry(sink.Telemetry())
+	return data, stats, nil
+}
+
+// classify folds every launched rung's final outcome into the health
+// registry (attempts a link retried were observed as they happened).
+// Called after wg.Wait, so err fields are settled.
+func (c *Client) classify(rungs []*rung, completed bool, delay time.Duration) {
+	for _, r := range rungs {
+		if r == nil {
+			continue
+		}
+		addr := r.link.addr
+		elapsed := time.Since(r.started)
+		switch {
+		case errors.Is(r.err, context.Canceled), errors.Is(r.err, context.DeadlineExceeded):
+			// Reaped before it had a session: no evidence either way.
+		case r.err != nil:
+			c.observe(addr, r.err)
+		case c.opt.Hedge && completed && r.bytes.Load() == 0 && elapsed > delay:
+			// Held a rung for a whole hedge delay and contributed
+			// nothing while another peer finished the chunk: a stall —
+			// the exact pathology hedging exists to route around.
+			c.health.recordFailure(addr)
+			c.m.hedgeStalls.Inc()
+		case completed && r.bytes.Load() > 0:
+			c.health.recordSuccess(addr, elapsed)
+		default:
+			// Exhausted its stored messages or arrived too late to
+			// matter: liveness proven, no latency sample.
+			c.observe(addr, nil)
+		}
+	}
+}

@@ -100,7 +100,7 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// recordFetch folds one completed FetchGeneration into the instrument
+// recordFetch folds one completed generation download into the instrument
 // set. decodedBytes is zero when the fetch failed.
 func (m *clientMetrics) recordFetch(stats FetchStats, decodedBytes int, err error) {
 	m.fetchDur.ObserveDuration(stats.Elapsed)
@@ -121,10 +121,9 @@ func (m *clientMetrics) recordFetch(stats FetchStats, decodedBytes int, err erro
 // sampleDecode starts a goroutine publishing the pipeline's queue
 // depth and worker utilization gauges while a fetch runs; the returned
 // stop function ends sampling and zeroes the gauges. It is a no-op
-// (returning a no-op stop) without instrumentation or with the
-// sequential engine, which has no telemetry.
+// (returning a no-op stop) without instrumentation.
 func (m *clientMetrics) sampleDecode(telemetry func() rlnc.PipelineTelemetry) func() {
-	if m.decodeDepth == nil || telemetry == nil {
+	if m.decodeDepth == nil {
 		return func() {}
 	}
 	quit := make(chan struct{})

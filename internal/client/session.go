@@ -1,12 +1,11 @@
 package client
 
 // PeerSession multiplexes many concurrent generation downloads over one
-// authenticated connection. The legacy fetch path dials a fresh
-// connection per peer per generation — fine for a single chunk, but a
-// manifest of dozens of chunks pays dial+handshake per chunk and
-// serializes them. A session performs the handshake once, issues
-// GET_MUX requests, and demultiplexes the interleaved DATA frames by
-// the file-id every message carries in its first 8 header bytes.
+// authenticated connection: it performs the handshake once, issues a
+// GET_MUX request per generation, and demultiplexes the interleaved DATA
+// frames by the file-id every message carries in its first 8 header
+// bytes. Every fetch flavour runs on sessions (sessionset.go); GET_MUX
+// is the only download request the client sends.
 //
 // Buffer ownership (DESIGN.md §13): the demux loop owns each frame
 // buffer from FrameReader.Next until it hands it to a stream's frame
@@ -99,11 +98,6 @@ func (sw *sessionWriter) writeFrame(t wire.Type, payload []byte) error {
 func (c *Client) NewPeerSession(ctx context.Context, addr string) (*PeerSession, error) {
 	conn, peerKey, err := c.dial(ctx, addr, wire.RoleUser)
 	if err != nil {
-		// A failed dial or handshake while the caller's context is
-		// still live is the peer's fault — feed the circuit breaker.
-		if ctx.Err() == nil {
-			c.health.recordFailure(addr)
-		}
 		return nil, err
 	}
 	s := &PeerSession{
@@ -178,6 +172,14 @@ func (s *PeerSession) lookup(fileID uint64) *sessStream {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.streams[fileID]
+}
+
+// isDead reports whether the connection has failed: every stream on the
+// session has ended and no new one will register.
+func (s *PeerSession) isDead() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dead != nil
 }
 
 // failAll marks the session dead and fails every open stream.
@@ -310,8 +312,8 @@ func (s *PeerSession) stop(fileID uint64) {
 // when the decode completes (sink.Done), the peer exhausts its stored
 // messages, the context is cancelled, or the stream fails. onBytes, if
 // non-nil, is called with each message's wire size for receipt
-// accounting. Digest failures are tolerated (the forged message is
-// dropped, the stream continues), matching the legacy fetch path.
+// accounting. Digest failures are tolerated: the forged message is
+// dropped and the stream continues.
 func (s *PeerSession) Fetch(ctx context.Context, fileID uint64, sink rlnc.ByteSink, onBytes func(int)) error {
 	return s.FetchStream(ctx, StreamRequest{FileID: fileID}, sink, onBytes)
 }
@@ -342,6 +344,12 @@ func (s *PeerSession) FetchStream(ctx context.Context, req StreamRequest, sink r
 	defer s.unregister(st)
 	get := wire.Get{FileID: fileID, DeadlineMillis: deadlineMillis(ctx), Priority: req.Priority}
 	if err := s.cw.writeFrame(wire.TypeGetMux, get.Marshal()); err != nil {
+		// The connection is gone even if the demux loop has not read
+		// its way to the failure yet: fail the session now, so callers
+		// see a dead session rather than a stream-scoped error.
+		err = fmt.Errorf("%w (%s): %v", errPeerAborted, s.addr, err)
+		s.failAll(err)
+		s.conn.Close()
 		return err
 	}
 	for {

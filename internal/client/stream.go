@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"asymshare/internal/chunk"
 )
@@ -42,17 +43,19 @@ type Stream struct {
 	next    int
 	total   int
 	pending map[int]chunkResult
+	start   time.Time
 
 	mu    sync.Mutex
 	stats FetchStats
 
 	closeOnce sync.Once
-	done      chan struct{}
 }
 
 // StreamFile starts fetching all chunks of the manifest from the given
 // peers, decoding each independently, and returns a Stream that yields
-// them in order.
+// them in order. At most prefetch+1 chunks are in flight, so the fetch
+// never races far ahead of playback; they share one session per peer,
+// which lives until the last chunk is fetched or the Stream is closed.
 func (c *Client) StreamFile(ctx context.Context, addrs []string, m *chunk.Manifest,
 	secret []byte, opts StreamOptions) (*Stream, error) {
 	if err := m.Validate(); err != nil {
@@ -75,54 +78,19 @@ func (c *Client) StreamFile(ctx context.Context, addrs []string, m *chunk.Manife
 		results: make(chan chunkResult, prefetch+1),
 		total:   len(m.Chunks),
 		pending: make(map[int]chunkResult),
+		start:   time.Now(),
 		stats:   FetchStats{BytesFrom: make(map[string]uint64)},
-		done:    make(chan struct{}),
 	}
-
-	// Workers pull chunk indices from a queue; at most prefetch+1 are
-	// in flight, so the fetch never races far ahead of playback.
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	workers := prefetch + 1
-	if workers > len(m.Chunks) {
-		workers = len(m.Chunks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range indices {
-				info := m.Chunks[idx]
-				params, err := info.Params(m.Plan)
-				var res chunkResult
-				if err != nil {
-					res = chunkResult{index: idx, err: err}
-				} else {
-					data, stats, err := c.FetchGeneration(streamCtx, addrs, params,
-						info.FileID, secret, info.Digests)
-					res = chunkResult{index: idx, data: data, stats: stats, err: err}
-				}
+	go func() {
+		defer close(s.results)
+		c.fetchManifest(streamCtx, m, secret,
+			func(context.Context, int) ([]string, error) { return addrs, nil }, prefetch+1,
+			func(i int, data []byte, stats FetchStats, err error) {
 				select {
-				case s.results <- res:
+				case s.results <- chunkResult{index: i, data: data, stats: stats, err: err}:
 				case <-streamCtx.Done():
-					return
 				}
-			}
-		}()
-	}
-	go func() {
-		defer close(indices)
-		for i := 0; i < len(m.Chunks); i++ {
-			select {
-			case indices <- i:
-			case <-streamCtx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(s.results)
+			})
 	}()
 	return s, nil
 }
@@ -155,20 +123,16 @@ func (s *Stream) deliver(res chunkResult) (int, []byte, error) {
 		return res.index, nil, fmt.Errorf("chunk %d: %w", res.index, res.err)
 	}
 	s.mu.Lock()
-	s.stats.Messages += res.stats.Messages
-	s.stats.Innovative += res.stats.Innovative
-	s.stats.Rejected += res.stats.Rejected
-	s.stats.Elapsed += res.stats.Elapsed
-	for k, v := range res.stats.BytesFrom {
-		s.stats.BytesFrom[k] += v
-	}
+	s.stats.merge(res.stats)
+	s.stats.Elapsed = time.Since(s.start)
 	s.mu.Unlock()
 	s.next = res.index + 1
 	return res.index, res.data, nil
 }
 
 // Stats returns the accumulated fetch statistics for the chunks
-// delivered so far.
+// delivered so far; Elapsed is the wall time from StreamFile to the
+// latest delivery.
 func (s *Stream) Stats() FetchStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -185,8 +149,7 @@ func (s *Stream) Stats() FetchStats {
 func (s *Stream) Close() error {
 	s.closeOnce.Do(func() {
 		s.cancel()
-		close(s.done)
-		// Drain so worker goroutines sending results can exit.
+		// Drain so downloads handing over results can exit.
 		go func() {
 			for range s.results { //nolint:revive // drain only
 			}

@@ -9,6 +9,7 @@ package client_test
 // handshake even on a deadline-free context.
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"testing"
@@ -77,5 +78,40 @@ func TestDisseminateTimesOutOnUnresponsivePeer(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("disseminate took %v; DialTimeout=300ms should have cut it off", elapsed)
+	}
+}
+
+// TestFetchFileDialsPeersConcurrently pins the session set's set-up
+// cost: three wedged peers ahead of the one live peer (which alone
+// holds full rank) used to cost a full DialTimeout each, serially,
+// before the first request went to anyone. Dials run together and the
+// live peer's streams start as soon as its own handshake is done, so
+// the fetch cannot take the sum.
+func TestFetchFileDialsPeersConcurrently(t *testing.T) {
+	const dialTimeout = 500 * time.Millisecond
+	c, err := client.NewWith(identity(t, 1), nil, client.Options{DialTimeout: dialTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("max, not sum "), 300) // several chunks
+	m, live := buildAndDisseminate(t, c, data, 1)
+	addrs := []string{
+		neverAcceptListener(t).Addr().String(),
+		neverAcceptListener(t).Addr().String(),
+		neverAcceptListener(t).Addr().String(),
+		live[0],
+	}
+
+	start := time.Now()
+	got, _, err := c.FetchFile(context.Background(), addrs, m, testSecret())
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("fetch with three wedged peers: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("decoded bytes differ from original")
+	}
+	if elapsed > 3*dialTimeout/2 {
+		t.Fatalf("fetch took %v with DialTimeout %v: wedged peers were waited out one after another", elapsed, dialTimeout)
 	}
 }

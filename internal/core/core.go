@@ -148,10 +148,8 @@ func (s *System) FetchFile(ctx context.Context, h *Handle, secret []byte) ([]byt
 	if h == nil || len(h.Peers) == 0 {
 		return nil, client.FetchStats{}, fmt.Errorf("%w: missing peers", ErrBadHandle)
 	}
-	if len(h.ChunkPeers) > 0 {
-		return s.fetchPlaced(ctx, h, secret)
-	}
-	return s.client.FetchFile(ctx, h.Peers, &h.Manifest, secret)
+	return s.client.FetchFileFrom(ctx, &h.Manifest, secret,
+		func(_ context.Context, i int) ([]string, error) { return h.PeersForChunk(i), nil })
 }
 
 // ReportFeedback forwards the per-peer receipts of a fetch to the

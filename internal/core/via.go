@@ -41,41 +41,16 @@ func (s *System) AnnounceHandleVia(ctx context.Context, d discovery.Discovery, h
 // and a way to discover.
 func (s *System) FetchFileVia(ctx context.Context, d discovery.Discovery,
 	m *chunk.Manifest, secret []byte) ([]byte, client.FetchStats, error) {
-	total := client.FetchStats{BytesFrom: make(map[string]uint64)}
-	if err := m.Validate(); err != nil {
-		return nil, total, err
-	}
-	pieces := make([][]byte, len(m.Chunks))
-	for i, info := range m.Chunks {
-		addrs, err := d.Lookup(ctx, info.FileID)
+	return s.client.FetchFileFrom(ctx, m, secret, func(ctx context.Context, i int) ([]string, error) {
+		addrs, err := d.Lookup(ctx, m.Chunks[i].FileID)
 		if errors.Is(err, discovery.ErrNotFound) || (err == nil && len(addrs) == 0) {
-			return nil, total, fmt.Errorf("core: chunk %d: %w", i, errors.Join(client.ErrNoPeers, err))
+			return nil, fmt.Errorf("core: %w", errors.Join(client.ErrNoPeers, err))
 		}
 		if err != nil {
-			return nil, total, fmt.Errorf("core: resolve chunk %d: %w", i, err)
+			return nil, fmt.Errorf("core: resolve: %w", err)
 		}
-		params, err := info.Params(m.Plan)
-		if err != nil {
-			return nil, total, err
-		}
-		data, stats, err := s.client.FetchGeneration(ctx, addrs, params, info.FileID, secret, info.Digests)
-		if err != nil {
-			return nil, total, fmt.Errorf("core: chunk %d: %w", i, err)
-		}
-		pieces[i] = data
-		total.Messages += stats.Messages
-		total.Innovative += stats.Innovative
-		total.Rejected += stats.Rejected
-		total.Elapsed += stats.Elapsed
-		for k, v := range stats.BytesFrom {
-			total.BytesFrom[k] += v
-		}
-	}
-	data, err := chunk.Assemble(m, pieces)
-	if err != nil {
-		return nil, total, err
-	}
-	return data, total, nil
+		return addrs, nil
+	})
 }
 
 // ShareFileGossip encodes data and seeds it into a gossip engine

@@ -139,7 +139,8 @@ func (g Grants) Rate(id ID) float64 {
 }
 
 // Map renders the grants as a fresh map — a convenience for tests and
-// legacy call shapes, never an alias of policy-internal state.
+// callers that index shares by ID, never an alias of policy-internal
+// state.
 func (g Grants) Map() map[ID]float64 {
 	out := make(map[ID]float64, len(g))
 	for _, e := range g {

@@ -87,40 +87,3 @@ func TestHighBandwidthFetchApproachesLinkOptimum(t *testing.T) {
 	t.Log(fmt.Sprintf("fetched %d bytes in %v (optimum %v, bound %v, %d peers)",
 		len(data), stats.Elapsed, optimum, bound, len(stats.BytesFrom)))
 }
-
-// TestFetchRequestSequentialEngineMatches runs the same fetch through
-// the sequential decode engine (DecodeWorkers < 0) and the default
-// pipeline, pinning that the engine choice is invisible in the result.
-func TestFetchRequestSequentialEngineMatches(t *testing.T) {
-	seed := Seed(t, 31)
-	ctx := testCtx(t)
-	c := Start(t, seed, 3)
-	gen := c.SeedGeneration(ctx, 9, 8, 512, 4096, 4)
-	addrs := c.Lookup(ctx, HostUser, gen.FileID)
-	cl := c.UserClient(client.Options{})
-
-	req := client.FetchRequest{
-		Peers:   addrs,
-		Params:  gen.Params,
-		FileID:  gen.FileID,
-		Secret:  gen.Secret,
-		Digests: gen.Digests,
-	}
-	req.DecodeWorkers = -1
-	seqData, seqStats, err := cl.Fetch(ctx, req)
-	if err != nil {
-		t.Fatalf("sequential-engine fetch: %v", err)
-	}
-	req.DecodeWorkers = 2
-	pipeData, pipeStats, err := cl.Fetch(ctx, req)
-	if err != nil {
-		t.Fatalf("pipeline-engine fetch: %v", err)
-	}
-	if !bytes.Equal(seqData, pipeData) || !bytes.Equal(seqData, gen.Data) {
-		t.Fatal("engines disagree on decoded bytes")
-	}
-	if seqStats.Innovative != gen.Params.K || pipeStats.Innovative != gen.Params.K {
-		t.Errorf("innovative: sequential %d, pipeline %d, want %d",
-			seqStats.Innovative, pipeStats.Innovative, gen.Params.K)
-	}
-}

@@ -1,13 +1,16 @@
 package harness
 
-// ISSUE 8 satellite 2: the pooled/muxed wire hot path must be
-// observationally identical to the legacy ReadFrame/WriteFrame path —
-// same decoded bytes — under deterministic chaos on the netsim fabric:
-// mid-stream connection cuts, per-link latency and asymmetric rate
-// caps. On top of byte identity, every scenario asserts the
-// wire.DefaultPool teardown invariants: all pooled frame buffers
+// The pooled, multiplexed read path under deterministic chaos on the
+// netsim fabric: mid-stream connection cuts, per-link latency and
+// asymmetric rate caps. However the streams are scheduled — every rung
+// at once, a hedged ladder, or hand-driven PeerSessions — the decode
+// must be byte-identical to the original, and every scenario asserts
+// the wire.DefaultPool teardown invariants: all pooled frame buffers
 // released (no leaks) and no double-releases, even on the failure
-// paths the chaos forces.
+// paths the chaos forces. (The allocating ReadFrame loop the client
+// once kept as a differential baseline is gone; wire's
+// FrameReader-vs-ReadFrame differential and rlnc's AddBytes-vs-Add one
+// hold the component-level references.)
 
 import (
 	"bytes"
@@ -54,10 +57,10 @@ func checkDefaultPool(t *testing.T, before wire.PoolStats) {
 }
 
 // TestWireDifferentialChaos fetches the same generation twice — once
-// over the legacy wire path, once over the pooled one — while the
-// fabric injects latency, an asymmetric rate cap, and a mid-stream cut
-// on one peer. Both fetches must succeed (the two surviving peers
-// jointly decode) and produce byte-identical output.
+// with every rung of the chunk ladder launched together, once hedged —
+// while the fabric injects latency, an asymmetric rate cap, and a
+// mid-stream cut on one peer. Both fetches must succeed (the two
+// surviving peers jointly decode) and produce byte-identical output.
 func TestWireDifferentialChaos(t *testing.T) {
 	seed := Seed(t, 7788)
 	ctx := testCtx(t)
@@ -78,32 +81,33 @@ func TestWireDifferentialChaos(t *testing.T) {
 
 	fetch := func(opts client.Options) []byte {
 		t.Helper()
-		opts.PeerRetries = -1 // fixed dial sequence: same faults hit both paths
+		opts.PeerRetries = -1 // fixed dial sequence: same faults hit both ladders
 		cl := c.UserClient(opts)
 		data, _, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
 		if err != nil {
-			t.Fatalf("fetch (legacy=%v) under chaos: %v", opts.LegacyWire, err)
+			t.Fatalf("fetch (hedge=%v) under chaos: %v", opts.Hedge, err)
 		}
 		return data
 	}
 
-	legacy := fetch(client.Options{LegacyWire: true})
-	pooled := fetch(client.Options{})
+	together := fetch(client.Options{})
+	hedged := fetch(client.Options{Hedge: true, HedgeDelay: 20 * time.Millisecond})
 
-	if !bytes.Equal(legacy, gen.Data) {
-		t.Fatal("legacy path decoded bytes differ from original")
+	if !bytes.Equal(together, gen.Data) {
+		t.Fatal("unhedged ladder decoded bytes differ from original")
 	}
-	if !bytes.Equal(pooled, legacy) {
-		t.Fatal("pooled path output diverges from legacy path")
+	if !bytes.Equal(hedged, together) {
+		t.Fatal("hedged ladder output diverges from the unhedged one")
 	}
 	checkDefaultPool(t, before)
 }
 
-// TestWireMuxDifferentialChaos runs the multiplexed session path under
-// the same chaos: one PeerSession per peer feeds a shared pipeline,
-// peer2's session is severed mid-stream, and the survivors complete
-// the decode. The result must match a legacy-path fetch byte for byte,
-// and the severed session must not leak pooled buffers.
+// TestWireMuxDifferentialChaos drives PeerSessions by hand under the
+// same chaos, the way cmd/bench's stepwise fetch does: one session per
+// peer feeds a shared pipeline, peer2's session is severed mid-stream,
+// and the survivors complete the decode. The result must match the
+// library's own fetch byte for byte, and the severed session must not
+// leak pooled buffers.
 func TestWireMuxDifferentialChaos(t *testing.T) {
 	seed := Seed(t, 9911)
 	ctx := testCtx(t)
@@ -117,15 +121,15 @@ func TestWireMuxDifferentialChaos(t *testing.T) {
 
 	addrs := c.Lookup(ctx, HostUser, gen.FileID)
 
-	// Reference result over the legacy wire path.
-	legacyClient := c.UserClient(client.Options{LegacyWire: true, PeerRetries: -1})
-	want, _, err := legacyClient.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+	// Reference result through the library's read path.
+	ref := c.UserClient(client.Options{PeerRetries: -1})
+	want, _, err := ref.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
 	if err != nil {
-		t.Fatalf("legacy reference fetch: %v", err)
+		t.Fatalf("reference fetch: %v", err)
 	}
 
-	// Muxed fetch: every peer streams into one pipeline over its own
-	// session; the first session to fill the rank cancels the rest.
+	// Hand-driven fetch: every peer streams into one pipeline over its
+	// own session; the first session to fill the rank cancels the rest.
 	cl := c.UserClient(client.Options{})
 	pipe, err := rlnc.NewPipeline(gen.Params, gen.FileID, gen.Secret, gen.Digests, rlnc.PipelineConfig{})
 	if err != nil {
@@ -156,24 +160,24 @@ func TestWireMuxDifferentialChaos(t *testing.T) {
 	}
 	wg.Wait()
 	if !pipe.Done() {
-		t.Fatalf("muxed fetch rank %d < k=%d after all sessions returned", pipe.Rank(), gen.Params.K)
+		t.Fatalf("hand-driven fetch rank %d < k=%d after all sessions returned", pipe.Rank(), gen.Params.K)
 	}
 	got, err := pipe.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("muxed path output diverges from legacy path")
+		t.Fatal("hand-driven sessions diverge from the library fetch")
 	}
 	if !bytes.Equal(got, gen.Data) {
-		t.Fatal("muxed path decoded bytes differ from original")
+		t.Fatal("decoded bytes differ from original")
 	}
 	checkDefaultPool(t, before)
 }
 
-// TestWireDifferentialReplays pins determinism for the pooled path:
-// the same fabric seed must reproduce the identical event log across
-// two pooled-path runs, exactly as the legacy path always has.
+// TestWireDifferentialReplays pins determinism for the read path: the
+// same fabric seed must reproduce the identical event log across two
+// runs.
 func TestWireDifferentialReplays(t *testing.T) {
 	seed := Seed(t, 7788)
 	run := func() ([]byte, string) {
@@ -190,7 +194,7 @@ func TestWireDifferentialReplays(t *testing.T) {
 		cl := c.UserClient(client.Options{PeerRetries: -1})
 		data, _, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
 		if err != nil {
-			t.Fatalf("pooled fetch: %v", err)
+			t.Fatalf("fetch: %v", err)
 		}
 		return data, c.Fabric.Events().Dump()
 	}

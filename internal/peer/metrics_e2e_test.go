@@ -83,6 +83,12 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 		t.Fatal("fetched data mismatch")
 	}
 
+	// The peer accounts a batch as served after its flush returns, which
+	// the fetch completing does not wait for.
+	waitFor(t, func() bool {
+		v, _ := counterValue(peerReg.Snapshot(), peer.MetricServedBytes)
+		return v > 0
+	}, "peer never accounted the bytes it served")
 	snap := peerReg.Snapshot()
 	for _, name := range []string{
 		peer.MetricConnections,

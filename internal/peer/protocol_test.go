@@ -184,3 +184,51 @@ func TestPeerFrameSizeLimitEnforced(t *testing.T) {
 		t.Error("peer proceeded with handshake after oversize frame header")
 	}
 }
+
+// TestPeerStillServesLegacyGet pins the per-connection GET now that no
+// client code sends it: a stored generation streams as DATA frames
+// followed by STOP, and a refusal is a connection-level ERROR — where
+// GET_MUX would answer STREAM_ERROR and keep the connection. The frame
+// is input from outside the program until HELLO carries a version.
+func TestPeerStillServesLegacyGet(t *testing.T) {
+	st := store.NewMemory()
+	for id := uint64(1); id <= 3; id++ {
+		if err := st.Put(&rlnc.Message{FileID: 9, MessageID: id, Payload: []byte{byte(id), 2, 3, 4}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := startPeer(t, peer.Config{Identity: identity(t, 212), Store: st})
+
+	conn := dialAuthed(t, node, identity(t, 213))
+	get := wire.Get{FileID: 9}
+	if err := wire.WriteFrame(conn, wire.TypeGet, get.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		f, err := wire.Expect(conn, wire.TypeData)
+		if err != nil {
+			t.Fatalf("message %d of a legacy GET: %v", i, err)
+		}
+		var msg rlnc.Message
+		if err := msg.UnmarshalBinary(f.Payload); err != nil || msg.FileID != 9 {
+			t.Fatalf("message %d = %+v, %v", i, msg, err)
+		}
+	}
+	if _, err := wire.Expect(conn, wire.TypeStop); err != nil {
+		t.Fatalf("legacy GET not ended with STOP: %v", err)
+	}
+
+	refused := dialAuthed(t, node, identity(t, 213))
+	get = wire.Get{FileID: 404}
+	if err := wire.WriteFrame(refused, wire.TypeGet, get.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	f, err := wire.ReadFrame(refused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e wire.ErrorMsg
+	if f.Type != wire.TypeError || e.Unmarshal(f.Payload) != nil || e.Code != wire.CodeUnknownFile {
+		t.Fatalf("legacy GET for an unknown file answered %s %+v, want ERROR(CodeUnknownFile)", f.Type, e)
+	}
+}
