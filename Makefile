@@ -97,12 +97,14 @@ swarm-smoke:
 # hit free riders in standing order and never the top quartile, shed
 # clients honor the RETRY_AFTER hint), a blackholed peer survived
 # within 2x the no-fault baseline via hedged fetches with breaker
-# quarantine and half-open recovery, and a stalled chunk re-issued on
-# the next-healthiest peer — plus the deterministic peer-side
-# admission, preemption, brownout and deadline-expiry unit suite and
-# the client-side breaker/session regressions.
+# quarantine and half-open recovery, a stalled chunk re-issued on
+# the next-healthiest peer, and Eq. (2) at the paper's link rates (a
+# repeat fetch is not throttled; grants stay 0.75/0.25 whatever a
+# requester drains) — plus the deterministic peer-side admission,
+# preemption, brownout and deadline-expiry unit suite and the
+# client-side breaker/session regressions.
 overload-smoke:
-	$(GO) test -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer' \
+	$(GO) test -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer|TestPaperRates' \
 		./internal/netsim/harness/
 	$(GO) test -run 'Admission|Shed|Brownout|Expired|Breaker|Hedge|Busy|Deadline|DuplicateStreamError' \
 		./internal/peer/ ./internal/client/ ./internal/wire/
@@ -116,7 +118,7 @@ overload-smoke:
 # The admission alloc gates (TestAdmission*Allocs) only count without
 # -race, so the peer package runs those plain too.
 race-overload: vet
-	$(GO) test -race -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer' \
+	$(GO) test -race -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer|TestPaperRates' \
 		./internal/netsim/harness/
 	$(GO) test -race ./internal/peer/ ./internal/client/
 	$(GO) test -run 'TestAdmissionSteadyStateAllocs|TestAdmissionRefusalScanAllocs' -count=1 ./internal/peer/
@@ -222,4 +224,4 @@ fuzz-smoke:
 # ci is what the GitHub workflow runs.
 ci: vet build test bench-e2e-smoke race-metrics race-audit race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
 
-check: build test bench-e2e-smoke race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
+check: ci

@@ -9,9 +9,7 @@ package client
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"asymshare/internal/auth"
 	"asymshare/internal/wire"
 )
 
@@ -19,34 +17,22 @@ import (
 // with the peer's key fingerprint (the identity to debit if the
 // response does not verify). A malformed or refused exchange returns a
 // typed error — *wire.RemoteError when the peer answered with an error
-// frame — and never hangs: the dial context's deadline bounds the
-// whole exchange.
+// frame — and never hangs: the context bounds the whole exchange.
 func (c *Client) Audit(ctx context.Context, addr string, ch wire.AuditChallenge) (*wire.AuditResponse, string, error) {
-	conn, peerKey, err := c.dial(ctx, addr, wire.RoleUser)
+	var resp wire.AuditResponse
+	fingerprint, err := c.roundTrip(ctx, addr, "audit", wire.TypeAuditChallenge, ch.Marshal(), wire.TypeAuditResponse,
+		func(b []byte) error {
+			if err := resp.Unmarshal(b); err != nil {
+				return err
+			}
+			if resp.FileID != ch.FileID {
+				return fmt.Errorf("response for file %d, challenged %d", resp.FileID, ch.FileID)
+			}
+			return nil
+		})
 	if err != nil {
-		return nil, "", err
-	}
-	defer conn.Close()
-	fingerprint := auth.Fingerprint(peerKey)
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	if err := wire.WriteFrame(conn, wire.TypeAuditChallenge, ch.Marshal()); err != nil {
 		return nil, fingerprint, err
 	}
-	frame, err := wire.Expect(conn, wire.TypeAuditResponse)
-	if err != nil {
-		return nil, fingerprint, fmt.Errorf("client: audit %s: %w", addr, err)
-	}
-	var resp wire.AuditResponse
-	if err := resp.Unmarshal(frame.Payload); err != nil {
-		return nil, fingerprint, fmt.Errorf("client: audit %s: %w", addr, err)
-	}
-	if resp.FileID != ch.FileID {
-		return nil, fingerprint, fmt.Errorf("client: audit %s: response for file %d, challenged %d",
-			addr, resp.FileID, ch.FileID)
-	}
-	_ = wire.WriteFrame(conn, wire.TypeBye, nil)
 	return &resp, fingerprint, nil
 }
 
@@ -58,29 +44,5 @@ func (c *Client) SendAuditVerdicts(ctx context.Context, ownPeerAddr string, debi
 	if len(debits) == 0 {
 		return nil
 	}
-	conn, _, err := c.dial(ctx, ownPeerAddr, wire.RoleUser)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	fb := wire.Feedback{Entries: make([]wire.FeedbackEntry, 0, len(debits))}
-	keys := make([]string, 0, len(debits))
-	for k := range debits {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fb.Entries = append(fb.Entries, wire.FeedbackEntry{PeerFingerprint: k, Debit: debits[k]})
-	}
-	blob, err := fb.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := wire.WriteFrame(conn, wire.TypeFeedback, blob); err != nil {
-		return err
-	}
-	if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
-		return fmt.Errorf("client: audit verdicts to %s: %w", ownPeerAddr, err)
-	}
-	return wire.WriteFrame(conn, wire.TypeBye, nil)
+	return c.sendFeedback(ctx, ownPeerAddr, "audit verdicts to", debits, true)
 }

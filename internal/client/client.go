@@ -236,60 +236,75 @@ func (c *Client) Patch(ctx context.Context, addr string, deltas []*rlnc.Message)
 	return u.Close()
 }
 
+// roundTrip is every control RPC: dial, one request frame, the expected
+// reply handed to decode (nil: an empty acknowledgement), BYE. It rides
+// Upload's context binding, so a peer that authenticates and goes mute
+// costs the caller its context, not forever. The peer's key fingerprint
+// is returned whenever the dial succeeded.
+func (c *Client) roundTrip(ctx context.Context, addr, verb string, req wire.Type, payload []byte,
+	reply wire.Type, decode func([]byte) error) (string, error) {
+	u, err := c.OpenUpload(ctx, addr)
+	if err != nil {
+		return "", err
+	}
+	defer u.Close()
+	fingerprint := auth.Fingerprint(u.peerKey)
+	err = u.fw.WriteFrame(req, payload)
+	if err == nil {
+		var b *wire.Buf
+		if b, err = u.fr.Expect(reply); err == nil {
+			if decode != nil {
+				err = decode(b.Bytes())
+			}
+			b.Release()
+		}
+	}
+	if err != nil {
+		u.failed = true
+		return fingerprint, fmt.Errorf("client: %s %s: %w", verb, addr, u.ctxErr(err))
+	}
+	return fingerprint, nil
+}
+
 // ListFiles asks a peer which generations it stores (identifiers and
 // message counts only — no payloads), letting an owner audit where its
 // data is replicated.
 func (c *Client) ListFiles(ctx context.Context, addr string) ([]wire.FileEntry, error) {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypeList, nil); err != nil {
-		return nil, err
-	}
-	frame, err := wire.Expect(conn, wire.TypeFileList)
-	if err != nil {
-		return nil, fmt.Errorf("client: list %s: %w", addr, err)
-	}
 	var list wire.FileList
-	if err := list.Unmarshal(frame.Payload); err != nil {
-		return nil, err
-	}
-	_ = wire.WriteFrame(conn, wire.TypeBye, nil)
-	return list.Files, nil
+	_, err := c.roundTrip(ctx, addr, "list", wire.TypeList, nil, wire.TypeFileList, list.Unmarshal)
+	return list.Files, err
 }
 
 // SendFeedback delivers per-peer receipt reports to the user's own
 // peer (Sec. III-B's periodic informational update).
 func (c *Client) SendFeedback(ctx context.Context, ownPeerAddr string, received map[string]uint64) error {
-	conn, _, err := c.dial(ctx, ownPeerAddr, wire.RoleUser)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	fb := wire.Feedback{Entries: make([]wire.FeedbackEntry, 0, len(received))}
-	keys := make([]string, 0, len(received))
-	for k := range received {
+	return c.sendFeedback(ctx, ownPeerAddr, "feedback to", received, false)
+}
+
+// sendFeedback ships one FEEDBACK frame — receipt credits, or audit
+// debits — and waits for the acknowledgement, so the ledger change is
+// durable before the connection goes.
+func (c *Client) sendFeedback(ctx context.Context, addr, verb string, amounts map[string]uint64, debit bool) error {
+	keys := make([]string, 0, len(amounts))
+	for k := range amounts {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		fb.Entries = append(fb.Entries, wire.FeedbackEntry{PeerFingerprint: k, Bytes: received[k]})
+	fb := wire.Feedback{Entries: make([]wire.FeedbackEntry, len(keys))}
+	for i, k := range keys {
+		fb.Entries[i].PeerFingerprint = k
+		if debit {
+			fb.Entries[i].Debit = amounts[k]
+		} else {
+			fb.Entries[i].Bytes = amounts[k]
+		}
 	}
 	blob, err := fb.Marshal()
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteFrame(conn, wire.TypeFeedback, blob); err != nil {
-		return err
-	}
-	// Wait for the acknowledgement so the credits are durable before we
-	// disconnect.
-	if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
-		return fmt.Errorf("client: feedback to %s: %w", ownPeerAddr, err)
-	}
-	return wire.WriteFrame(conn, wire.TypeBye, nil)
+	_, err = c.roundTrip(ctx, addr, verb, wire.TypeFeedback, blob, wire.TypePutOK, nil)
+	return err
 }
 
 // FetchStats describes one parallel download.

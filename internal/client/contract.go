@@ -5,15 +5,12 @@ package client
 // or list the obligations a peer holds for us — over the standard
 // authenticated framing. A peer that refuses (over advertised
 // capacity, unknown contract, not the owner) answers with a typed
-// error frame, which wire.Expect surfaces as *wire.RemoteError so
-// callers can branch on the code and try the next candidate.
+// error frame, which surfaces as *wire.RemoteError so callers can
+// branch on the code and try the next candidate.
 
 import (
 	"context"
-	"fmt"
-	"io"
 
-	"asymshare/internal/auth"
 	"asymshare/internal/wire"
 )
 
@@ -21,91 +18,37 @@ import (
 // and returns its grant along with the peer's key fingerprint (the
 // ledger identity to credit when the obligation is honored).
 func (c *Client) ProposeContract(ctx context.Context, addr string, p wire.ContractPropose) (wire.ContractGrant, string, error) {
-	conn, peerKey, err := c.dial(ctx, addr, wire.RoleUser)
+	var grant wire.ContractGrant
+	fingerprint, err := c.roundTrip(ctx, addr, "propose contract to", wire.TypeContractPropose, p.Marshal(),
+		wire.TypeContractGrant, grant.Unmarshal)
 	if err != nil {
 		return wire.ContractGrant{}, "", err
 	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypeContractPropose, p.Marshal()); err != nil {
-		return wire.ContractGrant{}, "", err
-	}
-	grant, err := expectGrant(conn, addr, "propose contract to")
-	if err != nil {
-		return wire.ContractGrant{}, "", err
-	}
-	_ = wire.WriteFrame(conn, wire.TypeBye, nil)
-	return grant, auth.Fingerprint(peerKey), nil
+	return grant, fingerprint, nil
 }
 
 // RenewContract extends an accepted contract's term.
 func (c *Client) RenewContract(ctx context.Context, addr string, r wire.ContractRenew) (wire.ContractGrant, error) {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
-	if err != nil {
-		return wire.ContractGrant{}, err
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypeContractRenew, r.Marshal()); err != nil {
-		return wire.ContractGrant{}, err
-	}
-	grant, err := expectGrant(conn, addr, "renew contract with")
-	if err != nil {
-		return wire.ContractGrant{}, err
-	}
-	_ = wire.WriteFrame(conn, wire.TypeBye, nil)
-	return grant, nil
+	var grant wire.ContractGrant
+	_, err := c.roundTrip(ctx, addr, "renew contract with", wire.TypeContractRenew, r.Marshal(),
+		wire.TypeContractGrant, grant.Unmarshal)
+	return grant, err
 }
 
 // ReleaseContract ends an obligation early, freeing the peer's
 // capacity.
 func (c *Client) ReleaseContract(ctx context.Context, addr string, r wire.ContractRelease) (wire.ContractGrant, error) {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
-	if err != nil {
-		return wire.ContractGrant{}, err
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypeContractRelease, r.Marshal()); err != nil {
-		return wire.ContractGrant{}, err
-	}
-	grant, err := expectGrant(conn, addr, "release contract with")
-	if err != nil {
-		return wire.ContractGrant{}, err
-	}
-	_ = wire.WriteFrame(conn, wire.TypeBye, nil)
-	return grant, nil
+	var grant wire.ContractGrant
+	_, err := c.roundTrip(ctx, addr, "release contract with", wire.TypeContractRelease, r.Marshal(),
+		wire.TypeContractGrant, grant.Unmarshal)
+	return grant, err
 }
 
 // ListContracts returns the peer's capacity line and the contracts it
 // holds for this client's identity.
 func (c *Client) ListContracts(ctx context.Context, addr string) (wire.ContractInfo, error) {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
-	if err != nil {
-		return wire.ContractInfo{}, err
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypeContractList, nil); err != nil {
-		return wire.ContractInfo{}, err
-	}
-	frame, err := wire.Expect(conn, wire.TypeContractInfo)
-	if err != nil {
-		return wire.ContractInfo{}, fmt.Errorf("client: list contracts of %s: %w", addr, err)
-	}
 	var info wire.ContractInfo
-	if err := info.Unmarshal(frame.Payload); err != nil {
-		return wire.ContractInfo{}, err
-	}
-	_ = wire.WriteFrame(conn, wire.TypeBye, nil)
-	return info, nil
-}
-
-// expectGrant reads the grant reply shared by the three mutation RPCs.
-func expectGrant(conn io.Reader, addr, verb string) (wire.ContractGrant, error) {
-	frame, err := wire.Expect(conn, wire.TypeContractGrant)
-	if err != nil {
-		return wire.ContractGrant{}, fmt.Errorf("client: %s %s: %w", verb, addr, err)
-	}
-	var grant wire.ContractGrant
-	if err := grant.Unmarshal(frame.Payload); err != nil {
-		return wire.ContractGrant{}, err
-	}
-	return grant, nil
+	_, err := c.roundTrip(ctx, addr, "list contracts of", wire.TypeContractList, nil,
+		wire.TypeContractInfo, info.Unmarshal)
+	return info, err
 }

@@ -10,6 +10,7 @@ package client
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"net"
@@ -25,24 +26,26 @@ import (
 const uploadWindow = 64
 
 // Upload is one authenticated connection to a storage peer for storing
-// or patching messages. Its lifetime is tied to the context it was
+// or patching messages (the control RPCs' single round trip rides it
+// too, see Client.roundTrip). Its lifetime is tied to the context it was
 // opened with: the context's deadline bounds every read and write, and
 // cancelling it closes the connection, which unblocks a transfer parked
 // on a peer that stopped reading. Not safe for concurrent use.
 type Upload struct {
-	ctx    context.Context
-	addr   string
-	conn   net.Conn
-	fw     *wire.FrameWriter
-	fr     *wire.FrameReader
-	unhook func() bool
-	hdr    [rlnc.MessageHeaderBytes]byte
-	failed bool
+	ctx     context.Context
+	addr    string
+	conn    net.Conn
+	peerKey ed25519.PublicKey
+	fw      *wire.FrameWriter
+	fr      *wire.FrameReader
+	unhook  func() bool
+	hdr     [rlnc.MessageHeaderBytes]byte
+	failed  bool
 }
 
 // OpenUpload dials addr and completes the handshake.
 func (c *Client) OpenUpload(ctx context.Context, addr string) (*Upload, error) {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
+	conn, peerKey, err := c.dial(ctx, addr, wire.RoleUser)
 	if err != nil {
 		return nil, err
 	}
@@ -50,11 +53,12 @@ func (c *Client) OpenUpload(ctx context.Context, addr string) (*Upload, error) {
 		_ = conn.SetDeadline(deadline) // a conn that cannot take a deadline is still closed on cancel
 	}
 	u := &Upload{
-		ctx:  ctx,
-		addr: addr,
-		conn: conn,
-		fw:   wire.NewFrameWriter(conn),
-		fr:   wire.NewFrameReader(conn),
+		ctx:     ctx,
+		addr:    addr,
+		conn:    conn,
+		peerKey: peerKey,
+		fw:      wire.NewFrameWriter(conn),
+		fr:      wire.NewFrameReader(conn),
 	}
 	u.unhook = context.AfterFunc(ctx, func() { conn.Close() })
 	return u, nil
@@ -74,16 +78,23 @@ func (u *Upload) send(t wire.Type, verb string, msgs []*rlnc.Message) error {
 		n := min(len(msgs), uploadWindow)
 		if err := u.window(t, msgs[:n]); err != nil {
 			u.failed = true
-			if cause := context.Cause(u.ctx); cause != nil {
-				err = cause // the I/O error is only the echo of our own close
-			} else if errors.Is(err, os.ErrDeadlineExceeded) {
-				err = context.DeadlineExceeded // the conn deadline is the context's, a hair early
-			}
-			return fmt.Errorf("client: %s to %s: %w", verb, u.addr, err)
+			return fmt.Errorf("client: %s to %s: %w", verb, u.addr, u.ctxErr(err))
 		}
 		msgs = msgs[n:]
 	}
 	return nil
+}
+
+// ctxErr maps an I/O error caused by the context ending back to the
+// context's own error.
+func (u *Upload) ctxErr(err error) error {
+	if cause := context.Cause(u.ctx); cause != nil {
+		return cause // the I/O error is only the echo of our own close
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return context.DeadlineExceeded // the conn deadline is the context's, a hair early
+	}
+	return err
 }
 
 func (u *Upload) window(t wire.Type, msgs []*rlnc.Message) error {

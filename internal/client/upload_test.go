@@ -205,3 +205,60 @@ func TestUploadSurfacesPeerRefusal(t *testing.T) {
 		t.Fatalf("intruder's upload: %v, want the peer's not-permitted error", err)
 	}
 }
+
+// TestControlRPCsHonourContextAgainstMutePeer: every one-round-trip RPC
+// used to clear the conn deadline after the handshake and then read
+// with no deadline and no cancel hook, so a peer that authenticated and
+// went mute held the caller (and repair.Daemon's round) forever.
+func TestControlRPCsHonourContextAgainstMutePeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalledPeer(t, ln)
+	c, err := client.New(identity(t, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	amounts := map[string]uint64{"someone": 1}
+	rpcs := map[string]func(context.Context) error{
+		"ListFiles":         func(ctx context.Context) error { _, err := c.ListFiles(ctx, addr); return err },
+		"SendFeedback":      func(ctx context.Context) error { return c.SendFeedback(ctx, addr, amounts) },
+		"SendAuditVerdicts": func(ctx context.Context) error { return c.SendAuditVerdicts(ctx, addr, amounts) },
+		"Audit": func(ctx context.Context) error {
+			_, _, err := c.Audit(ctx, addr, wire.AuditChallenge{FileID: 1})
+			return err
+		},
+		"ProposeContract": func(ctx context.Context) error {
+			_, _, err := c.ProposeContract(ctx, addr, wire.ContractPropose{})
+			return err
+		},
+		"RenewContract": func(ctx context.Context) error {
+			_, err := c.RenewContract(ctx, addr, wire.ContractRenew{})
+			return err
+		},
+		"ReleaseContract": func(ctx context.Context) error {
+			_, err := c.ReleaseContract(ctx, addr, wire.ContractRelease{})
+			return err
+		},
+		"ListContracts": func(ctx context.Context) error { _, err := c.ListContracts(ctx, addr); return err },
+	}
+	for name, rpc := range rpcs {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- rpc(ctx) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+					t.Errorf("against a mute peer: %v, want the context's error", err)
+				}
+			case <-time.After(1200 * time.Millisecond):
+				t.Error("still blocked 1 s after its 200 ms context ended")
+			}
+		})
+	}
+}

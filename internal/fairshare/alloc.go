@@ -6,12 +6,12 @@ package fairshare
 //
 // The seam is request/response: the caller builds an AllocRequest
 // carrying the (possibly estimated) capacity, the requesters with
-// per-requester context (service class, demand cap, bandwidth already
-// taken), and a read-only LedgerView; the policy returns Grants — one
-// typed Grant per requester, in request order. Policies never see a
-// mutable ledger and callers never alias a policy-owned map: the
-// Grants slice is the caller's (req.Scratch is reused when provided),
-// so a realloc tick on the peer hot path runs without allocating.
+// per-requester context (service class, bandwidth already taken), and
+// a read-only LedgerView; the policy returns Grants — one typed Grant
+// per requester, in request order. Policies never see a mutable ledger
+// and callers never alias a policy-owned map: the Grants slice is the
+// caller's (req.Scratch is reused when provided), so a realloc tick on
+// the peer hot path runs without allocating.
 //
 // Honest peers run PairwiseProportional (Eq. 2). The other policies
 // are the paper's baselines, the adversarial strategies of Sec. V, and
@@ -43,11 +43,6 @@ type Requester struct {
 
 	// Class is the requester's service tier (used by Classes).
 	Class ServiceClass
-
-	// Demand caps the useful rate for this requester this tick, in
-	// capacity units; 0 means unbounded. Capacity freed by a demand
-	// cap is re-divided among the remaining requesters (water-fill).
-	Demand float64
 
 	// Taken is the cumulative bandwidth this peer has already granted
 	// the requester (used by BiasedContribution). Callers that do not
@@ -152,31 +147,23 @@ func (g Grants) Map() map[ID]float64 {
 // Allocator divides a peer's upload capacity among requesting users.
 // Implementations must return one non-negative Grant per requester in
 // request order, summing to at most req.Capacity — and to exactly
-// req.Capacity when requesters are present and no Demand cap binds,
-// unless the policy deliberately withholds bandwidth.
+// req.Capacity when requesters are present, unless the policy
+// deliberately withholds bandwidth.
 type Allocator interface {
 	Allocate(req AllocRequest) Grants
 }
 
 // distributeWeights rescales out — whose Rate fields hold non-negative
-// weights on entry, parallel to rs — into rates proportional to weight
-// summing to capacity. Per-requester Demand caps are honored by
-// water-filling: a requester whose proportional share exceeds its
-// demand is frozen at the demand and the freed capacity re-divides
-// among the rest. A non-positive total weight grants nothing (callers
-// wanting an equal-split fallback preload equal weights). The
-// no-demand fast path does not allocate.
-func distributeWeights(capacity float64, rs []Requester, out Grants) Grants {
+// weights on entry — into rates proportional to weight summing to
+// capacity. A non-positive total weight grants nothing (callers wanting
+// an equal-split fallback preload equal weights). It does not allocate.
+func distributeWeights(capacity float64, out Grants) Grants {
 	var totalW float64
-	demand := false
 	for i := range out {
 		if out[i].Rate < 0 {
 			out[i].Rate = 0
 		}
 		totalW += out[i].Rate
-		if rs[i].Demand > 0 {
-			demand = true
-		}
 	}
 	if capacity <= 0 || totalW <= 0 {
 		for i := range out {
@@ -184,54 +171,10 @@ func distributeWeights(capacity float64, rs []Requester, out Grants) Grants {
 		}
 		return out
 	}
-	if !demand {
-		// Divide before multiplying: the ratio is <= 1, so the product
-		// cannot overflow even at extreme capacities or weights.
-		for i := range out {
-			out[i].Rate = capacity * (out[i].Rate / totalW)
-		}
-		return out
-	}
-	// Water-fill. frozen[i] marks entries pinned at their demand cap.
-	frozen := make([]bool, len(out))
-	remaining, activeW := capacity, totalW
-	for froze := true; froze; {
-		froze = false
-		for i := range out {
-			if frozen[i] || out[i].Rate <= 0 {
-				continue
-			}
-			d := rs[i].Demand
-			if d <= 0 {
-				continue
-			}
-			if share := remaining * (out[i].Rate / activeW); share >= d {
-				frozen[i] = true
-				remaining -= d
-				activeW -= out[i].Rate
-				froze = true
-			}
-		}
-		if activeW <= 0 || remaining <= 0 {
-			break
-		}
-	}
+	// Divide before multiplying: the ratio is <= 1, so the product
+	// cannot overflow even at extreme capacities or weights.
 	for i := range out {
-		switch {
-		case frozen[i]:
-			out[i].Rate = rs[i].Demand
-		case activeW > 0 && remaining > 0:
-			// activeW is maintained by subtraction, so rounding can push
-			// a ratio epsilon past 1; clamp so the share never exceeds
-			// the remaining capacity (or overflows).
-			ratio := out[i].Rate / activeW
-			if ratio > 1 {
-				ratio = 1
-			}
-			out[i].Rate = remaining * ratio
-		default:
-			out[i].Rate = 0
-		}
+		out[i].Rate = capacity * (out[i].Rate / totalW)
 	}
 	return out
 }
@@ -260,7 +203,7 @@ func (PairwiseProportional) Allocate(req AllocRequest) Grants {
 		// zero: equal weights bootstrap the system.
 		out = append(out, Grant{ID: r.ID, Rate: w})
 	}
-	return distributeWeights(req.Capacity, req.Requesters, out)
+	return distributeWeights(req.Capacity, out)
 }
 
 // GlobalProportional is the motivating rule of Sec. IV-B (Eq. 3,
@@ -290,7 +233,7 @@ func (g GlobalProportional) Allocate(req AllocRequest) Grants {
 		}
 		out = append(out, Grant{ID: r.ID, Rate: w})
 	}
-	return distributeWeights(req.Capacity, req.Requesters, out)
+	return distributeWeights(req.Capacity, out)
 }
 
 // EqualSplit divides capacity evenly among requesters regardless of
@@ -305,7 +248,7 @@ func (EqualSplit) Allocate(req AllocRequest) Grants {
 	for _, r := range req.Requesters {
 		out = append(out, Grant{ID: r.ID, Rate: 1})
 	}
-	return distributeWeights(req.Capacity, req.Requesters, out)
+	return distributeWeights(req.Capacity, out)
 }
 
 // Withhold contributes nothing — the freeloading strategy. (A peer can
@@ -343,5 +286,5 @@ func (f Favor) Allocate(req AllocRequest) Grants {
 		}
 		out = append(out, Grant{ID: r.ID, Rate: w})
 	}
-	return distributeWeights(req.Capacity, req.Requesters, out)
+	return distributeWeights(req.Capacity, out)
 }

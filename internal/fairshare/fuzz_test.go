@@ -5,19 +5,19 @@ import (
 	"testing"
 )
 
-// FuzzAllocate feeds arbitrary capacities, requester sets, demands and
-// ledger states through every policy and asserts the Grants contract
-// never breaks: one in-order grant per requester, finite non-negative
-// rates, total within capacity.
+// FuzzAllocate feeds arbitrary capacities, requester sets and ledger
+// states through every policy and asserts the Grants contract never
+// breaks: one in-order grant per requester, finite non-negative rates,
+// total within capacity.
 func FuzzAllocate(f *testing.F) {
-	f.Add(float64(100), uint8(3), uint16(0), uint16(50), int16(10), false)
-	f.Add(float64(0), uint8(255), uint16(9), uint16(0), int16(-5), true)
-	f.Add(math.MaxFloat64/4, uint8(1), uint16(65535), uint16(1), int16(0), false)
-	f.Add(float64(1e9), uint8(170), uint16(7), uint16(12345), int16(100), true)
+	f.Add(float64(100), uint8(3), uint16(50), int16(10), false)
+	f.Add(float64(0), uint8(255), uint16(0), int16(-5), true)
+	f.Add(math.MaxFloat64/4, uint8(1), uint16(1), int16(0), false)
+	f.Add(float64(1e9), uint8(170), uint16(12345), int16(100), true)
 
 	ids := []ID{"a", "b", "c", "d", "e", "f", "g", "h"}
 
-	f.Fuzz(func(t *testing.T, capacity float64, mask uint8, demandRaw, takenRaw uint16, creditRaw int16, bounded bool) {
+	f.Fuzz(func(t *testing.T, capacity float64, mask uint8, takenRaw uint16, creditRaw int16, bounded bool) {
 		if math.IsNaN(capacity) || math.IsInf(capacity, 0) || capacity < 0 {
 			return // the seam's precondition: a real, non-negative capacity
 		}
@@ -41,10 +41,9 @@ func FuzzAllocate(f *testing.F) {
 				continue
 			}
 			reqs = append(reqs, Requester{
-				ID:     id,
-				Class:  ServiceClass(i % 3),
-				Demand: float64(demandRaw) * float64(i),
-				Taken:  float64(takenRaw),
+				ID:    id,
+				Class: ServiceClass(i % 3),
+				Taken: float64(takenRaw),
 			})
 		}
 		req := AllocRequest{Capacity: capacity, Requesters: reqs, Ledger: book}
@@ -70,9 +69,6 @@ func FuzzAllocate(f *testing.F) {
 				}
 				if e.Rate < 0 || math.IsNaN(e.Rate) || math.IsInf(e.Rate, 0) {
 					t.Fatalf("%T: grant %d rate %v", p, i, e.Rate)
-				}
-				if d := reqs[i].Demand; d > 0 && e.Rate > d*(1+1e-9)+1e-9 {
-					t.Fatalf("%T: grant %v exceeds demand %v", p, e.Rate, d)
 				}
 				sum += e.Rate
 			}

@@ -46,7 +46,7 @@ func (b BiasedContribution) Allocate(req AllocRequest) Grants {
 		w := (beta*recv + eps) / (beta*recv + (1-beta)*taken + eps)
 		out = append(out, Grant{ID: r.ID, Rate: w})
 	}
-	return distributeWeights(req.Capacity, req.Requesters, out)
+	return distributeWeights(req.Capacity, out)
 }
 
 // Classes implements differentiated service classes (Zhang et al.):
@@ -93,5 +93,5 @@ func (cl Classes) Allocate(req AllocRequest) Grants {
 		}
 		out = append(out, Grant{ID: r.ID, Rate: w})
 	}
-	return distributeWeights(req.Capacity, req.Requesters, out)
+	return distributeWeights(req.Capacity, out)
 }

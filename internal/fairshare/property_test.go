@@ -110,91 +110,6 @@ func TestAllocationConservationProperty(t *testing.T) {
 	}
 }
 
-// TestDemandWaterFill asserts the water-filling contract: a requester
-// never receives more than its demand, freed capacity re-divides, and
-// conservation holds when total demand exceeds capacity.
-func TestDemandWaterFill(t *testing.T) {
-	l := NewLedger(0)
-	l.Credit("a", 100)
-	l.Credit("b", 100)
-	l.Credit("c", 200)
-	// Proportional shares of 400 would be 100/100/200; a's demand cap
-	// of 10 frees 90, re-divided 1:2 between b and c.
-	req := AllocRequest{
-		Capacity: 400,
-		Requesters: []Requester{
-			{ID: "a", Demand: 10},
-			{ID: "b"},
-			{ID: "c"},
-		},
-		Ledger: l,
-	}
-	g := PairwiseProportional{}.Allocate(req)
-	if !almostEqual(g.Rate("a"), 10) {
-		t.Errorf("capped requester got %v, want its demand 10", g.Rate("a"))
-	}
-	if !almostEqual(g.Rate("b"), 130) || !almostEqual(g.Rate("c"), 260) {
-		t.Errorf("freed capacity not re-divided 1:2: %v", g)
-	}
-	if !almostEqual(g.Total(), 400) {
-		t.Errorf("Total = %v", g.Total())
-	}
-
-	// Every requester capped below its share: the surplus goes unused
-	// (total < capacity is allowed when demand binds).
-	req2 := AllocRequest{
-		Capacity:   1000,
-		Requesters: []Requester{{ID: "a", Demand: 5}, {ID: "b", Demand: 7}},
-		Ledger:     nil,
-	}
-	g2 := EqualSplit{}.Allocate(req2)
-	if !almostEqual(g2.Rate("a"), 5) || !almostEqual(g2.Rate("b"), 7) {
-		t.Errorf("demand caps not honored: %v", g2)
-	}
-}
-
-// TestDemandWaterFillProperty randomizes demands and asserts the caps
-// and the conservation bound hold for the proportional policies.
-func TestDemandWaterFillProperty(t *testing.T) {
-	ids := []ID{"a", "b", "c", "d"}
-	l := NewLedger(DefaultInitialCredit)
-	l.Credit("a", 2)
-	l.Credit("b", 9)
-	l.Credit("d", 1)
-	prop := func(capRaw uint16, d0, d1, d2, d3 uint8) bool {
-		capacity := float64(capRaw)
-		demands := []float64{float64(d0), float64(d1), float64(d2), float64(d3)}
-		reqs := make([]Requester, len(ids))
-		var total float64
-		for i, id := range ids {
-			reqs[i] = Requester{ID: id, Demand: demands[i]}
-			total += demands[i]
-		}
-		req := AllocRequest{Capacity: capacity, Requesters: reqs, Ledger: l}
-		for _, p := range []Allocator{PairwiseProportional{}, EqualSplit{}, BiasedContribution{}} {
-			g := p.Allocate(req)
-			var sum float64
-			for i, e := range g {
-				if demands[i] > 0 && e.Rate > demands[i]+1e-9 {
-					t.Errorf("grant %v exceeds demand %v", e.Rate, demands[i])
-					return false
-				}
-				if e.Rate < 0 {
-					return false
-				}
-				sum += e.Rate
-			}
-			if sum > capacity+1e-6*math.Max(1, capacity) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestScratchReuseNoAlloc is the hot-path gate: with a warm Scratch
 // buffer, PairwiseProportional (and the other proportional policies)
 // allocate nothing per realloc tick.

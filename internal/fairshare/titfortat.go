@@ -48,11 +48,10 @@ func (tt TitForTat) Allocate(req AllocRequest) Grants {
 	})
 	// Unchoking the top n even at zero standing doubles as the
 	// optimistic-unchoke bootstrap. distributeWeights splits capacity
-	// evenly over the unchoked (weight 1) and water-fills any Demand
-	// caps among them.
+	// evenly over the unchoked (weight 1).
 	for _, i := range ranked[:n] {
 		out[i].Rate = 1
 	}
-	distributeWeights(req.Capacity, req.Requesters, out)
+	distributeWeights(req.Capacity, out)
 	return out
 }

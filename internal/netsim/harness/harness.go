@@ -132,27 +132,30 @@ func Start(t *testing.T, seed int64, n int) *Cluster {
 	c.HomeAddr = home.Addr().String()
 
 	for i := 0; i < n; i++ {
-		host := "peer" + strconv.Itoa(i)
-		st := store.NewMemory()
-		id := testIdentity(t, byte(1+i))
-		node, err := peer.New(peer.Config{
-			Identity:  id,
-			Store:     st,
-			Transport: f.Host(host),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		c.Peers = append(c.Peers, &Peer{
-			Host: host, ID: id, Node: node, Store: st,
-			Addr: node.Addr().String(),
-		})
+		c.startPeer("peer"+strconv.Itoa(i), byte(1+i), peer.Config{})
 	}
 	return c
+}
+
+// startPeer boots a memory-backed storage peer on its own fabric host
+// and appends it to the cluster. cfg carries whatever the scenario
+// needs beyond the defaults — upload cap, burst, admission bound,
+// allocator; identity, store and transport are filled in here.
+func (c *Cluster) startPeer(host string, key byte, cfg peer.Config) *Peer {
+	c.t.Helper()
+	st := store.NewMemory()
+	cfg.Identity, cfg.Store, cfg.Transport = testIdentity(c.t, key), st, c.Fabric.Host(host)
+	node, err := peer.New(cfg)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if err := node.Start(":0"); err != nil {
+		c.t.Fatal(err)
+	}
+	c.t.Cleanup(func() { node.Close() })
+	p := &Peer{Host: host, ID: cfg.Identity, Node: node, Store: st, Addr: node.Addr().String()}
+	c.Peers = append(c.Peers, p)
+	return p
 }
 
 // DurablePeer is a storage peer whose state survives crashes: its

@@ -33,7 +33,6 @@ import (
 	"asymshare/internal/metrics"
 	"asymshare/internal/netsim"
 	"asymshare/internal/peer"
-	"asymshare/internal/store"
 )
 
 func TestFlashCrowdShedsFreeRidersAndKeepsGoodput(t *testing.T) {
@@ -51,25 +50,12 @@ func TestFlashCrowdShedsFreeRidersAndKeepsGoodput(t *testing.T) {
 	// The hot peer is built by hand: shaped uplink, bounded admission,
 	// a small stream burst so the token buckets cannot hide the cap,
 	// and a fast realloc tick so handoffs re-divide capacity promptly.
-	hotID := testIdentity(t, 77)
-	hot, err := peer.New(peer.Config{
-		Identity:          hotID,
-		Store:             store.NewMemory(),
+	hot := c.startPeer("hot", 77, peer.Config{
 		UploadBytesPerSec: capBps,
 		StreamBurst:       4096,
 		MaxStreams:        maxStreams,
 		ReallocInterval:   50 * time.Millisecond,
-		Transport:         c.Fabric.Host("hot"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hot.Start(":0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hot.Close() })
-	c.Peers = append(c.Peers, &Peer{Host: "hot", ID: hotID, Node: hot,
-		Addr: hot.Addr().String()})
+	}).Node
 
 	gen := c.SeedGeneration(ctx, 0xF1A5, k, pieceLen, k*pieceLen, k)
 

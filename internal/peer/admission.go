@@ -13,8 +13,6 @@ package peer
 // throughput for admission headroom.
 
 import (
-	"time"
-
 	"asymshare/internal/fairshare"
 	"asymshare/internal/wire"
 )
@@ -35,35 +33,6 @@ const (
 	// Brownout engages when active streams reach brownoutNum/brownoutDen
 	// of MaxStreams.
 	brownoutNum, brownoutDen = 3, 4
-
-	// minDrainInterval is the shortest window a drain-rate sample may
-	// span; register/unregister mini-ticks below it reuse the previous
-	// full-tick rates instead of dividing by near-zero time.
-	minDrainInterval = 200 * time.Millisecond
-
-	// maxDrainInterval bounds how much wall clock one drain sample may
-	// span. Ticks only run while streams are active, so the first tick
-	// after an idle stretch sees marks that are minutes old; dividing
-	// bytes by that gap reads as a near-zero drain rate and would pin a
-	// returning requester at the floor. Gaps past the bound reset the
-	// history to unbounded instead.
-	maxDrainInterval = 2 * time.Second
-
-	// drainSaturation is the fraction of the granted rate above which
-	// an observed drain says nothing about demand: the requester
-	// consumed essentially everything it was offered, so it is
-	// grant-limited, not demand-limited, and capping it at the measured
-	// rate would lock in the starvation it is already suffering.
-	drainSaturation = 0.8
-
-	// demandHeadroom multiplies the observed drain rate into the Demand
-	// cap: 2x leaves room for a healthy stream to double each tick
-	// until it is genuinely capacity-bound.
-	demandHeadroom = 2.0
-
-	// demandFloorBytesPerSec keeps a briefly idle requester's demand
-	// above zero so it can ramp back up instead of being starved.
-	demandFloorBytesPerSec = 4096.0
 )
 
 // admitVerdict is the outcome of one admission decision.

@@ -1,13 +1,12 @@
 package peer
 
 // White-box tests for the bounded admission controller: shed ordering
-// by (priority, standing), the brownout band, the drain-rate Demand
-// feed, and the 0-alloc gate on the granted fast path.
+// by (priority, standing), the brownout band, and the 0-alloc gate on
+// the granted fast path.
 
 import (
 	"bytes"
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -227,7 +226,7 @@ func TestBrownoutEngagesAtThreeQuarters(t *testing.T) {
 func TestAdmissionSteadyStateAllocs(t *testing.T) {
 	n := admissionNode(t, Config{UploadBytesPerSec: 1e6, MaxStreams: 8})
 	s := fakeStream("warm", 0)
-	// Warm every map involved: streams, posBuf, bytesOut, drain marks.
+	// Warm every map involved: streams, posBuf, bytesOut.
 	n.recordServed("warm", 1024)
 	for i := 0; i < 3; i++ {
 		if v := n.admitStream(s); !v.ok {
@@ -296,140 +295,5 @@ func TestServeStreamDropsExpiredDeadline(t *testing.T) {
 	}
 	if bz.FileID != 42 || bz.Code != wire.CodeExpired {
 		t.Fatalf("busy = %+v, want CodeExpired for file 42", bz)
-	}
-}
-
-// recordingAllocator captures the Demand values handed to the policy
-// seam each tick.
-type recordingAllocator struct {
-	mu      sync.Mutex
-	demands map[fairshare.ID]float64
-	inner   fairshare.EqualSplit
-}
-
-func (r *recordingAllocator) Allocate(req fairshare.AllocRequest) fairshare.Grants {
-	r.mu.Lock()
-	if r.demands == nil {
-		r.demands = make(map[fairshare.ID]float64)
-	}
-	for _, q := range req.Requesters {
-		r.demands[q.ID] = q.Demand
-	}
-	r.mu.Unlock()
-	return r.inner.Allocate(req)
-}
-
-func (r *recordingAllocator) demand(id fairshare.ID) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.demands[id]
-}
-
-// TestReallocFeedsDemandFromDrainRates pins the PR 9 leftover: the
-// realloc tick feeds Requester.Demand from observed drain rates — a
-// requester with no history stays unbounded (0), a draining one gets
-// headroom above its measured rate, and an idle one is clamped to the
-// floor so water-fill stops over-granting it.
-func TestReallocFeedsDemandFromDrainRates(t *testing.T) {
-	rec := &recordingAllocator{}
-	n := admissionNode(t, Config{UploadBytesPerSec: 1e6, Allocator: rec})
-
-	drainer := fakeStream("drainer", 0)
-	idler := fakeStream("idler", 0)
-	n.admitStream(drainer)
-	n.admitStream(idler)
-
-	// First full tick: no history for either — both unbounded.
-	n.mu.Lock()
-	n.lastDrainMark = time.Now().Add(-time.Second)
-	n.mu.Unlock()
-	n.reallocate()
-	if d := rec.demand("drainer"); d != 0 {
-		t.Fatalf("first-tick demand %v, want 0 (unbounded)", d)
-	}
-
-	// One tick of observed drain: ~50 KB over ~1 s.
-	start := time.Now()
-	n.recordServed("drainer", 50_000)
-	n.mu.Lock()
-	n.lastDrainMark = start.Add(-time.Second)
-	n.mu.Unlock()
-	n.reallocate()
-
-	d, idle := rec.demand("drainer"), rec.demand("idler")
-	// rate ≈ 50 KB/s (looser under -race), demand = 2x headroom.
-	if d < 50_000 || d > 150_000 {
-		t.Fatalf("drainer demand %v, want ≈100000 (2x of ~50KB/s)", d)
-	}
-	if idle != demandFloorBytesPerSec {
-		t.Fatalf("idler demand %v, want the floor %v", idle, demandFloorBytesPerSec)
-	}
-
-	// A requester that leaves is purged, so a return starts unbounded.
-	n.unregisterStream(idler)
-	n.mu.Lock()
-	n.lastDrainMark = time.Now().Add(-time.Second)
-	n.mu.Unlock()
-	n.reallocate()
-	n.mu.Lock()
-	_, tracked := n.drainRate["idler"]
-	n.mu.Unlock()
-	if tracked {
-		t.Fatal("departed requester still tracked in drainRate")
-	}
-}
-
-// TestDrainDemandEscapesFeedbackTraps pins the two escapes from the
-// drain-rate feedback loop: a sample spanning an idle gap resets a
-// returning requester to unbounded instead of reading bytes-over-idle-
-// time as a near-zero rate, and a requester that drains essentially its
-// whole grant is treated as grant-limited (unbounded) rather than
-// capped at the rate its own starvation produced. Without either, a
-// requester that ever touched the demand floor crawled at ~4 KB/s
-// forever — a CLI fetch against an idle-for-minutes peer took 64 s for
-// 600 KB.
-func TestDrainDemandEscapesFeedbackTraps(t *testing.T) {
-	rec := &recordingAllocator{}
-	n := admissionNode(t, Config{UploadBytesPerSec: 1e6, Allocator: rec})
-	n.admitStream(fakeStream("r", 0))
-
-	// One full tick of history at a clearly demand-limited rate.
-	n.mu.Lock()
-	n.lastDrainMark = time.Now().Add(-time.Second)
-	n.mu.Unlock()
-	n.reallocate() // history mark
-	n.recordServed("r", 50_000)
-	n.mu.Lock()
-	n.lastDrainMark = time.Now().Add(-time.Second)
-	n.mu.Unlock()
-	n.reallocate()
-	if d := rec.demand("r"); d == 0 {
-		t.Fatal("sanity: expected a bounded demand after one drained tick")
-	}
-
-	// A sample spanning an idle gap (> maxDrainInterval) resets the
-	// requester to unbounded instead of pinning it at the floor.
-	n.recordServed("r", 1_000)
-	n.mu.Lock()
-	n.lastDrainMark = time.Now().Add(-time.Minute)
-	n.mu.Unlock()
-	n.reallocate()
-	if d := rec.demand("r"); d != 0 {
-		t.Fatalf("post-gap demand %v, want 0 (unbounded)", d)
-	}
-
-	// Draining >= drainSaturation of the granted rate is grant-limited:
-	// demand goes back to unbounded rather than echoing the grant.
-	n.mu.Lock()
-	n.lastDrainMark = time.Now().Add(-time.Second)
-	n.mu.Unlock()
-	n.reallocate() // fresh history mark after the reset
-	n.recordServed("r", 1_000_000)
-	n.mu.Lock()
-	n.lastDrainMark = time.Now().Add(-time.Second)
-	n.mu.Unlock()
-	n.reallocate()
-	if d := rec.demand("r"); d != 0 {
-		t.Fatalf("saturated-drain demand %v, want 0 (unbounded)", d)
 	}
 }

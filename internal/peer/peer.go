@@ -191,16 +191,6 @@ type Node struct {
 	posBuf    map[fairshare.ID]int
 	grantsBuf fairshare.Grants
 
-	// Drain-rate tracking (under mu): per-requester served-byte marks
-	// and the EWMA-free rate observed over the last full tick, feeding
-	// Requester.Demand so water-fill stops over-granting requesters
-	// that cannot drain what they are granted. lastDrainMark is when
-	// the marks were last advanced.
-	drainPrev     map[fairshare.ID]int64
-	drainRate     map[fairshare.ID]float64
-	grantRate     map[fairshare.ID]float64 // rate granted at the last tick
-	lastDrainMark time.Time
-
 	// brownout is set while admission load is at or above the brownout
 	// threshold; serve loops read it per batch to halve their sizes.
 	brownout atomic.Bool
@@ -265,11 +255,7 @@ func New(cfg Config) (*Node, error) {
 		posBuf:        make(map[fairshare.ID]int),
 		bytesOut:      make(map[fairshare.ID]int64),
 		owners:        make(map[uint64]fairshare.ID),
-		drainPrev:     make(map[fairshare.ID]int64),
-		drainRate:     make(map[fairshare.ID]float64),
-		grantRate:     make(map[fairshare.ID]float64),
 		shedsByClient: make(map[fairshare.ID]int64),
-		lastDrainMark: time.Now(),
 	}
 	if cfg.LedgerPath != "" {
 		led, rec, err := fairshare.RecoverBook(cfg.FS, cfg.LedgerPath, fairshare.DefaultInitialCredit, cfg.LedgerBound)
@@ -604,18 +590,12 @@ func (n *Node) reallocateLocked() {
 		}
 		return
 	}
-	// Taken feeds contribution-index policies (BiasedContribution);
-	// the same served-byte reads drive the drain-rate marks behind
-	// Requester.Demand.
+	// Taken feeds contribution-index policies (BiasedContribution).
 	n.statsMu.Lock()
 	for i := range n.reqBuf {
 		n.reqBuf[i].Taken = float64(n.bytesOut[n.reqBuf[i].ID])
 	}
-	n.updateDrainRatesLocked()
 	n.statsMu.Unlock()
-	for i := range n.reqBuf {
-		n.reqBuf[i].Demand = n.demandFor(n.reqBuf[i].ID)
-	}
 	capacity := n.currentCapacity()
 	n.m.capacity.Set(capacity)
 	if capacity <= 0 {
@@ -633,9 +613,6 @@ func (n *Node) reallocateLocked() {
 		Scratch:    n.grantsBuf,
 	})
 	n.grantsBuf = grants
-	for i := range grants {
-		n.grantRate[grants[i].ID] = grants[i].Rate
-	}
 	for s := range n.streams {
 		i := n.posBuf[s.client]
 		s.bucket.SetRate(grants[i].Rate / float64(n.cntBuf[i]))
@@ -696,68 +673,6 @@ func (n *Node) unregisterStream(s *stream) {
 	n.m.streamsActive.Add(-1)
 	n.updateBrownoutLocked()
 	n.reallocateLocked()
-}
-
-// updateDrainRatesLocked advances the per-requester served-byte marks
-// and recomputes observed drain rates once a meaningful interval has
-// passed. Callers hold both mu and statsMu (it reads bytesOut and
-// writes the mu-guarded drain maps).
-func (n *Node) updateDrainRatesLocked() {
-	elapsed := time.Since(n.lastDrainMark).Seconds()
-	if elapsed < minDrainInterval.Seconds() {
-		return // register/unregister mini-ticks: keep the last full-tick rates
-	}
-	n.lastDrainMark = time.Now()
-	stale := elapsed > maxDrainInterval.Seconds()
-	for i := range n.reqBuf {
-		id := n.reqBuf[i].ID
-		out := n.bytesOut[id]
-		prev, seen := n.drainPrev[id]
-		n.drainPrev[id] = out
-		if !seen || stale {
-			// No usable sample: a fresh requester, or marks separated
-			// by an idle gap. Leave demand unbounded.
-			delete(n.drainRate, id)
-			continue
-		}
-		rate := float64(out-prev) / elapsed
-		if g := n.grantRate[id]; g > 0 && rate >= drainSaturation*g {
-			// The requester drained essentially everything it was
-			// granted: the measured rate is the grant echoed back, not
-			// evidence of what it could drain. Capping demand at it
-			// would lock a floored requester at the floor forever.
-			delete(n.drainRate, id)
-			continue
-		}
-		n.drainRate[id] = rate
-	}
-	// Drop marks for requesters that left so the maps stay bounded by
-	// the active set and a returning requester starts unbounded again.
-	for id := range n.drainPrev {
-		if _, active := n.posBuf[id]; !active {
-			delete(n.drainPrev, id)
-			delete(n.drainRate, id)
-			delete(n.grantRate, id)
-		}
-	}
-}
-
-// demandFor translates an observed drain rate into the Demand cap
-// handed to the allocator: headroom above what the requester proved it
-// can drain, so a healthy stream can still grow, floored so a briefly
-// idle one is never starved out of its ramp back up. Requesters with
-// no full tick of history get 0 — unbounded — so new streams are not
-// throttled by an empty ledger of observations. Callers hold mu.
-func (n *Node) demandFor(id fairshare.ID) float64 {
-	rate, ok := n.drainRate[id]
-	if !ok {
-		return 0
-	}
-	d := rate * demandHeadroom
-	if d < demandFloorBytesPerSec {
-		d = demandFloorBytesPerSec
-	}
-	return d
 }
 
 func (n *Node) recordServed(client fairshare.ID, bytes int) {
