@@ -24,14 +24,18 @@ race-metrics: vet
 	$(GO) test -race ./internal/metrics/... ./internal/peer/... ./internal/ratelimit/... ./internal/store/...
 
 # race-codec exercises the parallel codec on both sides of the wire:
-# concurrent producers into rlnc.Pipeline, concurrent minting from one
-# rlnc.Encoder, the GF kernels under them (GF(2^32) differential
-# included), and core's streaming write path (encode workers, per-peer
-# senders, one-of-four-peers-fails and stalled-peer cancellation). The
-# client's read path, which shares one pipeline across per-peer stream
-# goroutines, runs under the detector in race-overload.
+# concurrent producers into rlnc.Pipeline, one pipeline retargeted
+# across generations (the Retarget suite: 32 generations against fresh
+# decoders, stale frames, refused geometries), concurrent minting from
+# one rlnc.Encoder, the GF kernels under them (GF(2^32) differential
+# included), chunk's in-place assembler (every chunk Done from its own
+# goroutine while another hashes), and core's streaming write path
+# (encode workers, per-peer senders, one-of-four-peers-fails and
+# stalled-peer cancellation). The client's read path, which shares one
+# pipeline across per-peer stream goroutines and then hands it to the
+# next chunk, runs under the detector in race-overload.
 race-codec: vet
-	$(GO) test -race ./internal/rlnc/... ./internal/gf/... ./internal/core/...
+	$(GO) test -race ./internal/rlnc/... ./internal/gf/... ./internal/chunk/... ./internal/core/...
 
 # race-wire is the zero-copy hot-path regression suite under the race
 # detector: the buffer pool's refcounting, the FrameReader/FrameWriter
@@ -39,12 +43,14 @@ race-codec: vet
 # the peer's serve path. (The PeerSession on the other end — demux
 # goroutine vs per-stream consumers — is race-overload's.)
 # The alloc gates themselves (`TestFrame*SteadyStateAllocs`,
-# `TestMuxedDataPathSteadyStateAllocs`, `TestAddBytesSteadyStateAllocs`)
-# only count allocations without -race, so run the wire package plain
-# too.
+# `TestMuxedDataPathSteadyStateAllocs`, `TestAddBytesSteadyStateAllocs`
+# — across a Retarget — and `TestOneShotP8SteadyStateAllocs`) only count
+# allocations without -race, and the frame pool's steady-state miss
+# rate under a real FetchFile (`TestFetchFileSteadyStatePoolMisses`) is
+# a timing the detector distorts, so those run plain too.
 race-wire: vet
 	$(GO) test -race ./internal/wire/... ./internal/rlnc/... ./internal/peer/...
-	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/wire/ ./internal/rlnc/
+	$(GO) test -run 'SteadyStateAllocs|SteadyStatePoolMisses' -count=1 ./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/client/
 
 # race-store exercises the durability layer under the race detector,
 # twice: the fsx filesystem seam and fault injector, the journaled
@@ -113,8 +119,11 @@ overload-smoke:
 # plus the whole client package — the one place CI runs it with -race:
 # the session set (links redialing under concurrent chunk streams), the
 # chunk ladder (per-rung progress counters vs the demux goroutine, one
-# pipeline shared by every rung), the breaker state machine, and the
-# peer's admission bookkeeping are all cross-goroutine by construction.
+# pipeline shared by every rung — and, outliving the chunk, retargeted
+# by whichever chunk takes it from the fetch's free list next, while
+# finished slots of the output file are hashed in order behind the
+# chunks still decoding), the breaker state machine, and the peer's
+# admission bookkeeping are all cross-goroutine by construction.
 # The admission alloc gates (TestAdmission*Allocs) only count without
 # -race, so the peer package runs those plain too.
 race-overload: vet

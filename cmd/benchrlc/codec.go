@@ -203,7 +203,9 @@ func runCodec(size, reps int, seed int64, jsonPath, beforePath string, out io.Wr
 			if err := pipe.DecodeInto(pipeOut); err != nil {
 				panic(err)
 			}
-			pipe.Reset()
+			if err := pipe.Retarget(params, 1, nil); err != nil {
+				panic(err)
+			}
 		}})
 		for _, b := range benches {
 			ns, bytesOp, allocsOp := measure(reps, b.fn)

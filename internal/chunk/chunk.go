@@ -167,29 +167,3 @@ func (m *Manifest) DigestCount() int {
 	}
 	return n
 }
-
-// Assemble concatenates decoded chunk payloads (in chunk order) into the
-// original file and verifies the total size.
-func Assemble(m *Manifest, chunks [][]byte) ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if len(chunks) != len(m.Chunks) {
-		return nil, fmt.Errorf("%w: have %d of %d chunks", ErrChunkMissing, len(chunks), len(m.Chunks))
-	}
-	out := make([]byte, 0, m.TotalSize)
-	for i, c := range chunks {
-		if c == nil {
-			return nil, fmt.Errorf("%w: chunk %d", ErrChunkMissing, i)
-		}
-		if len(c) != m.Chunks[i].DataLen {
-			return nil, fmt.Errorf("%w: chunk %d is %d bytes, manifest says %d",
-				ErrBadManifest, i, len(c), m.Chunks[i].DataLen)
-		}
-		out = append(out, c...)
-	}
-	if m.ContentMD5 != "" && ContentDigest(out) != m.ContentMD5 {
-		return nil, fmt.Errorf("%w: assembled content digest mismatch", ErrBadManifest)
-	}
-	return out, nil
-}

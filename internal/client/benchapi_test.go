@@ -1,11 +1,11 @@
 package client_test
 
-// Compile-time pins for the client and rlnc surface cmd/bench builds
-// its stepwise (traced) fetch from — see cmd/bench/stepwise.go and
-// cmd/bench/run.go. cmd/bench is a module of its own, so
-// `go build ./... && go test ./...` never compiles it: without these a
-// signature change here surfaces only as a benchmark that no longer
-// builds, and the benchmark may not be edited to follow.
+// Compile-time pins for the client, rlnc and chunk surface cmd/bench
+// builds its stepwise (traced) fetch and share from — see
+// cmd/bench/stepwise.go and cmd/bench/run.go. cmd/bench is a module of
+// its own, so `go build ./... && go test ./...` never compiles it:
+// without these a signature change here surfaces only as a benchmark
+// that no longer builds, and the benchmark may not be edited to follow.
 
 import (
 	"context"
@@ -43,4 +43,13 @@ var (
 
 	_ func(rlnc.Params, uint64, []byte, map[uint64]rlnc.Digest, rlnc.PipelineConfig) (*rlnc.Pipeline, error) = rlnc.NewPipeline
 	_ rlnc.ByteSink                                                                                          = (*rlnc.Pipeline)(nil)
+	_ func(*rlnc.Pipeline) ([]byte, error)                                                                   = (*rlnc.Pipeline).Decode
+	_ func(*rlnc.Pipeline) rlnc.Stats                                                                        = (*rlnc.Pipeline).Stats
+	_ func(*rlnc.Pipeline)                                                                                   = (*rlnc.Pipeline).Close
+
+	_ func(*chunk.Manifest, [][]byte) ([]byte, error)                        = chunk.Assemble
+	_ func(string, []byte, chunk.Plan, uint64, []byte) (*chunk.Share, error) = chunk.BuildShare
+	_ func(*chunk.Share, int, int) ([][]*rlnc.Message, error)                = (*chunk.Share).BatchForPeer
+	_ func() ([]byte, error)                                                 = chunk.NewSecret
+	_ func() (uint64, error)                                                 = chunk.NewFileID
 )

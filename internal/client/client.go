@@ -15,6 +15,17 @@
 // FetchFileFrom and StreamFile are thin callers of it, Fetch and
 // FetchGeneration its one-chunk case. Per-peer receipts are reported
 // for the user's periodic feedback to its own peer.
+//
+// A whole-file fetch has no serial tail (DESIGN.md §15). The output is
+// one buffer (chunk.Assembler): chunk i's download owns its slot from
+// launch until the driver's deliver callback marks it Done, decodes
+// straight into it, and from Done on the slot is read-only — the
+// assembler's mutex orders the decoder's last write before the in-order
+// MD5 that hashes finished slots while later chunks still download.
+// The pipelines are warm: the driver keeps a free list of at most
+// window engines for exactly the life of its session set, a chunk
+// Retargets one and returns it once all its rungs have returned, and
+// nothing — the coding secret in particular — is kept across calls.
 package client
 
 import (
@@ -388,7 +399,9 @@ func (c *Client) FetchGeneration(ctx context.Context, addrs []string, params rln
 func (c *Client) Fetch(ctx context.Context, req FetchRequest) ([]byte, FetchStats, error) {
 	set := c.newSessionSet(ctx)
 	defer set.close()
-	return c.fetchChunk(ctx, set.open(req.Peers), 0, req)
+	pl := c.newPipelines(1)
+	defer pl.close()
+	return c.fetchChunk(ctx, set.open(req.Peers), 0, req, pl, nil)
 }
 
 // deadlineMillis converts a context deadline into the wire's relative
@@ -448,10 +461,18 @@ func (c *Client) FetchFile(ctx context.Context, addrs []string, m *chunk.Manifes
 // peersFor — a placement table, a discovery lookup. Chunks are resolved
 // in order, each just before its download starts; peers shared between
 // chunks share one session.
+//
+// The file is assembled in place (chunk.Assembler): every chunk decodes
+// straight into its slot of one output buffer, and the manifest's
+// ContentMD5 is hashed in chunk order as slots complete, overlapping
+// the downloads still running, so only the last chunk or two are hashed
+// after the final decode. No byte is returned until that digest (when
+// the manifest carries one) and every per-message digest have passed.
 func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []byte,
 	peersFor func(ctx context.Context, chunk int) ([]string, error)) ([]byte, FetchStats, error) {
 	total := FetchStats{BytesFrom: make(map[string]uint64)}
-	if err := m.Validate(); err != nil {
+	asm, err := chunk.NewAssembler(m)
+	if err != nil {
 		return nil, total, err
 	}
 	start := time.Now()
@@ -459,14 +480,13 @@ func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []
 	defer cancel(nil)
 
 	var mu sync.Mutex // guards total
-	pieces := make([][]byte, len(m.Chunks))
-	c.fetchManifest(ctx, m, secret, peersFor, fetchFileStreams,
-		func(i int, data []byte, stats FetchStats, err error) {
+	c.fetchManifest(ctx, m, secret, peersFor, fetchFileStreams, asm.Slot,
+		func(i int, _ []byte, stats FetchStats, err error) {
 			if err != nil {
 				cancel(fmt.Errorf("chunk %d: %w", i, err)) // the first failure wins
 				return
 			}
-			pieces[i] = data
+			asm.Done(i)
 			mu.Lock()
 			total.merge(stats)
 			mu.Unlock()
@@ -475,7 +495,7 @@ func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []
 	if err := context.Cause(ctx); err != nil {
 		return nil, total, err
 	}
-	data, err := chunk.Assemble(m, pieces)
+	data, err := asm.Finish()
 	if err != nil {
 		return nil, total, err
 	}
@@ -483,17 +503,21 @@ func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []
 }
 
 // fetchManifest is the one manifest driver. It walks m's chunks in
-// order over one session set, keeps at most window downloads in flight,
-// and hands each result to deliver — from the downloading goroutine, so
-// a deliver that blocks holds its window slot and paces the fetch. It
-// stops launching when ctx ends or a chunk cannot be resolved, and
-// returns once every launched download has been delivered. m must be
-// valid.
+// order over one session set, keeps at most window downloads in flight
+// on at most window warm decode pipelines, and hands each result to
+// deliver — from the downloading goroutine, so a deliver that blocks
+// holds its window slot and paces the fetch. slotFor names the buffer
+// chunk i decodes into, owned by that download until deliver; nil
+// allocates one per chunk, which deliver then owns. It stops launching
+// when ctx ends or a chunk cannot be resolved, and returns once every
+// launched download has been delivered. m must be valid.
 func (c *Client) fetchManifest(ctx context.Context, m *chunk.Manifest, secret []byte,
 	peersFor func(ctx context.Context, chunk int) ([]string, error), window int,
-	deliver func(i int, data []byte, stats FetchStats, err error)) {
+	slotFor func(i int) []byte, deliver func(i int, data []byte, stats FetchStats, err error)) {
 	set := c.newSessionSet(ctx)
 	defer set.close()
+	pl := c.newPipelines(window)
+	defer pl.close()
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	slots := make(chan struct{}, window)
@@ -513,11 +537,15 @@ func (c *Client) fetchManifest(ctx context.Context, m *chunk.Manifest, secret []
 			return
 		}
 		links := set.open(req.Peers)
+		var out []byte
+		if slotFor != nil {
+			out = slotFor(i)
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-slots }()
-			data, stats, err := c.fetchChunk(ctx, links, i, req)
+			data, stats, err := c.fetchChunk(ctx, links, i, req, pl, out)
 			deliver(i, data, stats, err)
 		}(i)
 	}

@@ -100,8 +100,10 @@ func TestHedgedAllQuarantinedLaunchesPrimaryOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := c.newPipelines(1)
+	defer pl.close()
 	piece, _, err := c.fetchChunk(ctx, links, 0,
-		FetchRequest{Params: params, FileID: info.FileID, Secret: secret, Digests: info.Digests})
+		FetchRequest{Params: params, FileID: info.FileID, Secret: secret, Digests: info.Digests}, pl, nil)
 	if err != nil {
 		t.Fatalf("all-quarantined hedged fetch: %v", err)
 	}

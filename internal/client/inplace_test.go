@@ -1,0 +1,259 @@
+package client_test
+
+// The read path's tail (DESIGN.md §15): chunks decode in place, the
+// file digest is hashed in order while later chunks download, and the
+// window's pipelines are reused. These tests pin what that must not
+// change — no byte is returned unverified, same error classes — and
+// what it must: O(window) pipelines per call and a frame pool that
+// parks what a read window releases.
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"math/rand"
+	"testing"
+	"time"
+
+	"asymshare/internal/chunk"
+	"asymshare/internal/client"
+	"asymshare/internal/metrics"
+	"asymshare/internal/peer"
+	"asymshare/internal/rlnc"
+	"asymshare/internal/wire"
+)
+
+func randomBytes(seed int64, n int) []byte {
+	data := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(data)
+	return data
+}
+
+// disseminateBatch uploads peer peerIdx's batch of the share — after
+// mutate, if any, has had its way with it — to a fresh in-memory peer
+// and returns that peer.
+func disseminateBatch(t *testing.T, c *client.Client, share *chunk.Share, peerIdx int,
+	mutate func(batches [][]*rlnc.Message)) *peer.Node {
+	t.Helper()
+	batches, err := share.BatchForPeer(peerIdx, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mutate != nil {
+		mutate(batches)
+	}
+	var flat []*rlnc.Message
+	for _, b := range batches {
+		flat = append(flat, b...)
+	}
+	node := startPeer(t, byte(150+peerIdx), nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := c.Disseminate(ctx, node.Addr().String(), flat); err != nil {
+		t.Fatal(err)
+	}
+	return node
+}
+
+// TestFetchFileNeverReturnsUnverifiedBytes drives FetchFile against a
+// forged message in the middle of the file and against tampered
+// manifest digests. Whatever catches it — the per-message digest, or
+// the content digest once the forgery has been decoded into the output
+// buffer — the caller gets the error class it got before the file was
+// assembled in place, and never a byte.
+func TestFetchFileNeverReturnsUnverifiedBytes(t *testing.T) {
+	data := randomBytes(11, 8*1024)
+	c, err := client.New(identity(t, 9), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	share, err := chunk.BuildShare("tamper.bin", data, testPlan(), 4000, testSecret())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dishonest peer flips one payload byte of the first message it
+	// holds for chunk 3.
+	dishonest := disseminateBatch(t, c, share, 0, func(batches [][]*rlnc.Message) {
+		forged := batches[3][0].Clone()
+		forged.Payload[5] ^= 0x40
+		batches[3][0] = forged
+	}).Addr().String()
+	honest := disseminateBatch(t, c, share, 1, nil).Addr().String()
+
+	// edit returns a copy of the manifest with chunk 3 and the content
+	// digest open to change.
+	edit := func(change func(m *chunk.Manifest, mid *chunk.ChunkInfo)) *chunk.Manifest {
+		m := share.Manifest
+		m.Chunks = append([]chunk.ChunkInfo(nil), m.Chunks...)
+		change(&m, &m.Chunks[3])
+		return &m
+	}
+	untouched := &share.Manifest
+	noDigests := edit(func(_ *chunk.Manifest, mid *chunk.ChunkInfo) { mid.Digests = nil })
+	badContent := edit(func(m *chunk.Manifest, _ *chunk.ChunkInfo) {
+		m.ContentMD5 = chunk.ContentDigest([]byte("another file"))
+	})
+	badMessageDigest := edit(func(_ *chunk.Manifest, mid *chunk.ChunkInfo) {
+		wrong := make(map[uint64]rlnc.Digest, len(mid.Digests))
+		for id, d := range mid.Digests {
+			d[0] ^= 1
+			wrong[id] = d
+		}
+		mid.Digests = wrong
+	})
+
+	for _, tc := range []struct {
+		name  string
+		m     *chunk.Manifest
+		peers []string
+		want  error // nil: the fetch succeeds, byte-identical
+	}{
+		{"control", untouched, []string{honest}, nil},
+		{"forged message refused by its digest, no other source", untouched, []string{dishonest}, client.ErrIncomplete},
+		{"forged message refused by its digest, honest peer fills in", untouched, []string{dishonest, honest}, nil},
+		{"forged message decoded, caught by the content digest", noDigests, []string{dishonest}, chunk.ErrBadManifest},
+		{"tampered content digest", badContent, []string{honest}, chunk.ErrBadManifest},
+		{"tampered message digests", badMessageDigest, []string{honest}, client.ErrIncomplete},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			got, _, err := c.FetchFile(ctx, tc.peers, tc.m, testSecret())
+			if tc.want == nil {
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("FetchFile: err %v, identical %v", err, bytes.Equal(got, data))
+				}
+				return
+			}
+			if !errors.Is(err, tc.want) || got != nil {
+				t.Fatalf("FetchFile = (%d bytes, %v), want (nil, %v)", len(got), err, tc.want)
+			}
+		})
+	}
+}
+
+// TestFetchBuildsWindowPipelines counts, through the client's own
+// instrumentation, how many decode engines a manifest fetch builds: as
+// many as it keeps chunks in flight — plus one when the last chunk's
+// geometry differs — not one per chunk.
+func TestFetchBuildsWindowPipelines(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		size  int
+		extra uint64 // a short last chunk cannot reuse a full-size engine
+	}{
+		{"16 full chunks", 16 * 1024, 0},
+		{"15 full chunks and a short one", 15*1024 + 100, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := randomBytes(12, tc.size)
+			c, err := client.New(identity(t, 10), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.NewRegistry()
+			c.Instrument(reg)
+			built := reg.Counter(client.MetricPipelinesBuilt, "")
+			m, addrs := buildAndDisseminate(t, c, data, 2)
+			if len(m.Chunks) != 16 {
+				t.Fatalf("manifest has %d chunks, want 16", len(m.Chunks))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+
+			got, _, err := c.FetchFile(ctx, addrs, m, testSecret())
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("FetchFile: err %v, identical %v", err, bytes.Equal(got, data))
+			}
+			fetched := built.Value()
+			if fetched == 0 || fetched > client.FetchFileStreams+tc.extra {
+				t.Errorf("FetchFile of 16 chunks built %d pipelines, want 1..%d",
+					fetched, client.FetchFileStreams+tc.extra)
+			}
+
+			s, err := c.StreamFile(ctx, addrs, m, testSecret(), client.StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var played []byte
+			for {
+				_, piece, err := s.Next()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				played = append(played, piece...)
+			}
+			if !bytes.Equal(played, data) {
+				t.Fatal("StreamFile mismatch")
+			}
+			streamed := built.Value() - fetched
+			if streamed == 0 || streamed > client.DefaultPrefetch+1+tc.extra {
+				t.Errorf("StreamFile of 16 chunks built %d pipelines, want 1..%d",
+					streamed, client.DefaultPrefetch+1+tc.extra)
+			}
+		})
+	}
+}
+
+// TestFetchFileSteadyStatePoolMisses: at the default plan one FetchFile
+// keeps up to 4 chunks × 4 peers × 8 messages of 128 KiB + 16 B in
+// flight and releases them in bursts. Once warm, the frame pool must
+// serve those bursts from its free lists — under 5 % of gets allocate —
+// and at teardown nothing is leaked or released twice.
+func TestFetchFileSteadyStatePoolMisses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shares a 16 MiB file with 4 peers")
+	}
+	data := randomBytes(13, 16<<20)
+	c, err := client.New(identity(t, 11), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	share, err := chunk.BuildShare("pool.bin", data, chunk.DefaultPlan(), 9000, testSecret())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []string
+	var nodes []*peer.Node
+	for i := 0; i < 4; i++ {
+		node := disseminateBatch(t, c, share, i, nil)
+		nodes = append(nodes, node)
+		addrs = append(addrs, node.Addr().String())
+	}
+	fetch := func() {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		got, _, err := c.FetchFile(ctx, addrs, &share.Manifest, testSecret())
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("FetchFile: err %v, identical %v", err, bytes.Equal(got, data))
+		}
+	}
+	for i := 0; i < 2; i++ {
+		fetch() // warm-up: the free lists fill
+	}
+	before := wire.DefaultPool.Stats()
+	for i := 0; i < 4; i++ {
+		fetch()
+	}
+	after := wire.DefaultPool.Stats()
+	gets, misses := after.Gets-before.Gets, after.Misses-before.Misses
+	t.Logf("steady state: %d of %d pool gets missed", misses, gets)
+	if gets == 0 || float64(misses) >= 0.05*float64(gets) {
+		t.Errorf("steady-state FetchFile missed the frame pool on %d of %d gets, want < 5%%", misses, gets)
+	}
+	// Teardown: the fetches' session sets are closed already; once the
+	// peers' connection handlers have exited too, every buffer is home.
+	for _, node := range nodes {
+		node.Close()
+	}
+	end := wire.DefaultPool.Stats()
+	if end.Live != 0 || end.DoubleReleases != 0 {
+		t.Errorf("at teardown: %d buffers live, %d double releases, want 0 and 0", end.Live, end.DoubleReleases)
+	}
+}

@@ -5,6 +5,9 @@ package client
 // streams into one shared RLNC pipeline, and the chunk is done at rank
 // k — whichever stream delivers the last innovative message wins, and
 // duplicates are just redundant rows, so racing rungs is always safe.
+// The pipeline outlives the chunk: it comes from, and returns to, the
+// fetch call's free list, and decodes straight into the chunk's slot of
+// the output file.
 //
 // Unhedged, every rung launches at t = 0: maximum instantaneous
 // goodput, maximum redundant upload, breakers ignored. With
@@ -36,10 +39,66 @@ type rung struct {
 	err     error // written by the stream goroutine, read after wg.Wait
 }
 
-// fetchChunk downloads and decodes the generation req names over links
-// (req.Peers is not consulted). rotate — the chunk index — spreads
+// pipelines is the free list of warm decode engines one fetch call owns
+// (DESIGN.md §15): a chunk takes one, retargets it at its generation,
+// and hands it back once its rungs have all returned, so a manifest of
+// n chunks builds as many engines as it has chunks in flight, not n.
+// The engines hold the coding secret, so the list lives exactly as long
+// as the call's session set and is closed with it.
+type pipelines struct {
+	c    *Client
+	free chan *rlnc.Pipeline // capacity: the call's window
+}
+
+func (c *Client) newPipelines(window int) *pipelines {
+	return &pipelines{c: c, free: make(chan *rlnc.Pipeline, window)}
+}
+
+// acquire returns an engine aimed at req's generation: a parked one
+// when its geometry fits, else — nothing parked, or the short last
+// chunk — a fresh build.
+func (pl *pipelines) acquire(req FetchRequest) (*rlnc.Pipeline, error) {
+	select {
+	case p := <-pl.free:
+		if p.Retarget(req.Params, req.FileID, req.Digests) == nil {
+			return p, nil
+		}
+		pl.free <- p // room is certain: this goroutine just took it out
+	default:
+	}
+	pl.c.m.pipelinesBuilt.Inc()
+	return rlnc.NewPipeline(req.Params, req.FileID, req.Secret, req.Digests, rlnc.PipelineConfig{})
+}
+
+// release parks p for the next chunk. The caller has no producer left
+// in flight, which is what Retarget requires of whoever takes it next.
+func (pl *pipelines) release(p *rlnc.Pipeline) {
+	select {
+	case pl.free <- p:
+	default:
+		p.Close() // an odd-geometry extra beyond the window
+	}
+}
+
+// close stops every parked engine; all chunks have returned theirs.
+func (pl *pipelines) close() {
+	for {
+		select {
+		case p := <-pl.free:
+			p.Close()
+		default:
+			return
+		}
+	}
+}
+
+// fetchChunk downloads the generation req names over links (req.Peers
+// is not consulted) and decodes it into out, which must be exactly
+// req.Params.DataLen bytes — the chunk's slot of the file being
+// assembled; nil allocates. rotate — the chunk index — spreads
 // concurrent hedged chunks across equally healthy peers.
-func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, req FetchRequest) ([]byte, FetchStats, error) {
+func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, req FetchRequest,
+	pl *pipelines, out []byte) ([]byte, FetchStats, error) {
 	stats := FetchStats{BytesFrom: make(map[string]uint64, len(links))}
 	fail := func(err error) ([]byte, FetchStats, error) {
 		c.m.recordFetch(stats, 0, err)
@@ -52,11 +111,13 @@ func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, 
 	if c.opt.Hedge {
 		ladder, probeFrom, coolFrom = c.health.order(links, rotate)
 	}
-	sink, err := rlnc.NewPipeline(req.Params, req.FileID, req.Secret, req.Digests, rlnc.PipelineConfig{})
+	sink, err := pl.acquire(req)
 	if err != nil {
 		return fail(err)
 	}
-	defer sink.Close()
+	// Deferred past wg.Wait below: whoever takes the engine next finds
+	// no rung of this chunk still feeding it.
+	defer pl.release(sink)
 	stopSampling := c.m.sampleDecode(sink.Telemetry)
 
 	start := time.Now()
@@ -187,13 +248,15 @@ loop:
 		}
 		return fail(err)
 	}
-	data, err := sink.Decode()
-	if err != nil {
+	if out == nil {
+		out = make([]byte, req.Params.DataLen)
+	}
+	if err := sink.DecodeInto(out); err != nil {
 		return fail(err)
 	}
-	c.m.recordFetch(stats, len(data), nil)
+	c.m.recordFetch(stats, len(out), nil)
 	c.m.recordDecodeTelemetry(sink.Telemetry())
-	return data, stats, nil
+	return out, stats, nil
 }
 
 // classify folds every launched rung's final outcome into the health

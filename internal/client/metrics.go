@@ -38,6 +38,11 @@ const (
 	MetricBreakerRecoveries  = "breaker_recoveries_total"
 	MetricBreakerOpenCurrent = "breaker_open_current"
 	MetricShedsObserved      = "client_sheds_observed_total"
+
+	// Decode engines built (rlnc.NewPipeline) rather than taken warm
+	// from a fetch call's free list: O(window) per manifest, not
+	// O(chunks) (DESIGN.md §15).
+	MetricPipelinesBuilt = "client_pipelines_built_total"
 )
 
 // clientMetrics holds the download-side instruments; the zero value
@@ -57,6 +62,8 @@ type clientMetrics struct {
 	decodeDepth *metrics.Gauge
 	decodeBusy  *metrics.Gauge
 	decodeElim  *metrics.Counter
+
+	pipelinesBuilt *metrics.Counter
 
 	hedgeLaunched     *metrics.Counter
 	hedgeStalls       *metrics.Counter
@@ -89,6 +96,8 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 		decodeDepth: reg.Gauge(MetricDecodeQueueDepth, "Payload elimination jobs queued in the decode pipeline."),
 		decodeBusy:  reg.Gauge(MetricDecodeBusyWorkers, "Decode pipeline workers currently eliminating a segment."),
 		decodeElim:  reg.Counter(MetricDecodeElimBytes, "Payload bytes processed by decode row operations."),
+
+		pipelinesBuilt: reg.Counter(MetricPipelinesBuilt, "Decode pipelines built because no warm one of the right geometry was free."),
 
 		hedgeLaunched:     reg.Counter(MetricHedgeLaunched, "Hedge streams re-issued after a stall on the primary peer."),
 		hedgeStalls:       reg.Counter(MetricHedgeStalls, "Streams judged stalled: held a slot for a full hedge delay yet contributed nothing."),

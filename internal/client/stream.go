@@ -84,7 +84,7 @@ func (c *Client) StreamFile(ctx context.Context, addrs []string, m *chunk.Manife
 	go func() {
 		defer close(s.results)
 		c.fetchManifest(streamCtx, m, secret,
-			func(context.Context, int) ([]string, error) { return addrs, nil }, prefetch+1,
+			func(context.Context, int) ([]string, error) { return addrs, nil }, prefetch+1, nil,
 			func(i int, data []byte, stats FetchStats, err error) {
 				select {
 				case s.results <- chunkResult{index: i, data: data, stats: stats, err: err}:

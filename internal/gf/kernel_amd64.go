@@ -2,8 +2,12 @@ package gf
 
 // AVX2 dispatch for the nibble-split kernels (see kernel_amd64.s).
 
+//go:noescape
 func mulAddAsmP8(lo, hi *[16]byte, dst, src *byte, n int)
+
+//go:noescape
 func mulAsmP8(lo, hi *[16]byte, dst *byte, n int)
+
 func cpuidex(op, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 

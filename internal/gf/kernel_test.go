@@ -280,3 +280,21 @@ func BenchmarkAccumSlices(b *testing.B) {
 		})
 	}
 }
+
+// TestOneShotP8SteadyStateAllocs: the one-shot kernels build their two
+// 16-byte nibble tables on the stack and hand them to the AVX2 stubs,
+// which only read them; without //go:noescape on the stubs the tables
+// escaped and every call heap-allocated both.
+func TestOneShotP8SteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, bits := range []uint{Bits4, Bits8} {
+		f := MustNew(bits)
+		dst, src := randVec(rng, 1024), randVec(rng, 1024)
+		if n := testing.AllocsPerRun(100, func() { MulAddSlice(f, dst, src, 0x0b) }); n != 0 {
+			t.Errorf("GF(2^%d): one-shot MulAddSlice allocates %v times per call, want 0", bits, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { MulSlice(f, dst, 0x0b) }); n != 0 {
+			t.Errorf("GF(2^%d): one-shot MulSlice allocates %v times per call, want 0", bits, n)
+		}
+	}
+}

@@ -140,64 +140,55 @@ func TestAddBytesCallerOwnsBuffer(t *testing.T) {
 	}
 }
 
-// TestSyncSinkAddBytes covers the compatibility shim on the sequential
-// engine.
-func TestSyncSinkAddBytes(t *testing.T) {
-	k := 8
-	enc, digests, data := pipelineGen(t, gf.Bits8, k, 128, 23)
-	dec, err := NewDecoder(enc.Params(), enc.FileID(), testSecret(), digests)
-	if err != nil {
-		t.Fatal(err)
+// TestAddBytesSteadyStateAllocs is the receive-side half of the
+// zero-copy proof: a warmed pipeline ingests serialized frames,
+// decodes, and is retargeted at a different generation — other file-id,
+// digest table, data and DataLen, as one chunk following another on the
+// client's read path — without a single heap allocation.
+func TestAddBytesSteadyStateAllocs(t *testing.T) {
+	const k, m = 16, 512
+	type generation struct {
+		enc     *Encoder
+		digests map[uint64]Digest
+		frames  [][]byte
+		out     []byte
 	}
-	sink := NewSyncSink(dec)
-	for id := uint64(0); !sink.Done(); id++ {
-		if _, err := sink.AddBytes(marshal(t, enc.Message(id))); err != nil {
-			t.Fatal(err)
+	gens := make([]generation, 2)
+	for g := range gens {
+		enc, digests, _ := retargetGen(t, gf.Bits8, k, m, g)
+		gens[g] = generation{enc: enc, digests: digests, out: make([]byte, enc.Params().DataLen)}
+		for id := uint64(0); id < uint64(2*k); id++ {
+			gens[g].frames = append(gens[g].frames, marshal(t, enc.Message(id)))
 		}
 	}
-	if _, err := sink.AddBytes([]byte{1, 2}); !errors.Is(err, ErrShortMessage) {
-		t.Errorf("short buffer error = %v", err)
-	}
-	out, err := sink.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, data) {
-		t.Fatal("decode diverged")
-	}
-}
-
-// TestAddBytesSteadyStateAllocs is the receive-side half of the
-// zero-copy proof: a warmed pipeline ingests serialized frames and
-// completes a decode-reset cycle without a single heap allocation.
-func TestAddBytesSteadyStateAllocs(t *testing.T) {
-	k := 16
-	enc, digests, _ := pipelineGen(t, gf.Bits8, k, 512, 13)
-	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests,
+	pipe, err := NewPipeline(gens[0].enc.Params(), gens[0].enc.FileID(), testSecret(), gens[0].digests,
 		PipelineConfig{Workers: 1, Verifiers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
 
-	frames := make([][]byte, 0, 2*k)
-	for id := uint64(0); id < uint64(2*k); id++ {
-		frames = append(frames, marshal(t, enc.Message(id)))
-	}
-	out := make([]byte, enc.Params().DataLen)
 	cycle := func() {
-		for _, frame := range frames {
-			if _, err := pipe.AddBytes(frame); err != nil {
+		for g := range gens {
+			gen := &gens[g]
+			if err := pipe.Retarget(gen.enc.Params(), gen.enc.FileID(), gen.digests); err != nil {
+				t.Fatal(err)
+			}
+			for _, frame := range gen.frames {
+				if _, err := pipe.AddBytes(frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := pipe.Stats(); st.Accepted != k {
+				t.Fatalf("generation %d accepted %d messages, want %d", g, st.Accepted, k)
+			}
+			if err := pipe.DecodeInto(gen.out); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := pipe.DecodeInto(out); err != nil {
-			t.Fatal(err)
-		}
-		pipe.Reset()
 	}
 	cycle() // warm up lazy hash state and map buckets
 	if n := testing.AllocsPerRun(10, cycle); n != 0 {
-		t.Fatalf("steady-state byte ingest allocates %v times per cycle, want 0", n)
+		t.Fatalf("steady-state byte ingest allocates %v times per two retargeted generations, want 0", n)
 	}
 }

@@ -25,8 +25,7 @@ var ErrWrongFile = errors.New("rlnc: message for different file")
 
 // Decoder reconstructs one generation from >= k innovative messages.
 // It is not safe for concurrent use; callers multiplexing several
-// download streams must serialize Add calls (wrap it in SyncSink) or
-// use the parallel Pipeline.
+// download streams use the parallel Pipeline.
 type Decoder struct {
 	params  Params
 	fileID  uint64

@@ -101,8 +101,9 @@ type segTask struct {
 
 // Pipeline implements Sink with concurrent producers and parallel
 // payload elimination. Construct with NewPipeline, feed it from any
-// number of goroutines, then call Decode (or DecodeInto) once Done,
-// and Close when finished with it.
+// number of goroutines, then call Decode (or DecodeInto) once Done;
+// Retarget it at the next generation of the same geometry as often as
+// wanted, and Close when finished with it.
 type Pipeline struct {
 	params  Params
 	fileID  uint64
@@ -571,16 +572,32 @@ func (p *Pipeline) DecodeInto(out []byte) error {
 	return nil
 }
 
-// Reset returns the pipeline to its initial state so the same engine
-// (and all its pooled buffers) can decode another generation with the
-// same parameters, fileID, secret and digests. The caller must ensure
-// no Add or Decode is in flight.
-func (p *Pipeline) Reset() {
+// Retarget points the engine at another generation of the same
+// geometry — same field, K and chunk-vector size; DataLen may differ —
+// keeping the secret and with it the coefficient generator, and every
+// pooled buffer, verifier and worker: the arena is recycled, not
+// rebuilt. digests replaces the authentication table (nil disables it).
+// A different geometry is refused with ErrBadParams and leaves the
+// engine untouched; build a fresh pipeline for it. The caller must
+// ensure no Add or Decode is in flight — every producer of the previous
+// generation has returned — and frames still addressed to the old
+// file-id are thereafter ErrWrongFile like any other foreign message.
+func (p *Pipeline) Retarget(params Params, fileID uint64, digests map[uint64]Digest) error {
+	if err := params.Validate(); err != nil {
+		return err
+	}
+	if params.Field.Bits() != p.params.Field.Bits() || params.K != p.params.K || params.ChunkBytes() != p.cb {
+		return fmt.Errorf("%w: retarget %v onto a pipeline built for %v", ErrBadParams, params, p.params)
+	}
 	p.decodeMu.Lock()
 	defer p.decodeMu.Unlock()
 	p.jobsWG.Wait()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return ErrPipelineClosed
+	}
+	p.params, p.fileID, p.digests = params, fileID, digests
 	clear(p.seen)
 	for i, row := range p.echelon {
 		p.rowFree <- row
@@ -593,6 +610,10 @@ func (p *Pipeline) Reset() {
 	p.stats = Stats{}
 	p.solved = false
 	p.rank.Store(0)
+	p.jobsDone.Store(0)
+	p.segsDone.Store(0)
+	p.elimBytes.Store(0)
+	return nil
 }
 
 // Close stops the worker pool. It drains in-flight payload jobs first;

@@ -2,6 +2,7 @@ package rlnc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -207,37 +208,164 @@ func TestPipelineConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestPipelineReset decodes two generations' worth of streams through
-// one engine, exercising buffer recycling.
-func TestPipelineReset(t *testing.T) {
-	k := 16
-	enc, digests, data := pipelineGen(t, gf.Bits8, k, 64, 5)
-	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests,
-		PipelineConfig{Workers: 1})
+// retargetGen is generation g of a retarget sequence: its own file-id,
+// data and digests, and — the one geometry freedom Retarget allows — a
+// DataLen that shrinks within the last chunk-vector on odd g.
+func retargetGen(t testing.TB, bits uint, k, m, g int) (*Encoder, map[uint64]Digest, []byte) {
+	t.Helper()
+	p, err := NewParams(gf.MustNew(bits), k, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.DataLen = p.CapacityBytes()
+	if g%2 == 1 {
+		p.DataLen -= 1 + g%p.ChunkBytes()
+	}
+	data := randomData(rand.New(rand.NewSource(int64(1000+g))), p.DataLen)
+	enc, err := NewEncoder(p, uint64(100+g), testSecret(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := make(map[uint64]Digest)
+	for id := uint64(0); id < uint64(3*k); id++ {
+		digests[id] = enc.Message(id).Digest()
+	}
+	return enc, digests, data
+}
+
+// TestPipelineRetarget decodes 32 different generations through one
+// engine — buffers, verifiers and workers recycled, file-id, digests
+// and DataLen replaced — and requires every output byte-identical to a
+// fresh sequential Decoder fed the same scrambled stream.
+func TestPipelineRetarget(t *testing.T) {
+	const k, m = 12, 96
+	enc0, dig0, _ := retargetGen(t, gf.Bits8, k, m, 0)
+	pipe, err := NewPipeline(enc0.Params(), enc0.FileID(), testSecret(), dig0, PipelineConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
-	out := make([]byte, enc.Params().DataLen)
-	for round := 0; round < 3; round++ {
-		for id := uint64(0); pipe.Rank() < k; id++ {
-			if _, err := pipe.Add(enc.Message(id)); err != nil {
-				t.Fatal(err)
+	for g := 0; g < 32; g++ {
+		enc, digests, data := retargetGen(t, gf.Bits8, k, m, g)
+		if g > 0 {
+			if err := pipe.Retarget(enc.Params(), enc.FileID(), digests); err != nil {
+				t.Fatalf("generation %d: %v", g, err)
+			}
+			if pipe.Rank() != 0 || pipe.Done() {
+				t.Fatalf("generation %d: retarget did not clear rank", g)
+			}
+			if st := pipe.Stats(); st != (Stats{}) {
+				t.Fatalf("generation %d: retarget did not clear stats: %+v", g, st)
+			}
+			if tel := pipe.Telemetry(); tel.Jobs != 0 || tel.EliminatedBytes != 0 {
+				t.Fatalf("generation %d: retarget did not clear telemetry: %+v", g, tel)
 			}
 		}
-		if err := pipe.DecodeInto(out); err != nil {
+		dec, err := NewDecoder(enc.Params(), enc.FileID(), testSecret(), digests)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("round %d: decode mismatch", round)
+		for _, msg := range scrambledStream(enc, rand.New(rand.NewSource(int64(g))), k) {
+			okP, errP := pipe.Add(msg.Clone())
+			okD, errD := dec.Add(msg.Clone())
+			if okP != okD || (errP == nil) != (errD == nil) {
+				t.Fatalf("generation %d: pipeline (%v, %v), decoder (%v, %v)", g, okP, errP, okD, errD)
+			}
 		}
-		pipe.Reset()
-		if pipe.Rank() != 0 || pipe.Done() {
-			t.Fatal("reset did not clear rank")
+		if pipe.Stats() != dec.Stats() {
+			t.Fatalf("generation %d: stats diverge: pipeline %+v, decoder %+v", g, pipe.Stats(), dec.Stats())
 		}
-		if st := pipe.Stats(); st != (Stats{}) {
-			t.Fatalf("reset did not clear stats: %+v", st)
+		want, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := pipe.Decode()
+		if err != nil {
+			t.Fatalf("generation %d: %v", g, err)
+		}
+		if !bytes.Equal(got, want) || !bytes.Equal(got, data) {
+			t.Fatalf("generation %d: retargeted decode differs from a fresh decoder", g)
+		}
+	}
+}
+
+// TestRetargetRejectsStaleFrames: a frame still in flight for the
+// generation the engine was aimed at before is a foreign message now —
+// ErrWrongFile, counted Rejected, and it never touches the new rank.
+func TestRetargetRejectsStaleFrames(t *testing.T) {
+	const k, m = 8, 64
+	prev, digPrev, _ := retargetGen(t, gf.Bits8, k, m, 0)
+	next, digNext, data := retargetGen(t, gf.Bits8, k, m, 2)
+	pipe, err := NewPipeline(prev.Params(), prev.FileID(), testSecret(), digPrev, PipelineConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	if _, err := pipe.AddBytes(marshal(t, prev.Message(0))); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Retarget(next.Params(), next.FileID(), digNext); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := pipe.AddBytes(marshal(t, prev.Message(1))); ok || !errors.Is(err, ErrWrongFile) {
+		t.Fatalf("stale AddBytes = (%v, %v), want ErrWrongFile", ok, err)
+	}
+	if ok, err := pipe.Add(prev.Message(2)); ok || !errors.Is(err, ErrWrongFile) {
+		t.Fatalf("stale Add = (%v, %v), want ErrWrongFile", ok, err)
+	}
+	if st := pipe.Stats(); st.Received != 2 || st.Rejected != 2 || pipe.Rank() != 0 {
+		t.Fatalf("after stale frames: stats %+v rank %d, want 2 received, 2 rejected, rank 0", st, pipe.Rank())
+	}
+	for id := uint64(0); !pipe.Done(); id++ {
+		if _, err := pipe.AddBytes(marshal(t, next.Message(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := pipe.Decode()
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("decode after stale frames: err %v, identical %v", err, bytes.Equal(got, data))
+	}
+}
+
+// TestRetargetRefusesOtherGeometry: the arena, rows and coefficient
+// generator are sized by field, K and chunk-vector bytes; anything else
+// is refused and the engine keeps decoding what it was aimed at.
+func TestRetargetRefusesOtherGeometry(t *testing.T) {
+	const k, m = 8, 64
+	enc, digests, data := retargetGen(t, gf.Bits8, k, m, 0)
+	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(0); id < 3; id++ {
+		if _, err := pipe.Add(enc.Message(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, other := range map[string]Params{
+		"k":           {Field: gf.MustNew(gf.Bits8), K: k - 1, M: m, DataLen: 10},
+		"chunk bytes": {Field: gf.MustNew(gf.Bits8), K: k, M: 2 * m, DataLen: 10},
+		"field":       {Field: gf.MustNew(gf.Bits16), K: k, M: m / 2, DataLen: 10}, // same chunk bytes
+		"invalid":     {Field: gf.MustNew(gf.Bits8), K: k, M: m, DataLen: k*m + 1},
+	} {
+		if err := pipe.Retarget(other, 99, nil); !errors.Is(err, ErrBadParams) && !errors.Is(err, ErrDataTooLarge) {
+			t.Errorf("retarget to other %s = %v, want a parameter error", name, err)
+		}
+	}
+	if pipe.Rank() != 3 {
+		t.Fatalf("refused retargets disturbed the engine: rank %d, want 3", pipe.Rank())
+	}
+	for id := uint64(3); !pipe.Done(); id++ {
+		if _, err := pipe.Add(enc.Message(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := pipe.Decode(); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("decode after refused retargets: err %v", err)
+	}
+	pipe.Close()
+	if err := pipe.Retarget(enc.Params(), enc.FileID(), digests); !errors.Is(err, ErrPipelineClosed) {
+		t.Fatalf("retarget after Close = %v, want ErrPipelineClosed", err)
 	}
 }
 
@@ -286,7 +414,7 @@ func TestPipelineErrors(t *testing.T) {
 }
 
 // TestPipelineSteadyStateAllocs is the acceptance-criteria benchmark
-// assertion: once warmed up, a full feed-decode-reset cycle performs
+// assertion: once warmed up, a full feed-decode-retarget cycle performs
 // zero heap allocations per accepted message (same pattern as
 // internal/metrics' TestHotPathAllocFree).
 func TestPipelineSteadyStateAllocs(t *testing.T) {
@@ -313,7 +441,9 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		if err := pipe.DecodeInto(out); err != nil {
 			t.Fatal(err)
 		}
-		pipe.Reset()
+		if err := pipe.Retarget(enc.Params(), enc.FileID(), digests); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cycle() // warm up lazy hash state and map buckets
 	if n := testing.AllocsPerRun(10, cycle); n != 0 {
@@ -350,7 +480,9 @@ func benchDecode(b *testing.B, k, pieceLen int, pipeline bool) {
 			if err := pipe.DecodeInto(out); err != nil {
 				b.Fatal(err)
 			}
-			pipe.Reset()
+			if err := pipe.Retarget(enc.Params(), enc.FileID(), nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 		return
 	}

@@ -1,7 +1,5 @@
 package rlnc
 
-import "sync"
-
 // Stats is the message accounting shared by every decoder front end.
 // Each message offered to Add lands in exactly one outcome bucket, so
 // Received == Accepted + Rejected + Duplicate + Redundant always holds.
@@ -15,8 +13,8 @@ type Stats struct {
 
 // Sink is the streaming decode interface the fetch path codes against:
 // something that consumes encoded messages until it has gathered a full
-// generation. Both the sequential Decoder (wrapped in SyncSink for
-// concurrent producers) and the parallel Pipeline implement it.
+// generation. Both the sequential Decoder (one producer at a time) and
+// the parallel Pipeline implement it.
 type Sink interface {
 	// Add folds one message in and reports whether it was innovative.
 	// Messages for other files and authentication failures return
@@ -32,10 +30,8 @@ type Sink interface {
 
 // ByteSink is the zero-copy extension of Sink: a decode engine that
 // ingests serialized messages (16-byte header + payload) straight from
-// wire frames. The Pipeline implements it natively — parse in place,
-// digest the frame bytes, one copy into its arena — and SyncSink via an
-// unmarshal shim, so callers can feed whichever engine they were given
-// without caring which path is the fast one.
+// wire frames. The Pipeline implements it natively: parse in place,
+// digest the frame bytes, one copy into its arena.
 type ByteSink interface {
 	Sink
 	// AddBytes folds one serialized message in. The caller keeps
@@ -44,65 +40,6 @@ type ByteSink interface {
 }
 
 var (
-	_ Sink     = (*SyncSink)(nil)
-	_ Sink     = (*Pipeline)(nil)
-	_ ByteSink = (*SyncSink)(nil)
+	_ Sink     = (*Decoder)(nil)
 	_ ByteSink = (*Pipeline)(nil)
 )
-
-// SyncSink makes a sequential Decoder usable by concurrent producers by
-// serializing every call under one mutex — the baseline the Pipeline's
-// sharded design replaces (see DESIGN.md §9).
-type SyncSink struct {
-	mu  sync.Mutex
-	dec *Decoder
-}
-
-// NewSyncSink wraps dec. The decoder must not be used directly while
-// the wrapper is in use.
-func NewSyncSink(dec *Decoder) *SyncSink { return &SyncSink{dec: dec} }
-
-// Add implements Sink.
-func (s *SyncSink) Add(msg *Message) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec.Add(msg)
-}
-
-// AddBytes implements ByteSink by unmarshaling (the sequential engine
-// keeps its own copy of the payload, so the copy is inherent here).
-func (s *SyncSink) AddBytes(data []byte) (bool, error) {
-	var msg Message
-	if err := msg.UnmarshalBinary(data); err != nil {
-		return false, err
-	}
-	return s.Add(&msg)
-}
-
-// Rank implements Sink.
-func (s *SyncSink) Rank() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec.Rank()
-}
-
-// Done implements Sink.
-func (s *SyncSink) Done() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec.Done()
-}
-
-// Stats implements Sink.
-func (s *SyncSink) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec.Stats()
-}
-
-// Decode completes back-substitution on the wrapped decoder.
-func (s *SyncSink) Decode() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec.Decode()
-}

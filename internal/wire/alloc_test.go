@@ -181,8 +181,12 @@ func TestMuxedDataPathSteadyStateAllocs(t *testing.T) {
 		if err := pipeB.DecodeInto(outB); err != nil {
 			t.Fatal(err)
 		}
-		pipeA.Reset()
-		pipeB.Reset()
+		if err := pipeA.Retarget(encA.Params(), encA.FileID(), digA); err != nil {
+			t.Fatal(err)
+		}
+		if err := pipeB.Retarget(encB.Params(), encB.FileID(), digB); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cycle() // warm pools, hash state and pipeline arenas
 	if n := testing.AllocsPerRun(10, cycle); n != 0 {

@@ -28,6 +28,21 @@ const (
 	// its free list; beyond it, released buffers fall to the GC (and
 	// are counted as Discards, not leaks).
 	poolClassRetain = 4 << 20
+
+	// poolWindowSlots is the floor on that bound, in buffers, for the
+	// classes DATA frames land in (up to poolWindowMaxSize). One
+	// manifest fetch has at most 4 chunks × 4 peers × k = 8 messages =
+	// 128 frames in flight and releases them in a burst as each chunk
+	// reaches rank k; STOP cuts most streams short, so what is live at
+	// once stays under half of that. Measured on a warm 16-chunk,
+	// 4-peer FetchFile at the default plan, whose 128 KiB + 16 B
+	// message is served from the 256 KiB class: a list of 16 (that
+	// class's byte bound alone) allocates — and zeroes — on ≈ 13 % of
+	// all gets, 32 on 4–8 %, 64 on 0.5 %, 128 on none. A parked buffer
+	// costs about twice its size in peak RSS under the default GC
+	// target, so the last half percent is not worth 16 MiB more.
+	poolWindowSlots   = 64
+	poolWindowMaxSize = 256 << 10
 )
 
 // Buf is one pooled frame buffer. The bytes are valid until the last
@@ -110,16 +125,20 @@ func NewPool() *Pool {
 	p := &Pool{}
 	for i := range p.classes {
 		size := 1 << (minClassShift + i)
-		slots := poolClassRetain / size
-		if slots < 4 {
-			slots = 4
-		}
-		if slots > 1024 {
-			slots = 1024
-		}
-		p.classes[i] = make(chan *Buf, slots)
+		p.classes[i] = make(chan *Buf, classSlots(size))
 	}
 	return p
+}
+
+// classSlots is the free-list length of the class of size-byte buffers:
+// poolClassRetain bytes' worth, but at least a read window's burst of
+// the DATA-frame classes and 4 of the rest, and at most 1024.
+func classSlots(size int) int {
+	slots := poolClassRetain / size
+	if size <= poolWindowMaxSize {
+		slots = max(slots, poolWindowSlots)
+	}
+	return min(max(slots, 4), 1024)
 }
 
 // classFor returns the free-list index for a request of n bytes, or -1

@@ -130,6 +130,36 @@ func TestPoolClassBoundaries(t *testing.T) {
 	}
 }
 
+// TestPoolParksAReadBurst: a manifest fetch at the default plan
+// releases its 128 KiB + 16 B DATA frames in bursts as chunks complete;
+// the pool must park a burst of poolWindowSlots of them, so the next
+// one allocates nothing. Above the DATA-frame classes the byte bound
+// still rules.
+func TestPoolParksAReadBurst(t *testing.T) {
+	const frame = 128<<10 + 16
+	p := NewPool()
+	bufs := make([]*Buf, poolWindowSlots)
+	for round := 0; round < 2; round++ {
+		for i := range bufs {
+			bufs[i] = p.Get(frame)
+		}
+		for _, b := range bufs {
+			b.Release()
+		}
+	}
+	if st := p.Stats(); st.Misses != poolWindowSlots || st.Hits != poolWindowSlots || st.Discards != 0 || st.Live != 0 {
+		t.Fatalf("two bursts of %d frames: %+v, want all misses then all hits, no discards", poolWindowSlots, st)
+	}
+	for _, c := range []struct{ size, slots int }{
+		{64, 1024}, {4 << 10, 1024}, {32 << 10, 128}, {64 << 10, 64}, {128 << 10, 64}, {256 << 10, 64},
+		{512 << 10, 8}, {1 << 20, 4}, {16 << 20, 4},
+	} {
+		if got := classSlots(c.size); got != c.slots {
+			t.Errorf("classSlots(%d) = %d, want %d", c.size, got, c.slots)
+		}
+	}
+}
+
 // TestPooledWriteFrameByteIdentity pins that the pooled package-level
 // WriteFrame produces exactly the historical wire bytes.
 func TestPooledWriteFrameByteIdentity(t *testing.T) {
