@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload vet bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke bench-wire bench-wire-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet-arm64 race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload vet bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke bench-wire bench-wire-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# vet-arm64 cross-compiles and vets the tree for a GOARCH without the
+# assembly arms (std cross-builds offline), so the portable fallbacks —
+# gf's kernel_other.go, rlnc's digest_other.go — keep compiling even
+# though CI only ever runs amd64.
+vet-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # race-audit exercises the audit path — the auditor itself plus the
 # ledger it debits, the wire frames it rides on, and the store it
@@ -28,10 +36,11 @@ race-metrics: vet
 # across generations (the Retarget suite: 32 generations against fresh
 # decoders, stale frames, refused geometries), concurrent minting from
 # one rlnc.Encoder, the GF kernels under them (GF(2^32) differential
-# included), chunk's in-place assembler (every chunk Done from its own
-# goroutine while another hashes), and core's streaming write path
-# (encode workers, per-peer senders, one-of-four-peers-fails and
-# stalled-peer cancellation). The client's read path, which shares one
+# included), the digest lanes' differential on both arms, chunk's
+# in-place assembler (every chunk Done from its own goroutine while
+# another hashes), and core's streaming write path (encode workers,
+# per-peer senders, the file hasher beside them, one-of-four-peers-fails
+# and stalled-peer cancellation). The client's read path, which shares one
 # pipeline across per-peer stream goroutines and then hands it to the
 # next chunk, runs under the detector in race-overload.
 race-codec: vet
@@ -219,18 +228,20 @@ bench-alloc-smoke:
 chaos: vet
 	$(GO) test -race -count=2 ./internal/netsim/...
 
-# fuzz-smoke gives each wire fuzz target, and the GF(2^32) kernel's
-# differential fuzzer, a short adversarial run on top of the seed
-# corpus (which plain `go test` already replays). New crashers land in
-# the package's testdata/fuzz/.
+# fuzz-smoke gives each wire fuzz target, and the differential fuzzers
+# of the two assembly kernels (GF(2^32) region multiply, eight-lane
+# MD5), a short adversarial run on top of the seed corpus (which plain
+# `go test` already replays). New crashers land in the package's
+# testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzFrameReader -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzHandshakeResponder -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzHandshakeInitiator -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzKernel32 -fuzztime 10s -run '^$$' ./internal/gf/
+	$(GO) test -fuzz FuzzDigestBatch -fuzztime 10s -run '^$$' ./internal/rlnc/
 
 # ci is what the GitHub workflow runs.
-ci: vet build test bench-e2e-smoke race-metrics race-audit race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
+ci: vet vet-arm64 build test bench-e2e-smoke race-metrics race-audit race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
 
 check: ci

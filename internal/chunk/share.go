@@ -28,6 +28,19 @@ type Share struct {
 // derived from baseFileID (chunk i uses baseFileID + i). The secret must
 // be non-empty; use NewSecret for a random one.
 func BuildShare(name string, data []byte, plan Plan, baseFileID uint64, secret []byte) (*Share, error) {
+	share, err := NewShare(name, data, plan, baseFileID, secret)
+	if err != nil {
+		return nil, err
+	}
+	share.Manifest.ContentMD5 = ContentDigest(data)
+	return share, nil
+}
+
+// NewShare is BuildShare without the whole-file hash: Manifest.ContentMD5
+// is left empty, for a caller that computes ContentDigest(data) while the
+// encoders are already minting (core's write path) and sets it before
+// the manifest leaves its hands.
+func NewShare(name string, data []byte, plan Plan, baseFileID uint64, secret []byte) (*Share, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -41,11 +54,10 @@ func BuildShare(name string, data []byte, plan Plan, baseFileID uint64, secret [
 	pieces := Split(data, plan.ChunkSize)
 	share := &Share{
 		Manifest: Manifest{
-			Name:       name,
-			TotalSize:  int64(len(data)),
-			Plan:       plan,
-			Chunks:     make([]ChunkInfo, 0, len(pieces)),
-			ContentMD5: ContentDigest(data),
+			Name:      name,
+			TotalSize: int64(len(data)),
+			Plan:      plan,
+			Chunks:    make([]ChunkInfo, 0, len(pieces)),
 		},
 		Secret:   secret,
 		encoders: make([]*rlnc.Encoder, 0, len(pieces)),
@@ -88,8 +100,10 @@ func (s *Share) BatchForPeer(peer, n int) ([][]*rlnc.Message, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chunk %d peer %d: %w", i, peer, err)
 		}
-		for _, msg := range batch {
-			s.Manifest.Chunks[i].Digests[msg.MessageID] = msg.Digest()
+		digests := make([]rlnc.Digest, len(batch))
+		rlnc.DigestBatch(digests, batch)
+		for j, msg := range batch {
+			s.Manifest.Chunks[i].Digests[msg.MessageID] = digests[j]
 		}
 		out[i] = batch
 	}

@@ -4,7 +4,10 @@ package chunk
 // edits are pushed as per-chunk deltas; only the generations that
 // actually changed need any network traffic.
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // ErrSizeChanged is returned when two versions differ in length; delta
 // updates only cover in-place edits, so a resize needs a fresh share.
@@ -24,21 +27,9 @@ func ChangedChunks(oldData, newData []byte, chunkSize int) ([]int, error) {
 	oldChunks := Split(oldData, chunkSize)
 	newChunks := Split(newData, chunkSize)
 	for i := range oldChunks {
-		if !bytesEqual(oldChunks[i], newChunks[i]) {
+		if !bytes.Equal(oldChunks[i], newChunks[i]) {
 			changed = append(changed, i)
 		}
 	}
 	return changed, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"asymshare/internal/chunk"
 	"asymshare/internal/core"
 	"asymshare/internal/peer"
 	"asymshare/internal/ring"
@@ -53,6 +54,9 @@ func TestShareFilePlacedRoundTrip(t *testing.T) {
 	}
 	if len(res.Handle.ChunkPeers) != 5 {
 		t.Fatalf("ChunkPeers = %d entries", len(res.Handle.ChunkPeers))
+	}
+	if got, want := res.Handle.Manifest.ContentMD5, chunk.ContentDigest(data); got != want {
+		t.Errorf("placed share publishes ContentMD5 %q, the file's is %q", got, want)
 	}
 	for i, cp := range res.Handle.ChunkPeers {
 		if len(cp) != replicas {

@@ -45,31 +45,57 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 	if len(changed) == 0 {
 		return result, nil
 	}
+	// The new file's digest is hashed beside the patch loop, stopped
+	// early only by a failed PATCH, and published once every PATCH has
+	// been acknowledged: a handle whose update failed keeps the digest
+	// it had.
+	hashCtx, stopHash := context.WithCancel(context.WithoutCancel(ctx))
+	defer stopHash()
+	contentMD5 := make(chan string, 1)
+	if h.Manifest.ContentMD5 == "" {
+		contentMD5 <- "" // the end-to-end check is off for this handle
+	} else {
+		go func() { contentMD5 <- contentDigest(hashCtx, newData, h.Manifest.Plan.ChunkSize) }()
+	}
+	err = s.patchChunks(ctx, h, secret, oldData, newData, result)
+	if err != nil {
+		stopHash()
+	}
+	sum := <-contentMD5
+	if err != nil {
+		return nil, err
+	}
+	h.Manifest.ContentMD5 = sum
+	return result, nil
+}
+
+// patchChunks pushes the deltas of result.ChangedChunks to every peer
+// and, peer by peer as each acknowledges, refreshes the digests the
+// manifest publishes for that peer's patched messages.
+func (s *System) patchChunks(ctx context.Context, h *Handle, secret, oldData, newData []byte, result *UpdateResult) error {
 	oldChunks := chunk.Split(oldData, h.Manifest.Plan.ChunkSize)
 	newChunks := chunk.Split(newData, h.Manifest.Plan.ChunkSize)
-	if h.Manifest.ContentMD5 != "" {
-		h.Manifest.ContentMD5 = chunk.ContentDigest(newData)
-	}
-
-	for _, idx := range changed {
+	for _, idx := range result.ChangedChunks {
 		info := &h.Manifest.Chunks[idx]
 		params, err := info.Params(h.Manifest.Plan)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		delta, err := rlnc.NewDeltaEncoder(params, info.FileID, secret, oldChunks[idx], newChunks[idx])
 		if err != nil {
-			return nil, fmt.Errorf("core: chunk %d: %w", idx, err)
+			return fmt.Errorf("core: chunk %d: %w", idx, err)
 		}
 		newEnc, err := rlnc.NewEncoder(params, info.FileID, secret, newChunks[idx])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// Payload buffers reused across peers: one per delta of a batch
-		// (Patch needs them all live) plus one for the digest refresh.
+		// One payload buffer per message of a batch, reused across
+		// peers: first the deltas (Patch needs them all live), then,
+		// once they are acknowledged, the new version's messages.
 		cb := params.ChunkBytes()
-		bufs := make([]byte, (params.K+1)*cb)
-		fresh := rlnc.Message{FileID: info.FileID, Payload: bufs[params.K*cb:]}
+		bufs := make([]byte, params.K*cb)
+		store := make([]rlnc.Message, params.K)
+		digests := make([]rlnc.Digest, params.K)
 		for peerIdx, addr := range h.Peers {
 			// Each peer holds the batch its index was minted with; batch
 			// message-ids depend only on (file-id, secret), so the owner
@@ -77,33 +103,35 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 			// the old version.
 			ids, err := newEnc.BatchIDs(peerIdx, params.K)
 			if err != nil {
-				return nil, fmt.Errorf("core: chunk %d peer %d: %w", idx, peerIdx, err)
+				return fmt.Errorf("core: chunk %d peer %d: %w", idx, peerIdx, err)
 			}
-			deltas := make([]*rlnc.Message, 0, len(ids))
+			msgs := make([]*rlnc.Message, 0, len(ids))
 			for _, id := range ids {
-				payload := bufs[len(deltas)*cb:][:cb]
+				payload := bufs[len(msgs)*cb:][:cb]
 				delta.DeltaInto(id, payload)
 				if gf.IsZeroSlice(payload) {
 					continue // the stored message is already the new version's
 				}
-				deltas = append(deltas, &rlnc.Message{FileID: info.FileID, MessageID: id, Payload: payload})
+				m := &store[len(msgs)]
+				m.FileID, m.MessageID, m.Payload = info.FileID, id, payload
+				msgs = append(msgs, m)
 				result.BytesSent += int64(cb + rlnc.MessageHeaderBytes)
 			}
-			if len(deltas) == 0 {
+			if len(msgs) == 0 {
 				continue
 			}
-			if err := s.client.Patch(ctx, addr, deltas); err != nil {
-				return nil, fmt.Errorf("core: patch chunk %d at %s: %w", idx, addr, err)
+			if err := s.client.Patch(ctx, addr, msgs); err != nil {
+				return fmt.Errorf("core: patch chunk %d at %s: %w", idx, addr, err)
 			}
-			result.MessagesPatched += len(deltas)
-			// Refresh the digests the manifest publishes for this peer's
-			// patched messages.
-			for _, d := range deltas {
-				fresh.MessageID = d.MessageID
-				newEnc.MessageInto(d.MessageID, fresh.Payload)
-				info.Digests[d.MessageID] = fresh.Digest()
+			result.MessagesPatched += len(msgs)
+			for _, m := range msgs {
+				newEnc.MessageInto(m.MessageID, m.Payload)
+			}
+			rlnc.DigestBatch(digests, msgs)
+			for j, m := range msgs {
+				info.Digests[m.MessageID] = digests[j]
 			}
 		}
 	}
-	return result, nil
+	return nil
 }

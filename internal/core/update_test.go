@@ -129,3 +129,63 @@ func TestChangedChunks(t *testing.T) {
 		t.Errorf("identical ChangedChunks = %v, %v", same, err)
 	}
 }
+
+// TestUpdateFileFailedPatchKeepsContentDigest: the manifest's whole-file
+// digest changes only once every PATCH has been acknowledged. A peer
+// that hangs up on its PATCH — first in line, or after another peer has
+// already been patched — fails the update and leaves ContentMD5 the old
+// file's; per-message digests are refreshed peer by peer, so only an
+// acknowledged peer's have moved.
+func TestUpdateFileFailedPatchKeepsContentDigest(t *testing.T) {
+	for _, failing := range []int{0, 1} {
+		rng := rand.New(rand.NewSource(13))
+		oldData := make([]byte, 3000)
+		rng.Read(oldData)
+		sys, err := core.NewSystem(identity(t, 120), nil, core.WithPlan(smallPlan()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs := []string{startPeer(t, 121).Addr().String(), startPeer(t, 122).Addr().String()}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		res, err := sys.ShareFile(ctx, "doc.txt", oldData, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &res.Handle
+		oldMD5 := h.Manifest.ContentMD5
+		if oldMD5 != chunk.ContentDigest(oldData) {
+			t.Fatalf("shared handle has ContentMD5 %q", oldMD5)
+		}
+		before := make(map[uint64]string)
+		for id, d := range h.Manifest.Chunks[1].Digests {
+			before[id] = d.String()
+		}
+
+		newData := bytes.Clone(oldData)
+		copy(newData[1500:1550], bytes.Repeat([]byte{0xCD}, 50))
+		h.Peers[failing], _ = fakePeer(t, 123, 0, false) // shakes hands, then hangs up
+
+		if _, err := sys.UpdateFile(ctx, h, res.Secret, oldData, newData); err == nil {
+			t.Fatalf("peer %d hung up on its PATCH and the update succeeded", failing)
+		}
+		if h.Manifest.ContentMD5 != oldMD5 {
+			t.Errorf("peer %d failed: handle claims ContentMD5 %q, the file the peers were shared is %q",
+				failing, h.Manifest.ContentMD5, oldMD5)
+		}
+		moved := 0
+		for id, d := range h.Manifest.Chunks[1].Digests {
+			if before[id] != d.String() {
+				moved++
+			}
+		}
+		// Peer 0 is patched first: its digests moved only if it was not
+		// the one that failed. Peer 1's never do.
+		if failing == 0 && moved != 0 {
+			t.Errorf("first PATCH failed yet %d message digests were refreshed", moved)
+		}
+		if failing == 1 && moved == 0 {
+			t.Error("peer 0 acknowledged its PATCH but its digests were not refreshed")
+		}
+	}
+}

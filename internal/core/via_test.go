@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"asymshare/internal/chunk"
 	"asymshare/internal/core"
 	"asymshare/internal/gossip"
 	"asymshare/internal/peer"
@@ -103,6 +104,9 @@ func TestShareFileGossipFetchVia(t *testing.T) {
 	}
 	if res.MessagesSent == 0 {
 		t.Fatal("gossip share seeded no messages")
+	}
+	if got, want := res.Handle.Manifest.ContentMD5, chunk.ContentDigest(data); got != want {
+		t.Errorf("gossip share publishes ContentMD5 %q, the file's is %q", got, want)
 	}
 
 	// One exchange per generation carries the full-rank seed batch over.

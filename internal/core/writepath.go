@@ -14,10 +14,13 @@ package core
 // the acknowledgements; the collector — the calling goroutine, and the
 // only writer of Manifest.Digests — records the digests and frees the
 // slot. Slots are the in-flight bound: minted-but-unacknowledged data
-// never exceeds their fixed number.
+// never exceeds their fixed number. The manifest's whole-file digest is
+// hashed beside the pipeline and joined before it returns.
 
 import (
 	"context"
+	"crypto/md5"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync"
@@ -50,6 +53,7 @@ type batchSlot struct {
 	buf     []byte
 	store   []rlnc.Message
 	msgs    []*rlnc.Message // &store[j], the first n valid
+	ids     []uint64
 	digests []rlnc.Digest
 	chunk   int
 }
@@ -59,39 +63,59 @@ func newBatchSlot(k, chunkBytes int) *batchSlot {
 		buf:     make([]byte, k*chunkBytes),
 		store:   make([]rlnc.Message, k),
 		msgs:    make([]*rlnc.Message, 0, k),
+		ids:     make([]uint64, 0, k),
 		digests: make([]rlnc.Digest, k),
 	}
 }
 
-// mint fills the slot with enc's batch for the given holder rank.
+// mint fills the slot with enc's batch for the given holder rank: k
+// messages encoded, then digested with one call.
 func (b *batchSlot) mint(chunkIdx int, enc *rlnc.Encoder, rank int) error {
 	p := enc.Params()
-	ids, err := enc.BatchIDs(rank, p.K)
-	if err != nil {
+	var err error
+	if b.ids, err = enc.AppendBatchIDs(b.ids[:0], rank, p.K); err != nil {
 		return err
 	}
 	cb := p.ChunkBytes()
 	b.chunk = chunkIdx
 	b.msgs = b.msgs[:0]
-	for j, id := range ids {
+	for j, id := range b.ids {
 		m := &b.store[j]
 		m.FileID, m.MessageID, m.Payload = enc.FileID(), id, b.buf[j*cb:(j+1)*cb]
 		enc.MessageInto(id, m.Payload)
-		b.digests[j] = m.Digest()
 		b.msgs = append(b.msgs, m)
 	}
+	rlnc.DigestBatch(b.digests, b.msgs)
 	return nil
+}
+
+// contentDigest is chunk.ContentDigest for running beside other work:
+// it hashes data step bytes at a time and gives up, returning "", once
+// ctx has ended.
+func contentDigest(ctx context.Context, data []byte, step int) string {
+	h := md5.New()
+	for _, piece := range chunk.Split(data, step) {
+		if ctx.Err() != nil {
+			return ""
+		}
+		h.Write(piece)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // streamShare runs jobs through the pipeline against ndest
 // destinations, each opened by open on its own sender goroutine, and
-// records every delivered message's digest in share.Manifest. It
-// returns the messages and message bytes delivered. On the first error
-// — a destination failing, or ctx ending — the siblings are cancelled,
-// that error is returned, and no goroutine outlives the call.
-func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shareJob,
+// completes share.Manifest: every delivered message's digest, and
+// ContentMD5 — the digest of data, the file share was built from —
+// hashed on a goroutine of its own while the batches are minted and
+// sent. It returns the messages and message bytes delivered. On the
+// first error — a destination failing, or ctx ending — the siblings are
+// cancelled, that error is returned with ContentMD5 left unset, and no
+// goroutine outlives the call.
+func streamShare(ctx context.Context, share *chunk.Share, data []byte, ndest int, jobs []shareJob,
 	open func(ctx context.Context, dest int) (batchSink, error)) (int, int64, error) {
 	if len(jobs) == 0 {
+		share.Manifest.ContentMD5 = chunk.ContentDigest(data)
 		return 0, 0, nil
 	}
 	kmax, chunkBytes := 0, 0
@@ -125,6 +149,12 @@ func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shar
 	workersLeft.Store(int64(workers))
 	sendersLeft.Store(int64(ndest))
 
+	var contentMD5 string
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		contentMD5 = contentDigest(ctx, data, share.Manifest.Plan.ChunkSize)
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -203,7 +233,13 @@ func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shar
 		free <- slot
 	}
 	wg.Wait()
-	return sent, bytes, context.Cause(ctx)
+	// The hasher only stops short when ctx has ended, so a nil cause
+	// means contentMD5 covers the whole file.
+	if err := context.Cause(ctx); err != nil {
+		return sent, bytes, err
+	}
+	share.Manifest.ContentMD5 = contentMD5
+	return sent, bytes, nil
 }
 
 // uploadSinks opens one client upload per destination address.

@@ -102,6 +102,9 @@ func TestShareFileMatchesSequentialBatches(t *testing.T) {
 			t.Errorf("GF(2^%d): sent %d messages / %d bytes, sequential path sends %d / %d",
 				plan.FieldBits, res.MessagesSent, res.BytesSent, wantMsgs, wantBytes)
 		}
+		if m.ContentMD5 != ref.Manifest.ContentMD5 {
+			t.Errorf("GF(2^%d): ContentMD5 %q, BuildShare's is %q", plan.FieldBits, m.ContentMD5, ref.Manifest.ContentMD5)
+		}
 		for c := range m.Chunks {
 			got, want := m.Chunks[c].Digests, ref.Manifest.Chunks[c].Digests
 			if len(got) != len(want) {

@@ -19,6 +19,12 @@ package gf
 
 import "encoding/binary"
 
+// HasAVX2 reports whether this CPU and OS run AVX2 code — the probe the
+// vector kernels here dispatch on, exported so a sibling package with a
+// vector arm of its own (rlnc's digest lanes) asks the same question
+// once. Always false off amd64.
+func HasAVX2() bool { return haveVecP8 }
+
 // kernelTables returns f as a log/antilog table field (p <= 16), whose
 // exp/log rows the split-table builders read.
 func kernelTables(f Field) (*tableField, bool) {

@@ -277,8 +277,10 @@ func (cs *connState) handleGet(payload []byte, mux bool) bool {
 // handlePut stores one uploaded message. The first uploader of a
 // file-id becomes its owner; writes from anyone else are refused.
 func (n *Node) handlePut(cw *connWriter, client fairshare.ID, payload []byte) error {
-	var msg rlnc.Message
-	if err := msg.UnmarshalBinary(payload); err != nil {
+	// msg aliases the frame buffer, which is recycled when this returns:
+	// Store.Put copies what it keeps.
+	msg, err := rlnc.ViewMessage(payload)
+	if err != nil {
 		return err
 	}
 	if !n.claimFile(msg.FileID, client) {
@@ -295,8 +297,8 @@ func (n *Node) handlePut(cw *connWriter, client fairshare.ID, payload []byte) er
 // handlePatch applies a delta message (Sec. VI-A data modification) to
 // the matching stored message. Only the file's owner may patch.
 func (n *Node) handlePatch(cw *connWriter, client fairshare.ID, payload []byte) error {
-	var delta rlnc.Message
-	if err := delta.UnmarshalBinary(payload); err != nil {
+	delta, err := rlnc.ViewMessage(payload) // only read, by ApplyDelta
+	if err != nil {
 		return err
 	}
 	if !n.claimFile(delta.FileID, client) {

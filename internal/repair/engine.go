@@ -100,9 +100,11 @@ func (e *Engine) Mint(t Task, piece []byte) ([]*rlnc.Message, error) {
 		return nil, fmt.Errorf("repair: batch rank %d chunk %d: %w", t.Rank, t.Chunk, err)
 	}
 	if t.Fresh {
+		digests := make([]rlnc.Digest, len(batch))
+		rlnc.DigestBatch(digests, batch)
 		e.mu.Lock()
-		for _, msg := range batch {
-			info.Digests[msg.MessageID] = msg.Digest()
+		for j, msg := range batch {
+			info.Digests[msg.MessageID] = digests[j]
 		}
 		e.mu.Unlock()
 	}

@@ -34,6 +34,12 @@ type mintScratch struct {
 	rows *RowStream
 	row  []uint32
 	tab  gf.MulTable
+
+	// Row-echelon basis of a batch-id scan (appendIndependentIDs),
+	// allocated by the first scan this scratch serves.
+	basis   [][]uint32 // k rows of k: chosen rows first, then the candidate
+	echelon [][]uint32
+	pivots  []int
 }
 
 func (e *Encoder) getScratch() *mintScratch {
@@ -146,30 +152,45 @@ func (e *Encoder) BatchForPeer(peer, n int) ([]*Message, error) {
 // minting any payload. The ids depend only on (secret, file-id), not on
 // the data, so any version of a generation yields the same ids.
 func (e *Encoder) BatchIDs(peer, n int) ([]uint64, error) {
-	if peer < 0 || n <= 0 || n > e.params.K {
-		return nil, fmt.Errorf("%w: peer=%d n=%d (k=%d)", ErrBadParams, peer, n, e.params.K)
-	}
-	return e.independentIDs(uint64(peer)*batchStride, n)
+	return e.AppendBatchIDs(nil, peer, n)
 }
 
-// independentIDs scans ids from start, returning the first n whose
-// coefficient rows are jointly linearly independent.
-func (e *Encoder) independentIDs(start uint64, n int) ([]uint64, error) {
+// AppendBatchIDs is BatchIDs appending to dst: with room in dst, a
+// caller minting batch after batch allocates nothing for the ids.
+func (e *Encoder) AppendBatchIDs(dst []uint64, peer, n int) ([]uint64, error) {
+	if peer < 0 || n <= 0 || n > e.params.K {
+		return dst, fmt.Errorf("%w: peer=%d n=%d (k=%d)", ErrBadParams, peer, n, e.params.K)
+	}
+	return e.appendIndependentIDs(dst, uint64(peer)*batchStride, n)
+}
+
+// appendIndependentIDs scans ids from start, appending the first n
+// whose coefficient rows are jointly linearly independent.
+func (e *Encoder) appendIndependentIDs(ids []uint64, start uint64, n int) ([]uint64, error) {
 	f := e.params.Field
-	// Maintain a row-echelon basis of chosen rows for O(k) dependence
-	// checks per candidate.
-	echelon := make([][]uint32, 0, n)
-	pivots := make([]int, 0, n)
-	ids := make([]uint64, 0, n)
+	k := e.params.K
 	sc := e.getScratch()
 	defer e.putScratch(sc)
+	if sc.basis == nil {
+		flat := make([]uint32, k*k)
+		sc.basis = make([][]uint32, k)
+		for i := range sc.basis {
+			sc.basis[i] = flat[i*k : (i+1)*k]
+		}
+		sc.echelon = make([][]uint32, 0, k)
+		sc.pivots = make([]int, 0, k)
+	}
+	// Maintain a row-echelon basis of chosen rows for O(k) dependence
+	// checks per candidate.
+	echelon, pivots := sc.echelon[:0], sc.pivots[:0]
+	base := len(ids)
 
 	// The scan window is far smaller than batchStride; with random rows
 	// the expected number of skips is < 2 even over GF(16).
 	const maxScan = 1 << 16
-	for off := uint64(0); off < maxScan && len(ids) < n; off++ {
+	for off := uint64(0); off < maxScan && len(echelon) < n; off++ {
 		id := start + off
-		cand := make([]uint32, e.params.K)
+		cand := sc.basis[len(echelon)]
 		sc.rows.RowInto(e.fileID, id, cand)
 		if !reduceRow(f, cand, echelon, pivots, nil, nil) {
 			continue // dependent; skip this id
@@ -178,8 +199,8 @@ func (e *Encoder) independentIDs(start uint64, n int) ([]uint64, error) {
 		pivots = append(pivots, leadingIndex(cand))
 		ids = append(ids, id)
 	}
-	if len(ids) < n {
-		return nil, fmt.Errorf("%w: could not find %d independent rows", ErrBadParams, n)
+	if len(echelon) < n {
+		return ids[:base], fmt.Errorf("%w: could not find %d independent rows", ErrBadParams, n)
 	}
 	return ids, nil
 }

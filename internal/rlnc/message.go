@@ -89,15 +89,29 @@ func (m *Message) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
+// ViewMessage parses a serialized message in place: the returned
+// Payload aliases data, so the message is only good for as long as the
+// caller owns data — for handing a received frame to something that
+// copies what it keeps (a store.Store) or only reads it (ApplyDelta).
+func ViewMessage(data []byte) (Message, error) {
+	if len(data) < headerBytes {
+		return Message{}, fmt.Errorf("%w: %d bytes", ErrShortMessage, len(data))
+	}
+	return Message{
+		FileID:    binary.BigEndian.Uint64(data[0:]),
+		MessageID: binary.BigEndian.Uint64(data[8:]),
+		Payload:   data[headerBytes:],
+	}, nil
+}
+
 // UnmarshalBinary parses a serialized message. The payload is copied.
 func (m *Message) UnmarshalBinary(data []byte) error {
-	if len(data) < headerBytes {
-		return fmt.Errorf("%w: %d bytes", ErrShortMessage, len(data))
+	v, err := ViewMessage(data)
+	if err != nil {
+		return err
 	}
-	m.FileID = binary.BigEndian.Uint64(data[0:])
-	m.MessageID = binary.BigEndian.Uint64(data[8:])
-	m.Payload = make([]byte, len(data)-headerBytes)
-	copy(m.Payload, data[headerBytes:])
+	v.Payload = append([]byte{}, v.Payload...)
+	*m = v
 	return nil
 }
 
@@ -125,11 +139,11 @@ func ReadMessage(r io.Reader, payloadLen int) (*Message, error) {
 	return &m, nil
 }
 
-// Clone returns a deep copy of the message.
+// Clone returns a deep copy of the message. The payload is appended to
+// an empty slice, not copied into a made one, so the runtime does not
+// zero 128 KiB it is about to overwrite.
 func (m *Message) Clone() *Message {
-	p := make([]byte, len(m.Payload))
-	copy(p, m.Payload)
-	return &Message{FileID: m.FileID, MessageID: m.MessageID, Payload: p}
+	return &Message{FileID: m.FileID, MessageID: m.MessageID, Payload: append([]byte{}, m.Payload...)}
 }
 
 func (m *Message) String() string {

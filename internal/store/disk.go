@@ -108,6 +108,7 @@ type Disk struct {
 	journals map[uint64]*journalState
 	stats    RecoveryStats
 	closed   bool
+	rec      []byte // the record being appended, framed here Put after Put
 
 	quarantined *metrics.Counter
 	truncated   *metrics.Counter
@@ -451,7 +452,7 @@ func (d *Disk) writeJournal(path string, fileID uint64, msgs []*rlnc.Message) er
 	buf := make([]byte, 0, total)
 	buf = append(buf, encodeHeader(fileID)...)
 	for _, msg := range msgs {
-		buf = append(buf, encodeRecord(msg)...)
+		buf = appendRecord(buf, msg)
 	}
 	if err := fsx.WriteFileAtomic(d.fsys, path, buf, 0o644); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -534,7 +535,9 @@ func (d *Disk) repair(js *journalState) error {
 	return nil
 }
 
-// appendLocked appends one record without syncing. The in-memory index
+// appendLocked appends one record without syncing. The record is framed
+// into d.rec, so msg is copied twice — into the journal write and into
+// the index — and nothing else is allocated. The in-memory index
 // is only updated once the bytes are written, and callers sync before
 // returning success, so an acknowledged Put is always durable; on error
 // the index may lag the journal by a torn record, which recovery cuts.
@@ -551,17 +554,18 @@ func (d *Disk) appendLocked(msg *rlnc.Message) (*journalState, error) {
 			return nil, err
 		}
 	}
-	rec := encodeRecord(msg)
-	if _, err := js.f.Write(rec); err != nil {
+	d.rec = appendRecord(d.rec[:0], msg)
+	if _, err := js.f.Write(d.rec); err != nil {
 		js.broken = true
 		return nil, fmt.Errorf("store: append: %w", err)
 	}
-	js.size += int64(len(rec))
+	recLen := int64(len(d.rec))
+	js.size += recLen
 	if old, ok := js.recLens[msg.MessageID]; ok {
 		js.live -= old
 	}
-	js.recLens[msg.MessageID] = int64(len(rec))
-	js.live += int64(len(rec))
+	js.recLens[msg.MessageID] = recLen
+	js.live += recLen
 	if err := d.mem.Put(msg); err != nil {
 		return nil, err
 	}

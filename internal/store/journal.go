@@ -73,15 +73,17 @@ func parseHeader(hdr []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(hdr[8:]), nil
 }
 
-// encodeRecord renders one framed record.
-func encodeRecord(msg *rlnc.Message) []byte {
-	buf := make([]byte, recordHdrLen+len(msg.Payload))
-	binary.BigEndian.PutUint32(buf[0:], uint32(len(msg.Payload)))
-	binary.BigEndian.PutUint64(buf[8:], msg.FileID)
-	binary.BigEndian.PutUint64(buf[16:], msg.MessageID)
-	copy(buf[recordHdrLen:], msg.Payload)
-	binary.BigEndian.PutUint32(buf[4:], recordCRC(buf))
-	return buf
+// appendRecord frames msg as one record at the end of dst, in place,
+// and returns the extended slice.
+func appendRecord(dst []byte, msg *rlnc.Message) []byte {
+	var hdr [recordHdrLen]byte
+	binary.BigEndian.PutUint32(hdr[0:], uint32(len(msg.Payload)))
+	binary.BigEndian.PutUint64(hdr[8:], msg.FileID)
+	binary.BigEndian.PutUint64(hdr[16:], msg.MessageID)
+	at := len(dst)
+	dst = append(append(dst, hdr[:]...), msg.Payload...)
+	binary.BigEndian.PutUint32(dst[at+4:], recordCRC(dst[at:]))
+	return dst
 }
 
 // recordCRC computes the Castagnoli CRC over a framed record buffer,

@@ -28,7 +28,7 @@ import (
 func journalBytes(fileID uint64, msgs ...*rlnc.Message) []byte {
 	buf := append([]byte(nil), encodeHeader(fileID)...)
 	for _, m := range msgs {
-		buf = append(buf, encodeRecord(m)...)
+		buf = appendRecord(buf, m)
 	}
 	return buf
 }
@@ -106,7 +106,7 @@ func TestJournalRecoveryTable(t *testing.T) {
 			name: "record file-id disagrees with header",
 			data: func() []byte {
 				alien := msg(0xCD, 9, 0x99)
-				return append(append([]byte(nil), journalBytes(0xAB, m1)...), encodeRecord(alien)...)
+				return appendRecord(journalBytes(0xAB, m1), alien)
 			}(),
 			wantIDs:     []uint64{1},
 			quarantined: 1,

@@ -32,7 +32,10 @@ var (
 // for concurrent use.
 type Store interface {
 	// Put stores a message. Storing the same (file-id, message-id)
-	// twice overwrites the previous payload.
+	// twice overwrites the previous payload. Put copies what it keeps:
+	// it must neither retain nor mutate msg or msg.Payload once it has
+	// returned, so a caller may hand it a message that aliases a buffer
+	// about to be reused (the peer's PUT handler does).
 	Put(msg *rlnc.Message) error
 
 	// Messages returns the stored messages for a file in message-id
