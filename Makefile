@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet-arm64 race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload vet bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke bench-wire bench-wire-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet-arm64 race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload vet bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke bench-wire bench-wire-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -36,7 +36,11 @@ race-metrics: vet
 # across generations (the Retarget suite: 32 generations against fresh
 # decoders, stale frames, refused geometries), concurrent minting from
 # one rlnc.Encoder, the GF kernels under them (GF(2^32) differential
-# included), the digest lanes' differential on both arms, chunk's
+# included), the digest lanes' differential on both arms — short groups
+# of 2 to 7 included — the pipeline's staged verify (a forgery in every
+# lane position, four producers through decoded, short, retargeted and
+# closed-under-their-feet generations with every arena slot accounted
+# for, the same suite again on the scalar arm), chunk's
 # in-place assembler (every chunk Done from its own goroutine while
 # another hashes), and core's streaming write path (encode workers,
 # per-peer senders, the file hasher beside them, one-of-four-peers-fails
@@ -49,8 +53,10 @@ race-codec: vet
 # race-wire is the zero-copy hot-path regression suite under the race
 # detector: the buffer pool's refcounting, the FrameReader/FrameWriter
 # differential and allocation proofs, AddBytes into the pipeline, and
-# the peer's serve path. (The PeerSession on the other end — demux
-# goroutine vs per-stream consumers — is race-overload's.)
+# the peer's serve path, and the PeerSession's frame hand-off (a DATA
+# frame delivered behind a finished stream's drain must still be
+# released). (The rest of the PeerSession — demux goroutine vs
+# per-stream consumers — is race-overload's.)
 # The alloc gates themselves (`TestFrame*SteadyStateAllocs`,
 # `TestMuxedDataPathSteadyStateAllocs`, `TestAddBytesSteadyStateAllocs`
 # — across a Retarget — and `TestOneShotP8SteadyStateAllocs`) only count
@@ -59,6 +65,7 @@ race-codec: vet
 # a timing the detector distorts, so those run plain too.
 race-wire: vet
 	$(GO) test -race ./internal/wire/... ./internal/rlnc/... ./internal/peer/...
+	$(GO) test -race -run 'TestDeliverAfterDrainReleasesFrame' -count=1 ./internal/client/
 	$(GO) test -run 'SteadyStateAllocs|SteadyStatePoolMisses' -count=1 ./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/client/
 
 # race-store exercises the durability layer under the race detector,
@@ -179,6 +186,18 @@ bench-rlnc-smoke:
 bench-e2e-smoke:
 	cd cmd/bench && GOFLAGS=-mod=readonly GOWORK=off $(GO) test ./...
 	bash cmd/bench/run.sh -smoke
+
+# bench-pairs is how a performance claim is measured (ROADMAP standing
+# rules): PARENT is exported into .bench_build/, then N pairs of
+# `cmd/bench/run.sh -workload W -seconds 20 -trace 0` run parent against
+# working tree, alternating which side goes first, and each metric's
+# medians, quartiles and "better in n of N" are printed. About
+# N × 50 s per workload.
+#   make bench-pairs PARENT=HEAD~1 N=10 W=loopback_fetch
+N ?= 10
+W ?= loopback_fetch
+bench-pairs:
+	bash scripts/benchpairs.sh $(PARENT) $(N) $(W)
 
 # bench-wire measures the zero-copy wire hot path end to end over
 # loopback TCP — decode-pipeline ceiling, transport-only throughput,

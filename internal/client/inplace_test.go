@@ -18,6 +18,7 @@ import (
 
 	"asymshare/internal/chunk"
 	"asymshare/internal/client"
+	"asymshare/internal/gf"
 	"asymshare/internal/metrics"
 	"asymshare/internal/peer"
 	"asymshare/internal/rlnc"
@@ -136,7 +137,10 @@ func TestFetchFileNeverReturnsUnverifiedBytes(t *testing.T) {
 // TestFetchBuildsWindowPipelines counts, through the client's own
 // instrumentation, how many decode engines a manifest fetch builds: as
 // many as it keeps chunks in flight — plus one when the last chunk's
-// geometry differs — not one per chunk.
+// geometry differs — not one per chunk. The same instruments show how
+// those engines verified what they were fed: each chunk's k = 8
+// messages parked and digested as one group, side by side where the CPU
+// has the lanes.
 func TestFetchBuildsWindowPipelines(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -170,6 +174,20 @@ func TestFetchBuildsWindowPipelines(t *testing.T) {
 			if fetched == 0 || fetched > client.FetchFileStreams+tc.extra {
 				t.Errorf("FetchFile of 16 chunks built %d pipelines, want 1..%d",
 					fetched, client.FetchFileStreams+tc.extra)
+			}
+			// A chunk that meets a dependent row needs a ninth message,
+			// verified as a group of its own: lower bounds, and nearly
+			// everything through the lanes.
+			groups := reg.Counter(client.MetricVerifyGroups, "").Value()
+			lanes := reg.Counter(client.MetricVerifyMessages, "", metrics.L("arm", "lanes")).Value()
+			scalar := reg.Counter(client.MetricVerifyMessages, "", metrics.L("arm", "scalar")).Value()
+			full := uint64(tc.size / 1024)
+			if groups < 16 || groups > 20 || lanes+scalar < 8*full+tc.extra {
+				t.Errorf("FetchFile of 16 chunks verified %d+%d messages in %d groups, want one group of 8 per full chunk",
+					lanes, scalar, groups)
+			}
+			if gf.HasAVX2() && lanes < 8*full {
+				t.Errorf("%d of %d messages verified in the lanes, want at least %d", lanes, lanes+scalar, 8*full)
 			}
 
 			s, err := c.StreamFile(ctx, addrs, m, testSecret(), client.StreamOptions{})

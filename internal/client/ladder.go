@@ -226,6 +226,10 @@ loop:
 	stats.Elapsed = time.Since(start)
 	stopSampling()
 
+	// Every rung has returned. A generation that fell short may still
+	// hold arrivals parked for a verify group that never filled; give
+	// them their verdicts so rank and stats say how far it really got.
+	sink.Settle()
 	completed := sink.Done()
 	c.classify(rungs, completed, delay)
 

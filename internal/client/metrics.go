@@ -29,6 +29,14 @@ const (
 	MetricDecodeBusyWorkers = "client_decode_busy_workers"
 	MetricDecodeElimBytes   = "client_decode_eliminated_bytes_total"
 
+	// The pipeline's staged digest verify (DESIGN.md §9): groups
+	// settled, messages digested by arm, and arrivals that found their
+	// generation complete and were dropped unhashed. Lanes ÷ groups is
+	// how full the eight MD5 lanes ran.
+	MetricVerifyGroups   = "client_verify_groups_total"
+	MetricVerifyMessages = "client_verify_messages_total" // arm="lanes" | "scalar"
+	MetricVerifySkipped  = "client_verify_skipped_redundant_total"
+
 	// Overload-resilience families (DESIGN.md §15): hedged re-issues,
 	// per-peer circuit breakers, and BUSY sheds observed from peers.
 	MetricHedgeLaunched      = "hedge_launched_total"
@@ -63,6 +71,11 @@ type clientMetrics struct {
 	decodeBusy  *metrics.Gauge
 	decodeElim  *metrics.Counter
 
+	verifyGroups  *metrics.Counter
+	verifyLanes   *metrics.Counter
+	verifyScalar  *metrics.Counter
+	verifySkipped *metrics.Counter
+
 	pipelinesBuilt *metrics.Counter
 
 	hedgeLaunched     *metrics.Counter
@@ -96,6 +109,11 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 		decodeDepth: reg.Gauge(MetricDecodeQueueDepth, "Payload elimination jobs queued in the decode pipeline."),
 		decodeBusy:  reg.Gauge(MetricDecodeBusyWorkers, "Decode pipeline workers currently eliminating a segment."),
 		decodeElim:  reg.Counter(MetricDecodeElimBytes, "Payload bytes processed by decode row operations."),
+
+		verifyGroups:  reg.Counter(MetricVerifyGroups, "Groups of parked messages digested and settled by decode pipelines."),
+		verifyLanes:   reg.Counter(MetricVerifyMessages, "Messages digest-verified, by arm.", metrics.L("arm", "lanes")),
+		verifyScalar:  reg.Counter(MetricVerifyMessages, "Messages digest-verified, by arm.", metrics.L("arm", "scalar")),
+		verifySkipped: reg.Counter(MetricVerifySkipped, "Arrivals dropped unhashed because their generation was already complete."),
 
 		pipelinesBuilt: reg.Counter(MetricPipelinesBuilt, "Decode pipelines built because no warm one of the right geometry was free."),
 
@@ -164,4 +182,8 @@ func (m *clientMetrics) sampleDecode(telemetry func() rlnc.PipelineTelemetry) fu
 // instruments after a successful decode.
 func (m *clientMetrics) recordDecodeTelemetry(t rlnc.PipelineTelemetry) {
 	m.decodeElim.Add(t.EliminatedBytes)
+	m.verifyGroups.Add(t.VerifyGroups)
+	m.verifyLanes.Add(t.LaneMessages)
+	m.verifyScalar.Add(t.ScalarMessages)
+	m.verifySkipped.Add(t.SkippedRedundant)
 }

@@ -61,6 +61,41 @@ func (st *sessStream) fail(err error) {
 	})
 }
 
+// deliver is the demux loop's hand-off of one DATA frame: ownership
+// passes to the stream's Fetch loop, or the frame is released here if
+// the stream has ended. When the stream ends while its queue has room
+// both arms of the first select are ready and the send may win — after
+// unregister's drain has already run. So a sender that then finds the
+// stream ended drains too: whichever of fail and send came last, the
+// side that followed it empties the queue.
+func (st *sessStream) deliver(b *wire.Buf) {
+	select {
+	case st.frames <- b:
+		select {
+		case <-st.done:
+			st.drain()
+		default:
+		}
+	case <-st.done:
+		b.Release()
+	}
+}
+
+// drain releases whatever is queued, without blocking.
+func (st *sessStream) drain() {
+	for {
+		select {
+		case b, ok := <-st.frames:
+			if !ok {
+				return
+			}
+			b.Release()
+		default:
+			return
+		}
+	}
+}
+
 // PeerSession is one authenticated, multiplexed connection to a storage
 // peer. Safe for concurrent Fetch calls; create with NewPeerSession and
 // Close when done.
@@ -146,7 +181,8 @@ func (s *PeerSession) register(st *sessStream) error {
 
 // unregister removes st if it is still the registered stream for its
 // file-id, then drains and releases any frames the demux loop had
-// already queued.
+// already queued; one that slips in behind the drain is deliver's to
+// release.
 func (s *PeerSession) unregister(st *sessStream) {
 	s.mu.Lock()
 	if s.streams[st.fileID] == st {
@@ -154,17 +190,7 @@ func (s *PeerSession) unregister(st *sessStream) {
 	}
 	s.mu.Unlock()
 	st.fail(ErrSessionClosed) // no-op if already terminal; stops deliveries
-	for {
-		select {
-		case b, ok := <-st.frames:
-			if !ok {
-				return
-			}
-			b.Release()
-		default:
-			return
-		}
-	}
+	st.drain()
 }
 
 // lookup returns the stream registered for fileID, if any.
@@ -231,11 +257,7 @@ func (s *PeerSession) demux() {
 				b.Release()
 				continue
 			}
-			select {
-			case st.frames <- b: // ownership transfers to the stream
-			case <-st.done:
-				b.Release()
-			}
+			st.deliver(b)
 		case wire.TypeStop:
 			var stop wire.Stop
 			uerr := stop.Unmarshal(b.Bytes())

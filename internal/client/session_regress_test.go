@@ -150,3 +150,50 @@ func TestSessionBusyFailsOnlyItsStream(t *testing.T) {
 	s.unregister(shed)
 	s.unregister(kept)
 }
+
+// Regression (seen in PR 18, fixed in ISSUE 21): the demux loop looks a
+// stream up, the stream's Fetch loop returns — unregister fails it and
+// drains its queue — and only then does the demux loop's select run,
+// with both arms ready: room in the queue and a closed done channel. If
+// the send wins, the frame sits in a queue nobody will read again and
+// its pooled buffer is never released. The first half forces exactly
+// that order, iteration after iteration, so the send arm is taken about
+// half the time; the second races the two sides for the detector.
+func TestDeliverAfterDrainReleasesFrame(t *testing.T) {
+	const iterations = 2000
+	pool := wire.NewPool()
+	s := &PeerSession{streams: make(map[uint64]*sessStream)}
+	newStream := func() *sessStream {
+		st := &sessStream{fileID: 7, frames: make(chan *wire.Buf, sessStreamBuffer), done: make(chan struct{})}
+		if err := s.register(st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for i := 0; i < iterations; i++ {
+		st := newStream()
+		queued := pool.Get(64)
+		st.deliver(queued) // delivered while live: unregister's drain releases it
+		late := pool.Get(64)
+		s.unregister(st)
+		st.deliver(late) // both arms ready
+	}
+	if ps := pool.Stats(); ps.Live != 0 || ps.DoubleReleases != 0 {
+		t.Fatalf("deliver after the drain: pool %+v, want nothing live, nothing released twice", ps)
+	}
+	for i := 0; i < iterations; i++ {
+		st := newStream()
+		delivered := make(chan struct{})
+		go func() {
+			defer close(delivered)
+			for j := 0; j < 3; j++ {
+				st.deliver(pool.Get(64))
+			}
+		}()
+		s.unregister(st)
+		<-delivered
+	}
+	if ps := pool.Stats(); ps.Live != 0 || ps.DoubleReleases != 0 {
+		t.Fatalf("deliver racing unregister: pool %+v, want nothing live, nothing released twice", ps)
+	}
+}

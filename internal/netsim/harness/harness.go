@@ -304,9 +304,11 @@ func (c *Cluster) SeedGeneration(ctx context.Context, fileID uint64, k, pieceLen
 			c.t.Fatalf("disseminate to %s: %v", p.Host, err)
 		}
 		p.Digests = make(map[uint64]rlnc.Digest, len(batch))
-		for _, msg := range batch {
-			p.Digests[msg.MessageID] = msg.Digest()
-			gen.Digests[msg.MessageID] = msg.Digest()
+		sums := make([]rlnc.Digest, len(batch))
+		rlnc.DigestBatch(sums, batch)
+		for j, msg := range batch {
+			p.Digests[msg.MessageID] = sums[j]
+			gen.Digests[msg.MessageID] = sums[j]
 		}
 		if err := tracker.AnnounceVia(ctx, c.Fabric.Host(HostUser), c.TrackerAddr,
 			fileID, p.Addr, time.Minute); err != nil {

@@ -93,10 +93,9 @@ func TestAddBytesRejects(t *testing.T) {
 	if _, err := pipe.AddBytes(marshal(t, short)); !errors.Is(err, ErrBadParams) {
 		t.Errorf("short payload error = %v", err)
 	}
-	forged := marshal(t, enc.Message(1))
-	forged[len(forged)-1] ^= 1
-	if _, err := pipe.AddBytes(forged); !errors.Is(err, ErrBadDigest) {
-		t.Errorf("forged payload error = %v", err)
+	unknown := enc.Message(uint64(9 * k))
+	if _, err := pipe.AddBytes(marshal(t, unknown)); !errors.Is(err, ErrBadDigest) {
+		t.Errorf("unknown message-id error = %v", err)
 	}
 	// The short buffer is a parse failure — the legacy path would die
 	// in UnmarshalBinary before reaching the sink — so only the three
@@ -104,6 +103,22 @@ func TestAddBytesRejects(t *testing.T) {
 	st := pipe.Stats()
 	if st.Received != 3 || st.Rejected != 3 {
 		t.Errorf("stats after rejects: %+v", st)
+	}
+	// A forged payload under a known id is refused by its digest, which
+	// is computed when its group is: the call that fills the group gets
+	// its own message's verdict back.
+	for id := uint64(0); id < uint64(k-1); id++ {
+		if ok, err := pipe.AddBytes(marshal(t, enc.Message(id))); ok || err != nil {
+			t.Fatalf("parked message %d = (%v, %v), want no verdict yet", id, ok, err)
+		}
+	}
+	forged := marshal(t, enc.Message(uint64(k)))
+	forged[len(forged)-1] ^= 1
+	if _, err := pipe.AddBytes(forged); !errors.Is(err, ErrBadDigest) {
+		t.Errorf("forged payload error = %v", err)
+	}
+	if st := pipe.Stats(); st.Received != 3+k || st.Rejected != 4 || st.Accepted != k-1 || pipe.Rank() != k-1 {
+		t.Errorf("stats after the forged group: %+v, rank %d", st, pipe.Rank())
 	}
 }
 
@@ -162,7 +177,7 @@ func TestAddBytesSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	pipe, err := NewPipeline(gens[0].enc.Params(), gens[0].enc.FileID(), testSecret(), gens[0].digests,
-		PipelineConfig{Workers: 1, Verifiers: 2})
+		PipelineConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

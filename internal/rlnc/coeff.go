@@ -73,8 +73,8 @@ func (g *CoeffGenerator) RowInto(fileID, messageID uint64, row []uint32) {
 
 // RowStream derives coefficient rows with a reusable keyed HMAC and
 // block buffer, so steady-state derivation allocates nothing. A
-// RowStream is not safe for concurrent use; the pipeline hands one to
-// each verifier slot.
+// RowStream is not safe for concurrent use; the pipeline keeps one for
+// whichever producer is settling a group.
 type RowStream struct {
 	g     *CoeffGenerator
 	mac   hash.Hash

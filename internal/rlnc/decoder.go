@@ -115,21 +115,27 @@ func (d *Decoder) offer(msg *Message, coeffs []uint32, payload []byte) (bool, er
 		return false, fmt.Errorf("%w: payload %d bytes, want %d",
 			ErrBadParams, len(payload), d.params.ChunkBytes())
 	}
+	// Checks in order of cost, as the Pipeline stages them: a message
+	// that cannot matter — its id already verified, or the generation
+	// complete — is settled without being hashed.
 	if msg != nil {
-		if d.digests != nil {
-			want, ok := d.digests[msg.MessageID]
-			if !ok || msg.Digest() != want {
-				d.stats.Rejected++
-				return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msg.MessageID)
-			}
-		}
-		if d.seen[msg.MessageID] {
+		want, known := d.digests[msg.MessageID]
+		switch {
+		case d.digests != nil && !known:
+			d.stats.Rejected++
+			return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msg.MessageID)
+		case d.seen[msg.MessageID]:
 			d.stats.Duplicate++
 			return false, nil
+		case d.Done():
+			d.stats.Redundant++
+			return false, nil
+		case d.digests != nil && msg.Digest() != want:
+			d.stats.Rejected++
+			return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msg.MessageID)
 		}
 		d.seen[msg.MessageID] = true
-	}
-	if d.Done() {
+	} else if d.Done() {
 		d.stats.Redundant++
 		return false, nil
 	}

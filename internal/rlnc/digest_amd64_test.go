@@ -13,3 +13,15 @@ func TestDigestBatchScalarDispatch(t *testing.T) {
 	defer func() { haveDigestLanes = true }()
 	digestBatchDifferential(t)
 }
+
+// TestStagedVerifyScalarDispatch reruns the pipeline's staged-verify
+// suite with the lanes switched off: groups are parked and settled the
+// same way, and digested one message at a time.
+func TestStagedVerifyScalarDispatch(t *testing.T) {
+	if !haveDigestLanes {
+		t.Skip("the scalar arm is already the dispatched one")
+	}
+	haveDigestLanes = false
+	defer func() { haveDigestLanes = true }()
+	stagedVerifySuite(t)
+}

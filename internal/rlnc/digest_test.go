@@ -32,7 +32,11 @@ func checkBatch(t testing.TB, msgs []*Message, what string) {
 	var canary Digest
 	canary[0] = 0xA5
 	got[len(msgs)] = canary
-	DigestBatch(got, msgs)
+	lanes := DigestBatch(got, msgs)
+	if lanes < 0 || lanes > len(msgs) || (!haveDigestLanes && lanes != 0) {
+		t.Fatalf("%s: DigestBatch reports %d of %d messages through the lanes (kernel available: %v)",
+			what, lanes, len(msgs), haveDigestLanes)
+	}
 	for i, m := range msgs {
 		if want := refDigest(t, m); got[i] != want {
 			t.Fatalf("%s: message %d of %d (%d-byte payload): got %v, crypto/md5 says %v",
@@ -48,8 +52,9 @@ func checkBatch(t testing.TB, msgs []*Message, what string) {
 // payload length across the padding boundaries (total length 16+n
 // crosses 55/56, 63/64/65, 119/120 and the one- and two-block tails
 // after whole blocks), the shipped 128 KiB payload, 1 to 17 messages per
-// call (remainders and several groups), unequal lengths inside a call,
-// odd alignments.
+// call (remainders and several groups), short groups of 2 to 7 over the
+// same boundaries (idle lanes aliased to the first message), unequal
+// lengths inside a call, odd alignments.
 func digestBatchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for n := 0; n <= 200; n++ {
@@ -72,6 +77,18 @@ func digestBatchDifferential(t *testing.T) {
 			msgs[i] = randMessage(rng, 300, i)
 		}
 		checkBatch(t, msgs, "message counts")
+	}
+	for count := 2; count < digestLanes; count++ {
+		for _, n := range []int{0, 39, 40, 47, 48, 49, 103, 104, 112, 1<<17 + 5} {
+			msgs := make([]*Message, count)
+			for i := range msgs {
+				msgs[i] = randMessage(rng, n, (i+count)%7)
+			}
+			checkBatch(t, msgs, "short group")
+			if lanes := DigestBatch(make([]Digest, count), msgs); haveDigestLanes && lanes != count {
+				t.Fatalf("short group of %d equal messages: %d through the lanes", count, lanes)
+			}
+		}
 	}
 	// One odd length in each position of the first group of two: the
 	// whole call must come out right with the lanes refused.
@@ -122,6 +139,10 @@ func FuzzDigestBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint8(17), []byte{47, 48, 49})
 	f.Add([]byte{0x80}, uint8(9), []byte{39, 39, 39, 39, 39, 39, 39, 39, 40})
 	f.Add([]byte("x"), uint8(16), []byte{255})
+	for count := uint8(2); count < digestLanes; count++ {
+		f.Add([]byte("short group"), count, []byte{16 + count})
+	}
+	f.Add([]byte{7}, uint8(5), []byte{13, 13, 13, 14, 13})
 	f.Fuzz(func(t *testing.T, seed []byte, count uint8, lens []byte) {
 		if len(lens) == 0 {
 			lens = []byte{0}
@@ -150,7 +171,7 @@ func BenchmarkDigestBatch(b *testing.B) {
 	arms := []struct {
 		name string
 		run  func([]Digest, []*Message)
-	}{{"dispatched", DigestBatch}, {"scalar", digestEach}}
+	}{{"dispatched", func(dst []Digest, msgs []*Message) { DigestBatch(dst, msgs) }}, {"scalar", digestEach}}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			b.SetBytes(int64(len(msgs) * (headerBytes + 1<<17)))

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 )
 
@@ -56,19 +55,6 @@ func (m *Message) Digest() Digest {
 	var d Digest
 	h.Sum(d[:0])
 	return d
-}
-
-// digestInto computes the same digest as Digest with caller-owned
-// scratch: h is a reusable MD5 hash, hdr the header buffer, and the
-// sum is appended to buf[:0]. The pipeline's verifier slots use this
-// to authenticate without per-message allocations.
-func (m *Message) digestInto(h hash.Hash, hdr *[headerBytes]byte, buf []byte) []byte {
-	h.Reset()
-	binary.BigEndian.PutUint64(hdr[0:], m.FileID)
-	binary.BigEndian.PutUint64(hdr[8:], m.MessageID)
-	h.Write(hdr[:])
-	h.Write(m.Payload)
-	return h.Sum(buf[:0])
 }
 
 // PutHeader writes the 16-byte serialized header into dst, which must

@@ -1,39 +1,53 @@
 package rlnc
 
 // Pipeline is the parallel decode engine (DESIGN.md §9). It splits the
-// work the sequential Decoder does under one caller into three stages
-// with very different costs:
+// work the sequential Decoder does under one caller into a staging step
+// and three stages with very different costs:
 //
-//  1. verify   — digest authentication (MD5) and coefficient-row
-//                derivation (HMAC-SHA256): embarrassingly parallel,
-//                done by the calling producer goroutines themselves,
-//                bounded by a fixed set of verifier slots;
-//  2. innovate — coefficient-space Gaussian elimination over a K-wide
-//                row (a few KiB of uint32 math): serialized under one
-//                small mutex, so innovation decisions are strictly
-//                ordered and duplicates/dependent rows are settled
-//                without ever touching payload bytes;
+//  0. stage    — the cheap checks (file-id, length, a digest on record
+//                for the message-id, not a repeat of a verified id) and
+//                the one copy of the payload into an arena slot, on the
+//                calling producer; the message is then parked, and the
+//                producer returns without a verdict;
+//  1. verify   — the producer whose arrival brings the parked count to
+//                min(8, K − rank) — what the generation still needs, at
+//                most a lane pass — digests the group side by side
+//                (DigestBatch) and compares each digest with that
+//                message's own entry;
+//  2. innovate — for every message that passed, its coefficient row
+//                (HMAC-SHA256) and coefficient-space Gaussian
+//                elimination over it (a few KiB of uint32 math), in
+//                arrival order under the engine's one mutex, so
+//                innovation decisions are strictly ordered and
+//                duplicates/dependent rows are settled without ever
+//                touching payload bytes;
 //  3. eliminate — the recorded row operations replayed over the
 //                payload (ChunkBytes() per row, the real cost): handed
 //                to a serial job runner that fans each job's payload
 //                out to a worker pool in cache-sized segments, using
 //                per-factor split product tables (gf.MulTable).
 //
-// Every buffer on the steady-state path — verifier scratch, coefficient
-// rows, payload arena slots, job and step storage, product tables — is
-// preallocated at construction and recycled through free lists, so an
-// accepted message allocates nothing.
+// A parked message is not yet trusted: it has no row, is not counted in
+// Rank or Stats, and no byte of it is read by stage 3 until its digest
+// has matched. Arrivals beyond what the generation needs do not park:
+// they wait for the group's outcome and, if it completed the
+// generation, are settled redundant without being hashed.
+//
+// Every buffer on the steady-state path — the K payload slots and K
+// coefficient rows (parked plus committed never exceeds K), the group
+// scratch, job and step storage, product tables — is preallocated at
+// construction and recycled through free lists, so an accepted message
+// allocates nothing.
 //
 // Because stage 2 records the exact factor sequence the sequential
-// Decoder would apply and GF arithmetic is exact, the decoded output is
-// byte-identical to Decoder's on any input stream.
+// Decoder would apply to the same messages in the same order and GF
+// arithmetic is exact, the decoded output is byte-identical to
+// Decoder's on any input stream.
 
 import (
-	"crypto/md5"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -55,11 +69,6 @@ type PipelineConfig struct {
 	// worker (8-byte aligned); payloads shorter than 2*SegmentBytes
 	// are eliminated in one piece. 0 means 4096.
 	SegmentBytes int
-	// Verifiers bounds how many producers can authenticate and derive
-	// coefficient rows concurrently; further Add calls block, which is
-	// the pipeline's back-pressure toward the network. 0 means
-	// max(2, Workers).
-	Verifiers int
 }
 
 // PipelineTelemetry is a snapshot of the engine's counters, exported
@@ -72,15 +81,18 @@ type PipelineTelemetry struct {
 	Jobs            uint64 // payload jobs completed
 	Segments        uint64 // payload segments eliminated
 	EliminatedBytes uint64 // payload bytes processed by row operations
+
+	VerifyGroups     uint64 // parked groups digested and settled
+	LaneMessages     uint64 // messages digested in the eight-lane kernel
+	ScalarMessages   uint64 // messages digested one at a time
+	SkippedRedundant uint64 // arrivals settled redundant unhashed: the generation was complete
 }
 
-// verifier is the per-producer scratch handed out from a free list:
-// reusable hashes and buffers so stage 1 never allocates.
-type verifier struct {
-	rows *RowStream
-	md5h hash.Hash
-	hdr  [headerBytes]byte
-	sum  []byte // cap DigestLen
+// staged is one parked arrival: its message-id and the arena slot its
+// payload was copied into.
+type staged struct {
+	id   uint64
+	slot []byte
 }
 
 // pipeJob is one row's payload elimination: replay steps (and the
@@ -107,23 +119,33 @@ type segTask struct {
 type Pipeline struct {
 	params  Params
 	fileID  uint64
-	gen     *CoeffGenerator
+	rows    *RowStream // used under mu, by whoever settles a group
 	digests map[uint64]Digest
 	cb      int // ChunkBytes
 	workers int
 	segMin  int
 
-	verifiers chan *verifier
-	rowFree   chan []uint32
-	slotFree  chan []byte
+	mu       sync.Mutex
+	settled  *sync.Cond // a group has been settled, or the engine closed
+	rowFree  [][]uint32
+	slotFree [][]byte
+	seen     map[uint64]bool
+	echelon  [][]uint32
+	pivots   []int
+	pays     [][]byte // payload slot per echelon row, fixed K entries
+	stats    Stats
+	closed   bool
 
-	mu      sync.Mutex
-	seen    map[uint64]bool
-	echelon [][]uint32
-	pivots  []int
-	pays    [][]byte // payload slot per echelon row, fixed K entries
-	stats   Stats
-	closed  bool
+	// Staging. reserved counts arena slots held by arrivals that have
+	// no verdict yet — being copied, parked, or in the group being
+	// verified — and never exceeds K − rank, so rank + reserved ≤ K
+	// and the free lists cannot run dry.
+	reserved  int
+	parked    []staged // copied and waiting, in arrival order
+	verifying bool     // a producer is settling groups; it alone uses group/sums
+	group     [digestLanes]Message
+	groupPtr  [digestLanes]*Message
+	sums      [digestLanes]Digest
 
 	rank atomic.Int64
 
@@ -145,6 +167,11 @@ type Pipeline struct {
 	jobsDone  atomic.Uint64
 	segsDone  atomic.Uint64
 	elimBytes atomic.Uint64
+
+	verifyGroups atomic.Uint64
+	laneMsgs     atomic.Uint64
+	scalarMsgs   atomic.Uint64
+	skipped      atomic.Uint64
 }
 
 // NewPipeline prepares a parallel decoder for one generation, mirroring
@@ -167,48 +194,39 @@ func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64
 	if segMin <= 0 {
 		segMin = 4096
 	}
-	nver := cfg.Verifiers
-	if nver <= 0 {
-		nver = max(2, workers)
-	}
 	k := params.K
 	cb := params.ChunkBytes()
 
 	p := &Pipeline{
-		params:    params,
-		fileID:    fileID,
-		gen:       gen,
-		digests:   digests,
-		cb:        cb,
-		workers:   workers,
-		segMin:    segMin,
-		verifiers: make(chan *verifier, nver),
-		rowFree:   make(chan []uint32, k+nver),
-		slotFree:  make(chan []byte, k+nver),
-		seen:      make(map[uint64]bool, 2*k),
-		echelon:   make([][]uint32, 0, k),
-		pivots:    make([]int, 0, k),
-		pays:      make([][]byte, k),
-		jobs:      make(chan *pipeJob, k),
-		segCh:     make(chan segTask, workers*2),
-		quit:      make(chan struct{}),
-		jobBuf:    make([]pipeJob, k),
-		tabs:      make([]gf.MulTable, k+1),
+		params:   params,
+		fileID:   fileID,
+		rows:     gen.Stream(),
+		digests:  digests,
+		cb:       cb,
+		workers:  workers,
+		segMin:   segMin,
+		rowFree:  make([][]uint32, k),
+		slotFree: make([][]byte, k),
+		seen:     make(map[uint64]bool, 2*k),
+		echelon:  make([][]uint32, 0, k),
+		pivots:   make([]int, 0, k),
+		pays:     make([][]byte, k),
+		parked:   make([]staged, 0, k),
+		jobs:     make(chan *pipeJob, k),
+		segCh:    make(chan segTask, workers*2),
+		quit:     make(chan struct{}),
+		jobBuf:   make([]pipeJob, k),
+		tabs:     make([]gf.MulTable, k+1),
 	}
-	for i := 0; i < nver; i++ {
-		p.verifiers <- &verifier{
-			rows: gen.Stream(),
-			md5h: md5.New(),
-			sum:  make([]byte, 0, DigestLen),
-		}
+	p.settled = sync.NewCond(&p.mu)
+	for i := range p.groupPtr {
+		p.groupPtr[i] = &p.group[i]
 	}
-	rowArena := make([]uint32, (k+nver)*k)
-	for i := 0; i < k+nver; i++ {
-		p.rowFree <- rowArena[i*k : (i+1)*k : (i+1)*k]
-	}
-	payArena := make([]byte, (k+nver)*cb)
-	for i := 0; i < k+nver; i++ {
-		p.slotFree <- payArena[i*cb : (i+1)*cb : (i+1)*cb]
+	rowArena := make([]uint32, k*k)
+	payArena := make([]byte, k*cb)
+	for i := 0; i < k; i++ {
+		p.rowFree[i] = rowArena[i*k : (i+1)*k : (i+1)*k]
+		p.slotFree[i] = payArena[i*cb : (i+1)*cb : (i+1)*cb]
 	}
 	stepArena := make([]elimStep, k*k)
 	for i := range p.jobBuf {
@@ -224,13 +242,15 @@ func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64
 	return p, nil
 }
 
-// Rank implements Sink.
+// Rank implements Sink: the rows verified and committed so far. Parked
+// messages do not count.
 func (p *Pipeline) Rank() int { return int(p.rank.Load()) }
 
 // Done implements Sink.
 func (p *Pipeline) Done() bool { return p.Rank() >= p.params.K }
 
-// Stats implements Sink.
+// Stats implements Sink. A message is counted when its verdict is
+// known, so parked ones are in no bucket yet.
 func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -240,143 +260,195 @@ func (p *Pipeline) Stats() Stats {
 // Telemetry returns a snapshot of the engine counters.
 func (p *Pipeline) Telemetry() PipelineTelemetry {
 	return PipelineTelemetry{
-		QueueDepth:      int(p.depth.Load()),
-		BusyWorkers:     int(p.busy.Load()),
-		Workers:         p.workers,
-		Jobs:            p.jobsDone.Load(),
-		Segments:        p.segsDone.Load(),
-		EliminatedBytes: p.elimBytes.Load(),
+		QueueDepth:       int(p.depth.Load()),
+		BusyWorkers:      int(p.busy.Load()),
+		Workers:          p.workers,
+		Jobs:             p.jobsDone.Load(),
+		Segments:         p.segsDone.Load(),
+		EliminatedBytes:  p.elimBytes.Load(),
+		VerifyGroups:     p.verifyGroups.Load(),
+		LaneMessages:     p.laneMsgs.Load(),
+		ScalarMessages:   p.scalarMsgs.Load(),
+		SkippedRedundant: p.skipped.Load(),
 	}
 }
 
 // Add implements Sink. It is safe for any number of concurrent
-// producers; verification runs on the caller's goroutine, the
-// innovation check under a short lock, and payload elimination
-// asynchronously on the worker pool.
+// producers. A message that passes the cheap checks is copied and
+// parked, and the call returns (false, nil): its verdict is not known
+// yet and lands in Stats and Rank when the group it joined is verified
+// — by the Add that fills the group, on that caller's goroutine, which
+// returns the verdict on its own message. Where nothing is parked
+// beside it (one message needed, or no digests to check) every call is
+// of that kind.
 func (p *Pipeline) Add(msg *Message) (bool, error) {
-	if msg.FileID != p.fileID {
-		p.countEarly(func(s *Stats) { s.Rejected++ })
-		return false, fmt.Errorf("%w: got file %d, want %d", ErrWrongFile, msg.FileID, p.fileID)
-	}
-	if len(msg.Payload) != p.cb {
-		p.countEarly(func(s *Stats) { s.Rejected++ })
-		return false, fmt.Errorf("%w: payload %d bytes, want %d",
-			ErrBadParams, len(msg.Payload), p.cb)
-	}
-
-	// Stage 1: authenticate and derive the coefficient row on this
-	// goroutine. The verifier free list bounds producer concurrency.
-	v := <-p.verifiers
-	if p.digests != nil {
-		want, ok := p.digests[msg.MessageID]
-		if ok {
-			v.sum = msg.digestInto(v.md5h, &v.hdr, v.sum)
-			ok = Digest(v.sum) == want
-		}
-		if !ok {
-			p.verifiers <- v
-			p.countEarly(func(s *Stats) { s.Rejected++ })
-			return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msg.MessageID)
-		}
-	}
-	// Acquire both pooled buffers before releasing the verifier slot:
-	// the verifier pool is what bounds in-flight buffer demand, which
-	// keeps the free lists (sized k + Verifiers) deadlock-free no
-	// matter how many producers call Add.
-	cand := <-p.rowFree
-	slot := <-p.slotFree
-	v.rows.RowInto(p.fileID, msg.MessageID, cand)
-	copy(slot, msg.Payload)
-	p.verifiers <- v
-	return p.commit(msg.MessageID, cand, slot)
+	return p.stage(msg.FileID, msg.MessageID, msg.Payload)
 }
 
 // AddBytes ingests one serialized message (16-byte header + payload)
 // straight from a wire frame, without unmarshaling into a Message: the
-// identifiers are parsed in place, the digest — defined over exactly
-// these bytes — is computed over the frame itself, and the payload is
-// copied once, directly into a pooled arena slot. This is the zero-copy
-// receive hot path: an accepted frame costs one memcpy and no
-// allocations. The caller keeps ownership of data; it may be recycled
-// as soon as AddBytes returns.
+// identifiers are parsed in place and the payload is copied once,
+// directly into a pooled arena slot, where it is later digested with
+// its header. This is the zero-copy receive hot path: an accepted frame
+// costs one memcpy and no allocations. The caller keeps ownership of
+// data; it may be recycled as soon as AddBytes returns.
 func (p *Pipeline) AddBytes(data []byte) (bool, error) {
 	if len(data) < headerBytes {
 		return false, fmt.Errorf("%w: %d bytes", ErrShortMessage, len(data))
 	}
-	fileID := binary.BigEndian.Uint64(data[0:])
-	msgID := binary.BigEndian.Uint64(data[8:])
-	if fileID != p.fileID {
-		p.countEarly(func(s *Stats) { s.Rejected++ })
-		return false, fmt.Errorf("%w: got file %d, want %d", ErrWrongFile, fileID, p.fileID)
-	}
-	payload := data[headerBytes:]
-	if len(payload) != p.cb {
-		p.countEarly(func(s *Stats) { s.Rejected++ })
-		return false, fmt.Errorf("%w: payload %d bytes, want %d",
-			ErrBadParams, len(payload), p.cb)
-	}
-
-	v := <-p.verifiers
-	if p.digests != nil {
-		want, ok := p.digests[msgID]
-		if ok {
-			v.md5h.Reset()
-			v.md5h.Write(data)
-			v.sum = v.md5h.Sum(v.sum[:0])
-			ok = Digest(v.sum) == want
-		}
-		if !ok {
-			p.verifiers <- v
-			p.countEarly(func(s *Stats) { s.Rejected++ })
-			return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msgID)
-		}
-	}
-	cand := <-p.rowFree
-	slot := <-p.slotFree
-	v.rows.RowInto(p.fileID, msgID, cand)
-	copy(slot, payload)
-	p.verifiers <- v
-	return p.commit(msgID, cand, slot)
+	return p.stage(binary.BigEndian.Uint64(data[0:]), binary.BigEndian.Uint64(data[8:]), data[headerBytes:])
 }
 
-// commit is stages 2 and 3 shared by Add and AddBytes: settle the
-// row's innovation under the lock and, if it survives, hand the
-// payload elimination to the job runner. cand and slot are owned by
-// the call and returned to the free lists unless the row is accepted.
-func (p *Pipeline) commit(msgID uint64, cand []uint32, slot []byte) (bool, error) {
+// stage is the staging step behind Add and AddBytes.
+func (p *Pipeline) stage(fileID, msgID uint64, payload []byte) (bool, error) {
 	p.mu.Lock()
+	for {
+		if p.closed {
+			p.mu.Unlock()
+			return false, ErrPipelineClosed
+		}
+		// Each arrival that can be settled on sight lands in its bucket
+		// here; the rest need a slot.
+		need := p.params.K - len(p.echelon)
+		var err error
+		onSight := true
+		switch _, known := p.digests[msgID]; {
+		case fileID != p.fileID:
+			p.stats.Rejected++
+			err = fmt.Errorf("%w: got file %d, want %d", ErrWrongFile, fileID, p.fileID)
+		case len(payload) != p.cb:
+			p.stats.Rejected++
+			err = fmt.Errorf("%w: payload %d bytes, want %d", ErrBadParams, len(payload), p.cb)
+		case p.digests != nil && !known:
+			p.stats.Rejected++
+			err = fmt.Errorf("%w: message-id %d", ErrBadDigest, msgID)
+		case p.seen[msgID]:
+			p.stats.Duplicate++
+		case need == 0:
+			p.stats.Redundant++
+			p.skipped.Add(1)
+		default:
+			onSight = false
+		}
+		if onSight {
+			p.stats.Received++
+			p.mu.Unlock()
+			return false, err
+		}
+		if p.reserved < need {
+			break
+		}
+		// Enough is on hand to complete the generation if it all
+		// verifies: hold this one, unhashed, until that is known.
+		p.settled.Wait()
+	}
+	p.reserved++
+	slot := p.slotFree[len(p.slotFree)-1]
+	p.slotFree = p.slotFree[:len(p.slotFree)-1]
+	p.mu.Unlock()
+
+	copy(slot, payload)
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		p.rowFree <- cand
-		p.slotFree <- slot
+		p.release(slot)
+		return false, ErrPipelineClosed
+	}
+	p.parked = append(p.parked, staged{id: msgID, slot: slot})
+	if p.verifying || len(p.parked) < p.groupLocked() {
+		return false, nil
+	}
+	return p.settleLocked(false)
+}
+
+// groupLocked is how many parked messages make a group worth
+// verifying: what the generation still needs, at most a lane pass; one
+// when there is nothing to digest.
+func (p *Pipeline) groupLocked() int {
+	if p.digests == nil {
+		return 1
+	}
+	return min(digestLanes, p.params.K-len(p.echelon))
+}
+
+// release returns a slot whose arrival is settled without a row.
+func (p *Pipeline) release(slot []byte) {
+	p.reserved--
+	p.slotFree = append(p.slotFree, slot)
+}
+
+// settleLocked is stages 1 and 2: it verifies and commits parked
+// messages group by group, while a full group is on hand — or, with
+// all set, until nothing is parked. Called with p.mu held and nobody
+// verifying; the lock is dropped around each group's digests, so
+// producers keep parking meanwhile. It returns the verdict on the last
+// message of the first group, which is the caller's own when the
+// caller's arrival filled it.
+func (p *Pipeline) settleLocked(all bool) (innovative bool, err error) {
+	p.verifying = true
+	for first := true; len(p.parked) > 0 && (all || len(p.parked) >= p.groupLocked()); first = false {
+		g := min(len(p.parked), digestLanes)
+		for i, st := range p.parked[:g] {
+			p.group[i] = Message{FileID: p.fileID, MessageID: st.id, Payload: st.slot}
+		}
+		p.parked = p.parked[:copy(p.parked, p.parked[g:])]
+		if p.digests != nil {
+			p.mu.Unlock()
+			lanes := DigestBatch(p.sums[:g], p.groupPtr[:g])
+			p.verifyGroups.Add(1)
+			p.laneMsgs.Add(uint64(lanes))
+			p.scalarMsgs.Add(uint64(g - lanes))
+			p.mu.Lock()
+		}
+		for i := 0; i < g; i++ {
+			ok, cerr := p.commit(&p.group[i], p.sums[i])
+			if first && i == g-1 {
+				innovative, err = ok, cerr
+			}
+		}
+	}
+	p.verifying = false
+	p.settled.Broadcast()
+	return innovative, err
+}
+
+// commit gives one staged message its verdict, with p.mu held: its
+// digest against its own entry first, then — only for an authentic
+// message — the duplicate check, the coefficient row and its
+// innovation, and for a surviving row the hand-off of the payload
+// elimination to the job runner. The slot goes back to the free list
+// unless the row is accepted.
+func (p *Pipeline) commit(msg *Message, sum Digest) (bool, error) {
+	slot := msg.Payload
+	if p.closed {
+		p.release(slot)
 		return false, ErrPipelineClosed
 	}
 	p.stats.Received++
-	if p.seen[msgID] {
+	if p.digests != nil && sum != p.digests[msg.MessageID] {
+		p.stats.Rejected++
+		p.release(slot)
+		return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msg.MessageID)
+	}
+	if p.seen[msg.MessageID] {
 		p.stats.Duplicate++
-		p.mu.Unlock()
-		p.rowFree <- cand
-		p.slotFree <- slot
+		p.release(slot)
 		return false, nil
 	}
-	p.seen[msgID] = true
-	r := len(p.echelon)
-	if r >= p.params.K {
-		p.stats.Redundant++
-		p.mu.Unlock()
-		p.rowFree <- cand
-		p.slotFree <- slot
-		return false, nil
-	}
+	p.seen[msg.MessageID] = true
+	r := len(p.echelon) // below K: a slot was only reserved while rank + reserved < K
+	cand := p.rowFree[len(p.rowFree)-1]
+	p.rows.RowInto(p.fileID, msg.MessageID, cand)
 	job := &p.jobBuf[r]
 	steps, scale, innovative := reduceRowCoeffs(p.params.Field, cand, p.echelon, p.pivots, job.steps[:0])
 	if !innovative {
 		p.stats.Redundant++
-		p.mu.Unlock()
-		p.rowFree <- cand
-		p.slotFree <- slot
+		p.release(slot)
 		return false, nil
 	}
+	p.rowFree = p.rowFree[:len(p.rowFree)-1]
+	p.reserved--
 	p.echelon = append(p.echelon, cand)
 	p.pivots = append(p.pivots, leadingIndex(cand))
 	p.pays[r] = slot
@@ -394,16 +466,23 @@ func (p *Pipeline) commit(msgID uint64, cand []uint32, slot []byte) (bool, error
 		p.jobs <- job
 	}
 	p.rank.Store(int64(r + 1))
-	p.mu.Unlock()
 	return true, nil
 }
 
-// countEarly records an outcome for messages rejected before stage 2.
-func (p *Pipeline) countEarly(bump func(*Stats)) {
+// Settle verifies and commits whatever is parked, however few: for a
+// caller whose producers have all returned with the generation
+// incomplete — a peer ran out of messages, a forged one left a gap —
+// and who wants Rank and Stats to say how far it really got.
+// DecodeInto does this itself.
+func (p *Pipeline) Settle() {
 	p.mu.Lock()
-	p.stats.Received++
-	bump(&p.stats)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	for p.verifying {
+		p.settled.Wait()
+	}
+	if !p.closed && len(p.parked) > 0 {
+		p.settleLocked(true)
+	}
 }
 
 // runner serializes payload jobs: builds the per-factor product tables
@@ -514,6 +593,7 @@ func (p *Pipeline) DecodeInto(out []byte) error {
 	p.decodeMu.Lock()
 	defer p.decodeMu.Unlock()
 
+	p.Settle()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -575,8 +655,9 @@ func (p *Pipeline) DecodeInto(out []byte) error {
 // Retarget points the engine at another generation of the same
 // geometry — same field, K and chunk-vector size; DataLen may differ —
 // keeping the secret and with it the coefficient generator, and every
-// pooled buffer, verifier and worker: the arena is recycled, not
-// rebuilt. digests replaces the authentication table (nil disables it).
+// pooled buffer and worker: the arena is recycled, not rebuilt, and
+// messages still parked for the old generation are dropped unverified.
+// digests replaces the authentication table (nil disables it).
 // A different geometry is refused with ErrBadParams and leaves the
 // engine untouched; build a fresh pipeline for it. The caller must
 // ensure no Add or Decode is in flight — every producer of the previous
@@ -599,9 +680,10 @@ func (p *Pipeline) Retarget(params Params, fileID uint64, digests map[uint64]Dig
 	}
 	p.params, p.fileID, p.digests = params, fileID, digests
 	clear(p.seen)
+	p.dropParkedLocked()
 	for i, row := range p.echelon {
-		p.rowFree <- row
-		p.slotFree <- p.pays[i]
+		p.rowFree = append(p.rowFree, row)
+		p.slotFree = append(p.slotFree, p.pays[i])
 		p.pays[i] = nil
 		p.echelon[i] = nil
 	}
@@ -613,17 +695,35 @@ func (p *Pipeline) Retarget(params Params, fileID uint64, digests map[uint64]Dig
 	p.jobsDone.Store(0)
 	p.segsDone.Store(0)
 	p.elimBytes.Store(0)
+	p.verifyGroups.Store(0)
+	p.laneMsgs.Store(0)
+	p.scalarMsgs.Store(0)
+	p.skipped.Store(0)
 	return nil
 }
 
-// Close stops the worker pool. It drains in-flight payload jobs first;
-// subsequent Add and Decode calls fail with ErrPipelineClosed. Close
-// is idempotent and safe to call concurrently with producers blocked
-// in Add.
+// dropParkedLocked returns every parked message's slot, unverified.
+func (p *Pipeline) dropParkedLocked() {
+	for _, st := range p.parked {
+		p.release(st.slot)
+	}
+	p.parked = p.parked[:0]
+}
+
+// Close stops the worker pool. It drains in-flight payload jobs first
+// and drops what is parked; subsequent Add and Decode calls fail with
+// ErrPipelineClosed. Close is idempotent and safe to call concurrently
+// with producers in Add: one waiting for a group's outcome is woken,
+// one verifying a group is waited for.
 func (p *Pipeline) Close() {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()
 		p.closed = true
+		p.settled.Broadcast()
+		for p.verifying {
+			p.settled.Wait()
+		}
+		p.dropParkedLocked()
 		p.mu.Unlock()
 		p.jobsWG.Wait()
 		close(p.quit)

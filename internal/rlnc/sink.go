@@ -18,7 +18,10 @@ type Stats struct {
 type Sink interface {
 	// Add folds one message in and reports whether it was innovative.
 	// Messages for other files and authentication failures return
-	// errors; dependent or duplicate messages return (false, nil).
+	// errors; dependent or duplicate messages return (false, nil). An
+	// engine that verifies arrivals in groups (Pipeline) also returns
+	// (false, nil) for a message whose verdict is still to come; Rank,
+	// Done and Stats count verdicts, never promises.
 	Add(msg *Message) (bool, error)
 	// Rank is the dimension of the span gathered so far.
 	Rank() int
@@ -30,8 +33,8 @@ type Sink interface {
 
 // ByteSink is the zero-copy extension of Sink: a decode engine that
 // ingests serialized messages (16-byte header + payload) straight from
-// wire frames. The Pipeline implements it natively: parse in place,
-// digest the frame bytes, one copy into its arena.
+// wire frames. The Pipeline implements it natively: parse in place, one
+// copy into its arena, digest there.
 type ByteSink interface {
 	Sink
 	// AddBytes folds one serialized message in. The caller keeps

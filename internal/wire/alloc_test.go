@@ -138,7 +138,7 @@ func TestMuxedDataPathSteadyStateAllocs(t *testing.T) {
 
 	newPipe := func(enc *rlnc.Encoder, dig map[uint64]rlnc.Digest) *rlnc.Pipeline {
 		p, err := rlnc.NewPipeline(enc.Params(), enc.FileID(), []byte("alloc-test-secret"), dig,
-			rlnc.PipelineConfig{Workers: 1, Verifiers: 2})
+			rlnc.PipelineConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

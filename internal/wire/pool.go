@@ -12,17 +12,21 @@ package wire
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
-// Size classes are powers of two from minClassBytes up to
-// maxClassBytes; a request is served from the smallest class that fits.
-// maxClassBytes must cover a full coalesced frame (5-byte header +
-// MaxFrameSize payload).
+// Size classes are the powers of two from 64 B to 16 MiB and, between
+// each and the next, a companion one sixteenth above the lower; a
+// request is served from the smallest class that fits. The companions
+// are for DATA frames: a message is a power-of-two payload behind a
+// 16-byte header, which a ladder of powers of two alone would serve
+// from a buffer twice its size. The largest class must cover a full
+// coalesced frame (5-byte header + MaxFrameSize payload).
 const (
 	minClassShift = 6  // 64 B
 	maxClassShift = 24 // 16 MiB > 5 + MaxFrameSize
-	numClasses    = maxClassShift - minClassShift + 1
+	numClasses    = 2*(maxClassShift-minClassShift) + 1
 
 	// poolClassRetain bounds how many bytes each class keeps parked in
 	// its free list; beyond it, released buffers fall to the GC (and
@@ -36,11 +40,11 @@ const (
 	// reaches rank k; STOP cuts most streams short, so what is live at
 	// once stays under half of that. Measured on a warm 16-chunk,
 	// 4-peer FetchFile at the default plan, whose 128 KiB + 16 B
-	// message is served from the 256 KiB class: a list of 16 (that
-	// class's byte bound alone) allocates — and zeroes — on ≈ 13 % of
-	// all gets, 32 on 4–8 %, 64 on 0.5 %, 128 on none. A parked buffer
+	// message is served from the 136 KiB class: a list of 16 allocates
+	// — and zeroes — on ≈ 13 % of all gets, 32 (about that class's byte
+	// bound alone) on 4–8 %, 64 on 0.5 %, 128 on none. A parked buffer
 	// costs about twice its size in peak RSS under the default GC
-	// target, so the last half percent is not worth 16 MiB more.
+	// target, so the last half percent is not worth 8.5 MiB more.
 	poolWindowSlots   = 64
 	poolWindowMaxSize = 256 << 10
 )
@@ -124,10 +128,19 @@ var DefaultPool = NewPool()
 func NewPool() *Pool {
 	p := &Pool{}
 	for i := range p.classes {
-		size := 1 << (minClassShift + i)
-		p.classes[i] = make(chan *Buf, classSlots(size))
+		p.classes[i] = make(chan *Buf, classSlots(classSize(i)))
 	}
 	return p
+}
+
+// classSize is the buffer size of free list c: even lists hold the
+// powers of two, odd ones their companions.
+func classSize(c int) int {
+	size := 1 << (minClassShift + c/2)
+	if c%2 == 1 {
+		size += size >> 4
+	}
+	return size
 }
 
 // classSlots is the free-list length of the class of size-byte buffers:
@@ -144,12 +157,16 @@ func classSlots(size int) int {
 // classFor returns the free-list index for a request of n bytes, or -1
 // when n exceeds the largest class (served unpooled).
 func classFor(n int) int {
-	for i := 0; i < numClasses; i++ {
-		if n <= 1<<(minClassShift+i) {
-			return i
-		}
+	if n > 1<<maxClassShift {
+		return -1
 	}
-	return -1
+	// 1<<shift is the smallest power of two that holds n.
+	shift := max(bits.Len(uint(max(n, 1)-1)), minClassShift)
+	c := 2 * (shift - minClassShift)
+	if c > 0 && n <= classSize(c-1) {
+		c--
+	}
+	return c
 }
 
 // Get returns a buffer with Len() == n and a single reference. n may be
@@ -175,7 +192,7 @@ func (p *Pool) Get(n int) *Buf {
 	p.misses.Add(1)
 	size := n
 	if class >= 0 {
-		size = 1 << (minClassShift + class)
+		size = classSize(class)
 	}
 	b := &Buf{pool: p, data: make([]byte, size), n: n}
 	b.refs.Store(1)
@@ -186,7 +203,7 @@ func (p *Pool) Get(n int) *Buf {
 // GC when its class list is full (or it was oversized).
 func (p *Pool) put(b *Buf) {
 	class := classFor(len(b.data))
-	if class < 0 || len(b.data) != 1<<(minClassShift+class) {
+	if class < 0 || len(b.data) != classSize(class) {
 		p.discards.Add(1)
 		return
 	}

@@ -119,13 +119,30 @@ func TestPoolOversized(t *testing.T) {
 }
 
 func TestPoolClassBoundaries(t *testing.T) {
-	cases := []struct{ n, class int }{
-		{0, 0}, {1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2},
-		{16 << 20, numClasses - 1}, {(16 << 20) + 1, -1},
+	cases := []struct{ n, class, size int }{
+		{0, 0, 64}, {1, 0, 64}, {64, 0, 64}, {65, 1, 68}, {68, 1, 68}, {69, 2, 128}, {128, 2, 128}, {129, 3, 136},
+		{128 << 10, 22, 128 << 10}, {128<<10 + 16, 23, 136 << 10}, {136<<10 + 1, 24, 256 << 10},
+		{16 << 20, numClasses - 1, 16 << 20}, {(16 << 20) + 1, -1, 0},
 	}
 	for _, c := range cases {
-		if got := classFor(c.n); got != c.class {
-			t.Errorf("classFor(%d) = %d, want %d", c.n, got, c.class)
+		got := classFor(c.n)
+		if got != c.class || (got >= 0 && classSize(got) != c.size) {
+			t.Errorf("classFor(%d) = %d, want %d (%d bytes)", c.n, got, c.class, c.size)
+		}
+	}
+	// Every size lands in the smallest class that holds it, and a
+	// message — a power-of-two payload behind its 16-byte header —
+	// within a sixteenth of its length.
+	for n := 0; n <= 1<<13; n++ {
+		c := classFor(n)
+		if classSize(c) < n || (c > 0 && classSize(c-1) >= n) {
+			t.Fatalf("classFor(%d) = %d (%d bytes), the class below holds %d", n, c, classSize(c), classSize(c-1))
+		}
+	}
+	for shift := 10; shift < maxClassShift; shift++ {
+		msg := 1<<shift + 16
+		if size := classSize(classFor(msg)); size > msg+msg/16 {
+			t.Errorf("a %d-byte message is served from %d bytes", msg, size)
 		}
 	}
 }
@@ -151,7 +168,7 @@ func TestPoolParksAReadBurst(t *testing.T) {
 		t.Fatalf("two bursts of %d frames: %+v, want all misses then all hits, no discards", poolWindowSlots, st)
 	}
 	for _, c := range []struct{ size, slots int }{
-		{64, 1024}, {4 << 10, 1024}, {32 << 10, 128}, {64 << 10, 64}, {128 << 10, 64}, {256 << 10, 64},
+		{64, 1024}, {4 << 10, 1024}, {32 << 10, 128}, {64 << 10, 64}, {128 << 10, 64}, {136 << 10, 64}, {256 << 10, 64},
 		{512 << 10, 8}, {1 << 20, 4}, {16 << 20, 4},
 	} {
 		if got := classSlots(c.size); got != c.slots {
