@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet-arm64 race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload vet bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke bench-wire bench-wire-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet-arm64 wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload vet bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke bench-wire bench-wire-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,16 @@ vet:
 vet-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
+
+# wire-audit checks what a fetch puts on the wire against what its
+# manifest needs, from both ends (harness/split_test.go): four peers
+# that nothing paces serve, after one priming fetch, at most 1.10 × the
+# message bytes of the file (3 to 4 × unsplit) on GETs that each ask for
+# k/4; four peers capped 1:2:2:4 are never marked, are only ever sent
+# the unlimited GET, and keep their shares of the bytes. Counts and
+# parsed frames, no timing.
+wire-audit:
+	$(GO) test -run 'TestSplitUnshapedPeersServeWhatTheManifestNeeds|TestSplitLeavesPacedPeersAlone' -count=1 ./internal/netsim/harness/
 
 # race-audit exercises the audit path — the auditor itself plus the
 # ledger it debits, the wire frames it rides on, and the store it
@@ -138,12 +148,16 @@ overload-smoke:
 # pipeline shared by every rung — and, outliving the chunk, retargeted
 # by whichever chunk takes it from the fetch's free list next, while
 # finished slots of the output file are hashed in order behind the
-# chunks still decoding), the breaker state machine, and the peer's
-# admission bookkeeping are all cross-goroutine by construction.
+# chunks still decoding; a rung's second stream after its share, the
+# demux loop's surplus counts and verdicts against the registry the
+# ladder reads its split from), the breaker state machine, and the
+# peer's admission bookkeeping and per-connection stream table (1 000
+# instant streams, a duplicate GET_MUX) are all cross-goroutine by
+# construction; the split's second-round scenarios run here too.
 # The admission alloc gates (TestAdmission*Allocs) only count without
 # -race, so the peer package runs those plain too.
 race-overload: vet
-	$(GO) test -race -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer|TestPaperRates' \
+	$(GO) test -race -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer|TestPaperRates|TestSplitSecondRound' \
 		./internal/netsim/harness/
 	$(GO) test -race ./internal/peer/ ./internal/client/
 	$(GO) test -run 'TestAdmissionSteadyStateAllocs|TestAdmissionRefusalScanAllocs' -count=1 ./internal/peer/
@@ -261,6 +275,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDigestBatch -fuzztime 10s -run '^$$' ./internal/rlnc/
 
 # ci is what the GitHub workflow runs.
-ci: vet vet-arm64 build test bench-e2e-smoke race-metrics race-audit race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
+ci: vet vet-arm64 build test wire-audit bench-e2e-smoke race-metrics race-audit race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
 
 check: ci

@@ -683,9 +683,9 @@ func cmdFetch(args []string, out io.Writer) error {
 	if err := fsx.WriteFileAtomic(fsx.OS, *outPath, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "fetched %d bytes in %v (%.0f B/s) from %d peers; %d msgs (%d innovative, %d rejected)\n",
+	fmt.Fprintf(out, "fetched %d bytes in %v (%.0f B/s) from %d peers; %d msgs (%d innovative, %d rejected); %d surplus bytes read after STOP\n",
 		len(data), stats.Elapsed.Round(1e6), stats.EffectiveRate(len(data)),
-		len(stats.BytesFrom), stats.Messages, stats.Innovative, stats.Rejected)
+		len(stats.BytesFrom), stats.Messages, stats.Innovative, stats.Rejected, stats.SurplusBytes)
 	if *feedback != "" {
 		if err := sys.ReportFeedback(ctx, *feedback, stats); err != nil {
 			return fmt.Errorf("fetch: feedback: %w", err)

@@ -10,7 +10,9 @@
 // (ladder.go): every peer's stream pours into one shared rlnc.Pipeline,
 // so digest checks and coefficient derivation run on the stream
 // goroutines and only a short innovation check is serialized, and STOP
-// goes to every peer as soon as rank k is reached. One manifest driver
+// goes to every peer as soon as rank k is reached — except to peers
+// STOP has been seen to lose the race against, which are asked for
+// their share of the generation up front. One manifest driver
 // walks the chunks with a bounded in-flight window; FetchFile,
 // FetchFileFrom and StreamFile are thin callers of it, Fetch and
 // FetchGeneration its one-chunk case. Per-peer receipts are reported
@@ -100,9 +102,15 @@ type Options struct {
 	// single healthiest peer and a stream that stalls for a hedge delay
 	// is re-issued on the next-healthiest, with per-peer circuit
 	// breakers quarantining peers that repeatedly fail. Off by default —
-	// every peer then streams every chunk, which maximizes
-	// instantaneous goodput at the price of redundant upload bandwidth
-	// and no isolation from a stalled peer.
+	// every peer then streams every chunk, with no isolation from a
+	// stalled peer: a peer that something paces is asked for all it
+	// holds and stopped at rank k, so redundant upload is what it has in
+	// flight when STOP lands; a peer whose frames have been seen to keep
+	// arriving after STOP, chunk after chunk, is asked for its share of
+	// each generation instead (ceil(k / such peers); ladder.go), until a
+	// failure, a shed, a share that a second round had to finish, or a
+	// probe every 64th generation that shows no surplus says otherwise.
+	// The hedged ladder needs all k from one peer and never splits.
 	Hedge bool
 
 	// HedgeDelay pins the no-progress interval before a hedge stream
@@ -332,6 +340,13 @@ type FetchStats struct {
 	// Rejected counts messages that failed digest authentication.
 	Rejected int
 
+	// SurplusBytes counts message bytes read off the call's sessions
+	// for nothing: DATA frames that arrived after their generation had
+	// been decoded and its stream ended. BytesFrom does not include
+	// them. A call's total is known once its sessions close, so the
+	// per-chunk stats of a manifest fetch leave it zero.
+	SurplusBytes uint64
+
 	// Elapsed is the wall-clock download time.
 	Elapsed time.Duration
 }
@@ -350,6 +365,7 @@ func (s *FetchStats) merge(o FetchStats) {
 	s.Messages += o.Messages
 	s.Innovative += o.Innovative
 	s.Rejected += o.Rejected
+	s.SurplusBytes += o.SurplusBytes
 	for k, v := range o.BytesFrom {
 		s.BytesFrom[k] += v
 	}
@@ -398,10 +414,11 @@ func (c *Client) FetchGeneration(ctx context.Context, addrs []string, params rln
 // it: the one-chunk case of the read path, on a session set of its own.
 func (c *Client) Fetch(ctx context.Context, req FetchRequest) ([]byte, FetchStats, error) {
 	set := c.newSessionSet(ctx)
-	defer set.close()
 	pl := c.newPipelines(1)
-	defer pl.close()
-	return c.fetchChunk(ctx, set.open(req.Peers), 0, req, pl, nil)
+	data, stats, err := c.fetchChunk(ctx, set.open(req.Peers), 0, req, pl, nil)
+	pl.close()
+	stats.SurplusBytes = set.close()
+	return data, stats, err
 }
 
 // deadlineMillis converts a context deadline into the wire's relative
@@ -480,7 +497,7 @@ func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []
 	defer cancel(nil)
 
 	var mu sync.Mutex // guards total
-	c.fetchManifest(ctx, m, secret, peersFor, fetchFileStreams, asm.Slot,
+	surplus := c.fetchManifest(ctx, m, secret, peersFor, fetchFileStreams, asm.Slot,
 		func(i int, _ []byte, stats FetchStats, err error) {
 			if err != nil {
 				cancel(fmt.Errorf("chunk %d: %w", i, err)) // the first failure wins
@@ -492,6 +509,7 @@ func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []
 			mu.Unlock()
 		})
 	total.Elapsed = time.Since(start)
+	total.SurplusBytes = surplus
 	if err := context.Cause(ctx); err != nil {
 		return nil, total, err
 	}
@@ -509,13 +527,14 @@ func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []
 // holds its window slot and paces the fetch. slotFor names the buffer
 // chunk i decodes into, owned by that download until deliver; nil
 // allocates one per chunk, which deliver then owns. It stops launching
-// when ctx ends or a chunk cannot be resolved, and returns once every
+// when ctx ends or a chunk cannot be resolved, and returns — the
+// surplus bytes its sessions read (FetchStats.SurplusBytes) — once every
 // launched download has been delivered. m must be valid.
 func (c *Client) fetchManifest(ctx context.Context, m *chunk.Manifest, secret []byte,
 	peersFor func(ctx context.Context, chunk int) ([]string, error), window int,
-	slotFor func(i int) []byte, deliver func(i int, data []byte, stats FetchStats, err error)) {
+	slotFor func(i int) []byte, deliver func(i int, data []byte, stats FetchStats, err error)) (surplusBytes uint64) {
 	set := c.newSessionSet(ctx)
-	defer set.close()
+	defer func() { surplusBytes = set.close() }()
 	pl := c.newPipelines(window)
 	defer pl.close()
 	var wg sync.WaitGroup
@@ -549,4 +568,5 @@ func (c *Client) fetchManifest(ctx context.Context, m *chunk.Manifest, secret []
 			deliver(i, data, stats, err)
 		}(i)
 	}
+	return
 }

@@ -7,7 +7,10 @@ package client
 // these scores, and the hedge delay — how long a stream may make no
 // progress before it is re-issued on the next-healthiest peer — is
 // derived from a small reservoir of recent stream latencies (p95 with
-// headroom) unless Options.HedgeDelay pins it.
+// headroom) unless Options.HedgeDelay pins it. The record also carries
+// the one thing the unhedged ladder asks of it: whether the peer has
+// been seen to outrun STOP, and so is asked for shares (surplusVerdict,
+// shares).
 
 import (
 	"sort"
@@ -40,6 +43,36 @@ const (
 	// shedScoreCap bounds the score penalty accumulated from sheds so a
 	// long-lived client can still rehabilitate a once-busy peer.
 	shedScoreCap = 25
+
+	// surplusEvidence is how many DATA frames of one generation must
+	// reach a session after that generation's stream has ended for the
+	// generation to count against the peer: it outran STOP. One frame is
+	// what a token-bucket peer has in flight when STOP is sent. Now and
+	// then such a peer shows two — its bucket hands out reservations, so
+	// a rate raised while a stream waits one out lets the next message
+	// through on its heels — and a client that stalls finds a backlog on
+	// every generation it had in flight. A peer nothing paces shows
+	// nearly all it holds, on every generation.
+	surplusEvidence = 2
+
+	// surplusStrikes is the count against a peer at which it is marked.
+	// A generation that outran STOP is a strike, one that did not takes
+	// a strike back, and the count never goes below zero: a peer
+	// nothing paces gets there in little more than surplusStrikes
+	// generations even if it wins the odd chunk outright (every message
+	// it sent was needed, so none was surplus); one stall of the client
+	// is at most a fetch's window of strikes, half of what it takes.
+	surplusStrikes = 2 * fetchFileStreams
+
+	// sharePeriod ages the mark, which cannot refresh itself: a peer
+	// held to its share sends no surplus. Every sharePeriod-th generation
+	// a marked peer serves is a probe, asked for everything again, and
+	// its verdict decides: surplus, and the age starts over; none, and
+	// the mark lapses; no verdict (the call ended first), and the next
+	// probe is a period away. One unsplit generation in 64 costs ≈ 3 %
+	// extra bytes where all four peers of a fetch probe together
+	// (DESIGN.md §15).
+	sharePeriod = 64
 )
 
 // DefaultHedgeDelay is the hedge delay used until enough stream
@@ -62,6 +95,11 @@ type HealthSnapshot struct {
 
 	// Breaker is the circuit state: "closed", "open" or "half-open".
 	Breaker string
+
+	// OutrunsStop reports the surplus mark: the peer's DATA frames have
+	// kept arriving after STOP, so the unhedged ladder asks it for a
+	// share of each generation rather than all it holds.
+	OutrunsStop bool
 }
 
 // peerHealth is one peer's mutable health record; all fields are
@@ -77,6 +115,17 @@ type peerHealth struct {
 	openUntil time.Time
 	cooldown  time.Duration
 	probing   bool
+
+	// outruns marks a peer whose frames keep arriving after STOP: the
+	// unhedged ladder asks it for a share of each generation instead of
+	// everything (ladder.go). strikes is the count of generations
+	// against it while unmarked (see surplusStrikes); shareAge, once
+	// marked, the generations served under a share since it last showed
+	// surplus.
+	outruns  bool
+	strikes  int
+	shareAge int
+	probed   bool // a probe is out and has had no verdict yet
 }
 
 // healthRegistry aggregates per-peer health plus the shared latency
@@ -157,6 +206,7 @@ func (h *healthRegistry) recordFailure(addr string) {
 	p := h.peerLocked(addr)
 	p.failures++
 	p.consecFails++
+	p.outruns = false
 	tripped := p.tripLocked(h.now(), h.threshold, h.cooldown)
 	h.mu.Unlock()
 	if tripped {
@@ -177,12 +227,85 @@ func (h *healthRegistry) recordShed(addr string) {
 	h.mu.Lock()
 	p := h.peerLocked(addr)
 	p.sheds++
+	p.outruns = false
 	recovered := p.closeBreakerLocked()
 	h.mu.Unlock()
 	if recovered {
 		h.m.breakerRecoveries.Inc()
 		h.m.breakerOpen.Add(-1)
 	}
+}
+
+// surplusVerdict folds in what one of addr's sessions saw after one
+// generation's stream had ended (session.go): outran says
+// surplusEvidence frames still came; its opposite, that the peer had
+// more to send, was stopped, and the time for frames to arrive is up.
+// Strikes mark an unmarked peer at surplusStrikes. A marked peer can
+// only be stopped short on a probe, which so renews the mark or ends
+// it; with no probe out, a verdict that it did not outrun STOP is a
+// late one, on a stream from before the mark, and says nothing new.
+func (h *healthRegistry) surplusVerdict(addr string, outran bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	p := h.peerLocked(addr)
+	switch {
+	case p.outruns && outran:
+		p.shareAge, p.probed = 0, false
+	case p.outruns:
+		if p.probed {
+			p.outruns = false
+		}
+	case !outran:
+		p.strikes = max(p.strikes-1, 0)
+	default:
+		if p.strikes++; p.strikes >= surplusStrikes {
+			p.outruns, p.strikes, p.shareAge, p.probed = true, 0, 0, false
+		}
+	}
+}
+
+// clearOutruns drops addr's mark: a second round had to finish a share
+// it was asked for, so holding it to shares is not paying.
+func (h *healthRegistry) clearOutruns(addr string) {
+	h.mu.Lock()
+	if p, ok := h.peers[addr]; ok {
+		p.outruns = false
+	}
+	h.mu.Unlock()
+}
+
+// shares splits one generation of k messages among the marked peers of
+// links: limits[i] is the GET limit for links[i] — ceil(k / marked) for
+// a marked peer, 0 ("all you have") for the rest. It returns nil when
+// nothing is split — no peer marked, the paced-peer case, where every
+// request is the unlimited one it has always been. Each call ages the
+// marks it finds, and every sharePeriod-th generation of a marked peer
+// is its probe: unlimited, and outside the split.
+func (h *healthRegistry) shares(links []*peerLink, k int) (limits []uint32) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	marked := 0
+	for i, l := range links {
+		p, ok := h.peers[l.addr]
+		if !ok || !p.outruns {
+			continue
+		}
+		if p.shareAge++; p.shareAge%sharePeriod == 0 {
+			p.probed = true
+			continue
+		}
+		if limits == nil {
+			limits = make([]uint32, len(links))
+		}
+		limits[i] = 1 // marked; sized below, once the count is known
+		marked++
+	}
+	for i := range limits {
+		if limits[i] != 0 {
+			limits[i] = uint32((k + marked - 1) / marked)
+		}
+	}
+	return limits
 }
 
 // scoreLocked ranks a peer for the hedge ladder: lower is healthier.
@@ -283,6 +406,7 @@ func (h *healthRegistry) snapshot(addr string) HealthSnapshot {
 		Sheds:       p.sheds,
 		ConsecFails: p.consecFails,
 		Breaker:     p.state.String(),
+		OutrunsStop: p.outruns,
 	}
 }
 

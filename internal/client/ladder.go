@@ -9,10 +9,21 @@ package client
 // fetch call's free list, and decodes straight into the chunk's slot of
 // the output file.
 //
-// Unhedged, every rung launches at t = 0: maximum instantaneous
-// goodput, maximum redundant upload, breakers ignored. With
-// Options.Hedge the rungs are ranked by health and launched one at a
-// time: the chunk starts on the single healthiest peer, and only when
+// Unhedged, every rung launches at t = 0 and breakers are ignored. What
+// a rung asks for depends on what its peer has shown (health.go): a
+// peer whose frames keep arriving after STOP — nothing paces it, so
+// STOP always loses the race — is asked for its share of the
+// generation, ceil(k / such peers of this chunk), and ends its own
+// stream; every other peer is asked for all it holds and stopped at
+// rank k, as the paper's message "5" has it. When the shares have all
+// ended and the generation is still short — a forged or dependent
+// message inside one, a peer holding less than its share, a peer lost
+// mid-share — or a full hedge delay passes without a byte, the rungs
+// whose shares ended are asked again without a limit, and lose the mark
+// that the split did not pay for.
+//
+// With Options.Hedge the rungs are ranked by health and launched one at
+// a time: the chunk starts on the single healthiest peer, and only when
 // no byte arrives for a full hedge delay (p95-based, health.go), or a
 // rung ends without completing the chunk, is it re-issued on the next.
 // Quarantined peers whose breaker cooldown has lapsed ride along as
@@ -31,12 +42,15 @@ import (
 	"asymshare/internal/rlnc"
 )
 
-// rung tracks one launched stream of a chunk.
+// rung tracks one peer's stream of a chunk — or two in turn, when its
+// share is asked again in a second round.
 type rung struct {
 	link    *peerLink
 	started time.Time
 	bytes   atomic.Int64
-	err     error // written by the stream goroutine, read after wg.Wait
+	limit   uint32 // the share asked for; 0 is everything
+	running bool   // ladder goroutine only
+	err     error  // written by the stream goroutine, read once its result is in
 }
 
 // pipelines is the free list of warm decode engines one fetch call owns
@@ -129,17 +143,25 @@ func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, 
 		wg          sync.WaitGroup
 		progress    atomic.Int64
 		rungs       = make([]*rung, len(ladder))
-		results     = make(chan struct{}, len(ladder))
+		results     = make(chan int, len(ladder)) // a rung has one stream at a time
 		outstanding int
+		sharesOut   int // running rungs that were asked for a share
 	)
-	launch := func(i int) {
-		r := &rung{link: ladder[i], started: time.Now()}
-		rungs[i] = r
+	launch := func(i int, limit uint32) {
+		r := rungs[i]
+		if r == nil {
+			r = &rung{link: ladder[i], started: time.Now()}
+			rungs[i] = r
+		}
+		r.limit, r.running = limit, true
 		outstanding++
+		if limit > 0 {
+			sharesOut++
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sreq := StreamRequest{FileID: req.FileID, Priority: req.Priority}
+			sreq := StreamRequest{FileID: req.FileID, Limit: limit, Priority: req.Priority}
 			r.err = r.link.fetchStream(streamCtx, sreq, sink, func(fingerprint string, n int) {
 				r.bytes.Add(int64(n))
 				progress.Add(int64(n))
@@ -147,7 +169,7 @@ func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, 
 				stats.BytesFrom[fingerprint] += uint64(n)
 				mu.Unlock()
 			})
-			results <- struct{}{}
+			results <- i
 		}()
 	}
 	// launchNext re-issues the chunk on the first unlaunched rung below
@@ -155,11 +177,22 @@ func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, 
 	launchNext := func(limit int) bool {
 		for i := 0; i < limit; i++ {
 			if rungs[i] == nil {
-				launch(i)
+				launch(i, 0)
 				return true
 			}
 		}
 		return false
+	}
+	// secondRound asks again, for everything, each peer whose share came
+	// to its orderly end, and drops the mark the share was asked under.
+	secondRound := func() {
+		for i, r := range rungs {
+			if r != nil && r.limit > 0 && !r.running && r.err == nil {
+				c.health.clearOutruns(r.link.addr)
+				c.m.sharesSecondRound.Inc()
+				launch(i, 0)
+			}
+		}
 	}
 
 	if c.opt.Hedge {
@@ -173,15 +206,20 @@ func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, 
 		// healthy rung the first of the rest doubles as the primary,
 		// unclaimed, and the probe loop skips it — launching it twice
 		// would open a duplicate stream on its session.
-		launch(0)
+		launch(0, 0)
 		for i := probeFrom; i < coolFrom; i++ {
 			if rungs[i] == nil && ladder[i].connected() && c.health.beginProbe(ladder[i].addr) {
-				launch(i)
+				launch(i, 0)
 			}
 		}
 	} else {
+		limits := c.health.shares(ladder, req.Params.K)
 		for i := range ladder {
-			launch(i)
+			var limit uint32
+			if limits != nil {
+				limit = limits[i]
+			}
+			launch(i, limit)
 		}
 	}
 
@@ -194,8 +232,10 @@ loop:
 		select {
 		case <-ctx.Done():
 			break loop
-		case <-results:
+		case i := <-results:
 			outstanding--
+			r := rungs[i]
+			r.running = false
 			if sink.Done() {
 				break loop
 			}
@@ -207,15 +247,32 @@ loop:
 				for launchNext(len(ladder)) {
 				}
 			}
+			if r.limit == 0 {
+				continue
+			}
+			if sharesOut--; sharesOut == 0 {
+				// Every share is in. Give what they left parked its
+				// verdict (a rung outside the split may be verifying a
+				// group this moment), and if the generation is short
+				// after all, ask again.
+				sink.Settle()
+				if sink.Done() {
+					break loop
+				}
+				secondRound()
+			}
 		case <-timer.C:
 			if progress.Load() == lastProgress && !sink.Done() {
 				// A full hedge delay with not one byte of progress:
 				// re-issue the chunk on the next-healthiest peer. The
 				// straggler keeps running — it may still win — until
-				// the chunk completes and cancel() reaps it.
+				// the chunk completes and cancel() reaps it. Unhedged
+				// there is no next peer, but there may be peers whose
+				// shares are in while another's is stuck.
 				if launchNext(probeFrom) {
 					c.m.hedgeLaunched.Inc()
 				}
+				secondRound()
 			}
 			lastProgress = progress.Load()
 			timer.Reset(delay)
@@ -232,6 +289,13 @@ loop:
 	sink.Settle()
 	completed := sink.Done()
 	c.classify(rungs, completed, delay)
+
+	for _, r := range rungs {
+		// A share asked again in a second round has limit 0 by now.
+		if completed && r != nil && r.limit > 0 && r.err == nil {
+			c.m.sharesComplete.Inc()
+		}
+	}
 
 	st := sink.Stats()
 	stats.Messages = st.Received

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"sync"
 	"time"
 
 	"asymshare/internal/metrics"
@@ -47,6 +48,16 @@ const (
 	MetricBreakerOpenCurrent = "breaker_open_current"
 	MetricShedsObserved      = "client_sheds_observed_total"
 
+	// Surplus and the split that answers it (DESIGN.md §15): DATA frames
+	// that reached a session after their generation's stream had ended,
+	// by peer address (the first maxSurplusPeers of a client's life, the
+	// rest under peer="other"), and the shares the unhedged ladder asked
+	// of peers marked for it — complete, or re-asked unlimited by a
+	// second round.
+	MetricSurplusFrames = "client_surplus_frames_total"
+	MetricSurplusBytes  = "client_surplus_bytes_total"
+	MetricShares        = "client_shares_total" // outcome="complete" | "second_round"
+
 	// Decode engines built (rlnc.NewPipeline) rather than taken warm
 	// from a fetch call's free list: O(window) per manifest, not
 	// O(chunks) (DESIGN.md §15).
@@ -77,6 +88,14 @@ type clientMetrics struct {
 	verifySkipped *metrics.Counter
 
 	pipelinesBuilt *metrics.Counter
+
+	sharesComplete    *metrics.Counter
+	sharesSecondRound *metrics.Counter
+
+	// Per-peer surplus series, created on first sight of an address.
+	reg       *metrics.Registry
+	surplusMu sync.Mutex
+	surplus   map[string][2]*metrics.Counter // addr → frames, bytes
 
 	hedgeLaunched     *metrics.Counter
 	hedgeStalls       *metrics.Counter
@@ -117,6 +136,11 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 
 		pipelinesBuilt: reg.Counter(MetricPipelinesBuilt, "Decode pipelines built because no warm one of the right geometry was free."),
 
+		sharesComplete:    reg.Counter(MetricShares, "Shares of a generation asked of peers that outrun STOP, by outcome.", metrics.L("outcome", "complete")),
+		sharesSecondRound: reg.Counter(MetricShares, "Shares of a generation asked of peers that outrun STOP, by outcome.", metrics.L("outcome", "second_round")),
+		reg:               reg,
+		surplus:           make(map[string][2]*metrics.Counter),
+
 		hedgeLaunched:     reg.Counter(MetricHedgeLaunched, "Hedge streams re-issued after a stall on the primary peer."),
 		hedgeStalls:       reg.Counter(MetricHedgeStalls, "Streams judged stalled: held a slot for a full hedge delay yet contributed nothing."),
 		breakerOpens:      reg.Counter(MetricBreakerOpens, "Circuit breakers tripped open by consecutive peer failures."),
@@ -125,6 +149,36 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 		breakerOpen:       reg.Gauge(MetricBreakerOpenCurrent, "Peers currently quarantined by an open circuit breaker."),
 		shedsObserved:     reg.Counter(MetricShedsObserved, "BUSY sheds received from overloaded peers."),
 	}
+}
+
+// maxSurplusPeers bounds the per-peer surplus series: the registry
+// cannot drop a series, and a long-lived client may meet any number of
+// addresses.
+const maxSurplusPeers = 64
+
+// surplusFor returns addr's surplus frame and byte counters (nil, and
+// so no-ops, without instrumentation).
+func (m *clientMetrics) surplusFor(addr string) (frames, bytes *metrics.Counter) {
+	if m.reg == nil {
+		return nil, nil
+	}
+	m.surplusMu.Lock()
+	defer m.surplusMu.Unlock()
+	if len(m.surplus) >= maxSurplusPeers {
+		if _, ok := m.surplus[addr]; !ok {
+			addr = "other"
+		}
+	}
+	pair, ok := m.surplus[addr]
+	if !ok {
+		peer := metrics.L("peer", addr)
+		pair = [2]*metrics.Counter{
+			m.reg.Counter(MetricSurplusFrames, "DATA frames that arrived after their generation's stream had ended.", peer),
+			m.reg.Counter(MetricSurplusBytes, "Bytes of DATA frames that arrived after their generation's stream had ended.", peer),
+		}
+		m.surplus[addr] = pair
+	}
+	return pair[0], pair[1]
 }
 
 // recordFetch folds one completed generation download into the instrument

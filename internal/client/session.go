@@ -27,8 +27,10 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"asymshare/internal/auth"
+	"asymshare/internal/metrics"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/wire"
 )
@@ -47,6 +49,11 @@ var ErrSessionClosed = errors.New("client: peer session closed")
 type sessStream struct {
 	fileID uint64
 	frames chan *wire.Buf
+
+	// mute: a short surplus count will say nothing about the peer's
+	// pacing. Set for a stream that asks for a share and, under the
+	// session's mutex, for one the peer's own STOP has ended.
+	mute bool
 
 	failOnce sync.Once
 	err      error
@@ -67,33 +74,53 @@ func (st *sessStream) fail(err error) {
 // both arms of the first select are ready and the send may win — after
 // unregister's drain has already run. So a sender that then finds the
 // stream ended drains too: whichever of fail and send came last, the
-// side that followed it empties the queue.
-func (st *sessStream) deliver(b *wire.Buf) {
+// side that followed it empties the queue. It returns what it released.
+func (st *sessStream) deliver(b *wire.Buf) (frames, bytes int) {
 	select {
 	case st.frames <- b:
 		select {
 		case <-st.done:
-			st.drain()
+			return st.drain()
 		default:
+			return 0, 0
 		}
 	case <-st.done:
+		n := b.Len()
 		b.Release()
+		return 1, n
 	}
 }
 
-// drain releases whatever is queued, without blocking.
-func (st *sessStream) drain() {
+// drain releases whatever is queued, without blocking, and returns how
+// much that was.
+func (st *sessStream) drain() (frames, bytes int) {
 	for {
 		select {
 		case b, ok := <-st.frames:
 			if !ok {
-				return
+				return frames, bytes
 			}
+			frames++
+			bytes += b.Len()
 			b.Release()
 		default:
-			return
+			return frames, bytes
 		}
 	}
+}
+
+// tailSlots is how many ended generations a session keeps a surplus
+// count open for: as many as a fetch call runs chunk streams on it, so
+// a generation's tail frames have about one chunk's download to arrive
+// before it is taken not to have had any.
+const tailSlots = fetchFileStreams
+
+// tail is one ended generation's surplus count.
+type tail struct {
+	fileID uint64
+	frames int
+	mute   bool // see sessStream.mute; the peer's STOP may still come
+	open   bool // false: the slot has not been used yet
 }
 
 // PeerSession is one authenticated, multiplexed connection to a storage
@@ -109,6 +136,15 @@ type PeerSession struct {
 	mu      sync.Mutex
 	streams map[uint64]*sessStream
 	dead    error // conn-level failure, set before closed is closed
+
+	// tails is a ring of the generations whose streams ended most
+	// recently, each with the surplus frames seen for it since.
+	tails    [tailSlots]tail
+	tailNext int
+
+	surplus       atomic.Uint64 // bytes; read by the session set
+	surplusFrames *metrics.Counter
+	surplusBytes  *metrics.Counter
 
 	closed    chan struct{} // demux loop exited
 	closeOnce sync.Once
@@ -144,6 +180,7 @@ func (c *Client) NewPeerSession(ctx context.Context, addr string) (*PeerSession,
 		streams:     make(map[uint64]*sessStream),
 		closed:      make(chan struct{}),
 	}
+	s.surplusFrames, s.surplusBytes = c.m.surplusFor(addr)
 	go s.demux()
 	return s, nil
 }
@@ -180,17 +217,59 @@ func (s *PeerSession) register(st *sessStream) error {
 }
 
 // unregister removes st if it is still the registered stream for its
-// file-id, then drains and releases any frames the demux loop had
-// already queued; one that slips in behind the drain is deliver's to
-// release.
+// file-id, opens the generation's surplus count — closing the oldest
+// one, with its verdict if it has not had one — then drains and
+// releases any frames the demux loop had already queued; one that slips
+// in behind the drain is deliver's to release.
 func (s *PeerSession) unregister(st *sessStream) {
 	s.mu.Lock()
 	if s.streams[st.fileID] == st {
 		delete(s.streams, st.fileID)
 	}
+	oldest := s.tails[s.tailNext]
+	s.tails[s.tailNext] = tail{fileID: st.fileID, mute: st.mute, open: true}
+	s.tailNext = (s.tailNext + 1) % tailSlots
 	s.mu.Unlock()
+	if oldest.open && !oldest.mute && oldest.frames < surplusEvidence {
+		s.c.health.surplusVerdict(s.addr, false)
+	}
 	st.fail(ErrSessionClosed) // no-op if already terminal; stops deliveries
-	st.drain()
+	frames, bytes := st.drain()
+	s.noteSurplus(st.fileID, frames, bytes)
+}
+
+// noteSurplus accounts DATA frames of fileID that arrived for nothing:
+// its stream had ended. The frame that brings the generation's count to
+// surplusEvidence is its verdict.
+func (s *PeerSession) noteSurplus(fileID uint64, frames, bytes int) {
+	if frames == 0 {
+		return
+	}
+	s.surplus.Add(uint64(bytes))
+	s.surplusFrames.Add(uint64(frames))
+	s.surplusBytes.Add(uint64(bytes))
+	outran := false
+	s.mu.Lock()
+	if t := s.tailLocked(fileID); t != nil {
+		outran = t.frames < surplusEvidence && t.frames+frames >= surplusEvidence
+		t.frames += frames
+	}
+	s.mu.Unlock()
+	if outran {
+		s.c.health.surplusVerdict(s.addr, true)
+	}
+}
+
+// tailLocked returns the open surplus count for fileID, if the session
+// still keeps one. Newest first: a generation asked for twice (the
+// ladder's second round) counts toward the stream that ended last.
+func (s *PeerSession) tailLocked(fileID uint64) *tail {
+	for i := 1; i <= tailSlots; i++ {
+		if t := &s.tails[(s.tailNext-i+tailSlots)%tailSlots]; t.open && t.fileID == fileID {
+			return t
+		}
+	}
+	return nil
 }
 
 // lookup returns the stream registered for fileID, if any.
@@ -254,10 +333,12 @@ func (s *PeerSession) demux() {
 			st := s.lookup(fileID)
 			if st == nil {
 				// Stream stopped or never existed: tail frames in flight.
+				s.noteSurplus(fileID, 1, b.Len())
 				b.Release()
 				continue
 			}
-			st.deliver(b)
+			frames, bytes := st.deliver(b)
+			s.noteSurplus(fileID, frames, bytes)
 		case wire.TypeStop:
 			var stop wire.Stop
 			uerr := stop.Unmarshal(b.Bytes())
@@ -269,6 +350,11 @@ func (s *PeerSession) demux() {
 			s.mu.Lock()
 			st := s.streams[stop.FileID]
 			delete(s.streams, stop.FileID)
+			if st != nil {
+				st.mute = true
+			} else if t := s.tailLocked(stop.FileID); t != nil {
+				t.mute = true // it had sent everything before our STOP landed
+			}
 			s.mu.Unlock()
 			if st != nil {
 				close(st.frames) // peer exhausted: orderly end-of-stream
@@ -341,9 +427,14 @@ func (s *PeerSession) Fetch(ctx context.Context, fileID uint64, sink rlnc.ByteSi
 }
 
 // StreamRequest names one muxed stream's inputs beyond the defaults:
-// the generation to fetch and the wire priority propagated with it.
+// the generation to fetch, how much of it, and the wire priority
+// propagated with the request.
 type StreamRequest struct {
 	FileID uint64
+
+	// Limit is how many messages the peer is asked for before it ends
+	// the stream itself; zero asks for all it holds.
+	Limit uint32
 
 	// Priority is carried in the GET_MUX frame; higher values win
 	// admission ties at an overloaded peer. Zero is normal.
@@ -357,6 +448,7 @@ func (s *PeerSession) FetchStream(ctx context.Context, req StreamRequest, sink r
 	fileID := req.FileID
 	st := &sessStream{
 		fileID: fileID,
+		mute:   req.Limit > 0,
 		frames: make(chan *wire.Buf, sessStreamBuffer),
 		done:   make(chan struct{}),
 	}
@@ -364,7 +456,7 @@ func (s *PeerSession) FetchStream(ctx context.Context, req StreamRequest, sink r
 		return err
 	}
 	defer s.unregister(st)
-	get := wire.Get{FileID: fileID, DeadlineMillis: deadlineMillis(ctx), Priority: req.Priority}
+	get := wire.Get{FileID: fileID, Limit: req.Limit, DeadlineMillis: deadlineMillis(ctx), Priority: req.Priority}
 	if err := s.cw.writeFrame(wire.TypeGetMux, get.Marshal()); err != nil {
 		// The connection is gone even if the demux loop has not read
 		// its way to the failure yet: fail the session now, so callers

@@ -22,10 +22,8 @@ import (
 func pipeSession(t *testing.T) (*PeerSession, net.Conn) {
 	t.Helper()
 	cli, srv := net.Pipe()
-	c := &Client{opt: Options{}.withDefaults()}
-	c.health = newHealthRegistry(&c.m, c.opt)
 	s := &PeerSession{
-		c:           c,
+		c:           bareClient(),
 		addr:        "pipe",
 		conn:        cli,
 		fingerprint: "pipe-peer",
@@ -39,6 +37,14 @@ func pipeSession(t *testing.T) (*PeerSession, net.Conn) {
 		s.Close()
 	})
 	return s, srv
+}
+
+// bareClient is a client with no identity: enough for a session built
+// by hand, whose surplus verdicts need a health registry to land in.
+func bareClient() *Client {
+	c := &Client{opt: Options{}.withDefaults()}
+	c.health = newHealthRegistry(&c.m, c.opt)
+	return c
 }
 
 func writeStreamError(t *testing.T, w net.Conn, fileID uint64, code uint16) {
@@ -162,7 +168,7 @@ func TestSessionBusyFailsOnlyItsStream(t *testing.T) {
 func TestDeliverAfterDrainReleasesFrame(t *testing.T) {
 	const iterations = 2000
 	pool := wire.NewPool()
-	s := &PeerSession{streams: make(map[uint64]*sessStream)}
+	s := &PeerSession{c: bareClient(), streams: make(map[uint64]*sessStream)}
 	newStream := func() *sessStream {
 		st := &sessStream{fileID: 7, frames: make(chan *wire.Buf, sessStreamBuffer), done: make(chan struct{})}
 		if err := s.register(st); err != nil {

@@ -33,6 +33,8 @@ type peerLink struct {
 	ready chan struct{} // closed when the in-flight connect resolves
 	fails int           // consecutive failed dials and lost sessions
 	down  error         // set once fails exceeds PeerRetries
+
+	surplus uint64 // surplus bytes of the sessions retired so far
 }
 
 // sessionSet holds the links of one fetch call. open and close are the
@@ -70,8 +72,10 @@ func (set *sessionSet) open(addrs []string) []*peerLink {
 }
 
 // close cancels in-flight dials and closes every session; the caller's
-// streams have all returned. No goroutine of the set outlives it.
-func (set *sessionSet) close() {
+// streams have all returned. No goroutine of the set outlives it. It
+// returns the surplus the call's sessions read: bytes of DATA frames
+// that arrived after their generation's stream had ended.
+func (set *sessionSet) close() (surplusBytes uint64) {
 	set.cancel()
 	for _, l := range set.links {
 		for {
@@ -81,12 +85,15 @@ func (set *sessionSet) close() {
 			if ready == nil {
 				if sess != nil {
 					sess.Close()
+					surplusBytes += sess.surplus.Load()
 				}
+				surplusBytes += l.surplus // no connect in flight: settled
 				break
 			}
 			<-ready
 		}
 	}
+	return surplusBytes
 }
 
 // connect dials until a session is up or the retry budget is spent,
@@ -182,6 +189,9 @@ func (l *peerLink) lost(sess *PeerSession, err error) bool {
 	l.mu.Unlock()
 	if first {
 		sess.Close()
+		l.mu.Lock()
+		l.surplus += sess.surplus.Load()
+		l.mu.Unlock()
 		l.c.observe(l.addr, err)
 		l.failed(err)
 	}

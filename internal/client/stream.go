@@ -83,7 +83,7 @@ func (c *Client) StreamFile(ctx context.Context, addrs []string, m *chunk.Manife
 	}
 	go func() {
 		defer close(s.results)
-		c.fetchManifest(streamCtx, m, secret,
+		surplus := c.fetchManifest(streamCtx, m, secret,
 			func(context.Context, int) ([]string, error) { return addrs, nil }, prefetch+1, nil,
 			func(i int, data []byte, stats FetchStats, err error) {
 				select {
@@ -91,6 +91,9 @@ func (c *Client) StreamFile(ctx context.Context, addrs []string, m *chunk.Manife
 				case <-streamCtx.Done():
 				}
 			})
+		s.mu.Lock()
+		s.stats.SurplusBytes = surplus // before results closes: an EOF reader sees it
+		s.mu.Unlock()
 	}()
 	return s, nil
 }

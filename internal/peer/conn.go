@@ -258,19 +258,14 @@ func (cs *connState) handleGet(payload []byte, mux bool) bool {
 		wire.SendError(cs.conn, wire.CodeBadRequest, "malformed get")
 		return true
 	}
-	s, err := cs.n.startStream(cs, get, mux)
-	if err != nil {
+	if err := cs.n.startStream(cs, get, mux); err != nil {
 		var remote *wire.RemoteError
 		if !errors.As(err, &remote) {
 			cs.n.log.Debug("get failed", "client", cs.client, "err", err)
 		}
 		// The refusal frame has been sent; the connection stays open for
 		// further requests in both modes.
-		return false
 	}
-	cs.mu.Lock()
-	cs.active[get.FileID] = s
-	cs.mu.Unlock()
 	return false
 }
 
@@ -375,17 +370,33 @@ func (n *Node) handleAudit(cw *connWriter, client fairshare.ID, payload []byte) 
 	return cw.writeFrame(wire.TypeAuditResponse, resp.Marshal())
 }
 
-// startStream begins serving a GET request on its own goroutine.
-func (n *Node) startStream(cs *connState, get wire.Get, mux bool) (*stream, error) {
+// startStream begins serving a GET request on its own goroutine. The
+// stream is in cs.active from before that goroutine starts until just
+// before the requester is told it is over, so STOP always finds the
+// stream it names and a finished stream leaves nothing behind. Only the
+// connection's read loop adds entries, which is why the duplicate check
+// and the insert need not share one critical section.
+func (n *Node) startStream(cs *connState, get wire.Get, mux bool) error {
+	refuse := func(code uint16, reason string) error {
+		if mux {
+			_ = cs.cw.writeStreamError(get.FileID, code, reason)
+		} else {
+			_ = cs.cw.writeErrorFrame(code, reason)
+		}
+		return &wire.RemoteError{Code: code}
+	}
+	cs.mu.Lock()
+	_, dup := cs.active[get.FileID]
+	cs.mu.Unlock()
+	if dup {
+		// One stream per generation per connection: DATA frames carry
+		// only the file-id, so a second could not be told from the
+		// first, and would take over the entry STOP looks up.
+		return refuse(wire.CodeBadRequest, fmt.Sprintf("file %d is already streaming", get.FileID))
+	}
 	msgs, err := n.cfg.Store.Messages(get.FileID)
 	if err != nil {
-		reason := fmt.Sprintf("file %d", get.FileID)
-		if mux {
-			_ = cs.cw.writeStreamError(get.FileID, wire.CodeUnknownFile, reason)
-		} else {
-			_ = cs.cw.writeErrorFrame(wire.CodeUnknownFile, reason)
-		}
-		return nil, &wire.RemoteError{Code: wire.CodeUnknownFile}
+		return refuse(wire.CodeUnknownFile, fmt.Sprintf("file %d", get.FileID))
 	}
 	if get.Limit > 0 && int(get.Limit) < len(msgs) {
 		msgs = msgs[:get.Limit]
@@ -428,23 +439,32 @@ func (n *Node) startStream(cs *connState, get wire.Get, mux bool) (*stream, erro
 		cancel()
 		n.recordShed(cs.client, false)
 		_ = cw.writeBusy(get.FileID, wire.CodeBusy, verdict.retryAfterMillis, "at stream capacity")
-		return nil, &wire.RemoteError{Code: wire.CodeBusy}
+		return &wire.RemoteError{Code: wire.CodeBusy}
 	}
+	cs.mu.Lock()
+	cs.active[get.FileID] = s
+	cs.mu.Unlock()
 	cs.wg.Add(1)
 	go func() {
 		defer cs.wg.Done()
-		defer n.unregisterStream(s)
 		defer cancel()
-		defer func() {
-			cs.mu.Lock()
-			if cs.active[s.fileID] == s {
-				delete(cs.active, s.fileID)
-			}
-			cs.mu.Unlock()
-		}()
-		n.serveStream(streamCtx, cs.cw, s, msgs)
+		exhausted := n.serveStream(streamCtx, cw, s, msgs)
+		// Off both books before the end-of-stream goes out: a requester
+		// that answers it with another GET for this generation (the
+		// rest, after a share) must find neither the entry nor the
+		// admission slot still held.
+		cs.mu.Lock()
+		if cs.active[s.fileID] == s { // STOP may have removed it already
+			delete(cs.active, s.fileID)
+		}
+		cs.mu.Unlock()
+		n.unregisterStream(s)
+		if exhausted {
+			eos := wire.Stop{FileID: s.fileID}
+			_ = cw.writeFrame(wire.TypeStop, eos.Marshal())
+		}
 	}()
-	return s, nil
+	return nil
 }
 
 // serveStream writes DATA frames at the allocator-assigned rate until
@@ -456,8 +476,10 @@ func (n *Node) startStream(cs *connState, get wire.Get, mux bool) (*stream, erro
 // same flush (Available is checked before WaitN, so the limiter can
 // never block while the connection write lock is held). An unlimited
 // peer skips the bucket entirely — no token math, no timer sleeps —
-// and batches straight up to the flush watermark.
-func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs []*rlnc.Message) {
+// and batches straight up to the flush watermark. It reports whether
+// every message went out with the stream still wanted — the caller then
+// owes the requester a STOP frame, so it knows this peer is exhausted.
+func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs []*rlnc.Message) bool {
 	var hdr [rlnc.MessageHeaderBytes]byte
 	for i := 0; i < len(msgs); {
 		// Dead work is dropped, not served: once the requester's
@@ -466,7 +488,7 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 			n.recordExpired()
 			_ = cw.writeBusy(s.fileID, wire.CodeExpired, 0, "deadline passed")
-			return
+			return false
 		}
 		// Brownout halves the batch budget per flush, re-read each
 		// round so the degradation tracks admission load live.
@@ -475,17 +497,17 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		need := rlnc.MessageHeaderBytes + len(msg.Payload)
 		if s.limited {
 			if err := s.bucket.WaitN(ctx, need); err != nil {
-				return // cancelled or burst misconfiguration
+				return false // cancelled or burst misconfiguration
 			}
 		} else if ctx.Err() != nil {
-			return
+			return false
 		}
 		cw.mu.Lock()
 		flushStart := time.Now()
 		msg.PutHeader(hdr[:])
 		if err := cw.fw.QueueSpan(wire.TypeData, hdr[:], msg.Payload); err != nil {
 			cw.mu.Unlock()
-			return
+			return false
 		}
 		sent := need
 		i++
@@ -498,13 +520,13 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 				}
 				if err := s.bucket.WaitN(ctx, nn); err != nil {
 					cw.mu.Unlock()
-					return
+					return false
 				}
 			}
 			next.PutHeader(hdr[:])
 			if err := cw.fw.QueueSpan(wire.TypeData, hdr[:], next.Payload); err != nil {
 				cw.mu.Unlock()
-				return
+				return false
 			}
 			sent += nn
 			i++
@@ -520,17 +542,10 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		flushDur := time.Since(flushStart)
 		cw.mu.Unlock()
 		if err != nil {
-			return
+			return false
 		}
 		n.recordFlush(sent, flushDur)
 		n.recordServed(s.client, sent)
 	}
-	// All stored messages sent: signal end-of-stream with a STOP frame
-	// so the downloader knows this peer is exhausted.
-	select {
-	case <-ctx.Done():
-	default:
-		eos := wire.Stop{FileID: s.fileID}
-		_ = cw.writeFrame(wire.TypeStop, eos.Marshal())
-	}
+	return ctx.Err() == nil
 }

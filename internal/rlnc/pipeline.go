@@ -470,9 +470,10 @@ func (p *Pipeline) commit(msg *Message, sum Digest) (bool, error) {
 }
 
 // Settle verifies and commits whatever is parked, however few: for a
-// caller whose producers have all returned with the generation
-// incomplete — a peer ran out of messages, a forged one left a gap —
-// and who wants Rank and Stats to say how far it really got.
+// caller whose producers have returned with the generation incomplete
+// — a peer ran out of messages, a forged one left a gap — and who wants
+// Rank and Stats to say how far it really got. It is the step any Add
+// may run, forced early, so producers still adding are safe beside it.
 // DecodeInto does this itself.
 func (p *Pipeline) Settle() {
 	p.mu.Lock()
