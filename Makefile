@@ -50,13 +50,14 @@ race-metrics: vet
 # of 2 to 7 included — the pipeline's staged verify (a forgery in every
 # lane position, four producers through decoded, short, retargeted and
 # closed-under-their-feet generations with every arena slot accounted
-# for, the same suite again on the scalar arm), chunk's
-# in-place assembler (every chunk Done from its own goroutine while
-# another hashes), and core's streaming write path (encode workers,
-# per-peer senders, the file hasher beside them, one-of-four-peers-fails
-# and stalled-peer cancellation). The client's read path, which shares one
-# pipeline across per-peer stream goroutines and then hands it to the
-# next chunk, runs under the detector in race-overload.
+# for, the same suite again on the scalar arm, and a manifest's per-chunk
+# sums written on the lanes verified on the scalar arm), chunk's
+# in-place assembler (every chunk filled and Done from its own
+# goroutine), and core's streaming write path (encode workers, per-peer
+# senders, one-of-four-peers-fails and stalled-peer cancellation). The
+# client's read path, which shares one pipeline across per-peer stream
+# goroutines and then hands it to the next chunk, runs under the
+# detector in race-overload.
 race-codec: vet
 	$(GO) test -race ./internal/rlnc/... ./internal/gf/... ./internal/chunk/... ./internal/core/...
 
@@ -69,14 +70,15 @@ race-codec: vet
 # per-stream consumers — is race-overload's.)
 # The alloc gates themselves (`TestFrame*SteadyStateAllocs`,
 # `TestMuxedDataPathSteadyStateAllocs`, `TestAddBytesSteadyStateAllocs`
-# — across a Retarget — and `TestOneShotP8SteadyStateAllocs`) only count
+# — across a Retarget — `TestOneShotP8SteadyStateAllocs`, and the read
+# path's per-chunk `TestCheckSumSteadyStateAllocs`) only count
 # allocations without -race, and the frame pool's steady-state miss
 # rate under a real FetchFile (`TestFetchFileSteadyStatePoolMisses`) is
 # a timing the detector distorts, so those run plain too.
 race-wire: vet
 	$(GO) test -race ./internal/wire/... ./internal/rlnc/... ./internal/peer/...
 	$(GO) test -race -run 'TestDeliverAfterDrainReleasesFrame' -count=1 ./internal/client/
-	$(GO) test -run 'SteadyStateAllocs|SteadyStatePoolMisses' -count=1 ./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/client/
+	$(GO) test -run 'SteadyStateAllocs|SteadyStatePoolMisses' -count=1 ./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/chunk/ ./internal/client/
 
 # race-store exercises the durability layer under the race detector,
 # twice: the fsx filesystem seam and fault injector, the journaled
@@ -147,19 +149,20 @@ overload-smoke:
 # chunk ladder (per-rung progress counters vs the demux goroutine, one
 # pipeline shared by every rung — and, outliving the chunk, retargeted
 # by whichever chunk takes it from the fetch's free list next, while
-# finished slots of the output file are hashed in order behind the
-# chunks still decoding; a rung's second stream after its share, the
-# demux loop's surplus counts and verdicts against the registry the
-# ladder reads its split from), the breaker state machine, and the
+# each decoded chunk is checked against its sum in its slot of the
+# output file, beside the chunks still decoding; a rung's second stream
+# after its share, the demux loop's surplus counts and verdicts against
+# the registry the ladder reads its split from), the breaker state machine, and the
 # peer's admission bookkeeping and per-connection stream table (1 000
 # instant streams, a duplicate GET_MUX) are all cross-goroutine by
-# construction; the split's second-round scenarios run here too.
+# construction; the split's second-round scenarios run here too, and
+# chunk's assembler and sum tests, the other half of the read path.
 # The admission alloc gates (TestAdmission*Allocs) only count without
 # -race, so the peer package runs those plain too.
 race-overload: vet
 	$(GO) test -race -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer|TestPaperRates|TestSplitSecondRound' \
 		./internal/netsim/harness/
-	$(GO) test -race ./internal/peer/ ./internal/client/
+	$(GO) test -race ./internal/peer/ ./internal/client/ ./internal/chunk/
 	$(GO) test -run 'TestAdmissionSteadyStateAllocs|TestAdmissionRefusalScanAllocs' -count=1 ./internal/peer/
 
 # crash-smoke is the crash-recovery acceptance slice on its own: every

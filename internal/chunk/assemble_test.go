@@ -7,11 +7,15 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"asymshare/internal/rlnc"
 )
 
-// assembleReference is Assemble as it was before the Assembler: append
-// every chunk into a fresh buffer, then hash the whole file. The
-// differential baseline.
+// assembleReference is Assemble written the long way round: append
+// every chunk into a fresh buffer, checking each against its sum as
+// refSum (sum_test.go, crypto/md5 alone) computes it, then the legacy
+// whole-file digest where the manifest has one. The differential
+// baseline.
 func assembleReference(m *Manifest, chunks [][]byte) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -26,6 +30,9 @@ func assembleReference(m *Manifest, chunks [][]byte) ([]byte, error) {
 		}
 		if len(c) != m.Chunks[i].DataLen {
 			return nil, fmt.Errorf("%w: chunk %d is %d bytes", ErrBadManifest, i, len(c))
+		}
+		if info := m.Chunks[i]; info.HasSum() && refSum(m.Plan, info, c) != info.Sum {
+			return nil, fmt.Errorf("%w: chunk %d sum mismatch", ErrBadManifest, i)
 		}
 		out = append(out, c...)
 	}
@@ -46,6 +53,18 @@ func testManifest(t testing.TB, size int, seed int64) (*Manifest, []byte) {
 		t.Fatal(err)
 	}
 	return &share.Manifest, data
+}
+
+// preSums returns m as a share written before chunks carried sums
+// published it: no Sum anywhere, the whole file's MD5 in ContentMD5.
+func preSums(m *Manifest, data []byte) *Manifest {
+	old := *m
+	old.Chunks = append([]ChunkInfo(nil), m.Chunks...)
+	for i := range old.Chunks {
+		old.Chunks[i].Sum = rlnc.Digest{}
+	}
+	old.ContentMD5 = ContentDigest(data)
+	return &old
 }
 
 // fill decodes chunk i "in place": copies its bytes of data into the
@@ -76,15 +95,15 @@ func TestAssemblerOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) || !bytes.Equal(got, data) || ContentDigest(got) != m.ContentMD5 {
+	if !bytes.Equal(got, want) || !bytes.Equal(got, data) {
 		t.Fatal("out-of-order assembly differs from Assemble")
 	}
 }
 
 // TestAssemblerConcurrentDone has every chunk completed by its own
-// goroutine, as the read path does: the digest must come out right
-// whichever of them ends up advancing the frontier. Run under -race it
-// is also the proof of the Done → hasher happens-before.
+// goroutine, as the read path does, and Finish called once they have
+// all returned. Run under -race it is the proof that slots and done
+// flags of distinct chunks share nothing.
 func TestAssemblerConcurrentDone(t *testing.T) {
 	m, data := testManifest(t, 33*512-7, 2)
 	for round := 0; round < 20; round++ {
@@ -129,8 +148,14 @@ func TestAssemblerShortLastChunk(t *testing.T) {
 	}
 }
 
+// TestAssemblerWrongDigestReturnsNoData: the one check the assembler
+// still makes itself, a pre-sums manifest's ContentMD5.
 func TestAssemblerWrongDigestReturnsNoData(t *testing.T) {
 	m, data := testManifest(t, 4*512, 4)
+	m = preSums(m, data)
+	if got, err := Assemble(m, Split(data, 512)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("pre-sums manifest: err %v, identical %v", err, bytes.Equal(got, data))
+	}
 	m.ContentMD5 = ContentDigest([]byte("some other file"))
 	a, err := NewAssembler(m)
 	if err != nil {
@@ -160,15 +185,16 @@ func TestAssemblerMissingSlot(t *testing.T) {
 	}
 }
 
+// TestAssemblerEmptyDigestSkipsHashing: the assembler checks no
+// content of its own accord — sums are its callers' to check before
+// Done — and a pre-sums manifest without a ContentMD5 has no check.
 func TestAssemblerEmptyDigestSkipsHashing(t *testing.T) {
 	m, data := testManifest(t, 4*512, 6)
+	m = preSums(m, data)
 	m.ContentMD5 = ""
 	a, err := NewAssembler(m)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a.h != nil {
-		t.Fatal("assembler built a hash for a manifest without ContentMD5")
 	}
 	for i := range m.Chunks {
 		fill(a, m, data, i)
@@ -187,22 +213,31 @@ func TestAssemblerRejectsInvalidManifest(t *testing.T) {
 	}
 }
 
-// TestAssembleMatchesReference runs Assemble and its pre-Assembler
-// implementation over the table the package's Assemble tests use —
-// round trip, short, nil and wrong-size chunks, corrupted content with
-// and without a digest, the empty file — and requires the same bytes
-// and the same error class from both.
+// TestAssembleMatchesReference runs Assemble and assembleReference over
+// the table the package's Assemble tests use — round trip, short, nil
+// and wrong-size chunks, corrupted content under sums, under a pre-sums
+// content digest and under neither, a tampered sum, mixed sums, the
+// empty file — and requires the same bytes and the same error class
+// from both.
 func TestAssembleMatchesReference(t *testing.T) {
 	m, data := testManifest(t, 700, 8)
 	pieces := Split(data, 512)
 	corrupt := [][]byte{bytes.Clone(pieces[0]), pieces[1]}
 	corrupt[0][3] ^= 1
-	noDigest := *m
+	old := preSums(m, data)
+	noDigest := *old
 	noDigest.ContentMD5 = ""
+	badSum := *m
+	badSum.Chunks = append([]ChunkInfo(nil), m.Chunks...)
+	badSum.Chunks[1].Sum[15] ^= 0x80
+	mixed := *m
+	mixed.Chunks = []ChunkInfo{m.Chunks[0], old.Chunks[1]}
 	badTotal := *m
 	badTotal.TotalSize++
 	// BuildShare refuses empty data; a hand-written manifest need not.
-	empty := &Manifest{Plan: testPlan(), Chunks: []ChunkInfo{{FileID: 1, K: 1}}, ContentMD5: ContentDigest(nil)}
+	empty := &Manifest{Plan: testPlan(), Chunks: []ChunkInfo{{FileID: 1, K: 1}}}
+	empty.Chunks[0].Sum = empty.Chunks[0].SumOf(empty.Plan, nil)
+	emptyOld := &Manifest{Plan: testPlan(), Chunks: []ChunkInfo{{FileID: 1, K: 1}}, ContentMD5: ContentDigest(nil)}
 
 	cases := []struct {
 		name   string
@@ -215,14 +250,28 @@ func TestAssembleMatchesReference(t *testing.T) {
 		{"nil chunk", m, [][]byte{pieces[0], nil}},
 		{"wrong-size chunk", m, [][]byte{pieces[0], make([]byte, 10)}},
 		{"corrupted content", m, corrupt},
+		{"pre-sums round trip", old, pieces},
+		{"corrupted content, pre-sums digest", old, corrupt},
 		{"corrupted content, no digest", &noDigest, corrupt},
+		{"tampered sum", &badSum, pieces},
+		{"sums on some chunks only", &mixed, pieces},
 		{"invalid manifest", &badTotal, pieces},
 		{"empty file", empty, [][]byte{{}}},
 		{"empty file, nil chunk", empty, [][]byte{nil}},
+		{"empty file, pre-sums", emptyOld, [][]byte{{}}},
+	}
+	wantClass := map[string]error{
+		"corrupted content":                  ErrBadManifest,
+		"corrupted content, pre-sums digest": ErrBadManifest,
+		"tampered sum":                       ErrBadManifest,
+		"sums on some chunks only":           ErrBadManifest,
 	}
 	for _, tc := range cases {
 		want, wantErr := assembleReference(tc.m, tc.chunks)
 		got, err := Assemble(tc.m, tc.chunks)
+		if class, ok := wantClass[tc.name]; ok && (!errors.Is(err, class) || got != nil) {
+			t.Errorf("%s: Assemble = (%d bytes, %v), want (nil, %v)", tc.name, len(got), err, class)
+		}
 		if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 			t.Errorf("%s: bytes differ from the reference (%d vs %d bytes)", tc.name, len(got), len(want))
 		}

@@ -96,10 +96,80 @@ func NewSecret() ([]byte, error) {
 // ChunkInfo records the coding geometry and authentication digests of
 // one generation.
 type ChunkInfo struct {
-	FileID  uint64                 `json:"fileId"`
-	DataLen int                    `json:"dataLen"`
-	K       int                    `json:"k"`
+	FileID  uint64 `json:"fileId"`
+	DataLen int    `json:"dataLen"`
+	K       int    `json:"k"`
+
+	// Sum is the end-to-end digest of the chunk's plaintext (SumOf);
+	// all zero in a manifest written before chunks carried one.
+	Sum rlnc.Digest `json:"sum"`
+
 	Digests map[uint64]rlnc.Digest `json:"digests,omitempty"`
+}
+
+// sumGroup is how many source vectors SumOf digests per DigestBatch
+// call: one full pass of the digest lanes.
+const sumGroup = 8
+
+// SumOf computes the chunk's end-to-end digest over data, its
+// plaintext, taken as the coding takes it — K source vectors of the
+// plan's vector length, the last one as short as the data leaves it
+// (never padded, empty past the data's end):
+//
+//	d_j = rlnc.Message{FileID: c.FileID, MessageID: j, Payload: X_j}.Digest()
+//	Sum = MD5(d_0 ‖ … ‖ d_{K−1})
+//
+// so the vectors of a chunk are hashed side by side in the digest lanes
+// (rlnc.DigestBatch; at the shipped plan a chunk is exactly one group
+// of eight) and no chunk's check waits for another's. This is a file
+// format: DESIGN.md §5 states it, TestSumMatchesDefinition pins it
+// against crypto/md5 alone. It allocates nothing.
+func (c *ChunkInfo) SumOf(plan Plan, data []byte) rlnc.Digest {
+	vecBytes := gf.VecBytes(plan.FieldBits, plan.M)
+	var (
+		store   [sumGroup]rlnc.Message
+		msgs    [sumGroup]*rlnc.Message
+		digests [sumGroup]rlnc.Digest
+	)
+	h := md5.New()
+	for j := 0; j < c.K; j += sumGroup {
+		g := min(sumGroup, c.K-j)
+		for l := 0; l < g; l++ {
+			lo := min((j+l)*vecBytes, len(data))
+			hi := min(lo+vecBytes, len(data))
+			store[l] = rlnc.Message{FileID: c.FileID, MessageID: uint64(j + l), Payload: data[lo:hi]}
+			msgs[l] = &store[l]
+		}
+		rlnc.DigestBatch(digests[:g], msgs[:g])
+		for l := 0; l < g; l++ {
+			h.Write(digests[l][:])
+		}
+	}
+	var sum rlnc.Digest
+	h.Sum(sum[:0])
+	return sum
+}
+
+// HasSum reports whether the manifest recorded a Sum for this chunk.
+func (c *ChunkInfo) HasSum() bool { return c.Sum != rlnc.Digest{} }
+
+// CheckSum verifies data, the chunk as decoded, against the recorded
+// Sum: ErrBadManifest when it is not the chunk's DataLen bytes, would
+// not fit its K vectors (bytes past them would go unhashed), or hashes
+// to another sum. A chunk without a Sum passes — a manifest of that
+// format is checked whole, by Assembler.Finish.
+func (c *ChunkInfo) CheckSum(plan Plan, data []byte) error {
+	if !c.HasSum() {
+		return nil
+	}
+	if len(data) != c.DataLen || len(data) > c.K*gf.VecBytes(plan.FieldBits, plan.M) {
+		return fmt.Errorf("%w: chunk %#x is %d bytes, manifest says %d in %d vectors",
+			ErrBadManifest, c.FileID, len(data), c.DataLen, c.K)
+	}
+	if c.SumOf(plan, data) != c.Sum {
+		return fmt.Errorf("%w: chunk %#x content sum mismatch", ErrBadManifest, c.FileID)
+	}
+	return nil
 }
 
 // Params returns the rlnc parameters for this chunk under the plan.
@@ -121,13 +191,15 @@ type Manifest struct {
 	Plan      Plan        `json:"plan"`
 	Chunks    []ChunkInfo `json:"chunks"`
 
-	// ContentMD5 is the hex MD5 of the whole file, giving the user an
-	// end-to-end integrity check on the assembled result (in addition
-	// to the per-message digests). Empty disables the check.
+	// ContentMD5 is read-only legacy: the hex MD5 of the whole file, the
+	// end-to-end check of manifests written before every chunk carried
+	// a Sum. Nothing writes it; where one is present a whole-file fetch
+	// still verifies it (Assembler.Finish).
 	ContentMD5 string `json:"contentMd5,omitempty"`
 }
 
-// ContentDigest returns the hex MD5 of a file body.
+// ContentDigest returns the hex MD5 of a file body, the form of the
+// legacy Manifest.ContentMD5.
 func ContentDigest(data []byte) string {
 	sum := md5.Sum(data)
 	return hex.EncodeToString(sum[:])
@@ -149,6 +221,9 @@ func (m *Manifest) Validate() error {
 		if i < len(m.Chunks)-1 && c.DataLen != m.Plan.ChunkSize {
 			return fmt.Errorf("%w: interior chunk %d is %d bytes, want %d",
 				ErrBadManifest, i, c.DataLen, m.Plan.ChunkSize)
+		}
+		if c.HasSum() != m.Chunks[0].HasSum() {
+			return fmt.Errorf("%w: chunk %d has a sum and chunk 0 none, or the reverse", ErrBadManifest, i)
 		}
 		total += int64(c.DataLen)
 	}

@@ -174,6 +174,16 @@ func TestManifestValidateErrors(t *testing.T) {
 	if err := m.Validate(); !errors.Is(err, ErrBadManifest) {
 		t.Errorf("total mismatch error = %v", err)
 	}
+	// Sums are on every chunk or on none.
+	m.TotalSize = 612
+	m.Chunks[1].Sum[0] = 1
+	if err := m.Validate(); !errors.Is(err, ErrBadManifest) {
+		t.Errorf("sum on the second chunk only: error = %v", err)
+	}
+	m.Chunks[0].Sum[0] = 1
+	if err := m.Validate(); err != nil {
+		t.Errorf("sums on both chunks rejected: %v", err)
+	}
 }
 
 func TestAssembleErrors(t *testing.T) {
@@ -219,6 +229,14 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	if got.DigestCount() != share.Manifest.DigestCount() {
 		t.Errorf("digest count %d vs %d", got.DigestCount(), share.Manifest.DigestCount())
 	}
+	for i, c := range got.Chunks {
+		if !c.HasSum() || c.Sum != share.Manifest.Chunks[i].Sum {
+			t.Errorf("chunk %d: sum %v came back as %v", i, share.Manifest.Chunks[i].Sum, c.Sum)
+		}
+	}
+	if bytes.Contains(blob, []byte("contentMd5")) {
+		t.Errorf("a new manifest still writes contentMd5: %s", blob)
+	}
 }
 
 func TestNewFileIDAndSecret(t *testing.T) {
@@ -261,8 +279,8 @@ func TestAssembleVerifiesContentDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if share.Manifest.ContentMD5 != ContentDigest(data) {
-		t.Fatal("BuildShare did not record the content digest")
+	if !share.Manifest.Chunks[0].HasSum() || share.Manifest.ContentMD5 != "" {
+		t.Fatal("BuildShare records a sum per chunk and no whole-file digest")
 	}
 	good, err := Assemble(&share.Manifest, [][]byte{data})
 	if err != nil {
@@ -271,14 +289,15 @@ func TestAssembleVerifiesContentDigest(t *testing.T) {
 	if !bytes.Equal(good, data) {
 		t.Fatal("assemble mismatch")
 	}
-	// A corrupted chunk of the right size must be caught by the digest.
+	// A corrupted chunk of the right size must be caught by its sum.
 	bad := bytes.Clone(data)
 	bad[3] ^= 1
 	if _, err := Assemble(&share.Manifest, [][]byte{bad}); !errors.Is(err, ErrBadManifest) {
 		t.Errorf("corrupted assembly error = %v", err)
 	}
-	// An empty digest disables the check (legacy manifests).
-	share.Manifest.ContentMD5 = ""
+	// A manifest from before the sums, and without the whole-file digest
+	// those carried, has no check to fail.
+	share.Manifest.Chunks[0].Sum = rlnc.Digest{}
 	if _, err := Assemble(&share.Manifest, [][]byte{bad}); err != nil {
 		t.Errorf("digest-free assembly error = %v", err)
 	}

@@ -25,22 +25,10 @@ type Share struct {
 }
 
 // BuildShare encodes data under the plan with a fresh file-id per chunk
-// derived from baseFileID (chunk i uses baseFileID + i). The secret must
-// be non-empty; use NewSecret for a random one.
+// derived from baseFileID (chunk i uses baseFileID + i) and records
+// every chunk's Sum. The secret must be non-empty; use NewSecret for a
+// random one.
 func BuildShare(name string, data []byte, plan Plan, baseFileID uint64, secret []byte) (*Share, error) {
-	share, err := NewShare(name, data, plan, baseFileID, secret)
-	if err != nil {
-		return nil, err
-	}
-	share.Manifest.ContentMD5 = ContentDigest(data)
-	return share, nil
-}
-
-// NewShare is BuildShare without the whole-file hash: Manifest.ContentMD5
-// is left empty, for a caller that computes ContentDigest(data) while the
-// encoders are already minting (core's write path) and sets it before
-// the manifest leaves its hands.
-func NewShare(name string, data []byte, plan Plan, baseFileID uint64, secret []byte) (*Share, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -73,12 +61,14 @@ func NewShare(name string, data []byte, plan Plan, baseFileID uint64, secret []b
 			return nil, fmt.Errorf("chunk %d: %w", i, err)
 		}
 		share.encoders = append(share.encoders, enc)
-		share.Manifest.Chunks = append(share.Manifest.Chunks, ChunkInfo{
+		info := ChunkInfo{
 			FileID:  fileID,
 			DataLen: len(piece),
 			K:       params.K,
 			Digests: make(map[uint64]rlnc.Digest),
-		})
+		}
+		info.Sum = info.SumOf(plan, piece)
+		share.Manifest.Chunks = append(share.Manifest.Chunks, info)
 	}
 	return share, nil
 }

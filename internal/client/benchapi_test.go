@@ -50,7 +50,6 @@ var (
 	_ func(*chunk.Manifest, [][]byte) ([]byte, error)                        = chunk.Assemble
 	_ func(string, []byte, chunk.Plan, uint64, []byte) (*chunk.Share, error) = chunk.BuildShare
 	_ func(*chunk.Share, int, int) ([][]*rlnc.Message, error)                = (*chunk.Share).BatchForPeer
-	_ func([]byte) string                                                    = chunk.ContentDigest
 	_ func(*rlnc.Message) rlnc.Digest                                        = (*rlnc.Message).Digest
 	_ func() ([]byte, error)                                                 = chunk.NewSecret
 	_ func() (uint64, error)                                                 = chunk.NewFileID

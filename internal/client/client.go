@@ -21,9 +21,10 @@
 // A whole-file fetch has no serial tail (DESIGN.md §15). The output is
 // one buffer (chunk.Assembler): chunk i's download owns its slot from
 // launch until the driver's deliver callback marks it Done, decodes
-// straight into it, and from Done on the slot is read-only — the
-// assembler's mutex orders the decoder's last write before the in-order
-// MD5 that hashes finished slots while later chunks still download.
+// straight into it, and from Done on the slot is read-only. The driver
+// checks every chunk against the Sum its manifest records as soon as it
+// is decoded, on the goroutine that decoded it: no flavour, StreamFile
+// included, hands out a byte no recorded MD5 covers.
 // The pipelines are warm: the driver keeps a free list of at most
 // window engines for exactly the life of its session set, a chunk
 // Retargets one and returns it once all its rungs have returned, and
@@ -480,11 +481,11 @@ func (c *Client) FetchFile(ctx context.Context, addrs []string, m *chunk.Manifes
 // chunks share one session.
 //
 // The file is assembled in place (chunk.Assembler): every chunk decodes
-// straight into its slot of one output buffer, and the manifest's
-// ContentMD5 is hashed in chunk order as slots complete, overlapping
-// the downloads still running, so only the last chunk or two are hashed
-// after the final decode. No byte is returned until that digest (when
-// the manifest carries one) and every per-message digest have passed.
+// straight into its slot of one output buffer and is verified there
+// against its Sum while the downloads behind it still run. No byte is
+// returned until every chunk's sum — for a manifest written before
+// chunks had one, its whole-file ContentMD5 — and every per-message
+// digest have passed.
 func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []byte,
 	peersFor func(ctx context.Context, chunk int) ([]string, error)) ([]byte, FetchStats, error) {
 	total := FetchStats{BytesFrom: make(map[string]uint64)}
@@ -524,9 +525,11 @@ func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []
 // order over one session set, keeps at most window downloads in flight
 // on at most window warm decode pipelines, and hands each result to
 // deliver — from the downloading goroutine, so a deliver that blocks
-// holds its window slot and paces the fetch. slotFor names the buffer
-// chunk i decodes into, owned by that download until deliver; nil
-// allocates one per chunk, which deliver then owns. It stops launching
+// holds its window slot and paces the fetch. A decoded chunk that fails
+// its manifest Sum is delivered as that chunk's error,
+// chunk.ErrBadManifest, without data. slotFor names the buffer chunk i
+// decodes into, owned by that download until deliver; nil allocates
+// one per chunk, which deliver then owns. It stops launching
 // when ctx ends or a chunk cannot be resolved, and returns — the
 // surplus bytes its sessions read (FetchStats.SurplusBytes) — once every
 // launched download has been delivered. m must be valid.
@@ -565,6 +568,11 @@ func (c *Client) fetchManifest(ctx context.Context, m *chunk.Manifest, secret []
 			defer wg.Done()
 			defer func() { <-slots }()
 			data, stats, err := c.fetchChunk(ctx, links, i, req, pl, out)
+			if err == nil {
+				if err = info.CheckSum(m.Plan, data); err != nil {
+					data = nil
+				}
+			}
 			deliver(i, data, stats, err)
 		}(i)
 	}

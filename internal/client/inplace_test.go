@@ -1,16 +1,17 @@
 package client_test
 
-// The read path's tail (DESIGN.md §15): chunks decode in place, the
-// file digest is hashed in order while later chunks download, and the
-// window's pipelines are reused. These tests pin what that must not
-// change — no byte is returned unverified, same error classes — and
-// what it must: O(window) pipelines per call and a frame pool that
-// parks what a read window releases.
+// The read path's tail (DESIGN.md §15): chunks decode in place, each
+// is checked against its sum as soon as it is decoded, and the window's
+// pipelines are reused. These tests pin that no flavour returns a byte
+// unverified, with the error classes callers have always got, and that
+// a call builds O(window) pipelines and parks what a read window
+// releases in the frame pool.
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -57,13 +58,28 @@ func disseminateBatch(t *testing.T, c *client.Client, share *chunk.Share, peerId
 	return node
 }
 
-// TestFetchFileNeverReturnsUnverifiedBytes drives FetchFile against a
-// forged message in the middle of the file and against tampered
-// manifest digests. Whatever catches it — the per-message digest, or
-// the content digest once the forgery has been decoded into the output
-// buffer — the caller gets the error class it got before the file was
-// assembled in place, and never a byte.
-func TestFetchFileNeverReturnsUnverifiedBytes(t *testing.T) {
+// tamperCase is one way a fetch can be handed bytes, or a manifest, that
+// are not the owner's. want nil: the fetch succeeds, byte-identical.
+type tamperCase struct {
+	name  string
+	m     *chunk.Manifest
+	peers []string
+	want  error
+}
+
+// tamperedChunk is the chunk every tamperCase goes wrong in.
+const tamperedChunk = 3
+
+// tamperCases shares an eight-chunk file onto an honest peer and a
+// dishonest one — it flips one payload byte of the first message it
+// holds for the tampered chunk — and returns the table both fetch
+// flavours are held to: a forged message with and without the
+// per-message digests that would refuse it, tampered message digests,
+// and the chunk's Sum one bit off, or covering a plaintext that differs
+// from the owner's by one byte in its first, a middle or its last
+// vector.
+func tamperCases(t *testing.T) (*client.Client, []byte, []tamperCase) {
+	t.Helper()
 	data := randomBytes(11, 8*1024)
 	c, err := client.New(identity(t, 9), nil)
 	if err != nil {
@@ -73,50 +89,58 @@ func TestFetchFileNeverReturnsUnverifiedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dishonest peer flips one payload byte of the first message it
-	// holds for chunk 3.
 	dishonest := disseminateBatch(t, c, share, 0, func(batches [][]*rlnc.Message) {
-		forged := batches[3][0].Clone()
+		forged := batches[tamperedChunk][0].Clone()
 		forged.Payload[5] ^= 0x40
-		batches[3][0] = forged
+		batches[tamperedChunk][0] = forged
 	}).Addr().String()
 	honest := disseminateBatch(t, c, share, 1, nil).Addr().String()
 
-	// edit returns a copy of the manifest with chunk 3 and the content
-	// digest open to change.
-	edit := func(change func(m *chunk.Manifest, mid *chunk.ChunkInfo)) *chunk.Manifest {
+	// edit returns a copy of the manifest with the tampered chunk's entry
+	// open to change.
+	edit := func(change func(mid *chunk.ChunkInfo)) *chunk.Manifest {
 		m := share.Manifest
 		m.Chunks = append([]chunk.ChunkInfo(nil), m.Chunks...)
-		change(&m, &m.Chunks[3])
+		change(&m.Chunks[tamperedChunk])
 		return &m
 	}
-	untouched := &share.Manifest
-	noDigests := edit(func(_ *chunk.Manifest, mid *chunk.ChunkInfo) { mid.Digests = nil })
-	badContent := edit(func(m *chunk.Manifest, _ *chunk.ChunkInfo) {
-		m.ContentMD5 = chunk.ContentDigest([]byte("another file"))
-	})
-	badMessageDigest := edit(func(_ *chunk.Manifest, mid *chunk.ChunkInfo) {
-		wrong := make(map[uint64]rlnc.Digest, len(mid.Digests))
-		for id, d := range mid.Digests {
-			d[0] ^= 1
-			wrong[id] = d
-		}
-		mid.Digests = wrong
-	})
+	cases := []tamperCase{
+		{"control", &share.Manifest, []string{honest}, nil},
+		{"forged message refused by its digest, no other source", &share.Manifest, []string{dishonest}, client.ErrIncomplete},
+		{"forged message refused by its digest, honest peer fills in", &share.Manifest, []string{dishonest, honest}, nil},
+		{"forged message decoded, caught by the content digest",
+			edit(func(mid *chunk.ChunkInfo) { mid.Digests = nil }), []string{dishonest}, chunk.ErrBadManifest},
+		{"tampered content digest",
+			edit(func(mid *chunk.ChunkInfo) { mid.Sum[9] ^= 0x08 }), []string{honest}, chunk.ErrBadManifest},
+		{"tampered message digests", edit(func(mid *chunk.ChunkInfo) {
+			wrong := make(map[uint64]rlnc.Digest, len(mid.Digests))
+			for id, d := range mid.Digests {
+				d[0] ^= 1
+				wrong[id] = d
+			}
+			mid.Digests = wrong
+		}), []string{honest}, client.ErrIncomplete},
+	}
+	// testPlan cuts a chunk into k = 8 vectors of 128 bytes.
+	for _, off := range []int{0, 127, 4*128 + 17, 7 * 128, 1023} {
+		other := bytes.Clone(data[tamperedChunk*1024:][:1024])
+		other[off] ^= 0x01
+		cases = append(cases, tamperCase{
+			fmt.Sprintf("content differs from what the sum covers at byte %d", off),
+			edit(func(mid *chunk.ChunkInfo) { mid.Sum = mid.SumOf(testPlan(), other) }),
+			[]string{honest}, chunk.ErrBadManifest,
+		})
+	}
+	return c, data, cases
+}
 
-	for _, tc := range []struct {
-		name  string
-		m     *chunk.Manifest
-		peers []string
-		want  error // nil: the fetch succeeds, byte-identical
-	}{
-		{"control", untouched, []string{honest}, nil},
-		{"forged message refused by its digest, no other source", untouched, []string{dishonest}, client.ErrIncomplete},
-		{"forged message refused by its digest, honest peer fills in", untouched, []string{dishonest, honest}, nil},
-		{"forged message decoded, caught by the content digest", noDigests, []string{dishonest}, chunk.ErrBadManifest},
-		{"tampered content digest", badContent, []string{honest}, chunk.ErrBadManifest},
-		{"tampered message digests", badMessageDigest, []string{honest}, client.ErrIncomplete},
-	} {
+// TestFetchFileNeverReturnsUnverifiedBytes drives FetchFile through
+// tamperCases. Whatever catches it — the per-message digest, or the
+// chunk's sum once the forgery has been decoded into the output buffer
+// — the caller gets the error class it always got, and never a byte.
+func TestFetchFileNeverReturnsUnverifiedBytes(t *testing.T) {
+	c, data, cases := tamperCases(t)
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			defer cancel()
@@ -129,6 +153,48 @@ func TestFetchFileNeverReturnsUnverifiedBytes(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) || got != nil {
 				t.Fatalf("FetchFile = (%d bytes, %v), want (nil, %v)", len(got), err, tc.want)
+			}
+		})
+	}
+}
+
+// TestStreamFileNeverPlaysUnverifiedBytes is the same table through
+// StreamFile: the chunks before the tampered one play byte-identical,
+// and Next returns the tampered one's error and no bytes — for the
+// forgery no per-message digest refuses, too, which a stream used to
+// play.
+func TestStreamFileNeverPlaysUnverifiedBytes(t *testing.T) {
+	c, data, cases := tamperCases(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			s, err := c.StreamFile(ctx, tc.peers, tc.m, testSecret(), client.StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var played []byte
+			for {
+				i, piece, err := s.Next()
+				if errors.Is(err, io.EOF) && tc.want == nil {
+					break
+				}
+				if err != nil {
+					if tc.want == nil || !errors.Is(err, tc.want) || i != tamperedChunk || piece != nil {
+						t.Fatalf("Next = (chunk %d, %d bytes, %v), want (chunk %d, nil, %v)",
+							i, len(piece), err, tamperedChunk, tc.want)
+					}
+					break
+				}
+				played = append(played, piece...)
+			}
+			want := data
+			if tc.want != nil {
+				want = data[:tamperedChunk*1024]
+			}
+			if !bytes.Equal(played, want) {
+				t.Fatalf("played %d bytes, want the first %d of the file, byte-identical", len(played), len(want))
 			}
 		})
 	}

@@ -120,7 +120,7 @@ func (s *System) ShareFile(ctx context.Context, name string, data []byte, peerAd
 	if err != nil {
 		return nil, err
 	}
-	share, err := chunk.NewShare(name, data, s.plan, baseID, secret)
+	share, err := chunk.BuildShare(name, data, s.plan, baseID, secret)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func (s *System) ShareFile(ctx context.Context, name string, data []byte, peerAd
 		}
 	}
 	result := &ShareResult{Secret: secret}
-	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, data, len(peerAddrs), jobs, s.uploadSinks(peerAddrs))
+	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, len(peerAddrs), jobs, s.uploadSinks(peerAddrs))
 	if err != nil {
 		return nil, err
 	}

@@ -1,18 +1,20 @@
 package core
 
-// The write path's golden: what ShareFile runs — NewShare, streamShare
+// The write path's golden: what ShareFile runs — BuildShare, streamShare
 // onto real peers — with the two random draws (secret, base file-id)
 // pinned, so the manifest it publishes can be compared byte for byte
-// with testdata/golden_manifest.json. That file was written by the
-// commit before the digest lanes, the concurrent file hash and the
-// single-copy PUT existed (its chunk.BuildShare and streamShare, same
-// data, plan, secret and file-id): every per-message digest and
-// ContentMD5 must still come out the same.
+// with testdata/golden_manifest.json. Beside it sits
+// testdata/presums_manifest.json, the manifest the same share published
+// before chunks carried sums (a whole-file contentMd5 instead), kept
+// verbatim: the golden must differ from it in exactly that, and the
+// fixture — the format of every handle written until then — must still
+// fetch and still be checked.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"os"
 	"testing"
@@ -62,7 +64,7 @@ func goldenShare(t *testing.T, ctx context.Context) (*System, *Handle, []byte, [
 		addrs = append(addrs, n.Addr().String())
 		stores = append(stores, st)
 	}
-	share, err := chunk.NewShare("golden.bin", data, plan, baseID, secret)
+	share, err := chunk.BuildShare("golden.bin", data, plan, baseID, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +74,24 @@ func goldenShare(t *testing.T, ctx context.Context) (*System, *Handle, []byte, [
 			jobs = append(jobs, shareJob{dest: i, chunk: c, rank: i})
 		}
 	}
-	if _, _, err := streamShare(ctx, share, data, len(addrs), jobs, sys.uploadSinks(addrs)); err != nil {
+	if _, _, err := streamShare(ctx, share, len(addrs), jobs, sys.uploadSinks(addrs)); err != nil {
 		t.Fatal(err)
 	}
 	return sys, &Handle{Manifest: share.Manifest, Peers: addrs}, secret, data, stores
+}
+
+// readManifest loads a manifest fixture.
+func readManifest(t *testing.T, path string) (*chunk.Manifest, []byte) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m chunk.Manifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	return &m, blob
 }
 
 func TestShareManifestMatchesGolden(t *testing.T) {
@@ -88,15 +104,41 @@ func TestShareManifestMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
-	want, err := os.ReadFile("testdata/golden_manifest.json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden, want := readManifest(t, "testdata/golden_manifest.json")
 	if !bytes.Equal(got, want) {
-		t.Fatalf("manifest differs from the one the previous write path produced:\n%s", got)
+		t.Fatalf("manifest differs from the golden:\n%s", got)
 	}
 	if n := h.Manifest.DigestCount(); n != 3*(5*8+3) {
 		t.Fatalf("manifest records %d digests", n)
+	}
+
+	// Against the pre-sums fixture only contentMd5 went and sum came:
+	// same geometry, every per-message digest byte for byte.
+	old, oldBlob := readManifest(t, "testdata/presums_manifest.json")
+	if old.ContentMD5 != chunk.ContentDigest(data) || bytes.Contains(oldBlob, []byte(`"sum"`)) {
+		t.Fatal("the pre-sums fixture is not one: it carries the file's contentMd5 and no sum")
+	}
+	if golden.ContentMD5 != "" || bytes.Contains(want, []byte("contentMd5")) {
+		t.Error("the golden still carries a contentMd5")
+	}
+	if golden.Name != old.Name || golden.TotalSize != old.TotalSize || golden.Plan != old.Plan || len(golden.Chunks) != len(old.Chunks) {
+		t.Fatalf("golden describes %q/%d/%+v/%d chunks, the fixture %q/%d/%+v/%d",
+			golden.Name, golden.TotalSize, golden.Plan, len(golden.Chunks), old.Name, old.TotalSize, old.Plan, len(old.Chunks))
+	}
+	pieces := chunk.Split(data, golden.Plan.ChunkSize)
+	for i, c := range golden.Chunks {
+		o := old.Chunks[i]
+		if c.FileID != o.FileID || c.DataLen != o.DataLen || c.K != o.K || len(c.Digests) != len(o.Digests) {
+			t.Fatalf("chunk %d: geometry or digest count differs from the fixture's", i)
+		}
+		for id, d := range o.Digests {
+			if c.Digests[id] != d {
+				t.Fatalf("chunk %d message %#x: digest differs from the fixture's", i, id)
+			}
+		}
+		if o.HasSum() || !c.HasSum() || c.Sum != c.SumOf(golden.Plan, pieces[i]) {
+			t.Errorf("chunk %d: fixture has a sum (%v), or the golden's (%v) is not its plaintext's", i, o.HasSum(), c.Sum)
+		}
 	}
 
 	back, stats, err := sys.FetchFile(ctx, h, secret)
@@ -129,5 +171,38 @@ func TestShareManifestMatchesGolden(t *testing.T) {
 	}
 	if stats.Rejected == 0 {
 		t.Error("the forged message was not rejected")
+	}
+}
+
+// TestPreSumsManifestStillFetches: a handle written before chunks
+// carried sums — the fixture, over the very messages the golden share
+// stores — fetches byte-identical, is still held to its ContentMD5, and
+// cannot be half-converted.
+func TestPreSumsManifestStillFetches(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	sys, h, secret, data, _ := goldenShare(t, ctx)
+	old, _ := readManifest(t, "testdata/presums_manifest.json")
+	oldHandle := &Handle{Manifest: *old, Peers: h.Peers}
+
+	back, stats, err := sys.FetchFile(ctx, oldHandle, secret)
+	if err != nil || !bytes.Equal(back, data) || stats.Rejected != 0 {
+		t.Fatalf("fetch of the pre-sums handle: %v, identical=%v, %d rejected", err, bytes.Equal(back, data), stats.Rejected)
+	}
+
+	tampered := *oldHandle
+	tampered.Manifest.ContentMD5 = chunk.ContentDigest([]byte("another file"))
+	if back, _, err := sys.FetchFile(ctx, &tampered, secret); !errors.Is(err, chunk.ErrBadManifest) || back != nil {
+		t.Fatalf("tampered ContentMD5: (%d bytes, %v), want (nil, ErrBadManifest)", len(back), err)
+	}
+
+	mixed := *oldHandle
+	mixed.Manifest.Chunks = append([]chunk.ChunkInfo(nil), old.Chunks...)
+	mixed.Manifest.Chunks[2].Sum = h.Manifest.Chunks[2].Sum
+	if err := mixed.Manifest.Validate(); !errors.Is(err, chunk.ErrBadManifest) {
+		t.Fatalf("sum on one chunk of six validates: %v", err)
+	}
+	if back, _, err := sys.FetchFile(ctx, &mixed, secret); !errors.Is(err, chunk.ErrBadManifest) || back != nil {
+		t.Fatalf("mixed manifest: (%d bytes, %v), want (nil, ErrBadManifest)", len(back), err)
 	}
 }

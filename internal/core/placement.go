@@ -43,7 +43,7 @@ func (s *System) ShareFilePlaced(ctx context.Context, name string, data []byte,
 	if err != nil {
 		return nil, err
 	}
-	share, err := chunk.NewShare(name, data, s.plan, baseID, secret)
+	share, err := chunk.BuildShare(name, data, s.plan, baseID, secret)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func (s *System) ShareFilePlaced(ctx context.Context, name string, data []byte,
 		}
 	}
 	result := &ShareResult{Secret: secret}
-	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, data, len(addrs), jobs, s.uploadSinks(addrs))
+	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, len(addrs), jobs, s.uploadSinks(addrs))
 	if err != nil {
 		return nil, err
 	}

@@ -55,8 +55,10 @@ func TestShareFilePlacedRoundTrip(t *testing.T) {
 	if len(res.Handle.ChunkPeers) != 5 {
 		t.Fatalf("ChunkPeers = %d entries", len(res.Handle.ChunkPeers))
 	}
-	if got, want := res.Handle.Manifest.ContentMD5, chunk.ContentDigest(data); got != want {
-		t.Errorf("placed share publishes ContentMD5 %q, the file's is %q", got, want)
+	for i, piece := range chunk.Split(data, res.Handle.Manifest.Plan.ChunkSize) {
+		if info := res.Handle.Manifest.Chunks[i]; !info.HasSum() || info.CheckSum(res.Handle.Manifest.Plan, piece) != nil {
+			t.Errorf("placed share publishes sum %v for chunk %d, not its plaintext's", info.Sum, i)
+		}
 	}
 	for i, cp := range res.Handle.ChunkPeers {
 		if len(cp) != replicas {

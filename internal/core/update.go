@@ -27,8 +27,11 @@ type UpdateResult struct {
 
 // UpdateFile pushes the difference between oldData and newData to every
 // peer in the handle and refreshes the manifest digests for the changed
-// chunks. Both versions must have the handle's original size; resizes
-// need a fresh ShareFile.
+// chunks: a peer's message digests as that peer acknowledges, a chunk's
+// Sum once every peer has. Both versions must have the handle's
+// original size; resizes need a fresh ShareFile. A handle written
+// before chunks carried sums leaves a successful update with one on
+// every chunk and no ContentMD5.
 func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, newData []byte) (*UpdateResult, error) {
 	if h == nil || len(h.Peers) == 0 {
 		return nil, fmt.Errorf("%w: missing peers", ErrBadHandle)
@@ -37,41 +40,32 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 		return nil, fmt.Errorf("%w: old version is %d bytes, manifest says %d",
 			ErrBadHandle, len(oldData), h.Manifest.TotalSize)
 	}
-	changed, err := chunk.ChangedChunks(oldData, newData, h.Manifest.Plan.ChunkSize)
+	m := &h.Manifest
+	changed, err := chunk.ChangedChunks(oldData, newData, m.Plan.ChunkSize)
 	if err != nil {
+		return nil, err
+	}
+	// Valid means chunks and pieces pair up, and sums are on all or none.
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	result := &UpdateResult{ChangedChunks: changed}
-	if len(changed) == 0 {
-		return result, nil
-	}
-	// The new file's digest is hashed beside the patch loop, stopped
-	// early only by a failed PATCH, and published once every PATCH has
-	// been acknowledged: a handle whose update failed keeps the digest
-	// it had.
-	hashCtx, stopHash := context.WithCancel(context.WithoutCancel(ctx))
-	defer stopHash()
-	contentMD5 := make(chan string, 1)
-	if h.Manifest.ContentMD5 == "" {
-		contentMD5 <- "" // the end-to-end check is off for this handle
-	} else {
-		go func() { contentMD5 <- contentDigest(hashCtx, newData, h.Manifest.Plan.ChunkSize) }()
-	}
-	err = s.patchChunks(ctx, h, secret, oldData, newData, result)
-	if err != nil {
-		stopHash()
-	}
-	sum := <-contentMD5
-	if err != nil {
+	if err := s.patchChunks(ctx, h, secret, oldData, newData, result); err != nil {
 		return nil, err
 	}
-	h.Manifest.ContentMD5 = sum
+	if !m.Chunks[0].HasSum() {
+		for i, piece := range chunk.Split(newData, m.Plan.ChunkSize) {
+			m.Chunks[i].Sum = m.Chunks[i].SumOf(m.Plan, piece)
+		}
+		m.ContentMD5 = ""
+	}
 	return result, nil
 }
 
 // patchChunks pushes the deltas of result.ChangedChunks to every peer
 // and, peer by peer as each acknowledges, refreshes the digests the
-// manifest publishes for that peer's patched messages.
+// manifest publishes for that peer's patched messages; a chunk that
+// carries a Sum gets the new version's once its last peer has.
 func (s *System) patchChunks(ctx context.Context, h *Handle, secret, oldData, newData []byte, result *UpdateResult) error {
 	oldChunks := chunk.Split(oldData, h.Manifest.Plan.ChunkSize)
 	newChunks := chunk.Split(newData, h.Manifest.Plan.ChunkSize)
@@ -131,6 +125,9 @@ func (s *System) patchChunks(ctx context.Context, h *Handle, secret, oldData, ne
 			for j, m := range msgs {
 				info.Digests[m.MessageID] = digests[j]
 			}
+		}
+		if info.HasSum() {
+			info.Sum = info.SumOf(h.Manifest.Plan, newChunks[idx])
 		}
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 
 	"asymshare/internal/chunk"
 	"asymshare/internal/core"
+	"asymshare/internal/rlnc"
 )
 
 func TestUpdateFilePropagatesEdit(t *testing.T) {
@@ -32,6 +33,8 @@ func TestUpdateFilePropagatesEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	sumsBefore := sums(&res.Handle.Manifest)
+
 	// Edit bytes inside chunk 1 only.
 	newData := bytes.Clone(oldData)
 	copy(newData[1500:1550], bytes.Repeat([]byte{0xAB}, 50))
@@ -51,6 +54,25 @@ func TestUpdateFilePropagatesEdit(t *testing.T) {
 		t.Errorf("delta bytes %d not smaller than full share %d", upd.BytesSent, res.BytesSent)
 	}
 
+	// Untouched chunks keep their sums byte for byte; the changed one
+	// has what a fresh share of the new version would publish.
+	m := &res.Handle.Manifest
+	fresh, err := chunk.BuildShare("doc.txt", newData, m.Plan, m.Chunks[0].FileID, res.Secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Chunks {
+		if i != 1 && m.Chunks[i].Sum != sumsBefore[i] {
+			t.Errorf("untouched chunk %d: sum moved from %v to %v", i, sumsBefore[i], m.Chunks[i].Sum)
+		}
+		if m.Chunks[i].Sum != fresh.Manifest.Chunks[i].Sum {
+			t.Errorf("chunk %d: sum %v, a fresh share of the new version has %v", i, m.Chunks[i].Sum, fresh.Manifest.Chunks[i].Sum)
+		}
+	}
+	if m.Chunks[1].Sum == sumsBefore[1] || m.ContentMD5 != "" {
+		t.Errorf("changed chunk kept its sum, or the update wrote ContentMD5 %q", m.ContentMD5)
+	}
+
 	got, stats, err := sys.FetchFile(ctx, &res.Handle, res.Secret)
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +82,99 @@ func TestUpdateFilePropagatesEdit(t *testing.T) {
 	}
 	if stats.Rejected != 0 {
 		t.Errorf("rejected = %d; refreshed digests should verify", stats.Rejected)
+	}
+}
+
+// sums copies the manifest's per-chunk sums.
+func sums(m *chunk.Manifest) []rlnc.Digest {
+	out := make([]rlnc.Digest, len(m.Chunks))
+	for i, c := range m.Chunks {
+		out[i] = c.Sum
+	}
+	return out
+}
+
+// preSums rewrites h as ShareFile published it before chunks carried
+// sums: none anywhere, the whole file's MD5 in ContentMD5.
+func preSums(h *core.Handle, data []byte) {
+	for i := range h.Manifest.Chunks {
+		h.Manifest.Chunks[i].Sum = rlnc.Digest{}
+	}
+	h.Manifest.ContentMD5 = chunk.ContentDigest(data)
+}
+
+// TestUpdateFilePreSumsHandleComesOutSummed: a handle of the older
+// format leaves a successful UpdateFile — one that changed nothing
+// included — with a sum on every chunk and no ContentMD5, and fetches
+// verified; a failed one leaves it exactly as it was.
+func TestUpdateFilePreSumsHandleComesOutSummed(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	oldData := make([]byte, 3000)
+	rng.Read(oldData)
+	newData := bytes.Clone(oldData)
+	copy(newData[2100:2150], bytes.Repeat([]byte{0xEF}, 50)) // chunk 2
+	sys, err := core.NewSystem(identity(t, 130), nil, core.WithPlan(smallPlan()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	for _, tc := range []struct {
+		name string
+		next []byte
+		fail bool
+	}{
+		{"edit", newData, false},
+		{"no change", oldData, false},
+		{"peer hangs up", newData, true},
+	} {
+		addrs := []string{startPeer(t, 131).Addr().String(), startPeer(t, 132).Addr().String()}
+		res, err := sys.ShareFile(ctx, "old.txt", oldData, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &res.Handle
+		preSums(h, oldData)
+		if back, _, err := sys.FetchFile(ctx, h, res.Secret); err != nil || !bytes.Equal(back, oldData) {
+			t.Fatalf("%s: pre-sums handle does not fetch: %v", tc.name, err)
+		}
+		if tc.fail {
+			h.Peers[1], _ = fakePeer(t, 133, 0, false)
+		}
+		_, err = sys.UpdateFile(ctx, h, res.Secret, oldData, tc.next)
+		if tc.fail {
+			if err == nil {
+				t.Fatalf("%s: update succeeded", tc.name)
+			}
+			for i, c := range h.Manifest.Chunks {
+				if c.HasSum() {
+					t.Errorf("%s: failed update left a sum on chunk %d", tc.name, i)
+				}
+			}
+			if h.Manifest.ContentMD5 != chunk.ContentDigest(oldData) {
+				t.Errorf("%s: failed update moved ContentMD5 to %q", tc.name, h.Manifest.ContentMD5)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fresh, err := chunk.BuildShare("old.txt", tc.next, h.Manifest.Plan, h.Manifest.Chunks[0].FileID, res.Secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range h.Manifest.Chunks {
+			if !c.HasSum() || c.Sum != fresh.Manifest.Chunks[i].Sum {
+				t.Errorf("%s: chunk %d sum %v, a fresh share has %v", tc.name, i, c.Sum, fresh.Manifest.Chunks[i].Sum)
+			}
+		}
+		if h.Manifest.ContentMD5 != "" {
+			t.Errorf("%s: handle still carries ContentMD5 %q", tc.name, h.Manifest.ContentMD5)
+		}
+		if back, _, err := sys.FetchFile(ctx, h, res.Secret); err != nil || !bytes.Equal(back, tc.next) {
+			t.Errorf("%s: fetch after update: %v, identical=%v", tc.name, err, bytes.Equal(back, tc.next))
+		}
 	}
 }
 
@@ -130,12 +245,13 @@ func TestChangedChunks(t *testing.T) {
 	}
 }
 
-// TestUpdateFileFailedPatchKeepsContentDigest: the manifest's whole-file
-// digest changes only once every PATCH has been acknowledged. A peer
-// that hangs up on its PATCH — first in line, or after another peer has
-// already been patched — fails the update and leaves ContentMD5 the old
-// file's; per-message digests are refreshed peer by peer, so only an
-// acknowledged peer's have moved.
+// TestUpdateFileFailedPatchKeepsContentDigest: a chunk's content digest
+// — its Sum — changes only once every peer has acknowledged that chunk's
+// PATCHes. A peer that hangs up on its PATCH — first in line, or after
+// another peer has already been patched — fails the update and leaves
+// the chunk the sum it had, the old version's, which one peer at least
+// still holds; per-message digests are refreshed peer by peer, so only
+// an acknowledged peer's have moved.
 func TestUpdateFileFailedPatchKeepsContentDigest(t *testing.T) {
 	for _, failing := range []int{0, 1} {
 		rng := rand.New(rand.NewSource(13))
@@ -153,9 +269,11 @@ func TestUpdateFileFailedPatchKeepsContentDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := &res.Handle
-		oldMD5 := h.Manifest.ContentMD5
-		if oldMD5 != chunk.ContentDigest(oldData) {
-			t.Fatalf("shared handle has ContentMD5 %q", oldMD5)
+		sumsBefore := sums(&h.Manifest)
+		for i, piece := range chunk.Split(oldData, h.Manifest.Plan.ChunkSize) {
+			if info := h.Manifest.Chunks[i]; !info.HasSum() || info.CheckSum(h.Manifest.Plan, piece) != nil {
+				t.Fatalf("shared handle has sum %v for chunk %d", info.Sum, i)
+			}
 		}
 		before := make(map[uint64]string)
 		for id, d := range h.Manifest.Chunks[1].Digests {
@@ -169,9 +287,11 @@ func TestUpdateFileFailedPatchKeepsContentDigest(t *testing.T) {
 		if _, err := sys.UpdateFile(ctx, h, res.Secret, oldData, newData); err == nil {
 			t.Fatalf("peer %d hung up on its PATCH and the update succeeded", failing)
 		}
-		if h.Manifest.ContentMD5 != oldMD5 {
-			t.Errorf("peer %d failed: handle claims ContentMD5 %q, the file the peers were shared is %q",
-				failing, h.Manifest.ContentMD5, oldMD5)
+		for i, sum := range sums(&h.Manifest) {
+			if sum != sumsBefore[i] {
+				t.Errorf("peer %d failed: chunk %d's sum moved to %v, the version every peer was shared has %v",
+					failing, i, sum, sumsBefore[i])
+			}
 		}
 		moved := 0
 		for id, d := range h.Manifest.Chunks[1].Digests {

@@ -73,7 +73,7 @@ func (s *System) ShareFileGossip(ctx context.Context, name string, data []byte,
 	if err != nil {
 		return nil, err
 	}
-	share, err := chunk.NewShare(name, data, s.plan, baseID, secret)
+	share, err := chunk.BuildShare(name, data, s.plan, baseID, secret)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func (s *System) ShareFileGossip(ctx context.Context, name string, data []byte,
 		}, nil
 	}
 	result := &ShareResult{Secret: secret}
-	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, data, 1, jobs, seed)
+	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, 1, jobs, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -105,8 +105,10 @@ func TestShareFileGossipFetchVia(t *testing.T) {
 	if res.MessagesSent == 0 {
 		t.Fatal("gossip share seeded no messages")
 	}
-	if got, want := res.Handle.Manifest.ContentMD5, chunk.ContentDigest(data); got != want {
-		t.Errorf("gossip share publishes ContentMD5 %q, the file's is %q", got, want)
+	for i, piece := range chunk.Split(data, res.Handle.Manifest.Plan.ChunkSize) {
+		if info := res.Handle.Manifest.Chunks[i]; !info.HasSum() || info.CheckSum(res.Handle.Manifest.Plan, piece) != nil {
+			t.Errorf("gossip share publishes sum %v for chunk %d, not its plaintext's", info.Sum, i)
+		}
 	}
 
 	// One exchange per generation carries the full-rank seed batch over.

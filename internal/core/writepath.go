@@ -14,13 +14,11 @@ package core
 // the acknowledgements; the collector — the calling goroutine, and the
 // only writer of Manifest.Digests — records the digests and frees the
 // slot. Slots are the in-flight bound: minted-but-unacknowledged data
-// never exceeds their fixed number. The manifest's whole-file digest is
-// hashed beside the pipeline and joined before it returns.
+// never exceeds their fixed number. The manifest's end-to-end check —
+// a Sum per chunk — is chunk.BuildShare's, there before the first job.
 
 import (
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync"
@@ -89,33 +87,15 @@ func (b *batchSlot) mint(chunkIdx int, enc *rlnc.Encoder, rank int) error {
 	return nil
 }
 
-// contentDigest is chunk.ContentDigest for running beside other work:
-// it hashes data step bytes at a time and gives up, returning "", once
-// ctx has ended.
-func contentDigest(ctx context.Context, data []byte, step int) string {
-	h := md5.New()
-	for _, piece := range chunk.Split(data, step) {
-		if ctx.Err() != nil {
-			return ""
-		}
-		h.Write(piece)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // streamShare runs jobs through the pipeline against ndest
 // destinations, each opened by open on its own sender goroutine, and
-// completes share.Manifest: every delivered message's digest, and
-// ContentMD5 — the digest of data, the file share was built from —
-// hashed on a goroutine of its own while the batches are minted and
-// sent. It returns the messages and message bytes delivered. On the
-// first error — a destination failing, or ctx ending — the siblings are
-// cancelled, that error is returned with ContentMD5 left unset, and no
-// goroutine outlives the call.
-func streamShare(ctx context.Context, share *chunk.Share, data []byte, ndest int, jobs []shareJob,
+// records every delivered message's digest in share.Manifest. It
+// returns the messages and message bytes delivered. On the first error
+// — a destination failing, or ctx ending — the siblings are cancelled,
+// that error is returned, and no goroutine outlives the call.
+func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shareJob,
 	open func(ctx context.Context, dest int) (batchSink, error)) (int, int64, error) {
 	if len(jobs) == 0 {
-		share.Manifest.ContentMD5 = chunk.ContentDigest(data)
 		return 0, 0, nil
 	}
 	kmax, chunkBytes := 0, 0
@@ -149,12 +129,6 @@ func streamShare(ctx context.Context, share *chunk.Share, data []byte, ndest int
 	workersLeft.Store(int64(workers))
 	sendersLeft.Store(int64(ndest))
 
-	var contentMD5 string
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		contentMD5 = contentDigest(ctx, data, share.Manifest.Plan.ChunkSize)
-	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -233,13 +207,7 @@ func streamShare(ctx context.Context, share *chunk.Share, data []byte, ndest int
 		free <- slot
 	}
 	wg.Wait()
-	// The hasher only stops short when ctx has ended, so a nil cause
-	// means contentMD5 covers the whole file.
-	if err := context.Cause(ctx); err != nil {
-		return sent, bytes, err
-	}
-	share.Manifest.ContentMD5 = contentMD5
-	return sent, bytes, nil
+	return sent, bytes, context.Cause(ctx)
 }
 
 // uploadSinks opens one client upload per destination address.

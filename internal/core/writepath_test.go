@@ -102,10 +102,10 @@ func TestShareFileMatchesSequentialBatches(t *testing.T) {
 			t.Errorf("GF(2^%d): sent %d messages / %d bytes, sequential path sends %d / %d",
 				plan.FieldBits, res.MessagesSent, res.BytesSent, wantMsgs, wantBytes)
 		}
-		if m.ContentMD5 != ref.Manifest.ContentMD5 {
-			t.Errorf("GF(2^%d): ContentMD5 %q, BuildShare's is %q", plan.FieldBits, m.ContentMD5, ref.Manifest.ContentMD5)
-		}
 		for c := range m.Chunks {
+			if !m.Chunks[c].HasSum() || m.Chunks[c].Sum != ref.Manifest.Chunks[c].Sum {
+				t.Errorf("GF(2^%d) chunk %d: sum %v, BuildShare's is %v", plan.FieldBits, c, m.Chunks[c].Sum, ref.Manifest.Chunks[c].Sum)
+			}
 			got, want := m.Chunks[c].Digests, ref.Manifest.Chunks[c].Digests
 			if len(got) != len(want) {
 				t.Fatalf("GF(2^%d) chunk %d: %d digests, want %d", plan.FieldBits, c, len(got), len(want))
