@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet-arm64 wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload vet bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke bench-wire bench-wire-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet vet-arm64 race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -19,13 +19,33 @@ vet-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
 
+# race runs every package under the race detector once — twice
+# (-count=2) for the packages whose tests sweep crash points, injected
+# faults or seeded fabric schedules, where the second pass over a warm
+# process is the point. NETSIM_SEED=<seed> replays a harness failure.
+RACE_TWICE = ./internal/fsx/... ./internal/store/... ./internal/fairshare/... ./internal/netsim/...
+race:
+	$(GO) test -race $$($(GO) list ./... | grep -v -E '/internal/(fsx|store|fairshare|netsim)(/|$$)')
+	$(GO) test -race -count=2 $(RACE_TWICE)
+
+# gates are the checks the detector would distort, run plain and
+# uncached: the 0-alloc gates on the frame, ingest, checksum, allocator
+# and admission hot paths (AllocsPerRun only counts without -race) and
+# the frame pool's steady-state miss rate under a real FetchFile (a
+# timing).
+gates:
+	$(GO) test -count=1 -run 'SteadyStateAllocs|SteadyStatePoolMisses|TestScratchReuseNoAlloc|TestAdmission.*Allocs' \
+		./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/chunk/ ./internal/client/ ./internal/fairshare/ ./internal/peer/
+
+# The race-* and *-smoke targets below are developer shortcuts: each is
+# the slice of `race` (or of `test`) to run before touching one
+# subsystem. `ci` runs none of them; it covers their packages whole.
+
 # wire-audit checks what a fetch puts on the wire against what its
-# manifest needs, from both ends (harness/split_test.go): four peers
-# that nothing paces serve, after one priming fetch, at most 1.10 × the
-# message bytes of the file (3 to 4 × unsplit) on GETs that each ask for
-# k/4; four peers capped 1:2:2:4 are never marked, are only ever sent
-# the unlimited GET, and keep their shares of the bytes. Counts and
-# parsed frames, no timing.
+# manifest needs, from both ends (harness/split_test.go): unpaced peers
+# serve at most 1.10 × the file's message bytes after one priming
+# fetch; peers capped 1:2:2:4 are never marked and keep their shares.
+# Counts and parsed frames, no timing.
 wire-audit:
 	$(GO) test -run 'TestSplitUnshapedPeersServeWhatTheManifestNeeds|TestSplitLeavesPacedPeersAlone' -count=1 ./internal/netsim/harness/
 
@@ -42,43 +62,25 @@ race-metrics: vet
 	$(GO) test -race ./internal/metrics/... ./internal/peer/... ./internal/ratelimit/... ./internal/store/...
 
 # race-codec exercises the parallel codec on both sides of the wire:
-# concurrent producers into rlnc.Pipeline, one pipeline retargeted
-# across generations (the Retarget suite: 32 generations against fresh
-# decoders, stale frames, refused geometries), concurrent minting from
-# one rlnc.Encoder, the GF kernels under them (GF(2^32) differential
-# included), the digest lanes' differential on both arms — short groups
-# of 2 to 7 included — the pipeline's staged verify (a forgery in every
-# lane position, four producers through decoded, short, retargeted and
-# closed-under-their-feet generations with every arena slot accounted
-# for, the same suite again on the scalar arm, and a manifest's per-chunk
-# sums written on the lanes verified on the scalar arm), chunk's
-# in-place assembler (every chunk filled and Done from its own
-# goroutine), and core's streaming write path (encode workers, per-peer
-# senders, one-of-four-peers-fails and stalled-peer cancellation). The
-# client's read path, which shares one pipeline across per-peer stream
-# goroutines and then hands it to the next chunk, runs under the
-# detector in race-overload.
+# concurrent producers into one rlnc.Pipeline retargeted across
+# generations, concurrent minting from one rlnc.Encoder, the GF kernels
+# and digest lanes under them (differentials on both arms), the
+# pipeline's staged verify, chunk's in-place assembler, and core's
+# streaming write path (encode workers, per-peer senders, failed- and
+# stalled-peer cancellation). Run before touching rlnc, gf, chunk or
+# core; the client's read path over the same pipeline is race-overload's.
 race-codec: vet
 	$(GO) test -race ./internal/rlnc/... ./internal/gf/... ./internal/chunk/... ./internal/core/...
 
-# race-wire is the zero-copy hot-path regression suite under the race
-# detector: the buffer pool's refcounting, the FrameReader/FrameWriter
-# differential and allocation proofs, AddBytes into the pipeline, and
-# the peer's serve path, and the PeerSession's frame hand-off (a DATA
-# frame delivered behind a finished stream's drain must still be
-# released). (The rest of the PeerSession — demux goroutine vs
-# per-stream consumers — is race-overload's.)
-# The alloc gates themselves (`TestFrame*SteadyStateAllocs`,
-# `TestMuxedDataPathSteadyStateAllocs`, `TestAddBytesSteadyStateAllocs`
-# — across a Retarget — `TestOneShotP8SteadyStateAllocs`, and the read
-# path's per-chunk `TestCheckSumSteadyStateAllocs`) only count
-# allocations without -race, and the frame pool's steady-state miss
-# rate under a real FetchFile (`TestFetchFileSteadyStatePoolMisses`) is
-# a timing the detector distorts, so those run plain too.
-race-wire: vet
+# race-wire is the zero-copy hot path under the race detector: the
+# buffer pool's refcounting, the FrameReader/FrameWriter differential,
+# AddBytes into the pipeline, the peer's serve path, and the
+# PeerSession's frame hand-off (a DATA frame delivered behind a finished
+# stream's drain must still be released) — then the alloc and pool-miss
+# gates, plain. Run before touching wire framing or buffer ownership.
+race-wire: vet gates
 	$(GO) test -race ./internal/wire/... ./internal/rlnc/... ./internal/peer/...
 	$(GO) test -race -run 'TestDeliverAfterDrainReleasesFrame' -count=1 ./internal/client/
-	$(GO) test -run 'SteadyStateAllocs|SteadyStatePoolMisses' -count=1 ./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/chunk/ ./internal/client/
 
 # race-store exercises the durability layer under the race detector,
 # twice: the fsx filesystem seam and fault injector, the journaled
@@ -94,15 +96,13 @@ race-store: vet
 race-dht: vet
 	$(GO) test -race ./internal/dht/... ./internal/discovery/... ./internal/gossip/...
 
-# race-fairshare exercises the adaptive-allocation stack under the
-# race detector: the policy seam and its property/fuzz-seed suites,
-# the sharded decaying ledger, the capacity estimators, and the peer
-# realloc loop that consumes all three — plus the scratch-reuse alloc
-# gate, which only counts allocations without -race, so the fairshare
-# package runs plain too.
-race-fairshare: vet
+# race-fairshare exercises the allocation stack under the race
+# detector: the policy seam and its property/fuzz-seed suites, the
+# ledger, the capacity estimators, and the peer realloc loop that
+# consumes all three — then the alloc gates, plain. Run before touching
+# a policy, the ledger or the realloc loop.
+race-fairshare: vet gates
 	$(GO) test -race ./internal/fairshare/... ./internal/estimate/... ./internal/peer/...
-	$(GO) test -run 'TestScratchReuseNoAlloc' -count=1 ./internal/fairshare/
 
 # race-contract exercises the storage-contract subsystem under the
 # race detector: the journaled book/set, the wire frames, the peer
@@ -128,42 +128,29 @@ swarm-smoke:
 
 # overload-smoke is the overload-resilience acceptance slice: a 4x
 # flash crowd against one admission-capped peer (goodput holds, sheds
-# hit free riders in standing order and never the top quartile, shed
-# clients honor the RETRY_AFTER hint), a blackholed peer survived
-# within 2x the no-fault baseline via hedged fetches with breaker
-# quarantine and half-open recovery, a stalled chunk re-issued on
-# the next-healthiest peer, and Eq. (2) at the paper's link rates (a
-# repeat fetch is not throttled; grants stay 0.75/0.25 whatever a
-# requester drains) — plus the deterministic peer-side admission,
-# preemption, brownout and deadline-expiry unit suite and the
-# client-side breaker/session regressions.
+# hit free riders in standing order and never the top quartile), a
+# blackholed peer survived within 2x the no-fault baseline via hedges
+# and breaker quarantine, a stalled chunk re-issued on the next peer,
+# and Eq. (2) at the paper's link rates (grants stay 0.75/0.25 whatever
+# a requester drains) — plus the peer-side admission/brownout/deadline
+# units and the client-side breaker/session regressions.
 overload-smoke:
 	$(GO) test -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer|TestPaperRates' \
 		./internal/netsim/harness/
 	$(GO) test -run 'Admission|Shed|Brownout|Expired|Breaker|Hedge|Busy|Deadline|DuplicateStreamError' \
 		./internal/peer/ ./internal/client/ ./internal/wire/
 
-# race-overload is the same acceptance slice under the race detector,
-# plus the whole client package — the one place CI runs it with -race:
-# the session set (links redialing under concurrent chunk streams), the
-# chunk ladder (per-rung progress counters vs the demux goroutine, one
-# pipeline shared by every rung — and, outliving the chunk, retargeted
-# by whichever chunk takes it from the fetch's free list next, while
-# each decoded chunk is checked against its sum in its slot of the
-# output file, beside the chunks still decoding; a rung's second stream
-# after its share, the demux loop's surplus counts and verdicts against
-# the registry the ladder reads its split from), the breaker state machine, and the
-# peer's admission bookkeeping and per-connection stream table (1 000
-# instant streams, a duplicate GET_MUX) are all cross-goroutine by
-# construction; the split's second-round scenarios run here too, and
-# chunk's assembler and sum tests, the other half of the read path.
-# The admission alloc gates (TestAdmission*Allocs) only count without
-# -race, so the peer package runs those plain too.
-race-overload: vet
+# race-overload is the same slice under the race detector, plus the
+# whole client, peer and chunk packages: the session set, the chunk
+# ladder and the pipeline its rungs share and hand on, the breaker
+# state machine, and the peer's admission bookkeeping and stream table
+# are all cross-goroutine by construction. The alloc gates then run
+# plain. Run before touching the client's read path or the peer's
+# admission.
+race-overload: vet gates
 	$(GO) test -race -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer|TestPaperRates|TestSplitSecondRound' \
 		./internal/netsim/harness/
 	$(GO) test -race ./internal/peer/ ./internal/client/ ./internal/chunk/
-	$(GO) test -run 'TestAdmissionSteadyStateAllocs|TestAdmissionRefusalScanAllocs' -count=1 ./internal/peer/
 
 # crash-smoke is the crash-recovery acceptance slice on its own: every
 # power-cut and I/O-fault sweep over the journaled store, the
@@ -216,19 +203,6 @@ W ?= loopback_fetch
 bench-pairs:
 	bash scripts/benchpairs.sh $(PARENT) $(N) $(W)
 
-# bench-wire measures the zero-copy wire hot path end to end over
-# loopback TCP — decode-pipeline ceiling, transport-only throughput,
-# and the muxed fetch — and gates the fetch at 85% of the achievable
-# composite (see cmd/benchwire). Refreshes BENCH_wire.json.
-bench-wire:
-	$(GO) run ./cmd/benchwire -sizes 262144,1048576 -streams 1,4 -workers 0,2 -reps 3 -gate 0.85 -json BENCH_wire.json
-
-# bench-wire-smoke is the quick CI variant: one small cell, throwaway
-# report, no gate (shared runners make throughput ratios too noisy to
-# fail a build on).
-bench-wire-smoke:
-	$(GO) run ./cmd/benchwire -sizes 262144 -streams 1,4 -reps 2 -json /tmp/BENCH_wire_smoke.json
-
 # bench-swarm measures trackerless scaling — DHT lookup hops and gossip
 # dissemination rounds/time against swarm size — leaving the
 # machine-readable report in BENCH_swarm.json (median hops must grow
@@ -242,10 +216,10 @@ bench-swarm-smoke:
 	$(GO) run ./cmd/benchswarm -sizes 64 -samples 8 -json /tmp/BENCH_swarm_smoke.json
 
 # bench-alloc measures the allocation subsystem — the policy grid
-# (fairness, free-rider payoff, convergence, bounded-ledger fidelity)
-# and the bounded-ledger realloc tick against 10^5 distinct requesters
-# — leaving the machine-readable report in BENCH_alloc.json (see
-# EXPERIMENTS.md; sharded entries must stay at the bound and the tick
+# (fairness, free-rider payoff, convergence, fidelity under eviction)
+# and the ledger's realloc tick against 10^5 distinct requesters —
+# leaving the machine-readable report in BENCH_alloc.json (see
+# EXPERIMENTS.md; tracked entries must stay at the bound and the tick
 # must scale with the active set, not the distinct population).
 bench-alloc:
 	$(GO) run ./cmd/benchalloc -slots 600 -json BENCH_alloc.json
@@ -258,9 +232,9 @@ bench-alloc-smoke:
 # chaos runs the deterministic fault-injection suite — the netsim
 # fabric's own tests plus the end-to-end harness (tracker + peers +
 # clients over simulated partitions, blackholes and drops) — twice,
-# under the race detector. Every harness test logs its fabric seed
-# (shown with -v and on failure); replay an exact failure with
-# NETSIM_SEED=<seed> make chaos.
+# under the race detector (the netsim half of `race`). Every harness
+# test logs its fabric seed (shown with -v and on failure); replay an
+# exact failure with NETSIM_SEED=<seed> make chaos.
 chaos: vet
 	$(GO) test -race -count=2 ./internal/netsim/...
 
@@ -277,7 +251,8 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzKernel32 -fuzztime 10s -run '^$$' ./internal/gf/
 	$(GO) test -fuzz FuzzDigestBatch -fuzztime 10s -run '^$$' ./internal/rlnc/
 
-# ci is what the GitHub workflow runs.
-ci: vet vet-arm64 build test wire-audit bench-e2e-smoke race-metrics race-audit race-codec race-store race-dht race-contract race-wire race-fairshare swarm-smoke churn-smoke overload-smoke race-overload chaos
+# ci is what the GitHub workflow runs: every package once plain, once
+# under the detector, the gates, and the end-to-end benchmark's smoke.
+ci: vet vet-arm64 build test race gates bench-e2e-smoke
 
 check: ci

@@ -6,7 +6,7 @@
 //
 //	asymshare keygen  -out user.key
 //	asymshare serve   -key peer.key -listen :7070 -store ./data -upload 262144
-//	asymshare serve   -key peer.key -store ./data -policy eq2 -estimate ewma -ledger-bound 4096   # adaptive allocation
+//	asymshare serve   -key peer.key -store ./data -policy eq2 -estimate ewma   # adaptive allocation
 //	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7070 -out video.handle
 //	asymshare fetch   -key user.key -handle video.handle -secret <hex> -out video.mpg
 //
@@ -221,7 +221,6 @@ func cmdServe(args []string, out io.Writer) error {
 	policyName := fs.String("policy", "eq2", "allocation policy: eq2 (pairwise proportional), eq3 (declared upload; degrades to equal without declarations), bci (biased contribution index), classes (class-weighted), equal")
 	classWeights := fs.String("class-weights", "", "service-class weights for -policy classes, e.g. 1:2,2:4 (unlisted classes weigh 1)")
 	estName := fs.String("estimate", "off", "online upload-capacity estimation: off, ewma (percentile-of-history), probe (packet-train max)")
-	ledgerBound := fs.Int("ledger-bound", 0, "track at most this many counterpart standings exactly, folding the rest into an aggregate tail (0 = exact pairwise ledger)")
 	ownerHex := fs.String("owner", "", "owner public key (hex) allowed to send feedback")
 	ledgerPath := fs.String("ledger", "", "receipt-ledger checkpoint file persisted across restarts (and crashes)")
 	ckptEvery := fs.Duration("checkpoint", fairshare.DefaultCheckpointInterval, "ledger checkpoint interval")
@@ -258,9 +257,6 @@ func cmdServe(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	if *ledgerBound < 0 {
-		return errors.New("serve: -ledger-bound must be >= 0")
-	}
 	if *maxStreams < 0 {
 		return errors.New("serve: -max-streams must be >= 0")
 	}
@@ -271,7 +267,6 @@ func cmdServe(args []string, out io.Writer) error {
 		MaxStreams:         *maxStreams,
 		Allocator:          policy,
 		Estimator:          est,
-		LedgerBound:        *ledgerBound,
 		LedgerPath:         *ledgerPath,
 		CheckpointInterval: *ckptEvery,
 		CapacityBytes:      *capacity,
@@ -330,11 +325,7 @@ func cmdServe(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "peer %s serving on %s (store %s)\n", id.Fingerprint(), node.Addr(), *storeDir)
-	ledgerKind := "exact pairwise ledger"
-	if *ledgerBound > 0 {
-		ledgerKind = fmt.Sprintf("bounded ledger (%d tracked)", *ledgerBound)
-	}
-	fmt.Fprintf(out, "allocation: policy %s, estimator %s, %s\n", *policyName, *estName, ledgerKind)
+	fmt.Fprintf(out, "allocation: policy %s, estimator %s\n", *policyName, *estName)
 	if msrv != nil {
 		fmt.Fprintf(out, "metrics on http://%s/metrics (expvar at /debug/vars)\n", msrv.Addr())
 	}

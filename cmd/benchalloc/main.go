@@ -9,20 +9,23 @@
 //     fairness index across honest users, the free riders' download
 //     relative to an honest user (the incentive metric: low means
 //     freeloading does not pay), and the slot at which an honest
-//     user's smoothed download settles. The same grid repeats with
-//     every peer on a bounded ShardedLedger small enough to force
-//     evictions, pinning how much fidelity the bounded tail costs.
+//     user's smoothed download settles. The reference columns run at
+//     the default ledger bound, far above the population, so nothing
+//     is evicted; the same grid repeats with every peer's ledger small
+//     enough to force evictions, pinning how much fidelity the tail
+//     costs.
 //
 //  2. Ledger tick — a realloc tick (one PairwiseProportional.Allocate
 //     over an active requester set) against ledgers that have seen up
-//     to 10^5 distinct requesters. The sharded ledger's tracked
-//     entries stay at its bound while tick time scales with the
+//     to 10^5 distinct requesters, once at a bound above that
+//     population and once at the default. At the default the tracked
+//     entries stay at the bound while tick time scales with the
 //     active set, not the distinct population — the bounded-memory,
 //     O(active) claim, measured rather than asserted.
 //
 // Usage:
 //
-//	benchalloc [-slots 600] [-seed 7] [-bound 16] [-json FILE]
+//	benchalloc [-slots 600] [-seed 7] [-json FILE]
 package main
 
 import (
@@ -52,10 +55,15 @@ const (
 	freeRiders  = 12
 	uploadKbps  = 1000
 	demandGamma = 0.6
+
+	// gridBound is the ledger bound of the grid's bounded columns:
+	// below the 71 counterparts each peer meets, so ledgers evict
+	// throughout the run.
+	gridBound = 64
 )
 
 // policyReport is one policy row of BENCH_alloc.json. The *Bounded
-// fields are the same run with eviction-forcing ShardedLedgers.
+// fields are the same run with ledgers at gridBound.
 type policyReport struct {
 	Policy                string  `json:"policy"`
 	Jain                  float64 `json:"jain"`
@@ -68,7 +76,7 @@ type policyReport struct {
 // tickReport is one ledger-tick row: one Allocate call over `Active`
 // requesters against a ledger holding `Distinct` counterparts.
 type tickReport struct {
-	Ledger       string  `json:"ledger"`
+	Bound        int     `json:"bound"`
 	Distinct     int     `json:"distinct"`
 	Active       int     `json:"active"`
 	NsPerTick    float64 `json:"ns_per_tick"`
@@ -82,7 +90,7 @@ type report struct {
 	Slots       int            `json:"slots"`
 	HonestPeers int            `json:"honest_peers"`
 	FreeRiders  int            `json:"free_riders"`
-	LedgerBound int            `json:"ledger_bound"`
+	GridBound   int            `json:"ledger_bound"`
 	GOOS        string         `json:"goos"`
 	GOARCH      string         `json:"goarch"`
 	Policies    []policyReport `json:"policies"`
@@ -93,7 +101,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchalloc", flag.ContinueOnError)
 	slots := fs.Int("slots", 600, "simulated 1-second slots per policy run")
 	seed := fs.Int64("seed", 7, "demand-process determinism seed")
-	bound := fs.Int("bound", 64, "ShardedLedger bound for the bounded grid (force evictions: < peer count)")
 	jsonPath := fs.String("json", "", "also write the JSON report here")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -104,21 +111,21 @@ func run(args []string, out io.Writer) error {
 		Slots:       *slots,
 		HonestPeers: honestPeers,
 		FreeRiders:  freeRiders,
-		LedgerBound: *bound,
+		GridBound:   gridBound,
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 	}
 
 	fmt.Fprintf(out, "policy grid: %d honest + %d free riders, %d slots, bounded grid at bound %d\n",
-		honestPeers, freeRiders, *slots, *bound)
+		honestPeers, freeRiders, *slots, gridBound)
 	fmt.Fprintf(out, "%-8s %8s %10s %12s %14s %10s\n",
 		"policy", "jain", "freerider", "convergence", "jain(bounded)", "fr(bnd)")
 	for _, name := range []string{"eq2", "eq3", "equal", "bci", "classes"} {
-		exact, err := runGrid(name, *slots, *seed, 0)
+		exact, err := runGrid(name, *slots, *seed, fairshare.DefaultLedgerBound)
 		if err != nil {
 			return err
 		}
-		bounded, err := runGrid(name, *slots, *seed, *bound)
+		bounded, err := runGrid(name, *slots, *seed, gridBound)
 		if err != nil {
 			return err
 		}
@@ -138,14 +145,15 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "\nledger tick: PairwiseProportional.Allocate over the active set\n")
 	fmt.Fprintf(out, "%-8s %9s %7s %12s %11s %8s %7s\n",
-		"ledger", "distinct", "active", "ns/tick", "allocs/tick", "entries", "tail")
+		"bound", "distinct", "active", "ns/tick", "allocs/tick", "entries", "tail")
 	for _, distinct := range []int{10_000, 100_000} {
 		for _, active := range []int{64, 256, 1024} {
-			for _, kind := range []string{"exact", "sharded"} {
-				row := benchTick(kind, distinct, active)
+			// Twice the population: no shard overflows, nothing evicted.
+			for _, bound := range []int{2 * distinct, fairshare.DefaultLedgerBound} {
+				row := benchTick(bound, distinct, active)
 				rep.LedgerTicks = append(rep.LedgerTicks, row)
-				fmt.Fprintf(out, "%-8s %9d %7d %12.0f %11.1f %8d %7d\n",
-					row.Ledger, row.Distinct, row.Active, row.NsPerTick,
+				fmt.Fprintf(out, "%-8d %9d %7d %12.0f %11.1f %8d %7d\n",
+					row.Bound, row.Distinct, row.Active, row.NsPerTick,
 					row.AllocsPerRun, row.Entries, row.TailN)
 			}
 		}
@@ -191,11 +199,11 @@ func honestPolicy(name string, declared map[fairshare.ID]float64) (fairshare.All
 }
 
 // runGrid simulates one policy: honest contributors under the policy,
-// free riders that request every slot and serve nothing. ledgerBound
-// 0 runs exact pairwise ledgers.
-func runGrid(name string, slots int, seed int64, ledgerBound int) (gridResult, error) {
+// free riders that request every slot and serve nothing, every peer's
+// ledger at the given bound.
+func runGrid(name string, slots int, seed int64, bound int) (gridResult, error) {
 	declared := make(map[fairshare.ID]float64, honestPeers+freeRiders)
-	cfg := sim.Config{Slots: slots, LedgerBound: ledgerBound}
+	cfg := sim.Config{Slots: slots}
 	for i := 0; i < honestPeers; i++ {
 		pname := fmt.Sprintf("honest%02d", i)
 		declared[fairshare.ID(pname)] = uploadKbps
@@ -210,7 +218,8 @@ func runGrid(name string, slots int, seed int64, ledgerBound int) (gridResult, e
 			Policy: policy,
 			// Half the honest users ride the premium class so the
 			// classes grid has both tiers; other policies ignore it.
-			Class: fairshare.ServiceClass(i % 2),
+			Class:  fairshare.ServiceClass(i % 2),
+			Ledger: fairshare.NewBoundedLedger(fairshare.DefaultInitialCredit, bound),
 		})
 	}
 	for i := 0; i < freeRiders; i++ {
@@ -222,6 +231,7 @@ func runGrid(name string, slots int, seed int64, ledgerBound int) (gridResult, e
 			Upload: trace.Const(uploadKbps),
 			Demand: trace.Always{},
 			Policy: fairshare.Withhold{},
+			Ledger: fairshare.NewBoundedLedger(fairshare.DefaultInitialCredit, bound),
 		})
 	}
 	res, err := sim.Run(cfg)
@@ -265,15 +275,8 @@ func runGrid(name string, slots int, seed int64, ledgerBound int) (gridResult, e
 
 // benchTick measures one realloc tick against a ledger that has seen
 // `distinct` counterparts, with `active` of them requesting.
-func benchTick(kind string, distinct, active int) tickReport {
-	var book fairshare.Book
-	var sharded *fairshare.ShardedLedger
-	if kind == "sharded" {
-		sharded = fairshare.NewShardedLedger(fairshare.DefaultInitialCredit, fairshare.DefaultLedgerBound)
-		book = sharded
-	} else {
-		book = fairshare.NewLedger(fairshare.DefaultInitialCredit)
-	}
+func benchTick(bound, distinct, active int) tickReport {
+	book := fairshare.NewBoundedLedger(fairshare.DefaultInitialCredit, bound)
 	ids := make([]fairshare.ID, distinct)
 	for i := range ids {
 		ids[i] = fairshare.ID(fmt.Sprintf("peer-%06d", i))
@@ -302,17 +305,13 @@ func benchTick(kind string, distinct, active int) tickReport {
 	elapsed := time.Since(start)
 
 	row := tickReport{
-		Ledger:       kind,
+		Bound:        book.Bound(),
 		Distinct:     distinct,
 		Active:       active,
 		NsPerTick:    float64(elapsed.Nanoseconds()) / rounds,
 		AllocsPerRun: allocs,
+		Entries:      book.Entries(),
 	}
-	if sharded != nil {
-		row.Entries = sharded.Entries()
-		_, row.TailN = sharded.Tail()
-	} else {
-		row.Entries = distinct
-	}
+	_, row.TailN = book.Tail()
 	return row
 }

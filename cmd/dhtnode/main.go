@@ -64,11 +64,13 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		}
 		fmt.Fprintf(out, "joined via %s; table holds %d contacts\n", *join, node.TableSize())
 	}
+	// Catch signals before announcing readiness: whoever waits on ready
+	// may signal at once.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if ready != nil {
 		ready <- node.Addr()
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	fmt.Fprintln(out, "shutting down")
 	return node.Close()

@@ -52,11 +52,13 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		return err
 	}
 	fmt.Fprintf(out, "tracker listening on %s (max ttl %v)\n", srv.Addr(), *ttl)
+	// Catch signals before announcing readiness: whoever waits on ready
+	// may signal at once.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if ready != nil {
 		ready <- srv.Addr().String()
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	fmt.Fprintln(out, "shutting down")
 	return srv.Close()

@@ -101,7 +101,7 @@ type Config struct {
 
 	// Ledger, when set, is debited for failed and timed-out audits —
 	// the owner's local standing of each storage peer.
-	Ledger fairshare.Book
+	Ledger *fairshare.Ledger
 
 	// PenaltyPerMessage is the ledger debit per sampled message that
 	// failed (missing, forged, or the whole sample on timeout). Zero

@@ -77,11 +77,6 @@ type Config struct {
 	// means eight messages' worth — the default spot-check sample,
 	// fully missing.
 	AuditPenaltyKbits float64
-
-	// LedgerBound, when positive, gives every peer a bounded
-	// fairshare.ShardedLedger tracking at most this many counterparts
-	// exactly; zero keeps exact pairwise ledgers.
-	LedgerBound int
 }
 
 // Result holds the long-run outcome.
@@ -200,13 +195,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	ledgers := make([]fairshare.Book, n)
+	ledgers := make([]*fairshare.Ledger, n)
 	for i := range ledgers {
-		if cfg.LedgerBound > 0 {
-			ledgers[i] = fairshare.NewShardedLedger(initial, cfg.LedgerBound)
-		} else {
-			ledgers[i] = fairshare.NewLedger(initial)
-		}
+		ledgers[i] = fairshare.NewLedger(initial)
 	}
 
 	const windowSec = 10.0

@@ -22,8 +22,8 @@ package fairshare
 
 // LedgerView is the read-only standing a policy may consult: the
 // cumulative bandwidth this peer has received from a counterpart.
-// Both the exact pairwise Ledger and the bounded ShardedLedger
-// implement it; policies must not assume either concrete type.
+// *Ledger implements it, as do the fakes tests hand a policy; policies
+// must not assume the concrete type.
 type LedgerView interface {
 	// Received returns the cumulative amount received from a
 	// counterpart (or the ledger's initial credit for strangers).

@@ -8,14 +8,17 @@ package fairshare
 // loss to one checkpoint interval.
 //
 // Checkpoints alternate between two slots (`path` and `path.1`), each
-// written with the full fsync discipline of SaveFileFS and stamped with
-// a monotonically increasing generation. Recovery reads both slots and
+// written with the full fsync discipline of fsx.WriteFileAtomic (temp
+// file fsync, rename, parent-directory fsync) and stamped with a
+// monotonically increasing generation. Recovery reads both slots and
 // the newest parseable generation wins, so a crash mid-write — or bit
 // rot in one slot — costs at most one interval of credits, never the
 // whole ledger.
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"sync"
 	"time"
 
@@ -37,8 +40,8 @@ const (
 
 // CheckpointConfig configures a Checkpointer.
 type CheckpointConfig struct {
-	// Ledger is the book to persist — either ledger kind. Required.
-	Ledger Book
+	// Ledger is the ledger to persist. Required.
+	Ledger *Ledger
 
 	// Path is the primary slot; the secondary is Path + ".1".
 	Path string
@@ -61,7 +64,7 @@ type CheckpointConfig struct {
 // Checkpointer periodically saves a ledger with alternating dual-slot
 // writes. Create with NewCheckpointer; drive with Run and/or Checkpoint.
 type Checkpointer struct {
-	ledger   Book
+	ledger   *Ledger
 	path     string
 	interval time.Duration
 	fsys     fsx.FS
@@ -175,41 +178,18 @@ type LedgerRecovery struct {
 	CorruptSlots int
 }
 
-// RecoverLedger loads the newest valid exact-pairwise checkpoint from
-// the dual slots of path. Damage is absorbed: if both slots are
-// corrupt the node restarts with a fresh ledger (initial credit only)
-// rather than refusing to boot, and the damage is reported in
-// LedgerRecovery.
+// RecoverLedger loads the newest valid checkpoint from the dual slots
+// of path; with no checkpoint on disk (first boot) it returns a fresh
+// ledger with the given initial credit. Damage is absorbed: if both
+// slots are corrupt the node restarts with a fresh ledger rather than
+// refusing to boot, and the damage is reported in LedgerRecovery.
 func RecoverLedger(fsys fsx.FS, path string, initial float64) (*Ledger, LedgerRecovery, error) {
-	b, rec, err := RecoverBook(fsys, path, initial, 0)
-	if err != nil {
-		return nil, rec, err
-	}
-	l, ok := b.(*Ledger)
-	if !ok {
-		// A bounded (version-2) checkpoint on disk: counted as corrupt
-		// for this legacy entry point, fresh ledger wins.
-		rec = LedgerRecovery{CorruptSlots: rec.CorruptSlots + 1}
-		return NewLedger(initial), rec, nil
-	}
-	return l, rec, nil
-}
-
-// RecoverBook loads the newest valid checkpoint from the dual slots of
-// path, rebuilding whichever ledger kind the document (or the bound
-// argument) calls for. A positive bound requests the bounded kind: a
-// fresh ShardedLedger on first boot, and migration of any legacy
-// pairwise checkpoint found on disk. bound <= 0 preserves the
-// checkpoint's own kind, defaulting to the exact pairwise ledger on
-// first boot. Damage is absorbed as in RecoverLedger.
-func RecoverBook(fsys fsx.FS, path string, initial float64, bound int) (Book, LedgerRecovery, error) {
 	if fsys == nil {
 		fsys = fsx.OS
 	}
 	var (
-		best    Book
-		rec     LedgerRecovery
-		bestGen uint64
+		best *Ledger
+		rec  LedgerRecovery
 	)
 	for _, slot := range []string{path, path + ".1"} {
 		data, err := fsx.ReadFile(fsys, slot)
@@ -217,7 +197,7 @@ func RecoverBook(fsys fsx.FS, path string, initial float64, bound int) (Book, Le
 			// Missing slots are normal (first boot, or only one
 			// generation ever written); other read errors count as
 			// corrupt but do not block recovery of the sibling slot.
-			if !isNotExistErr(err) {
+			if !errors.Is(err, fs.ErrNotExist) {
 				rec.CorruptSlots++
 			}
 			continue
@@ -227,22 +207,18 @@ func RecoverBook(fsys fsx.FS, path string, initial float64, bound int) (Book, Le
 			rec.CorruptSlots++
 			continue
 		}
-		b, err := bookFromDoc(doc, bound)
+		l, err := ledgerFromDoc(doc)
 		if err != nil {
 			rec.CorruptSlots++
 			continue
 		}
-		if best == nil || doc.Gen > bestGen {
-			best, bestGen = b, doc.Gen
+		if best == nil || doc.Gen > rec.Gen {
+			best, rec.Gen = l, doc.Gen
 		}
 	}
 	if best == nil {
-		if bound > 0 {
-			return NewShardedLedger(initial, bound), rec, nil
-		}
 		return NewLedger(initial), rec, nil
 	}
-	rec.Gen = bestGen
 	rec.Loaded = true
 	return best, rec, nil
 }

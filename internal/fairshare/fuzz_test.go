@@ -21,11 +21,9 @@ func FuzzAllocate(f *testing.F) {
 		if math.IsNaN(capacity) || math.IsInf(capacity, 0) || capacity < 0 {
 			return // the seam's precondition: a real, non-negative capacity
 		}
-		var book Book
+		book := NewLedger(DefaultInitialCredit)
 		if bounded {
-			book = NewShardedLedger(DefaultInitialCredit, 3)
-		} else {
-			book = NewLedger(DefaultInitialCredit)
+			book = NewBoundedLedger(DefaultInitialCredit, 3) // evicting: tail in play
 		}
 		for i, id := range ids {
 			amt := float64(creditRaw) * float64(i+1)

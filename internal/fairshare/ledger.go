@@ -16,6 +16,7 @@ package fairshare
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"asymshare/internal/metrics"
 )
@@ -24,104 +25,174 @@ import (
 // names; in the real node they are public-key fingerprints.
 type ID = string
 
-// Book is the mutable receipt-ledger seam: everything a node needs to
-// keep standing with its counterparts. Two implementations exist — the
-// exact pairwise Ledger (O(peers ever seen) state, the paper's R_i),
-// and the bounded ShardedLedger (top-K heavy hitters plus a decayed
-// aggregate tail). The interface is sealed to this package via the
-// unexported marshal/instrument methods, because checkpointing needs a
-// stable serialized form per implementation.
-type Book interface {
-	LedgerView
-	Credit(from ID, amount float64)
-	Debit(from ID, amount float64)
-	Decay(factor float64)
-	Rev() uint64
-	Snapshot() map[ID]float64
-	Total() float64
-
-	// marshal renders the book with an explicit checkpoint generation.
-	marshal(gen uint64) ([]byte, error)
-	// instrument attaches credit/debit metrics.
-	instrument(reg *metrics.Registry)
-}
-
-// InstrumentBook attaches credit/debit metrics to either ledger kind.
-// Safe with a nil registry or nil book; returns the book for chaining.
-func InstrumentBook(b Book, reg *metrics.Registry) Book {
-	if b != nil {
-		b.instrument(reg)
-	}
-	return b
-}
-
 // DefaultInitialCredit is the "arbitrary small positive initial value"
 // of Eq. (2) seeding every pairwise ledger entry so the system can
 // bootstrap.
 const DefaultInitialCredit = 1e-6
 
-// Ledger is one peer's local record of bandwidth received from each
-// counterpart. It is safe for concurrent use.
-type Ledger struct {
+// DefaultLedgerBound is how many counterparts NewLedger tracks exactly.
+const DefaultLedgerBound = 4096
+
+// ledgerShardCount is the number of hash shards. Power of two so the
+// shard index is a mask.
+const ledgerShardCount = 16
+
+// Exported ledger metric names (see DESIGN.md §7).
+const (
+	MetricCreditEvents    = "fairshare_credit_events_total"
+	MetricDebitEvents     = "fairshare_debit_events_total"
+	MetricCreditedUnits   = "fairshare_credited_units"
+	MetricDebitedUnits    = "fairshare_debited_units"
+	MetricLedgerEvictions = "fairshare_ledger_evictions_total"
+	MetricLedgerEntries   = "fairshare_ledger_entries"
+	MetricLedgerTailSum   = "fairshare_ledger_tail_sum"
+)
+
+// ledgerShard is one lock-striped slice of the tracked entries.
+type ledgerShard struct {
 	mu       sync.RWMutex
 	received map[ID]float64
+}
+
+// Ledger is one peer's local record of bandwidth received from each
+// counterpart — the paper's R_i — in bounded memory. It keeps the top
+// Bound standings exactly (hash-sharded maps with a per-shard entry
+// cap) and folds everything it evicts into an aggregate tail, in the
+// spirit of the space-saving heavy-hitter sketches.
+//
+// Eviction picks the shard's minimum entry — the counterpart whose
+// exact value matters least to a proportional allocator. The tail is a
+// conservation reservoir, not a standing oracle: an untracked
+// counterpart always reads the initial credit, so a free rider can
+// never inherit evicted standing (a tail-mean fallback would whitewash:
+// anyone not worth tracking would read as an average contributor). The
+// approximation therefore only costs the low end of the distribution:
+// heavy contributors keep exact standing, an evicted light contributor
+// forfeits its remainder to the aggregate and restarts from the initial
+// credit, and Total (tracked + tail) is conserved exactly across
+// evictions. Until some shard holds more than Bound/16 counterparts
+// nothing is evicted and every reading is exact.
+//
+// A realloc tick costs O(active requesters): each Received is one shard
+// map lookup. Safe for concurrent use.
+type Ledger struct {
 	initial  float64
-	rev      uint64 // bumped on every mutation; checkpointing skips clean ledgers
+	perShard int // entry cap of one shard: Bound / ledgerShardCount
+	shards   [ledgerShardCount]ledgerShard
+	rev      atomic.Uint64
+
+	tailMu  sync.Mutex
+	tailSum float64 // total evicted standing (decays with Decay)
+	tailN   uint64  // counterparts ever evicted
 
 	creditEvents  *metrics.Counter
 	debitEvents   *metrics.Counter
 	creditedUnits *metrics.Gauge
 	debitedUnits  *metrics.Gauge
+	evictions     *metrics.Counter
+	entries       *metrics.Gauge
+	tailGauge     *metrics.Gauge
 }
-
-// Exported ledger metric names (see DESIGN.md §7).
-const (
-	MetricCreditEvents  = "fairshare_credit_events_total"
-	MetricDebitEvents   = "fairshare_debit_events_total"
-	MetricCreditedUnits = "fairshare_credited_units"
-	MetricDebitedUnits  = "fairshare_debited_units"
-)
-
-// Instrument attaches credit/debit counters to the ledger. The unit
-// gauges accumulate the raw amounts (bytes, in the real node), tracking
-// the R_i[j] flow Eq. (2) divides by. Safe with a nil registry; returns
-// the ledger for chaining.
-func (l *Ledger) Instrument(reg *metrics.Registry) *Ledger {
-	l.creditEvents = reg.Counter(MetricCreditEvents, "Ledger credit operations applied.")
-	l.debitEvents = reg.Counter(MetricDebitEvents, "Ledger debit operations applied (audit penalties).")
-	l.creditedUnits = reg.Gauge(MetricCreditedUnits, "Cumulative ledger units credited (bytes received).")
-	l.debitedUnits = reg.Gauge(MetricDebitedUnits, "Cumulative ledger units debited (audit penalties).")
-	return l
-}
-
-// instrument implements Book.
-func (l *Ledger) instrument(reg *metrics.Registry) { l.Instrument(reg) }
-
-var _ Book = (*Ledger)(nil)
 
 // NewLedger returns a ledger whose unseen counterparts start with the
 // given initial credit (use DefaultInitialCredit unless testing
-// bootstrap behaviour).
+// bootstrap behaviour), tracking DefaultLedgerBound of them exactly.
 func NewLedger(initial float64) *Ledger {
+	return NewBoundedLedger(initial, DefaultLedgerBound)
+}
+
+// NewBoundedLedger is NewLedger at a chosen bound (rounded up to a
+// multiple of the shard count; DefaultLedgerBound when bound <= 0). It
+// exists for the eviction tests and cmd/benchalloc's fidelity grid,
+// which must overflow a ledger cheaply; nothing a user configures
+// reaches it.
+func NewBoundedLedger(initial float64, bound int) *Ledger {
 	if initial < 0 {
 		initial = 0
 	}
-	return &Ledger{received: make(map[ID]float64), initial: initial}
+	if bound <= 0 {
+		bound = DefaultLedgerBound
+	}
+	perShard := (bound + ledgerShardCount - 1) / ledgerShardCount
+	l := &Ledger{initial: initial, perShard: perShard}
+	for i := range l.shards {
+		l.shards[i].received = make(map[ID]float64)
+	}
+	return l
+}
+
+// Bound returns the maximum number of exactly-tracked counterparts.
+func (l *Ledger) Bound() int { return l.perShard * ledgerShardCount }
+
+// shardFor hashes an ID onto its shard (FNV-1a).
+func (l *Ledger) shardFor(id ID) *ledgerShard {
+	var h uint32 = 2166136261
+	for i := 0; i < len(id); i++ {
+		h ^= uint32(id[i])
+		h *= 16777619
+	}
+	return &l.shards[h&(ledgerShardCount-1)]
+}
+
+// evictMinLocked folds the shard's minimum entry into the tail. The
+// shard lock must be held. O(perShard), but runs only when an
+// insertion overfills a shard — steady-state ticks over tracked
+// requesters never evict.
+func (l *Ledger) evictMinLocked(s *ledgerShard) {
+	var (
+		minID ID
+		minV  float64
+		first = true
+	)
+	for id, v := range s.received {
+		if first || v < minV || (v == minV && id < minID) {
+			minID, minV, first = id, v, false
+		}
+	}
+	if first {
+		return
+	}
+	delete(s.received, minID)
+	l.tailMu.Lock()
+	l.tailSum += minV
+	l.tailN++
+	l.tailGauge.Set(l.tailSum)
+	l.tailMu.Unlock()
+	l.evictions.Inc()
+	l.entries.Add(-1)
+}
+
+// upsertLocked inserts or replaces an entry, then evicts the shard
+// minimum if the insertion overfilled it — the new entry competes with
+// the incumbents, so a heavy contributor is never displaced by a
+// light newcomer. The shard lock must be held.
+func (l *Ledger) upsertLocked(s *ledgerShard, id ID, v float64) {
+	if _, ok := s.received[id]; !ok {
+		l.entries.Add(1)
+	}
+	s.received[id] = v
+	if len(s.received) > l.perShard {
+		l.evictMinLocked(s)
+	}
 }
 
 // Credit records that `amount` bandwidth was received from a
-// counterpart. Negative amounts are ignored.
+// counterpart. Negative amounts are ignored. A previously evicted (or
+// never seen) counterpart re-enters at the initial credit plus the
+// amount — its evicted remainder stays in the tail, forfeited.
 func (l *Ledger) Credit(from ID, amount float64) {
 	if amount <= 0 {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.received[from]; !ok {
-		l.received[from] = l.initial
+	s := l.shardFor(from)
+	s.mu.Lock()
+	v, ok := s.received[from]
+	if !ok {
+		v = l.initial
 	}
-	l.received[from] += amount
-	l.rev++
+	l.upsertLocked(s, from, v+amount)
+	s.mu.Unlock()
+	l.rev.Add(1)
 	l.creditEvents.Inc()
 	l.creditedUnits.Add(amount)
 }
@@ -133,16 +204,21 @@ func (l *Ledger) Credit(from ID, amount float64) {
 // penalties (internal/audit): a peer caught failing retention
 // spot-checks forfeits credit and its allocation share collapses,
 // exactly the free-riding deterrent of the contribution-index schemes.
-// Negative and zero amounts are ignored. Debiting an unseen
-// counterpart pins its entry to zero, revoking the initial bootstrap
-// credit too.
+// Negative and zero amounts are ignored.
+//
+// Debiting an untracked counterpart inserts it at the initial credit
+// less the amount, revoking the bootstrap credit too — while its shard
+// has room. In a full shard that entry is the minimum and is evicted by
+// the same call, so a slashed stranger reads the initial credit again,
+// indistinguishable from any other stranger: the tail design promises
+// exact standing only to the counterparts worth tracking.
 func (l *Ledger) Debit(from ID, amount float64) {
 	if amount <= 0 {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	v, ok := l.received[from]
+	s := l.shardFor(from)
+	s.mu.Lock()
+	v, ok := s.received[from]
 	if !ok {
 		v = l.initial
 	}
@@ -150,68 +226,124 @@ func (l *Ledger) Debit(from ID, amount float64) {
 	if v < 0 {
 		v = 0
 	}
-	l.received[from] = v
-	l.rev++
+	l.upsertLocked(s, from, v)
+	s.mu.Unlock()
+	l.rev.Add(1)
 	l.debitEvents.Inc()
 	l.debitedUnits.Add(amount)
 }
 
-// Received returns the cumulative amount received from a counterpart,
-// or the initial credit if it has never contributed.
+// Received returns the standing of a counterpart: exact for tracked
+// entries, the initial credit for everyone else — never the tail, so
+// untracked requesters carry no inherited standing.
 func (l *Ledger) Received(from ID) float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if v, ok := l.received[from]; ok {
+	s := l.shardFor(from)
+	s.mu.RLock()
+	v, ok := s.received[from]
+	s.mu.RUnlock()
+	if ok {
 		return v
 	}
 	return l.initial
 }
 
-// Decay multiplies every entry by factor in (0, 1], implementing the
-// paper's future-work suggestion of "disproportionately weighing newer
-// contributions over older ones" to speed up adaptation (Sec. V-A,
-// Fig. 8(b) discussion).
+// Decay multiplies every tracked entry and the aggregate tail by
+// factor in (0, 1], implementing the paper's future-work suggestion of
+// "disproportionately weighing newer contributions over older ones" to
+// speed up adaptation (Sec. V-A, Fig. 8(b) discussion). The evicted
+// mass fades at the same rate, so Total scales by factor too.
 func (l *Ledger) Decay(factor float64) {
 	if factor >= 1 || factor < 0 {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for id := range l.received {
-		l.received[id] *= factor
+	for i := range l.shards {
+		s := &l.shards[i]
+		s.mu.Lock()
+		for id := range s.received {
+			s.received[id] *= factor
+		}
+		s.mu.Unlock()
 	}
-	l.rev++
+	l.tailMu.Lock()
+	l.tailSum *= factor
+	l.tailGauge.Set(l.tailSum)
+	l.tailMu.Unlock()
+	l.rev.Add(1)
 }
 
 // Rev returns a revision counter that changes whenever the ledger
-// does. Persistence layers compare revisions to skip saving a ledger
+// does. The Checkpointer compares revisions to skip saving a ledger
 // that has not moved since the last checkpoint.
-func (l *Ledger) Rev() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.rev
-}
+func (l *Ledger) Rev() uint64 { return l.rev.Load() }
 
-// Snapshot returns a copy of the ledger contents.
+// Snapshot returns a copy of the exactly-tracked entries. The tail is
+// not expanded (its members are unknown by design); use Tail for the
+// aggregate.
 func (l *Ledger) Snapshot() map[ID]float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make(map[ID]float64, len(l.received))
-	for id, v := range l.received {
-		out[id] = v
+	out := make(map[ID]float64)
+	for i := range l.shards {
+		s := &l.shards[i]
+		s.mu.RLock()
+		for id, v := range s.received {
+			out[id] = v
+		}
+		s.mu.RUnlock()
 	}
 	return out
 }
 
-// Total returns the sum over all recorded counterparts.
-func (l *Ledger) Total() float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var sum float64
-	for _, v := range l.received {
-		sum += v
+// Tail returns the aggregate standing and population of evicted
+// counterparts.
+func (l *Ledger) Tail() (sum float64, n uint64) {
+	l.tailMu.Lock()
+	defer l.tailMu.Unlock()
+	return l.tailSum, l.tailN
+}
+
+// Entries returns how many counterparts are tracked exactly.
+func (l *Ledger) Entries() int {
+	n := 0
+	for i := range l.shards {
+		s := &l.shards[i]
+		s.mu.RLock()
+		n += len(s.received)
+		s.mu.RUnlock()
 	}
+	return n
+}
+
+// Total returns tracked plus evicted standing — conserved exactly
+// across evictions.
+func (l *Ledger) Total() float64 {
+	var sum float64
+	for i := range l.shards {
+		s := &l.shards[i]
+		s.mu.RLock()
+		for _, v := range s.received {
+			sum += v
+		}
+		s.mu.RUnlock()
+	}
+	l.tailMu.Lock()
+	sum += l.tailSum
+	l.tailMu.Unlock()
 	return sum
+}
+
+// Instrument attaches credit/debit/eviction metrics. The unit gauges
+// accumulate the raw amounts (bytes, in the real node), tracking the
+// R_i[j] flow Eq. (2) divides by. Safe with a nil registry; returns the
+// ledger for chaining.
+func (l *Ledger) Instrument(reg *metrics.Registry) *Ledger {
+	l.creditEvents = reg.Counter(MetricCreditEvents, "Ledger credit operations applied.")
+	l.debitEvents = reg.Counter(MetricDebitEvents, "Ledger debit operations applied (audit penalties).")
+	l.creditedUnits = reg.Gauge(MetricCreditedUnits, "Cumulative ledger units credited (bytes received).")
+	l.debitedUnits = reg.Gauge(MetricDebitedUnits, "Cumulative ledger units debited (audit penalties).")
+	l.evictions = reg.Counter(MetricLedgerEvictions, "Ledger entries evicted into the aggregate tail.")
+	l.entries = reg.Gauge(MetricLedgerEntries, "Counterparts tracked exactly by the ledger.")
+	l.tailGauge = reg.Gauge(MetricLedgerTailSum, "Aggregate standing of evicted counterparts.")
+	l.entries.Set(float64(l.Entries()))
+	return l
 }
 
 // sortedIDs returns ids in deterministic order.

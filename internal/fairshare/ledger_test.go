@@ -3,6 +3,8 @@ package fairshare
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 )
 
 func TestShardedLedgerBasics(t *testing.T) {
-	l := NewShardedLedger(0.5, 64)
+	l := NewBoundedLedger(0.5, 64)
 	if l.Bound() < 64 {
 		t.Fatalf("Bound = %d, want >= 64", l.Bound())
 	}
@@ -32,7 +34,8 @@ func TestShardedLedgerBasics(t *testing.T) {
 	if got := l.Received("a"); got != 0 {
 		t.Errorf("negative amounts changed standing: %v", got)
 	}
-	// Debiting a stranger pins an entry so the penalty sticks.
+	// Debiting a stranger pins an entry (the shard has room), so the
+	// penalty sticks.
 	l.Debit("cheat", 0.2)
 	if got := l.Received("cheat"); !almostEqual(got, 0.3) {
 		t.Errorf("debited stranger Received = %v, want 0.3", got)
@@ -40,7 +43,7 @@ func TestShardedLedgerBasics(t *testing.T) {
 }
 
 func TestShardedLedgerRev(t *testing.T) {
-	l := NewShardedLedger(0, 16)
+	l := NewBoundedLedger(0, 16)
 	r0 := l.Rev()
 	l.Credit("a", 1)
 	if l.Rev() == r0 {
@@ -67,7 +70,7 @@ func TestShardedLedgerRev(t *testing.T) {
 // mass lands in the tail, and Total is conserved exactly.
 func TestShardedLedgerBoundAndEviction(t *testing.T) {
 	const bound = 64
-	l := NewShardedLedger(0, bound)
+	l := NewBoundedLedger(0, bound)
 	var want float64
 	for i := 0; i < 10*bound; i++ {
 		amt := float64(i%7 + 1)
@@ -103,7 +106,7 @@ func TestShardedLedgerBoundAndEviction(t *testing.T) {
 // standing: heavy contributors keep exact entries.
 func TestShardedLedgerEvictsMinimum(t *testing.T) {
 	// Bound 16 = one entry per shard; every same-shard insertion evicts.
-	l := NewShardedLedger(0, 16)
+	l := NewBoundedLedger(0, 16)
 	l.Credit("heavy", 1000)
 	s := l.shardFor("heavy")
 	// Find another ID in the same shard and credit less.
@@ -126,7 +129,7 @@ func TestShardedLedgerEvictsMinimum(t *testing.T) {
 }
 
 func TestShardedLedgerDecay(t *testing.T) {
-	l := NewShardedLedger(0, 16)
+	l := NewBoundedLedger(0, 16)
 	l.Credit("a", 100)
 	// Force an eviction so the tail has mass.
 	s := l.shardFor("a")
@@ -152,8 +155,121 @@ func TestShardedLedgerDecay(t *testing.T) {
 	}
 }
 
+// TestLedgerDebitStrangerInFullShard pins what the tail design promises
+// a slashed stranger: the penalty sticks while the shard has room, and
+// in a full shard the freshly pinned entry is the minimum, is evicted
+// by the same Debit, and the stranger reads the initial credit again.
+func TestLedgerDebitStrangerInFullShard(t *testing.T) {
+	// Bound 16 = one entry per shard.
+	l := NewBoundedLedger(1, 16)
+	l.Debit("cheat", 0.75)
+	if got := l.Received("cheat"); got != 0.25 {
+		t.Fatalf("roomy shard: slashed stranger reads %v, want 0.25", got)
+	}
+
+	l = NewBoundedLedger(1, 16)
+	l.Credit("tenant", 10)
+	s := l.shardFor("tenant")
+	var cheat ID
+	for i := 0; ; i++ {
+		if cheat = ID(fmt.Sprintf("cheat-%d", i)); l.shardFor(cheat) == s {
+			break
+		}
+	}
+	l.Debit(cheat, 0.75)
+	if got := l.Received(cheat); got != 1 {
+		t.Errorf("full shard: slashed stranger reads %v, want the initial credit 1", got)
+	}
+	if got := l.Received("tenant"); got != 11 {
+		t.Errorf("tenant displaced by a slashed stranger: %v", got)
+	}
+	if sum, n := l.Tail(); sum != 0.25 || n != 1 {
+		t.Errorf("tail = (%v, %d), want the slashed remainder (0.25, 1)", sum, n)
+	}
+}
+
+// mapOracle is the exact pairwise ledger the paper describes — one map,
+// no bound — kept as the reference the real one is compared against.
+type mapOracle struct {
+	initial  float64
+	received map[ID]float64
+}
+
+func (o *mapOracle) read(id ID) float64 {
+	if v, ok := o.received[id]; ok {
+		return v
+	}
+	return o.initial
+}
+func (o *mapOracle) credit(id ID, amt float64) { o.received[id] = o.read(id) + amt }
+func (o *mapOracle) debit(id ID, amt float64) {
+	o.received[id] = math.Max(0, o.read(id)-amt)
+}
+func (o *mapOracle) decay(f float64) {
+	for id := range o.received {
+		o.received[id] *= f
+	}
+}
+
+// TestLedgerMatchesMapOracle: while no shard holds more than its cap
+// (Bound/16 = 256 counterparts) the ledger is the exact map — the same
+// float operations in the same order per entry, so readings are
+// bit-identical — and nothing is evicted. 2 000 ids put ≈ 125 in each
+// shard; the busiest is checked to be under the cap so the premise, not
+// luck, holds the test up.
+func TestLedgerMatchesMapOracle(t *testing.T) {
+	ids := make([]ID, 2000)
+	for i := range ids {
+		ids[i] = ID(fmt.Sprintf("peer-%04d", i))
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewLedger(DefaultInitialCredit)
+		o := &mapOracle{initial: DefaultInitialCredit, received: map[ID]float64{}}
+		for step := 0; step < 20000; step++ {
+			id := ids[rng.Intn(len(ids))]
+			switch amt := rng.Float64() * 100; rng.Intn(10) {
+			case 0:
+				l.Debit(id, amt)
+				o.debit(id, amt)
+			case 1:
+				if rng.Intn(50) == 0 {
+					f := 0.5 + rng.Float64()/2
+					l.Decay(f)
+					o.decay(f)
+				}
+			default:
+				l.Credit(id, amt)
+				o.credit(id, amt)
+			}
+			if got, want := l.Received(id), o.read(id); got != want {
+				t.Fatalf("seed %d step %d: Received(%s) = %v, oracle %v", seed, step, id, got, want)
+			}
+		}
+		for i := range l.shards {
+			if n := len(l.shards[i].received); n > l.perShard {
+				t.Fatalf("seed %d: shard %d holds %d > cap %d", seed, i, n, l.perShard)
+			}
+		}
+		if sum, n := l.Tail(); sum != 0 || n != 0 {
+			t.Fatalf("seed %d: evicted below the cap: tail (%v, %d)", seed, sum, n)
+		}
+		if snap := l.Snapshot(); !reflect.DeepEqual(snap, o.received) {
+			t.Fatalf("seed %d: Snapshot differs from the oracle (%d vs %d entries)", seed, len(snap), len(o.received))
+		}
+		// Total sums in map order, so only the last bits may differ.
+		var want float64
+		for _, v := range o.received {
+			want += v
+		}
+		if got := l.Total(); math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("seed %d: Total = %v, oracle %v", seed, got, want)
+		}
+	}
+}
+
 func TestShardedLedgerConcurrency(t *testing.T) {
-	l := NewShardedLedger(DefaultInitialCredit, 128).Instrument(metrics.NewRegistry())
+	l := NewBoundedLedger(DefaultInitialCredit, 128).Instrument(metrics.NewRegistry())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -178,15 +294,15 @@ func TestShardedLedgerConcurrency(t *testing.T) {
 	}
 }
 
-// TestShardedCheckpointRoundtrip saves a bounded ledger through the
-// Checkpointer and recovers it via RecoverBook: version-2 document,
-// bound, entries and tail all survive.
+// TestShardedCheckpointRoundtrip saves a ledger that has evicted
+// through the Checkpointer and recovers it: bound, entries and tail all
+// survive.
 func TestShardedCheckpointRoundtrip(t *testing.T) {
 	efs := fsx.NewErrFS(1)
 	if err := efs.MkdirAll("/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	l := NewShardedLedger(0.25, 16)
+	l := NewBoundedLedger(0.25, 16)
 	l.Credit("alice", 100)
 	l.Credit("bob", 40)
 	// Evict something so the tail is non-trivial.
@@ -203,16 +319,12 @@ func TestShardedCheckpointRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, rec, err := RecoverBook(efs, "/d/ledger", 0.25, 0)
+	sl, rec, err := RecoverLedger(efs, "/d/ledger", 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rec.Loaded || rec.Gen != 1 || rec.CorruptSlots != 0 {
 		t.Fatalf("recovery = %+v", rec)
-	}
-	sl, ok := got.(*ShardedLedger)
-	if !ok {
-		t.Fatalf("recovered %T, want *ShardedLedger (kind preserved with bound=0)", got)
 	}
 	if sl.Bound() != l.Bound() {
 		t.Errorf("recovered bound %d, want %d", sl.Bound(), l.Bound())
@@ -230,92 +342,9 @@ func TestShardedCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
-// TestRecoverBookMigratesLegacyCheckpoint: a node reconfigured with a
-// ledger bound loads its old exact-pairwise checkpoint into a bounded
-// ledger without losing standing.
-func TestRecoverBookMigratesLegacyCheckpoint(t *testing.T) {
-	efs := fsx.NewErrFS(1)
-	if err := efs.MkdirAll("/d", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	old := NewLedger(DefaultInitialCredit)
-	old.Credit("alice", 100)
-	old.Credit("bob", 40)
-	c := NewCheckpointer(CheckpointConfig{Ledger: old, Path: "/d/ledger", FS: efs})
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, rec, err := RecoverBook(efs, "/d/ledger", DefaultInitialCredit, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Loaded {
-		t.Fatalf("recovery = %+v", rec)
-	}
-	sl, ok := got.(*ShardedLedger)
-	if !ok {
-		t.Fatalf("recovered %T, want migration to *ShardedLedger", got)
-	}
-	if !almostEqual(sl.Received("alice"), old.Received("alice")) ||
-		!almostEqual(sl.Received("bob"), old.Received("bob")) {
-		t.Errorf("standing lost in migration: alice %v bob %v", sl.Received("alice"), sl.Received("bob"))
-	}
-}
-
-// TestRecoverLedgerRejectsBoundedCheckpoint: the legacy entry point
-// cannot silently downgrade a bounded checkpoint (its tail would be
-// dropped); it restarts fresh and flags the slot.
-func TestRecoverLedgerRejectsBoundedCheckpoint(t *testing.T) {
-	efs := fsx.NewErrFS(1)
-	if err := efs.MkdirAll("/d", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	l := NewShardedLedger(0, 16)
-	l.Credit("alice", 100)
-	c := NewCheckpointer(CheckpointConfig{Ledger: l, Path: "/d/ledger", FS: efs})
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	got, rec, err := RecoverLedger(efs, "/d/ledger", 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Loaded || rec.CorruptSlots == 0 {
-		t.Errorf("recovery = %+v, want fresh + flagged slot", rec)
-	}
-	if got.Received("alice") != 0.5 {
-		t.Errorf("fresh ledger Received = %v, want initial", got.Received("alice"))
-	}
-}
-
-// TestRecoverBookFirstBootKinds: no checkpoint on disk yields the kind
-// the bound argument requests.
-func TestRecoverBookFirstBootKinds(t *testing.T) {
-	efs := fsx.NewErrFS(1)
-	b, rec, err := RecoverBook(efs, "/none/ledger", 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Loaded || rec.CorruptSlots != 0 {
-		t.Errorf("first boot recovery = %+v", rec)
-	}
-	if _, ok := b.(*Ledger); !ok {
-		t.Errorf("bound 0 first boot = %T, want *Ledger", b)
-	}
-	b, _, err = RecoverBook(efs, "/none/ledger", 1, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(*ShardedLedger); !ok {
-		t.Errorf("bounded first boot = %T, want *ShardedLedger", b)
-	}
-}
-
-// BenchmarkLedgerRealloc proves the bounded-ledger acceptance claim: a
-// 100k-distinct-requester workload holds memory at the bound and keeps
-// a realloc tick O(active requesters) — compare the sharded ledger
-// against the unbounded exact map at the same tick size.
+// BenchmarkLedgerRealloc: a 100k-distinct-requester workload holds
+// memory at the bound and a realloc tick stays O(active requesters),
+// 0 allocs/op.
 func BenchmarkLedgerRealloc(b *testing.B) {
 	const distinct = 100_000
 	const active = 256 // requesters in one realloc tick
@@ -327,24 +356,18 @@ func BenchmarkLedgerRealloc(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = Requester{ID: ids[i*(distinct/active)]}
 	}
-	run := func(b *testing.B, book Book) {
-		for _, id := range ids {
-			book.Credit(id, 1)
-		}
-		p := PairwiseProportional{}
-		req := AllocRequest{Capacity: 1e6, Requesters: reqs, Ledger: book, Scratch: make(Grants, 0, active)}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			req.Scratch = p.Allocate(req)[:0]
-		}
+	l := NewLedger(DefaultInitialCredit)
+	for _, id := range ids {
+		l.Credit(id, 1)
 	}
-	b.Run("exact", func(b *testing.B) { run(b, NewLedger(DefaultInitialCredit)) })
-	b.Run("sharded", func(b *testing.B) {
-		l := NewShardedLedger(DefaultInitialCredit, DefaultLedgerBound)
-		run(b, l)
-		if l.Entries() > l.Bound() {
-			b.Fatalf("Entries %d exceeds bound %d", l.Entries(), l.Bound())
-		}
-	})
+	if l.Entries() > l.Bound() {
+		b.Fatalf("Entries %d exceeds bound %d", l.Entries(), l.Bound())
+	}
+	p := PairwiseProportional{}
+	req := AllocRequest{Capacity: 1e6, Requesters: reqs, Ledger: l, Scratch: make(Grants, 0, active)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Scratch = p.Allocate(req)[:0]
+	}
 }

@@ -1,32 +1,25 @@
 package fairshare
 
-// Ledger persistence. A peer's receipt ledger is the only state the
-// allocation rule depends on; losing it on restart would zero every
-// contributor's standing — Theorem 1's incentive and Corollary 1's
-// fairness both assume R_i survives. Ledgers serialize to a small JSON
-// document, and file saves are fully synced: temp file fsync, rename,
-// parent-directory fsync, so a crash leaves either the old or the new
-// ledger — never a torn one, and never a name pointing at nothing.
+// The ledger's serialized form. A peer's receipt ledger is the only
+// state the allocation rule depends on; losing it on restart would zero
+// every contributor's standing — Theorem 1's incentive and Corollary
+// 1's fairness both assume R_i survives. Ledgers serialize to a small
+// JSON document, written and recovered by the Checkpointer.
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"io/fs"
-
-	"asymshare/internal/fsx"
 )
 
-// Ledger document versions. Version 0 (the field omitted) is the
-// original exact pairwise form; version 2 adds the bounded ledger's
-// bound and aggregate tail. Both remain readable forever.
-const ledgerDocBounded = 2
+// Ledger document versions. Version 2 is what is written: entries plus
+// the bound and the aggregate tail. Version 0 (the field omitted) is
+// the exact pairwise form peers wrote before the ledger was bounded; it
+// stays readable forever, as a version-2 document with no tail and no
+// stored bound.
+const ledgerDocVersion = 2
 
 // ledgerDoc is the serialized form. Gen is the checkpoint generation
-// (see Checkpointer); plain SaveFile writes leave it zero. Bound,
-// TailSum and TailN are meaningful only for version-2 (bounded)
-// documents.
+// (see Checkpointer).
 type ledgerDoc struct {
 	V        int            `json:"v,omitempty"`
 	Initial  float64        `json:"initial"`
@@ -37,111 +30,43 @@ type ledgerDoc struct {
 	TailN    uint64         `json:"tail_n,omitempty"`
 }
 
-// bookFromDoc rebuilds whichever ledger kind the document describes. A
-// positive bound forces the bounded kind even for legacy pairwise
-// documents (a node reconfigured with -ledger-bound migrates its
-// checkpoint on first load).
-func bookFromDoc(doc ledgerDoc, bound int) (Book, error) {
-	if doc.V == ledgerDocBounded || bound > 0 {
-		return shardedFromDoc(doc, bound)
-	}
-	if doc.V != 0 {
-		return nil, fmt.Errorf("fairshare: load ledger: unknown version %d", doc.V)
-	}
-	return ledgerFromDoc(doc)
-}
-
-// doc snapshots the ledger into its serialized form.
-func (l *Ledger) doc(gen uint64) ledgerDoc {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	doc := ledgerDoc{Initial: l.initial, Received: make(map[ID]float64, len(l.received)), Gen: gen}
-	for id, v := range l.received {
-		doc.Received[id] = v
-	}
-	return doc
-}
-
-// ledgerFromDoc validates and rebuilds an exact pairwise ledger.
-func ledgerFromDoc(doc ledgerDoc) (*Ledger, error) {
-	if doc.V != 0 {
-		return nil, fmt.Errorf("fairshare: load ledger: version %d document needs a bounded ledger", doc.V)
-	}
-	l := NewLedger(doc.Initial)
-	for id, v := range doc.Received {
-		if v < 0 {
-			return nil, fmt.Errorf("fairshare: load ledger: negative entry for %q", id)
-		}
-		l.received[id] = v
-	}
-	return l, nil
-}
-
-// SaveJSON writes the ledger state to w.
-func (l *Ledger) SaveJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(l.doc(0)); err != nil {
-		return fmt.Errorf("fairshare: save ledger: %w", err)
-	}
-	return nil
-}
-
-// LoadLedgerJSON reads a ledger previously written by SaveJSON.
-func LoadLedgerJSON(r io.Reader) (*Ledger, error) {
-	var doc ledgerDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("fairshare: load ledger: %w", err)
-	}
-	return ledgerFromDoc(doc)
-}
-
-// marshal renders the ledger with an explicit generation.
+// marshal renders the ledger as a version-2 document stamped with the
+// given checkpoint generation.
 func (l *Ledger) marshal(gen uint64) ([]byte, error) {
-	data, err := json.Marshal(l.doc(gen))
+	doc := ledgerDoc{
+		V:        ledgerDocVersion,
+		Initial:  l.initial,
+		Received: l.Snapshot(),
+		Gen:      gen,
+		Bound:    l.Bound(),
+	}
+	doc.TailSum, doc.TailN = l.Tail()
+	data, err := json.Marshal(doc)
 	if err != nil {
 		return nil, fmt.Errorf("fairshare: save ledger: %w", err)
 	}
 	return append(data, '\n'), nil
 }
 
-// SaveFile durably persists the ledger to path on the real filesystem.
-func (l *Ledger) SaveFile(path string) error {
-	return l.SaveFileFS(fsx.OS, path)
-}
-
-// SaveFileFS durably persists the ledger to path through an fsx.FS.
-func (l *Ledger) SaveFileFS(fsys fsx.FS, path string) error {
-	data, err := l.marshal(0)
-	if err != nil {
-		return err
+// ledgerFromDoc validates a document and rebuilds the ledger it
+// describes, at the stored bound (DefaultLedgerBound for a version-0
+// document, which has none).
+func ledgerFromDoc(doc ledgerDoc) (*Ledger, error) {
+	if doc.V != 0 && doc.V != ledgerDocVersion {
+		return nil, fmt.Errorf("fairshare: load ledger: unknown version %d", doc.V)
 	}
-	if err := fsx.WriteFileAtomic(fsys, path, data, 0o644); err != nil {
-		return fmt.Errorf("fairshare: save ledger: %w", err)
+	if doc.TailSum < 0 {
+		return nil, fmt.Errorf("fairshare: load ledger: negative tail sum")
 	}
-	return nil
-}
-
-// LoadLedgerFile reads a ledger from path on the real filesystem. A
-// missing file yields a fresh ledger with the given initial credit
-// (first boot).
-func LoadLedgerFile(path string, initial float64) (*Ledger, error) {
-	return LoadLedgerFileFS(fsx.OS, path, initial)
-}
-
-// LoadLedgerFileFS reads a ledger from path through an fsx.FS.
-func LoadLedgerFileFS(fsys fsx.FS, path string, initial float64) (*Ledger, error) {
-	data, err := fsx.ReadFile(fsys, path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return NewLedger(initial), nil
+	l := NewBoundedLedger(doc.Initial, doc.Bound)
+	l.tailSum, l.tailN = doc.TailSum, doc.TailN
+	for id, v := range doc.Received {
+		if v < 0 {
+			return nil, fmt.Errorf("fairshare: load ledger: negative entry for %q", id)
 		}
-		return nil, fmt.Errorf("fairshare: load ledger: %w", err)
+		l.upsertLocked(l.shardFor(id), id, v)
 	}
-	doc, err := parseDoc(data)
-	if err != nil {
-		return nil, err
-	}
-	return ledgerFromDoc(doc)
+	return l, nil
 }
 
 // parseDoc unmarshals a serialized ledger document.
@@ -152,6 +77,3 @@ func parseDoc(data []byte) (ledgerDoc, error) {
 	}
 	return doc, nil
 }
-
-// isNotExistErr reports whether err means "file does not exist".
-func isNotExistErr(err error) bool { return errors.Is(err, fs.ErrNotExist) }

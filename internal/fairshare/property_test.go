@@ -69,7 +69,7 @@ func TestAllocationConservationProperty(t *testing.T) {
 	exact := NewLedger(DefaultInitialCredit)
 	exact.Credit("a", 5)
 	exact.Credit("c", 11)
-	bounded := NewShardedLedger(DefaultInitialCredit, 2)
+	bounded := NewBoundedLedger(DefaultInitialCredit, 2)
 	for _, id := range ids {
 		bounded.Credit(id, 3) // overflows the bound: tail in play
 	}

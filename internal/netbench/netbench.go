@@ -105,7 +105,7 @@ type Result struct {
 	RateBytesPerSec [][]float64
 
 	// Ledgers are the peers' final receipt ledgers.
-	Ledgers []fairshare.Book
+	Ledgers []*fairshare.Ledger
 
 	// GrantSamples holds per-round allocator grants when
 	// Config.CollectMetrics is set, ordered by (round, peer, requester).
@@ -269,7 +269,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{
 		Names:           make([]string, len(parts)),
 		RateBytesPerSec: make([][]float64, len(parts)),
-		Ledgers:         make([]fairshare.Book, len(parts)),
+		Ledgers:         make([]*fairshare.Ledger, len(parts)),
 	}
 	for i, p := range parts {
 		res.Names[i] = p.spec.Name

@@ -73,20 +73,10 @@ type Config struct {
 	// means the paper's pairwise-proportional rule.
 	Allocator fairshare.Allocator
 
-	// Ledger is the peer's receipt ledger — either the exact pairwise
-	// fairshare.Ledger or the bounded fairshare.ShardedLedger; nil
-	// creates a fresh one (bounded iff LedgerBound > 0, with the
-	// default initial credit), or recovers one from LedgerPath when
-	// that is set.
-	Ledger fairshare.Book
-
-	// LedgerBound, when positive, bounds ledger memory: the node keeps
-	// the top-LedgerBound counterpart standings exactly and folds the
-	// rest into a decayed aggregate tail (fairshare.ShardedLedger). A
-	// legacy pairwise checkpoint at LedgerPath is migrated on load.
-	// Zero keeps the exact pairwise ledger. Ignored when Ledger is
-	// injected directly.
-	LedgerBound int
+	// Ledger is the peer's receipt ledger; nil creates a fresh one
+	// (with the default initial credit), or recovers one from
+	// LedgerPath when that is set.
+	Ledger *fairshare.Ledger
 
 	// LedgerPath, when set, makes the ledger durable: New recovers the
 	// newest valid checkpoint from the dual slots at this path (see
@@ -162,7 +152,7 @@ type Config struct {
 // Node is a running peer.
 type Node struct {
 	cfg       Config
-	ledger    fairshare.Book
+	ledger    *fairshare.Ledger
 	alloc     fairshare.Allocator
 	est       estimate.Estimator
 	log       *slog.Logger
@@ -258,7 +248,7 @@ func New(cfg Config) (*Node, error) {
 		shedsByClient: make(map[fairshare.ID]int64),
 	}
 	if cfg.LedgerPath != "" {
-		led, rec, err := fairshare.RecoverBook(cfg.FS, cfg.LedgerPath, fairshare.DefaultInitialCredit, cfg.LedgerBound)
+		led, rec, err := fairshare.RecoverLedger(cfg.FS, cfg.LedgerPath, fairshare.DefaultInitialCredit)
 		if err != nil {
 			return nil, fmt.Errorf("peer: recover ledger: %w", err)
 		}
@@ -271,11 +261,7 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	if n.ledger == nil {
-		if cfg.LedgerBound > 0 {
-			n.ledger = fairshare.NewShardedLedger(fairshare.DefaultInitialCredit, cfg.LedgerBound)
-		} else {
-			n.ledger = fairshare.NewLedger(fairshare.DefaultInitialCredit)
-		}
+		n.ledger = fairshare.NewLedger(fairshare.DefaultInitialCredit)
 	}
 	book, bookRec, err := contract.OpenBook(contract.BookConfig{
 		Capacity: cfg.CapacityBytes,
@@ -300,7 +286,7 @@ func New(cfg Config) (*Node, error) {
 	n.m = newNodeMetrics(cfg.Metrics)
 	if cfg.Metrics != nil {
 		n.cfg.Store = store.Instrument(n.cfg.Store, cfg.Metrics)
-		fairshare.InstrumentBook(n.ledger, cfg.Metrics)
+		n.ledger.Instrument(cfg.Metrics)
 		n.alloc = fairshare.InstrumentAllocator(n.alloc, cfg.Metrics)
 		n.est = estimate.Instrument(n.est, cfg.Metrics)
 	}
@@ -367,7 +353,7 @@ func (n *Node) Addr() net.Addr {
 }
 
 // Ledger exposes the node's receipt ledger (shared, concurrent-safe).
-func (n *Node) Ledger() fairshare.Book { return n.ledger }
+func (n *Node) Ledger() *fairshare.Ledger { return n.ledger }
 
 // Contracts exposes the node's obligation book (concurrent-safe).
 func (n *Node) Contracts() *contract.Book { return n.book }

@@ -36,6 +36,10 @@ type PeerConfig struct {
 	// Class is the user's differentiated-service tier, seen by peers
 	// running the fairshare.Classes policy. Zero is the default class.
 	Class fairshare.ServiceClass
+
+	// Ledger is the peer's receipt ledger; nil means a fresh one at
+	// Config.InitialCredit.
+	Ledger *fairshare.Ledger
 }
 
 // Config describes a simulation run.
@@ -54,11 +58,6 @@ type Config struct {
 	// factor each slot — the paper's future-work suggestion for faster
 	// adaptation. 0 or >= 1 disables decay.
 	LedgerDecay float64
-
-	// LedgerBound, when positive, gives every peer a bounded
-	// fairshare.ShardedLedger tracking at most this many counterparts
-	// exactly; zero keeps exact pairwise ledgers.
-	LedgerBound int
 }
 
 // Result holds per-slot series for every peer.
@@ -81,9 +80,8 @@ type Result struct {
 	// checked directly.
 	Exchanged [][]float64
 
-	// Ledgers are the final receipt ledgers, indexed like Names —
-	// exact pairwise ledgers, or bounded ones under Config.LedgerBound.
-	Ledgers []fairshare.Book
+	// Ledgers are the final receipt ledgers, indexed like Names.
+	Ledgers []*fairshare.Ledger
 }
 
 // Run executes the simulation.
@@ -123,7 +121,7 @@ func Run(cfg Config) (*Result, error) {
 		Upload:     make([][]float64, n),
 		Requesting: make([][]bool, n),
 		Exchanged:  make([][]float64, n),
-		Ledgers:    make([]fairshare.Book, n),
+		Ledgers:    make([]*fairshare.Ledger, n),
 	}
 	policies := make([]fairshare.Allocator, n)
 	for i, p := range cfg.Peers {
@@ -132,9 +130,8 @@ func Run(cfg Config) (*Result, error) {
 		res.Upload[i] = make([]float64, cfg.Slots)
 		res.Requesting[i] = make([]bool, cfg.Slots)
 		res.Exchanged[i] = make([]float64, n)
-		if cfg.LedgerBound > 0 {
-			res.Ledgers[i] = fairshare.NewShardedLedger(initial, cfg.LedgerBound)
-		} else {
+		res.Ledgers[i] = p.Ledger
+		if p.Ledger == nil {
 			res.Ledgers[i] = fairshare.NewLedger(initial)
 		}
 		policies[i] = p.Policy
