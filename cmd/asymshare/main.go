@@ -54,6 +54,7 @@ import (
 	"asymshare/internal/client"
 	"asymshare/internal/core"
 	"asymshare/internal/dht"
+	"asymshare/internal/discovery"
 	"asymshare/internal/estimate"
 	"asymshare/internal/fairshare"
 	"asymshare/internal/fsx"
@@ -502,18 +503,22 @@ func cmdShare(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "shared %d bytes as %d messages to %d peers\nhandle: %s\nsecret (keep private!): %s\n",
 		len(data), res.MessagesSent, len(addrs), handlePath, hex.EncodeToString(res.Secret))
 	if *trackerAddr != "" {
-		if err := sys.AnnounceHandle(context.Background(), *trackerAddr, &res.Handle, 0); err != nil {
+		d, err := discovery.NewTracker(*trackerAddr, nil)
+		if err != nil {
+			return err
+		}
+		if err := sys.AnnounceHandleVia(context.Background(), d, &res.Handle, 0); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "announced %d chunks to tracker %s\n", len(res.Handle.Manifest.Chunks), *trackerAddr)
 	}
 	if *dhtAddr != "" {
-		node, err := joinDHT(*dhtAddr)
+		d, err := dhtDiscovery(*dhtAddr)
 		if err != nil {
 			return err
 		}
-		defer node.Close()
-		if err := sys.AnnounceHandleDHT(context.Background(), node, &res.Handle, 0); err != nil {
+		defer d.Close()
+		if err := sys.AnnounceHandleVia(context.Background(), d, &res.Handle, 0); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "announced %d chunks via DHT bootstrap %s\n", len(res.Handle.Manifest.Chunks), *dhtAddr)
@@ -609,6 +614,22 @@ func joinDHT(bootstrap string) (*dht.Node, error) {
 	return node, nil
 }
 
+// dhtDiscovery joins the DHT through a bootstrap and resolves and
+// announces through it, once: records are not re-announced, and Close
+// leaves the DHT.
+func dhtDiscovery(bootstrap string) (discovery.Discovery, error) {
+	node, err := joinDHT(bootstrap)
+	if err != nil {
+		return nil, err
+	}
+	d, err := discovery.NewDHT(node, discovery.DHTOptions{ReannounceInterval: -1, OwnNode: true})
+	if err != nil {
+		node.Close()
+		return nil, err
+	}
+	return d, nil
+}
+
 func cmdFetch(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fetch", flag.ContinueOnError)
 	keyPath := fs.String("key", "", "user key file (required)")
@@ -648,22 +669,24 @@ func cmdFetch(args []string, out io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
+	var d discovery.Discovery
+	switch {
+	case *dhtAddr != "":
+		d, err = dhtDiscovery(*dhtAddr)
+	case *trackerAddr != "":
+		d, err = discovery.NewTracker(*trackerAddr, nil)
+	}
+	if err != nil {
+		return err
+	}
 	var (
 		data  []byte
 		stats client.FetchStats
 	)
-	switch {
-	case *dhtAddr != "":
-		var node *dht.Node
-		node, err = joinDHT(*dhtAddr)
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		data, stats, err = sys.FetchFileViaDHT(ctx, node, &handle.Manifest, secret)
-	case *trackerAddr != "":
-		data, stats, err = sys.FetchFileViaTracker(ctx, *trackerAddr, &handle.Manifest, secret)
-	default:
+	if d != nil {
+		defer d.Close()
+		data, stats, err = sys.FetchFileVia(ctx, d, &handle.Manifest, secret)
+	} else {
 		data, stats, err = sys.FetchFile(ctx, handle, secret)
 	}
 	if err != nil {

@@ -27,10 +27,10 @@ func TestRunServesUntilSignal(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := tracker.Announce(ctx, addr, 5, "p:1", 0); err != nil {
+	if err := tracker.Announce(ctx, nil, addr, 5, "p:1", 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tracker.Lookup(ctx, addr, 5)
+	got, err := tracker.Lookup(ctx, nil, addr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

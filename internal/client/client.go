@@ -193,11 +193,20 @@ func NewWith(id *auth.Identity, trusted *auth.TrustSet, opts Options) (*Client, 
 // Fingerprint returns the client's key fingerprint.
 func (c *Client) Fingerprint() string { return c.id.Fingerprint() }
 
+// peerConn is one authenticated connection to a peer with the one
+// reader and the one writer every frame on it crosses, from HELLO on.
+type peerConn struct {
+	conn    net.Conn
+	fr      *wire.FrameReader
+	fw      *wire.FrameWriter
+	peerKey ed25519.PublicKey
+}
+
 // dial connects and completes the mutual handshake. DialTimeout bounds
 // the dial AND the handshake: a listener that accepts but never speaks
 // (SYN-accepted, application dead) would otherwise hang the zero-value
 // dialer forever.
-func (c *Client) dial(ctx context.Context, addr string, role wire.Role) (net.Conn, ed25519.PublicKey, error) {
+func (c *Client) dial(ctx context.Context, addr string, role wire.Role) (peerConn, error) {
 	if c.opt.DialTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opt.DialTimeout)
@@ -205,24 +214,25 @@ func (c *Client) dial(ctx context.Context, addr string, role wire.Role) (net.Con
 	}
 	conn, err := c.opt.Transport.DialContext(ctx, addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("client: dial %s: %w", addr, err)
+		return peerConn{}, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}
+	pc := peerConn{conn: conn, fr: wire.NewFrameReader(conn), fw: wire.NewFrameWriter(conn)}
 	// A caller that stops wanting the peer mid-handshake (its fetch
 	// completed elsewhere) is not held for the rest of DialTimeout.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	peerKey, err := wire.InitiatorHandshake(conn, c.id, role, c.trusted)
+	pc.peerKey, err = wire.InitiatorHandshake(pc.fr, pc.fw, c.id, role, c.trusted)
 	if !stop() && err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
 		conn.Close()
-		return nil, nil, fmt.Errorf("client: handshake with %s: %w", addr, err)
+		return peerConn{}, fmt.Errorf("client: handshake with %s: %w", addr, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return conn, peerKey, nil
+	return pc, nil
 }
 
 // Disseminate uploads a batch of encoded messages to one peer,

@@ -131,6 +131,7 @@ type PeerSession struct {
 	addr        string
 	conn        net.Conn
 	fingerprint string
+	fr          *wire.FrameReader // read by the demux loop only
 	cw          *sessionWriter
 
 	mu      sync.Mutex
@@ -167,16 +168,17 @@ func (sw *sessionWriter) writeFrame(t wire.Type, payload []byte) error {
 // the demux loop. The context bounds only the dial; the session then
 // lives until Close or a connection failure.
 func (c *Client) NewPeerSession(ctx context.Context, addr string) (*PeerSession, error) {
-	conn, peerKey, err := c.dial(ctx, addr, wire.RoleUser)
+	pc, err := c.dial(ctx, addr, wire.RoleUser)
 	if err != nil {
 		return nil, err
 	}
 	s := &PeerSession{
 		c:           c,
 		addr:        addr,
-		conn:        conn,
-		fingerprint: auth.Fingerprint(peerKey),
-		cw:          &sessionWriter{fw: wire.NewFrameWriter(conn)},
+		conn:        pc.conn,
+		fingerprint: auth.Fingerprint(pc.peerKey),
+		fr:          pc.fr,
+		cw:          &sessionWriter{fw: pc.fw},
 		streams:     make(map[uint64]*sessStream),
 		closed:      make(chan struct{}),
 	}
@@ -311,9 +313,8 @@ func (s *PeerSession) failAll(err error) {
 // every open stream with a retriable classification.
 func (s *PeerSession) demux() {
 	defer close(s.closed)
-	fr := wire.NewFrameReader(s.conn)
 	for {
-		t, b, err := fr.Next()
+		t, b, err := s.fr.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				err = fmt.Errorf("%w (%s): %v", errPeerAborted, s.addr, err)

@@ -18,8 +18,8 @@ import (
 
 // pipeSession builds a PeerSession over an in-memory pipe, skipping
 // dial and handshake, and starts its demux loop. The returned conn is
-// the fake peer's end.
-func pipeSession(t *testing.T) (*PeerSession, net.Conn) {
+// the fake peer's end, with the writer it frames through.
+func pipeSession(t *testing.T) (*PeerSession, net.Conn, *wire.FrameWriter) {
 	t.Helper()
 	cli, srv := net.Pipe()
 	s := &PeerSession{
@@ -27,6 +27,7 @@ func pipeSession(t *testing.T) (*PeerSession, net.Conn) {
 		addr:        "pipe",
 		conn:        cli,
 		fingerprint: "pipe-peer",
+		fr:          wire.NewFrameReader(cli),
 		cw:          &sessionWriter{fw: wire.NewFrameWriter(cli)},
 		streams:     make(map[uint64]*sessStream),
 		closed:      make(chan struct{}),
@@ -36,7 +37,7 @@ func pipeSession(t *testing.T) (*PeerSession, net.Conn) {
 		srv.Close()
 		s.Close()
 	})
-	return s, srv
+	return s, srv, wire.NewFrameWriter(srv)
 }
 
 // bareClient is a client with no identity: enough for a session built
@@ -47,10 +48,18 @@ func bareClient() *Client {
 	return c
 }
 
-func writeStreamError(t *testing.T, w net.Conn, fileID uint64, code uint16) {
+func writeStreamError(t *testing.T, fw *wire.FrameWriter, fileID uint64, code uint16) {
 	t.Helper()
 	se := wire.StreamError{FileID: fileID, Code: code, Reason: "test"}
-	if err := wire.WriteFrame(w, wire.TypeStreamError, se.Marshal()); err != nil {
+	if err := fw.WriteFrame(wire.TypeStreamError, se.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func writeBusy(t *testing.T, fw *wire.FrameWriter, fileID uint64, reason string) {
+	t.Helper()
+	b := wire.Busy{FileID: fileID, Code: wire.CodeBusy, RetryAfterMillis: 250, Reason: reason}
+	if err := fw.WriteFrame(wire.TypeBusy, b.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +67,7 @@ func writeStreamError(t *testing.T, w net.Conn, fileID uint64, code uint16) {
 func TestSessionDuplicateStreamErrorNoPanicNoLeak(t *testing.T) {
 	before := wire.DefaultPool.Live()
 
-	s, srv := pipeSession(t)
+	s, srv, fw := pipeSession(t)
 	const fileID = 7
 	st := &sessStream{
 		fileID: fileID,
@@ -73,22 +82,20 @@ func TestSessionDuplicateStreamErrorNoPanicNoLeak(t *testing.T) {
 	// in st.frames until unregister drains it.
 	payload := make([]byte, rlnc.MessageHeaderBytes)
 	binary.BigEndian.PutUint64(payload, fileID)
-	if err := wire.WriteFrame(srv, wire.TypeData, payload); err != nil {
+	if err := fw.WriteFrame(wire.TypeData, payload); err != nil {
 		t.Fatal(err)
 	}
 
 	// First STREAM_ERROR kills the stream; the duplicate, a BUSY for
 	// the now-unknown id, errors for a never-opened id, and a stray
 	// DATA frame for it must all be absorbed without panic or leak.
-	writeStreamError(t, srv, fileID, wire.CodeUnknownFile)
-	writeStreamError(t, srv, fileID, wire.CodeUnknownFile)
-	if err := wire.SendBusy(srv, fileID, wire.CodeBusy, 250, "late shed"); err != nil {
-		t.Fatal(err)
-	}
-	writeStreamError(t, srv, 99, wire.CodeInternal)
+	writeStreamError(t, fw, fileID, wire.CodeUnknownFile)
+	writeStreamError(t, fw, fileID, wire.CodeUnknownFile)
+	writeBusy(t, fw, fileID, "late shed")
+	writeStreamError(t, fw, 99, wire.CodeInternal)
 	unknown := make([]byte, rlnc.MessageHeaderBytes)
 	binary.BigEndian.PutUint64(unknown, 99)
-	if err := wire.WriteFrame(srv, wire.TypeData, unknown); err != nil {
+	if err := fw.WriteFrame(wire.TypeData, unknown); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,7 +135,7 @@ func TestSessionDuplicateStreamErrorNoPanicNoLeak(t *testing.T) {
 // shed stream observes *wire.Busy with the peer's RETRY_AFTER hint and
 // sibling streams keep running.
 func TestSessionBusyFailsOnlyItsStream(t *testing.T) {
-	s, srv := pipeSession(t)
+	s, _, fw := pipeSession(t)
 	shed := &sessStream{fileID: 1, frames: make(chan *wire.Buf, 1), done: make(chan struct{})}
 	kept := &sessStream{fileID: 2, frames: make(chan *wire.Buf, 1), done: make(chan struct{})}
 	for _, st := range []*sessStream{shed, kept} {
@@ -136,9 +143,7 @@ func TestSessionBusyFailsOnlyItsStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := wire.SendBusy(srv, 1, wire.CodeBusy, 250, "at stream capacity"); err != nil {
-		t.Fatal(err)
-	}
+	writeBusy(t, fw, 1, "at stream capacity")
 	select {
 	case <-shed.done:
 	case <-time.After(5 * time.Second):

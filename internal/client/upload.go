@@ -10,10 +10,8 @@ package client
 
 import (
 	"context"
-	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"time"
 
@@ -32,35 +30,25 @@ const uploadWindow = 64
 // cancelling it closes the connection, which unblocks a transfer parked
 // on a peer that stopped reading. Not safe for concurrent use.
 type Upload struct {
-	ctx     context.Context
-	addr    string
-	conn    net.Conn
-	peerKey ed25519.PublicKey
-	fw      *wire.FrameWriter
-	fr      *wire.FrameReader
-	unhook  func() bool
-	hdr     [rlnc.MessageHeaderBytes]byte
-	failed  bool
+	peerConn
+	ctx    context.Context
+	addr   string
+	unhook func() bool
+	hdr    [rlnc.MessageHeaderBytes]byte
+	failed bool
 }
 
 // OpenUpload dials addr and completes the handshake.
 func (c *Client) OpenUpload(ctx context.Context, addr string) (*Upload, error) {
-	conn, peerKey, err := c.dial(ctx, addr, wire.RoleUser)
+	pc, err := c.dial(ctx, addr, wire.RoleUser)
 	if err != nil {
 		return nil, err
 	}
 	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline) // a conn that cannot take a deadline is still closed on cancel
+		_ = pc.conn.SetDeadline(deadline) // a conn that cannot take a deadline is still closed on cancel
 	}
-	u := &Upload{
-		ctx:     ctx,
-		addr:    addr,
-		conn:    conn,
-		peerKey: peerKey,
-		fw:      wire.NewFrameWriter(conn),
-		fr:      wire.NewFrameReader(conn),
-	}
-	u.unhook = context.AfterFunc(ctx, func() { conn.Close() })
+	u := &Upload{peerConn: pc, ctx: ctx, addr: addr}
+	u.unhook = context.AfterFunc(ctx, func() { pc.conn.Close() })
 	return u, nil
 }
 

@@ -106,7 +106,7 @@ func stalledPeer(t *testing.T, ln net.Listener) {
 			}
 			go func() {
 				defer conn.Close()
-				if _, _, err := wire.ResponderHandshake(conn, id, nil); err != nil {
+				if _, _, err := wire.ResponderHandshake(wire.NewFrameReader(conn), wire.NewFrameWriter(conn), id, nil); err != nil {
 					return
 				}
 				<-done

@@ -12,6 +12,7 @@ import (
 	"asymshare/internal/chunk"
 	"asymshare/internal/core"
 	"asymshare/internal/dht"
+	"asymshare/internal/discovery"
 )
 
 func startDHTNode(t *testing.T) *dht.Node {
@@ -29,6 +30,18 @@ func startDHTNode(t *testing.T) *dht.Node {
 	}
 	t.Cleanup(func() { n.Close() })
 	return n
+}
+
+// dhtDiscovery resolves and announces through node, once: no
+// re-announce loop.
+func dhtDiscovery(t *testing.T, node *dht.Node) discovery.Discovery {
+	t.Helper()
+	d, err := discovery.NewDHT(node, discovery.DHTOptions{ReannounceInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
 }
 
 func TestAnnounceAndFetchViaDHT(t *testing.T) {
@@ -62,7 +75,7 @@ func TestAnnounceAndFetchViaDHT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := owner.AnnounceHandleDHT(ctx, dhtNodes[1], &res.Handle, 0); err != nil {
+	if err := owner.AnnounceHandleVia(ctx, dhtDiscovery(t, dhtNodes[1]), &res.Handle, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,7 +85,7 @@ func TestAnnounceAndFetchViaDHT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := remote.FetchFileViaDHT(ctx, dhtNodes[4], &res.Handle.Manifest, res.Secret)
+	got, stats, err := remote.FetchFileVia(ctx, dhtDiscovery(t, dhtNodes[4]), &res.Handle.Manifest, res.Secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +110,7 @@ func TestFetchViaDHTUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = sys.FetchFileViaDHT(ctx, node, share, secret)
+	_, _, err = sys.FetchFileVia(ctx, dhtDiscovery(t, node), share, secret)
 	if !errors.Is(err, dht.ErrNotFound) {
 		t.Errorf("unknown key fetch error = %v, want ErrNotFound", err)
 	}
@@ -108,7 +121,7 @@ func TestAnnounceHandleDHTValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AnnounceHandleDHT(context.Background(), nil, nil, 0); !errors.Is(err, core.ErrBadHandle) {
+	if err := sys.AnnounceHandleVia(context.Background(), dhtDiscovery(t, startDHTNode(t)), nil, 0); !errors.Is(err, core.ErrBadHandle) {
 		t.Errorf("nil handle error = %v", err)
 	}
 }

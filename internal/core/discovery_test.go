@@ -11,6 +11,7 @@ import (
 	"asymshare/internal/chunk"
 	"asymshare/internal/client"
 	"asymshare/internal/core"
+	"asymshare/internal/discovery"
 	"asymshare/internal/tracker"
 )
 
@@ -22,6 +23,16 @@ func startTracker(t *testing.T) *tracker.Server {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// trackerDiscovery resolves and announces through the tracker at addr.
+func trackerDiscovery(t *testing.T, addr string) discovery.Discovery {
+	t.Helper()
+	d, err := discovery.NewTracker(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestAnnounceAndFetchViaTracker(t *testing.T) {
@@ -45,12 +56,12 @@ func TestAnnounceAndFetchViaTracker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AnnounceHandle(ctx, trk.Addr().String(), &res.Handle, 0); err != nil {
+	if err := sys.AnnounceHandleVia(ctx, trackerDiscovery(t, trk.Addr().String()), &res.Handle, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Every chunk must be resolvable.
 	for _, info := range res.Handle.Manifest.Chunks {
-		got, err := tracker.Lookup(ctx, trk.Addr().String(), info.FileID)
+		got, err := tracker.Lookup(ctx, nil, trk.Addr().String(), info.FileID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +76,7 @@ func TestAnnounceAndFetchViaTracker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := remote.FetchFileViaTracker(ctx, trk.Addr().String(),
+	got, stats, err := remote.FetchFileVia(ctx, trackerDiscovery(t, trk.Addr().String()),
 		&res.Handle.Manifest, res.Secret)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +104,7 @@ func TestFetchViaTrackerUnknownFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = sys.FetchFileViaTracker(ctx, trk.Addr().String(), &share.Manifest, secret)
+	_, _, err = sys.FetchFileVia(ctx, trackerDiscovery(t, trk.Addr().String()), &share.Manifest, secret)
 	if !errors.Is(err, client.ErrNoPeers) {
 		t.Errorf("unannounced fetch error = %v, want ErrNoPeers", err)
 	}
@@ -104,10 +115,11 @@ func TestAnnounceHandleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AnnounceHandle(context.Background(), "x", nil, 0); !errors.Is(err, core.ErrBadHandle) {
+	d := trackerDiscovery(t, "x")
+	if err := sys.AnnounceHandleVia(context.Background(), d, nil, 0); !errors.Is(err, core.ErrBadHandle) {
 		t.Errorf("nil handle error = %v", err)
 	}
-	if err := sys.AnnounceHandle(context.Background(), "x", &core.Handle{}, 0); !errors.Is(err, core.ErrBadHandle) {
+	if err := sys.AnnounceHandleVia(context.Background(), d, &core.Handle{}, 0); !errors.Is(err, core.ErrBadHandle) {
 		t.Errorf("empty handle error = %v", err)
 	}
 }

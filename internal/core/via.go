@@ -2,9 +2,10 @@ package core
 
 // Discovery-seam integration: announce and fetch against any
 // discovery.Discovery — tracker, DHT, or a failover chain — so the
-// layers above never hard-code a location mechanism. The tracker- and
-// DHT-specific entry points in discovery.go and dht.go are thin
-// wrappers over these.
+// layers above never hard-code a location mechanism. A caller builds
+// the mechanism it wants (discovery.NewTracker, discovery.NewDHT) and
+// hands it here; these are the only announce and discovery-fetch entry
+// points.
 
 import (
 	"context"

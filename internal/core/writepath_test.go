@@ -147,7 +147,8 @@ func fakePeer(t *testing.T, b byte, failAfter int, stall bool) (addr string, put
 			}
 			go func() {
 				defer conn.Close()
-				if _, _, err := wire.ResponderHandshake(conn, id, nil); err != nil {
+				fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+				if _, _, err := wire.ResponderHandshake(fr, fw, id, nil); err != nil {
 					return
 				}
 				if stall {
@@ -155,11 +156,13 @@ func fakePeer(t *testing.T, b byte, failAfter int, stall bool) (addr string, put
 					return
 				}
 				for i := 0; i < failAfter; i++ {
-					if _, err := wire.Expect(conn, wire.TypePut); err != nil {
+					put, err := fr.Expect(wire.TypePut)
+					if err != nil {
 						return
 					}
+					put.Release()
 					puts.Add(1)
-					if err := wire.WriteFrame(conn, wire.TypePutOK, nil); err != nil {
+					if err := fw.WriteFrame(wire.TypePutOK, nil); err != nil {
 						return
 					}
 				}

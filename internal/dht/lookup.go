@@ -18,15 +18,17 @@ import (
 // node's RPCTimeout when the context carries no tighter deadline), and
 // its cancellation severs an in-flight exchange immediately — a
 // blackholed or partitioned peer can wedge one RPC for at most the
-// remaining context budget, never the fixed timeout.
+// remaining context budget, never the fixed timeout. A reply of the
+// wanted type is decoded into resp (nil: an empty acknowledgement); an
+// ERROR reply is a *wire.RemoteError.
 func (n *Node) rpc(ctx context.Context, addr string, reqType wire.Type, req any,
-	respType wire.Type) ([]byte, error) {
+	respType wire.Type, resp any) error {
 	n.m.rpcCounter(reqType).Inc()
 	rpcCtx, cancel := context.WithTimeout(ctx, n.rpcTimeout) // deadline = min(ctx, now+RPCTimeout)
 	defer cancel()
 	conn, err := n.tr.DialContext(rpcCtx, addr)
 	if err != nil {
-		return nil, fmt.Errorf("dht: dial %s: %w", addr, err)
+		return fmt.Errorf("dht: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
 	if deadline, ok := rpcCtx.Deadline(); ok {
@@ -45,40 +47,38 @@ func (n *Node) rpc(ctx context.Context, addr string, reqType wire.Type, req any,
 	}()
 	blob, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := wire.WriteFrame(conn, reqType, blob); err != nil {
-		return nil, err
+	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+	if err := fw.WriteFrame(reqType, blob); err != nil {
+		return err
 	}
-	frame, err := wire.ReadFrame(conn)
+	b, err := fr.Expect(respType)
 	if err != nil {
 		if ctxErr := rpcCtx.Err(); ctxErr != nil {
 			err = ctxErr
 		}
-		return nil, fmt.Errorf("dht: rpc to %s: %w", addr, err)
+		return fmt.Errorf("dht: rpc to %s: %w", addr, err)
 	}
-	if frame.Type != respType {
-		return nil, fmt.Errorf("%w: got %s, want %s", wire.ErrUnexpectedFrame, frame.Type, respType)
+	defer b.Release()
+	if resp == nil {
+		return nil
 	}
-	return frame.Payload, nil
+	return json.Unmarshal(b.Bytes(), resp)
 }
 
 // Ping checks liveness and introduces this node to addr.
 func (n *Node) Ping(ctx context.Context, addr string) error {
-	_, err := n.rpc(ctx, addr, typePing, findNodeReq{rpcHeader: n.header()}, typePong)
-	return err
+	return n.rpc(ctx, addr, typePing, findNodeReq{rpcHeader: n.header()}, typePong, nil)
 }
 
 // findNodeRPC queries one node for contacts close to target.
 func (n *Node) findNodeRPC(ctx context.Context, c parsedContact, target ID) ([]parsedContact, error) {
-	payload, err := n.rpc(ctx, c.addr, typeFindNode,
-		findNodeReq{rpcHeader: n.header(), Target: target.String()}, typeNodes)
+	var resp nodesResp
+	err := n.rpc(ctx, c.addr, typeFindNode,
+		findNodeReq{rpcHeader: n.header(), Target: target.String()}, typeNodes, &resp)
 	if err != nil {
 		n.table.remove(c.id)
-		return nil, err
-	}
-	var resp nodesResp
-	if err := json.Unmarshal(payload, &resp); err != nil {
 		return nil, err
 	}
 	return n.absorb(resp.Contacts), nil
@@ -86,14 +86,11 @@ func (n *Node) findNodeRPC(ctx context.Context, c parsedContact, target ID) ([]p
 
 // findValueRPC queries one node for a key's values (or closer nodes).
 func (n *Node) findValueRPC(ctx context.Context, c parsedContact, key ID) ([]string, []parsedContact, error) {
-	payload, err := n.rpc(ctx, c.addr, typeFindValue,
-		findValueReq{rpcHeader: n.header(), Key: key.String()}, typeValues)
+	var resp valuesResp
+	err := n.rpc(ctx, c.addr, typeFindValue,
+		findValueReq{rpcHeader: n.header(), Key: key.String()}, typeValues, &resp)
 	if err != nil {
 		n.table.remove(c.id)
-		return nil, nil, err
-	}
-	var resp valuesResp
-	if err := json.Unmarshal(payload, &resp); err != nil {
 		return nil, nil, err
 	}
 	return resp.Values, n.absorb(resp.Contacts), nil
@@ -101,12 +98,12 @@ func (n *Node) findValueRPC(ctx context.Context, c parsedContact, key ID) ([]str
 
 // storeRPC stores a value on one node.
 func (n *Node) storeRPC(ctx context.Context, c parsedContact, key ID, value string, ttl time.Duration) error {
-	_, err := n.rpc(ctx, c.addr, typeStore, storeReq{
+	err := n.rpc(ctx, c.addr, typeStore, storeReq{
 		rpcHeader: n.header(),
 		Key:       key.String(),
 		Value:     value,
 		TTLSec:    int(ttl / time.Second),
-	}, typeStored)
+	}, typeStored, nil)
 	if err != nil {
 		n.table.remove(c.id)
 	}

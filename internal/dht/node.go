@@ -385,20 +385,23 @@ func (n *Node) observeSender(h rpcHeader) {
 }
 
 func (n *Node) handle(conn net.Conn) {
-	frame, err := wire.ReadFrame(conn)
+	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+	t, b, err := fr.Next()
 	if err != nil {
 		return
 	}
-	switch frame.Type {
+	defer b.Release()
+	payload := b.Bytes()
+	switch t {
 	case typePing:
 		var req findNodeReq // header only
-		if json.Unmarshal(frame.Payload, &req) == nil {
+		if json.Unmarshal(payload, &req) == nil {
 			n.observeSender(req.rpcHeader)
 		}
-		_ = wire.WriteFrame(conn, typePong, nil)
+		_ = fw.WriteFrame(typePong, nil)
 	case typeFindNode:
 		var req findNodeReq
-		if err := json.Unmarshal(frame.Payload, &req); err != nil {
+		if err := json.Unmarshal(payload, &req); err != nil {
 			return
 		}
 		n.observeSender(req.rpcHeader)
@@ -406,10 +409,10 @@ func (n *Node) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		n.reply(conn, typeNodes, nodesResp{Contacts: wireContacts(n.table.closest(target, K))})
+		reply(fw, typeNodes, nodesResp{Contacts: wireContacts(n.table.closest(target, K))})
 	case typeStore:
 		var req storeReq
-		if err := json.Unmarshal(frame.Payload, &req); err != nil {
+		if err := json.Unmarshal(payload, &req); err != nil {
 			return
 		}
 		n.observeSender(req.rpcHeader)
@@ -418,10 +421,10 @@ func (n *Node) handle(conn net.Conn) {
 			return
 		}
 		n.storeLocal(key, req.Value, req.TTLSec)
-		_ = wire.WriteFrame(conn, typeStored, nil)
+		_ = fw.WriteFrame(typeStored, nil)
 	case typeFindValue:
 		var req findValueReq
-		if err := json.Unmarshal(frame.Payload, &req); err != nil {
+		if err := json.Unmarshal(payload, &req); err != nil {
 			return
 		}
 		n.observeSender(req.rpcHeader)
@@ -433,16 +436,16 @@ func (n *Node) handle(conn net.Conn) {
 		if len(resp.Values) == 0 {
 			resp.Contacts = wireContacts(n.table.closest(key, K))
 		}
-		n.reply(conn, typeValues, resp)
+		reply(fw, typeValues, resp)
 	}
 }
 
-func (n *Node) reply(conn net.Conn, t wire.Type, v any) {
+func reply(fw *wire.FrameWriter, t wire.Type, v any) {
 	blob, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	_ = wire.WriteFrame(conn, t, blob)
+	_ = fw.WriteFrame(t, blob)
 }
 
 func wireContacts(cs []parsedContact) []Contact {

@@ -62,7 +62,7 @@ func (t *Tracker) Announce(ctx context.Context, fileID uint64, addr string, ttl 
 	}
 	ctx, cancel := t.callCtx(ctx)
 	defer cancel()
-	err := tracker.AnnounceVia(ctx, t.tr, t.addr, fileID, addr, ttl)
+	err := tracker.Announce(ctx, t.tr, t.addr, fileID, addr, ttl)
 	return classifyTracker(err)
 }
 
@@ -70,7 +70,7 @@ func (t *Tracker) Announce(ctx context.Context, fileID uint64, addr string, ttl 
 func (t *Tracker) Lookup(ctx context.Context, fileID uint64) ([]string, error) {
 	ctx, cancel := t.callCtx(ctx)
 	defer cancel()
-	addrs, err := tracker.LookupVia(ctx, t.tr, t.addr, fileID)
+	addrs, err := tracker.Lookup(ctx, t.tr, t.addr, fileID)
 	if err != nil {
 		return nil, classifyTracker(err)
 	}

@@ -310,7 +310,7 @@ func (c *Cluster) SeedGeneration(ctx context.Context, fileID uint64, k, pieceLen
 			p.Digests[msg.MessageID] = sums[j]
 			gen.Digests[msg.MessageID] = sums[j]
 		}
-		if err := tracker.AnnounceVia(ctx, c.Fabric.Host(HostUser), c.TrackerAddr,
+		if err := tracker.Announce(ctx, c.Fabric.Host(HostUser), c.TrackerAddr,
 			fileID, p.Addr, time.Minute); err != nil {
 			c.t.Fatalf("announce %s: %v", p.Host, err)
 		}
@@ -321,7 +321,7 @@ func (c *Cluster) SeedGeneration(ctx context.Context, fileID uint64, k, pieceLen
 // Lookup asks the tracker which peers hold fileID, dialing from host.
 func (c *Cluster) Lookup(ctx context.Context, host string, fileID uint64) []string {
 	c.t.Helper()
-	addrs, err := tracker.LookupVia(ctx, c.Fabric.Host(host), c.TrackerAddr, fileID)
+	addrs, err := tracker.Lookup(ctx, c.Fabric.Host(host), c.TrackerAddr, fileID)
 	if err != nil {
 		c.t.Fatalf("lookup from %s: %v", host, err)
 	}

@@ -54,7 +54,7 @@ func TestTrackerSurvivesHeavyConnectionDrops(t *testing.T) {
 		for h := 0; h < holders; h++ {
 			peerAddr := "peer" + strconv.Itoa(h) + ":40001"
 			retry("announce", func() error {
-				return tracker.AnnounceVia(ctx, user, addr, fid, peerAddr, time.Minute)
+				return tracker.Announce(ctx, user, addr, fid, peerAddr, time.Minute)
 			})
 		}
 	}
@@ -62,7 +62,7 @@ func TestTrackerSurvivesHeavyConnectionDrops(t *testing.T) {
 		var got []string
 		retry("lookup", func() error {
 			var err error
-			got, err = tracker.LookupVia(ctx, user, addr, fid)
+			got, err = tracker.Lookup(ctx, user, addr, fid)
 			return err
 		})
 		if len(got) != holders {
@@ -101,11 +101,11 @@ func TestTrackerStressAnnounceLookupExpiry(t *testing.T) {
 			peerAddr := host.Name() + ":40001"
 			fid := uint64(i % files)
 			for r := 0; r < rounds; r++ {
-				if err := tracker.AnnounceVia(ctx, host, addr, fid, peerAddr, time.Second); err != nil {
+				if err := tracker.Announce(ctx, host, addr, fid, peerAddr, time.Second); err != nil {
 					errc <- err
 					return
 				}
-				if _, err := tracker.LookupVia(ctx, host, addr, fid); err != nil {
+				if _, err := tracker.Lookup(ctx, host, addr, fid); err != nil {
 					errc <- err
 					return
 				}
@@ -119,7 +119,7 @@ func TestTrackerStressAnnounceLookupExpiry(t *testing.T) {
 	}
 
 	for fid := uint64(0); fid < files; fid++ {
-		got, err := tracker.LookupVia(ctx, f.Host(HostUser), addr, fid)
+		got, err := tracker.Lookup(ctx, f.Host(HostUser), addr, fid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestTrackerStressAnnounceLookupExpiry(t *testing.T) {
 	// Announcements carried a 1s TTL; past it the soft state ages out.
 	time.Sleep(1100 * time.Millisecond)
 	for fid := uint64(0); fid < files; fid++ {
-		got, err := tracker.LookupVia(ctx, f.Host(HostUser), addr, fid)
+		got, err := tracker.Lookup(ctx, f.Host(HostUser), addr, fid)
 		if err != nil {
 			t.Fatal(err)
 		}

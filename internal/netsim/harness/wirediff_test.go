@@ -7,10 +7,10 @@ package harness
 // must be byte-identical to the original, and every scenario asserts
 // the wire.DefaultPool teardown invariants: all pooled frame buffers
 // released (no leaks) and no double-releases, even on the failure
-// paths the chaos forces. (The allocating ReadFrame loop the client
-// once kept as a differential baseline is gone; wire's
-// FrameReader-vs-ReadFrame differential and rlnc's AddBytes-vs-Add one
-// hold the component-level references.)
+// paths the chaos forces. (The allocating read loop the client once
+// kept as a differential baseline is gone; wire's differential of
+// FrameReader against a reference decoder and rlnc's AddBytes-vs-Add
+// one hold the component-level references.)
 
 import (
 	"bytes"

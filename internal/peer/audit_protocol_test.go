@@ -25,16 +25,16 @@ func auditChallenge(fileID uint64, ids ...uint64) wire.AuditChallenge {
 	}
 }
 
-// TestAuditMalformedChallengeYieldsRemoteError pins the satellite
-// contract for wire.SendError: garbage on the audit path produces a
+// TestAuditMalformedChallengeYieldsRemoteError pins the contract of a
+// connection-level ERROR frame: garbage on the audit path produces a
 // typed *RemoteError on the client side, not a hang or a bare close.
 func TestAuditMalformedChallengeYieldsRemoteError(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 220), Store: store.NewMemory()})
-	conn := dialAuthed(t, node, identity(t, 221))
-	if err := wire.WriteFrame(conn, wire.TypeAuditChallenge, []byte{1, 2, 3}); err != nil {
+	fr, fw := dialAuthed(t, node, identity(t, 221))
+	if err := fw.WriteFrame(wire.TypeAuditChallenge, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := wire.Expect(conn, wire.TypeAuditResponse)
+	_, err := fr.Expect(wire.TypeAuditResponse)
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *wire.RemoteError", err)
@@ -49,12 +49,12 @@ func TestAuditMalformedChallengeYieldsRemoteError(t *testing.T) {
 // refuse it with a typed error before allocating anything.
 func TestAuditOversizedChallengeYieldsRemoteError(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 222), Store: store.NewMemory()})
-	conn := dialAuthed(t, node, identity(t, 223))
+	fr, fw := dialAuthed(t, node, identity(t, 223))
 	ch := auditChallenge(1, make([]uint64, wire.MaxAuditSample+1)...)
-	if err := wire.WriteFrame(conn, wire.TypeAuditChallenge, ch.Marshal()); err != nil {
+	if err := fw.WriteFrame(wire.TypeAuditChallenge, ch.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := wire.Expect(conn, wire.TypeAuditResponse)
+	_, err := fr.Expect(wire.TypeAuditResponse)
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *wire.RemoteError", err)
@@ -70,18 +70,20 @@ func TestAuditAnswersHeldAndMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := startPeer(t, peer.Config{Identity: identity(t, 224), Store: st})
-	conn := dialAuthed(t, node, identity(t, 225))
+	fr, fw := dialAuthed(t, node, identity(t, 225))
 
 	ch := auditChallenge(9, 4, 77)
-	if err := wire.WriteFrame(conn, wire.TypeAuditChallenge, ch.Marshal()); err != nil {
+	if err := fw.WriteFrame(wire.TypeAuditChallenge, ch.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := wire.Expect(conn, wire.TypeAuditResponse)
+	b, err := fr.Expect(wire.TypeAuditResponse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resp wire.AuditResponse
-	if err := resp.Unmarshal(frame.Payload); err != nil {
+	err = resp.Unmarshal(b.Bytes())
+	b.Release()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.FileID != 9 || len(resp.Proofs) != 2 {
@@ -104,7 +106,7 @@ func TestAuditAnswersHeldAndMissing(t *testing.T) {
 	if served != 1 || sampled != 2 || heldN != 1 {
 		t.Errorf("AuditStats = (%d,%d,%d), want (1,2,1)", served, sampled, heldN)
 	}
-	if err := wire.WriteFrame(conn, wire.TypeBye, nil); err != nil {
+	if err := fw.WriteFrame(wire.TypeBye, nil); err != nil {
 		t.Fatal(err)
 	}
 }

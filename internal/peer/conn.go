@@ -4,12 +4,14 @@ package peer
 // processes PUT (initialization uploads), GET / GET_MUX (download
 // requests, served by shaped writer goroutines), STOP, FEEDBACK (owner
 // only) and BYE frames. DATA writes and control replies share the
-// connection, so all writes go through a per-connection mutex wrapping
-// one batched FrameWriter.
+// connection, so every write after the handshake — ERROR frames
+// included — goes through a per-connection mutex wrapping the one
+// batched FrameWriter the handshake wrote through.
 //
-// Frames are read through a pooled wire.FrameReader: each payload
-// arrives in a reference-counted buffer that the dispatch loop releases
-// after the handler returns (handlers copy what they keep). The serve
+// Frames are read through one pooled wire.FrameReader, built before the
+// handshake and kept until the connection closes: each payload arrives
+// in a reference-counted buffer that the dispatch loop releases after
+// the handler returns (handlers copy what they keep). The serve
 // path frames stored messages with QueueSpan — 16 header bytes copied,
 // the payload handed to writev untouched — so a DATA frame reaches the
 // socket without marshaling and without steady-state allocation.
@@ -42,6 +44,13 @@ import (
 // time and the latency it imposes on control replies.
 const serveBatchBytes = 256 << 10
 
+// handshakeTimeout bounds the pre-authentication phase: a stranger that
+// connects and never completes the handshake is disconnected instead of
+// holding a goroutine, and under MaxConns a connection slot, forever.
+// Four small frames cross in the meantime, so this is generous for any
+// link a client would fetch over. A variable so tests can shorten it.
+var handshakeTimeout = 10 * time.Second
+
 // connWriter serializes frame writes from the control loop and the
 // data-stream goroutines over one batched FrameWriter.
 type connWriter struct {
@@ -60,11 +69,13 @@ func (cw *connWriter) writeFrame(t wire.Type, payload []byte) error {
 }
 
 // writeErrorFrame sends a connection-level error frame under the write
-// lock, following the wire.SendError contract: best-effort, the caller
-// must still treat the exchange as failed and close the connection.
+// lock, following the wire.FrameWriter.WriteError contract: best-effort,
+// the caller must still treat the exchange as failed and close the
+// connection.
 func (cw *connWriter) writeErrorFrame(code uint16, reason string) error {
-	msg := wire.ErrorMsg{Code: code, Reason: reason}
-	return cw.writeFrame(wire.TypeError, msg.Marshal())
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	return cw.fw.WriteError(code, reason)
 }
 
 // writeStreamError sends a stream-scoped error: the named stream is
@@ -85,7 +96,6 @@ func (cw *connWriter) writeBusy(fileID uint64, code uint16, retryAfterMillis uin
 // and its stream goroutines share.
 type connState struct {
 	n         *Node
-	conn      net.Conn
 	cw        *connWriter
 	client    fairshare.ID
 	clientKey ed25519.PublicKey
@@ -98,11 +108,29 @@ type connState struct {
 
 func (n *Node) handleConn(conn net.Conn) {
 	defer conn.Close()
-	clientKey, role, err := wire.ResponderHandshake(conn, n.cfg.Identity, n.cfg.Trusted)
+	// Close the connection when the node shuts down so a read — the
+	// handshake's or the dispatch loop's — unblocks.
+	stopWatch := make(chan struct{})
+	defer close(stopWatch)
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		select {
+		case <-n.ctx.Done():
+			conn.Close()
+		case <-stopWatch:
+		}
+	}()
+
+	fr := wire.NewFrameReader(conn)
+	cw := newConnWriter(conn)
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	clientKey, role, err := wire.ResponderHandshake(fr, cw.fw, n.cfg.Identity, n.cfg.Trusted)
 	if err != nil {
 		n.log.Debug("handshake failed", "remote", conn.RemoteAddr().String(), "err", err)
 		return
 	}
+	_ = conn.SetDeadline(time.Time{})
 	client := auth.Fingerprint(clientKey)
 	n.log.Debug("session open", "client", client, "role", role)
 
@@ -121,8 +149,7 @@ func (n *Node) handleConn(conn net.Conn) {
 	}()
 	cs := &connState{
 		n:         n,
-		conn:      conn,
-		cw:        newConnWriter(conn),
+		cw:        cw,
 		client:    client,
 		clientKey: clientKey,
 		ctx:       connCtx,
@@ -130,21 +157,6 @@ func (n *Node) handleConn(conn net.Conn) {
 		active:    make(map[uint64]*stream),
 	}
 
-	// Close the connection when the node shuts down so the read loop
-	// unblocks.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		select {
-		case <-n.ctx.Done():
-			conn.Close()
-		case <-stopWatch:
-		}
-	}()
-
-	fr := wire.NewFrameReader(conn)
 	for {
 		t, buf, err := fr.Next()
 		if err != nil {
@@ -184,7 +196,7 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 	case wire.TypeStop:
 		var stop wire.Stop
 		if err := stop.Unmarshal(payload); err != nil {
-			wire.SendError(cs.conn, wire.CodeBadRequest, "malformed stop")
+			_ = cs.cw.writeErrorFrame(wire.CodeBadRequest, "malformed stop")
 			return true
 		}
 		cs.mu.Lock()
@@ -242,7 +254,7 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 	case wire.TypeBye:
 		return true
 	default:
-		wire.SendError(cs.conn, wire.CodeBadRequest, "unexpected frame "+t.String())
+		_ = cs.cw.writeErrorFrame(wire.CodeBadRequest, "unexpected frame "+t.String())
 		return true
 	}
 	return false
@@ -255,7 +267,7 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 func (cs *connState) handleGet(payload []byte, mux bool) bool {
 	var get wire.Get
 	if err := get.Unmarshal(payload); err != nil {
-		wire.SendError(cs.conn, wire.CodeBadRequest, "malformed get")
+		_ = cs.cw.writeErrorFrame(wire.CodeBadRequest, "malformed get")
 		return true
 	}
 	if err := cs.n.startStream(cs, get, mux); err != nil {

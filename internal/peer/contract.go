@@ -112,7 +112,7 @@ func (n *Node) handleContractList(lw *connWriter, client fairshare.ID) error {
 }
 
 // refuseContract maps a book error to its typed wire error frame,
-// following the SendError contract (best-effort; the caller still
+// following the WriteError contract (best-effort; the caller still
 // treats the exchange as failed and closes the connection).
 func (n *Node) refuseContract(lw *connWriter, err error) {
 	switch {

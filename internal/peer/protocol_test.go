@@ -5,6 +5,7 @@ package peer_test
 // keep serving others.
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -16,8 +17,17 @@ import (
 	"asymshare/internal/wire"
 )
 
-// dialAuthed opens an authenticated user connection to the node.
-func dialAuthed(t *testing.T, node *peer.Node, user *auth.Identity) net.Conn {
+// handshake authenticates user over conn, through the connection's one
+// reader and writer.
+func handshake(conn net.Conn, user *auth.Identity) (*wire.FrameReader, *wire.FrameWriter, error) {
+	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+	_, err := wire.InitiatorHandshake(fr, fw, user, wire.RoleUser, nil)
+	return fr, fw, err
+}
+
+// dialAuthed opens an authenticated user connection to the node and
+// returns its reader and writer.
+func dialAuthed(t *testing.T, node *peer.Node, user *auth.Identity) (*wire.FrameReader, *wire.FrameWriter) {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", node.Addr().String(), 5*time.Second)
 	if err != nil {
@@ -27,10 +37,21 @@ func dialAuthed(t *testing.T, node *peer.Node, user *auth.Identity) net.Conn {
 	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.InitiatorHandshake(conn, user, wire.RoleUser, nil); err != nil {
+	fr, fw, err := handshake(conn, user)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return conn
+	return fr, fw
+}
+
+// nextType reads one frame and returns its type, releasing the payload.
+func nextType(fr *wire.FrameReader) (wire.Type, error) {
+	t, b, err := fr.Next()
+	if err != nil {
+		return 0, err
+	}
+	b.Release()
+	return t, nil
 }
 
 func TestPeerRejectsGarbageBeforeHandshake(t *testing.T) {
@@ -44,64 +65,62 @@ func TestPeerRejectsGarbageBeforeHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A DATA frame where a HELLO is expected.
-	if err := wire.WriteFrame(conn, wire.TypeData, []byte("junk")); err != nil {
+	if err := wire.NewFrameWriter(conn).WriteFrame(wire.TypeData, []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
 	// The peer must answer with an error or just close; either way the
 	// connection dies without a successful handshake.
-	f, err := wire.ReadFrame(conn)
-	if err == nil && f.Type != wire.TypeError {
-		t.Errorf("peer answered %s to garbage, want error/close", f.Type)
+	if ty, err := nextType(wire.NewFrameReader(conn)); err == nil && ty != wire.TypeError {
+		t.Errorf("peer answered %s to garbage, want error/close", ty)
 	}
 	// The node still serves a well-behaved client afterwards.
 	user := identity(t, 201)
-	good := dialAuthed(t, node, user)
-	if err := wire.WriteFrame(good, wire.TypeBye, nil); err != nil {
+	_, good := dialAuthed(t, node, user)
+	if err := good.WriteFrame(wire.TypeBye, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPeerRejectsMalformedGet(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 202), Store: store.NewMemory()})
-	conn := dialAuthed(t, node, identity(t, 203))
-	if err := wire.WriteFrame(conn, wire.TypeGet, []byte{1, 2, 3}); err != nil {
+	fr, fw := dialAuthed(t, node, identity(t, 203))
+	if err := fw.WriteFrame(wire.TypeGet, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := wire.ReadFrame(conn)
-	if err == nil && f.Type != wire.TypeError {
-		t.Errorf("malformed GET answered with %s", f.Type)
+	if ty, err := nextType(fr); err == nil && ty != wire.TypeError {
+		t.Errorf("malformed GET answered with %s", ty)
 	}
 }
 
 func TestPeerRejectsMalformedPut(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 204), Store: store.NewMemory()})
-	conn := dialAuthed(t, node, identity(t, 205))
+	fr, fw := dialAuthed(t, node, identity(t, 205))
 	// A PUT shorter than a message header kills the connection.
-	if err := wire.WriteFrame(conn, wire.TypePut, []byte{1, 2}); err != nil {
+	if err := fw.WriteFrame(wire.TypePut, []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.Expect(conn, wire.TypePutOK); err == nil {
+	if ack, err := fr.Expect(wire.TypePutOK); err == nil {
+		ack.Release()
 		t.Error("malformed PUT acknowledged")
 	}
 }
 
 func TestPeerRejectsUnexpectedFrameType(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 206), Store: store.NewMemory()})
-	conn := dialAuthed(t, node, identity(t, 207))
-	if err := wire.WriteFrame(conn, wire.TypeChallenge, nil); err != nil {
+	fr, fw := dialAuthed(t, node, identity(t, 207))
+	if err := fw.WriteFrame(wire.TypeChallenge, nil); err != nil {
 		t.Fatal(err)
 	}
-	f, err := wire.ReadFrame(conn)
-	if err == nil && f.Type != wire.TypeError {
-		t.Errorf("unexpected frame answered with %s", f.Type)
+	if ty, err := nextType(fr); err == nil && ty != wire.TypeError {
+		t.Errorf("unexpected frame answered with %s", ty)
 	}
 }
 
 func TestPeerStopForUnknownStreamIsHarmless(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 208), Store: store.NewMemory()})
-	conn := dialAuthed(t, node, identity(t, 209))
+	fr, fw := dialAuthed(t, node, identity(t, 209))
 	stop := wire.Stop{FileID: 424242}
-	if err := wire.WriteFrame(conn, wire.TypeStop, stop.Marshal()); err != nil {
+	if err := fw.WriteFrame(wire.TypeStop, stop.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	// The connection stays usable: a PUT still round-trips.
@@ -110,12 +129,14 @@ func TestPeerStopForUnknownStreamIsHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.TypePut, buf); err != nil {
+	if err := fw.WriteFrame(wire.TypePut, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
+	ack, err := fr.Expect(wire.TypePutOK)
+	if err != nil {
 		t.Fatalf("PUT after stray STOP failed: %v", err)
 	}
+	ack.Release()
 }
 
 func TestMaxConnsSheds(t *testing.T) {
@@ -126,8 +147,7 @@ func TestMaxConnsSheds(t *testing.T) {
 	})
 	user := identity(t, 211)
 	// First connection occupies the only slot.
-	first := dialAuthed(t, node, user)
-	_ = first
+	_, first := dialAuthed(t, node, user)
 
 	// Second connection is shed: the handshake cannot complete.
 	conn, err := net.DialTimeout("tcp", node.Addr().String(), 5*time.Second)
@@ -138,12 +158,12 @@ func TestMaxConnsSheds(t *testing.T) {
 	if err := conn.SetDeadline(time.Now().Add(3 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.InitiatorHandshake(conn, user, wire.RoleUser, nil); err == nil {
+	if _, _, err := handshake(conn, user); err == nil {
 		t.Error("second connection handshake succeeded despite MaxConns=1")
 	}
 
 	// Releasing the first slot lets new connections through.
-	if err := wire.WriteFrame(first, wire.TypeBye, nil); err != nil {
+	if err := first.WriteFrame(wire.TypeBye, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -153,7 +173,7 @@ func TestMaxConnsSheds(t *testing.T) {
 			continue
 		}
 		c2.SetDeadline(time.Now().Add(2 * time.Second))
-		_, err = wire.InitiatorHandshake(c2, user, wire.RoleUser, nil)
+		_, _, err = handshake(c2, user)
 		c2.Close()
 		if err == nil {
 			return
@@ -199,36 +219,37 @@ func TestPeerStillServesLegacyGet(t *testing.T) {
 	}
 	node := startPeer(t, peer.Config{Identity: identity(t, 212), Store: st})
 
-	conn := dialAuthed(t, node, identity(t, 213))
+	fr, fw := dialAuthed(t, node, identity(t, 213))
 	get := wire.Get{FileID: 9}
-	if err := wire.WriteFrame(conn, wire.TypeGet, get.Marshal()); err != nil {
+	if err := fw.WriteFrame(wire.TypeGet, get.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		f, err := wire.Expect(conn, wire.TypeData)
+		b, err := fr.Expect(wire.TypeData)
 		if err != nil {
 			t.Fatalf("message %d of a legacy GET: %v", i, err)
 		}
 		var msg rlnc.Message
-		if err := msg.UnmarshalBinary(f.Payload); err != nil || msg.FileID != 9 {
+		err = msg.UnmarshalBinary(b.Bytes())
+		b.Release()
+		if err != nil || msg.FileID != 9 {
 			t.Fatalf("message %d = %+v, %v", i, msg, err)
 		}
 	}
-	if _, err := wire.Expect(conn, wire.TypeStop); err != nil {
+	eos, err := fr.Expect(wire.TypeStop)
+	if err != nil {
 		t.Fatalf("legacy GET not ended with STOP: %v", err)
 	}
+	eos.Release()
 
-	refused := dialAuthed(t, node, identity(t, 213))
+	fr, fw = dialAuthed(t, node, identity(t, 213))
 	get = wire.Get{FileID: 404}
-	if err := wire.WriteFrame(refused, wire.TypeGet, get.Marshal()); err != nil {
+	if err := fw.WriteFrame(wire.TypeGet, get.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	f, err := wire.ReadFrame(refused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e wire.ErrorMsg
-	if f.Type != wire.TypeError || e.Unmarshal(f.Payload) != nil || e.Code != wire.CodeUnknownFile {
-		t.Fatalf("legacy GET for an unknown file answered %s %+v, want ERROR(CodeUnknownFile)", f.Type, e)
+	_, err = fr.Expect(wire.TypeData)
+	var remote *wire.RemoteError
+	if !errors.As(err, &remote) || remote.Code != wire.CodeUnknownFile {
+		t.Fatalf("legacy GET for an unknown file answered %v, want ERROR(CodeUnknownFile)", err)
 	}
 }

@@ -19,11 +19,10 @@ import (
 func TestPutSurvivesFrameBufferReuse(t *testing.T) {
 	st := store.NewMemory()
 	node := startPeer(t, peer.Config{Identity: identity(t, 250), Store: st})
-	conn := dialAuthed(t, node, identity(t, 251))
+	fr, fw := dialAuthed(t, node, identity(t, 251))
 
 	const n = 6
 	want := make([][]byte, n)
-	fw := wire.NewFrameWriter(conn)
 	for i := range want {
 		want[i] = bytes.Repeat([]byte{byte(0x10 + i)}, 8192)
 		msg := rlnc.Message{FileID: 77, MessageID: uint64(i), Payload: want[i]}
@@ -50,9 +49,11 @@ func TestPutSurvivesFrameBufferReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n+2; i++ {
-		if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
+		ack, err := fr.Expect(wire.TypePutOK)
+		if err != nil {
 			t.Fatalf("acknowledgement %d: %v", i, err)
 		}
+		ack.Release()
 	}
 	for i := range want {
 		got, err := st.Get(77, uint64(i))

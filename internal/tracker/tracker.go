@@ -39,6 +39,12 @@ const (
 // DefaultTTL is how long an announcement lives without refresh.
 const DefaultTTL = 10 * time.Minute
 
+// connTimeout bounds one tracker connection: a client announces or
+// looks up and says BYE within a round trip, so a connection that is
+// still open after this is a stranger holding a goroutine. A variable
+// so tests can shorten it.
+var connTimeout = 30 * time.Second
+
 // ErrBadRequest is returned for malformed tracker messages.
 var ErrBadRequest = errors.New("tracker: malformed request")
 
@@ -173,6 +179,7 @@ func (s *Server) acceptLoop() {
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(connTimeout))
 			s.handle(conn)
 		}()
 	}
@@ -191,43 +198,49 @@ func (s *Server) handle(conn net.Conn) {
 		case <-stop:
 		}
 	}()
+	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
 	for {
-		frame, err := wire.ReadFrame(conn)
+		t, b, err := fr.Next()
 		if err != nil {
 			return
 		}
-		switch frame.Type {
-		case typeAnnounce:
-			var msg announceMsg
-			if err := json.Unmarshal(frame.Payload, &msg); err != nil || msg.Addr == "" {
-				wire.SendError(conn, wire.CodeBadRequest, "malformed announce")
-				return
-			}
-			s.announce(msg)
-			s.announces.Inc()
-			if err := wire.WriteFrame(conn, typeOK, nil); err != nil {
-				return
-			}
-		case typeLookup:
-			var msg lookupMsg
-			if err := json.Unmarshal(frame.Payload, &msg); err != nil {
-				wire.SendError(conn, wire.CodeBadRequest, "malformed lookup")
-				return
-			}
-			blob, err := json.Marshal(addrsMsg{Addrs: s.Lookup(msg.FileID)})
-			if err != nil {
-				return
-			}
-			s.lookups.Inc()
-			if err := wire.WriteFrame(conn, typeAddrs, blob); err != nil {
-				return
-			}
-		case wire.TypeBye:
-			return
-		default:
-			wire.SendError(conn, wire.CodeBadRequest, "unexpected frame "+frame.Type.String())
+		done := s.serve(fw, t, b.Bytes())
+		b.Release()
+		if done {
 			return
 		}
+	}
+}
+
+// serve answers one request frame; a true return closes the connection.
+func (s *Server) serve(fw *wire.FrameWriter, t wire.Type, payload []byte) bool {
+	switch t {
+	case typeAnnounce:
+		var msg announceMsg
+		if err := json.Unmarshal(payload, &msg); err != nil || msg.Addr == "" {
+			_ = fw.WriteError(wire.CodeBadRequest, "malformed announce")
+			return true
+		}
+		s.announce(msg)
+		s.announces.Inc()
+		return fw.WriteFrame(typeOK, nil) != nil
+	case typeLookup:
+		var msg lookupMsg
+		if err := json.Unmarshal(payload, &msg); err != nil {
+			_ = fw.WriteError(wire.CodeBadRequest, "malformed lookup")
+			return true
+		}
+		blob, err := json.Marshal(addrsMsg{Addrs: s.Lookup(msg.FileID)})
+		if err != nil {
+			return true
+		}
+		s.lookups.Inc()
+		return fw.WriteFrame(typeAddrs, blob) != nil
+	case wire.TypeBye:
+		return true
+	default:
+		_ = fw.WriteError(wire.CodeBadRequest, "unexpected frame "+t.String())
+		return true
 	}
 }
 
@@ -276,77 +289,70 @@ func (s *Server) FileCount() int {
 	return len(s.files)
 }
 
-// Announce registers addr as holding messages of fileID with the given
-// tracker over real TCP. A zero ttl requests the tracker's maximum.
-func Announce(ctx context.Context, trackerAddr string, fileID uint64, peerAddr string, ttl time.Duration) error {
-	return AnnounceVia(ctx, transport.Default, trackerAddr, fileID, peerAddr, ttl)
-}
-
-// AnnounceVia is Announce over an explicit transport.
-func AnnounceVia(ctx context.Context, tr transport.Transport, trackerAddr string, fileID uint64, peerAddr string, ttl time.Duration) error {
-	conn, err := dial(ctx, tr, trackerAddr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
+// Announce registers peerAddr as holding messages of fileID with the
+// tracker at trackerAddr, over tr (nil means real TCP). A zero ttl
+// requests the tracker's maximum.
+func Announce(ctx context.Context, tr transport.Transport, trackerAddr string, fileID uint64, peerAddr string, ttl time.Duration) error {
 	msg := announceMsg{FileID: fileID, Addr: peerAddr, TTLSec: int(ttl / time.Second)}
-	blob, err := json.Marshal(msg)
-	if err != nil {
-		return err
-	}
-	if err := wire.WriteFrame(conn, typeAnnounce, blob); err != nil {
-		return err
-	}
-	if _, err := wire.Expect(conn, typeOK); err != nil {
+	if err := call(ctx, tr, trackerAddr, typeAnnounce, msg, typeOK, nil); err != nil {
 		return fmt.Errorf("tracker: announce: %w", err)
 	}
-	return wire.WriteFrame(conn, wire.TypeBye, nil)
+	return nil
 }
 
-// Lookup queries a tracker for the peers holding fileID over real
-// TCP.
-func Lookup(ctx context.Context, trackerAddr string, fileID uint64) ([]string, error) {
-	return LookupVia(ctx, transport.Default, trackerAddr, fileID)
-}
-
-// LookupVia is Lookup over an explicit transport.
-func LookupVia(ctx context.Context, tr transport.Transport, trackerAddr string, fileID uint64) ([]string, error) {
-	conn, err := dial(ctx, tr, trackerAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	blob, err := json.Marshal(lookupMsg{FileID: fileID})
-	if err != nil {
-		return nil, err
-	}
-	if err := wire.WriteFrame(conn, typeLookup, blob); err != nil {
-		return nil, err
-	}
-	frame, err := wire.Expect(conn, typeAddrs)
+// Lookup queries the tracker at trackerAddr, over tr (nil means real
+// TCP), for the peers holding fileID.
+func Lookup(ctx context.Context, tr transport.Transport, trackerAddr string, fileID uint64) ([]string, error) {
+	var msg addrsMsg
+	err := call(ctx, tr, trackerAddr, typeLookup, lookupMsg{FileID: fileID}, typeAddrs, func(b []byte) error {
+		if err := json.Unmarshal(b, &msg); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("tracker: lookup: %w", err)
 	}
-	var msg addrsMsg
-	if err := json.Unmarshal(frame.Payload, &msg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	_ = wire.WriteFrame(conn, wire.TypeBye, nil)
 	return msg.Addrs, nil
 }
 
-func dial(ctx context.Context, tr transport.Transport, addr string) (net.Conn, error) {
+// call is one client exchange: dial, the request frame, the expected
+// reply handed to decode (nil: an empty acknowledgement), BYE. The
+// context's deadline bounds the whole exchange.
+func call(ctx context.Context, tr transport.Transport, addr string, req wire.Type, v any,
+	reply wire.Type, decode func([]byte) error) error {
+	blob, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
 	if tr == nil {
 		tr = transport.Default
 	}
 	conn, err := tr.DialContext(ctx, addr)
 	if err != nil {
-		return nil, fmt.Errorf("tracker: dial %s: %w", addr, err)
+		return fmt.Errorf("dial %s: %w", addr, err)
 	}
+	defer conn.Close()
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}
-	return conn, nil
+	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+	if err := fw.WriteFrame(req, blob); err != nil {
+		return err
+	}
+	b, err := fr.Expect(reply)
+	if err != nil {
+		return err
+	}
+	if decode != nil {
+		err = decode(b.Bytes())
+	}
+	b.Release()
+	if err != nil {
+		return err
+	}
+	_ = fw.WriteFrame(wire.TypeBye, nil)
+	return nil
 }
 
 var _ io.Closer = (*Server)(nil)

@@ -2,6 +2,9 @@ package tracker
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 )
@@ -22,24 +25,24 @@ func TestAnnounceAndLookup(t *testing.T) {
 	defer cancel()
 	addr := s.Addr().String()
 
-	if err := Announce(ctx, addr, 42, "peerA:7070", 0); err != nil {
+	if err := Announce(ctx, nil, addr, 42, "peerA:7070", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := Announce(ctx, addr, 42, "peerB:7070", 0); err != nil {
+	if err := Announce(ctx, nil, addr, 42, "peerB:7070", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := Announce(ctx, addr, 43, "peerC:7070", 0); err != nil {
+	if err := Announce(ctx, nil, addr, 43, "peerC:7070", 0); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := Lookup(ctx, addr, 42)
+	got, err := Lookup(ctx, nil, addr, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != "peerA:7070" || got[1] != "peerB:7070" {
 		t.Fatalf("Lookup(42) = %v", got)
 	}
-	got, err = Lookup(ctx, addr, 99)
+	got, err = Lookup(ctx, nil, addr, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +60,11 @@ func TestAnnounceRefreshIsIdempotent(t *testing.T) {
 	defer cancel()
 	addr := s.Addr().String()
 	for i := 0; i < 3; i++ {
-		if err := Announce(ctx, addr, 1, "p:1", 0); err != nil {
+		if err := Announce(ctx, nil, addr, 1, "p:1", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := Lookup(ctx, addr, 1)
+	got, err := Lookup(ctx, nil, addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +110,10 @@ func TestTTLCappedByServer(t *testing.T) {
 func TestLookupBadAddress(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if _, err := Lookup(ctx, "127.0.0.1:1", 1); err == nil {
+	if _, err := Lookup(ctx, nil, "127.0.0.1:1", 1); err == nil {
 		t.Error("lookup against closed port succeeded")
 	}
-	if err := Announce(ctx, "127.0.0.1:1", 1, "p", 0); err == nil {
+	if err := Announce(ctx, nil, "127.0.0.1:1", 1, "p", 0); err == nil {
 		t.Error("announce against closed port succeeded")
 	}
 }
@@ -136,7 +139,7 @@ func TestConcurrentAnnounces(t *testing.T) {
 	errCh := make(chan error, 16)
 	for g := 0; g < 16; g++ {
 		go func(g int) {
-			errCh <- Announce(ctx, addr, uint64(g%4), "peer:"+string(rune('a'+g)), 0)
+			errCh <- Announce(ctx, nil, addr, uint64(g%4), "peer:"+string(rune('a'+g)), 0)
 		}(g)
 	}
 	for i := 0; i < 16; i++ {
@@ -146,5 +149,24 @@ func TestConcurrentAnnounces(t *testing.T) {
 	}
 	if s.FileCount() != 4 {
 		t.Errorf("FileCount = %d, want 4", s.FileCount())
+	}
+}
+
+// TestSilentConnectionIsDropped: a dialer that connects and never
+// speaks is disconnected after connTimeout instead of holding a handler
+// goroutine until the tracker closes.
+func TestSilentConnectionIsDropped(t *testing.T) {
+	saved := connTimeout
+	t.Cleanup(func() { connTimeout = saved }) // after the server's Close
+	connTimeout = 100 * time.Millisecond
+	s := startServer(t, 0)
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read on a silent connection = %v, want EOF: the tracker never hung up", err)
 	}
 }

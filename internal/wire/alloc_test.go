@@ -43,15 +43,13 @@ func allocGen(t testing.TB, fileID uint64, k, pieceLen int, seed int64) (*rlnc.E
 // from a stream without allocating — every payload lands in a recycled
 // pooled buffer.
 func TestFrameReadSteadyStateAllocs(t *testing.T) {
-	var stream bytes.Buffer
+	var stream []byte
 	payload := make([]byte, 4096)
 	for i := 0; i < 64; i++ {
-		if err := WriteFrame(&stream, TypeData, payload); err != nil {
-			t.Fatal(err)
-		}
+		stream = appendFrame(stream, TypeData, payload)
 	}
 	pool := NewPool()
-	br := bytes.NewReader(stream.Bytes())
+	br := bytes.NewReader(stream)
 	fr := NewFrameReaderPool(br, pool)
 	cycle := func() {
 		if _, err := br.Seek(0, io.SeekStart); err != nil {
@@ -123,16 +121,14 @@ func TestMuxedDataPathSteadyStateAllocs(t *testing.T) {
 
 	// Interleave the two streams frame by frame, as a muxed connection
 	// would deliver them.
-	var stream bytes.Buffer
+	var stream []byte
 	for id := uint64(0); id < uint64(k+4); id++ {
 		for _, enc := range []*rlnc.Encoder{encA, encB} {
 			buf, err := enc.Message(id).MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteFrame(&stream, TypeData, buf); err != nil {
-				t.Fatal(err)
-			}
+			stream = appendFrame(stream, TypeData, buf)
 		}
 	}
 
@@ -149,7 +145,7 @@ func TestMuxedDataPathSteadyStateAllocs(t *testing.T) {
 	defer pipeB.Close()
 
 	pool := NewPool()
-	br := bytes.NewReader(stream.Bytes())
+	br := bytes.NewReader(stream)
 	fr := NewFrameReaderPool(br, pool)
 	outA := make([]byte, encA.Params().DataLen)
 	outB := make([]byte, encB.Params().DataLen)

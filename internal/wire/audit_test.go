@@ -106,7 +106,7 @@ func TestAuditResponseRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestSendErrorSurfacesAsRemoteError pins the SendError/Expect
+// TestSendErrorSurfacesAsRemoteError pins the WriteError/Expect
 // contract: the receiving side gets a typed *RemoteError carrying the
 // code and reason, never a hang or a bare EOF.
 func TestSendErrorSurfacesAsRemoteError(t *testing.T) {
@@ -114,11 +114,11 @@ func TestSendErrorSurfacesAsRemoteError(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go func() {
-		_ = SendError(a, CodeBadRequest, "malformed audit challenge")
+		_ = NewFrameWriter(a).WriteError(CodeBadRequest, "malformed audit challenge")
 		a.Close()
 	}()
 	_ = b.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, err := Expect(b, TypeAuditResponse)
+	_, err := NewFrameReader(b).Expect(TypeAuditResponse)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *RemoteError", err)
@@ -129,13 +129,13 @@ func TestSendErrorSurfacesAsRemoteError(t *testing.T) {
 }
 
 // TestSendErrorReportsWriteFailure pins the documented best-effort
-// contract: a dead transport makes SendError return the write error
+// contract: a dead transport makes WriteError return the write error
 // instead of pretending the frame was delivered.
 func TestSendErrorReportsWriteFailure(t *testing.T) {
 	a, b := net.Pipe()
 	a.Close()
 	b.Close()
-	if err := SendError(a, CodeInternal, "x"); err == nil {
-		t.Error("SendError on closed conn returned nil")
+	if err := NewFrameWriter(a).WriteError(CodeInternal, "x"); err == nil {
+		t.Error("WriteError on closed conn returned nil")
 	}
 }

@@ -83,27 +83,28 @@ func TestBusyUnmarshalRejectsShort(t *testing.T) {
 	}
 }
 
-// TestSendBusyReparses pins the reparse contract shared with SendError:
-// whatever SendBusy puts on the wire must decode cleanly through both
-// the legacy ReadFrame path and the pooled FrameReader, yielding the
+// TestSendBusyReparses pins the reparse contract of a sent BUSY frame:
+// whatever a FrameWriter puts on the wire must decode cleanly through
+// both the reference decoder and the pooled FrameReader, yielding the
 // fields the sender supplied.
 func TestSendBusyReparses(t *testing.T) {
+	want := Busy{FileID: 99, Code: CodeBusy, RetryAfterMillis: 500, Reason: "admission queue full"}
 	var buf bytes.Buffer
-	if err := SendBusy(&buf, 99, CodeBusy, 500, "admission queue full"); err != nil {
+	if err := NewFrameWriter(&buf).WriteFrame(TypeBusy, want.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
-	f, err := ReadFrame(bytes.NewReader(raw))
+	f, err := readFrame(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Type != TypeBusy {
 		t.Fatalf("got frame type %s, want BUSY", f.Type)
 	}
-	var legacy Busy
-	if err := legacy.Unmarshal(f.Payload); err != nil {
-		t.Fatalf("legacy reparse: %v", err)
+	var ref Busy
+	if err := ref.Unmarshal(f.Payload); err != nil {
+		t.Fatalf("reference reparse: %v", err)
 	}
 
 	pool := NewPool()
@@ -121,9 +122,8 @@ func TestSendBusyReparses(t *testing.T) {
 	}
 	b.Release()
 
-	want := Busy{FileID: 99, Code: CodeBusy, RetryAfterMillis: 500, Reason: "admission queue full"}
-	if legacy != want || pooled != want {
-		t.Fatalf("reparse mismatch: legacy %+v, pooled %+v, want %+v", legacy, pooled, want)
+	if ref != want || pooled != want {
+		t.Fatalf("reparse mismatch: reference %+v, pooled %+v, want %+v", ref, pooled, want)
 	}
 	if st := pool.Stats(); st.Live != 0 || st.DoubleReleases != 0 {
 		t.Fatalf("pool leaked: %d live, %d double releases", st.Live, st.DoubleReleases)

@@ -100,7 +100,7 @@ func TestContractPayloadsRejectMalformed(t *testing.T) {
 	}
 }
 
-// TestContractOverCapacitySurfacesAsRemoteError pins the SendError
+// TestContractOverCapacitySurfacesAsRemoteError pins the WriteError
 // contract for the capacity-rejection path: a peer refusing a contract
 // it cannot honor answers with CodeOverCapacity, and the proposing
 // owner surfaces it as a typed *RemoteError it can route on (try the
@@ -110,11 +110,11 @@ func TestContractOverCapacitySurfacesAsRemoteError(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go func() {
-		_ = SendError(a, CodeOverCapacity, "over advertised capacity")
+		_ = NewFrameWriter(a).WriteError(CodeOverCapacity, "over advertised capacity")
 		a.Close()
 	}()
 	_ = b.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, err := Expect(b, TypeContractGrant)
+	_, err := NewFrameReader(b).Expect(TypeContractGrant)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *RemoteError", err)

@@ -4,8 +4,8 @@ package wire
 // The frames a fuzzer can synthesize must never panic either side,
 // must never authenticate (a valid signature over a fresh random
 // nonce cannot be forged), and everything a confused responder writes
-// back — including its SendError rejections — must itself be
-// well-formed framing.
+// back — including its ERROR rejections — must itself be well-formed
+// framing.
 
 import (
 	"bytes"
@@ -39,7 +39,7 @@ func fuzzIdentity(f *testing.F) *auth.Identity {
 func checkWellFormedOutput(t *testing.T, out []byte) {
 	r := bytes.NewReader(out)
 	for {
-		if _, err := ReadFrame(r); err != nil {
+		if _, err := readFrame(r); err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.Fatalf("handshake wrote a malformed frame: %v (output %x)", err, out)
 			}
@@ -53,24 +53,17 @@ func FuzzHandshakeResponder(f *testing.F) {
 
 	// Structural seeds: a plausible HELLO (and AUTH) prefix so the
 	// fuzzer starts deep in the state machine rather than at frame 1.
-	var hello bytes.Buffer
 	h := Hello{Role: RoleUser, PubKey: id.Public(), Nonce: bytes.Repeat([]byte{9}, 32)}
-	if err := WriteFrame(&hello, TypeHello, h.Marshal()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(hello.Bytes())
-	withAuth := bytes.NewBuffer(append([]byte(nil), hello.Bytes()...))
+	hello := appendFrame(nil, TypeHello, h.Marshal())
+	f.Add(hello)
 	a := AuthResponse{PubKey: id.Public(), Signature: bytes.Repeat([]byte{3}, 64)}
-	if err := WriteFrame(withAuth, TypeAuthResponse, a.Marshal()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(withAuth.Bytes())
+	f.Add(appendFrame(append([]byte(nil), hello...), TypeAuthResponse, a.Marshal()))
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypeHello), 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &script{in: bytes.NewReader(data)}
-		key, _, err := ResponderHandshake(s, id, nil)
+		key, _, err := ResponderHandshake(NewFrameReader(s), NewFrameWriter(s), id, nil)
 		if err == nil {
 			t.Fatalf("fuzzed bytes authenticated as %x", key)
 		}
@@ -85,22 +78,18 @@ func FuzzHandshakeInitiator(f *testing.F) {
 	id := fuzzIdentity(f)
 
 	// A plausible CHALLENGE reply (wrong signature, right shape).
-	var chal bytes.Buffer
 	ch := Challenge{
 		PubKey:    id.Public(),
 		Signature: bytes.Repeat([]byte{5}, 64),
 		Nonce:     bytes.Repeat([]byte{6}, 32),
 	}
-	if err := WriteFrame(&chal, TypeChallenge, ch.Marshal()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(chal.Bytes())
+	f.Add(appendFrame(nil, TypeChallenge, ch.Marshal()))
 	f.Add([]byte{})
 	f.Add([]byte{byte(TypeError), 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &script{in: bytes.NewReader(data)}
-		key, err := InitiatorHandshake(s, id, RoleUser, nil)
+		key, err := InitiatorHandshake(NewFrameReader(s), NewFrameWriter(s), id, RoleUser, nil)
 		if err == nil {
 			t.Fatalf("fuzzed responder authenticated as %x", key)
 		}
@@ -133,16 +122,15 @@ func frameErrClass(err error) string {
 // file IDs alternating, each payload led by its 8-byte big-endian
 // stream id — the exact shape a multiplexed connection carries.
 func fuzzSeedMux() []byte {
-	var buf bytes.Buffer
+	var buf []byte
 	for i := 0; i < 4; i++ {
 		for _, fid := range []byte{0xAA, 0xBB} {
 			payload := append([]byte{0, 0, 0, 0, 0, 0, 0, fid}, bytes.Repeat([]byte{fid ^ byte(i)}, 24)...)
-			WriteFrame(&buf, TypeData, payload)
+			buf = appendFrame(buf, TypeData, payload)
 		}
 	}
-	WriteFrame(&buf, TypeStop, []byte{0, 0, 0, 0, 0, 0, 0, 0xAA})
-	WriteFrame(&buf, TypeStreamError, (&StreamError{FileID: 0xBB, Code: CodeUnknownFile, Reason: "x"}).Marshal())
-	return buf.Bytes()
+	buf = appendFrame(buf, TypeStop, []byte{0, 0, 0, 0, 0, 0, 0, 0xAA})
+	return appendFrame(buf, TypeStreamError, (&StreamError{FileID: 0xBB, Code: CodeUnknownFile, Reason: "x"}).Marshal())
 }
 
 // fuzzSeedOverload builds the overload-control exchange: an extended
@@ -150,17 +138,15 @@ func fuzzSeedMux() []byte {
 // RETRY_AFTER, and a deadline-expired drop — the frames ISSUE 10 adds
 // to the protocol.
 func fuzzSeedOverload() []byte {
-	var buf bytes.Buffer
-	WriteFrame(&buf, TypeGetMux, (&Get{FileID: 0xAA, DeadlineMillis: 1500, Priority: 3}).Marshal())
-	WriteFrame(&buf, TypeGetMux, (&Get{FileID: 0xBB, Limit: 7}).Marshal()) // legacy 12-byte form
-	WriteFrame(&buf, TypeBusy, (&Busy{FileID: 0xBB, Code: CodeBusy, RetryAfterMillis: 250, Reason: "shed"}).Marshal())
-	WriteFrame(&buf, TypeBusy, (&Busy{FileID: 0xAA, Code: CodeExpired, Reason: "deadline passed"}).Marshal())
-	return buf.Bytes()
+	buf := appendFrame(nil, TypeGetMux, (&Get{FileID: 0xAA, DeadlineMillis: 1500, Priority: 3}).Marshal())
+	buf = appendFrame(buf, TypeGetMux, (&Get{FileID: 0xBB, Limit: 7}).Marshal()) // legacy 12-byte form
+	buf = appendFrame(buf, TypeBusy, (&Busy{FileID: 0xBB, Code: CodeBusy, RetryAfterMillis: 250, Reason: "shed"}).Marshal())
+	return appendFrame(buf, TypeBusy, (&Busy{FileID: 0xAA, Code: CodeExpired, Reason: "deadline passed"}).Marshal())
 }
 
-// FuzzFrameReader is the differential fuzzer of ISSUE 8: any byte
-// stream, parsed by the pooled FrameReader and the legacy ReadFrame,
-// must yield the identical (type, payload, error-class) sequence — and
+// FuzzFrameReader is the differential fuzzer: any byte stream, parsed
+// by the pooled FrameReader and the reference decoder readFrame, must
+// yield the identical (type, payload, error-class) sequence — and
 // the reader's pool must come out of every input, malformed or not,
 // with zero live buffers and zero double-releases.
 func FuzzFrameReader(f *testing.F) {
@@ -173,27 +159,25 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{byte(TypeGet), 0xFF, 0xFF, 0xFF, 0xFF})  // oversized length
 	torn := fuzzSeedMux()
 	f.Add(torn[:len(torn)-7]) // valid interleaving ending in a torn frame
-	var big bytes.Buffer
-	WriteFrame(&big, TypeData, make([]byte, 66<<10)) // larger than the fill window
-	WriteFrame(&big, TypeStop, nil)
-	f.Add(big.Bytes())
+	// A frame larger than the fill window.
+	f.Add(appendFrame(appendFrame(nil, TypeData, make([]byte, 66<<10)), TypeStop, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pool := NewPool()
 		fr := NewFrameReaderPool(bytes.NewReader(data), pool)
-		legacy := bytes.NewReader(data)
+		ref := bytes.NewReader(data)
 		for i := 0; ; i++ {
-			want, wantErr := ReadFrame(legacy)
+			want, wantErr := readFrame(ref)
 			ty, b, err := fr.Next()
 			if wc, gc := frameErrClass(wantErr), frameErrClass(err); wc != gc {
-				t.Fatalf("frame %d: legacy error class %q, pooled %q (legacy err %v, pooled err %v)",
+				t.Fatalf("frame %d: reference error class %q, pooled %q (reference err %v, pooled err %v)",
 					i, wc, gc, wantErr, err)
 			}
 			if wantErr != nil {
 				break
 			}
 			if ty != want.Type {
-				t.Fatalf("frame %d: type %s vs legacy %s", i, ty, want.Type)
+				t.Fatalf("frame %d: type %s vs reference %s", i, ty, want.Type)
 			}
 			if !bytes.Equal(b.Bytes(), want.Payload) {
 				t.Fatalf("frame %d: payload diverges (%d vs %d bytes)", i, b.Len(), len(want.Payload))

@@ -9,13 +9,14 @@ package wire
 //	responder -> initiator: AUTH_OK
 //
 // Each side verifies the other's signature and checks the key against
-// its trust set before any content flows.
+// its trust set before any content flows. Both halves run on the
+// connection's own FrameReader and FrameWriter, which then carry the
+// rest of the exchange.
 
 import (
 	"bytes"
 	"crypto/ed25519"
 	"fmt"
-	"io"
 
 	"asymshare/internal/auth"
 )
@@ -23,22 +24,24 @@ import (
 // InitiatorHandshake authenticates to a responder and verifies it in
 // turn. trusted, if non-nil, restricts which responder keys are
 // acceptable. It returns the responder's public key.
-func InitiatorHandshake(rw io.ReadWriter, id *auth.Identity, role Role, trusted *auth.TrustSet) (ed25519.PublicKey, error) {
+func InitiatorHandshake(fr *FrameReader, fw *FrameWriter, id *auth.Identity, role Role, trusted *auth.TrustSet) (ed25519.PublicKey, error) {
 	nonce, err := auth.NewChallenge()
 	if err != nil {
 		return nil, err
 	}
 	hello := Hello{Role: role, PubKey: id.Public(), Nonce: nonce}
-	if err := WriteFrame(rw, TypeHello, hello.Marshal()); err != nil {
+	if err := fw.WriteFrame(TypeHello, hello.Marshal()); err != nil {
 		return nil, err
 	}
 
-	f, err := Expect(rw, TypeChallenge)
+	b, err := fr.Expect(TypeChallenge)
 	if err != nil {
 		return nil, fmt.Errorf("wire: handshake: %w", err)
 	}
 	var ch Challenge
-	if err := ch.Unmarshal(f.Payload); err != nil {
+	err = ch.Unmarshal(b.Bytes())
+	b.Release()
+	if err != nil {
 		return nil, err
 	}
 	responderKey := ed25519.PublicKey(ch.PubKey)
@@ -55,32 +58,36 @@ func InitiatorHandshake(rw io.ReadWriter, id *auth.Identity, role Role, trusted 
 		return nil, err
 	}
 	resp := AuthResponse{PubKey: id.Public(), Signature: sig}
-	if err := WriteFrame(rw, TypeAuthResponse, resp.Marshal()); err != nil {
+	if err := fw.WriteFrame(TypeAuthResponse, resp.Marshal()); err != nil {
 		return nil, err
 	}
-	if _, err := Expect(rw, TypeAuthOK); err != nil {
+	ok, err := fr.Expect(TypeAuthOK)
+	if err != nil {
 		return nil, fmt.Errorf("wire: handshake not accepted: %w", err)
 	}
+	ok.Release()
 	return responderKey, nil
 }
 
 // ResponderHandshake runs the responder side. trusted, if non-nil,
 // restricts which initiator keys are served. It returns the verified
 // initiator key and its announced role.
-func ResponderHandshake(rw io.ReadWriter, id *auth.Identity, trusted *auth.TrustSet) (ed25519.PublicKey, Role, error) {
-	f, err := Expect(rw, TypeHello)
+func ResponderHandshake(fr *FrameReader, fw *FrameWriter, id *auth.Identity, trusted *auth.TrustSet) (ed25519.PublicKey, Role, error) {
+	b, err := fr.Expect(TypeHello)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wire: handshake: %w", err)
 	}
 	var hello Hello
-	if err := hello.Unmarshal(f.Payload); err != nil {
-		SendError(rw, CodeBadRequest, "malformed hello")
+	err = hello.Unmarshal(b.Bytes())
+	b.Release()
+	if err != nil {
+		fw.WriteError(CodeBadRequest, "malformed hello")
 		return nil, 0, err
 	}
 
 	sig, err := id.Respond(hello.Nonce)
 	if err != nil {
-		SendError(rw, CodeBadRequest, "malformed nonce")
+		fw.WriteError(CodeBadRequest, "malformed nonce")
 		return nil, 0, err
 	}
 	nonce, err := auth.NewChallenge()
@@ -88,34 +95,36 @@ func ResponderHandshake(rw io.ReadWriter, id *auth.Identity, trusted *auth.Trust
 		return nil, 0, err
 	}
 	ch := Challenge{PubKey: id.Public(), Signature: sig, Nonce: nonce}
-	if err := WriteFrame(rw, TypeChallenge, ch.Marshal()); err != nil {
+	if err := fw.WriteFrame(TypeChallenge, ch.Marshal()); err != nil {
 		return nil, 0, err
 	}
 
-	f, err = Expect(rw, TypeAuthResponse)
+	b, err = fr.Expect(TypeAuthResponse)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wire: handshake: %w", err)
 	}
 	var resp AuthResponse
-	if err := resp.Unmarshal(f.Payload); err != nil {
-		SendError(rw, CodeBadRequest, "malformed auth response")
+	err = resp.Unmarshal(b.Bytes())
+	b.Release()
+	if err != nil {
+		fw.WriteError(CodeBadRequest, "malformed auth response")
 		return nil, 0, err
 	}
 	if !bytes.Equal(resp.PubKey, hello.PubKey) {
-		SendError(rw, CodeAuthFailed, "key mismatch between hello and auth")
+		fw.WriteError(CodeAuthFailed, "key mismatch between hello and auth")
 		return nil, 0, fmt.Errorf("%w: hello/auth key mismatch", ErrBadFrame)
 	}
 	initiatorKey := ed25519.PublicKey(resp.PubKey)
 	if trusted != nil {
 		if err := trusted.Check(initiatorKey, nonce, resp.Signature); err != nil {
-			SendError(rw, CodeAuthFailed, "authentication failed")
+			fw.WriteError(CodeAuthFailed, "authentication failed")
 			return nil, 0, fmt.Errorf("wire: initiator authentication: %w", err)
 		}
 	} else if err := auth.Verify(initiatorKey, nonce, resp.Signature); err != nil {
-		SendError(rw, CodeAuthFailed, "authentication failed")
+		fw.WriteError(CodeAuthFailed, "authentication failed")
 		return nil, 0, fmt.Errorf("wire: initiator authentication: %w", err)
 	}
-	if err := WriteFrame(rw, TypeAuthOK, nil); err != nil {
+	if err := fw.WriteFrame(TypeAuthOK, nil); err != nil {
 		return nil, 0, err
 	}
 	return initiatorKey, hello.Role, nil

@@ -105,7 +105,7 @@ type PoolStats struct {
 
 // Pool is a size-classed free list of frame buffers with leak and
 // double-release accounting. The zero value is not usable; construct
-// with NewPool. DefaultPool serves the package-level framing helpers.
+// with NewPool. DefaultPool serves every connection's reader and writer.
 type Pool struct {
 	classes [numClasses]chan *Buf
 
@@ -119,8 +119,7 @@ type Pool struct {
 	live           atomic.Int64
 }
 
-// DefaultPool backs the package-level FrameReader/FrameWriter
-// constructors and the legacy WriteFrame wrapper.
+// DefaultPool backs the NewFrameReader and NewFrameWriter constructors.
 var DefaultPool = NewPool()
 
 // NewPool returns an empty pool. Pools are cheap: memory is only held

@@ -177,12 +177,12 @@ func TestPoolParksAReadBurst(t *testing.T) {
 	}
 }
 
-// TestPooledWriteFrameByteIdentity pins that the pooled package-level
-// WriteFrame produces exactly the historical wire bytes.
+// TestPooledWriteFrameByteIdentity pins that FrameWriter.WriteFrame
+// produces exactly the historical wire bytes, spelled out by hand.
 func TestPooledWriteFrameByteIdentity(t *testing.T) {
 	payload := []byte("the quick brown fox")
 	var got bytes.Buffer
-	if err := WriteFrame(&got, TypeData, payload); err != nil {
+	if err := NewFrameWriter(&got).WriteFrame(TypeData, payload); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]byte{byte(TypeData), 0, 0, 0, byte(len(payload))}, payload...)

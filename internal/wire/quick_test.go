@@ -1,12 +1,11 @@
 package wire
 
-// Property-based robustness tests: every typed message round-trips for
-// arbitrary field values, and the frame reader never panics on
-// arbitrary byte soup.
+// Property-based robustness tests: every typed message and every frame
+// round-trips for arbitrary field values, and the unmarshalers never
+// panic on arbitrary byte soup.
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"testing/quick"
 )
@@ -50,28 +49,17 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			payload = payload[:1<<16]
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, Type(ty), payload); err != nil {
+		if err := NewFrameWriter(&buf).WriteFrame(Type(ty), payload); err != nil {
 			return false
 		}
-		f, err := ReadFrame(&buf)
-		return err == nil && f.Type == Type(ty) && bytes.Equal(f.Payload, payload)
+		got, b, err := NewFrameReader(&buf).Next()
+		if err != nil {
+			return false
+		}
+		defer b.Release()
+		return got == Type(ty) && bytes.Equal(b.Bytes(), payload)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadFrameNeverPanicsOnGarbage(t *testing.T) {
-	prop := func(garbage []byte) bool {
-		r := bytes.NewReader(garbage)
-		for {
-			_, err := ReadFrame(r)
-			if err != nil {
-				return true // any error is fine; panics are not
-			}
-		}
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -102,41 +90,36 @@ func TestUnmarshalersNeverPanicOnGarbage(t *testing.T) {
 	}
 }
 
-func TestReadFrameTruncatedHeader(t *testing.T) {
-	for n := 0; n < 5; n++ {
-		_, err := ReadFrame(bytes.NewReader(make([]byte, n)))
-		if err == nil {
-			t.Errorf("truncated header of %d bytes accepted", n)
-		}
-		if n == 0 && err != io.EOF {
-			t.Errorf("empty reader error = %v, want io.EOF", err)
-		}
-	}
-}
-
+// FuzzReadFrame closes the loop between the two halves of the framing:
+// every frame FrameReader parses out of arbitrary bytes, written back
+// through FrameWriter, must reproduce exactly the bytes it was parsed
+// from.
 func FuzzReadFrame(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeData, []byte("seed")); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(appendFrame(nil, TypeData, []byte("seed")))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		pool := NewPool()
+		fr := NewFrameReaderPool(bytes.NewReader(data), pool)
+		var out bytes.Buffer
+		fw := &FrameWriter{w: &out, pool: pool}
 		for {
-			frame, err := ReadFrame(r)
+			ty, b, err := fr.Next()
 			if err != nil {
-				return
+				break
 			}
-			// Parsed frames must re-serialize to the same byte count.
-			var out bytes.Buffer
-			if werr := WriteFrame(&out, frame.Type, frame.Payload); werr != nil {
-				t.Fatalf("reserialize: %v", werr)
+			if err := fw.QueueBuf(ty, b); err != nil {
+				t.Fatalf("reserialize: %v", err)
 			}
-			if out.Len() != 5+len(frame.Payload) {
-				t.Fatalf("frame length %d", out.Len())
-			}
+		}
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("re-serialized frames %x are not a prefix of the input %x", out.Bytes(), data)
+		}
+		if st := pool.Stats(); st.Live != 0 || st.DoubleReleases != 0 {
+			t.Fatalf("pool: %d live, %d double-released", st.Live, st.DoubleReleases)
 		}
 	})
 }

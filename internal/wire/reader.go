@@ -1,12 +1,16 @@
 package wire
 
-// FrameReader is the pooled, allocation-free replacement for the
-// legacy ReadFrame loop. It buffers the underlying stream in one fixed
-// window, parses length-prefixed frames out of it, and hands each
-// payload out in a reference-counted *Buf drawn from its Pool — the
-// caller owns the buffer and must Release it (or hand ownership on;
-// see DESIGN.md §13). Frame boundaries, size limits and error classes
-// match ReadFrame exactly, which the differential fuzzer pins.
+// FrameReader is the one way a frame is read: a connection builds one
+// before its first frame (HELLO) and reads every frame through it until
+// BYE. It buffers the underlying stream in one window, parses
+// length-prefixed frames out of it, and hands each payload out in a
+// reference-counted *Buf drawn from its Pool — the caller owns the
+// buffer and must Release it (or hand ownership on; see DESIGN.md §13).
+// Because the window may hold bytes past the frame just returned, a
+// second reader over the same stream would lose them: the handshake and
+// everything after it share the connection's reader. Frame boundaries,
+// size limits and error classes match a plain io.ReadFull decoder
+// exactly, which the differential fuzzer pins.
 
 import (
 	"encoding/binary"
@@ -14,9 +18,17 @@ import (
 	"io"
 )
 
-// frameReaderWindow is the fill buffer size: big enough to batch many
-// small control frames per read syscall, small enough to sit in L2.
-const frameReaderWindow = 64 << 10
+const (
+	// frameReaderMinWindow is the fill buffer a reader starts with: the
+	// replies of a handshake, a DHT RPC or a tracker round trip fit, so
+	// a short-lived connection never pays for more.
+	frameReaderMinWindow = 4 << 10
+
+	// frameReaderWindow is the most the fill buffer grows to: big enough
+	// to batch many small control frames per read syscall, small enough
+	// to sit in L2.
+	frameReaderWindow = 64 << 10
+)
 
 // FrameReader reads frames from one stream. Not safe for concurrent
 // use; a connection has exactly one reader.
@@ -37,13 +49,15 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // NewFrameReaderPool is NewFrameReader with an explicit pool (tests use
 // private pools for leak accounting).
 func NewFrameReaderPool(r io.Reader, pool *Pool) *FrameReader {
-	return &FrameReader{r: r, pool: pool, buf: make([]byte, frameReaderWindow)}
+	return &FrameReader{r: r, pool: pool, buf: make([]byte, frameReaderMinWindow)}
 }
 
-// fill buffers at least need bytes, compacting the window first. A
-// clean end-of-stream with nothing buffered returns io.EOF; a torn
-// prefix returns io.ErrUnexpectedEOF — the same classes ReadFrame's
-// header read yields.
+// fill buffers at least need bytes, compacting the window first. A read
+// that fills the window means the stream runs ahead of the reader, so
+// the window doubles, up to frameReaderWindow, and later reads batch
+// more. A clean end-of-stream with nothing buffered returns io.EOF; a
+// torn prefix returns io.ErrUnexpectedEOF — the classes io.ReadFull
+// yields for a 5-byte header.
 func (fr *FrameReader) fill(need int) error {
 	for fr.hi-fr.lo < need {
 		if fr.lo > 0 {
@@ -53,6 +67,11 @@ func (fr *FrameReader) fill(need int) error {
 		}
 		n, err := fr.r.Read(fr.buf[fr.hi:])
 		fr.hi += n
+		if fr.hi == len(fr.buf) && len(fr.buf) < frameReaderWindow {
+			grown := make([]byte, 2*len(fr.buf))
+			copy(grown, fr.buf[:fr.hi])
+			fr.buf = grown
+		}
 		if fr.hi-fr.lo >= need {
 			return nil
 		}
@@ -94,11 +113,12 @@ func (fr *FrameReader) Next() (Type, *Buf, error) {
 			b.Release()
 			if err == io.EOF && have > 0 {
 				// Part of the body was consumed from the buffered window,
-				// so a clean end-of-stream here is a torn frame: legacy
-				// ReadFrame's single ReadFull would have read those bytes
-				// itself and returned ErrUnexpectedEOF. With no body
-				// bytes consumed, EOF passes through — the class legacy
-				// yields when the stream ends exactly at the header.
+				// so a clean end-of-stream here is a torn frame: one
+				// ReadFull over the whole body would have read those
+				// bytes itself and returned ErrUnexpectedEOF. With no
+				// body bytes consumed, EOF passes through — the class
+				// ReadFull yields when the stream ends exactly at the
+				// header.
 				err = io.ErrUnexpectedEOF
 			}
 			return 0, nil, fmt.Errorf("wire: short frame body: %w", err)
@@ -108,9 +128,9 @@ func (fr *FrameReader) Next() (Type, *Buf, error) {
 	return t, b, nil
 }
 
-// Expect reads one frame and verifies its type, translating TypeError
-// frames into *RemoteError exactly like the package-level Expect. The
-// returned buffer follows Next's ownership rule.
+// Expect reads one frame and verifies its type, translating an ERROR
+// frame into *RemoteError. The returned buffer follows Next's ownership
+// rule.
 func (fr *FrameReader) Expect(want Type) (*Buf, error) {
 	t, b, err := fr.Next()
 	if err != nil {

@@ -1,19 +1,54 @@
 package wire
 
-// Differential coverage for the pooled framing hot path: FrameWriter
-// must emit byte-identical streams to the legacy WriteFrame, and
+// Differential coverage for the pooled framing path: FrameWriter must
+// emit the bytes a hand-built encoding of the same frames has, and
 // FrameReader must parse any stream into the same (type, payload,
-// error-class) sequence ReadFrame produces. The suites run against a
-// private pool and assert the teardown invariants — zero live buffers,
-// zero double-releases — after every scenario.
+// error-class) sequence the reference decoder readFrame produces. The
+// suites run against a private pool and assert the teardown invariants
+// — zero live buffers, zero double-releases — after every scenario.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
 )
+
+// frame is one frame as the tests build and compare it.
+type frame struct {
+	Type    Type
+	Payload []byte
+}
+
+// appendFrame appends one frame's encoding, built by hand: the type
+// byte, the 4-byte big-endian payload length, the payload.
+func appendFrame(dst []byte, t Type, payload []byte) []byte {
+	dst = append(dst, byte(t))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
+}
+
+// readFrame is the reference decoder FrameReader is checked against:
+// the header with one io.ReadFull, the size check, the body with
+// another, into a fresh slice.
+func readFrame(r io.Reader) (frame, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return frame{}, err
+	}
+	n := binary.BigEndian.Uint32(hdr[1:])
+	if n > MaxFrameSize {
+		return frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return frame{}, fmt.Errorf("wire: short frame body: %w", err)
+	}
+	return frame{Type: Type(hdr[0]), Payload: payload}, nil
+}
 
 // checkPool fails the test if the pool leaked or double-released.
 func checkPool(t *testing.T, p *Pool) {
@@ -28,9 +63,9 @@ func checkPool(t *testing.T, p *Pool) {
 }
 
 // randomFrames builds a deterministic mixed batch of frames.
-func randomFrames(rng *rand.Rand, n int) []Frame {
+func randomFrames(rng *rand.Rand, n int) []frame {
 	types := []Type{TypeData, TypeGet, TypeStop, TypePutOK, TypeGetMux, TypeStreamError}
-	frames := make([]Frame, n)
+	frames := make([]frame, n)
 	for i := range frames {
 		var payload []byte
 		switch rng.Intn(4) {
@@ -43,23 +78,21 @@ func randomFrames(rng *rand.Rand, n int) []Frame {
 			payload = make([]byte, 1+rng.Intn(64<<10))
 		}
 		rng.Read(payload)
-		frames[i] = Frame{Type: types[rng.Intn(len(types))], Payload: payload}
+		frames[i] = frame{Type: types[rng.Intn(len(types))], Payload: payload}
 	}
 	return frames
 }
 
-// TestFrameWriterByteIdentity writes the same frame batch through the
-// legacy path and through every FrameWriter queueing mode, and requires
-// bit-identical streams.
+// TestFrameWriterByteIdentity writes a frame batch through every
+// FrameWriter queueing mode and requires the stream to be bit-identical
+// to the hand-built encoding of the same frames.
 func TestFrameWriterByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	frames := randomFrames(rng, 64)
 
-	var legacy bytes.Buffer
+	var want []byte
 	for _, f := range frames {
-		if err := WriteFrame(&legacy, f.Type, f.Payload); err != nil {
-			t.Fatal(err)
-		}
+		want = appendFrame(want, f.Type, f.Payload)
 	}
 
 	pool := NewPool()
@@ -89,33 +122,31 @@ func TestFrameWriterByteIdentity(t *testing.T) {
 	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(legacy.Bytes(), pooled.Bytes()) {
-		t.Fatalf("streams diverge: legacy %d bytes, pooled %d bytes", legacy.Len(), pooled.Len())
+	if !bytes.Equal(want, pooled.Bytes()) {
+		t.Fatalf("streams diverge: hand-built %d bytes, written %d bytes", len(want), pooled.Len())
 	}
 	checkPool(t, pool)
 }
 
-// TestFrameReaderMatchesReadFrame runs both readers over the same
-// stream and requires the same frames in the same order.
+// TestFrameReaderMatchesReadFrame runs FrameReader and the reference
+// decoder over the same stream and requires the same frames in the same
+// order.
 func TestFrameReaderMatchesReadFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	frames := randomFrames(rng, 48)
-	var stream bytes.Buffer
+	var raw []byte
 	for _, f := range frames {
-		if err := WriteFrame(&stream, f.Type, f.Payload); err != nil {
-			t.Fatal(err)
-		}
+		raw = appendFrame(raw, f.Type, f.Payload)
 	}
-	raw := stream.Bytes()
 
 	pool := NewPool()
 	fr := NewFrameReaderPool(bytes.NewReader(raw), pool)
-	legacy := bytes.NewReader(raw)
+	ref := bytes.NewReader(raw)
 	for i := range frames {
-		want, wantErr := ReadFrame(legacy)
+		want, wantErr := readFrame(ref)
 		ty, b, err := fr.Next()
 		if wantErr != nil || err != nil {
-			t.Fatalf("frame %d: legacy err %v, pooled err %v", i, wantErr, err)
+			t.Fatalf("frame %d: reference err %v, pooled err %v", i, wantErr, err)
 		}
 		if ty != want.Type || !bytes.Equal(b.Bytes(), want.Payload) {
 			t.Fatalf("frame %d diverges: %s vs %s", i, ty, want.Type)
@@ -128,8 +159,9 @@ func TestFrameReaderMatchesReadFrame(t *testing.T) {
 	checkPool(t, pool)
 }
 
-// TestFrameReaderErrorClasses pins the error taxonomy shared with
-// ReadFrame: clean EOF, torn header, torn body, oversized length.
+// TestFrameReaderErrorClasses pins the error taxonomy shared with the
+// reference decoder: clean EOF, torn header, torn body, oversized
+// length.
 func TestFrameReaderErrorClasses(t *testing.T) {
 	pool := NewPool()
 	cases := []struct {
@@ -139,6 +171,8 @@ func TestFrameReaderErrorClasses(t *testing.T) {
 	}{
 		{"clean EOF", nil, func(err error) bool { return err == io.EOF }},
 		{"torn header", []byte{byte(TypeData), 0, 0}, func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
+		{"torn header of one byte", []byte{byte(TypeData)}, func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
+		{"torn header of four bytes", []byte{byte(TypeData), 0, 0, 0}, func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
 		{"torn body", []byte{byte(TypeData), 0, 0, 0, 10, 1, 2}, func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
 		{"oversized", []byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF}, func(err error) bool { return errors.Is(err, ErrFrameTooLarge) }},
 	}
@@ -150,10 +184,10 @@ func TestFrameReaderErrorClasses(t *testing.T) {
 			if !tc.check(err) {
 				t.Errorf("pooled error = %v", err)
 			}
-			// The legacy reader must agree on the class.
-			_, lerr := ReadFrame(bytes.NewReader(tc.bytes))
-			if tc.check(err) != tc.check(lerr) {
-				t.Errorf("legacy error = %v disagrees with pooled %v", lerr, err)
+			// The reference decoder must agree on the class.
+			_, rerr := readFrame(bytes.NewReader(tc.bytes))
+			if tc.check(err) != tc.check(rerr) {
+				t.Errorf("reference error = %v disagrees with pooled %v", rerr, err)
 			}
 		})
 	}
@@ -166,14 +200,9 @@ func TestFrameReaderLargeFrame(t *testing.T) {
 	pool := NewPool()
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(3)).Read(payload)
-	var stream bytes.Buffer
-	if err := WriteFrame(&stream, TypeData, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&stream, TypeStop, []byte("tail")); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReaderPool(&stream, pool)
+	stream := appendFrame(nil, TypeData, payload)
+	stream = appendFrame(stream, TypeStop, []byte("tail"))
+	fr := NewFrameReaderPool(bytes.NewReader(stream), pool)
 	ty, b, err := fr.Next()
 	if err != nil || ty != TypeData || !bytes.Equal(b.Bytes(), payload) {
 		t.Fatalf("large frame: type %s err %v", ty, err)
@@ -239,8 +268,8 @@ func TestFrameWriterReleasesOwnedOnError(t *testing.T) {
 	checkPool(t, pool)
 }
 
-// TestFrameWriterOversize mirrors the legacy MaxFrameSize refusal in
-// every queueing mode.
+// TestFrameWriterOversize pins the MaxFrameSize refusal in every
+// queueing mode.
 func TestFrameWriterOversize(t *testing.T) {
 	pool := NewPool()
 	var out bytes.Buffer
@@ -262,32 +291,26 @@ func TestFrameWriterOversize(t *testing.T) {
 	checkPool(t, pool)
 }
 
-// TestFrameReaderExpect mirrors the package-level Expect contract.
+// TestFrameReaderExpect pins Expect's contract with a private pool: a
+// wrong type and a remote ERROR are errors that leave nothing to
+// release, the wanted type hands its buffer over.
 func TestFrameReaderExpect(t *testing.T) {
 	pool := NewPool()
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeGet, (&Get{FileID: 1}).Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReaderPool(&buf, pool)
+	stream := appendFrame(nil, TypeGet, (&Get{FileID: 1}).Marshal())
+	fr := NewFrameReaderPool(bytes.NewReader(stream), pool)
 	if _, err := fr.Expect(TypeStop); !errors.Is(err, ErrUnexpectedFrame) {
 		t.Errorf("wrong type error = %v", err)
 	}
 
-	buf.Reset()
-	SendError(&buf, CodeUnknownFile, "nope")
-	fr = NewFrameReaderPool(&buf, pool)
+	stream = appendFrame(nil, TypeError, (&ErrorMsg{Code: CodeUnknownFile, Reason: "nope"}).Marshal())
+	fr = NewFrameReaderPool(bytes.NewReader(stream), pool)
 	_, err := fr.Expect(TypeData)
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Code != CodeUnknownFile || remote.Reason != "nope" {
 		t.Errorf("remote error = %v", err)
 	}
 
-	buf.Reset()
-	if err := WriteFrame(&buf, TypePutOK, []byte("ok")); err != nil {
-		t.Fatal(err)
-	}
-	fr = NewFrameReaderPool(&buf, pool)
+	fr = NewFrameReaderPool(bytes.NewReader(appendFrame(nil, TypePutOK, []byte("ok"))), pool)
 	b, err := fr.Expect(TypePutOK)
 	if err != nil || string(b.Bytes()) != "ok" {
 		t.Fatalf("Expect = %v, %v", b, err)

@@ -3,6 +3,11 @@
 // mutual challenge-response authentication (1, 2), content requests
 // (3), message delivery (4), stop-transmission (5) and the periodic
 // informational feedback a user sends its own peer.
+//
+// A frame is a 1-byte type, a 4-byte big-endian payload length and the
+// payload. Every connection reads frames through one FrameReader and
+// writes them through one FrameWriter, from HELLO to BYE (reader.go,
+// writer.go); this file holds the frame types and their payloads.
 package wire
 
 import (
@@ -10,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Type identifies a frame.
@@ -120,76 +124,6 @@ var (
 	// receives a frame type it cannot handle.
 	ErrUnexpectedFrame = errors.New("wire: unexpected frame type")
 )
-
-// Frame is one protocol unit.
-type Frame struct {
-	Type    Type
-	Payload []byte
-}
-
-// WriteFrame writes a frame: 1-byte type, 4-byte big-endian payload
-// length, payload. It is the legacy single-frame compatibility wrapper
-// around the batched FrameWriter path: one contiguous Write per frame,
-// byte-identical on the wire, with the staging buffer drawn from
-// DefaultPool so even legacy call sites stopped allocating per frame.
-func WriteFrame(w io.Writer, t Type, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
-	b := DefaultPool.Get(5 + len(payload))
-	buf := b.Bytes()
-	buf[0] = byte(t)
-	binary.BigEndian.PutUint32(buf[1:], uint32(len(payload)))
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
-	b.Release()
-	if err != nil {
-		return fmt.Errorf("wire: write %s: %w", t, err)
-	}
-	recordFrameSent(t, len(payload))
-	return nil
-}
-
-// ReadFrame reads one frame from r. It is the legacy compatibility
-// path: the payload is freshly allocated and owned by the caller
-// forever, so it cannot be pooled. Hot paths use FrameReader, which
-// returns pooled reference-counted buffers instead.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxFrameSize {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, fmt.Errorf("wire: short frame body: %w", err)
-	}
-	recordFrameRecv(Type(hdr[0]), len(payload))
-	return Frame{Type: Type(hdr[0]), Payload: payload}, nil
-}
-
-// Expect reads one frame and verifies its type, translating TypeError
-// frames into Go errors.
-func Expect(r io.Reader, want Type) (Frame, error) {
-	f, err := ReadFrame(r)
-	if err != nil {
-		return Frame{}, err
-	}
-	if f.Type == TypeError {
-		var e ErrorMsg
-		if uerr := e.Unmarshal(f.Payload); uerr == nil {
-			return Frame{}, &RemoteError{Code: e.Code, Reason: e.Reason}
-		}
-		return Frame{}, fmt.Errorf("%w: undecodable remote error", ErrBadFrame)
-	}
-	if f.Type != want {
-		return Frame{}, fmt.Errorf("%w: got %s, want %s", ErrUnexpectedFrame, f.Type, want)
-	}
-	return f, nil
-}
 
 // Role distinguishes the two ends of a connection.
 type Role uint8
@@ -538,16 +472,6 @@ func (b *Busy) Error() string {
 	return fmt.Sprintf("wire: busy (code %d, retry after %dms): %s", b.Code, b.RetryAfterMillis, b.Reason)
 }
 
-// SendBusy writes a Busy frame. Unlike SendError this does not doom
-// the connection — the remote may keep other streams flowing and retry
-// the shed one later — but the same reparse contract applies: the
-// frame must always decode cleanly on a conforming reader (see
-// TestSendBusyReparses).
-func SendBusy(w io.Writer, fileID uint64, code uint16, retryAfterMillis uint32, reason string) error {
-	msg := Busy{FileID: fileID, Code: code, RetryAfterMillis: retryAfterMillis, Reason: reason}
-	return WriteFrame(w, TypeBusy, msg.Marshal())
-}
-
 // RemoteError is an error frame surfaced as a Go error.
 type RemoteError struct {
 	Code   uint16
@@ -556,22 +480,4 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("wire: remote error %d: %s", e.Code, e.Reason)
-}
-
-// SendError writes an ErrorMsg frame and returns the write error, if
-// any.
-//
-// Contract: SendError is strictly best-effort. The sender MUST treat
-// the protocol exchange as failed regardless of the return value and
-// MUST close the connection afterwards — the frame only exists so a
-// well-behaved remote can surface a typed *RemoteError instead of a
-// bare EOF. Callers tearing a connection down may ignore the result;
-// callers that keep the connection open (none today) must not, or a
-// failed write would silently desynchronize the stream. On the reader
-// side, Expect translates the frame into *RemoteError, so a malformed
-// or oversized request is answered with a typed error rather than a
-// hang (see TestAuditMalformedChallengeYieldsRemoteError).
-func SendError(w io.Writer, code uint16, reason string) error {
-	msg := ErrorMsg{Code: code, Reason: reason}
-	return WriteFrame(w, TypeError, msg.Marshal())
 }

@@ -10,69 +10,67 @@ import (
 	"asymshare/internal/auth"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
+// roundTrip writes one frame through a FrameWriter and reads it back
+// through a FrameReader.
+func roundTrip(t *testing.T, ty Type, payload []byte) (Type, []byte) {
+	t.Helper()
 	var buf bytes.Buffer
-	payload := []byte("hello world")
-	if err := WriteFrame(&buf, TypeData, payload); err != nil {
+	if err := NewFrameWriter(&buf).WriteFrame(ty, payload); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(&buf)
+	got, b, err := NewFrameReader(&buf).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Type != TypeData || !bytes.Equal(f.Payload, payload) {
-		t.Fatalf("frame = %+v", f)
+	defer b.Release()
+	return got, append([]byte(nil), b.Bytes()...)
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	payload := []byte("hello world")
+	if ty, got := roundTrip(t, TypeData, payload); ty != TypeData || !bytes.Equal(got, payload) {
+		t.Fatalf("frame = %s %q", ty, got)
 	}
 }
 
 func TestFrameEmptyPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeAuthOK, nil); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != TypeAuthOK || len(f.Payload) != 0 {
-		t.Fatalf("frame = %+v", f)
+	if ty, got := roundTrip(t, TypeAuthOK, nil); ty != TypeAuthOK || len(got) != 0 {
+		t.Fatalf("frame = %s %q", ty, got)
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeData, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := NewFrameWriter(&buf).WriteFrame(TypeData, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize write error = %v", err)
 	}
 	// A forged oversize header must be rejected on read.
 	buf.Write([]byte{byte(TypeData), 0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := NewFrameReader(&buf).Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize read error = %v", err)
 	}
 }
 
-func TestReadFrameShortBody(t *testing.T) {
-	buf := bytes.NewBuffer([]byte{byte(TypeData), 0, 0, 0, 10, 1, 2})
-	if _, err := ReadFrame(buf); err == nil {
-		t.Error("short body accepted")
-	}
-}
-
+// TestExpect pins how Expect reads an ERROR frame: one that decodes is
+// the remote's *RemoteError, one that does not is ErrBadFrame — never
+// the frame itself.
 func TestExpect(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeGet, (&Get{FileID: 1}).Marshal()); err != nil {
+	fw := NewFrameWriter(&buf)
+	if err := fw.WriteError(CodeUnknownFile, "nope"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Expect(&buf, TypeStop); !errors.Is(err, ErrUnexpectedFrame) {
-		t.Errorf("wrong type error = %v", err)
+	if err := fw.WriteFrame(TypeError, []byte{1}); err != nil {
+		t.Fatal(err)
 	}
-
-	buf.Reset()
-	SendError(&buf, CodeUnknownFile, "nope")
-	_, err := Expect(&buf, TypeData)
+	fr := NewFrameReader(&buf)
+	_, err := fr.Expect(TypeData)
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Code != CodeUnknownFile || remote.Reason != "nope" {
 		t.Errorf("remote error = %v", err)
+	}
+	if _, err := fr.Expect(TypeData); !errors.Is(err, ErrBadFrame) || errors.As(err, &remote) {
+		t.Errorf("undecodable remote error = %v, want ErrBadFrame", err)
 	}
 }
 
@@ -199,10 +197,10 @@ func handshakePair(t *testing.T, initiator, responder *auth.Identity,
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := ResponderHandshake(sConn, responder, responderTrust)
+		_, _, err := ResponderHandshake(NewFrameReader(sConn), NewFrameWriter(sConn), responder, responderTrust)
 		done <- err
 	}()
-	_, initErr = InitiatorHandshake(cConn, initiator, RoleUser, initiatorTrust)
+	_, initErr = InitiatorHandshake(NewFrameReader(cConn), NewFrameWriter(cConn), initiator, RoleUser, initiatorTrust)
 	// Close the initiator side so an aborted handshake unblocks the
 	// responder (net.Pipe is fully synchronous).
 	cConn.Close()
@@ -289,25 +287,28 @@ func TestHandshakeKeyMismatch(t *testing.T) {
 	defer sConn.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := ResponderHandshake(sConn, peer,
+		_, _, err := ResponderHandshake(NewFrameReader(sConn), NewFrameWriter(sConn), peer,
 			auth.NewTrustSet(user.Public(), imposter.Public()))
 		done <- err
 	}()
+	fr, fw := NewFrameReader(cConn), NewFrameWriter(cConn)
 	// Manual initiator: hello as user, auth as imposter.
 	nonce, err := auth.NewChallenge()
 	if err != nil {
 		t.Fatal(err)
 	}
 	hello := Hello{Role: RoleUser, PubKey: user.Public(), Nonce: nonce}
-	if err := WriteFrame(cConn, TypeHello, hello.Marshal()); err != nil {
+	if err := fw.WriteFrame(TypeHello, hello.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Expect(cConn, TypeChallenge)
+	b, err := fr.Expect(TypeChallenge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ch Challenge
-	if err := ch.Unmarshal(f.Payload); err != nil {
+	err = ch.Unmarshal(b.Bytes())
+	b.Release()
+	if err != nil {
 		t.Fatal(err)
 	}
 	sig, err := imposter.Respond(ch.Nonce)
@@ -315,12 +316,12 @@ func TestHandshakeKeyMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := AuthResponse{PubKey: imposter.Public(), Signature: sig}
-	if err := WriteFrame(cConn, TypeAuthResponse, resp.Marshal()); err != nil {
+	if err := fw.WriteFrame(TypeAuthResponse, resp.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	// net.Pipe writes are synchronous: read the responder's error frame
-	// before collecting its result so SendError does not deadlock.
-	if _, err := Expect(cConn, TypeAuthOK); err == nil {
+	// before collecting its result so its WriteError does not deadlock.
+	if _, err := fr.Expect(TypeAuthOK); err == nil {
 		t.Error("initiator received AUTH_OK despite key mismatch")
 	}
 	if respErr := <-done; respErr == nil {

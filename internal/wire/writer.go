@@ -1,13 +1,15 @@
 package wire
 
-// FrameWriter is the batched, vectored replacement for the legacy
-// WriteFrame path. Frames are queued — header bytes land in a reused
-// arena, payload slices are referenced, never copied — and a Flush
-// pushes the whole batch to the connection in one call: a single
-// contiguous write for small batches (one syscall, no writev setup
-// cost) or a net.Buffers vectored write for large ones (writev on TCP,
-// so a 64 KiB DATA payload goes from the store's memory to the socket
-// with zero intermediate copies). Steady state allocates nothing.
+// FrameWriter is the one way a frame is written: a connection builds
+// one before HELLO and writes every frame through it until BYE. Frames
+// are queued — header bytes land in a reused arena, payload slices are
+// referenced, never copied — and a Flush pushes the whole batch to the
+// connection in one call: a single contiguous write for small batches
+// (one syscall, no writev setup cost) or a net.Buffers vectored write
+// for large ones (writev on TCP, so a 64 KiB DATA payload goes from the
+// store's memory to the socket with zero intermediate copies). Steady
+// state allocates nothing. WriteFrame is queue-and-flush for the
+// one-frame control replies.
 //
 // Ownership (DESIGN.md §13): plain Queue/QueueSpan payloads must stay
 // valid until Flush returns; QueueBuf transfers ownership of a pooled
@@ -112,13 +114,22 @@ func (fw *FrameWriter) QueueBuf(t Type, b *Buf) error {
 	return fw.push(t, b.Len(), fw.header(t, b.Len()), b.Bytes())
 }
 
-// WriteFrame queues one frame and flushes: the unbatched compatibility
-// call, byte-identical on the wire to the package-level WriteFrame.
+// WriteFrame queues one frame and flushes everything queued.
 func (fw *FrameWriter) WriteFrame(t Type, payload []byte) error {
 	if err := fw.Queue(t, payload); err != nil {
 		return err
 	}
 	return fw.Flush()
+}
+
+// WriteError sends a connection-level ERROR frame. It is best-effort:
+// whatever it returns, the sender must treat the exchange as failed and
+// close the connection. The frame only lets a well-behaved remote
+// surface a typed *RemoteError (FrameReader.Expect) instead of a bare
+// EOF, so a malformed request is answered rather than left to hang.
+func (fw *FrameWriter) WriteError(code uint16, reason string) error {
+	msg := ErrorMsg{Code: code, Reason: reason}
+	return fw.WriteFrame(TypeError, msg.Marshal())
 }
 
 // Queued reports the bytes currently queued and unflushed.
@@ -134,7 +145,9 @@ func (fw *FrameWriter) Flush() error {
 	var err error
 	if fw.queued <= writerCoalesce {
 		if cap(fw.scratch) < fw.queued {
-			fw.scratch = make([]byte, 0, writerCoalesce)
+			// Doubling to the batches this connection sends: a writer
+			// that only ever sends one small frame holds no 8 KiB.
+			fw.scratch = make([]byte, 0, min(max(2*cap(fw.scratch), fw.queued), writerCoalesce))
 		}
 		out := fw.scratch[:0]
 		for _, v := range fw.vecs {
