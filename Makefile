@@ -29,13 +29,13 @@ race:
 	$(GO) test -race -count=2 $(RACE_TWICE)
 
 # gates are the checks the detector would distort, run plain and
-# uncached: the 0-alloc gates on the frame, ingest, checksum, allocator
-# and admission hot paths (AllocsPerRun only counts without -race) and
-# the frame pool's steady-state miss rate under a real FetchFile (a
-# timing).
+# uncached: the 0-alloc gates on the frame, ingest, checksum, write-path
+# mint, allocator and admission hot paths (AllocsPerRun only counts
+# without -race) and the frame pool's steady-state miss rate under a
+# real FetchFile (a timing).
 gates:
 	$(GO) test -count=1 -run 'SteadyStateAllocs|SteadyStatePoolMisses|TestScratchReuseNoAlloc|TestAdmission.*Allocs' \
-		./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/chunk/ ./internal/client/ ./internal/fairshare/ ./internal/peer/
+		./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/chunk/ ./internal/core/ ./internal/client/ ./internal/fairshare/ ./internal/peer/
 
 # The race-* and *-smoke targets below are developer shortcuts: each is
 # the slice of `race` (or of `test`) to run before touching one

@@ -250,22 +250,6 @@ func (c *Client) Disseminate(ctx context.Context, addr string, msgs []*rlnc.Mess
 	return u.Close()
 }
 
-// Patch sends delta messages to a peer, which applies each one to the
-// matching stored message — the data-modification path of Sec. VI-A.
-// Only the file's owner (the identity that first uploaded it) will be
-// accepted.
-func (c *Client) Patch(ctx context.Context, addr string, deltas []*rlnc.Message) error {
-	u, err := c.OpenUpload(ctx, addr)
-	if err != nil {
-		return err
-	}
-	if err := u.Patch(deltas); err != nil {
-		u.Close()
-		return err
-	}
-	return u.Close()
-}
-
 // roundTrip is every control RPC: dial, one request frame, the expected
 // reply handed to decode (nil: an empty acknowledgement), BYE. It rides
 // Upload's context binding, so a peer that authenticates and goes mute

@@ -58,7 +58,9 @@ func (c *Client) OpenUpload(ctx context.Context, addr string) (*Upload, error) {
 func (u *Upload) Put(msgs []*rlnc.Message) error { return u.send(wire.TypePut, "put", msgs) }
 
 // Patch applies msgs as deltas to the peer's stored messages with the
-// same identifiers, returning once every one is acknowledged.
+// same identifiers, returning once every one is acknowledged — the
+// data-modification path of Sec. VI-A. The peer accepts deltas only
+// from the file's owner (the identity that first uploaded it).
 func (u *Upload) Patch(msgs []*rlnc.Message) error { return u.send(wire.TypePatch, "patch", msgs) }
 
 func (u *Upload) send(t wire.Type, verb string, msgs []*rlnc.Message) error {

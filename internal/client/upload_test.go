@@ -73,7 +73,7 @@ func TestDisseminateAndPatchAcrossWindows(t *testing.T) {
 	for i := range deltas {
 		deltas[i] = delta.Delta(uint64(i))
 	}
-	if err := c.Patch(ctx, node.Addr().String(), deltas); err != nil {
+	if err := patch(c)(ctx, node.Addr().String(), deltas); err != nil {
 		t.Fatal(err)
 	}
 	for i := range msgs {
@@ -115,11 +115,26 @@ func stalledPeer(t *testing.T, ln net.Listener) {
 	}()
 }
 
+// patch sends deltas on one upload session, as Disseminate does msgs.
+func patch(c *client.Client) func(context.Context, string, []*rlnc.Message) error {
+	return func(ctx context.Context, addr string, deltas []*rlnc.Message) error {
+		u, err := c.OpenUpload(ctx, addr)
+		if err != nil {
+			return err
+		}
+		if err := u.Patch(deltas); err != nil {
+			u.Close()
+			return err
+		}
+		return u.Close()
+	}
+}
+
 // uploadCases are the two transfers that ride an Upload.
 func uploadCases(c *client.Client) map[string]func(context.Context, string, []*rlnc.Message) error {
 	return map[string]func(context.Context, string, []*rlnc.Message) error{
 		"Disseminate": c.Disseminate,
-		"Patch":       c.Patch,
+		"Patch":       patch(c),
 	}
 }
 

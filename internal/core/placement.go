@@ -49,24 +49,16 @@ func (s *System) ShareFilePlaced(ctx context.Context, name string, data []byte,
 	}
 
 	chunkPeers := make([][]string, share.NumChunks())
-	// One destination (one connection) per distinct address.
-	var addrs []string
-	destOf := make(map[string]int)
+	var dests destSet
 	var jobs []shareJob
 	for i := 0; i < share.NumChunks(); i++ {
 		chunkPeers[i] = r.Place(share.Manifest.Chunks[i].FileID, replicas)
 		for rank, addr := range chunkPeers[i] {
-			d, ok := destOf[addr]
-			if !ok {
-				d = len(addrs)
-				destOf[addr] = d
-				addrs = append(addrs, addr)
-			}
-			jobs = append(jobs, shareJob{dest: d, chunk: i, rank: rank})
+			jobs = append(jobs, shareJob{dest: dests.of(addr), chunk: i, rank: rank})
 		}
 	}
 	result := &ShareResult{Secret: secret}
-	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, len(addrs), jobs, s.uploadSinks(addrs))
+	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, len(dests.addrs), jobs, s.uploadSinks(dests.addrs))
 	if err != nil {
 		return nil, err
 	}

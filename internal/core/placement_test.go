@@ -146,6 +146,26 @@ func TestShareFilePlacedRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("fetch via serialized placed handle mismatch")
 	}
+
+	// An update patches each changed chunk on its holders, at the ranks
+	// they were placed with, and the new version fetches.
+	newData := bytes.Clone(data)
+	newData[10] ^= 0xFF   // chunk 0
+	newData[3500] ^= 0xFF // chunk 3
+	upd, err := sys.UpdateFile(ctx, &res.Handle, res.Secret, data, newData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(upd.ChangedChunks) != 2 {
+		t.Errorf("ChangedChunks = %v, want [0 3]", upd.ChangedChunks)
+	}
+	got, stats, err = sys.FetchFile(ctx, &res.Handle, res.Secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, newData) || stats.Rejected != 0 {
+		t.Fatalf("fetch after placed update: identical=%v, %d rejected", bytes.Equal(got, newData), stats.Rejected)
+	}
 }
 
 func TestShareFilePlacedValidation(t *testing.T) {

@@ -24,6 +24,10 @@ type AuditReport struct {
 
 	// TotalBatches is the number of batches expected across all peers.
 	TotalBatches int
+
+	// incomplete lists, per peer address, the chunks MissingByPeer
+	// counts: Repair's work list.
+	incomplete map[string][]int
 }
 
 // Healthy reports whether every expected batch is fully present.
@@ -34,26 +38,6 @@ func (a *AuditReport) Healthy() bool {
 		}
 	}
 	return true
-}
-
-// expectedCounts returns, per chunk, the batch size each peer should
-// hold (k, capped by what BatchForPeer would mint).
-func expectedCounts(m *chunk.Manifest) []int {
-	out := make([]int, len(m.Chunks))
-	for i, info := range m.Chunks {
-		out[i] = info.K
-	}
-	return out
-}
-
-// holdsChunk reports whether addr is expected to hold chunk i.
-func (h *Handle) holdsChunk(addr string, i int) bool {
-	for _, a := range h.PeersForChunk(i) {
-		if a == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // batchRank returns the batch index addr was assigned for chunk i
@@ -67,14 +51,17 @@ func (h *Handle) batchRank(addr string, i int) int {
 	return -1
 }
 
-// Audit checks each peer's stored inventory against the handle,
-// respecting ring placement when present.
+// Audit LISTs each peer's stored inventory once and checks it against
+// the handle, respecting ring placement when present: a peer should
+// hold k messages of every chunk placed on it.
 func (s *System) Audit(ctx context.Context, h *Handle) (*AuditReport, error) {
 	if h == nil || len(h.Peers) == 0 {
 		return nil, fmt.Errorf("%w: missing peers", ErrBadHandle)
 	}
-	expected := expectedCounts(&h.Manifest)
-	report := &AuditReport{MissingByPeer: make(map[string]int, len(h.Peers))}
+	report := &AuditReport{
+		MissingByPeer: make(map[string]int, len(h.Peers)),
+		incomplete:    make(map[string][]int),
+	}
 	for _, addr := range h.Peers {
 		files, err := s.client.ListFiles(ctx, addr)
 		if err != nil {
@@ -84,17 +71,16 @@ func (s *System) Audit(ctx context.Context, h *Handle) (*AuditReport, error) {
 		for _, f := range files {
 			have[f.FileID] = f.Messages
 		}
-		missing := 0
 		for i, info := range h.Manifest.Chunks {
-			if !h.holdsChunk(addr, i) {
+			if h.batchRank(addr, i) < 0 {
 				continue
 			}
-			if have[info.FileID] < expected[i] {
-				missing++
+			if have[info.FileID] < info.K {
+				report.incomplete[addr] = append(report.incomplete[addr], i)
 			}
 			report.TotalBatches++
 		}
-		report.MissingByPeer[addr] = missing
+		report.MissingByPeer[addr] = len(report.incomplete[addr])
 	}
 	return report, nil
 }
@@ -114,50 +100,48 @@ func (s *System) Repair(ctx context.Context, h *Handle, secret, data []byte) (in
 	if err != nil {
 		return 0, err
 	}
-	if report.Healthy() {
+	var dests destSet
+	var jobs []shareJob
+	for _, addr := range h.Peers {
+		for _, i := range report.incomplete[addr] {
+			jobs = append(jobs, shareJob{dest: dests.of(addr), chunk: i, rank: h.batchRank(addr, i)})
+		}
+	}
+	n, err := s.resend(ctx, h, secret, data, &dests, jobs)
+	if err != nil {
+		return n, fmt.Errorf("core: repair: %w", err)
+	}
+	return n, nil
+}
+
+// resend re-mints each job's batch at its rank from data, with one
+// encoder per chunk a job names, and sends the batches through the
+// write path. They are the batches the manifest already records, so
+// the collector rewrites digests it has. It returns the messages
+// delivered.
+func (s *System) resend(ctx context.Context, h *Handle, secret, data []byte, dests *destSet, jobs []shareJob) (int, error) {
+	if len(jobs) == 0 {
 		return 0, nil
 	}
-	pieces := chunk.Split(data, h.Manifest.Plan.ChunkSize)
-	repaired := 0
-	for _, addr := range h.Peers {
-		if report.MissingByPeer[addr] == 0 {
-			continue
-		}
-		files, err := s.client.ListFiles(ctx, addr)
-		if err != nil {
-			return repaired, err
-		}
-		have := make(map[uint64]int, len(files))
-		for _, f := range files {
-			have[f.FileID] = f.Messages
-		}
-		var resend []*rlnc.Message
-		for i, info := range h.Manifest.Chunks {
-			rank := h.batchRank(addr, i)
-			if rank < 0 || have[info.FileID] >= info.K {
-				continue
-			}
-			params, err := info.Params(h.Manifest.Plan)
-			if err != nil {
-				return repaired, err
-			}
-			enc, err := rlnc.NewEncoder(params, info.FileID, secret, pieces[i])
-			if err != nil {
-				return repaired, err
-			}
-			batch, err := enc.BatchForPeer(rank, params.K)
-			if err != nil {
-				return repaired, err
-			}
-			resend = append(resend, batch...)
-		}
-		if len(resend) == 0 {
-			continue
-		}
-		if err := s.client.Disseminate(ctx, addr, resend); err != nil {
-			return repaired, fmt.Errorf("core: repair %s: %w", addr, err)
-		}
-		repaired += len(resend)
+	// Valid means chunks and pieces pair up.
+	if err := h.Manifest.Validate(); err != nil {
+		return 0, err
 	}
-	return repaired, nil
+	pieces := chunk.Split(data, h.Manifest.Plan.ChunkSize)
+	w := &writeSet{m: &h.Manifest, encs: make([]*rlnc.Encoder, len(pieces))}
+	for _, job := range jobs {
+		if w.encs[job.chunk] != nil {
+			continue
+		}
+		info := &h.Manifest.Chunks[job.chunk]
+		params, err := info.Params(h.Manifest.Plan)
+		if err != nil {
+			return 0, err
+		}
+		if w.encs[job.chunk], err = rlnc.NewEncoder(params, info.FileID, secret, pieces[job.chunk]); err != nil {
+			return 0, err
+		}
+	}
+	n, _, err := w.stream(ctx, len(dests.addrs), jobs, s.uploadSinks(dests.addrs))
+	return n, err
 }

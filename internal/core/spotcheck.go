@@ -13,10 +13,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"asymshare/internal/audit"
-	"asymshare/internal/repair"
 	"asymshare/internal/rlnc"
 )
 
@@ -155,11 +153,10 @@ func (s *System) ReportSpotCheck(ctx context.Context, ownPeerAddr string, r *Spo
 // RepairFailed regenerates and re-disseminates every batch that failed
 // a spot-check, regardless of the inventory the peer claims. Unlike
 // Repair, it never consults LIST: the cryptographic verdict already
-// established the data is unusable there. The actual re-mint and
-// upload go through internal/repair's engine — the same code path the
-// proactive repair daemon uses — at the batches' original ranks, so no
-// new digests are minted and the handle needs no re-persisting.
-// Returns the number of messages re-uploaded.
+// established the data is unusable there. The batches are re-minted at
+// their original ranks and sent through the write path, so no new
+// digests are minted and the handle needs no re-persisting. Returns the
+// number of messages re-uploaded.
 func (s *System) RepairFailed(ctx context.Context, h *Handle, secret, data []byte, r *SpotCheckReport) (int, error) {
 	if h == nil || len(h.Peers) == 0 {
 		return 0, fmt.Errorf("%w: missing peers", ErrBadHandle)
@@ -171,28 +168,21 @@ func (s *System) RepairFailed(ctx context.Context, h *Handle, secret, data []byt
 		return 0, fmt.Errorf("%w: data is %d bytes, manifest says %d",
 			ErrBadHandle, len(data), h.Manifest.TotalSize)
 	}
-	addrs := make([]string, 0, len(r.FailedChunks))
-	for addr := range r.FailedChunks {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	var tasks []repair.Task
-	for _, addr := range addrs {
+	var dests destSet
+	var jobs []shareJob
+	for _, addr := range h.Peers {
 		for _, i := range r.FailedChunks[addr] {
 			if i < 0 || i >= len(h.Manifest.Chunks) {
 				return 0, fmt.Errorf("%w: chunk index %d out of range", ErrBadHandle, i)
 			}
-			rank := h.batchRank(addr, i)
-			if rank < 0 {
-				continue // placement changed since the audit
+			if rank := h.batchRank(addr, i); rank >= 0 { // else placement changed since the audit
+				jobs = append(jobs, shareJob{dest: dests.of(addr), chunk: i, rank: rank})
 			}
-			tasks = append(tasks, repair.Task{Addr: addr, Chunk: i, Rank: rank})
 		}
 	}
-	eng := &repair.Engine{Manifest: &h.Manifest, Secret: secret, Uploader: s.client}
-	res, err := eng.Rebuild(ctx, data, tasks)
+	n, err := s.resend(ctx, h, secret, data, &dests, jobs)
 	if err != nil {
-		return res.Messages, fmt.Errorf("core: repair after failed audit: %w", err)
+		return n, fmt.Errorf("core: repair after failed audit: %w", err)
 	}
-	return res.Messages, nil
+	return n, nil
 }

@@ -86,7 +86,7 @@ func (s *System) ShareFileGossip(ctx context.Context, name string, data []byte,
 	}
 	seed := func(context.Context, int) (batchSink, error) {
 		return batchSink{
-			put: func(info *chunk.ChunkInfo, msgs []*rlnc.Message) error {
+			put: func(info *chunk.ChunkInfo, msgs []*rlnc.Message, _ bool) error {
 				if err := eng.Seed(info.FileID, info.K, len(msgs[0].Payload), msgs); err != nil {
 					return fmt.Errorf("core: seed chunk %d: %w", info.FileID, err)
 				}

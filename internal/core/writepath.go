@@ -1,21 +1,23 @@
 package core
 
-// The write path (DESIGN.md §9, "Write path"): every share entry point
-// — flat, ring-placed, gossip-seeded — runs the same bounded pipeline at
-// (destination, generation) granularity instead of minting a
-// destination's whole batch and then waiting it out:
+// The write path (DESIGN.md §9, "Write path"): everything the owner
+// sends to peers — a share (flat, ring-placed, gossip-seeded), an
+// update's deltas, a repair's re-minted batches — runs the same bounded
+// pipeline at (destination, generation) granularity:
 //
 //	jobs ──► encode workers ──► per-destination sender ──► collector
 //	         (≤ GOMAXPROCS)      (one connection each)      (the caller)
 //
 // A worker takes a free batch slot, mints one generation's batch for
-// one destination into the slot's payload buffers and digests it; the
-// destination's sender puts the batch on its connection and waits for
-// the acknowledgements; the collector — the calling goroutine, and the
-// only writer of Manifest.Digests — records the digests and frees the
-// slot. Slots are the in-flight bound: minted-but-unacknowledged data
-// never exceeds their fixed number. The manifest's end-to-end check —
-// a Sum per chunk — is chunk.BuildShare's, there before the first job.
+// one destination into the slot's payload buffers and digests it (a
+// patch job then turns the batch into its deltas from the old version);
+// the destination's sender puts or patches the batch on its connection
+// and waits for the acknowledgements; the collector — the calling
+// goroutine, and the only writer of the manifest — records the
+// acknowledged batch's digests, publishes a chunk's new Sum once the
+// chunk's last job is delivered, and frees the slot. Slots are the
+// in-flight bound: minted-but-unacknowledged data never exceeds their
+// fixed number.
 
 import (
 	"context"
@@ -25,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"asymshare/internal/chunk"
+	"asymshare/internal/gf"
 	"asymshare/internal/rlnc"
 )
 
@@ -34,26 +37,45 @@ import (
 const shareInFlightBytes = 4 << 20
 
 // shareJob asks for generation chunk's batch for the holder with batch
-// index rank, delivered to destination dest.
-type shareJob struct{ dest, chunk, rank int }
+// index rank, delivered to destination dest: stored with a PUT or, when
+// patch is set, sent as the deltas that carry the holder's copy from
+// the old version to the new and applied with a PATCH.
+type shareJob struct {
+	dest, chunk, rank int
+	patch             bool
+}
 
 // batchSink is one destination: put delivers one generation's batch
-// and returns once it is safely there; done ends the session after the
-// last batch. Both run on the destination's sender goroutine only.
+// (deltas to apply, when patch is set) and returns once it is safely
+// there; done ends the session after the last batch. Both run on the
+// destination's sender goroutine only.
 type batchSink struct {
-	put  func(info *chunk.ChunkInfo, msgs []*rlnc.Message) error
+	put  func(info *chunk.ChunkInfo, msgs []*rlnc.Message, patch bool) error
 	done func() error
 }
 
+// writeSet is what one run of the pipeline mints from and records into:
+// the manifest, and per chunk the encoder of the version the holders
+// are to hold (nil for a chunk no job names), the delta encoder from
+// the version they hold now (patch jobs only), and the Sum the chunk
+// gets once its last job is delivered (nil sums: every Sum stays).
+type writeSet struct {
+	m      *chunk.Manifest
+	encs   []*rlnc.Encoder
+	deltas []*rlnc.DeltaEncoder
+	sums   []rlnc.Digest
+}
+
 // batchSlot holds one minted generation batch. The payload buffers are
-// allocated once per share and reused batch after batch.
+// allocated once per run and reused batch after batch.
 type batchSlot struct {
 	buf     []byte
 	store   []rlnc.Message
-	msgs    []*rlnc.Message // &store[j], the first n valid
+	msgs    []*rlnc.Message // what to send: &store[j], the first n valid
 	ids     []uint64
-	digests []rlnc.Digest
+	digests []rlnc.Digest // digests[j] is the new version's digest of msgs[j]
 	chunk   int
+	patch   bool
 }
 
 func newBatchSlot(k, chunkBytes int) *batchSlot {
@@ -75,7 +97,7 @@ func (b *batchSlot) mint(chunkIdx int, enc *rlnc.Encoder, rank int) error {
 		return err
 	}
 	cb := p.ChunkBytes()
-	b.chunk = chunkIdx
+	b.chunk, b.patch = chunkIdx, false
 	b.msgs = b.msgs[:0]
 	for j, id := range b.ids {
 		m := &b.store[j]
@@ -87,22 +109,53 @@ func (b *batchSlot) mint(chunkIdx int, enc *rlnc.Encoder, rank int) error {
 	return nil
 }
 
-// streamShare runs jobs through the pipeline against ndest
-// destinations, each opened by open on its own sender goroutine, and
-// records every delivered message's digest in share.Manifest. It
-// returns the messages and message bytes delivered. On the first error
-// — a destination failing, or ctx ending — the siblings are cancelled,
-// that error is returned, and no goroutine outlives the call.
+// toDeltas turns the freshly minted new-version batch into the deltas
+// that patch the old version's: each payload is overwritten in place,
+// and the all-zero ones — messages the change leaves as they are — are
+// dropped along with their digests.
+func (b *batchSlot) toDeltas(delta *rlnc.DeltaEncoder) {
+	n := 0
+	for j, m := range b.msgs {
+		delta.DeltaInto(m.MessageID, m.Payload)
+		if !gf.IsZeroSlice(m.Payload) {
+			b.msgs[n], b.digests[n] = m, b.digests[j]
+			n++
+		}
+	}
+	b.msgs = b.msgs[:n]
+	b.patch = true
+}
+
+// streamShare runs jobs minted from share, what chunk.BuildShare made,
+// through the pipeline.
 func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shareJob,
+	open func(ctx context.Context, dest int) (batchSink, error)) (int, int64, error) {
+	w := writeSet{m: &share.Manifest, encs: make([]*rlnc.Encoder, share.NumChunks())}
+	for i := range w.encs {
+		w.encs[i] = share.Encoder(i)
+	}
+	return w.stream(ctx, ndest, jobs, open)
+}
+
+// stream runs jobs through the pipeline against ndest destinations,
+// each opened by open on its own sender goroutine, and records every
+// delivered message's digest in w.m. It returns the messages and
+// message bytes delivered. On the first error — a destination failing,
+// or ctx ending — the siblings are cancelled, that error is returned,
+// and no goroutine outlives the call. Every batch a peer acknowledged
+// is recorded all the same, and a chunk gets its new Sum only if every
+// job for it was delivered.
+func (w *writeSet) stream(ctx context.Context, ndest int, jobs []shareJob,
 	open func(ctx context.Context, dest int) (batchSink, error)) (int, int64, error) {
 	if len(jobs) == 0 {
 		return 0, 0, nil
 	}
 	kmax, chunkBytes := 0, 0
-	for i := 0; i < share.NumChunks(); i++ {
-		p := share.Encoder(i).Params()
-		kmax = max(kmax, p.K)
-		chunkBytes = max(chunkBytes, p.ChunkBytes())
+	for _, enc := range w.encs {
+		if enc != nil {
+			kmax = max(kmax, enc.Params().K)
+			chunkBytes = max(chunkBytes, enc.Params().ChunkBytes())
+		}
 	}
 	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	nslots := max(2, min(workers+ndest, shareInFlightBytes/(kmax*chunkBytes)))
@@ -129,7 +182,7 @@ func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shar
 	workersLeft.Store(int64(workers))
 	sendersLeft.Store(int64(ndest))
 
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -152,9 +205,12 @@ func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shar
 				case <-ctx.Done():
 					return
 				}
-				if err := slot.mint(job.chunk, share.Encoder(job.chunk), job.rank); err != nil {
+				if err := slot.mint(job.chunk, w.encs[job.chunk], job.rank); err != nil {
 					cancel(fmt.Errorf("core: chunk %d rank %d: %w", job.chunk, job.rank, err))
 					return
+				}
+				if job.patch {
+					slot.toDeltas(w.deltas[job.chunk])
 				}
 				select {
 				case queues[job.dest] <- slot:
@@ -179,14 +235,11 @@ func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shar
 				return
 			}
 			for slot := range queues[d] {
-				if err := sink.put(&share.Manifest.Chunks[slot.chunk], slot.msgs); err != nil {
+				if err := sink.put(&w.m.Chunks[slot.chunk], slot.msgs, slot.patch); err != nil {
 					cancel(err)
 					break
 				}
-				select {
-				case delivered <- slot:
-				case <-ctx.Done():
-				}
+				delivered <- slot // the collector drains until the last sender is gone
 			}
 			// After a failure this only closes the connection; the first
 			// error is already the cause.
@@ -196,18 +249,48 @@ func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shar
 		}(d)
 	}
 
+	left := make([]int, len(w.m.Chunks)) // undelivered jobs per chunk
+	for _, job := range jobs {
+		left[job.chunk]++
+	}
 	sent, bytes := 0, int64(0)
 	for slot := range delivered {
-		digests := share.Manifest.Chunks[slot.chunk].Digests
+		info := &w.m.Chunks[slot.chunk]
 		for j, m := range slot.msgs {
-			digests[m.MessageID] = slot.digests[j]
+			if info.Digests != nil { // a manifest without digests stays unauthenticated
+				info.Digests[m.MessageID] = slot.digests[j]
+			}
 			bytes += int64(len(m.Payload) + rlnc.MessageHeaderBytes)
 		}
 		sent += len(slot.msgs)
+		left[slot.chunk]--
+		if left[slot.chunk] == 0 && w.sums != nil {
+			info.Sum = w.sums[slot.chunk]
+		}
 		free <- slot
 	}
 	wg.Wait()
 	return sent, bytes, context.Cause(ctx)
+}
+
+// destSet numbers the distinct addresses a run sends to in order of
+// first appearance: one destination, and one connection, per address.
+type destSet struct {
+	addrs []string
+	index map[string]int
+}
+
+func (d *destSet) of(addr string) int {
+	i, ok := d.index[addr]
+	if !ok {
+		if d.index == nil {
+			d.index = make(map[string]int)
+		}
+		i = len(d.addrs)
+		d.index[addr] = i
+		d.addrs = append(d.addrs, addr)
+	}
+	return i
 }
 
 // uploadSinks opens one client upload per destination address.
@@ -216,7 +299,7 @@ func (s *System) uploadSinks(addrs []string) func(ctx context.Context, dest int)
 		addr := addrs[dest]
 		wrap := func(err error) error {
 			if err != nil {
-				return fmt.Errorf("core: disseminate to %s: %w", addr, err)
+				return fmt.Errorf("core: upload to %s: %w", addr, err)
 			}
 			return nil
 		}
@@ -225,7 +308,12 @@ func (s *System) uploadSinks(addrs []string) func(ctx context.Context, dest int)
 			return batchSink{}, wrap(err)
 		}
 		return batchSink{
-			put:  func(_ *chunk.ChunkInfo, msgs []*rlnc.Message) error { return wrap(u.Put(msgs)) },
+			put: func(_ *chunk.ChunkInfo, msgs []*rlnc.Message, patch bool) error {
+				if patch {
+					return wrap(u.Patch(msgs))
+				}
+				return wrap(u.Put(msgs))
+			},
 			done: func() error { return wrap(u.Close()) },
 		}, nil
 	}

@@ -18,6 +18,19 @@ import (
 	"asymshare/internal/store"
 )
 
+// patch sends deltas to addr on one upload session.
+func patch(ctx context.Context, c *client.Client, addr string, deltas []*rlnc.Message) error {
+	u, err := c.OpenUpload(ctx, addr)
+	if err != nil {
+		return err
+	}
+	if err := u.Patch(deltas); err != nil {
+		u.Close()
+		return err
+	}
+	return u.Close()
+}
+
 func TestPatchThenFetchNewVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	params := smallParams(t, 8, 64, 512)
@@ -65,7 +78,7 @@ func TestPatchThenFetchNewVersion(t *testing.T) {
 			deltas = append(deltas, delta.Delta(msg.MessageID))
 			newDigests[msg.MessageID] = newEnc.Message(msg.MessageID).Digest()
 		}
-		if err := c.Patch(ctx, node.Addr().String(), deltas); err != nil {
+		if err := patch(ctx, c, node.Addr().String(), deltas); err != nil {
 			t.Fatal(err)
 		}
 		addrs = append(addrs, node.Addr().String())
@@ -115,7 +128,7 @@ func TestPatchRejectedFromNonOwner(t *testing.T) {
 	// A different identity may neither patch nor overwrite the file.
 	forged := batch[0].Clone()
 	forged.Payload[0] ^= 1
-	if err := intruder.Patch(ctx, node.Addr().String(), []*rlnc.Message{forged}); err == nil {
+	if err := patch(ctx, intruder, node.Addr().String(), []*rlnc.Message{forged}); err == nil {
 		t.Error("non-owner patch accepted")
 	}
 	if err := intruder.Disseminate(ctx, node.Addr().String(), []*rlnc.Message{forged}); err == nil {
@@ -141,7 +154,7 @@ func TestPatchUnknownMessageFails(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	delta := &rlnc.Message{FileID: 5, MessageID: 9, Payload: []byte{1, 2}}
-	if err := c.Patch(ctx, node.Addr().String(), []*rlnc.Message{delta}); err == nil {
+	if err := patch(ctx, c, node.Addr().String(), []*rlnc.Message{delta}); err == nil {
 		t.Error("patch for unknown message accepted")
 	}
 }

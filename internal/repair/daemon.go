@@ -29,6 +29,7 @@ import (
 	"asymshare/internal/chunk"
 	"asymshare/internal/contract"
 	"asymshare/internal/metrics"
+	"asymshare/internal/rlnc"
 	"asymshare/internal/wire"
 )
 
@@ -44,7 +45,7 @@ const (
 // batch upload, keyed audit probes, contract negotiation and ledger
 // feedback. *client.Client implements it.
 type Client interface {
-	Uploader
+	Disseminate(ctx context.Context, addr string, msgs []*rlnc.Message) error
 	audit.Prober
 	ProposeContract(ctx context.Context, addr string, p wire.ContractPropose) (wire.ContractGrant, string, error)
 	RenewContract(ctx context.Context, addr string, r wire.ContractRenew) (wire.ContractGrant, error)
@@ -211,7 +212,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg:    cfg,
-		eng:    &Engine{Manifest: cfg.Manifest, Secret: cfg.Secret, Uploader: cfg.Client},
+		eng:    &Engine{Manifest: cfg.Manifest, Secret: cfg.Secret},
 		pieces: chunk.Split(cfg.Data, cfg.Manifest.Plan.ChunkSize),
 		log:    cfg.Logger,
 		clock:  cfg.Clock,
@@ -510,7 +511,6 @@ func (d *Daemon) replace(ctx context.Context, rep *Report, now time.Time, deadAd
 		return nil
 	}
 	set := d.cfg.Contracts
-	var persistNeeded bool
 	for i, info := range d.cfg.Manifest.Chunks {
 		live := 0
 		holders := make(map[string]bool)
@@ -533,7 +533,7 @@ func (d *Daemon) replace(ctx context.Context, rep *Report, now time.Time, deadAd
 			if holders[addr] || deadAddr[addr] {
 				continue
 			}
-			placed, err := d.placeReplica(ctx, i, info, addr, now, &persistNeeded, rep)
+			placed, err := d.placeReplica(ctx, i, info, addr, now, rep)
 			if err != nil {
 				return err
 			}
@@ -548,7 +548,6 @@ func (d *Daemon) replace(ctx context.Context, rep *Report, now time.Time, deadAd
 			d.log.Warn("replica target unmet", "chunk", i, "missing", need)
 		}
 	}
-	_ = persistNeeded
 	return nil
 }
 
@@ -557,7 +556,7 @@ func (d *Daemon) replace(ctx context.Context, rep *Report, now time.Time, deadAd
 // the candidate refused or was unreachable — the caller tries the
 // next one.
 func (d *Daemon) placeReplica(ctx context.Context, i int, info chunk.ChunkInfo, addr string,
-	now time.Time, persistNeeded *bool, rep *Report) (bool, error) {
+	now time.Time, rep *Report) (bool, error) {
 	params, err := info.Params(d.cfg.Manifest.Plan)
 	if err != nil {
 		return false, err
@@ -599,7 +598,6 @@ func (d *Daemon) placeReplica(ctx context.Context, i int, info chunk.ChunkInfo, 
 			return false, fmt.Errorf("repair: persist handle: %w", err)
 		}
 	}
-	*persistNeeded = false
 	if err := d.cfg.Client.Disseminate(ctx, addr, batch); err != nil {
 		rep.Errors++
 		d.m.errors.Inc()
@@ -626,7 +624,7 @@ func (d *Daemon) placeReplica(ctx context.Context, i int, info chunk.ChunkInfo, 
 	d.m.replaced.Inc()
 	rep.Messages += len(batch)
 	for _, m := range batch {
-		rep.Bytes += int64(len(m.Payload) + messageOverhead)
+		rep.Bytes += int64(len(m.Payload) + rlnc.MessageHeaderBytes)
 	}
 	return true, nil
 }

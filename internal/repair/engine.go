@@ -1,19 +1,16 @@
-// Package repair contains the shared re-encode + re-disseminate engine
-// and the proactive repair daemon. The engine is the single code path
-// for both reactive repair (core.RepairFailed, after a failed keyed
-// audit) and proactive repair (the Daemon, before decodability is
-// threatened): given the original data and a list of (peer, chunk,
-// rank) tasks it re-mints deterministic RLNC batches and uploads them.
-// Because every message is a pure function of (file-id, message-id,
-// secret), repair needs no inter-peer transfer and no decode — the
-// owner regenerates any batch at will, the paper's "geographic data
-// robustness" made operational.
+// Package repair is the proactive repair daemon and the minting it
+// runs on. Because every message is a pure function of (file-id,
+// message-id, secret), repair needs no inter-peer transfer and no
+// decode — the owner regenerates any batch at will, the paper's
+// "geographic data robustness" made operational. Reactive repair
+// (core.System.Repair and RepairFailed) re-mints at the batches'
+// original ranks and sends through core's write path; the daemon mints
+// fresh batches at never-used ranks (Engine.Mint) and places each under
+// its own contract.
 package repair
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"asymshare/internal/chunk"
@@ -25,50 +22,24 @@ import (
 // partitions by id/stride into per-batch obligations.
 const batchStride = uint64(1) << 32
 
-// messageOverhead is the serialized header size of one rlnc.Message,
-// counted alongside the payload in repair-traffic accounting.
-const messageOverhead = 16
-
-// Uploader is the slice of the client the engine needs.
-type Uploader interface {
-	Disseminate(ctx context.Context, addr string, msgs []*rlnc.Message) error
-}
-
-// Task names one batch to re-mint: the batch of rank Rank for chunk
-// Chunk, destined for Addr. Count caps the batch size (0 means the
-// chunk's full k). Fresh marks a batch minted at a never-used rank —
-// its message digests are new and must be recorded in the manifest, or
-// fetch authentication would reject the replacement replica.
+// Task names one batch to mint: the k messages of rank Rank for chunk
+// Chunk, destined for Addr. Fresh marks a batch minted at a never-used
+// rank — its message digests are new and must be recorded in the
+// manifest, or fetch authentication would reject the replacement
+// replica.
 type Task struct {
 	Addr  string
 	Chunk int
 	Rank  int
-	Count int
 	Fresh bool
 }
 
-// Result tallies one engine run.
-type Result struct {
-	// Messages is how many messages were uploaded.
-	Messages int
-
-	// Bytes is the wire volume uploaded (payload + header).
-	Bytes int64
-
-	// DigestsAdded is how many fresh message digests were recorded
-	// into the manifest (the caller should re-persist the handle when
-	// this is non-zero).
-	DigestsAdded int
-}
-
-// Engine re-mints and re-disseminates encoded batches against one
-// manifest. The manifest is mutated when Fresh tasks mint new digests;
-// a mutex serializes those writes so the daemon and reactive callers
-// can share one engine.
+// Engine re-mints encoded batches against one manifest. The manifest is
+// mutated when Fresh tasks mint new digests; a mutex serializes those
+// writes.
 type Engine struct {
 	Manifest *chunk.Manifest
 	Secret   []byte
-	Uploader Uploader
 
 	mu sync.Mutex // guards Manifest digest writes
 }
@@ -91,11 +62,7 @@ func (e *Engine) Mint(t Task, piece []byte) ([]*rlnc.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	count := t.Count
-	if count <= 0 || count > params.K {
-		count = params.K
-	}
-	batch, err := enc.BatchForPeer(t.Rank, count)
+	batch, err := enc.BatchForPeer(t.Rank, params.K)
 	if err != nil {
 		return nil, fmt.Errorf("repair: batch rank %d chunk %d: %w", t.Rank, t.Chunk, err)
 	}
@@ -109,54 +76,6 @@ func (e *Engine) Mint(t Task, piece []byte) ([]*rlnc.Message, error) {
 		e.mu.Unlock()
 	}
 	return batch, nil
-}
-
-// Rebuild runs a set of tasks: mint every batch, then upload them
-// grouped per destination address (one connection per peer). Tasks for
-// unknown chunk indexes are an error; a failed upload aborts with the
-// partial Result so callers can report what landed.
-func (e *Engine) Rebuild(ctx context.Context, data []byte, tasks []Task) (Result, error) {
-	var res Result
-	if len(tasks) == 0 {
-		return res, nil
-	}
-	if int64(len(data)) != e.Manifest.TotalSize {
-		return res, fmt.Errorf("repair: data is %d bytes, manifest says %d",
-			len(data), e.Manifest.TotalSize)
-	}
-	pieces := chunk.Split(data, e.Manifest.Plan.ChunkSize)
-	byAddr := make(map[string][]*rlnc.Message)
-	fresh := make(map[string]int)
-	for _, t := range tasks {
-		if t.Chunk < 0 || t.Chunk >= len(pieces) {
-			return res, fmt.Errorf("repair: chunk index %d out of range", t.Chunk)
-		}
-		batch, err := e.Mint(t, pieces[t.Chunk])
-		if err != nil {
-			return res, err
-		}
-		byAddr[t.Addr] = append(byAddr[t.Addr], batch...)
-		if t.Fresh {
-			fresh[t.Addr] += len(batch)
-		}
-	}
-	addrs := make([]string, 0, len(byAddr))
-	for addr := range byAddr {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	for _, addr := range addrs {
-		msgs := byAddr[addr]
-		if err := e.Uploader.Disseminate(ctx, addr, msgs); err != nil {
-			return res, fmt.Errorf("repair: disseminate to %s: %w", addr, err)
-		}
-		res.Messages += len(msgs)
-		res.DigestsAdded += fresh[addr]
-		for _, m := range msgs {
-			res.Bytes += int64(len(m.Payload) + messageOverhead)
-		}
-	}
-	return res, nil
 }
 
 // digestsForRank returns the subset of a chunk's digests minted for

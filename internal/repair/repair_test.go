@@ -89,7 +89,7 @@ func (f *fakeSwarm) Disseminate(_ context.Context, addr string, msgs []*rlnc.Mes
 		if err := st.Put(m); err != nil {
 			return err
 		}
-		f.upBytes += int64(len(m.Payload) + messageOverhead)
+		f.upBytes += int64(len(m.Payload) + rlnc.MessageHeaderBytes)
 	}
 	return nil
 }
@@ -210,7 +210,7 @@ func newFixture(t *testing.T, dataLen, holders int, clock func() time.Time, expi
 		swarm: newFakeSwarm(clock),
 		set:   contract.NewSet(),
 	}
-	fx.eng = &Engine{Manifest: &share.Manifest, Secret: share.Secret, Uploader: fx.swarm}
+	fx.eng = &Engine{Manifest: &share.Manifest, Secret: share.Secret}
 	pieces := chunk.Split(data, share.Manifest.Plan.ChunkSize)
 	for r := 0; r < holders; r++ {
 		addr := string(rune('a'+r)) + ":1"
@@ -227,7 +227,7 @@ func newFixture(t *testing.T, dataLen, holders int, clock func() time.Time, expi
 			}
 			var bytes int64
 			for _, m := range batch {
-				bytes += int64(len(m.Payload) + messageOverhead)
+				bytes += int64(len(m.Payload) + rlnc.MessageHeaderBytes)
 			}
 			err = fx.set.Add(contract.Holding{
 				ContractID: fx.nextID,
