@@ -30,12 +30,12 @@ race:
 
 # gates are the checks the detector would distort, run plain and
 # uncached: the 0-alloc gates on the frame, ingest, checksum, write-path
-# mint, allocator and admission hot paths (AllocsPerRun only counts
-# without -race) and the frame pool's steady-state miss rate under a
-# real FetchFile (a timing).
+# mint, allocator, admission and disk-append hot paths (AllocsPerRun
+# only counts without -race) and the frame pool's steady-state miss
+# rate under a real FetchFile (a timing).
 gates:
 	$(GO) test -count=1 -run 'SteadyStateAllocs|SteadyStatePoolMisses|TestScratchReuseNoAlloc|TestAdmission.*Allocs' \
-		./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/chunk/ ./internal/core/ ./internal/client/ ./internal/fairshare/ ./internal/peer/
+		./internal/wire/ ./internal/rlnc/ ./internal/gf/ ./internal/chunk/ ./internal/core/ ./internal/client/ ./internal/fairshare/ ./internal/peer/ ./internal/store/
 
 # The race-* and *-smoke targets below are developer shortcuts: each is
 # the slice of `race` (or of `test`) to run before touching one

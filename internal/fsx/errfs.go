@@ -463,6 +463,29 @@ func (f *errFile) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// ReadAt reads at an absolute offset and leaves the handle's offset
+// where it was. Like Read it is not a mutating operation: it advances no
+// fault ordinal, so adding reads to a workload moves none of its sweep
+// points.
+func (f *errFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if f.fs.crashed || f.stale() {
+		return 0, ErrCrashed
+	}
+	if off < 0 {
+		return 0, &fs.PathError{Op: "readat", Path: f.name, Err: fs.ErrInvalid}
+	}
+	if off >= int64(len(f.ino.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.ino.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
 func (f *errFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()

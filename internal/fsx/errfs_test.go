@@ -212,6 +212,44 @@ func TestCrashAtOpDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestReadAtIsPositionedAndCountsNoOp: ReadAt reads at its offset
+// without moving the handle's, reports a short read as io.EOF, dies
+// with the power, and is not a fault point.
+func TestReadAtIsPositionedAndCountsNoOp(t *testing.T) {
+	e := NewErrFS(14)
+	e.MkdirAll("/d", 0o755)
+	if err := write(t, e, "/d/f", []byte("0123456789"), true, true); err != nil {
+		t.Fatal(err)
+	}
+	f, err := e.OpenFile("/d/f", os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := e.Ops()
+	e.FailOp(ops+1, ErrDiskIO) // a read that counted would trip it
+	buf := make([]byte, 4)
+	if n, err := f.ReadAt(buf, 3); err != nil || n != 4 || string(buf) != "3456" {
+		t.Fatalf("ReadAt(3) = %d %q, %v", n, buf, err)
+	}
+	if n, err := f.ReadAt(buf, 8); err != io.EOF || n != 2 || string(buf[:n]) != "89" {
+		t.Fatalf("ReadAt past the end = %d %q, %v; want 2 bytes and io.EOF", n, buf[:n], err)
+	}
+	if _, err := f.ReadAt(buf, 10); err != io.EOF {
+		t.Fatalf("ReadAt at the end = %v, want io.EOF", err)
+	}
+	if e.Ops() != ops {
+		t.Fatalf("ReadAt advanced the fault ordinal %d → %d", ops, e.Ops())
+	}
+	// The handle's own offset is untouched: Read still starts at 0.
+	if n, err := f.Read(buf); err != nil || string(buf[:n]) != "0123" {
+		t.Fatalf("Read after ReadAt = %q, %v", buf[:n], err)
+	}
+	e.Crash()
+	if _, err := f.ReadAt(buf, 0); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("ReadAt after crash = %v", err)
+	}
+}
+
 func TestStaleHandlesDieAcrossReboot(t *testing.T) {
 	e := NewErrFS(13)
 	e.MkdirAll("/d", 0o755)

@@ -23,10 +23,13 @@ import (
 )
 
 // File is the handle surface the durability layer needs: sequential
-// read/write, explicit Sync (the durability point), and Truncate (used
-// by journal recovery to cut torn tails).
+// read/write, positioned reads (the journaled store reads records back
+// by offset, concurrently, without a shared seek offset), explicit Sync
+// (the durability point), and Truncate (used by journal recovery to cut
+// torn tails).
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Closer
 

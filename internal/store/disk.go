@@ -9,6 +9,13 @@ package store
 // through a temp-file → fsync → rename → dir-fsync sequence, so a crash
 // at any point leaves either the old or the new journal intact.
 //
+// Payloads live on disk only. What the store keeps in memory per
+// journal is an index, message-id → (offset, length) of the message's
+// latest record, so a peer's heap does not grow with what it holds.
+// Get, Messages and compaction read records back by offset and check
+// each one — CRC, length, and that it is the (file-id, message-id) the
+// index named — before anything is served from it.
+//
 // Startup recovery is forgiving in exactly the ways a crash demands:
 // a torn tail (the one record a power cut can mangle) is truncated and
 // the prefix kept; interior corruption quarantines the file as
@@ -19,6 +26,7 @@ package store
 // recovery paths are exercised under deterministic fault injection.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,6 +34,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,6 +59,8 @@ const (
 	defaultCompactMinBytes = 1 << 20
 	defaultCompactFactor   = 2.0
 )
+
+var errClosed = errors.New("store: closed")
 
 // DiskOptions configures OpenDiskWith. The zero value is valid: the
 // real filesystem, no metrics, default compaction thresholds.
@@ -81,18 +92,58 @@ type RecoveryStats struct {
 	MigratedLegacy int
 }
 
-// journalState tracks one open journal.
+// recordRef locates a message's latest record in its journal.
+type recordRef struct {
+	off int64 // where the framed record starts
+	n   int64 // framed length: record header plus payload
+}
+
+// journalState tracks one journal. Its index always describes the file
+// at path: every path that replaces the file replaces the index with it.
 type journalState struct {
-	path    string
-	f       fsx.File         // append handle, opened lazily
-	size    int64            // bytes on disk
-	live    int64            // header + live records
-	recLens map[uint64]int64 // message-id → framed record length
+	path  string
+	size  int64                // bytes on disk
+	live  int64                // header + live records
+	index map[uint64]recordRef // message-id → its latest record
+
+	// f is the journal's one handle, read-write in append mode. The
+	// append path opens it, or a read does when none is open — under
+	// openMu, because readers share d.mu. appendable says the append
+	// path has since re-checked the file's size and made its directory
+	// entry durable; a handle a read opened has had neither.
+	openMu     sync.Mutex
+	f          fsx.File
+	appendable bool
 
 	// broken means a failed append may have left partial record bytes
 	// at the tail; the file must be truncated back to size before the
 	// next append, or the garbage would corrupt the framing mid-file.
 	broken bool
+}
+
+func newJournal(path string) *journalState {
+	return &journalState{path: path, live: headerLen, index: make(map[uint64]recordRef)}
+}
+
+// note indexes messageID's record of n bytes at off, superseding any
+// earlier record of the same message.
+func (js *journalState) note(messageID uint64, off, n int64) {
+	if old, ok := js.index[messageID]; ok {
+		js.live -= old.n
+	}
+	js.index[messageID] = recordRef{off: off, n: n}
+	js.live += n
+}
+
+// closeHandle closes the journal's handle, if one is open; the next
+// append or read opens another.
+func (js *journalState) closeHandle() error {
+	if js.f == nil {
+		return nil
+	}
+	err := js.f.Close()
+	js.f, js.appendable = nil, false
+	return err
 }
 
 // Disk is a Store persisted under a directory.
@@ -103,8 +154,10 @@ type Disk struct {
 	compactMinBytes int64
 	compactFactor   float64
 
-	mu       sync.Mutex
-	mem      *Memory // authoritative in-memory index
+	// mu is shared by reads (Get, Messages, Count, Files), which touch
+	// the file only through ReadAt; Put, Drop, compaction and Close
+	// hold it alone.
+	mu       sync.RWMutex
 	journals map[uint64]*journalState
 	stats    RecoveryStats
 	closed   bool
@@ -145,7 +198,6 @@ func OpenDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 		fsys:            fsys,
 		compactMinBytes: opts.CompactMinBytes,
 		compactFactor:   opts.CompactFactor,
-		mem:             NewMemory(),
 		journals:        make(map[uint64]*journalState),
 		quarantined:     opts.Metrics.Counter(MetricQuarantined, "Corrupt data files renamed to .corrupt during recovery."),
 		truncated:       opts.Metrics.Counter(MetricTruncated, "Journals whose torn final record was truncated during recovery."),
@@ -172,13 +224,13 @@ func (d *Disk) Dir() string { return d.dir }
 
 // Recovery returns what startup recovery repaired.
 func (d *Disk) Recovery() RecoveryStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	return d.stats
 }
 
 // Close flushes and closes every open journal. The store must not be
-// used afterwards.
+// used afterwards; reads return an error.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -188,25 +240,23 @@ func (d *Disk) Close() error {
 	d.closed = true
 	var first error
 	for _, js := range d.journals {
-		if js.f == nil {
-			continue
+		if js.appendable {
+			if err := js.f.Sync(); err != nil && first == nil {
+				first = fmt.Errorf("store: close: %w", err)
+			}
 		}
-		if err := js.f.Sync(); err != nil && first == nil {
+		if err := js.closeHandle(); err != nil && first == nil {
 			first = fmt.Errorf("store: close: %w", err)
 		}
-		if err := js.f.Close(); err != nil && first == nil {
-			first = fmt.Errorf("store: close: %w", err)
-		}
-		js.f = nil
 	}
 	return first
 }
 
 // --- recovery -------------------------------------------------------
 
-// recoverFile loads one data file, repairing or quarantining as needed.
-// Only directory-level failures are returned; per-file damage is
-// absorbed.
+// recoverFile indexes one data file, repairing or quarantining as
+// needed. Only directory-level failures are returned; per-file damage
+// is absorbed.
 func (d *Disk) recoverFile(path string) error {
 	info, err := d.fsys.Stat(path)
 	if err != nil {
@@ -235,8 +285,9 @@ func (d *Disk) recoverFile(path string) error {
 	return err
 }
 
-// recoverJournal reads a journal-format file positioned after its
-// 4-byte magic.
+// recoverJournal scans a journal-format file positioned after its
+// 4-byte magic. Every record is read through one reused buffer and
+// checked; only its offset is kept.
 func (d *Disk) recoverJournal(f fsx.File, path string, size int64) error {
 	if size < headerLen {
 		// The creating header write itself was torn.
@@ -254,38 +305,59 @@ func (d *Disk) recoverJournal(f fsx.File, path string, size int64) error {
 	}
 	fileID, err := parseHeader(hdr)
 	if err != nil {
-		return d.quarantine(path, nil, err)
+		return d.quarantine(path, err)
 	}
 	var (
-		recs   []*rlnc.Message
+		js     = newJournal(path)
+		rec    []byte
 		offset = int64(headerLen)
 	)
 	for offset < size {
-		msg, n, err := readRecord(f, size-offset)
-		if err == nil && msg.FileID != fileID {
-			err = fmt.Errorf("%w: record file-id %d in journal %d", errCorruptRecord, msg.FileID, fileID)
+		if rec, err = readRecord(f, size-offset, rec); err != nil {
+			break
 		}
-		switch {
-		case err == nil:
-			recs = append(recs, msg)
-			offset += n
-		case errors.Is(err, errTornTail):
-			if err := d.truncateTail(path, offset); err != nil {
-				return err
-			}
-			return d.adopt(path, fileID, recs, offset)
-		default:
-			return d.quarantine(path, recs, err)
+		fid, mid := recordIDs(rec)
+		if fid != fileID {
+			err = fmt.Errorf("%w: record file-id %d in journal %d", errCorruptRecord, fid, fileID)
+			break
+		}
+		js.note(mid, offset, int64(len(rec)))
+		offset += int64(len(rec))
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, errTornTail):
+		if err := d.truncateTail(path, offset); err != nil {
+			return err
+		}
+	default:
+		if err := d.quarantine(path, err); err != nil {
+			return err
+		}
+		if offset == headerLen {
+			return nil
+		}
+		// Re-journal the valid prefix under the original name. It is the
+		// same bytes, so the offsets the scan took index it as is.
+		prefix := make([]byte, offset)
+		if _, err := f.ReadAt(prefix, 0); err != nil {
+			return fmt.Errorf("store: quarantine %s: %w", path, err)
+		}
+		if err := fsx.WriteFileAtomic(d.fsys, path, prefix, 0o644); err != nil {
+			return fmt.Errorf("store: %w", err)
 		}
 	}
-	return d.adopt(path, fileID, recs, size)
+	js.size = offset
+	d.journals[fileID] = js
+	return nil
 }
 
 // recoverLegacy parses a pre-journal file ([4-byte len][Fig. 3 record]
 // concatenation, no checksums) positioned after a 4-byte read, and
 // migrates it to the journal format. Without checksums a parse failure
 // cannot be blamed on a torn tail, so damage quarantines the file,
-// keeping the structurally-sound prefix.
+// keeping the structurally-sound prefix. Legacy files are small and
+// rare, so this path holds the parsed messages.
 func (d *Disk) recoverLegacy(f fsx.File, path string, size int64) error {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: %s: %w", path, err)
@@ -315,21 +387,29 @@ func (d *Disk) recoverLegacy(f fsx.File, path string, size int64) error {
 		recs = append(recs, msg)
 	}
 	if broken != nil {
-		return d.quarantine(path, recs, broken)
+		if err := d.quarantine(path, broken); err != nil {
+			return err
+		}
+		return d.journalMessages(recs)
 	}
-	return d.migrateLegacy(path, recs)
+	d.stats.MigratedLegacy++
+	if err := d.journalMessages(recs); err != nil {
+		return err
+	}
+	for _, js := range d.journals {
+		if js.path == path {
+			return nil // the name now holds a journal
+		}
+	}
+	if err := d.fsys.Remove(path); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return d.fsys.SyncDir(d.dir)
 }
 
-// migrateLegacy rewrites cleanly-parsed legacy records as journals, one
-// per file-id, and removes the original if its name is not reused.
-func (d *Disk) migrateLegacy(path string, recs []*rlnc.Message) error {
-	d.stats.MigratedLegacy++
-	if len(recs) == 0 {
-		if err := d.fsys.Remove(path); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		return d.fsys.SyncDir(d.dir)
-	}
+// journalMessages atomically writes parsed legacy records as journals,
+// one per file-id, and indexes what it wrote.
+func (d *Disk) journalMessages(recs []*rlnc.Message) error {
 	byFile := make(map[uint64][]*rlnc.Message)
 	var order []uint64
 	for _, msg := range recs {
@@ -338,36 +418,27 @@ func (d *Disk) migrateLegacy(path string, recs []*rlnc.Message) error {
 		}
 		byFile[msg.FileID] = append(byFile[msg.FileID], msg)
 	}
-	reused := false
 	for _, fid := range order {
-		target := d.pathFor(fid)
-		if target == path {
-			reused = true
+		js := newJournal(d.pathFor(fid))
+		buf := encodeHeader(fid)
+		for _, msg := range byFile[fid] {
+			js.note(msg.MessageID, int64(len(buf)), int64(recordHdrLen+len(msg.Payload)))
+			buf = appendRecord(buf, msg)
 		}
-		if err := d.writeJournal(target, fid, byFile[fid]); err != nil {
-			return err
-		}
-		if err := d.adopt(target, fid, byFile[fid], 0); err != nil {
-			return err
-		}
-		if js := d.journals[fid]; js != nil {
-			js.size = js.live
-		}
-	}
-	if !reused {
-		if err := d.fsys.Remove(path); err != nil {
+		if err := fsx.WriteFileAtomic(d.fsys, js.path, buf, 0o644); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		return d.fsys.SyncDir(d.dir)
+		js.size = int64(len(buf))
+		d.journals[fid] = js
 	}
 	return nil
 }
 
-// quarantine renames a damaged file to `<name>.corrupt` and, when a
-// valid prefix was recovered, re-journals it under the original name.
-// The cause is absorbed, not returned: one rotten file must not stop
-// the node from serving everything else it holds.
-func (d *Disk) quarantine(path string, recs []*rlnc.Message, cause error) error {
+// quarantine renames a damaged file to `<name>.corrupt`; the caller
+// re-journals whatever valid prefix it recovered. The cause is
+// absorbed, not returned: one rotten file must not stop the node from
+// serving everything else it holds.
+func (d *Disk) quarantine(path string, cause error) error {
 	d.stats.QuarantinedFiles++
 	d.quarantined.Inc()
 	if err := d.fsys.Rename(path, path+".corrupt"); err != nil {
@@ -375,26 +446,6 @@ func (d *Disk) quarantine(path string, recs []*rlnc.Message, cause error) error 
 	}
 	if err := d.fsys.SyncDir(d.dir); err != nil {
 		return fmt.Errorf("store: quarantine %s: %w", path, err)
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	fid := recs[0].FileID
-	kept := recs[:0]
-	for _, msg := range recs {
-		if msg.FileID == fid {
-			kept = append(kept, msg)
-		}
-	}
-	target := d.pathFor(fid)
-	if err := d.writeJournal(target, fid, kept); err != nil {
-		return err
-	}
-	if err := d.adopt(target, fid, kept, 0); err != nil {
-		return err
-	}
-	if js := d.journals[fid]; js != nil {
-		js.size = js.live
 	}
 	return nil
 }
@@ -417,74 +468,28 @@ func (d *Disk) truncateTail(path string, offset int64) error {
 	return nil
 }
 
-// adopt indexes recovered records and registers the journal. size 0
-// means "equals live bytes" (freshly rewritten journals).
-func (d *Disk) adopt(path string, fileID uint64, recs []*rlnc.Message, size int64) error {
-	js := d.journals[fileID]
-	if js == nil {
-		js = &journalState{path: path, live: headerLen, recLens: make(map[uint64]int64)}
-		d.journals[fileID] = js
-	}
-	js.path = path
-	for _, msg := range recs {
-		if err := d.mem.Put(msg); err != nil {
-			return err
-		}
-		recLen := int64(recordHdrLen + len(msg.Payload))
-		if old, ok := js.recLens[msg.MessageID]; ok {
-			js.live -= old
-		}
-		js.recLens[msg.MessageID] = recLen
-		js.live += recLen
-	}
-	if size > 0 {
-		js.size = size
-	}
-	return nil
-}
-
-// writeJournal atomically writes a complete journal file.
-func (d *Disk) writeJournal(path string, fileID uint64, msgs []*rlnc.Message) error {
-	total := headerLen
-	for _, msg := range msgs {
-		total += recordHdrLen + len(msg.Payload)
-	}
-	buf := make([]byte, 0, total)
-	buf = append(buf, encodeHeader(fileID)...)
-	for _, msg := range msgs {
-		buf = appendRecord(buf, msg)
-	}
-	if err := fsx.WriteFileAtomic(d.fsys, path, buf, 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
 // --- writes ---------------------------------------------------------
 
 func (d *Disk) pathFor(fileID uint64) string {
 	return filepath.Join(d.dir, strconv.FormatUint(fileID, 16)+".dat")
 }
 
-// ensureJournal returns the journal for fileID with an open append
-// handle, creating file and header on first use. The directory entry is
-// made durable before the first record is acknowledged.
+// ensureJournal returns the journal for fileID ready to append to,
+// creating file and header on first use. The directory entry is made
+// durable before the first record is acknowledged.
 func (d *Disk) ensureJournal(fileID uint64) (*journalState, error) {
 	js := d.journals[fileID]
 	if js == nil {
-		js = &journalState{
-			path:    d.pathFor(fileID),
-			live:    headerLen,
-			recLens: make(map[uint64]int64),
-		}
+		js = newJournal(d.pathFor(fileID))
 		d.journals[fileID] = js
 	}
-	if js.f != nil {
+	if js.appendable {
 		return js, nil
 	}
-	// Re-stat on every reopen: after a failed compaction the tracked
-	// size can be stale (the rename may or may not have landed), and
-	// repair truncation must target the file that is actually there.
+	// Re-stat before the first append through a handle: after a failed
+	// compaction the tracked size can be stale (the rename may or may
+	// not have landed), and repair truncation must target the file that
+	// is actually there.
 	switch info, err := d.fsys.Stat(js.path); {
 	case err == nil:
 		js.size = info.Size()
@@ -493,33 +498,39 @@ func (d *Disk) ensureJournal(fileID uint64) (*journalState, error) {
 	default:
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	f, err := d.fsys.OpenFile(js.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	if js.f == nil {
+		f, err := d.fsys.OpenFile(js.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		js.f = f
 	}
 	if js.size < headerLen {
 		if js.size > 0 {
 			// A previous header write failed partway: start over.
-			if err := f.Truncate(0); err != nil {
-				f.Close()
+			if err := js.f.Truncate(0); err != nil {
+				js.closeHandle()
 				return nil, fmt.Errorf("store: %w", err)
 			}
 		}
-		if _, err := f.Write(encodeHeader(fileID)); err != nil {
-			f.Close()
+		if _, err := js.f.Write(encodeHeader(fileID)); err != nil {
+			js.closeHandle()
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		js.size = headerLen
+		// A fresh file holds no records: whatever the index still named
+		// went with the file that was here.
+		clear(js.index)
+		js.size, js.live = headerLen, headerLen
 	}
 	// Unconditional on reopen: the directory entry (creation here, or a
 	// compaction rename whose own dir fsync failed) must be durable
 	// before the next append is acknowledged, or a crash could revert
 	// the name and take acknowledged records with it.
 	if err := d.fsys.SyncDir(d.dir); err != nil {
-		f.Close()
+		js.closeHandle()
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	js.f = f
+	js.appendable = true
 	return js, nil
 }
 
@@ -536,11 +547,11 @@ func (d *Disk) repair(js *journalState) error {
 }
 
 // appendLocked appends one record without syncing. The record is framed
-// into d.rec, so msg is copied twice — into the journal write and into
-// the index — and nothing else is allocated. The in-memory index
-// is only updated once the bytes are written, and callers sync before
-// returning success, so an acknowledged Put is always durable; on error
-// the index may lag the journal by a torn record, which recovery cuts.
+// into d.rec, so msg is copied once — into the journal write — and
+// nothing is allocated. The index is only updated once the bytes are
+// written, and callers sync before returning success, so an
+// acknowledged Put is always durable; on error the index may lag the
+// journal by a torn record, which recovery cuts.
 func (d *Disk) appendLocked(msg *rlnc.Message) (*journalState, error) {
 	if msg == nil {
 		return nil, fmt.Errorf("store: nil message")
@@ -559,41 +570,53 @@ func (d *Disk) appendLocked(msg *rlnc.Message) (*journalState, error) {
 		js.broken = true
 		return nil, fmt.Errorf("store: append: %w", err)
 	}
-	recLen := int64(len(d.rec))
-	js.size += recLen
-	if old, ok := js.recLens[msg.MessageID]; ok {
-		js.live -= old
-	}
-	js.recLens[msg.MessageID] = recLen
-	js.live += recLen
-	if err := d.mem.Put(msg); err != nil {
-		return nil, err
-	}
+	js.note(msg.MessageID, js.size, int64(len(d.rec)))
+	js.size += int64(len(d.rec))
 	return js, nil
 }
 
-// maybeCompact rewrites a journal whose dead bytes dominate. The rename
-// lands before any further append, so the append handle is reopened.
+// maybeCompact rewrites a journal whose dead bytes dominate. The live
+// records are read back from the journal, checked, and laid out in
+// message-id order; the index moves to the new offsets exactly when the
+// rename puts the new file under the journal's name. The append handle
+// is closed and reopened by the next append or read.
 func (d *Disk) maybeCompact(fileID uint64, js *journalState) error {
 	if js.size < d.compactMinBytes || float64(js.size) <= d.compactFactor*float64(js.live) {
 		return nil
 	}
-	msgs, err := d.mem.Messages(fileID)
-	if err != nil {
-		return err
+	ids := make([]uint64, 0, len(js.index))
+	for id := range js.index {
+		ids = append(ids, id)
 	}
-	if js.f != nil {
-		if err := js.f.Close(); err != nil {
+	slices.Sort(ids)
+	buf := make([]byte, js.live)
+	copy(buf, encodeHeader(fileID))
+	index := make(map[uint64]recordRef, len(ids))
+	at := int64(headerLen)
+	for _, id := range ids {
+		ref := js.index[id]
+		if err := readRecordAt(js.f, buf[at:at+ref.n], ref.off, fileID, id); err != nil {
 			return fmt.Errorf("store: compact %s: %w", js.path, err)
 		}
-		js.f = nil
+		index[id] = recordRef{off: at, n: ref.n}
+		at += ref.n
 	}
-	if err := d.writeJournal(js.path, fileID, msgs); err != nil {
+	if err := js.closeHandle(); err != nil {
+		return fmt.Errorf("store: compact %s: %w", js.path, err)
+	}
+	if err := fsx.WriteFileAtomic(d.fsys, js.path, buf, 0o644); err != nil {
 		// The rename may have landed without its directory fsync; the
-		// next append's reopen re-stats and re-syncs the directory.
-		return err
+		// next append's reopen re-syncs the directory. Either way the
+		// index must describe the journal the name points at now. The
+		// compacted file is strictly shorter than the one it replaces
+		// (compaction only runs above CompactFactor > 1 times the live
+		// size), so its length tells the two apart.
+		if info, serr := d.fsys.Stat(js.path); serr == nil && info.Size() == int64(len(buf)) {
+			js.index, js.size = index, int64(len(buf))
+		}
+		return fmt.Errorf("store: %w", err)
 	}
-	js.size = js.live
+	js.index, js.size = index, int64(len(buf))
 	js.broken = false
 	d.compactions.Inc()
 	return nil
@@ -604,7 +627,7 @@ func (d *Disk) Put(msg *rlnc.Message) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return fmt.Errorf("store: closed")
+		return errClosed
 	}
 	js, err := d.appendLocked(msg)
 	if err != nil {
@@ -616,68 +639,118 @@ func (d *Disk) Put(msg *rlnc.Message) error {
 	return d.maybeCompact(msg.FileID, js)
 }
 
-// PutBatch stores several messages with a single fsync per touched
-// file-id.
-func (d *Disk) PutBatch(msgs []*rlnc.Message) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// --- reads ----------------------------------------------------------
+
+// readerLocked returns fileID's journal and its open handle, opening
+// one if none is. The caller holds d.mu for reading, which keeps the
+// handle open until it lets go.
+func (d *Disk) readerLocked(fileID uint64) (*journalState, fsx.File, error) {
 	if d.closed {
-		return fmt.Errorf("store: closed")
+		return nil, nil, errClosed
 	}
-	touched := make(map[uint64]*journalState)
-	for _, msg := range msgs {
-		js, err := d.appendLocked(msg)
+	js := d.journals[fileID]
+	if js == nil || len(js.index) == 0 {
+		return nil, nil, fmt.Errorf("%w: %d", ErrUnknownFile, fileID)
+	}
+	js.openMu.Lock()
+	defer js.openMu.Unlock()
+	if js.f == nil {
+		f, err := d.fsys.OpenFile(js.path, os.O_RDWR|os.O_APPEND, 0)
 		if err != nil {
-			return err
+			return nil, nil, fmt.Errorf("store: %w", err)
 		}
-		touched[msg.FileID] = js
+		js.f = f
 	}
-	for fileID, js := range touched {
-		if js.f != nil {
-			if err := js.f.Sync(); err != nil {
-				return fmt.Errorf("store: sync: %w", err)
-			}
-		}
-		if err := d.maybeCompact(fileID, js); err != nil {
-			return err
-		}
-	}
-	return nil
+	return js, js.f, nil
 }
 
-// Messages implements Store.
+// Messages implements Store. The payloads share one buffer, filled by
+// one ReadAt per record.
 func (d *Disk) Messages(fileID uint64) ([]*rlnc.Message, error) {
-	return d.mem.Messages(fileID)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	js, f, err := d.readerLocked(fileID)
+	if err != nil {
+		return nil, err
+	}
+	msgs := make([]rlnc.Message, 0, len(js.index))
+	for id := range js.index {
+		msgs = append(msgs, rlnc.Message{FileID: fileID, MessageID: id})
+	}
+	slices.SortFunc(msgs, func(a, b rlnc.Message) int { return cmp.Compare(a.MessageID, b.MessageID) })
+	buf := make([]byte, js.live-headerLen)
+	out := make([]*rlnc.Message, len(msgs))
+	var at int64
+	for i := range msgs {
+		m := &msgs[i]
+		ref := js.index[m.MessageID]
+		rec := buf[at : at+ref.n : at+ref.n]
+		if err := readRecordAt(f, rec, ref.off, fileID, m.MessageID); err != nil {
+			return nil, err
+		}
+		m.Payload = rec[recordHdrLen:]
+		out[i] = m
+		at += ref.n
+	}
+	return out, nil
 }
 
 // Get implements Store.
 func (d *Disk) Get(fileID, messageID uint64) (*rlnc.Message, error) {
-	return d.mem.Get(fileID, messageID)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	js, f, err := d.readerLocked(fileID)
+	if err != nil {
+		return nil, err
+	}
+	ref, ok := js.index[messageID]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d message %d", ErrUnknownFile, fileID, messageID)
+	}
+	rec := make([]byte, ref.n)
+	if err := readRecordAt(f, rec, ref.off, fileID, messageID); err != nil {
+		return nil, err
+	}
+	return &rlnc.Message{FileID: fileID, MessageID: messageID, Payload: rec[recordHdrLen:]}, nil
 }
 
 // Count implements Store.
-func (d *Disk) Count(fileID uint64) int { return d.mem.Count(fileID) }
+func (d *Disk) Count(fileID uint64) int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if js := d.journals[fileID]; js != nil {
+		return len(js.index)
+	}
+	return 0
+}
 
 // Files implements Store.
-func (d *Disk) Files() []uint64 { return d.mem.Files() }
+func (d *Disk) Files() []uint64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	out := make([]uint64, 0, len(d.journals))
+	for id, js := range d.journals {
+		if len(js.index) > 0 {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
-// Drop implements Store and removes the data file durably.
+// Drop implements Store and removes the data file durably. The index
+// is forgotten only once the file is gone.
 func (d *Disk) Drop(fileID uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.mem.Drop(fileID); err != nil {
-		return err
-	}
 	path := d.pathFor(fileID)
 	if js := d.journals[fileID]; js != nil {
 		path = js.path
-		if js.f != nil {
-			js.f.Close()
-		}
-		delete(d.journals, fileID)
+		js.closeHandle()
 	}
 	if err := d.fsys.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: %w", err)
 	}
+	delete(d.journals, fileID)
 	return d.fsys.SyncDir(d.dir)
 }

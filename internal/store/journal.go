@@ -93,17 +93,25 @@ func recordCRC(buf []byte) uint32 {
 	return crc32.Update(crc, castagnoli, buf[8:])
 }
 
-// readRecord reads one record from r. remaining is the byte count left
-// in the file, used to classify failures: a record that could not fit
-// in the remaining bytes is a torn tail; a record fully present but
-// failing validation is interior corruption.
-func readRecord(r io.Reader, remaining int64) (*rlnc.Message, int64, error) {
+// recordIDs returns the file-id and message-id a framed record names.
+func recordIDs(rec []byte) (fileID, messageID uint64) {
+	return binary.BigEndian.Uint64(rec[8:16]), binary.BigEndian.Uint64(rec[16:24])
+}
+
+// readRecord reads the next record from r into buf, growing it only
+// when the record does not fit, and returns buf holding exactly that
+// framed record — recovery streams a whole journal through one buffer.
+// remaining is the byte count left in the file, used to classify
+// failures: a record that could not fit in the remaining bytes is a
+// torn tail; a record fully present but failing validation is interior
+// corruption.
+func readRecord(r io.Reader, remaining int64, buf []byte) ([]byte, error) {
 	var hdr [recordHdrLen]byte
 	if remaining < recordHdrLen {
-		return nil, 0, errTornTail
+		return buf, errTornTail
 	}
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, errTornTail
+		return buf, errTornTail
 	}
 	payloadLen := binary.BigEndian.Uint32(hdr[:4])
 	recLen := int64(recordHdrLen) + int64(payloadLen)
@@ -112,25 +120,48 @@ func readRecord(r io.Reader, remaining int64) (*rlnc.Message, int64, error) {
 		// the length itself was torn; if it would have fit, something
 		// rotted in place.
 		if recLen > remaining {
-			return nil, 0, errTornTail
+			return buf, errTornTail
 		}
-		return nil, 0, fmt.Errorf("%w: record of %d bytes", errCorruptRecord, payloadLen)
+		return buf, fmt.Errorf("%w: record of %d bytes", errCorruptRecord, payloadLen)
 	}
 	if recLen > remaining {
-		return nil, 0, errTornTail
+		return buf, errTornTail
 	}
-	buf := make([]byte, recLen)
+	if int64(cap(buf)) < recLen {
+		buf = make([]byte, recLen)
+	}
+	buf = buf[:recLen]
 	copy(buf, hdr[:])
 	if _, err := io.ReadFull(r, buf[recordHdrLen:]); err != nil {
-		return nil, 0, errTornTail
+		return buf, errTornTail
 	}
 	if got, want := recordCRC(buf), binary.BigEndian.Uint32(hdr[4:8]); got != want {
-		return nil, 0, fmt.Errorf("%w: crc %08x != %08x", errCorruptRecord, got, want)
+		return buf, fmt.Errorf("%w: crc %08x != %08x", errCorruptRecord, got, want)
 	}
-	msg := &rlnc.Message{
-		FileID:    binary.BigEndian.Uint64(hdr[8:16]),
-		MessageID: binary.BigEndian.Uint64(hdr[16:24]),
-		Payload:   buf[recordHdrLen:],
+	return buf, nil
+}
+
+// readRecordAt reads the record the index places at off into rec, whose
+// length is the indexed record length, and checks it before anything
+// is served from it: the CRC, the length field, and that the record is
+// (fileID, messageID)'s. An offset goes stale when the file under it is
+// rewritten or damaged behind the index's back, so a mismatch is
+// ErrCorrupt — another message's bytes are never returned. An I/O
+// failure comes back wrapped, not as corruption.
+func readRecordAt(r io.ReaderAt, rec []byte, off int64, fileID, messageID uint64) error {
+	if _, err := r.ReadAt(rec, off); err != nil {
+		if errors.Is(err, io.EOF) {
+			return fmt.Errorf("%w: record (%d,%d) at %d runs past the journal's end", ErrCorrupt, fileID, messageID, off)
+		}
+		return fmt.Errorf("store: read record (%d,%d): %w", fileID, messageID, err)
 	}
-	return msg, recLen, nil
+	if got, want := recordCRC(rec), binary.BigEndian.Uint32(rec[4:8]); got != want {
+		return fmt.Errorf("%w: record (%d,%d) at %d: crc %08x != %08x", ErrCorrupt, fileID, messageID, off, got, want)
+	}
+	fid, mid := recordIDs(rec)
+	if n := binary.BigEndian.Uint32(rec[:4]); fid != fileID || mid != messageID || int(n) != len(rec)-recordHdrLen {
+		return fmt.Errorf("%w: record at %d is (%d,%d) of %d bytes, index names (%d,%d) of %d",
+			ErrCorrupt, off, fid, mid, n, fileID, messageID, len(rec)-recordHdrLen)
+	}
+	return nil
 }

@@ -141,13 +141,14 @@ func TestDiskPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []*rlnc.Message{
+	for _, m := range []*rlnc.Message{
 		msg(0xABCD, 1, 1, 2, 3),
 		msg(0xABCD, 2, 4, 5, 6),
 		msg(0xEF01, 7, 9),
-	}
-	if err := d.PutBatch(batch); err != nil {
-		t.Fatal(err)
+	} {
+		if err := d.Put(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	reopened, err := OpenDisk(dir)
