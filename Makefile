@@ -49,11 +49,12 @@ gates:
 wire-audit:
 	$(GO) test -run 'TestSplitUnshapedPeersServeWhatTheManifestNeeds|TestSplitLeavesPacedPeersAlone' -count=1 ./internal/netsim/harness/
 
-# race-audit exercises the audit path — the auditor itself plus the
-# ledger it debits, the wire frames it rides on, and the store it
-# samples — under the race detector. Run before touching any of them.
+# race-audit exercises the audit path — the spot-check round, its two
+# callers (core.SpotCheck and the repair daemon's probe) and the ledger
+# their debits land in — under the race detector. Run before touching
+# any of them.
 race-audit: vet
-	$(GO) test -race ./internal/audit/... ./internal/fairshare/... ./internal/wire/... ./internal/store/...
+	$(GO) test -race ./internal/audit/... ./internal/core/... ./internal/repair/... ./internal/fairshare/...
 
 # race-metrics exercises the observability layer and everything that
 # writes into it concurrently: scrape-while-write in the registry, the

@@ -3,16 +3,17 @@
 // story: Theorem 1 assumes storage peers still hold the messages they
 // accepted during pre-dissemination, but nothing in the protocol
 // verified it — a peer could discard every chunk and keep earning
-// ledger credit for bandwidth alone. The auditor periodically samples
-// each peer's obligations, challenges it to MAC the sampled messages
-// under a per-challenge key derived from the owner's coding secret and
-// a fresh nonce (internal/auth.DeriveAuditKey — the holder cannot
-// precompute answers, and the owner verifies against manifest digests
-// without re-downloading a byte), and feeds the verdicts back into the
-// fairness machinery: failures debit the peer in the owner's ledger
-// (fairshare.Ledger.Debit) and flag the replica lost so placement can
-// re-disseminate. The ledger thereby measures "bandwidth received from
-// peers proven to still hold my data", not just bandwidth received.
+// ledger credit for bandwidth alone. A Round samples each peer's
+// obligations, challenges it to MAC the sampled messages under a
+// per-challenge key derived from the owner's coding secret and a fresh
+// nonce (internal/auth.DeriveAuditKey — the holder cannot precompute
+// answers, and the owner verifies against manifest digests without
+// re-downloading a byte), and returns verdicts whose penalties the
+// caller relays to the owner's own peer (client.SendAuditVerdicts →
+// fairshare.Ledger.Debit) and whose failures mark replicas lost so
+// repair can re-disseminate. The ledger thereby measures "bandwidth
+// received from peers proven to still hold my data", not just
+// bandwidth received.
 package audit
 
 import (
@@ -22,6 +23,7 @@ import (
 	"sort"
 
 	"asymshare/internal/auth"
+	"asymshare/internal/chunk"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/wire"
 )
@@ -30,7 +32,7 @@ var (
 	// ErrBadTarget is returned for targets missing required fields.
 	ErrBadTarget = errors.New("audit: invalid target")
 
-	// ErrBadConfig is returned for invalid auditor configurations.
+	// ErrBadConfig is returned for a round without a prober or secret.
 	ErrBadConfig = errors.New("audit: invalid configuration")
 )
 
@@ -42,7 +44,9 @@ type Target struct {
 	Addr string
 
 	// Peer is the peer's ledger identity (key fingerprint). Empty is
-	// allowed: it is learned from the first completed probe.
+	// allowed: a peer that answers names itself in its verdict, but one
+	// that never answers leaves the verdict without an identity to
+	// debit.
 	Peer string
 
 	// FileID identifies the audited generation.
@@ -66,6 +70,27 @@ func (t *Target) validate() error {
 		return fmt.Errorf("%w: no digests for file %d", ErrBadTarget, t.FileID)
 	}
 	return nil
+}
+
+// TargetFor builds the obligation of batch rank on chunk i of m held at
+// addr: the chunk's file id, the digests minted for that rank, and the
+// chunk's serialized message size. Its Digests are empty when there is
+// nothing to check — i is out of range, or the chunk recorded no
+// digests for the rank (shared before digests were recorded).
+func TargetFor(m *chunk.Manifest, i, rank int, addr string) (Target, error) {
+	if i < 0 || i >= len(m.Chunks) {
+		return Target{}, nil
+	}
+	info := m.Chunks[i]
+	digests := rlnc.RankDigests(info.Digests, rank)
+	if len(digests) == 0 {
+		return Target{}, nil
+	}
+	params, err := info.Params(m.Plan)
+	if err != nil {
+		return Target{}, err
+	}
+	return Target{Addr: addr, FileID: info.FileID, Digests: digests, MessageBytes: params.MessageBytes()}, nil
 }
 
 // BuildChallenge samples up to `sample` distinct message-ids from the

@@ -9,7 +9,8 @@ import (
 	"time"
 
 	"asymshare/internal/auth"
-	"asymshare/internal/fairshare"
+	"asymshare/internal/chunk"
+	"asymshare/internal/gf"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/store"
 	"asymshare/internal/wire"
@@ -163,108 +164,46 @@ func TestVerifyResponseOutcomes(t *testing.T) {
 func TestAuditorHonestPeerPasses(t *testing.T) {
 	st := store.NewMemory()
 	digests := mkMessages(t, st, 1, 16)
-	ledger := fairshare.NewLedger(0)
-	ledger.Credit("fp-alpha", 1000)
-	a, err := New(Config{
-		Prober: &storeProber{stores: map[string]store.Store{"alpha": st}},
-		Secret: []byte("s"),
-		Ledger: ledger,
-		Seed:   7,
-	})
+	verdicts, err := Round(context.Background(), &storeProber{stores: map[string]store.Store{"alpha": st}},
+		[]byte("s"), []Target{{Addr: "alpha", FileID: 1, Digests: digests, MessageBytes: 100}}, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(Target{Addr: "alpha", FileID: 1, Digests: digests, MessageBytes: 100}); err != nil {
-		t.Fatal(err)
-	}
-	verdicts := a.AuditOnce(context.Background())
 	if len(verdicts) != 1 || verdicts[0].Outcome != Pass {
 		t.Fatalf("verdicts = %+v", verdicts)
 	}
-	if verdicts[0].Peer != "fp-alpha" {
-		t.Errorf("peer identity = %q, want learned fp-alpha", verdicts[0].Peer)
+	v := verdicts[0]
+	if v.Peer != "fp-alpha" {
+		t.Errorf("peer identity = %q, want learned fp-alpha", v.Peer)
 	}
-	if got := ledger.Received("fp-alpha"); got != 1000 {
-		t.Errorf("honest peer debited: %v", got)
+	if v.Penalty != 0 || v.Attempts != 1 {
+		t.Errorf("honest verdict penalty %v after %d attempts, want 0 after 1", v.Penalty, v.Attempts)
 	}
-	stats := a.Stats()
-	if stats.Passed != 1 || stats.Failed != 0 || stats.Timeouts != 0 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if stats.MessagesProven != int64(stats.MessagesProbed) || stats.BytesProven != stats.MessagesProven*100 {
-		t.Errorf("proof accounting: %+v", stats)
+	if v.Tally.Sampled != DefaultSampleSize || v.Tally.Proven != v.Tally.Sampled {
+		t.Errorf("tally = %+v, want all %d default samples proven", v.Tally, DefaultSampleSize)
 	}
 }
 
-func TestAuditorDropperDebitedAndEscalated(t *testing.T) {
+// TestAuditorDropperDebited: a peer holding nothing fails, and the
+// verdict carries a debit of MessageBytes per missing message. A round
+// keeps no state, so the next one probes the same routine sample.
+func TestAuditorDropperDebited(t *testing.T) {
 	honest := store.NewMemory()
 	digests := mkMessages(t, honest, 1, 64)
-	dropper := store.NewMemory() // holds nothing
-	ledger := fairshare.NewLedger(0)
-	ledger.Credit("fp-bad", 1e6)
-	a, err := New(Config{
-		Prober:     &storeProber{stores: map[string]store.Store{"bad": dropper}},
-		Secret:     []byte("s"),
-		Ledger:     ledger,
-		SampleSize: 4,
-		Seed:       9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add(Target{Addr: "bad", FileID: 1, Digests: digests, MessageBytes: 1000}); err != nil {
-		t.Fatal(err)
-	}
-
-	v1 := a.AuditOnce(context.Background())[0]
-	if v1.Outcome != Fail || v1.Tally.Missing != 4 {
-		t.Fatalf("first verdict = %+v", v1)
-	}
-	if v1.Penalty != 4*1000 {
-		t.Errorf("penalty = %v, want 4000", v1.Penalty)
-	}
-	if got := ledger.Received("fp-bad"); got != 1e6-4000 {
-		t.Errorf("ledger after first fail = %v", got)
-	}
-
-	// Escalation: the second audit probes twice the sample.
-	v2 := a.AuditOnce(context.Background())[0]
-	if v2.Tally.Sampled != 8 {
-		t.Errorf("escalated sample = %d, want 8", v2.Tally.Sampled)
-	}
-	health := a.Health()
-	if len(health) != 1 || health[0].ConsecutiveFails != 2 || health[0].Failed != 2 {
-		t.Errorf("health = %+v", health)
-	}
-}
-
-func TestAuditorEscalationResetsOnPass(t *testing.T) {
-	st := store.NewMemory()
-	digests := mkMessages(t, st, 1, 64)
-	prober := &storeProber{stores: map[string]store.Store{"p": store.NewMemory()}}
-	a, err := New(Config{Prober: prober, Secret: []byte("s"), SampleSize: 4, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add(Target{Addr: "p", FileID: 1, Digests: digests}); err != nil {
-		t.Fatal(err)
-	}
-	if v := a.AuditOnce(context.Background())[0]; v.Outcome != Fail {
-		t.Fatalf("empty store passed: %+v", v)
-	}
-	// The peer "recovers" (repair re-disseminated): escalated probe passes.
-	prober.stores["p"] = st
-	v := a.AuditOnce(context.Background())[0]
-	if v.Outcome != Pass || v.Tally.Sampled != 8 {
-		t.Fatalf("recovery verdict = %+v", v)
-	}
-	// Next round is back to the routine sample.
-	v = a.AuditOnce(context.Background())[0]
-	if v.Tally.Sampled != 4 {
-		t.Errorf("post-recovery sample = %d, want 4", v.Tally.Sampled)
-	}
-	if h := a.Health(); h[0].ConsecutiveFails != 0 || h[0].LastOutcome != Pass {
-		t.Errorf("health = %+v", h[0])
+	prober := &storeProber{stores: map[string]store.Store{"bad": store.NewMemory()}}
+	targets := []Target{{Addr: "bad", FileID: 1, Digests: digests, MessageBytes: 1000}}
+	for round := 0; round < 2; round++ {
+		verdicts, err := Round(context.Background(), prober, []byte("s"), targets, Options{SampleSize: 4, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := verdicts[0]
+		if v.Outcome != Fail || v.Tally.Sampled != 4 || v.Tally.Missing != 4 {
+			t.Fatalf("round %d verdict = %+v", round, v)
+		}
+		if v.Penalty != 4*1000 {
+			t.Errorf("round %d penalty = %v, want 4000", round, v.Penalty)
+		}
 	}
 }
 
@@ -280,113 +219,106 @@ func (p *deadProber) Audit(ctx context.Context, _ string, _ wire.AuditChallenge)
 func TestAuditorTimeoutRetriesWithBackoffThenPenalizes(t *testing.T) {
 	st := store.NewMemory()
 	digests := mkMessages(t, st, 1, 8)
-	ledger := fairshare.NewLedger(0)
-	ledger.Credit("fp-dead", 500)
 	prober := &deadProber{}
-	a, err := New(Config{
-		Prober:            prober,
-		Secret:            []byte("s"),
-		Ledger:            ledger,
-		Timeout:           20 * time.Millisecond,
-		Backoff:           5 * time.Millisecond,
-		MaxRetries:        2,
-		SampleSize:        4,
-		PenaltyPerMessage: 50,
-		Seed:              13,
-	})
+	start := time.Now()
+	verdicts, err := Round(context.Background(), prober, []byte("s"),
+		[]Target{{Addr: "dead", Peer: "fp-dead", FileID: 1, Digests: digests}},
+		Options{Timeout: 20 * time.Millisecond, MaxRetries: 2, SampleSize: 4, PenaltyPerMessage: 50, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := Target{Addr: "dead", Peer: "fp-dead", FileID: 1, Digests: digests}
-	if err := a.Add(target); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	v := a.AuditOnce(context.Background())[0]
-	if v.Outcome != Timeout {
+	v := verdicts[0]
+	if v.Outcome != Timeout || v.Peer != "fp-dead" {
 		t.Fatalf("verdict = %+v", v)
 	}
 	if v.Attempts != 3 || prober.calls != 3 {
 		t.Errorf("attempts = %d (probe calls %d), want 3", v.Attempts, prober.calls)
 	}
-	// Backoff between attempts: at least 5ms + 10ms beyond the timeouts.
-	if elapsed := time.Since(start); elapsed < 3*20*time.Millisecond+15*time.Millisecond {
+	// Backoff between attempts: retryBackoff, then twice that, beyond
+	// the three timeouts.
+	if elapsed := time.Since(start); elapsed < 3*20*time.Millisecond+3*retryBackoff {
 		t.Errorf("retries too fast: %v", elapsed)
 	}
 	// The whole sample is penalized: no response proved anything.
-	if v.Penalty != 4*50 {
-		t.Errorf("penalty = %v, want 200", v.Penalty)
+	if v.Tally.Missing != 4 || v.Penalty != 4*50 {
+		t.Errorf("tally %+v penalty %v, want 4 missing and 200", v.Tally, v.Penalty)
 	}
-	if got := ledger.Received("fp-dead"); got != 300 {
-		t.Errorf("ledger = %v, want 300", got)
-	}
-	if s := a.Stats(); s.Timeouts != 1 || s.ChallengesSent != 3 {
-		t.Errorf("stats = %+v", s)
-	}
-}
 
-func TestAuditorRunSchedulesAndStops(t *testing.T) {
-	st := store.NewMemory()
-	digests := mkMessages(t, st, 1, 8)
-	verdicts := make(chan Verdict, 64)
-	a, err := New(Config{
-		Prober:   &storeProber{stores: map[string]store.Store{"p": st}},
-		Secret:   []byte("s"),
-		Interval: 10 * time.Millisecond,
-		OnVerdict: func(v Verdict) {
-			select {
-			case verdicts <- v:
-			default:
-			}
-		},
-		Seed: 17,
-	})
+	// Negative MaxRetries sends exactly one probe.
+	prober.calls = 0
+	verdicts, err = Round(context.Background(), prober, []byte("s"),
+		[]Target{{Addr: "dead", FileID: 1, Digests: digests}},
+		Options{Timeout: 20 * time.Millisecond, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(Target{Addr: "p", FileID: 1, Digests: digests}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		a.Run(ctx)
-		close(done)
-	}()
-	// At least two scheduled audits complete.
-	for i := 0; i < 2; i++ {
-		select {
-		case v := <-verdicts:
-			if v.Outcome != Pass {
-				t.Errorf("scheduled verdict %d = %+v", i, v)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("scheduled audit never ran")
-		}
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not stop on cancel")
+	if v := verdicts[0]; v.Outcome != Timeout || v.Attempts != 1 || prober.calls != 1 {
+		t.Errorf("no-retry verdict %+v after %d probe calls, want one Timeout attempt", v, prober.calls)
 	}
 }
 
-func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{Secret: []byte("s")}); !errors.Is(err, ErrBadConfig) {
+func TestRoundRejectsBadConfig(t *testing.T) {
+	ctx := context.Background()
+	prober := &deadProber{}
+	good := Target{Addr: "a", FileID: 1, Digests: map[uint64]rlnc.Digest{0: {}}}
+	if _, err := Round(ctx, nil, []byte("s"), []Target{good}, Options{}); !errors.Is(err, ErrBadConfig) {
 		t.Error("missing prober accepted")
 	}
-	if _, err := New(Config{Prober: &deadProber{}}); !errors.Is(err, ErrBadConfig) {
+	if _, err := Round(ctx, prober, nil, []Target{good}, Options{}); !errors.Is(err, ErrBadConfig) {
 		t.Error("missing secret accepted")
 	}
-	a, err := New(Config{Prober: &deadProber{}, Secret: []byte("s")})
+	// A bad target anywhere in the list fails the round before any
+	// probe is sent.
+	if _, err := Round(ctx, prober, []byte("s"), []Target{good, {FileID: 1}}, Options{}); !errors.Is(err, ErrBadTarget) {
+		t.Error("target without address accepted")
+	}
+	if _, err := Round(ctx, prober, []byte("s"), []Target{good, {Addr: "a", FileID: 1}}, Options{}); !errors.Is(err, ErrBadTarget) {
+		t.Error("target without digests accepted")
+	}
+	if prober.calls != 0 {
+		t.Errorf("rejected rounds sent %d probes", prober.calls)
+	}
+}
+
+// TestTargetForBuildsRankObligation: TargetFor, which every caller uses
+// to make a target, takes a chunk's rank-r digests and message size
+// from the manifest, and has nothing to check for an unminted rank or
+// an out-of-range chunk.
+func TestTargetForBuildsRankObligation(t *testing.T) {
+	data := make([]byte, 3000)
+	plan := chunk.Plan{FieldBits: gf.Bits8, M: 128, ChunkSize: 1024}
+	share, err := chunk.BuildShare("f", data, plan, 100, []byte("secret"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(Target{FileID: 1}); !errors.Is(err, ErrBadTarget) {
-		t.Error("target without address accepted")
+	for rank := 0; rank < 2; rank++ {
+		if _, err := share.BatchForPeer(rank, 64); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := a.Add(Target{Addr: "a", FileID: 1}); !errors.Is(err, ErrBadTarget) {
-		t.Error("target without digests accepted")
+	m := &share.Manifest
+	tg, err := TargetFor(m, 1, 1, "peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := m.Chunks[1].Params(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rlnc.RankDigests(m.Chunks[1].Digests, 1)
+	if tg.Addr != "peer" || tg.FileID != 101 || tg.MessageBytes != params.MessageBytes() || len(tg.Digests) != len(want) {
+		t.Fatalf("target = {%s %d %d bytes, %d digests}, want {peer 101 %d bytes, %d digests}",
+			tg.Addr, tg.FileID, tg.MessageBytes, len(tg.Digests), params.MessageBytes(), len(want))
+	}
+	for id, d := range want {
+		if tg.Digests[id] != d {
+			t.Fatalf("digest of id %#x missing from the target", id)
+		}
+	}
+	for _, c := range []struct{ chunk, rank int }{{1, 2}, {-1, 0}, {3, 0}} {
+		tg, err := TargetFor(m, c.chunk, c.rank, "peer")
+		if err != nil || len(tg.Digests) != 0 {
+			t.Errorf("chunk %d rank %d: %d digests, err %v; want none", c.chunk, c.rank, len(tg.Digests), err)
+		}
 	}
 }

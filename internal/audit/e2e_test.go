@@ -122,13 +122,15 @@ func e2eNetwork(t *testing.T, ctx context.Context, owner *auth.Identity, c *clie
 	return home, peers, msgBytes
 }
 
-// e2eAudit runs one synchronous audit round against every storage peer
-// and relays the verdict debits to the home peer over the wire.
-func e2eAudit(t *testing.T, ctx context.Context, c *client.Client, home *peer.Node, peers []*e2ePeer) (*audit.Auditor, []audit.Verdict) {
+// e2eAudit runs one audit round against every storage peer, relays the
+// verdict debits to the home peer over the wire, and totals the round.
+func e2eAudit(t *testing.T, ctx context.Context, c *client.Client, home *peer.Node, peers []*e2ePeer) (audit.Stats, []audit.Verdict) {
 	t.Helper()
-	a, err := audit.New(audit.Config{
-		Prober:            c,
-		Secret:            e2eSecret(),
+	targets := make([]audit.Target, len(peers))
+	for i, p := range peers {
+		targets[i] = audit.Target{Addr: p.node.Addr().String(), FileID: e2eFileID, Digests: p.digests}
+	}
+	verdicts, err := audit.Round(ctx, c, e2eSecret(), targets, audit.Options{
 		PenaltyPerMessage: e2ePenalty,
 		SampleSize:        8,
 		Timeout:           5 * time.Second,
@@ -137,19 +139,18 @@ func e2eAudit(t *testing.T, ctx context.Context, c *client.Client, home *peer.No
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range peers {
-		err := a.Add(audit.Target{
-			Addr:    p.node.Addr().String(),
-			FileID:  e2eFileID,
-			Digests: p.digests,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	verdicts := a.AuditOnce(ctx)
+	var stats audit.Stats
 	debits := make(map[string]uint64)
 	for _, v := range verdicts {
+		switch v.Outcome {
+		case audit.Pass:
+			stats.Passed++
+		case audit.Fail:
+			stats.Failed++
+		case audit.Timeout:
+			stats.Timeouts++
+		}
+		stats.PenaltyAssessed += v.Penalty
 		if v.Penalty > 0 {
 			debits[v.Peer] += uint64(math.Round(v.Penalty))
 		}
@@ -157,7 +158,7 @@ func e2eAudit(t *testing.T, ctx context.Context, c *client.Client, home *peer.No
 	if err := c.SendAuditVerdicts(ctx, home.Addr().String(), debits); err != nil {
 		t.Fatal(err)
 	}
-	return a, verdicts
+	return stats, verdicts
 }
 
 func e2eAllocate(home *peer.Node, peers []*e2ePeer) map[fairshare.ID]float64 {
@@ -194,7 +195,7 @@ func TestE2EDroppingPeerFailsAuditsAndLosesAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, verdicts := e2eAudit(t, ctx, c, home, peers)
+	stats, verdicts := e2eAudit(t, ctx, c, home, peers)
 	if len(verdicts) != 3 {
 		t.Fatalf("got %d verdicts", len(verdicts))
 	}
@@ -235,7 +236,6 @@ func TestE2EDroppingPeerFailsAuditsAndLosesAllocation(t *testing.T) {
 		t.Errorf("honest shares diverged: %v vs %v", shares[peers[0].fp], shares[peers[1].fp])
 	}
 
-	stats := a.Stats()
 	if stats.Passed != 2 || stats.Failed != 1 || stats.PenaltyAssessed != 8*e2ePenalty {
 		t.Errorf("auditor stats = %+v", stats)
 	}
@@ -258,13 +258,12 @@ func TestE2EHonestNetworkPassesWithZeroDebits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, verdicts := e2eAudit(t, ctx, c, home, peers)
+	stats, verdicts := e2eAudit(t, ctx, c, home, peers)
 	for i, v := range verdicts {
 		if v.Outcome != audit.Pass || v.Penalty != 0 {
 			t.Errorf("verdict %d = %+v", i, v)
 		}
 	}
-	stats := a.Stats()
 	if stats.Passed != 3 || stats.Failed != 0 || stats.Timeouts != 0 || stats.PenaltyAssessed != 0 {
 		t.Errorf("stats = %+v", stats)
 	}

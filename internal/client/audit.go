@@ -3,8 +3,8 @@ package client
 // Owner-side audit issuing: the client ships a keyed spot-check
 // challenge to one storage peer and returns the raw response for
 // internal/audit to verify. The client deliberately does no
-// verification itself — the auditor holds the expected digests and the
-// escalation state; the client is just authenticated transport.
+// verification itself — the audit round holds the expected digests;
+// the client is just authenticated transport.
 
 import (
 	"context"

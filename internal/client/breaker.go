@@ -121,15 +121,3 @@ func (h *healthRegistry) beginProbe(addr string) bool {
 	}
 	return false
 }
-
-// allow reports whether the hedged scheduler may hand addr work right
-// now (closed, cooled-down, or half-open with a free probe slot).
-func (h *healthRegistry) allow(addr string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	p, ok := h.peers[addr]
-	if !ok {
-		return true
-	}
-	return p.allowLocked(h.now())
-}

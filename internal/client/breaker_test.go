@@ -19,16 +19,24 @@ func testRegistry(opt Options) (*healthRegistry, *time.Time) {
 	return h, &now
 }
 
+// admitted reports whether the hedged ladder would hand addr work now:
+// ranked as a healthy rung or a probe candidate, not held back as
+// cooling.
+func admitted(h *healthRegistry, addr string) bool {
+	_, _, coolFrom := h.order([]*peerLink{{addr: addr}}, 0)
+	return coolFrom == 1
+}
+
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	h, _ := testRegistry(Options{BreakerThreshold: 3})
 	for i := 0; i < 2; i++ {
 		h.recordFailure("p")
 	}
-	if !h.allow("p") {
+	if !admitted(h, "p") {
 		t.Fatal("breaker open below threshold")
 	}
 	h.recordFailure("p")
-	if h.allow("p") {
+	if admitted(h, "p") {
 		t.Fatal("breaker still closed after threshold consecutive failures")
 	}
 	if s := h.snapshot("p"); s.Breaker != "open" || s.ConsecFails != 3 {
@@ -41,7 +49,7 @@ func TestBreakerSuccessResetsRun(t *testing.T) {
 	h.recordFailure("p")
 	h.recordSuccess("p", 0)
 	h.recordFailure("p")
-	if !h.allow("p") {
+	if !admitted(h, "p") {
 		t.Fatal("interleaved success did not reset the failure run")
 	}
 }
@@ -49,18 +57,18 @@ func TestBreakerSuccessResetsRun(t *testing.T) {
 func TestBreakerHalfOpenSingleProbeAndRecovery(t *testing.T) {
 	h, now := testRegistry(Options{BreakerThreshold: 1, BreakerCooldown: time.Second})
 	h.recordFailure("p")
-	if h.allow("p") || h.beginProbe("p") {
+	if admitted(h, "p") || h.beginProbe("p") {
 		t.Fatal("probe granted inside the cooldown")
 	}
 	*now = now.Add(time.Second)
-	if !h.allow("p") {
+	if !admitted(h, "p") {
 		t.Fatal("cooled-down breaker not a probe candidate")
 	}
 	if !h.beginProbe("p") {
 		t.Fatal("probe slot not granted after cooldown")
 	}
 	// The slot is exclusive until the probe resolves.
-	if h.beginProbe("p") || h.allow("p") {
+	if h.beginProbe("p") || admitted(h, "p") {
 		t.Fatal("second concurrent probe granted")
 	}
 	if s := h.snapshot("p"); s.Breaker != "half-open" {
@@ -80,7 +88,7 @@ func TestBreakerFailedProbeDoublesCooldown(t *testing.T) {
 		t.Fatal("probe not granted")
 	}
 	h.recordFailure("p") // probe failed: re-open, cooldown doubles to 2s
-	if h.allow("p") {
+	if admitted(h, "p") {
 		t.Fatal("breaker not re-opened after failed probe")
 	}
 	*now = now.Add(time.Second)
@@ -162,7 +170,7 @@ func TestShedProbeReleasesHalfOpenSlot(t *testing.T) {
 	if s := h.snapshot("p"); s.Breaker != "closed" || s.Sheds != 1 {
 		t.Fatalf("snapshot %+v after shed probe, want closed breaker with 1 shed", s)
 	}
-	if !h.allow("p") {
+	if !admitted(h, "p") {
 		t.Fatal("peer still excluded after its shed probe resolved")
 	}
 	ladder, probeFrom, _ := h.order([]*peerLink{{addr: "p"}}, 0)
@@ -176,7 +184,7 @@ func TestShedsFeedScoreNotBreaker(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.recordShed("busy")
 	}
-	if !h.allow("busy") {
+	if !admitted(h, "busy") {
 		t.Fatal("sheds tripped the breaker; only failures may")
 	}
 	if s := h.snapshot("busy"); s.Sheds != 10 || s.Failures != 0 {

@@ -82,11 +82,6 @@ type Options struct {
 	// context still applies).
 	DialTimeout time.Duration
 
-	// PeerFetchTimeout bounds one peer's stream of one generation,
-	// including retries. Zero means no per-peer bound beyond the fetch
-	// context.
-	PeerFetchTimeout time.Duration
-
 	// PeerRetries is how many consecutive times a fetch call redials a
 	// peer whose connection fails (refused dial, abrupt close, reset,
 	// timeout — anything but an orderly STOP or a protocol error)
@@ -128,15 +123,6 @@ type Options struct {
 	// doubling on each failed half-open probe up to a cap. Zero means
 	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-
-	// Priority is the wire priority carried on every GET_MUX that a
-	// manifest fetch (FetchFile, FetchFileFrom, StreamFile) issues:
-	// higher values win admission ties at an overloaded peer. Zero is
-	// normal — and the only value pre-extension peers understand; a
-	// nonzero priority selects the extended GET encoding, which
-	// requires upgraded peers (see wire.Get). A single-generation Fetch
-	// names its own in FetchRequest.Priority.
-	Priority uint8
 }
 
 // withDefaults resolves zero fields to their documented defaults.
@@ -543,7 +529,7 @@ func (c *Client) fetchManifest(ctx context.Context, m *chunk.Manifest, secret []
 		case <-ctx.Done():
 			return
 		}
-		req := FetchRequest{FileID: info.FileID, Secret: secret, Digests: info.Digests, Priority: c.opt.Priority}
+		req := FetchRequest{FileID: info.FileID, Secret: secret, Digests: info.Digests}
 		var err error
 		if req.Params, err = info.Params(m.Plan); err == nil {
 			req.Peers, err = peersFor(ctx, i)

@@ -209,11 +209,6 @@ func (l *peerLink) lost(sess *PeerSession, err error) bool {
 // contribution rather than restarting it.
 func (l *peerLink) fetchStream(ctx context.Context, req StreamRequest, sink rlnc.ByteSink,
 	onBytes func(fingerprint string, n int)) error {
-	if l.c.opt.PeerFetchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, l.c.opt.PeerFetchTimeout)
-		defer cancel()
-	}
 	for {
 		sess, err := l.session(ctx)
 		if err != nil {

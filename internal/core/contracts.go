@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"asymshare/internal/audit"
 	"asymshare/internal/contract"
 	"asymshare/internal/dht"
 	"asymshare/internal/repair"
@@ -41,20 +42,20 @@ func (s *System) NegotiateContracts(ctx context.Context, h *Handle, set *contrac
 	}
 	accepted := 0
 	for _, addr := range h.Peers {
-		for i, info := range h.Manifest.Chunks {
+		for i := range h.Manifest.Chunks {
 			rank := h.batchRank(addr, i)
 			if rank < 0 || set.Has(addr, i) {
 				continue
 			}
-			messages := len(digestsForRank(info.Digests, rank))
-			if messages == 0 {
-				continue // shared before digests were recorded
-			}
-			params, err := info.Params(h.Manifest.Plan)
+			t, err := audit.TargetFor(&h.Manifest, i, rank, addr)
 			if err != nil {
 				return accepted, err
 			}
-			bytes := int64(messages) * int64(params.MessageBytes())
+			messages := len(t.Digests)
+			if messages == 0 {
+				continue // shared before digests were recorded
+			}
+			bytes := int64(messages) * int64(t.MessageBytes)
 			id, err := newContractID()
 			if err != nil {
 				return accepted, err
@@ -65,7 +66,7 @@ func (s *System) NegotiateContracts(ctx context.Context, h *Handle, set *contrac
 			}
 			grant, fp, err := s.client.ProposeContract(ctx, addr, wire.ContractPropose{
 				ContractID: id,
-				FileID:     info.FileID,
+				FileID:     t.FileID,
 				Messages:   uint32(messages),
 				Bytes:      uint64(bytes),
 				TTLSeconds: uint32(ttlSecs),

@@ -15,16 +15,10 @@ import (
 	"math"
 
 	"asymshare/internal/audit"
-	"asymshare/internal/rlnc"
 )
 
-// spotBatchStride mirrors the encoder's per-peer message-id stride:
-// batch rank r mints ids in [r·2^32, (r+1)·2^32), so a chunk's digest
-// map partitions by id>>32 into per-peer obligations.
-const spotBatchStride = uint64(1) << 32
-
 // SpotCheckOptions tunes a spot-check round. The zero value uses the
-// auditor defaults.
+// audit.Round defaults.
 type SpotCheckOptions struct {
 	// Sample is the number of messages probed per (peer, chunk).
 	Sample int
@@ -51,24 +45,12 @@ type SpotCheckReport struct {
 	// penalty assessed, ready for Client.SendAuditVerdicts.
 	Debits map[string]uint64
 
-	// Stats are the auditor's counters for this round.
+	// Stats total the round's verdicts.
 	Stats audit.Stats
 }
 
 // AllPassed reports whether every obligation verified.
 func (r *SpotCheckReport) AllPassed() bool { return len(r.FailedChunks) == 0 }
-
-// digestsForRank returns the subset of a chunk's digests minted for
-// batch rank r.
-func digestsForRank(all map[uint64]rlnc.Digest, rank int) map[uint64]rlnc.Digest {
-	out := make(map[uint64]rlnc.Digest)
-	for id, d := range all {
-		if id/spotBatchStride == uint64(rank) {
-			out[id] = d
-		}
-	}
-	return out
-}
 
 // SpotCheck runs one keyed spot-check round over every (peer, chunk)
 // obligation in the handle, respecting ring placement. It contacts
@@ -78,9 +60,30 @@ func (s *System) SpotCheck(ctx context.Context, h *Handle, secret []byte, opts S
 	if h == nil || len(h.Peers) == 0 {
 		return nil, fmt.Errorf("%w: missing peers", ErrBadHandle)
 	}
-	a, err := audit.New(audit.Config{
-		Prober:            s.client,
-		Secret:            secret,
+	// Targets are listed peer-major, chunk-minor; the round keeps that
+	// order, so targets[i] and chunks[i] annotate Verdicts[i].
+	var (
+		targets []audit.Target
+		chunks  []int
+	)
+	for _, addr := range h.Peers {
+		for i := range h.Manifest.Chunks {
+			rank := h.batchRank(addr, i)
+			if rank < 0 {
+				continue
+			}
+			t, err := audit.TargetFor(&h.Manifest, i, rank, addr)
+			if err != nil {
+				return nil, err
+			}
+			if len(t.Digests) == 0 {
+				continue // shared before digests were recorded
+			}
+			targets = append(targets, t)
+			chunks = append(chunks, i)
+		}
+	}
+	verdicts, err := audit.Round(ctx, s.client, secret, targets, audit.Options{
 		SampleSize:        opts.Sample,
 		PenaltyPerMessage: opts.PenaltyPerMessage,
 		Seed:              opts.Seed,
@@ -88,55 +91,33 @@ func (s *System) SpotCheck(ctx context.Context, h *Handle, secret []byte, opts S
 	if err != nil {
 		return nil, err
 	}
-	// Targets are added peer-major, chunk-minor; AuditOnce preserves
-	// that order, so obligations[i] annotates Verdicts[i].
-	type obligation struct {
-		addr  string
-		chunk int
-	}
-	var obligations []obligation
-	for _, addr := range h.Peers {
-		for i, info := range h.Manifest.Chunks {
-			rank := h.batchRank(addr, i)
-			if rank < 0 {
-				continue
-			}
-			digests := digestsForRank(info.Digests, rank)
-			if len(digests) == 0 {
-				continue // shared before digests were recorded
-			}
-			params, err := info.Params(h.Manifest.Plan)
-			if err != nil {
-				return nil, err
-			}
-			err = a.Add(audit.Target{
-				Addr:         addr,
-				FileID:       info.FileID,
-				Digests:      digests,
-				MessageBytes: params.MessageBytes(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			obligations = append(obligations, obligation{addr: addr, chunk: i})
-		}
-	}
 
 	report := &SpotCheckReport{
-		Verdicts:     a.AuditOnce(ctx),
+		Verdicts:     verdicts,
 		FailedChunks: make(map[string][]int),
 		Debits:       make(map[string]uint64),
 	}
-	for i, v := range report.Verdicts {
-		ob := obligations[i]
+	st := &report.Stats
+	for i, v := range verdicts {
+		switch v.Outcome {
+		case audit.Pass:
+			st.Passed++
+		case audit.Fail:
+			st.Failed++
+		case audit.Timeout:
+			st.Timeouts++
+		}
+		st.MessagesProbed += int64(v.Tally.Sampled)
+		st.MessagesProven += int64(v.Tally.Proven)
+		st.BytesProven += int64(v.Tally.Proven) * int64(targets[i].MessageBytes)
+		st.PenaltyAssessed += v.Penalty
 		if v.Outcome != audit.Pass {
-			report.FailedChunks[ob.addr] = append(report.FailedChunks[ob.addr], ob.chunk)
+			report.FailedChunks[v.Addr] = append(report.FailedChunks[v.Addr], chunks[i])
 		}
 		if v.Penalty > 0 && v.Peer != "" {
 			report.Debits[v.Peer] += uint64(math.Round(v.Penalty))
 		}
 	}
-	report.Stats = a.Stats()
 	return report, nil
 }
 

@@ -151,15 +151,16 @@ func TestFetchRetriesAfterMidStreamCut(t *testing.T) {
 	}
 }
 
-// TestAuditEscalatesAndDebitsBlackholedPeer: a peer that goes dark
-// past the audit timeout accrues Timeout verdicts with escalating
-// sample sizes, and the penalties land in the owner's fairness ledger
-// while honest peers' standings are untouched. When the peer comes
-// back, it passes again and the escalation resets.
-func TestAuditEscalatesAndDebitsBlackholedPeer(t *testing.T) {
+// TestAuditDebitsBlackholedPeer: a peer that goes dark past the audit
+// timeout gets a Timeout verdict every round, each carrying the whole
+// sample's penalty. The debits reach the owner's home peer the way
+// production sends them (SendAuditVerdicts), and honest peers'
+// standings are untouched. When the peer comes back, it passes again.
+func TestAuditDebitsBlackholedPeer(t *testing.T) {
 	const (
 		startCredit = 1000.0
 		perMessage  = 10.0
+		sample      = 2
 	)
 	seed := Seed(t, 7)
 	ctx := testCtx(t)
@@ -175,63 +176,62 @@ func TestAuditEscalatesAndDebitsBlackholedPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := audit.New(audit.Config{
-		Prober:            cl,
-		Secret:            Secret(),
-		Ledger:            c.Home.Ledger(),
-		PenaltyPerMessage: perMessage,
-		SampleSize:        2,
-		Timeout:           300 * time.Millisecond,
-		MaxRetries:        -1,
-		Seed:              seed,
-	})
-	if err != nil {
-		t.Fatal(err)
+	targets := make([]audit.Target, len(c.Peers))
+	for i, p := range c.Peers {
+		targets[i] = audit.Target{Addr: p.Addr, Peer: p.ID.Fingerprint(), FileID: 44, Digests: p.Digests}
 	}
-	for _, p := range c.Peers {
-		if err := a.Add(audit.Target{Addr: p.Addr, FileID: 44, Digests: p.Digests}); err != nil {
+	// round audits every peer once and relays the debits to the home
+	// peer.
+	round := func(n int) []audit.Verdict {
+		t.Helper()
+		verdicts, err := audit.Round(ctx, cl, Secret(), targets, audit.Options{
+			PenaltyPerMessage: perMessage,
+			SampleSize:        sample,
+			Timeout:           300 * time.Millisecond,
+			MaxRetries:        -1,
+			Seed:              seed + int64(n),
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		debits := make(map[string]uint64)
+		for _, v := range verdicts {
+			if v.Penalty > 0 {
+				debits[v.Peer] += uint64(v.Penalty)
+			}
+		}
+		if len(debits) > 0 {
+			if err := cl.SendAuditVerdicts(ctx, c.HomeAddr, debits); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return verdicts
 	}
 
-	// Round 0: everyone answers, fingerprints are learned.
-	for i, v := range a.AuditOnce(ctx) {
+	// Round 0: everyone answers.
+	for i, v := range round(0) {
 		if v.Outcome != audit.Pass {
 			t.Fatalf("pre-fault verdict %d = %+v", i, v)
 		}
 	}
 
 	victim := c.Peers[2]
+	fp := victim.ID.Fingerprint()
 	c.Fabric.Blackhole(victim.Host)
-	lastSampled, lastStanding := 0, startCredit
-	for round := 1; round <= 3; round++ {
-		verdicts := a.AuditOnce(ctx)
+	for n := 1; n <= 3; n++ {
+		verdicts := round(n)
 		v := verdicts[2]
-		if v.Outcome != audit.Timeout {
-			t.Fatalf("round %d: blackholed peer verdict = %+v", round, v)
+		if v.Outcome != audit.Timeout || v.Peer != fp || v.Tally.Sampled != sample || v.Penalty != sample*perMessage {
+			t.Fatalf("round %d: blackholed peer verdict = %+v, want Timeout for %s with penalty %v",
+				n, v, fp, sample*perMessage)
 		}
-		if v.Tally.Sampled < lastSampled {
-			t.Fatalf("round %d: sample shrank %d -> %d under escalation",
-				round, lastSampled, v.Tally.Sampled)
+		if got, want := c.Home.Ledger().Received(fp), startCredit-float64(n)*sample*perMessage; got != want {
+			t.Fatalf("round %d: victim standing = %v, want %v", n, got, want)
 		}
-		if round > 1 && v.Tally.Sampled <= lastSampled {
-			t.Fatalf("round %d: sample did not escalate past %d", round, lastSampled)
-		}
-		lastSampled = v.Tally.Sampled
-		standing := c.Home.Ledger().Received(victim.ID.Fingerprint())
-		if standing >= lastStanding {
-			t.Fatalf("round %d: standing %v did not drop below %v", round, standing, lastStanding)
-		}
-		lastStanding = standing
 		for i, hv := range verdicts[:2] {
 			if hv.Outcome != audit.Pass {
-				t.Fatalf("round %d: honest peer %d verdict = %+v", round, i, hv)
+				t.Fatalf("round %d: honest peer %d verdict = %+v", n, i, hv)
 			}
-		}
-	}
-	for _, h := range a.Health() {
-		if h.Addr == victim.Addr && h.ConsecutiveFails != 3 {
-			t.Fatalf("victim ConsecutiveFails = %d, want 3", h.ConsecutiveFails)
 		}
 	}
 	for _, p := range c.Peers[:2] {
@@ -240,15 +240,10 @@ func TestAuditEscalatesAndDebitsBlackholedPeer(t *testing.T) {
 		}
 	}
 
-	// The peer comes back: it proves its holdings and escalation resets.
+	// The peer comes back and proves its holdings.
 	c.Fabric.Restore(victim.Host)
-	if v := a.AuditOnce(ctx)[2]; v.Outcome != audit.Pass {
+	if v := round(4)[2]; v.Outcome != audit.Pass {
 		t.Fatalf("post-restore verdict = %+v", v)
-	}
-	for _, h := range a.Health() {
-		if h.Addr == victim.Addr && h.ConsecutiveFails != 0 {
-			t.Fatalf("post-restore ConsecutiveFails = %d, want 0", h.ConsecutiveFails)
-		}
 	}
 }
 

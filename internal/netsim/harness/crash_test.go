@@ -105,21 +105,13 @@ func TestPeerCrashMidDisseminationRecovers(t *testing.T) {
 
 	// The recovered peer passes a keyed spot-check audit over the acked
 	// digest set.
-	a, err := audit.New(audit.Config{
-		Prober:            cl,
-		Secret:            Secret(),
-		Ledger:            c.Home.Ledger(),
-		PenaltyPerMessage: 10,
-		SampleSize:        4,
-		Seed:              seed,
-	})
+	verdicts, err := audit.Round(ctx, cl, Secret(),
+		[]audit.Target{{Addr: dp.Addr, FileID: fileID, Digests: ackedDigests}},
+		audit.Options{PenaltyPerMessage: 10, SampleSize: 4, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Add(audit.Target{Addr: dp.Addr, FileID: fileID, Digests: ackedDigests}); err != nil {
-		t.Fatal(err)
-	}
-	if v := a.AuditOnce(ctx)[0]; v.Outcome != audit.Pass {
+	if v := verdicts[0]; v.Outcome != audit.Pass {
 		t.Fatalf("post-crash audit verdict = %+v", v)
 	}
 

@@ -155,42 +155,46 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	if err := cl.SendFeedback(ctx, s.HomeAddr, credits); err != nil {
 		t.Fatal(err)
 	}
-	a, err := audit.New(audit.Config{
-		Prober:            cl,
-		Secret:            res.Secret,
-		Ledger:            s.Home.Ledger(),
+	digests := make(map[uint64]rlnc.Digest, len(info.Digests))
+	for id, d := range info.Digests {
+		digests[id] = d
+	}
+	auditTargets := make([]audit.Target, len(targets))
+	for i, p := range targets {
+		auditTargets[i] = audit.Target{Addr: p.Addr, Peer: p.ID.Fingerprint(), FileID: info.FileID, Digests: digests}
+	}
+	opts := audit.Options{
 		PenaltyPerMessage: 10,
 		SampleSize:        2,
 		Timeout:           500 * time.Millisecond,
 		MaxRetries:        -1,
 		Seed:              seed,
-	})
+	}
+	verdicts, err := audit.Round(ctx, cl, res.Secret, auditTargets, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	digests := make(map[uint64]rlnc.Digest, len(info.Digests))
-	for id, d := range info.Digests {
-		digests[id] = d
-	}
-	for _, p := range targets {
-		if err := a.Add(audit.Target{Addr: p.Addr, FileID: info.FileID, Digests: digests}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, v := range a.AuditOnce(ctx) {
+	for i, v := range verdicts {
 		if v.Outcome != audit.Pass {
 			t.Fatalf("audit %d of DHT-discovered peer failed: %+v", i, v)
 		}
 	}
 
-	// A holder goes dark: the audit escalates to a Timeout verdict and
-	// debits its standing on the home ledger.
+	// A holder goes dark: its audit times out, and the verdict's debit,
+	// relayed to the home peer, lowers its standing there.
 	victim := targets[0]
 	before := s.Home.Ledger().Received(victim.ID.Fingerprint())
 	s.Fabric.Blackhole(victim.Host)
-	v := a.AuditOnce(ctx)[0]
+	verdicts, err = audit.Round(ctx, cl, res.Secret, auditTargets[:1], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := verdicts[0]
 	if v.Outcome != audit.Timeout {
 		t.Fatalf("blackholed holder verdict = %+v, want Timeout", v)
+	}
+	if err := cl.SendAuditVerdicts(ctx, s.HomeAddr, map[string]uint64{v.Peer: uint64(v.Penalty)}); err != nil {
+		t.Fatal(err)
 	}
 	after := s.Home.Ledger().Received(victim.ID.Fingerprint())
 	if after >= before {

@@ -2,8 +2,8 @@ package repair
 
 // The proactive repair daemon. Each round it sweeps the owner's
 // contract holdings (internal/contract.Set) and acts on the three
-// churn signals the subsystem produces: keyed audit verdicts (PR 1's
-// internal/audit — a holder that cannot prove retention has lost the
+// churn signals the subsystem produces: keyed audit verdicts
+// (internal/audit — a holder that cannot prove retention has lost the
 // data), liveness (a holder that cannot be reached at all has left the
 // swarm; discovery supplies replacement candidates), and contract
 // expiry (an obligation nobody renewed is not a replica). From the
@@ -460,48 +460,31 @@ func (d *Daemon) RunOnce(ctx context.Context) (Report, error) {
 	return rep, nil
 }
 
-// probe runs one keyed audit per holding (PR 1 machinery) and returns
-// verdicts aligned with the probed holdings.
+// probe runs one keyed audit per holding and returns verdicts aligned
+// with the probed holdings.
 func (d *Daemon) probe(ctx context.Context, holdings []contract.Holding) ([]audit.Verdict, []contract.Holding, error) {
-	a, err := audit.New(audit.Config{
-		Prober:     d.cfg.Client,
-		Secret:     d.cfg.Secret,
+	targets := make([]audit.Target, 0, len(holdings))
+	probed := make([]contract.Holding, 0, len(holdings))
+	for _, h := range holdings {
+		t, err := audit.TargetFor(d.cfg.Manifest, h.Chunk, h.Rank, h.Addr)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(t.Digests) == 0 {
+			continue
+		}
+		t.Peer = h.Peer
+		targets = append(targets, t)
+		probed = append(probed, h)
+	}
+	verdicts, err := audit.Round(ctx, d.cfg.Client, d.cfg.Secret, targets, audit.Options{
 		SampleSize: d.cfg.Sample,
 		Timeout:    d.cfg.ProbeTimeout,
 		MaxRetries: -1, // the daemon re-probes every round; fail fast
 		Seed:       d.rng.Int63(),
 		Logger:     d.log,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	probed := make([]contract.Holding, 0, len(holdings))
-	for _, h := range holdings {
-		if h.Chunk < 0 || h.Chunk >= len(d.cfg.Manifest.Chunks) {
-			continue
-		}
-		info := d.cfg.Manifest.Chunks[h.Chunk]
-		digests := digestsForRank(info.Digests, h.Rank)
-		if len(digests) == 0 {
-			continue
-		}
-		params, err := info.Params(d.cfg.Manifest.Plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		err = a.Add(audit.Target{
-			Addr:         h.Addr,
-			Peer:         h.Peer,
-			FileID:       info.FileID,
-			Digests:      digests,
-			MessageBytes: params.MessageBytes(),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		probed = append(probed, h)
-	}
-	return a.AuditOnce(ctx), probed, nil
+	return verdicts, probed, err
 }
 
 // replace negotiates contracts with fresh peers and uploads newly
@@ -581,7 +564,7 @@ func (d *Daemon) placeReplica(ctx context.Context, i int, info chunk.ChunkInfo, 
 
 	// Mint past every rank ever used for this chunk, so the new batch
 	// is innovative relative to both live and dead replicas.
-	rank := maxMintedRank(info.Digests)
+	rank := rlnc.MaxBatchRank(info.Digests)
 	if r := d.cfg.Contracts.MaxRank(i); r > rank {
 		rank = r
 	}

@@ -17,11 +17,6 @@ import (
 	"asymshare/internal/rlnc"
 )
 
-// batchStride mirrors the encoder's per-rank message-id stride: batch
-// rank r mints ids in [r·2^32, (r+1)·2^32), so a chunk's digest map
-// partitions by id/stride into per-batch obligations.
-const batchStride = uint64(1) << 32
-
 // Task names one batch to mint: the k messages of rank Rank for chunk
 // Chunk, destined for Addr. Fresh marks a batch minted at a never-used
 // rank — its message digests are new and must be recorded in the
@@ -76,28 +71,4 @@ func (e *Engine) Mint(t Task, piece []byte) ([]*rlnc.Message, error) {
 		e.mu.Unlock()
 	}
 	return batch, nil
-}
-
-// digestsForRank returns the subset of a chunk's digests minted for
-// batch rank r.
-func digestsForRank(all map[uint64]rlnc.Digest, rank int) map[uint64]rlnc.Digest {
-	out := make(map[uint64]rlnc.Digest)
-	for id, d := range all {
-		if id/batchStride == uint64(rank) {
-			out[id] = d
-		}
-	}
-	return out
-}
-
-// maxMintedRank returns the highest batch rank any digest of the chunk
-// was ever minted at, or -1 for none.
-func maxMintedRank(digests map[uint64]rlnc.Digest) int {
-	max := -1
-	for id := range digests {
-		if r := int(id / batchStride); r > max {
-			max = r
-		}
-	}
-	return max
 }

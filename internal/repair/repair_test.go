@@ -18,6 +18,12 @@ import (
 	"asymshare/internal/wire"
 )
 
+// The batch-rank layout helpers, under the names these tests use.
+var (
+	digestsForRank = rlnc.RankDigests
+	maxMintedRank  = rlnc.MaxBatchRank
+)
+
 func testPlan() chunk.Plan {
 	return chunk.Plan{FieldBits: gf.Bits8, M: 128, ChunkSize: 1024}
 }

@@ -498,7 +498,7 @@ func TestAddRawMode(t *testing.T) {
 			coeffs[j] = rng.Uint32() & f.Mask()
 			f.AddScaledSlice(payload, chunks[j], coeffs[j])
 		}
-		if _, err := dec.AddRaw(coeffs, payload); err != nil {
+		if _, err := dec.offer(nil, coeffs, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,13 +507,13 @@ func TestAddRawMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("AddRaw decode mismatch")
+		t.Fatal("raw-mode decode mismatch")
 	}
 	// Validation paths.
-	if _, err := dec.AddRaw(make([]uint32, k-1), make([]byte, cb)); !errors.Is(err, ErrBadParams) {
+	if _, err := dec.offer(nil, make([]uint32, k-1), make([]byte, cb)); !errors.Is(err, ErrBadParams) {
 		t.Errorf("bad coeff len error = %v", err)
 	}
-	if _, err := dec.AddRaw(make([]uint32, k), make([]byte, cb-1)); !errors.Is(err, ErrBadParams) {
+	if _, err := dec.offer(nil, make([]uint32, k), make([]byte, cb-1)); !errors.Is(err, ErrBadParams) {
 		t.Errorf("bad payload len error = %v", err)
 	}
 	_ = enc

@@ -80,24 +80,12 @@ func (d *Decoder) Add(msg *Message) (bool, error) {
 	return d.offer(msg, nil, nil)
 }
 
-// AddRaw folds a message whose coefficient row is supplied explicitly
-// rather than derived from the secret. This is the classic
-// coefficients-in-header network-coding mode, kept for comparison
-// benchmarks and for re-encoding experiments.
-//
-// Deprecated: AddRaw skips digest authentication and duplicate
-// tracking; new code should construct Messages and use the Sink
-// interface. It remains a thin wrapper over the same elimination path
-// as Add.
-func (d *Decoder) AddRaw(coeffs []uint32, payload []byte) (bool, error) {
-	return d.offer(nil, coeffs, payload)
-}
-
-// offer is the single verification/elimination path behind Add and
-// AddRaw. Exactly one of msg or (coeffs, payload) is set: with msg the
+// offer is the single verification/elimination path behind Add.
+// Exactly one of msg or (coeffs, payload) is set: with msg the
 // coefficient row is re-derived from the secret and the message is
-// authenticated and de-duplicated; with explicit coeffs those keyed
-// checks do not apply.
+// authenticated and de-duplicated; with explicit coeffs — the classic
+// coefficients-in-header mode, which the package's tests use to decode
+// relay recombinations — those keyed checks do not apply.
 func (d *Decoder) offer(msg *Message, coeffs []uint32, payload []byte) (bool, error) {
 	d.stats.Received++
 	if msg != nil {

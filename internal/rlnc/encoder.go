@@ -124,8 +124,37 @@ func (e *Encoder) Message(messageID uint64) *Message {
 }
 
 // batchStride separates the message-id ranges assigned to different
-// peers, leaving room for the encoder to skip linearly dependent ids.
+// peers, leaving room for the encoder to skip linearly dependent ids:
+// batch rank r owns ids [r·2^32, (r+1)·2^32). BatchRank, RankDigests
+// and MaxBatchRank are the layout's only readers outside the encoder.
 const batchStride = uint64(1) << 32
+
+// BatchRank returns the batch rank whose id range holds messageID.
+func BatchRank(messageID uint64) int { return int(messageID / batchStride) }
+
+// RankDigests returns the subset of a generation's digests minted for
+// batch rank r — one peer's obligation.
+func RankDigests(all map[uint64]Digest, rank int) map[uint64]Digest {
+	out := make(map[uint64]Digest)
+	for id, d := range all {
+		if BatchRank(id) == rank {
+			out[id] = d
+		}
+	}
+	return out
+}
+
+// MaxBatchRank returns the highest batch rank any of the digests was
+// minted at, or -1 for none.
+func MaxBatchRank(all map[uint64]Digest) int {
+	max := -1
+	for id := range all {
+		if r := BatchRank(id); r > max {
+			max = r
+		}
+	}
+	return max
+}
 
 // BatchForPeer generates the batch of up to k messages destined for the
 // peer with the given index (0-based), per the initialization phase of

@@ -113,7 +113,7 @@ func TestRecodeChainRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := dec.AddRaw(pkt.Coeffs, pkt.Payload); err != nil {
+			if _, err := dec.offer(nil, pkt.Coeffs, pkt.Payload); err != nil {
 				t.Fatal(err)
 			}
 		}
