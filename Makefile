@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-arm64 race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet vet-arm64 gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,14 @@ vet:
 vet-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
+
+# gen-check regenerates rlnc's MD5 lane kernels from gen_digest.go and
+# fails if the result differs from the committed digest_amd64.s, so the
+# generated file cannot drift from its generator.
+gen-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		(cd internal/rlnc && $(GO) run gen_digest.go) >"$$tmp" && \
+		cmp "$$tmp" internal/rlnc/digest_amd64.s
 
 # race runs every package under the race detector once — twice
 # (-count=2) for the packages whose tests sweep crash points, injected
@@ -65,7 +73,7 @@ race-metrics: vet
 # race-codec exercises the parallel codec on both sides of the wire:
 # concurrent producers into one rlnc.Pipeline retargeted across
 # generations, concurrent minting from one rlnc.Encoder, the GF kernels
-# and digest lanes under them (differentials on both arms), the
+# and digest lanes under them (differentials on every arm), the
 # pipeline's staged verify, chunk's in-place assembler, and core's
 # streaming write path (encode workers, per-peer senders, failed- and
 # stalled-peer cancellation). Run before touching rlnc, gf, chunk or
@@ -252,8 +260,9 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzKernel32 -fuzztime 10s -run '^$$' ./internal/gf/
 	$(GO) test -fuzz FuzzDigestBatch -fuzztime 10s -run '^$$' ./internal/rlnc/
 
-# ci is what the GitHub workflow runs: every package once plain, once
-# under the detector, the gates, and the end-to-end benchmark's smoke.
-ci: vet vet-arm64 build test race gates bench-e2e-smoke
+# ci is what the GitHub workflow runs: the generated-kernel check, every
+# package once plain, once under the detector, the gates, and the
+# end-to-end benchmark's smoke.
+ci: vet vet-arm64 gen-check build test race gates bench-e2e-smoke
 
 check: ci

@@ -25,6 +25,11 @@ import "encoding/binary"
 // once. Always false off amd64.
 func HasAVX2() bool { return haveVecP8 }
 
+// HasAVX512 reports whether the GF(2^32) kernel takes its AVX-512 arm:
+// AVX-512 F, BW and VL with opmask and zmm state enabled, plus GFNI. It
+// is exported for the same reason as HasAVX2. Always false off amd64.
+func HasAVX512() bool { return haveAVX512 }
+
 // kernelTables returns f as a log/antilog table field (p <= 16), whose
 // exp/log rows the split-table builders read.
 func kernelTables(f Field) (*tableField, bool) {
@@ -504,158 +509,5 @@ func (t *MulTable) Mul(dst []byte) {
 		}
 	default:
 		mulBytes(&t.row8, dst)
-	}
-}
-
-// AccumSlices is the fused multi-source kernel behind the decode
-// pipeline: dst[i] = scale * (dst[i] ^ Σ_j c_j*srcs[j][i]), with one
-// prebuilt table per source. The accumulator stays in a register across
-// sources, so dst is loaded and stored once per 64-bit word regardless
-// of how many rows are folded in. scale may be nil (no normalization).
-// All tables must be built over the same field; every src must be at
-// least as long as dst. p=32 folds one source at a time instead: eight
-// 4 KiB table sets in one loop spill L1 and run slower than eight
-// passes over an L2-resident dst.
-func AccumSlices(dst []byte, srcs [][]byte, tabs []MulTable, scale *MulTable) {
-	if len(srcs) != len(tabs) {
-		panic("gf: AccumSlices srcs/tabs length mismatch")
-	}
-	for i := range srcs {
-		if len(srcs[i]) < len(dst) {
-			panic("gf: AccumSlices short source")
-		}
-	}
-	if len(tabs) == 0 {
-		if scale != nil {
-			scale.Mul(dst)
-		}
-		return
-	}
-	bits := tabs[0].bits
-	kernel := tabs[0].kernel
-	for i := range tabs {
-		if tabs[i].bits != bits {
-			panic("gf: AccumSlices mixed field widths")
-		}
-	}
-	if !kernel || bits == Bits32 {
-		for i := range tabs {
-			tabs[i].MulAdd(dst, srcs[i][:len(dst)])
-		}
-		if scale != nil {
-			scale.Mul(dst)
-		}
-		return
-	}
-	if bits == Bits16 {
-		accumByteSplit(dst, srcs, tabs, scale)
-		return
-	}
-	accumBytes(dst, srcs, tabs, scale)
-}
-
-// accumBytes fuses 256-entry byte rows (p=4 packed pairs, p=8).
-func accumBytes(dst []byte, srcs [][]byte, tabs []MulTable, scale *MulTable) {
-	n := len(dst) &^ 7
-	for w := 0; w < n; w += 8 {
-		acc := binary.LittleEndian.Uint64(dst[w:])
-		for j := range tabs {
-			s := binary.LittleEndian.Uint64(srcs[j][w:])
-			if s == 0 || tabs[j].c == 0 {
-				continue
-			}
-			if tabs[j].c == 1 {
-				acc ^= s
-				continue
-			}
-			row := &tabs[j].row8
-			acc ^= uint64(row[s&0xFF]) |
-				uint64(row[s>>8&0xFF])<<8 |
-				uint64(row[s>>16&0xFF])<<16 |
-				uint64(row[s>>24&0xFF])<<24 |
-				uint64(row[s>>32&0xFF])<<32 |
-				uint64(row[s>>40&0xFF])<<40 |
-				uint64(row[s>>48&0xFF])<<48 |
-				uint64(row[s>>56])<<56
-		}
-		if scale != nil && scale.c != 1 {
-			row := &scale.row8
-			acc = uint64(row[acc&0xFF]) |
-				uint64(row[acc>>8&0xFF])<<8 |
-				uint64(row[acc>>16&0xFF])<<16 |
-				uint64(row[acc>>24&0xFF])<<24 |
-				uint64(row[acc>>32&0xFF])<<32 |
-				uint64(row[acc>>40&0xFF])<<40 |
-				uint64(row[acc>>48&0xFF])<<48 |
-				uint64(row[acc>>56])<<56
-		}
-		binary.LittleEndian.PutUint64(dst[w:], acc)
-	}
-	for i := n; i < len(dst); i++ {
-		b := dst[i]
-		for j := range tabs {
-			switch tabs[j].c {
-			case 0:
-			case 1:
-				b ^= srcs[j][i]
-			default:
-				b ^= tabs[j].row8[srcs[j][i]]
-			}
-		}
-		if scale != nil && scale.c != 1 {
-			b = scale.row8[b]
-		}
-		dst[i] = b
-	}
-}
-
-// accumByteSplit fuses p=16 low/high byte split tables.
-func accumByteSplit(dst []byte, srcs [][]byte, tabs []MulTable, scale *MulTable) {
-	n := len(dst) &^ 7
-	for w := 0; w < n; w += 8 {
-		acc := binary.LittleEndian.Uint64(dst[w:])
-		for j := range tabs {
-			s := binary.LittleEndian.Uint64(srcs[j][w:])
-			if s == 0 || tabs[j].c == 0 {
-				continue
-			}
-			if tabs[j].c == 1 {
-				acc ^= s
-				continue
-			}
-			lo, hi := &tabs[j].lo16, &tabs[j].hi16
-			acc ^= uint64(lo[s&0xFF]^hi[s>>8&0xFF]) |
-				uint64(lo[s>>16&0xFF]^hi[s>>24&0xFF])<<16 |
-				uint64(lo[s>>32&0xFF]^hi[s>>40&0xFF])<<32 |
-				uint64(lo[s>>48&0xFF]^hi[s>>56])<<48
-		}
-		if scale != nil && scale.c > 1 {
-			lo, hi := &scale.lo16, &scale.hi16
-			acc = uint64(lo[acc&0xFF]^hi[acc>>8&0xFF]) |
-				uint64(lo[acc>>16&0xFF]^hi[acc>>24&0xFF])<<16 |
-				uint64(lo[acc>>32&0xFF]^hi[acc>>40&0xFF])<<32 |
-				uint64(lo[acc>>48&0xFF]^hi[acc>>56])<<48
-		}
-		binary.LittleEndian.PutUint64(dst[w:], acc)
-	}
-	for i := n; i+1 < len(dst); i += 2 {
-		s := uint32(dst[i]) | uint32(dst[i+1])<<8
-		for j := range tabs {
-			v := uint32(srcs[j][i]) | uint32(srcs[j][i+1])<<8
-			switch tabs[j].c {
-			case 0:
-			case 1:
-				s ^= v
-			default:
-				if v != 0 {
-					s ^= uint32(tabs[j].lo16[v&0xFF] ^ tabs[j].hi16[v>>8])
-				}
-			}
-		}
-		if scale != nil && scale.c > 1 && s != 0 {
-			s = uint32(scale.lo16[s&0xFF] ^ scale.hi16[s>>8])
-		}
-		dst[i] = byte(s)
-		dst[i+1] = byte(s >> 8)
 	}
 }

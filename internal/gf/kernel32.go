@@ -9,10 +9,10 @@ package gf
 // XOR-doubling — about 1 k XORs, no field multiply per entry — and
 // applied two symbols per 64-bit load.
 //
-// The vector arm (amd64 with GFNI + AVX2, kernel32_amd64.s) views the
-// basis as a 32x32 bit matrix cut into sixteen 8x8 blocks and applies
-// them with VGF2P8AFFINEQB, 16 symbols per step; it needs 128 bytes of
-// per-constant state instead of 4 KiB.
+// The vector arms (amd64 with GFNI, kernel32_amd64.s) view the basis as
+// a 32x32 bit matrix cut into sixteen 8x8 blocks and apply them with
+// VGF2P8AFFINEQB, 16 symbols per AVX2 step or 32 per AVX-512 step; both
+// read the same 128 bytes of per-constant state instead of 4 KiB.
 
 import (
 	"encoding/binary"

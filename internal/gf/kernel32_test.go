@@ -9,13 +9,14 @@ import (
 
 // The GF(2^32) region kernel against the per-symbol shift-and-xor
 // product gf32Mul, which shares no code with it: every symbol count
-// 0..67 (the vector arm's 16-symbol step, its per-symbol tail and the
-// portable arm's 2-symbol word and 1-symbol tail all get crossed), with
-// 0..3 dangling bytes after the last whole symbol and 0..3 bytes of
-// misalignment in front, for c = 0, 1 and random. Both arms run where
-// the hardware has both. Dangling bytes must come through untouched,
-// except that c = 1 is a plain XOR and scaling by 0 a plain clear of the
-// whole vector, as they always were.
+// 0..67 (the AVX-512 arm's 32-symbol step and the 16-symbol AVX2 step
+// after it, the per-symbol tail, and the portable arm's 2-symbol word
+// and 1-symbol tail all get crossed), with 0..3 dangling bytes after the
+// last whole symbol and 0..3 bytes of misalignment in front, for c = 0,
+// 1 and random. Every arm the host has runs it
+// (TestKernel32PortableDispatch). Dangling bytes must come through
+// untouched, except that c = 1 is a plain XOR and scaling by 0 a plain
+// clear of the whole vector, as they always were.
 
 // arm32 is one implementation of the kernel behind a common face.
 type arm32 struct {
@@ -43,17 +44,6 @@ func arms32() []arm32 {
 				var t MulTable
 				t.Init(f, c)
 				t.Mul(dst)
-			}},
-		{"AccumSlices",
-			func(c uint32, dst, src []byte) {
-				tabs := make([]MulTable, 1)
-				tabs[0].Init(f, c)
-				AccumSlices(dst, [][]byte{src}, tabs, nil)
-			},
-			func(c uint32, dst []byte) {
-				var scale MulTable
-				scale.Init(f, c)
-				AccumSlices(dst, nil, nil, &scale)
 			}},
 	}
 	// The entry points above take the vector arm when there is one, so
@@ -115,6 +105,22 @@ func TestKernel32MatchesPerSymbolReference(t *testing.T) {
 	kernel32Differential(t)
 }
 
+// kernel32Arms are the arms of the vector dispatch, fastest first.
+var kernel32Arms = []string{"avx512", "avx2", "portable"}
+
+// TestKernel32PortableDispatch reruns the differential on every arm the
+// host has, forced down one at a time, so the arms the dispatch would
+// not pick here — down to the byte-window tables every non-GFNI machine
+// takes — are proven on this machine too.
+func TestKernel32PortableDispatch(t *testing.T) {
+	for _, arm := range kernel32Arms {
+		t.Run(arm, func(t *testing.T) {
+			useKernel32Arm(t, arm)
+			kernel32Differential(t)
+		})
+	}
+}
+
 func kernel32Differential(t *testing.T) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(32))
@@ -130,43 +136,6 @@ func kernel32Differential(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestAccumSlices32 folds several sources, special constants among
-// them, with and without the final scale.
-func TestAccumSlices32(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	f := MustNew(Bits32)
-	for _, nsrc := range []int{1, 2, 8, 9} {
-		for syms := 0; syms <= 67; syms++ {
-			for _, scaled := range []bool{false, true} {
-				n := 4 * syms
-				dst := randVec(rng, n)
-				want := bytes.Clone(dst)
-				srcs := make([][]byte, nsrc)
-				tabs := make([]MulTable, nsrc)
-				for j := range srcs {
-					srcs[j] = randVec(rng, n+4*(j%3)) // sources may be longer than dst
-					c := rng.Uint32()
-					if j%4 == 1 {
-						c = uint32(j / 4 % 2)
-					}
-					tabs[j].Init(f, c)
-					mulAdd32Ref(c, want, srcs[j][:n])
-				}
-				var scale *MulTable
-				if scaled {
-					scale = new(MulTable)
-					scale.Init(f, rng.Uint32()|2)
-					mul32Ref(scale.C(), want)
-				}
-				AccumSlices(dst, srcs, tabs, scale)
-				if !bytes.Equal(dst, want) {
-					t.Fatalf("nsrc=%d syms=%d scaled=%v: AccumSlices diverges", nsrc, syms, scaled)
 				}
 			}
 		}

@@ -118,57 +118,6 @@ func TestMulTableMatchesOneShotKernels(t *testing.T) {
 	}
 }
 
-func TestAccumSlicesMatchesSequentialFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, bits := range []uint{Bits4, Bits8, Bits16, Bits32} {
-		f := MustNew(bits)
-		for _, nsrc := range []int{0, 1, 2, 3, 7, 16} {
-			for _, n := range []int{8, 24, 130, 1024} {
-				if bits == Bits32 && n%4 != 0 {
-					continue
-				}
-				srcs := make([][]byte, nsrc)
-				tabs := make([]MulTable, nsrc)
-				dst := randVec(rng, n)
-				want := bytes.Clone(dst)
-				for j := 0; j < nsrc; j++ {
-					srcs[j] = randVec(rng, n)
-					// Include the special constants 0 and 1 sometimes.
-					c := uint32(rng.Int63()) & f.Mask()
-					if j%5 == 3 {
-						c = uint32(j % 2)
-					}
-					tabs[j].Init(f, c)
-					mulAddSliceRef(f, want, srcs[j], c)
-				}
-				scaleC := uint32(rng.Int63()) & f.Mask()
-				var scale MulTable
-				scale.Init(f, scaleC)
-				mulSliceRef(f, want, scaleC)
-				AccumSlices(dst, srcs, tabs, &scale)
-				if !bytes.Equal(dst, want) {
-					t.Fatalf("GF(2^%d) nsrc=%d n=%d: AccumSlices diverges from sequential fold", bits, nsrc, n)
-				}
-			}
-		}
-	}
-}
-
-func TestAccumSlicesNilScale(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := MustNew(Bits8)
-	dst := randVec(rng, 100)
-	src := randVec(rng, 100)
-	want := bytes.Clone(dst)
-	var tab MulTable
-	tab.Init(f, 0x5B)
-	mulAddSliceRef(f, want, src, 0x5B)
-	AccumSlices(dst, [][]byte{src}, []MulTable{tab}, nil)
-	if !bytes.Equal(dst, want) {
-		t.Fatal("AccumSlices with nil scale diverges")
-	}
-}
-
 func TestMulAddWordsMatchesMulLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, bits := range []uint{Bits4, Bits8, Bits16, Bits32} {
@@ -205,7 +154,8 @@ func TestMulAddWordsMatchesMulLoop(t *testing.T) {
 
 // BenchmarkMulAddSlice compares the split-table word kernels against
 // the per-symbol reference and the field's own byte-at-a-time path —
-// the speedup the decode pipeline is built on.
+// the speedup the decode pipeline is built on. At p = 32 the kernel row
+// has one sub-row per arm the host has (avx512, avx2, portable).
 func BenchmarkMulAddSlice(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, bits := range []uint{Bits8, Bits16, Bits32} {
@@ -218,10 +168,22 @@ func BenchmarkMulAddSlice(b *testing.B) {
 			src := randVec(rng, n)
 			dst := randVec(rng, n)
 			c := uint32(0xA7C3_51A7) & f.Mask()
-			b.Run(fmt.Sprintf("kernel/p%d/%dB", bits, n), func(b *testing.B) {
+			kernel := func(b *testing.B) {
 				b.SetBytes(int64(n))
 				for i := 0; i < b.N; i++ {
 					MulAddSlice(f, dst, src, c)
+				}
+			}
+			b.Run(fmt.Sprintf("kernel/p%d/%dB", bits, n), func(b *testing.B) {
+				if bits != Bits32 {
+					kernel(b)
+					return
+				}
+				for _, arm := range kernel32Arms {
+					b.Run(arm, func(b *testing.B) {
+						useKernel32Arm(b, arm)
+						kernel(b)
+					})
 				}
 			})
 			b.Run(fmt.Sprintf("table/p%d/%dB", bits, n), func(b *testing.B) {
@@ -246,38 +208,6 @@ func BenchmarkMulAddSlice(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkAccumSlices measures the fused multi-source kernel at the
-// shape the pipeline uses it: fold r source rows into one destination
-// segment with a single load/store of dst per word.
-func BenchmarkAccumSlices(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	f := MustNew(Bits8)
-	const n = 16384
-	for _, nsrc := range []int{8, 32, 64} {
-		srcs := make([][]byte, nsrc)
-		tabs := make([]MulTable, nsrc)
-		for j := range srcs {
-			srcs[j] = randVec(rng, n)
-			tabs[j].Init(f, uint32(rng.Int63())&f.Mask()|1)
-		}
-		dst := randVec(rng, n)
-		b.Run(fmt.Sprintf("fused/r%d", nsrc), func(b *testing.B) {
-			b.SetBytes(int64(n * nsrc))
-			for i := 0; i < b.N; i++ {
-				AccumSlices(dst, srcs, tabs, nil)
-			}
-		})
-		b.Run(fmt.Sprintf("perrow/r%d", nsrc), func(b *testing.B) {
-			b.SetBytes(int64(n * nsrc))
-			for i := 0; i < b.N; i++ {
-				for j := range srcs {
-					tabs[j].MulAdd(dst, srcs[j])
-				}
-			}
-		})
 	}
 }
 

@@ -2,23 +2,19 @@ package rlnc
 
 import "testing"
 
-// OnScalarDigests runs f with the lanes switched off, so the arm every
-// non-AVX2 machine takes is proven on this one too. Exported for the
-// package's external tests.
-func OnScalarDigests(t *testing.T, f func(t *testing.T)) {
-	if !haveDigestLanes {
-		t.Skip("the scalar arm is already the dispatched one")
+// useDigestArm forces DigestBatch down to one arm for the rest of tb by
+// flipping the dispatch variables, and puts the host's back on cleanup.
+// An arm the host lacks skips tb, naming the missing CPUID features, so
+// a CI log shows what went uncovered.
+func useDigestArm(tb testing.TB, arm string) {
+	hostLanes, hostVL := haveDigestLanes, haveDigestVL
+	switch {
+	case arm == "vl" && !hostVL:
+		tb.Skip("host lacks AVX512F+AVX512BW+AVX512VL (with opmask/zmm state) or GFNI")
+	case arm == "avx2" && !hostLanes:
+		tb.Skip("host lacks AVX2")
 	}
-	haveDigestLanes = false
-	defer func() { haveDigestLanes = true }()
-	f(t)
+	tb.Cleanup(func() { haveDigestLanes, haveDigestVL = hostLanes, hostVL })
+	haveDigestVL = arm == "vl"
+	haveDigestLanes = arm != "scalar"
 }
-
-// TestDigestBatchScalarDispatch reruns the differential on the scalar
-// arm.
-func TestDigestBatchScalarDispatch(t *testing.T) { OnScalarDigests(t, digestBatchDifferential) }
-
-// TestStagedVerifyScalarDispatch reruns the pipeline's staged-verify
-// suite on the scalar arm: groups are parked and settled the same way,
-// and digested one message at a time.
-func TestStagedVerifyScalarDispatch(t *testing.T) { OnScalarDigests(t, stagedVerifySuite) }

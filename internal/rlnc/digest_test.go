@@ -48,7 +48,7 @@ func checkBatch(t testing.TB, msgs []*Message, what string) {
 	}
 }
 
-// digestBatchDifferential is the table both arms must pass: every
+// digestBatchDifferential is the table every arm must pass: every
 // payload length across the padding boundaries (total length 16+n
 // crosses 55/56, 63/64/65, 119/120 and the one- and two-block tails
 // after whole blocks), the shipped 128 KiB payload, 1 to 17 messages per
@@ -116,6 +116,26 @@ func digestBatchDifferential(t *testing.T) {
 
 func TestDigestBatchMatchesCryptoMD5(t *testing.T) { digestBatchDifferential(t) }
 
+// digestArms are DigestBatch's arms, fastest first: the AVX-512VL
+// lanes, the AVX2 lanes, one Message.Digest at a time.
+var digestArms = []string{"vl", "avx2", "scalar"}
+
+// OnDigestArms runs f once per arm the host has, forced down one at a
+// time, as subtests named after the arm, so the arms the dispatch would
+// not pick here are proven on this machine too. Exported for the
+// package's external tests.
+func OnDigestArms(t *testing.T, f func(t *testing.T)) {
+	for _, arm := range digestArms {
+		t.Run(arm, func(t *testing.T) {
+			useDigestArm(t, arm)
+			f(t)
+		})
+	}
+}
+
+// TestDigestBatchScalarDispatch reruns the differential on every arm.
+func TestDigestBatchScalarDispatch(t *testing.T) { OnDigestArms(t, digestBatchDifferential) }
+
 // TestDigestBatchSteadyStateAllocs: digesting a batch allocates
 // nothing — the lanes' edge blocks and state live on the stack.
 func TestDigestBatchSteadyStateAllocs(t *testing.T) {
@@ -161,6 +181,8 @@ func FuzzDigestBatch(f *testing.F) {
 	})
 }
 
+// BenchmarkDigestBatch hashes eight 128 KiB messages, one row per arm
+// the host has.
 func BenchmarkDigestBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
 	msgs := make([]*Message, digestLanes)
@@ -168,15 +190,12 @@ func BenchmarkDigestBatch(b *testing.B) {
 		msgs[i] = randMessage(rng, 1<<17, 0)
 	}
 	dst := make([]Digest, len(msgs))
-	arms := []struct {
-		name string
-		run  func([]Digest, []*Message)
-	}{{"dispatched", func(dst []Digest, msgs []*Message) { DigestBatch(dst, msgs) }}, {"scalar", digestEach}}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
+	for _, arm := range digestArms {
+		b.Run(arm, func(b *testing.B) {
+			useDigestArm(b, arm)
 			b.SetBytes(int64(len(msgs) * (headerBytes + 1<<17)))
 			for i := 0; i < b.N; i++ {
-				arm.run(dst, msgs)
+				DigestBatch(dst, msgs)
 			}
 		})
 	}

@@ -33,16 +33,33 @@ func arenaSettled(t *testing.T, p *Pipeline, what string) {
 	}
 }
 
-// stagedVerifySuite is run on the dispatched digest arm and, where that
-// is the lane kernel, again on the scalar one (digest_amd64_test.go).
-func stagedVerifySuite(t *testing.T) {
-	t.Run("forged lane rejected alone", stagedForgedLane)
-	t.Run("forged repeat", stagedForgedRepeat)
-	t.Run("short generation", stagedShortGeneration)
-	t.Run("surplus skipped unhashed", stagedSurplusSkipped)
+// stagedVerifySuite is run on the dispatched digest arm
+// (TestStagedVerify) and on every arm the host has, forced
+// (TestStagedVerifyScalarDispatch).
+var stagedVerifySuite = []struct {
+	name string
+	run  func(*testing.T)
+}{
+	{"forged lane rejected alone", stagedForgedLane},
+	{"forged repeat", stagedForgedRepeat},
+	{"short generation", stagedShortGeneration},
+	{"surplus skipped unhashed", stagedSurplusSkipped},
 }
 
-func TestStagedVerify(t *testing.T) { stagedVerifySuite(t) }
+func TestStagedVerify(t *testing.T) {
+	for _, c := range stagedVerifySuite {
+		t.Run(c.name, c.run)
+	}
+}
+
+// TestStagedVerifyScalarDispatch: groups are parked and settled the
+// same way on every arm, whether digested in the lanes or one message
+// at a time.
+func TestStagedVerifyScalarDispatch(t *testing.T) {
+	for _, c := range stagedVerifySuite {
+		t.Run(c.name, func(t *testing.T) { OnDigestArms(t, c.run) })
+	}
+}
 
 // stagedForgedLane puts a forged message in each of the eight lane
 // positions in turn — a flipped payload byte, then another message's

@@ -10,10 +10,10 @@ import (
 )
 
 // TestChunkSumScalarDispatch: a manifest's per-chunk sums are a file
-// format, so a handle written where the lanes exist must verify where
-// they do not. Sums recorded on the lane arm (held to crypto/md5 by
-// chunk's TestSumMatchesDefinition) are recomputed and checked on the
-// scalar arm, for K = 1…17 and a short last vector.
+// format, so a handle written on one arm must verify on every other.
+// Sums recorded on the dispatched arm (held to crypto/md5 by chunk's
+// TestSumMatchesDefinition) are recomputed and checked on every arm the
+// host has, down to scalar, for K = 1…17 and a short last vector.
 func TestChunkSumScalarDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	type shared struct {
@@ -31,12 +31,12 @@ func TestChunkSumScalarDispatch(t *testing.T) {
 		}
 		shares = append(shares, shared{share.Manifest, data})
 	}
-	rlnc.OnScalarDigests(t, func(t *testing.T) {
+	rlnc.OnDigestArms(t, func(t *testing.T) {
 		for _, s := range shares {
 			for i, piece := range chunk.Split(s.data, s.m.Plan.ChunkSize) {
 				info := s.m.Chunks[i]
 				if got := info.SumOf(s.m.Plan, piece); got != info.Sum {
-					t.Fatalf("k=%d chunk %d: scalar arm sums %v, the lanes recorded %v", info.K, i, got, info.Sum)
+					t.Fatalf("k=%d chunk %d: recomputed sum %v, recorded %v", info.K, i, got, info.Sum)
 				}
 				if err := info.CheckSum(s.m.Plan, piece); err != nil {
 					t.Fatalf("k=%d chunk %d: %v", info.K, i, err)
