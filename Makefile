@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-arm64 gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet vet-arm64 gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs benchpairs-test bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -203,14 +203,22 @@ bench-e2e-smoke:
 # bench-pairs is how a performance claim is measured (ROADMAP standing
 # rules): PARENT is exported into .bench_build/, then N pairs of
 # `cmd/bench/run.sh -workload W -seconds 20 -trace 0` run parent against
-# working tree, alternating which side goes first, and each metric's
-# medians, quartiles and "better in n of N" are printed. About
+# working tree on seeds FIRST_SEED.., alternating which side goes first,
+# and each metric gets its per-pair gain's median, quartiles and
+# minimum and a verdict: "gain" (better in ≥ 9 of 10 pairs, median
+# ≥ CLAIM) or "regressed" (median worse than the metric's bound). About
 # N × 50 s per workload.
-#   make bench-pairs PARENT=HEAD~1 N=10 W=loopback_fetch
+#   make bench-pairs PARENT=HEAD~1 N=10 W=loopback_fetch [FIRST_SEED=11 CLAIM=0.10]
 N ?= 10
 W ?= loopback_fetch
 bench-pairs:
 	bash scripts/benchpairs.sh $(PARENT) $(N) $(W)
+
+# benchpairs-test runs bench-pairs' verdict over committed tables
+# (scripts/testdata/benchpairs/) whose verdicts are known, and fails if
+# one flips.
+benchpairs-test:
+	bash scripts/benchpairs_test.sh
 
 # bench-swarm measures trackerless scaling — DHT lookup hops and gossip
 # dissemination rounds/time against swarm size — leaving the
@@ -261,8 +269,8 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDigestBatch -fuzztime 10s -run '^$$' ./internal/rlnc/
 
 # ci is what the GitHub workflow runs: the generated-kernel check, every
-# package once plain, once under the detector, the gates, and the
-# end-to-end benchmark's smoke.
-ci: vet vet-arm64 gen-check build test race gates bench-e2e-smoke
+# package once plain, once under the detector, the gates, the
+# bench-pairs verdict's test, and the end-to-end benchmark's smoke.
+ci: vet vet-arm64 gen-check build test race gates benchpairs-test bench-e2e-smoke
 
 check: ci

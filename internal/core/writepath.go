@@ -89,7 +89,7 @@ func newBatchSlot(k, chunkBytes int) *batchSlot {
 }
 
 // mint fills the slot with enc's batch for the given holder rank: k
-// messages minted with one call, then digested with one call.
+// messages minted one at a time, then digested with one call.
 func (b *batchSlot) mint(chunkIdx int, enc *rlnc.Encoder, rank int) error {
 	p := enc.Params()
 	var err error
@@ -102,9 +102,9 @@ func (b *batchSlot) mint(chunkIdx int, enc *rlnc.Encoder, rank int) error {
 	for j, id := range b.ids {
 		m := &b.store[j]
 		m.FileID, m.MessageID, m.Payload = enc.FileID(), id, b.buf[j*cb:(j+1)*cb]
+		enc.MessageInto(id, m.Payload)
 		b.msgs = append(b.msgs, m)
 	}
-	enc.MintBatch(b.msgs)
 	rlnc.DigestBatch(b.digests, b.msgs)
 	return nil
 }
@@ -114,9 +114,9 @@ func (b *batchSlot) mint(chunkIdx int, enc *rlnc.Encoder, rank int) error {
 // and the all-zero ones — messages the change leaves as they are — are
 // dropped along with their digests.
 func (b *batchSlot) toDeltas(delta *rlnc.DeltaEncoder) {
-	delta.MintBatch(b.msgs)
 	n := 0
 	for j, m := range b.msgs {
+		delta.DeltaInto(m.MessageID, m.Payload)
 		if !gf.IsZeroSlice(m.Payload) {
 			b.msgs[n], b.digests[n] = m, b.digests[j]
 			n++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -597,5 +598,69 @@ func TestInnovationOverheadSmallForLargeFields(t *testing.T) {
 	}
 	if !dec.Done() {
 		t.Errorf("rank %d after exactly k=%d random GF(2^32) messages", dec.Rank(), k)
+	}
+}
+
+// batchOf returns one message per id with an n-byte payload of fill
+// bytes.
+func batchOf(ids []uint64, n int, fill byte) []*Message {
+	msgs := make([]*Message, len(ids))
+	for i, id := range ids {
+		msgs[i] = &Message{MessageID: id, Payload: bytes.Repeat([]byte{fill}, n)}
+	}
+	return msgs
+}
+
+// TestNewEncoderReadsDataInPlace pins the encoder's aliasing contract:
+// over full-length pieces NewEncoder allocates less than one chunk (it
+// copies nothing), minting never writes into data, and a short last
+// piece is padded in a copy — bytes past data's length, even within its
+// capacity, are never read.
+func TestNewEncoderReadsDataInPlace(t *testing.T) {
+	p := mustParams(t, gf.MustNew(gf.Bits32), 8, 1<<15, 8<<17)
+	data := goldenData(p.DataLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	enc, err := NewEncoder(p, 1, testSecret(), data)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(p.ChunkBytes()) {
+		t.Errorf("NewEncoder over %d full pieces allocated %d bytes, want < one %d-byte chunk", p.K, got, p.ChunkBytes())
+	}
+
+	orig := bytes.Clone(data)
+	batch := batchOf([]uint64{0, 1, 1 << 32}, p.ChunkBytes(), 0)
+	for _, m := range batch {
+		enc.MessageInto(m.MessageID, m.Payload)
+	}
+	enc.MessageInto(7, batch[0].Payload)
+	if _, err := enc.BatchForPeer(1, p.K); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, orig) {
+		t.Fatal("minting wrote into the encoder's data")
+	}
+
+	// A short tail inside a larger buffer whose spare capacity is dirty.
+	short := mustParams(t, gf.MustNew(gf.Bits32), 3, 17, 2*68+5)
+	backing := bytes.Repeat([]byte{0xA5}, 3*68)
+	copy(backing, goldenData(short.DataLen))
+	tailEnc, err := NewEncoder(short, 2, testSecret(), backing[:short.DataLen])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanEnc, err := NewEncoder(short, 2, testSecret(), bytes.Clone(backing[:short.DataLen]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint64{0, 5, 1 << 40} {
+		if !tailEnc.Message(id).Equal(cleanEnc.Message(id)) {
+			t.Fatalf("id %d: bytes past the data's length reached the mint", id)
+		}
+	}
+	if !bytes.Equal(backing[short.DataLen:], bytes.Repeat([]byte{0xA5}, len(backing)-short.DataLen)) {
+		t.Fatal("padding was written into the caller's spare capacity")
 	}
 }

@@ -123,92 +123,6 @@ func (e *Encoder) MessageInto(messageID uint64, payload []byte) {
 	e.putScratch(sc)
 }
 
-const (
-	// mintGroup is how many messages MintBatch holds product tables for
-	// at once: a batch of k messages needs k·k tables, so a large-k plan
-	// is minted in groups and holds mintGroup·k.
-	mintGroup = 8
-
-	// mintSegment is the span MintBatch walks a generation in. A group's
-	// output segments and the k source segments they fold in stay
-	// cache-resident between kernel calls; 8 KiB measured best of 4–32
-	// KiB at the shipped plan (DESIGN.md §9).
-	mintSegment = 8 << 10
-)
-
-// mintTables holds the idle product-table sets of MintBatch, mintGroup·k
-// tables each (about 5.5 KiB a table). The tables depend only on the
-// field and k, so every encoder draws from this one list: minting holds
-// a set only for the call, and the sets kept number the concurrent
-// minters at peak, not the generations alive. A sync.Pool would drop
-// sets at garbage collections, and at random under the race detector,
-// so a warm minter would still allocate.
-var mintTables struct {
-	sync.Mutex
-	free [][]gf.MulTable
-}
-
-// getMintTables takes an idle set of at least n tables, or makes one.
-func getMintTables(n int) []gf.MulTable {
-	mintTables.Lock()
-	var tabs []gf.MulTable
-	if last := len(mintTables.free) - 1; last >= 0 {
-		tabs, mintTables.free = mintTables.free[last], mintTables.free[:last]
-	}
-	mintTables.Unlock()
-	if len(tabs) < n {
-		tabs = make([]gf.MulTable, n)
-	}
-	return tabs
-}
-
-func putMintTables(tabs []gf.MulTable) {
-	mintTables.Lock()
-	mintTables.free = append(mintTables.free, tabs)
-	mintTables.Unlock()
-}
-
-// MintBatch mints each message's Payload for its MessageID, as
-// MessageInto does one at a time: every Payload must be exactly
-// ChunkBytes long, and its previous contents are overwritten. The
-// generation is walked in mintSegment spans: a group's product tables
-// are built once, then for each span every message's segment is cleared
-// and the k sources' segments folded in, so a source byte is read from
-// cache rather than from memory once per message.
-func (e *Encoder) MintBatch(msgs []*Message) {
-	cb := e.params.ChunkBytes()
-	for _, m := range msgs {
-		if len(m.Payload) != cb {
-			panic("rlnc: MintBatch payload length mismatch")
-		}
-	}
-	k := e.params.K
-	sc := e.getScratch()
-	tabs := getMintTables(mintGroup * k)
-	for len(msgs) > 0 {
-		group := msgs[:min(mintGroup, len(msgs))]
-		for i, m := range group {
-			sc.rows.RowInto(e.fileID, m.MessageID, sc.row)
-			for j, c := range sc.row {
-				tabs[i*k+j].Init(e.params.Field, c)
-			}
-		}
-		for lo := 0; lo < cb; lo += mintSegment {
-			hi := min(lo+mintSegment, cb)
-			for i, m := range group {
-				dst := m.Payload[lo:hi]
-				clear(dst)
-				for j, src := range e.chunks {
-					tabs[i*k+j].MulAdd(dst, src[lo:hi])
-				}
-			}
-		}
-		msgs = msgs[len(group):]
-	}
-	putMintTables(tabs)
-	e.putScratch(sc)
-}
-
 // Message deterministically produces the encoded message with the given
 // message-id.
 func (e *Encoder) Message(messageID uint64) *Message {
@@ -266,9 +180,8 @@ func (e *Encoder) BatchForPeer(peer, n int) ([]*Message, error) {
 	}
 	msgs := make([]*Message, len(ids))
 	for i, id := range ids {
-		msgs[i] = &Message{FileID: e.fileID, MessageID: id, Payload: make([]byte, e.params.ChunkBytes())}
+		msgs[i] = e.Message(id)
 	}
-	e.MintBatch(msgs)
 	return msgs, nil
 }
 

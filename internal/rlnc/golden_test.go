@@ -172,7 +172,7 @@ func TestEncoderGoldenDigests(t *testing.T) {
 
 // TestDeltaEncoderMatchesVersionDifference pins the update path to the
 // same bytes: the delta for an id is the XOR of the two versions'
-// messages, and a batch of deltas equals Delta one id at a time.
+// messages, and DeltaInto equals Delta.
 func TestDeltaEncoderMatchesVersionDifference(t *testing.T) {
 	params, err := NewParams(gf.MustNew(gf.Bits32), 3, 17, 200)
 	if err != nil {
@@ -186,16 +186,16 @@ func TestDeltaEncoderMatchesVersionDifference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := batchOf(goldenIDs, params.ChunkBytes(), 0)
-	delta.MintBatch(batch)
-	for i, id := range goldenIDs {
+	buf := make([]byte, params.ChunkBytes())
+	for _, id := range goldenIDs {
 		want := oldEnc.Message(id)
 		gf.AddSlice(want.Payload, newEnc.Message(id).Payload)
 		if got := delta.Delta(id); !got.Equal(want) {
 			t.Fatalf("id %#x: Delta is not new XOR old", id)
 		}
-		if string(batch[i].Payload) != string(want.Payload) {
-			t.Fatalf("id %#x: MintBatch differs from Delta", id)
+		delta.DeltaInto(id, buf)
+		if string(buf) != string(want.Payload) {
+			t.Fatalf("id %#x: DeltaInto differs from Delta", id)
 		}
 	}
 }

@@ -53,11 +53,11 @@ func (d *DeltaEncoder) Delta(messageID uint64) *Message {
 	return d.enc.Message(messageID)
 }
 
-// MintBatch mints each message's delta Payload for its MessageID (each
-// exactly ChunkBytes long, caller-owned), like Encoder.MintBatch. An
+// DeltaInto mints the delta payload for one message-id into payload
+// (exactly ChunkBytes long, caller-owned), like Encoder.MessageInto. An
 // all-zero delta is a message the change leaves as it is.
-func (d *DeltaEncoder) MintBatch(msgs []*Message) {
-	d.enc.MintBatch(msgs)
+func (d *DeltaEncoder) DeltaInto(messageID uint64, payload []byte) {
+	d.enc.MessageInto(messageID, payload)
 }
 
 // ApplyDelta patches a stored message in place with a delta message of

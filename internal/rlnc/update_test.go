@@ -102,7 +102,8 @@ func TestDeltaNoopDetection(t *testing.T) {
 	p := mustParams(t, f, k, 16, k*16)
 	data := randomData(rng, p.DataLen)
 
-	// Identical versions: every delta is all-zero, alone or in a batch.
+	// Identical versions: every delta is all-zero, through Delta or
+	// DeltaInto.
 	same, err := NewDeltaEncoder(p, 5, testSecret(), data, data)
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +112,10 @@ func TestDeltaNoopDetection(t *testing.T) {
 		t.Error("non-zero delta for identical data")
 	}
 	batch := batchOf([]uint64{0, 1, 99}, p.ChunkBytes(), 0xEE) // dirty: must be overwritten
-	same.MintBatch(batch)
 	for _, m := range batch {
+		same.DeltaInto(m.MessageID, m.Payload)
 		if !gf.IsZeroSlice(m.Payload) {
-			t.Errorf("MintBatch: non-zero delta for id %d of identical data", m.MessageID)
+			t.Errorf("DeltaInto: non-zero delta for id %d of identical data", m.MessageID)
 		}
 	}
 
@@ -127,10 +128,10 @@ func TestDeltaNoopDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff.MintBatch(batch)
 	for _, m := range batch {
+		diff.DeltaInto(m.MessageID, m.Payload)
 		if gf.IsZeroSlice(m.Payload) {
-			t.Errorf("MintBatch: all-zero delta for id %d of modified data", m.MessageID)
+			t.Errorf("DeltaInto: all-zero delta for id %d of modified data", m.MessageID)
 		}
 	}
 }
