@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-arm64 gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs benchpairs-test bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet vet-arm64 gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -220,6 +220,14 @@ bench-pairs:
 benchpairs-test:
 	bash scripts/benchpairs_test.sh
 
+# runpatterns-test fails when a -run pattern in this Makefile has gone
+# stale: an alternative that matches no test in the packages its line
+# lists, or a listed package no alternative selects (`go test -run X`
+# exits 0 when X matches nothing). It first shows the check failing on
+# the fixture scripts/testdata/runpatterns/Makefile.
+runpatterns-test:
+	bash scripts/runpatterns_test.sh
+
 # bench-swarm measures trackerless scaling — DHT lookup hops and gossip
 # dissemination rounds/time against swarm size — leaving the
 # machine-readable report in BENCH_swarm.json (median hops must grow
@@ -270,7 +278,8 @@ fuzz-smoke:
 
 # ci is what the GitHub workflow runs: the generated-kernel check, every
 # package once plain, once under the detector, the gates, the
-# bench-pairs verdict's test, and the end-to-end benchmark's smoke.
-ci: vet vet-arm64 gen-check build test race gates benchpairs-test bench-e2e-smoke
+# bench-pairs verdict's test, the -run pattern check, and the end-to-end
+# benchmark's smoke.
+ci: vet vet-arm64 gen-check build test race gates benchpairs-test runpatterns-test bench-e2e-smoke
 
 check: ci

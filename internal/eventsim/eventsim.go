@@ -2,13 +2,14 @@
 // cross-validates the fluid (per-slot) model in internal/sim. Where
 // the fluid simulator divides each peer's capacity fractionally every
 // second, eventsim transmits whole encoded messages one at a time: at
-// each completion the peer picks the requester with the smallest
-// served/weight virtual time, weights being its receipt-ledger entries
-// — weighted-fair-queueing, the deterministic message-granular
-// counterpart of Eq. 2. (A naive random pick proportional to ledger
-// weights has Pólya-urn reinforcement dynamics and can absorb into
-// degenerate fixed points where self-service dies out; WFQ keeps the
-// long-run service exactly proportional, like the fluid model.)
+// each completion the peer divides its upload among the requesters by
+// Eq. 2 (fairshare.PairwiseProportional over its receipt ledger) and
+// sends to the one with the smallest served/grant virtual time —
+// weighted-fair-queueing, the deterministic message-granular
+// counterpart of the fluid split. (A naive random pick proportional to
+// ledger weights has Pólya-urn reinforcement dynamics and can absorb
+// into degenerate fixed points where self-service dies out; WFQ keeps
+// the long-run service exactly proportional, like the fluid model.)
 //
 // If the paper's fixed point is robust to the modeling choice — and
 // Sec. IV's analysis says it should be, since only long-run averages
@@ -63,7 +64,8 @@ type Config struct {
 	// default.
 	InitialCredit float64
 
-	// Seed drives the weighted recipient draws.
+	// Seed sets each peer's first-completion phase. The recipient
+	// pick itself is deterministic.
 	Seed int64
 
 	// AuditEpochSec > 0 enables keyed retention audits (the simulated
@@ -93,7 +95,8 @@ type Result struct {
 	Duration float64
 
 	// WindowRate[i][w] is user i's average download rate (kbps) in
-	// consecutive windows of WindowSec.
+	// consecutive windows of WindowSec, the whole windows inside
+	// Duration (none when Duration < WindowSec).
 	WindowRate [][]float64
 	WindowSec  float64
 
@@ -201,7 +204,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	const windowSec = 10.0
-	windows := int(cfg.Duration/windowSec) + 1
+	// Whole windows only: a window running past the horizon would be
+	// averaged in empty or partial and read the rates low.
+	windows := int(cfg.Duration / windowSec)
 	res := &Result{
 		Names:         make([]string, n),
 		ReceivedKbits: make([]float64, n),
@@ -254,47 +259,36 @@ func Run(cfg Config) (*Result, error) {
 		served[i] = make([]float64, n)
 	}
 
-	// pickRecipient selects the requesting user with the smallest
-	// served/weight ratio under the peer's current ledger weights —
-	// long-run service proportional to weights, exactly Eq. 2.
+	// pickRecipient asks Eq. 2 (fairshare.PairwiseProportional, the
+	// rule every peer.Node runs) to divide the peer's upload among the
+	// requesting users under its current ledger, then sends to the one
+	// with the smallest served/grant virtual time — long-run service
+	// proportional to the grants. The rule's equal-weight bootstrap
+	// covers a ledger with no positive entry among the requesters.
+	users := make([]int, 0, n)
+	req := fairshare.AllocRequest{Requesters: make([]fairshare.Requester, 0, n)}
 	pickRecipient := func(peer int, now float64) (int, bool) {
-		best := -1
-		var bestKey float64
-		for u := 0; u < n; u++ {
-			if !wanting(u, now) {
-				continue
-			}
-			w := ledgers[peer].Received(cfg.Peers[u].Name)
-			if w <= 0 {
-				continue
-			}
-			key := served[peer][u] / w
-			if best < 0 || key < bestKey {
-				best = u
-				bestKey = key
-			}
-		}
-		if best >= 0 {
-			return best, true
-		}
-		// No requester with positive weight: round-robin the requesters
-		// (bootstrap with zero initial credit).
-		var req []int
+		users, req.Requesters = users[:0], req.Requesters[:0]
 		for u := 0; u < n; u++ {
 			if wanting(u, now) {
-				req = append(req, u)
+				users = append(users, u)
+				req.Requesters = append(req.Requesters, fairshare.Requester{ID: cfg.Peers[u].Name})
 			}
 		}
-		if len(req) == 0 {
-			return 0, false
-		}
-		least := req[0]
-		for _, u := range req[1:] {
-			if served[peer][u] < served[peer][least] {
-				least = u
+		req.Capacity, req.Ledger = cfg.Peers[peer].UploadKbps, ledgers[peer]
+		req.Scratch = fairshare.PairwiseProportional{}.Allocate(req)
+		best := -1
+		var bestKey float64
+		for k, g := range req.Scratch {
+			if g.Rate <= 0 {
+				continue
+			}
+			u := users[k]
+			if key := served[peer][u] / g.Rate; best < 0 || key < bestKey {
+				best, bestKey = u, key
 			}
 		}
-		return least, true
+		return best, best >= 0
 	}
 
 	// Bootstrap: every peer with capacity schedules its first
@@ -328,7 +322,7 @@ func Run(cfg Config) (*Result, error) {
 			res.PairKbits[user][peer] += msgKbits
 			w := int(e.at / windowSec)
 			if w < windows {
-				res.WindowRate[user][w] += msgKbits / windowSec
+				res.WindowRate[user][w] += msgKbits // kbits until the loop ends
 			}
 			ledgers[user].Credit(cfg.Peers[peer].Name, msgKbits)
 			heap.Push(&q, event{at: e.at + msgKbits/rate, peer: peer, seq: seq})
@@ -338,6 +332,11 @@ func Run(cfg Config) (*Result, error) {
 			heap.Push(&q, event{at: next, peer: peer, seq: seq})
 		}
 		seq++
+	}
+	for _, ws := range res.WindowRate {
+		for w := range ws {
+			ws[w] /= windowSec
+		}
 	}
 	return res, nil
 }

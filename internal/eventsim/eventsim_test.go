@@ -177,3 +177,20 @@ func TestMessageSizeQuantizationEffect(t *testing.T) {
 		}
 	}
 }
+
+// TestMeanRateWholeWindows: a lone saturated 256 kbps peer sends one
+// 256 kbit message a second to its own user, so every window inside
+// the horizon reads its line rate. A window past the horizon, averaged
+// in empty, read 213.3.
+func TestMeanRateWholeWindows(t *testing.T) {
+	res, err := Run(saturated([]float64{256}, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res.WindowRate[0]); got != 10 {
+		t.Errorf("%d windows in 100 s, want 10", got)
+	}
+	if got := res.MeanRateKbps(0); got != 256 {
+		t.Errorf("MeanRateKbps = %v, want 256", got)
+	}
+}
