@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-arm64 gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet vet-arm64 fmt gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,15 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, naming them, if any Go file of the tree is not
+# gofmt-clean. It lists the files with git — tracked, or new and not
+# ignored — rather than walking the directory, so build and benchmark
+# scratch (.bench_build/ holds whole exported checkouts) is never
+# scanned.
+fmt:
+	@files=$$(git ls-files --cached --others --exclude-standard '*.go' | xargs gofmt -l) && \
+		if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 # vet-arm64 cross-compiles and vets the tree for a GOARCH without the
 # assembly arms (std cross-builds offline), so the portable fallbacks —
@@ -276,10 +285,10 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzKernel32 -fuzztime 10s -run '^$$' ./internal/gf/
 	$(GO) test -fuzz FuzzDigestBatch -fuzztime 10s -run '^$$' ./internal/rlnc/
 
-# ci is what the GitHub workflow runs: the generated-kernel check, every
-# package once plain, once under the detector, the gates, the
+# ci is what the GitHub workflow runs: the gofmt check, the
+# generated-kernel check, every package once plain, once under the detector, the gates, the
 # bench-pairs verdict's test, the -run pattern check, and the end-to-end
 # benchmark's smoke.
-ci: vet vet-arm64 gen-check build test race gates benchpairs-test runpatterns-test bench-e2e-smoke
+ci: fmt vet vet-arm64 gen-check build test race gates benchpairs-test runpatterns-test bench-e2e-smoke
 
 check: ci

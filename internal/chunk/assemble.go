@@ -1,6 +1,10 @@
 package chunk
 
-import "fmt"
+import (
+	"fmt"
+
+	"asymshare/internal/gf"
+)
 
 // Assembler reassembles a file in place: one output buffer sized from
 // the manifest, a Slot per chunk for its decoder to write into, a done
@@ -8,6 +12,11 @@ import "fmt"
 // verified against its Sum (ChunkInfo.CheckSum) by whoever decoded it,
 // before Done — except for a manifest of the older format, whose
 // whole-file ContentMD5 Finish verifies.
+//
+// The buffer's capacity reaches past the file by the last chunk's
+// padding to whole chunk-vectors, so a decoder can eliminate all K of
+// the last generation's vectors in its slot (rlnc.Pipeline.Retarget),
+// as it does in every full one; Finish clips it off.
 //
 // Slot ownership: Slot(i) belongs to its one writer until that writer
 // calls Done(i); afterwards it is read-only. Slot and Done are safe for
@@ -26,8 +35,10 @@ func NewAssembler(m *Manifest) (*Assembler, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	last := m.Chunks[len(m.Chunks)-1]
+	pad := max(0, last.K*gf.VecBytes(m.Plan.FieldBits, m.Plan.M)-last.DataLen)
 	a := &Assembler{
-		out:  make([]byte, m.TotalSize),
+		out:  make([]byte, m.TotalSize, m.TotalSize+int64(pad)),
 		offs: make([]int, len(m.Chunks)+1),
 		want: m.ContentMD5,
 		done: make([]bool, len(m.Chunks)),
@@ -39,9 +50,14 @@ func NewAssembler(m *Manifest) (*Assembler, error) {
 }
 
 // Slot returns chunk i's byte range of the output: exactly DataLen
-// bytes, capacity-clipped so a writer cannot spill into its neighbour.
+// bytes, capacity-clipped so a writer cannot spill into its neighbour;
+// the last chunk's capacity takes in the padding.
 func (a *Assembler) Slot(i int) []byte {
-	return a.out[a.offs[i]:a.offs[i+1]:a.offs[i+1]]
+	end := a.offs[i+1]
+	if i == len(a.done)-1 {
+		return a.out[a.offs[i]:end:cap(a.out)]
+	}
+	return a.out[a.offs[i]:end:end]
 }
 
 // Done marks chunk i decoded and verified: its slot is final.
@@ -59,7 +75,7 @@ func (a *Assembler) Finish() ([]byte, error) {
 	if a.want != "" && ContentDigest(a.out) != a.want {
 		return nil, fmt.Errorf("%w: assembled content digest mismatch", ErrBadManifest)
 	}
-	return a.out, nil
+	return a.out[:len(a.out):len(a.out)], nil
 }
 
 // Assemble concatenates decoded chunk payloads (in chunk order) into the

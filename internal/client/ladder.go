@@ -6,8 +6,9 @@ package client
 // k — whichever stream delivers the last innovative message wins, and
 // duplicates are just redundant rows, so racing rungs is always safe.
 // The pipeline outlives the chunk: it comes from, and returns to, the
-// fetch call's free list, and decodes straight into the chunk's slot of
-// the output file.
+// fetch call's free list, and is aimed at the buffer the chunk is
+// returned in — its slot of the output file — so every message is
+// copied into that buffer once and eliminated there.
 //
 // Unhedged, every rung launches at t = 0 and breakers are ignored. What
 // a rung asks for depends on what its peer has shown (health.go): a
@@ -54,9 +55,10 @@ type rung struct {
 }
 
 // pipelines is the free list of warm decode engines one fetch call owns
-// (DESIGN.md §15): a chunk takes one, retargets it at its generation,
-// and hands it back once its rungs have all returned, so a manifest of
-// n chunks builds as many engines as it has chunks in flight, not n.
+// (DESIGN.md §15): a chunk takes one, retargets it at its generation
+// and its output, and hands it back once its rungs have all returned,
+// so a manifest of n chunks builds as many engines as it has chunks in
+// flight, not n.
 // The engines hold the coding secret, so the list lives exactly as long
 // as the call's session set and is closed with it.
 type pipelines struct {
@@ -68,20 +70,29 @@ func (c *Client) newPipelines(window int) *pipelines {
 	return &pipelines{c: c, free: make(chan *rlnc.Pipeline, window)}
 }
 
-// acquire returns an engine aimed at req's generation: a parked one
-// when its geometry fits, else — nothing parked, or the short last
-// chunk — a fresh build.
-func (pl *pipelines) acquire(req FetchRequest) (*rlnc.Pipeline, error) {
+// acquire returns an engine aimed at req's generation and at out, the
+// buffer it decodes in: a parked one when its geometry fits, else —
+// nothing parked, or the short last chunk — a fresh build, aimed the
+// same way.
+func (pl *pipelines) acquire(req FetchRequest, out []byte) (*rlnc.Pipeline, error) {
 	select {
 	case p := <-pl.free:
-		if p.Retarget(req.Params, req.FileID, req.Digests) == nil {
+		if p.Retarget(req.Params, req.FileID, req.Digests, out) == nil {
 			return p, nil
 		}
 		pl.free <- p // room is certain: this goroutine just took it out
 	default:
 	}
 	pl.c.m.pipelinesBuilt.Inc()
-	return rlnc.NewPipeline(req.Params, req.FileID, req.Secret, req.Digests, rlnc.PipelineConfig{})
+	p, err := rlnc.NewPipeline(req.Params, req.FileID, req.Secret, req.Digests, rlnc.PipelineConfig{})
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Retarget(req.Params, req.FileID, req.Digests, out); err != nil {
+		p.Close()
+		return nil, err
+	}
+	return p, nil
 }
 
 // release parks p for the next chunk. The caller has no producer left
@@ -107,10 +118,12 @@ func (pl *pipelines) close() {
 }
 
 // fetchChunk downloads the generation req names over links (req.Peers
-// is not consulted) and decodes it into out, which must be exactly
+// is not consulted) and decodes it in out, which must be exactly
 // req.Params.DataLen bytes — the chunk's slot of the file being
-// assembled; nil allocates. rotate — the chunk index — spreads
-// concurrent hedged chunks across equally healthy peers.
+// assembled — and is decoded in place when its capacity holds the
+// generation's K chunk-vectors; nil allocates such a buffer. rotate —
+// the chunk index — spreads concurrent hedged chunks across equally
+// healthy peers.
 func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, req FetchRequest,
 	pl *pipelines, out []byte) ([]byte, FetchStats, error) {
 	stats := FetchStats{BytesFrom: make(map[string]uint64, len(links))}
@@ -125,7 +138,10 @@ func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, 
 	if c.opt.Hedge {
 		ladder, probeFrom, coolFrom = c.health.order(links, rotate)
 	}
-	sink, err := pl.acquire(req)
+	if out == nil {
+		out = make([]byte, req.Params.DataLen, req.Params.CapacityBytes())
+	}
+	sink, err := pl.acquire(req, out)
 	if err != nil {
 		return fail(err)
 	}
@@ -315,9 +331,6 @@ loop:
 				ErrIncomplete, sink.Rank(), req.Params.K, joinErrs(errs))
 		}
 		return fail(err)
-	}
-	if out == nil {
-		out = make([]byte, req.Params.DataLen)
 	}
 	if err := sink.DecodeInto(out); err != nil {
 		return fail(err)

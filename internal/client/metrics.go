@@ -38,6 +38,12 @@ const (
 	MetricVerifyMessages = "client_verify_messages_total" // arm="lanes" | "scalar"
 	MetricVerifySkipped  = "client_verify_skipped_redundant_total"
 
+	// The in-place decode's fix-up (DESIGN.md §9): chunk-vectors a
+	// pipeline eliminated in another row's slot of the output and then
+	// moved into their own — after a forged or redundant arrival gave a
+	// slot back, or producers parked out of order.
+	MetricDecodeFixupBlocks = "client_decode_fixup_blocks_total"
+
 	// Overload-resilience families (DESIGN.md §15): hedged re-issues,
 	// per-peer circuit breakers, and BUSY sheds observed from peers.
 	MetricHedgeLaunched      = "hedge_launched_total"
@@ -81,6 +87,7 @@ type clientMetrics struct {
 	decodeDepth *metrics.Gauge
 	decodeBusy  *metrics.Gauge
 	decodeElim  *metrics.Counter
+	fixupBlocks *metrics.Counter
 
 	verifyGroups  *metrics.Counter
 	verifyLanes   *metrics.Counter
@@ -128,6 +135,7 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 		decodeDepth: reg.Gauge(MetricDecodeQueueDepth, "Payload elimination jobs queued in the decode pipeline."),
 		decodeBusy:  reg.Gauge(MetricDecodeBusyWorkers, "Decode pipeline workers currently eliminating a segment."),
 		decodeElim:  reg.Counter(MetricDecodeElimBytes, "Payload bytes processed by decode row operations."),
+		fixupBlocks: reg.Counter(MetricDecodeFixupBlocks, "Decoded chunk-vectors moved into place after elimination in another row's slot."),
 
 		verifyGroups:  reg.Counter(MetricVerifyGroups, "Groups of parked messages digested and settled by decode pipelines."),
 		verifyLanes:   reg.Counter(MetricVerifyMessages, "Messages digest-verified, by arm.", metrics.L("arm", "lanes")),
@@ -236,6 +244,7 @@ func (m *clientMetrics) sampleDecode(telemetry func() rlnc.PipelineTelemetry) fu
 // instruments after a successful decode.
 func (m *clientMetrics) recordDecodeTelemetry(t rlnc.PipelineTelemetry) {
 	m.decodeElim.Add(t.EliminatedBytes)
+	m.fixupBlocks.Add(t.FixupBlocks)
 	m.verifyGroups.Add(t.VerifyGroups)
 	m.verifyLanes.Add(t.LaneMessages)
 	m.verifyScalar.Add(t.ScalarMessages)

@@ -171,7 +171,8 @@ func TestAddBytesSteadyStateAllocs(t *testing.T) {
 	gens := make([]generation, 2)
 	for g := range gens {
 		enc, digests, _ := retargetGen(t, gf.Bits8, k, m, g)
-		gens[g] = generation{enc: enc, digests: digests, out: make([]byte, enc.Params().DataLen)}
+		gens[g] = generation{enc: enc, digests: digests,
+			out: make([]byte, enc.Params().DataLen, enc.Params().CapacityBytes())}
 		for id := uint64(0); id < uint64(2*k); id++ {
 			gens[g].frames = append(gens[g].frames, marshal(t, enc.Message(id)))
 		}
@@ -186,7 +187,7 @@ func TestAddBytesSteadyStateAllocs(t *testing.T) {
 	cycle := func() {
 		for g := range gens {
 			gen := &gens[g]
-			if err := pipe.Retarget(gen.enc.Params(), gen.enc.FileID(), gen.digests); err != nil {
+			if err := pipe.Retarget(gen.enc.Params(), gen.enc.FileID(), gen.digests, gen.out); err != nil {
 				t.Fatal(err)
 			}
 			for _, frame := range gen.frames {

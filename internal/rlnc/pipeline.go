@@ -6,9 +6,9 @@ package rlnc
 //
 //  0. stage    — the cheap checks (file-id, length, a digest on record
 //                for the message-id, not a repeat of a verified id) and
-//                the one copy of the payload into an arena slot, on the
-//                calling producer; the message is then parked, and the
-//                producer returns without a verdict;
+//                the one copy of the payload into a slot of the output
+//                buffer, on the calling producer; the message is then
+//                parked, and the producer returns without a verdict;
 //  1. verify   — the producer whose arrival brings the parked count to
 //                min(8, K − rank) — what the generation still needs, at
 //                most a lane pass — digests the group side by side
@@ -33,11 +33,18 @@ package rlnc
 // they wait for the group's outcome and, if it completed the
 // generation, are settled redundant without being hashed.
 //
-// Every buffer on the steady-state path — the K payload slots and K
-// coefficient rows (parked plus committed never exceeds K), the group
-// scratch, job and step storage, product tables — is preallocated at
-// construction and recycled through free lists, so an accepted message
-// allocates nothing.
+// The payload slots are the output (DESIGN.md §9): the engine is aimed
+// at the buffer the generation will be returned in, K chunk-vectors of
+// capacity, and carves its K slots from it in ascending order, so every
+// row is eliminated where it will be read. Once solved, row i holds
+// original vector pivot(i); where that is not the slot it landed in — a
+// forged or redundant arrival gave its slot back, two producers parked
+// in the other order — DecodeInto moves the blocks into place, cycle by
+// cycle, through one chunk-vector of scratch. Every other buffer on the
+// steady-state path — K coefficient rows (parked plus committed never
+// exceeds K), the group scratch, job and step storage, product tables —
+// is preallocated at construction and recycled through free lists, so
+// an accepted message allocates nothing.
 //
 // Because stage 2 records the exact factor sequence the sequential
 // Decoder would apply to the same messages in the same order and GF
@@ -86,13 +93,15 @@ type PipelineTelemetry struct {
 	LaneMessages     uint64 // messages digested in the eight-lane kernel
 	ScalarMessages   uint64 // messages digested one at a time
 	SkippedRedundant uint64 // arrivals settled redundant unhashed: the generation was complete
+
+	FixupBlocks uint64 // decoded chunk-vectors moved into place: they were eliminated in another row's slot
 }
 
-// staged is one parked arrival: its message-id and the arena slot its
-// payload was copied into.
+// staged is one parked arrival: its message-id and the index of the
+// slot its payload was copied into.
 type staged struct {
 	id   uint64
-	slot []byte
+	slot int32
 }
 
 // pipeJob is one row's payload elimination: replay steps (and the
@@ -112,10 +121,12 @@ type segTask struct {
 }
 
 // Pipeline implements Sink with concurrent producers and parallel
-// payload elimination. Construct with NewPipeline, feed it from any
-// number of goroutines, then call Decode (or DecodeInto) once Done;
-// Retarget it at the next generation of the same geometry as often as
-// wanted, and Close when finished with it.
+// payload elimination. Construct with NewPipeline, aim it at the
+// generation's output buffer with Retarget, feed it from any number of
+// goroutines, then call DecodeInto once Done; Retarget it at the next
+// generation of the same geometry as often as wanted, and Close when
+// finished with it. An engine nobody aimed draws its own output at its
+// first arrival, and Decode hands that over.
 type Pipeline struct {
 	params  Params
 	fileID  uint64
@@ -128,29 +139,34 @@ type Pipeline struct {
 	mu       sync.Mutex
 	settled  *sync.Cond // a group has been settled, or the engine closed
 	rowFree  [][]uint32
-	slotFree [][]byte
+	out      []byte  // the output, K × cb: aimed by Retarget, or drawn at the first arrival
+	slotFree []int32 // free slot indices, the lowest on top
 	seen     map[uint64]bool
 	echelon  [][]uint32
 	pivots   []int
-	pays     [][]byte // payload slot per echelon row, fixed K entries
+	rowSlot  []int32 // slot of each echelon row's payload, fixed K entries
 	stats    Stats
 	closed   bool
 
-	// Staging. reserved counts arena slots held by arrivals that have
+	// Staging. reserved counts slots held by arrivals that have
 	// no verdict yet — being copied, parked, or in the group being
 	// verified — and never exceeds K − rank, so rank + reserved ≤ K
 	// and the free lists cannot run dry.
 	reserved  int
 	parked    []staged // copied and waiting, in arrival order
-	verifying bool     // a producer is settling groups; it alone uses group/sums
+	verifying bool     // a producer is settling groups; it alone uses group/groupSlot/sums
 	group     [digestLanes]Message
 	groupPtr  [digestLanes]*Message
+	groupSlot [digestLanes]int32
 	sums      [digestLanes]Digest
 
 	rank atomic.Int64
 
-	decodeMu sync.Mutex
+	decodeMu sync.Mutex // guards solved, the fix-up's maps and scratch
 	solved   bool
+	slotRow  []int32 // fix-up: the row in each slot
+	pivotRow []int32 // fix-up: the row each original vector was solved in
+	scratch  []byte  // fix-up: one chunk-vector, drawn by the first cycle
 
 	jobs   chan *pipeJob
 	jobsWG sync.WaitGroup
@@ -172,12 +188,14 @@ type Pipeline struct {
 	laneMsgs     atomic.Uint64
 	scalarMsgs   atomic.Uint64
 	skipped      atomic.Uint64
+	fixups       atomic.Uint64
 }
 
 // NewPipeline prepares a parallel decoder for one generation, mirroring
 // NewDecoder's contract. digests, if non-nil, enables per-message
-// authentication. The returned pipeline owns background goroutines;
-// callers must Close it.
+// authentication. The engine is aimed at no buffer yet: Retarget aims
+// it, or its first arrival draws one. The returned pipeline owns
+// background goroutines; callers must Close it.
 func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64]Digest, cfg PipelineConfig) (*Pipeline, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -206,11 +224,13 @@ func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64
 		workers:  workers,
 		segMin:   segMin,
 		rowFree:  make([][]uint32, k),
-		slotFree: make([][]byte, k),
+		slotFree: make([]int32, 0, k),
 		seen:     make(map[uint64]bool, 2*k),
 		echelon:  make([][]uint32, 0, k),
 		pivots:   make([]int, 0, k),
-		pays:     make([][]byte, k),
+		rowSlot:  make([]int32, k),
+		slotRow:  make([]int32, k),
+		pivotRow: make([]int32, k),
 		parked:   make([]staged, 0, k),
 		jobs:     make(chan *pipeJob, k),
 		segCh:    make(chan segTask, workers*2),
@@ -223,11 +243,10 @@ func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64
 		p.groupPtr[i] = &p.group[i]
 	}
 	rowArena := make([]uint32, k*k)
-	payArena := make([]byte, k*cb)
 	for i := 0; i < k; i++ {
 		p.rowFree[i] = rowArena[i*k : (i+1)*k : (i+1)*k]
-		p.slotFree[i] = payArena[i*cb : (i+1)*cb : (i+1)*cb]
 	}
+	p.freeAllSlots()
 	stepArena := make([]elimStep, k*k)
 	for i := range p.jobBuf {
 		p.jobBuf[i].steps = stepArena[i*k : i*k : (i+1)*k]
@@ -270,6 +289,7 @@ func (p *Pipeline) Telemetry() PipelineTelemetry {
 		LaneMessages:     p.laneMsgs.Load(),
 		ScalarMessages:   p.scalarMsgs.Load(),
 		SkippedRedundant: p.skipped.Load(),
+		FixupBlocks:      p.fixups.Load(),
 	}
 }
 
@@ -288,10 +308,11 @@ func (p *Pipeline) Add(msg *Message) (bool, error) {
 // AddBytes ingests one serialized message (16-byte header + payload)
 // straight from a wire frame, without unmarshaling into a Message: the
 // identifiers are parsed in place and the payload is copied once,
-// directly into a pooled arena slot, where it is later digested with
-// its header. This is the zero-copy receive hot path: an accepted frame
-// costs one memcpy and no allocations. The caller keeps ownership of
-// data; it may be recycled as soon as AddBytes returns.
+// directly into a slot of the output buffer, where it is later digested
+// with its header and eliminated. This is the zero-copy receive hot
+// path: an accepted frame costs one memcpy and no allocations. The
+// caller keeps ownership of data; it may be recycled as soon as
+// AddBytes returns.
 func (p *Pipeline) AddBytes(data []byte) (bool, error) {
 	if len(data) < headerBytes {
 		return false, fmt.Errorf("%w: %d bytes", ErrShortMessage, len(data))
@@ -343,8 +364,12 @@ func (p *Pipeline) stage(fileID, msgID uint64, payload []byte) (bool, error) {
 		p.settled.Wait()
 	}
 	p.reserved++
-	slot := p.slotFree[len(p.slotFree)-1]
+	if p.out == nil {
+		p.out = make([]byte, p.params.CapacityBytes())
+	}
+	s := p.slotFree[len(p.slotFree)-1]
 	p.slotFree = p.slotFree[:len(p.slotFree)-1]
+	slot := p.slot(s)
 	p.mu.Unlock()
 
 	copy(slot, payload)
@@ -352,10 +377,10 @@ func (p *Pipeline) stage(fileID, msgID uint64, payload []byte) (bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		p.release(slot)
+		p.release(s)
 		return false, ErrPipelineClosed
 	}
-	p.parked = append(p.parked, staged{id: msgID, slot: slot})
+	p.parked = append(p.parked, staged{id: msgID, slot: s})
 	if p.verifying || len(p.parked) < p.groupLocked() {
 		return false, nil
 	}
@@ -372,10 +397,26 @@ func (p *Pipeline) groupLocked() int {
 	return min(digestLanes, p.params.K-len(p.echelon))
 }
 
+// slot is slot s of the output: chunk-vector s of the generation, and
+// the payload of whichever arrival holds it.
+func (p *Pipeline) slot(s int32) []byte {
+	lo := int(s) * p.cb
+	return p.out[lo : lo+p.cb : lo+p.cb]
+}
+
+// freeAllSlots puts every slot on the free list, slot 0 on top, so
+// arrivals take them in ascending order.
+func (p *Pipeline) freeAllSlots() {
+	p.slotFree = p.slotFree[:0]
+	for s := p.params.K - 1; s >= 0; s-- {
+		p.slotFree = append(p.slotFree, int32(s))
+	}
+}
+
 // release returns a slot whose arrival is settled without a row.
-func (p *Pipeline) release(slot []byte) {
+func (p *Pipeline) release(s int32) {
 	p.reserved--
-	p.slotFree = append(p.slotFree, slot)
+	p.slotFree = append(p.slotFree, s)
 }
 
 // settleLocked is stages 1 and 2: it verifies and commits parked
@@ -390,7 +431,8 @@ func (p *Pipeline) settleLocked(all bool) (innovative bool, err error) {
 	for first := true; len(p.parked) > 0 && (all || len(p.parked) >= p.groupLocked()); first = false {
 		g := min(len(p.parked), digestLanes)
 		for i, st := range p.parked[:g] {
-			p.group[i] = Message{FileID: p.fileID, MessageID: st.id, Payload: st.slot}
+			p.group[i] = Message{FileID: p.fileID, MessageID: st.id, Payload: p.slot(st.slot)}
+			p.groupSlot[i] = st.slot
 		}
 		p.parked = p.parked[:copy(p.parked, p.parked[g:])]
 		if p.digests != nil {
@@ -402,7 +444,7 @@ func (p *Pipeline) settleLocked(all bool) (innovative bool, err error) {
 			p.mu.Lock()
 		}
 		for i := 0; i < g; i++ {
-			ok, cerr := p.commit(&p.group[i], p.sums[i])
+			ok, cerr := p.commit(&p.group[i], p.groupSlot[i], p.sums[i])
 			if first && i == g-1 {
 				innovative, err = ok, cerr
 			}
@@ -417,10 +459,9 @@ func (p *Pipeline) settleLocked(all bool) (innovative bool, err error) {
 // digest against its own entry first, then — only for an authentic
 // message — the duplicate check, the coefficient row and its
 // innovation, and for a surviving row the hand-off of the payload
-// elimination to the job runner. The slot goes back to the free list
-// unless the row is accepted.
-func (p *Pipeline) commit(msg *Message, sum Digest) (bool, error) {
-	slot := msg.Payload
+// elimination to the job runner. Slot s, which holds msg.Payload, goes
+// back to the free list unless the row is accepted.
+func (p *Pipeline) commit(msg *Message, slot int32, sum Digest) (bool, error) {
 	if p.closed {
 		p.release(slot)
 		return false, ErrPipelineClosed
@@ -451,7 +492,7 @@ func (p *Pipeline) commit(msg *Message, sum Digest) (bool, error) {
 	p.reserved--
 	p.echelon = append(p.echelon, cand)
 	p.pivots = append(p.pivots, leadingIndex(cand))
-	p.pays[r] = slot
+	p.rowSlot[r] = slot
 	p.stats.Accepted++
 	job.dst = int32(r)
 	job.steps = steps
@@ -560,12 +601,12 @@ func (p *Pipeline) segWorker() {
 }
 
 // applySeg replays a job's recorded row operations over one payload
-// slice. Reads of p.pays entries are ordered by the jobs/segCh channel
-// sends that happen after the rows were committed under p.mu.
+// slice. Reads of p.rowSlot entries are ordered by the jobs/segCh
+// channel sends that happen after the rows were committed under p.mu.
 func (p *Pipeline) applySeg(job *pipeJob, lo, hi int, scale *gf.MulTable) {
-	dst := p.pays[job.dst][lo:hi]
+	dst := p.slot(p.rowSlot[job.dst])[lo:hi]
 	for s := range job.steps {
-		src := p.pays[job.steps[s].src][lo:hi]
+		src := p.slot(p.rowSlot[job.steps[s].src])[lo:hi]
 		p.tabs[s].MulAdd(dst, src)
 	}
 	if scale != nil {
@@ -576,21 +617,34 @@ func (p *Pipeline) applySeg(job *pipeJob, lo, hi int, scale *gf.MulTable) {
 }
 
 // Decode completes the generation and returns the original data,
-// trimmed to params.DataLen. It returns ErrNotDecodable if rank < k.
+// trimmed to params.DataLen: the buffer the engine was aimed at, or the
+// one it drew itself, handed over without a copy. It returns
+// ErrNotDecodable if rank < k.
 func (p *Pipeline) Decode() ([]byte, error) {
-	out := make([]byte, p.params.DataLen)
-	if err := p.DecodeInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return p.solve()
 }
 
-// DecodeInto is Decode with a caller-supplied buffer of exactly
-// DataLen bytes, for allocation-free reuse across generations.
+// DecodeInto completes the generation in out, which must be DataLen
+// bytes: the buffer the engine was aimed at, where nothing is left to
+// do but move any chunk-vector eliminated in another row's slot into
+// place. Any other buffer receives one copy of the data.
 func (p *Pipeline) DecodeInto(out []byte) error {
 	if len(out) != p.params.DataLen {
 		return fmt.Errorf("%w: output %d bytes, want %d", ErrBadParams, len(out), p.params.DataLen)
 	}
+	data, err := p.solve()
+	if err != nil {
+		return err
+	}
+	if len(out) > 0 && &out[0] != &data[0] {
+		copy(out, data)
+	}
+	return nil
+}
+
+// solve finishes the elimination, puts every row in its place and
+// returns the output trimmed to DataLen. It is idempotent.
+func (p *Pipeline) solve() ([]byte, error) {
 	p.decodeMu.Lock()
 	defer p.decodeMu.Unlock()
 
@@ -598,16 +652,17 @@ func (p *Pipeline) DecodeInto(out []byte) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return ErrPipelineClosed
+		return nil, ErrPipelineClosed
 	}
 	rank := len(p.echelon)
 	p.mu.Unlock()
 	k := p.params.K
 	if rank < k {
-		return fmt.Errorf("%w: rank %d of %d", ErrNotDecodable, rank, k)
+		return nil, fmt.Errorf("%w: rank %d of %d", ErrNotDecodable, rank, k)
 	}
 	// Drain forward elimination. Rank is full, so no new payload jobs
-	// can be enqueued concurrently.
+	// can be enqueued concurrently, and no slot is held by an arrival
+	// without a row: the K rows own the whole output.
 	p.jobsWG.Wait()
 
 	if !p.solved {
@@ -639,37 +694,80 @@ func (p *Pipeline) DecodeInto(out []byte) error {
 			p.jobs <- job
 		}
 		p.jobsWG.Wait()
+		p.placeRows()
 		p.solved = true
 	}
+	return p.out[:p.params.DataLen], nil
+}
 
-	cb := p.cb
-	for i := 0; i < k; i++ {
-		off := p.pivots[i] * cb
-		if off >= len(out) {
+// placeRows is the fix-up: row r now holds original chunk-vector
+// pivots[r], and every one that was eliminated in another slot is moved
+// into its own. The rows' slots are a permutation of the K slots, so
+// each cycle of it is walked once: the first slot's vector is lifted
+// into scratch, each hole is filled from the slot holding the vector
+// that belongs there, and the lifted one fills the last. Arrivals that
+// were taken in order, one at a time, and all committed, move nothing.
+func (p *Pipeline) placeRows() {
+	k := p.params.K
+	for r := 0; r < k; r++ {
+		p.slotRow[p.rowSlot[r]] = int32(r)
+		p.pivotRow[p.pivots[r]] = int32(r)
+	}
+	moved := 0
+	for start := int32(0); start < int32(k); start++ {
+		lifted := p.slotRow[start]
+		if p.pivots[lifted] == int(start) {
 			continue
 		}
-		copy(out[off:], p.pays[i])
+		if p.scratch == nil {
+			p.scratch = make([]byte, p.cb)
+		}
+		copy(p.scratch, p.slot(start))
+		hole := start
+		for {
+			r := p.pivotRow[hole] // the row whose vector belongs in hole
+			if r == lifted {
+				break
+			}
+			src := p.rowSlot[r]
+			copy(p.slot(hole), p.slot(src))
+			p.rowSlot[r], p.slotRow[hole] = hole, r
+			moved++
+			hole = src
+		}
+		copy(p.slot(hole), p.scratch)
+		p.rowSlot[lifted], p.slotRow[hole] = hole, lifted
+		moved++
 	}
-	return nil
+	p.fixups.Add(uint64(moved))
 }
 
 // Retarget points the engine at another generation of the same
 // geometry — same field, K and chunk-vector size; DataLen may differ —
 // keeping the secret and with it the coefficient generator, and every
-// pooled buffer and worker: the arena is recycled, not rebuilt, and
-// messages still parked for the old generation are dropped unverified.
-// digests replaces the authentication table (nil disables it).
+// pooled buffer and worker; messages still parked for the old
+// generation are dropped unverified. digests replaces the
+// authentication table (nil disables it). out aims the engine: it is
+// the generation's output, DataLen bytes, and the K payload slots are
+// carved from its first K chunk-vectors of capacity, so it is decoded
+// where it will be read. An out whose capacity is short of that, or
+// nil, aims it nowhere: the first arrival draws a buffer, and
+// DecodeInto copies out of it. The previous output is no longer
+// referenced — it is its owner's again.
 // A different geometry is refused with ErrBadParams and leaves the
 // engine untouched; build a fresh pipeline for it. The caller must
 // ensure no Add or Decode is in flight — every producer of the previous
 // generation has returned — and frames still addressed to the old
 // file-id are thereafter ErrWrongFile like any other foreign message.
-func (p *Pipeline) Retarget(params Params, fileID uint64, digests map[uint64]Digest) error {
+func (p *Pipeline) Retarget(params Params, fileID uint64, digests map[uint64]Digest, out []byte) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
 	if params.Field.Bits() != p.params.Field.Bits() || params.K != p.params.K || params.ChunkBytes() != p.cb {
 		return fmt.Errorf("%w: retarget %v onto a pipeline built for %v", ErrBadParams, params, p.params)
+	}
+	if out != nil && len(out) != params.DataLen {
+		return fmt.Errorf("%w: output %d bytes, want %d", ErrBadParams, len(out), params.DataLen)
 	}
 	p.decodeMu.Lock()
 	defer p.decodeMu.Unlock()
@@ -680,14 +778,17 @@ func (p *Pipeline) Retarget(params Params, fileID uint64, digests map[uint64]Dig
 		return ErrPipelineClosed
 	}
 	p.params, p.fileID, p.digests = params, fileID, digests
+	p.out = nil
+	if n := params.CapacityBytes(); cap(out) >= n {
+		p.out = out[:n]
+	}
 	clear(p.seen)
 	p.dropParkedLocked()
 	for i, row := range p.echelon {
 		p.rowFree = append(p.rowFree, row)
-		p.slotFree = append(p.slotFree, p.pays[i])
-		p.pays[i] = nil
 		p.echelon[i] = nil
 	}
+	p.freeAllSlots()
 	p.echelon = p.echelon[:0]
 	p.pivots = p.pivots[:0]
 	p.stats = Stats{}
@@ -700,6 +801,7 @@ func (p *Pipeline) Retarget(params Params, fileID uint64, digests map[uint64]Dig
 	p.laneMsgs.Store(0)
 	p.scalarMsgs.Store(0)
 	p.skipped.Store(0)
+	p.fixups.Store(0)
 	return nil
 }
 

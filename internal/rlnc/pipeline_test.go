@@ -12,11 +12,17 @@ import (
 )
 
 // pipelineGen builds an encoder plus the owner-published digest map for
-// a deterministic generation.
+// a deterministic generation of k*pieceLen bytes.
 func pipelineGen(t testing.TB, bits uint, k, pieceLen int, seed int64) (*Encoder, map[uint64]Digest, []byte) {
 	t.Helper()
+	return pipelineGenLen(t, bits, k, pieceLen, k*pieceLen, seed)
+}
+
+// pipelineGenLen is pipelineGen for dataLen bytes.
+func pipelineGenLen(t testing.TB, bits uint, k, pieceLen, dataLen int, seed int64) (*Encoder, map[uint64]Digest, []byte) {
+	t.Helper()
 	f := gf.MustNew(bits)
-	p, err := NewParams(f, k, pieceLen, k*pieceLen)
+	p, err := NewParams(f, k, pieceLen, dataLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +100,10 @@ func TestRowStreamMatchesRow(t *testing.T) {
 // corrupt and redundant messages, in random arrival orders, must yield
 // byte-identical output and identical accounting from the staged
 // pipeline and the sequential decoder — at generation sizes on both
-// sides of a lane pass (one group, a remainder, several groups) and fed
-// through Add and AddBytes alike. The pipeline defers a parked message's
+// sides of a lane pass (one group, a remainder, several groups), with
+// DataLen filling the K chunk-vectors exactly or falling short of them,
+// and fed through Add and AddBytes alike. The engine is aimed at the
+// output and must decode in it. The pipeline defers a parked message's
 // verdict, so per call it may only say less than the decoder, never
 // more.
 func TestPipelineMatchesSequentialDecoder(t *testing.T) {
@@ -104,7 +112,8 @@ func TestPipelineMatchesSequentialDecoder(t *testing.T) {
 			t.Run(fmt.Sprintf("p%d_w%d", bits, workers), func(t *testing.T) {
 				for _, k := range []int{1, 3, 8, 9, 24, 32} {
 					for order := int64(0); order < 4; order++ {
-						pipelineVersusDecoder(t, bits, workers, k, order)
+						pipelineVersusDecoder(t, bits, workers, k, order, false)
+						pipelineVersusDecoder(t, bits, workers, k, order, true)
 					}
 				}
 			})
@@ -112,10 +121,15 @@ func TestPipelineMatchesSequentialDecoder(t *testing.T) {
 	}
 }
 
-func pipelineVersusDecoder(t *testing.T, bits uint, workers, k int, order int64) {
+func pipelineVersusDecoder(t *testing.T, bits uint, workers, k int, order int64, short bool) {
 	t.Helper()
-	what := fmt.Sprintf("k=%d order %d", k, order)
-	enc, digests, data := pipelineGen(t, bits, k, 96, int64(bits)*100+int64(workers))
+	const m = 96
+	what := fmt.Sprintf("k=%d order %d short %v", k, order, short)
+	dataLen := k * gf.VecBytes(bits, m)
+	if short {
+		dataLen -= 1 + int(order)*7
+	}
+	enc, digests, data := pipelineGenLen(t, bits, k, m, dataLen, int64(bits)*100+int64(workers))
 	msgs := scrambledStream(enc, rand.New(rand.NewSource(42+order)), k)
 	if order == 3 {
 		// Unauthenticated: nothing is parked, the forgeries are decoded
@@ -133,6 +147,10 @@ func pipelineVersusDecoder(t *testing.T, bits uint, workers, k int, order int64)
 		t.Fatal(err)
 	}
 	defer pipe.Close()
+	out := make([]byte, dataLen, enc.Params().CapacityBytes())
+	if err := pipe.Retarget(enc.Params(), enc.FileID(), digests, out); err != nil {
+		t.Fatal(err)
+	}
 
 	for i, msg := range msgs {
 		wantInnov, wantErr := dec.Add(msg.Clone())
@@ -158,20 +176,74 @@ func pipelineVersusDecoder(t *testing.T, bits uint, workers, k int, order int64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pipe.Decode()
-	if err != nil {
+	if err := pipe.DecodeInto(out); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(out, want) {
 		t.Fatalf("%s: pipeline output differs from sequential decoder", what)
 	}
-	if data != nil && !bytes.Equal(got, data) {
+	if data != nil && !bytes.Equal(out, data) {
 		t.Fatalf("%s: pipeline output differs from original data", what)
 	}
-	// Decode is idempotent.
+	// Decode is idempotent, and hands over the buffer it was aimed at.
 	again, err := pipe.Decode()
-	if err != nil || !bytes.Equal(again, want) {
-		t.Fatalf("%s: second Decode = %v (equal=%v)", what, err, bytes.Equal(again, want))
+	if err != nil || !bytes.Equal(again, want) || &again[0] != &out[0] {
+		t.Fatalf("%s: second Decode = %v (equal=%v, in place=%v)", what, err, bytes.Equal(again, want), &again[0] == &out[0])
+	}
+}
+
+// TestPipelineFixup pins the block-permutation fix-up from both sides:
+// arrivals taken in order, one producer, every one committed, are each
+// eliminated in the slot of the vector they solve for and move nothing;
+// a forged arrival in the middle of a group gives its slot back, the
+// rows behind it land one slot late and the replacement lands in the
+// gap, so the decode must move that cycle into place — and still be
+// byte-identical, in the buffer it was aimed at.
+func TestPipelineFixup(t *testing.T) {
+	const k = 8
+	for _, tc := range []struct {
+		name    string
+		forge   int // the id forged in the first pass; -1: none
+		digests bool
+		moved   func(uint64) bool
+	}{
+		{"in order, unauthenticated", -1, false, func(n uint64) bool { return n == 0 }},
+		{"in order, one group", -1, true, func(n uint64) bool { return n == 0 }},
+		{"forged arrival mid-group", 2, true, func(n uint64) bool { return n > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc, digests, data := pipelineGen(t, gf.Bits32, k, 64, 5)
+			if !tc.digests {
+				digests = nil
+			}
+			pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.Close()
+			out := make([]byte, len(data))
+			if err := pipe.Retarget(enc.Params(), enc.FileID(), digests, out); err != nil {
+				t.Fatal(err)
+			}
+			for id := uint64(0); !pipe.Done(); id++ {
+				msg := enc.Message(id)
+				if int(id) == tc.forge {
+					msg.Payload[3] ^= 0x80
+				}
+				if _, err := pipe.Add(msg); err != nil && !errors.Is(err, ErrBadDigest) {
+					t.Fatal(err)
+				}
+				if id > 2*k {
+					t.Fatalf("rank %d after %d arrivals", pipe.Rank(), id+1)
+				}
+			}
+			if err := pipe.DecodeInto(out); err != nil || !bytes.Equal(out, data) {
+				t.Fatalf("decode: err %v, identical %v", err, bytes.Equal(out, data))
+			}
+			if n := pipe.Telemetry().FixupBlocks; !tc.moved(n) {
+				t.Fatalf("fix-up moved %d blocks", n)
+			}
+		})
 	}
 }
 
@@ -275,8 +347,14 @@ func TestPipelineRetarget(t *testing.T) {
 	defer pipe.Close()
 	for g := 0; g < 32; g++ {
 		enc, digests, data := retargetGen(t, gf.Bits8, k, m, g)
-		if g > 0 {
-			if err := pipe.Retarget(enc.Params(), enc.FileID(), digests); err != nil {
+		// Every fourth generation is aimed nowhere: the engine draws its
+		// own output and Decode hands it over.
+		var out []byte
+		if g%4 != 3 {
+			out = make([]byte, enc.Params().DataLen, enc.Params().CapacityBytes())
+		}
+		if g > 0 || out != nil {
+			if err := pipe.Retarget(enc.Params(), enc.FileID(), digests, out); err != nil {
 				t.Fatalf("generation %d: %v", g, err)
 			}
 			if pipe.Rank() != 0 || pipe.Done() {
@@ -314,6 +392,14 @@ func TestPipelineRetarget(t *testing.T) {
 		if !bytes.Equal(got, want) || !bytes.Equal(got, data) {
 			t.Fatalf("generation %d: retargeted decode differs from a fresh decoder", g)
 		}
+		if out != nil && &got[0] != &out[0] {
+			t.Fatalf("generation %d: decoded outside the buffer it was aimed at", g)
+		}
+		// Any other buffer gets a copy.
+		other := make([]byte, len(data))
+		if err := pipe.DecodeInto(other); err != nil || !bytes.Equal(other, data) {
+			t.Fatalf("generation %d: DecodeInto another buffer: err %v, identical %v", g, err, bytes.Equal(other, data))
+		}
 	}
 }
 
@@ -332,7 +418,7 @@ func TestRetargetRejectsStaleFrames(t *testing.T) {
 	if _, err := pipe.AddBytes(marshal(t, prev.Message(0))); err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.Retarget(next.Params(), next.FileID(), digNext); err != nil {
+	if err := pipe.Retarget(next.Params(), next.FileID(), digNext, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := pipe.AddBytes(marshal(t, prev.Message(1))); ok || !errors.Is(err, ErrWrongFile) {
@@ -355,9 +441,10 @@ func TestRetargetRejectsStaleFrames(t *testing.T) {
 	}
 }
 
-// TestRetargetRefusesOtherGeometry: the arena, rows and coefficient
+// TestRetargetRefusesOtherGeometry: the slots, rows and coefficient
 // generator are sized by field, K and chunk-vector bytes; anything else
-// is refused and the engine keeps decoding what it was aimed at.
+// — or an output of the wrong length — is refused and the engine keeps
+// decoding what it was aimed at.
 func TestRetargetRefusesOtherGeometry(t *testing.T) {
 	const k, m = 8, 64
 	enc, digests, data := retargetGen(t, gf.Bits8, k, m, 0)
@@ -376,9 +463,12 @@ func TestRetargetRefusesOtherGeometry(t *testing.T) {
 		"field":       {Field: gf.MustNew(gf.Bits16), K: k, M: m / 2, DataLen: 10}, // same chunk bytes
 		"invalid":     {Field: gf.MustNew(gf.Bits8), K: k, M: m, DataLen: k*m + 1},
 	} {
-		if err := pipe.Retarget(other, 99, nil); !errors.Is(err, ErrBadParams) && !errors.Is(err, ErrDataTooLarge) {
+		if err := pipe.Retarget(other, 99, nil, nil); !errors.Is(err, ErrBadParams) && !errors.Is(err, ErrDataTooLarge) {
 			t.Errorf("retarget to other %s = %v, want a parameter error", name, err)
 		}
+	}
+	if err := pipe.Retarget(enc.Params(), 99, nil, make([]byte, k*m-1)); !errors.Is(err, ErrBadParams) {
+		t.Errorf("retarget at an output of the wrong length = %v, want ErrBadParams", err)
 	}
 	// The three messages are still parked; the refusals must not have
 	// dropped them.
@@ -394,7 +484,7 @@ func TestRetargetRefusesOtherGeometry(t *testing.T) {
 		t.Fatalf("decode after refused retargets: err %v", err)
 	}
 	pipe.Close()
-	if err := pipe.Retarget(enc.Params(), enc.FileID(), digests); !errors.Is(err, ErrPipelineClosed) {
+	if err := pipe.Retarget(enc.Params(), enc.FileID(), digests, nil); !errors.Is(err, ErrPipelineClosed) {
 		t.Fatalf("retarget after Close = %v, want ErrPipelineClosed", err)
 	}
 }
@@ -465,6 +555,12 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		msgs = append(msgs, enc.Message(id))
 	}
 	out := make([]byte, enc.Params().DataLen)
+	aim := func() {
+		if err := pipe.Retarget(enc.Params(), enc.FileID(), digests, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aim()
 	cycle := func() {
 		for _, msg := range msgs {
 			if _, err := pipe.Add(msg); err != nil {
@@ -474,9 +570,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 		if err := pipe.DecodeInto(out); err != nil {
 			t.Fatal(err)
 		}
-		if err := pipe.Retarget(enc.Params(), enc.FileID(), digests); err != nil {
-			t.Fatal(err)
-		}
+		aim()
 	}
 	cycle() // warm up lazy hash state and map buckets
 	if n := testing.AllocsPerRun(10, cycle); n != 0 {
@@ -501,6 +595,9 @@ func benchDecode(b *testing.B, k, pieceLen int, pipeline bool) {
 			b.Fatal(err)
 		}
 		defer pipe.Close()
+		if err := pipe.Retarget(enc.Params(), enc.FileID(), nil, out); err != nil {
+			b.Fatal(err)
+		}
 		for i := 0; i < b.N; i++ {
 			for _, msg := range msgs {
 				if pipe.Done() {
@@ -513,7 +610,7 @@ func benchDecode(b *testing.B, k, pieceLen int, pipeline bool) {
 			if err := pipe.DecodeInto(out); err != nil {
 				b.Fatal(err)
 			}
-			if err := pipe.Retarget(enc.Params(), enc.FileID(), nil); err != nil {
+			if err := pipe.Retarget(enc.Params(), enc.FileID(), nil, out); err != nil {
 				b.Fatal(err)
 			}
 		}

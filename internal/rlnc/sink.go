@@ -34,7 +34,7 @@ type Sink interface {
 // ByteSink is the zero-copy extension of Sink: a decode engine that
 // ingests serialized messages (16-byte header + payload) straight from
 // wire frames. The Pipeline implements it natively: parse in place, one
-// copy into its arena, digest there.
+// copy into a slot of the output, digest and eliminate there.
 type ByteSink interface {
 	Sink
 	// AddBytes folds one serialized message in. The caller keeps

@@ -18,10 +18,13 @@ import (
 	"asymshare/internal/gf"
 )
 
-// arenaSettled fails the test unless every payload slot is either a
-// committed row's or back on the free list, with nothing parked or
-// reserved: the state every generation must end in, however it ended.
-func arenaSettled(t *testing.T, p *Pipeline, what string) {
+// slotsSettled fails the test unless every slot of the output is
+// either a committed row's or back on the free list, with nothing
+// parked or reserved — so parked plus committed never passed K — and
+// no two rows share a slot: the state every generation must end in,
+// however it ended. A slot is a chunk-vector of the output the engine
+// was aimed at (retargetedAt), so this puts every row inside it.
+func slotsSettled(t *testing.T, p *Pipeline, what string) {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -30,6 +33,31 @@ func arenaSettled(t *testing.T, p *Pipeline, what string) {
 		p.reserved != 0 || len(p.parked) != 0 || p.verifying {
 		t.Fatalf("%s: %d free slots, %d free rows, rank %d of %d, %d reserved, %d parked, verifying %v",
 			what, len(p.slotFree), len(p.rowFree), len(p.echelon), k, p.reserved, len(p.parked), p.verifying)
+	}
+	held := make(map[int32]bool, k)
+	for _, s := range p.slotFree {
+		held[s] = true
+	}
+	for r := range p.echelon {
+		s := p.rowSlot[r]
+		if held[s] || s < 0 || int(s) >= k {
+			t.Fatalf("%s: row %d's payload is in slot %d, out of range or held twice", what, r, s)
+		}
+		held[s] = true
+	}
+}
+
+// retargetedAt fails the test unless p holds no row, no parked message
+// and no output but out (nil: none yet), whose K chunk-vectors of
+// capacity its slots are.
+func retargetedAt(t *testing.T, p *Pipeline, out []byte, what string) {
+	t.Helper()
+	slotsSettled(t, p, what)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.echelon) != 0 || (p.out == nil) != (out == nil) ||
+		out != nil && (&p.out[0] != &out[0] || len(p.out) != p.params.K*p.cb) {
+		t.Fatalf("%s: rank %d, or the engine holds an output it was not aimed at", what, len(p.echelon))
 	}
 }
 
@@ -117,7 +145,7 @@ func stagedForgedLane(t *testing.T) {
 				t.Fatalf("%s: decode err %v, identical %v", what, err, bytes.Equal(got, data))
 			}
 			pipe.Close()
-			arenaSettled(t, pipe, what)
+			slotsSettled(t, pipe, what)
 		}
 	}
 }
@@ -195,7 +223,7 @@ func stagedShortGeneration(t *testing.T) {
 		t.Fatalf("after settling: stats %+v rank %d, want %+v rank 4", st, pipe.Rank(), want)
 	}
 	pipe.Close()
-	arenaSettled(t, pipe, "short generation closed")
+	slotsSettled(t, pipe, "short generation closed")
 }
 
 // stagedSurplusSkipped: once the generation is complete an arrival is
@@ -236,7 +264,9 @@ func stagedSurplusSkipped(t *testing.T) {
 // forgeries, through generation after generation, ending each a
 // different way: decoded, retargeted with messages parked, closed with
 // messages parked, closed under the producers' feet. Every slot must be
-// accounted for each time. Run under -race (make race-codec).
+// accounted for each time: a committed row's, inside the output the
+// engine was aimed at, or free — and after a Retarget, nothing but the
+// new output is referenced. Run under -race (make race-codec).
 func TestStagedConcurrentProducers(t *testing.T) {
 	const producers = 4
 	for _, k := range []int{3, 8, 32} {
@@ -277,10 +307,11 @@ func TestStagedConcurrentProducers(t *testing.T) {
 		}
 		for g := 0; g < 6; g++ {
 			enc, digests, data := retargetGen(t, gf.Bits8, k, 64, g)
-			if err := pipe.Retarget(enc.Params(), enc.FileID(), digests); err != nil {
+			out := make([]byte, enc.Params().DataLen, enc.Params().CapacityBytes())
+			if err := pipe.Retarget(enc.Params(), enc.FileID(), digests, out); err != nil {
 				t.Fatalf("k=%d generation %d: %v", k, g, err)
 			}
-			arenaSettled(t, pipe, fmt.Sprintf("k=%d generation %d retargeted", k, g))
+			retargetedAt(t, pipe, out, fmt.Sprintf("k=%d generation %d retargeted", k, g))
 			if g%2 == 1 {
 				// A short generation: fewer ids than rank needs, so the
 				// last of them (all of them, at k ≤ 8) are left parked
@@ -296,19 +327,20 @@ func TestStagedConcurrentProducers(t *testing.T) {
 			if !pipe.Done() || st.Accepted != k || st.Received != st.Accepted+st.Rejected+st.Duplicate+st.Redundant {
 				t.Fatalf("k=%d generation %d: done %v, stats %+v", k, g, pipe.Done(), st)
 			}
-			if got, err := pipe.Decode(); err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("k=%d generation %d: decode err %v, identical %v", k, g, err, bytes.Equal(got, data))
+			if err := pipe.DecodeInto(out); err != nil || !bytes.Equal(out, data) {
+				t.Fatalf("k=%d generation %d: decode err %v, identical %v", k, g, err, bytes.Equal(out, data))
 			}
-			arenaSettled(t, pipe, fmt.Sprintf("k=%d generation %d decoded", k, g))
+			slotsSettled(t, pipe, fmt.Sprintf("k=%d generation %d decoded", k, g))
 		}
 		// Close with messages parked, then once more under the producers.
 		enc, digests, _ := retargetGen(t, gf.Bits8, k, 64, 6)
-		if err := pipe.Retarget(enc.Params(), enc.FileID(), digests); err != nil {
+		if err := pipe.Retarget(enc.Params(), enc.FileID(), digests, nil); err != nil {
 			t.Fatal(err)
 		}
+		retargetedAt(t, pipe, nil, fmt.Sprintf("k=%d retargeted at no output", k))
 		feed(enc, k-1, 1)
 		pipe.Close()
-		arenaSettled(t, pipe, fmt.Sprintf("k=%d closed with messages parked", k))
+		slotsSettled(t, pipe, fmt.Sprintf("k=%d closed with messages parked", k))
 
 		pipe, err = NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 2})
 		if err != nil {
@@ -324,6 +356,6 @@ func TestStagedConcurrentProducers(t *testing.T) {
 		}()
 		feed(enc, 3*k, 2)
 		<-closed
-		arenaSettled(t, pipe, fmt.Sprintf("k=%d closed under its producers", k))
+		slotsSettled(t, pipe, fmt.Sprintf("k=%d closed under its producers", k))
 	}
 }

@@ -149,6 +149,15 @@ func TestMuxedDataPathSteadyStateAllocs(t *testing.T) {
 	fr := NewFrameReaderPool(br, pool)
 	outA := make([]byte, encA.Params().DataLen)
 	outB := make([]byte, encB.Params().DataLen)
+	aim := func() {
+		if err := pipeA.Retarget(encA.Params(), encA.FileID(), digA, outA); err != nil {
+			t.Fatal(err)
+		}
+		if err := pipeB.Retarget(encB.Params(), encB.FileID(), digB, outB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aim()
 	fidA := encA.FileID()
 	cycle := func() {
 		if _, err := br.Seek(0, io.SeekStart); err != nil {
@@ -177,14 +186,9 @@ func TestMuxedDataPathSteadyStateAllocs(t *testing.T) {
 		if err := pipeB.DecodeInto(outB); err != nil {
 			t.Fatal(err)
 		}
-		if err := pipeA.Retarget(encA.Params(), encA.FileID(), digA); err != nil {
-			t.Fatal(err)
-		}
-		if err := pipeB.Retarget(encB.Params(), encB.FileID(), digB); err != nil {
-			t.Fatal(err)
-		}
+		aim()
 	}
-	cycle() // warm pools, hash state and pipeline arenas
+	cycle() // warm pools and hash state
 	if n := testing.AllocsPerRun(10, cycle); n != 0 {
 		t.Fatalf("steady-state muxed receive allocates %v times per double decode, want 0", n)
 	}
