@@ -147,26 +147,27 @@ swarm-smoke:
 # overload-smoke is the overload-resilience acceptance slice: a 4x
 # flash crowd against one admission-capped peer (goodput holds, sheds
 # hit free riders in standing order and never the top quartile), a
-# blackholed peer survived within 2x the no-fault baseline via hedges
-# and breaker quarantine, a stalled chunk re-issued on the next peer,
-# and Eq. (2) at the paper's link rates (grants stay 0.75/0.25 whatever
-# a requester drains) — plus the peer-side admission/brownout/deadline
-# units and the client-side breaker/session regressions.
+# blackholed peer survived within 2x the no-fault baseline while its
+# breaker opens, keeps it from being dialed, and closes on a probe, a
+# peer wedged to 50 B/s that stalls no chunk and trips no breaker, and
+# Eq. (2) at the paper's link rates (grants stay 0.75/0.25 whatever a
+# requester drains) — plus the peer-side admission/brownout/deadline
+# units and the client-side breaker/probe/session regressions.
 overload-smoke:
-	$(GO) test -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer|TestPaperRates' \
+	$(GO) test -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestBreakerGuardsFetchFromBlackholedPeerWithinTwiceBaseline|TestStalledPeerNeitherStallsFetchNorTripsBreaker|TestPaperRates' \
 		./internal/netsim/harness/
-	$(GO) test -run 'Admission|Shed|Brownout|Expired|Breaker|Hedge|Busy|Deadline|DuplicateStreamError' \
+	$(GO) test -run 'Admission|Shed|Brownout|Expired|Breaker|Probe|Quarantined|UnknownFile|Hedge|Busy|Deadline|DuplicateStreamError' \
 		./internal/peer/ ./internal/client/ ./internal/wire/
 
 # race-overload is the same slice under the race detector, plus the
 # whole client, peer and chunk packages: the session set, the chunk
 # ladder and the pipeline its rungs share and hand on, the breaker
-# state machine, and the peer's admission bookkeeping and stream table
-# are all cross-goroutine by construction. The alloc gates then run
+# state machine that gates the ladder, and the peer's admission
+# bookkeeping and stream table are all cross-goroutine by construction. The alloc gates then run
 # plain. Run before touching the client's read path or the peer's
 # admission.
 race-overload: vet gates
-	$(GO) test -race -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestHedgedFetchSurvivesBlackholedPeerWithinTwiceBaseline|TestHedgeReissuesStalledChunkOnNextPeer|TestPaperRates|TestSplitSecondRound' \
+	$(GO) test -race -run 'TestFlashCrowdShedsFreeRidersAndKeepsGoodput|TestBreakerGuardsFetchFromBlackholedPeerWithinTwiceBaseline|TestStalledPeerNeitherStallsFetchNorTripsBreaker|TestPaperRates|TestSplitSecondRound' \
 		./internal/netsim/harness/
 	$(GO) test -race ./internal/peer/ ./internal/client/ ./internal/chunk/
 

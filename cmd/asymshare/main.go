@@ -225,7 +225,7 @@ func cmdServe(args []string, out io.Writer) error {
 	ownerHex := fs.String("owner", "", "owner public key (hex) allowed to send feedback")
 	ledgerPath := fs.String("ledger", "", "receipt-ledger checkpoint file persisted across restarts (and crashes)")
 	ckptEvery := fs.Duration("checkpoint", fairshare.DefaultCheckpointInterval, "ledger checkpoint interval")
-	metricsAddr := fs.String("metrics", "", "serve Prometheus metrics and expvar on this address (e.g. 127.0.0.1:9090)")
+	metricsAddr := fs.String("metrics", "", "serve Prometheus metrics (/metrics), expvar (/debug/vars) and runtime profiles (/debug/pprof/) on this address, e.g. 127.0.0.1:9090; whoever reaches it can profile the process, so keep it on loopback or behind a firewall")
 	capacity := fs.Int64("capacity", 0, "advertised storage-contract capacity in bytes (0 = unlimited)")
 	contractPath := fs.String("contracts", "", "contract-book journal file persisted across restarts (and crashes)")
 	dhtBootstrap := fs.String("dht", "", "join the DHT through this bootstrap node (trackerless mode)")
@@ -639,7 +639,6 @@ func cmdFetch(args []string, out io.Writer) error {
 	feedback := fs.String("feedback", "", "own peer address to report receipts to")
 	trackerAddr := fs.String("tracker", "", "resolve peers through this tracker instead of the handle's list")
 	dhtAddr := fs.String("dht", "", "resolve peers through the DHT via this bootstrap node")
-	hedge := fs.Bool("hedge", false, "resilient chunk scheduling: start each chunk on the healthiest peer, re-issue stalled streams on the next, quarantine repeat offenders behind circuit breakers")
 	deadline := fs.Duration("deadline", 0, "abandon the fetch after this long; propagated to peers so they drop work that can no longer arrive in time (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -659,7 +658,7 @@ func cmdFetch(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sys, err := core.NewSystem(id, nil, core.WithClientOptions(client.Options{Hedge: *hedge}))
+	sys, err := core.NewSystem(id, nil)
 	if err != nil {
 		return err
 	}

@@ -33,7 +33,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	fs := flag.NewFlagSet("tracker", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7000", "listen address")
 	ttl := fs.Duration("ttl", tracker.DefaultTTL, "maximum announcement lifetime")
-	metricsAddr := fs.String("metrics", "", "serve Prometheus metrics on this address")
+	metricsAddr := fs.String("metrics", "", "serve Prometheus metrics (/metrics), expvar (/debug/vars) and runtime profiles (/debug/pprof/) on this address; whoever reaches it can profile the process, so keep it on loopback or behind a firewall")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

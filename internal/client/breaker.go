@@ -1,14 +1,15 @@
 package client
 
 // Per-peer circuit breaker (DESIGN.md §15). A peer that fails
-// BreakerThreshold consecutive times is quarantined: the hedged chunk
-// ladder ranks it below every healthy rung until its cooldown lapses,
-// then admits exactly one half-open probe stream. A successful probe
-// closes the breaker; a failed one re-opens it with a doubled cooldown,
-// capped at maxBreakerCooldown. The breaker only orders the hedged
-// ladder — the unhedged one launches every rung regardless, and a
-// hedged ladder that runs dry tries its quarantined rungs too, so a
-// client with no healthy alternatives still tries every peer it knows.
+// BreakerThreshold consecutive times is quarantined: the chunk ladder
+// launches no rung of it — and its session set does not dial it — until
+// its cooldown lapses, then admits exactly one half-open probe stream,
+// beside the chunk's other rungs so the chunk never depends on it; a
+// probe reaped before it reached the peer hands its slot back. A
+// successful probe closes the breaker; a failed one re-opens it with a
+// doubled cooldown, capped at maxBreakerCooldown. A ladder with nothing
+// else left or running launches its quarantined rungs too, so a client
+// with no healthy alternative still tries every peer it knows.
 
 import "time"
 
@@ -120,4 +121,14 @@ func (h *healthRegistry) beginProbe(addr string) bool {
 		return true
 	}
 	return false
+}
+
+// endProbe hands back addr's probe slot when its probe ended with no
+// verdict, so the breaker stays half-open and the next chunk probes.
+func (h *healthRegistry) endProbe(addr string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if p, ok := h.peers[addr]; ok && p.state == breakerHalfOpen {
+		p.probing = false
+	}
 }

@@ -19,11 +19,11 @@ func testRegistry(opt Options) (*healthRegistry, *time.Time) {
 	return h, &now
 }
 
-// admitted reports whether the hedged ladder would hand addr work now:
-// ranked as a healthy rung or a probe candidate, not held back as
+// admitted reports whether the chunk ladder would hand addr work now:
+// as a closed-breaker rung or a probe candidate, not held back as
 // cooling.
 func admitted(h *healthRegistry, addr string) bool {
-	_, _, coolFrom := h.order([]*peerLink{{addr: addr}}, 0)
+	_, _, coolFrom := h.order([]*peerLink{{addr: addr}})
 	return coolFrom == 1
 }
 
@@ -108,30 +108,39 @@ func TestHealthOrderRanksAndQuarantines(t *testing.T) {
 	sick := &peerLink{addr: "sick"}
 	h.recordSuccess("fast", 10*time.Millisecond)
 	h.recordSuccess("slow", 500*time.Millisecond)
-	h.recordFailure("sick")
 
-	ladder, probeFrom, coolFrom := h.order([]*peerLink{slow, sick, fast}, 0)
+	// Every breaker closed: the links themselves, all launched at once.
+	links := []*peerLink{slow, sick, fast}
+	ladder, probeFrom, coolFrom := h.order(links)
+	if &ladder[0] != &links[0] || probeFrom != 3 || coolFrom != 3 {
+		t.Fatalf("all closed: probeFrom %d, coolFrom %d, want the links as given", probeFrom, coolFrom)
+	}
+
+	// A quarantined peer is held back behind the closed ones, which
+	// keep the order given: latency ranks nothing.
+	h.recordFailure("sick")
+	ladder, probeFrom, coolFrom = h.order(links)
 	if len(ladder) != 3 || probeFrom != 2 || coolFrom != 2 || ladder[2] != sick {
 		t.Fatalf("ladder %d long, probeFrom %d, coolFrom %d: quarantined peer not held back as the last resort",
 			len(ladder), probeFrom, coolFrom)
 	}
-	if ladder[0] != fast || ladder[1] != slow {
-		t.Fatalf("ladder order [%s %s], want healthiest first", ladder[0].addr, ladder[1].addr)
+	if ladder[0] != slow || ladder[1] != fast {
+		t.Fatalf("ladder order [%s %s], want the closed peers as given", ladder[0].addr, ladder[1].addr)
 	}
-
-	// Rotation spreads concurrent chunks across healthy peers only.
-	ladder, _, _ = h.order([]*peerLink{slow, sick, fast}, 1)
-	if ladder[0] != slow {
-		t.Fatalf("rotated ladder starts at %s, want slow", ladder[0].addr)
+	if !h.coolingDown("sick") || h.coolingDown("fast") {
+		t.Fatal("coolingDown disagrees with the breakers")
 	}
 
 	// After the cooldown the sick peer rejoins as a probe candidate,
-	// always ranked after the healthy rungs.
+	// after the closed rungs.
 	*now = now.Add(time.Second)
-	ladder, probeFrom, coolFrom = h.order([]*peerLink{sick, fast, slow}, 0)
+	ladder, probeFrom, coolFrom = h.order([]*peerLink{sick, fast, slow})
 	if len(ladder) != 3 || probeFrom != 2 || coolFrom != 3 || ladder[2] != sick {
 		t.Fatalf("probe candidate placement wrong: len %d probeFrom %d coolFrom %d last %s",
 			len(ladder), probeFrom, coolFrom, ladder[len(ladder)-1].addr)
+	}
+	if h.coolingDown("sick") {
+		t.Fatal("a cooled-down peer still reads as cooling: its session set would not dial it")
 	}
 }
 
@@ -147,18 +156,14 @@ func TestHedgeDelayEstimator(t *testing.T) {
 	if d != 150*time.Millisecond { // p95 of identical samples x1.5 headroom
 		t.Fatalf("adaptive hedge delay %v, want 150ms", d)
 	}
-	h.hedgeOverride = 42 * time.Millisecond
-	if d := h.hedgeDelay(); d != 42*time.Millisecond {
-		t.Fatalf("override ignored: %v", d)
-	}
 }
 
 // TestShedProbeReleasesHalfOpenSlot pins the probe-slot release: a
 // half-open probe stream that ends in a BUSY shed proved the peer
 // alive, so the breaker closes and the slot frees. Classifying the
 // shed without touching the breaker used to strand the peer in
-// half-open with probing set forever — permanently excluded from the
-// hedge ladder.
+// half-open with probing set forever — permanently held back from the
+// chunk ladder.
 func TestShedProbeReleasesHalfOpenSlot(t *testing.T) {
 	h, now := testRegistry(Options{BreakerThreshold: 1, BreakerCooldown: time.Second})
 	h.recordFailure("p")
@@ -173,13 +178,13 @@ func TestShedProbeReleasesHalfOpenSlot(t *testing.T) {
 	if !admitted(h, "p") {
 		t.Fatal("peer still excluded after its shed probe resolved")
 	}
-	ladder, probeFrom, _ := h.order([]*peerLink{{addr: "p"}}, 0)
+	ladder, probeFrom, _ := h.order([]*peerLink{{addr: "p"}})
 	if len(ladder) != 1 || probeFrom != 1 {
-		t.Fatalf("ladder len %d probeFrom %d, want the peer back as a healthy rung", len(ladder), probeFrom)
+		t.Fatalf("ladder len %d probeFrom %d, want the peer back as a closed rung", len(ladder), probeFrom)
 	}
 }
 
-func TestShedsFeedScoreNotBreaker(t *testing.T) {
+func TestShedsNeverTripBreaker(t *testing.T) {
 	h, _ := testRegistry(Options{BreakerThreshold: 1})
 	for i := 0; i < 10; i++ {
 		h.recordShed("busy")
@@ -187,14 +192,7 @@ func TestShedsFeedScoreNotBreaker(t *testing.T) {
 	if !admitted(h, "busy") {
 		t.Fatal("sheds tripped the breaker; only failures may")
 	}
-	if s := h.snapshot("busy"); s.Sheds != 10 || s.Failures != 0 {
-		t.Fatalf("snapshot %+v, want 10 sheds and 0 failures", s)
-	}
-	// But they do nudge the ranking behind an unshedded peer.
-	calm := &peerLink{addr: "calm"}
-	busy := &peerLink{addr: "busy"}
-	ladder, _, _ := h.order([]*peerLink{busy, calm}, 0)
-	if ladder[0] != calm {
-		t.Fatal("shed-heavy peer ranked ahead of a calm one")
+	if s := h.snapshot("busy"); s.Sheds != 10 || s.Failures != 0 || s.Breaker != "closed" {
+		t.Fatalf("snapshot %+v, want 10 sheds, 0 failures and a closed breaker", s)
 	}
 }

@@ -93,30 +93,11 @@ type Options struct {
 	// attempt. Zero means DefaultRetryBackoff.
 	RetryBackoff time.Duration
 
-	// Hedge turns the chunk ladder of every fetch flavour from "all
-	// rungs at once" into one rung at a time: each chunk starts on the
-	// single healthiest peer and a stream that stalls for a hedge delay
-	// is re-issued on the next-healthiest, with per-peer circuit
-	// breakers quarantining peers that repeatedly fail. Off by default —
-	// every peer then streams every chunk, with no isolation from a
-	// stalled peer: a peer that something paces is asked for all it
-	// holds and stopped at rank k, so redundant upload is what it has in
-	// flight when STOP lands; a peer whose frames have been seen to keep
-	// arriving after STOP, chunk after chunk, is asked for its share of
-	// each generation instead (ceil(k / such peers); ladder.go), until a
-	// failure, a shed, a share that a second round had to finish, or a
-	// probe every 64th generation that shows no surplus says otherwise.
-	// The hedged ladder needs all k from one peer and never splits.
-	Hedge bool
-
-	// HedgeDelay pins the no-progress interval before a hedge stream
-	// is launched. Zero selects the adaptive estimate: p95 of recent
-	// stream latencies with headroom (DefaultHedgeDelay until enough
-	// samples exist).
-	HedgeDelay time.Duration
-
 	// BreakerThreshold is how many consecutive failures quarantine a
-	// peer's circuit breaker. Zero means DefaultBreakerThreshold.
+	// peer's circuit breaker: until its cooldown lapses and a half-open
+	// probe says it is back, every fetch flavour leaves the peer out of
+	// its chunks — no rung, no dial — unless nothing else is left.
+	// Zero means DefaultBreakerThreshold.
 	BreakerThreshold int
 
 	// BreakerCooldown is the initial quarantine after a breaker opens,
@@ -396,7 +377,7 @@ func (c *Client) FetchGeneration(ctx context.Context, addrs []string, params rln
 func (c *Client) Fetch(ctx context.Context, req FetchRequest) ([]byte, FetchStats, error) {
 	set := c.newSessionSet(ctx)
 	pl := c.newPipelines(1)
-	data, stats, err := c.fetchChunk(ctx, set.open(req.Peers), 0, req, pl, nil)
+	data, stats, err := c.fetchChunk(ctx, set.open(req.Peers), req, pl, nil)
 	pl.close()
 	stats.SurplusBytes = set.close()
 	return data, stats, err
@@ -547,7 +528,7 @@ func (c *Client) fetchManifest(ctx context.Context, m *chunk.Manifest, secret []
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-slots }()
-			data, stats, err := c.fetchChunk(ctx, links, i, req, pl, out)
+			data, stats, err := c.fetchChunk(ctx, links, req, pl, out)
 			if err == nil {
 				if err = info.CheckSum(m.Plan, data); err != nil {
 					data = nil

@@ -1,16 +1,15 @@
 package client
 
-// Per-peer health tracking for the resilient fetch path (DESIGN.md
-// §15). Every peer the client talks to accumulates an EWMA of stream
-// latency, failure and shed counts, and a circuit-breaker state
-// (breaker.go). The hedged chunk ladder (ladder.go) ranks peers by
-// these scores, and the hedge delay — how long a stream may make no
-// progress before it is re-issued on the next-healthiest peer — is
-// derived from a small reservoir of recent stream latencies (p95 with
-// headroom) unless Options.HedgeDelay pins it. The record also carries
-// the one thing the unhedged ladder asks of it: whether the peer has
-// been seen to outrun STOP, and so is asked for shares (surplusVerdict,
-// shares).
+// Per-peer health tracking for the chunk ladder (DESIGN.md §15). Every
+// peer the client talks to accumulates failure and shed counts and a
+// circuit-breaker state (breaker.go), which order reads to decide which
+// rungs of a chunk launch at once, which ride along as a half-open
+// probe, and which are held back. The hedge delay — how long a chunk
+// may make no progress before the ladder launches more rungs: the peers
+// whose shares are in, asked again, and probe candidates — is derived
+// from a small reservoir of recent stream latencies (p95 with
+// headroom). The record also carries whether the peer has been seen to
+// outrun STOP, and so is asked for shares (surplusVerdict, shares).
 
 import (
 	"sort"
@@ -19,11 +18,6 @@ import (
 )
 
 const (
-	// latencyAlpha is the EWMA smoothing factor for per-peer stream
-	// latency: recent transfers dominate, old history decays in ~3
-	// samples.
-	latencyAlpha = 0.3
-
 	// latencyReservoirSize bounds the shared recent-latency ring that
 	// feeds the p95 hedge-delay estimate.
 	latencyReservoirSize = 64
@@ -33,16 +27,12 @@ const (
 	minHedgeSamples = 8
 
 	// hedgeHeadroom multiplies the p95 latency into the hedge delay so
-	// ordinary tail transfers do not trigger spurious hedges.
+	// an ordinary tail transfer does not count as no progress.
 	hedgeHeadroom = 1.5
 
 	// minHedgeDelay / maxHedgeDelay clamp the adaptive estimate.
 	minHedgeDelay = 20 * time.Millisecond
 	maxHedgeDelay = 2 * time.Second
-
-	// shedScoreCap bounds the score penalty accumulated from sheds so a
-	// long-lived client can still rehabilitate a once-busy peer.
-	shedScoreCap = 25
 
 	// surplusEvidence is how many DATA frames of one generation must
 	// reach a session after that generation's stream has ended for the
@@ -82,9 +72,6 @@ const DefaultHedgeDelay = 300 * time.Millisecond
 // HealthSnapshot reports one peer's accumulated health state; see
 // Client.PeerHealth.
 type HealthSnapshot struct {
-	// Latency is the EWMA of completed stream latencies (0 = no sample).
-	Latency time.Duration
-
 	// Successes / Failures / Sheds count classified stream outcomes.
 	Successes int64
 	Failures  int64
@@ -97,7 +84,7 @@ type HealthSnapshot struct {
 	Breaker string
 
 	// OutrunsStop reports the surplus mark: the peer's DATA frames have
-	// kept arriving after STOP, so the unhedged ladder asks it for a
+	// kept arriving after STOP, so the ladder asks it for a
 	// share of each generation rather than all it holds.
 	OutrunsStop bool
 }
@@ -105,7 +92,6 @@ type HealthSnapshot struct {
 // peerHealth is one peer's mutable health record; all fields are
 // guarded by the owning registry's mutex.
 type peerHealth struct {
-	ewmaSeconds float64
 	successes   int64
 	failures    int64
 	sheds       int64
@@ -117,7 +103,7 @@ type peerHealth struct {
 	probing   bool
 
 	// outruns marks a peer whose frames keep arriving after STOP: the
-	// unhedged ladder asks it for a share of each generation instead of
+	// ladder asks it for a share of each generation instead of
 	// everything (ladder.go). strikes is the count of generations
 	// against it while unmarked (see surplusStrikes); shareAge, once
 	// marked, the generations served under a share since it last showed
@@ -139,21 +125,19 @@ type healthRegistry struct {
 	latLen int
 	latIdx int
 
-	threshold     int
-	cooldown      time.Duration
-	hedgeOverride time.Duration
+	threshold int
+	cooldown  time.Duration
 
 	m *clientMetrics
 }
 
 func newHealthRegistry(m *clientMetrics, opt Options) *healthRegistry {
 	return &healthRegistry{
-		peers:         make(map[string]*peerHealth),
-		now:           time.Now,
-		threshold:     opt.BreakerThreshold,
-		cooldown:      opt.BreakerCooldown,
-		hedgeOverride: opt.HedgeDelay,
-		m:             m,
+		peers:     make(map[string]*peerHealth),
+		now:       time.Now,
+		threshold: opt.BreakerThreshold,
+		cooldown:  opt.BreakerCooldown,
+		m:         m,
 	}
 }
 
@@ -168,22 +152,16 @@ func (h *healthRegistry) peerLocked(addr string) *peerHealth {
 }
 
 // recordSuccess folds one well-behaved stream outcome in. latency > 0
-// additionally feeds the EWMA and the shared hedge-delay reservoir; a
-// zero latency only resets the failure run (used for outcomes that
-// prove liveness without timing a full transfer). Any success closes an
-// open or half-open breaker.
+// additionally feeds the shared hedge-delay reservoir; a zero latency
+// only resets the failure run (used for outcomes that prove liveness
+// without timing a full transfer). Any success closes an open or
+// half-open breaker.
 func (h *healthRegistry) recordSuccess(addr string, latency time.Duration) {
 	h.mu.Lock()
 	p := h.peerLocked(addr)
 	p.successes++
 	p.consecFails = 0
 	if latency > 0 {
-		sec := latency.Seconds()
-		if p.ewmaSeconds == 0 {
-			p.ewmaSeconds = sec
-		} else {
-			p.ewmaSeconds += latencyAlpha * (sec - p.ewmaSeconds)
-		}
 		h.lat[h.latIdx] = latency
 		h.latIdx = (h.latIdx + 1) % latencyReservoirSize
 		if h.latLen < latencyReservoirSize {
@@ -217,12 +195,10 @@ func (h *healthRegistry) recordFailure(addr string) {
 
 // recordShed notes a BUSY shed from an overloaded peer. A shed is not a
 // failure — the peer answered, correctly, that it is saturated — so it
-// feeds the ranking score and never trips the breaker. It does prove
-// liveness, though: an open or half-open breaker is closed, releasing
-// any claimed half-open probe slot, so a probe stream that ends in a
-// shed cannot strand the peer in half-open with its slot claimed
-// forever. The capped shed score keeps chronically saturated peers
-// down-ranked instead.
+// never trips the breaker. It does prove liveness, though: an open or
+// half-open breaker is closed, releasing any claimed half-open probe
+// slot, so a probe stream that ends in a shed cannot strand the peer in
+// half-open with its slot claimed forever.
 func (h *healthRegistry) recordShed(addr string) {
 	h.mu.Lock()
 	p := h.peerLocked(addr)
@@ -308,51 +284,39 @@ func (h *healthRegistry) shares(links []*peerLink, k int) (limits []uint32) {
 	return limits
 }
 
-// scoreLocked ranks a peer for the hedge ladder: lower is healthier.
-// EWMA latency dominates; each consecutive failure costs half a second
-// of equivalent latency and accumulated sheds add a capped nudge away
-// from chronically saturated peers.
-func (p *peerHealth) scoreLocked() float64 {
-	sheds := float64(p.sheds)
-	if sheds > shedScoreCap {
-		sheds = shedScoreCap
-	}
-	return p.ewmaSeconds + 0.5*float64(p.consecFails) + 0.02*sheds
-}
-
-// order ranks links for the hedged ladder: closed-breaker peers
-// healthiest-first, rotated by rotate so concurrent chunks spread across
-// equally healthy peers; from probeFrom, quarantined peers whose
-// cooldown has lapsed (half-open probe candidates); from coolFrom, peers
-// still inside their cooldown, which only a ladder with nothing else
-// left will try.
-func (h *healthRegistry) order(links []*peerLink, rotate int) (ladder []*peerLink, probeFrom, coolFrom int) {
-	type ranked struct {
-		l     *peerLink
-		score float64
-	}
+// order arranges links for one chunk's ladder by breaker state, each
+// group in the order given: first the peers whose breaker is closed,
+// every one of which launches at once; from probeFrom, quarantined
+// peers whose cooldown has lapsed (half-open probe candidates); from
+// coolFrom, peers still inside their cooldown or with their probe slot
+// claimed, which only a ladder with nothing else left or running will
+// try. With every breaker closed it returns links itself.
+func (h *healthRegistry) order(links []*peerLink) (ladder []*peerLink, probeFrom, coolFrom int) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
+	held := false
+	for _, l := range links {
+		if p, ok := h.peers[l.addr]; ok && p.state != breakerClosed {
+			held = true
+			break
+		}
+	}
+	if !held {
+		return links, len(links), len(links)
+	}
 	now := h.now()
-	healthy := make([]ranked, 0, len(links))
+	ladder = make([]*peerLink, 0, len(links))
 	var probes, cooling []*peerLink
 	for _, l := range links {
 		p, ok := h.peers[l.addr]
 		switch {
-		case !ok:
-			healthy = append(healthy, ranked{l: l})
-		case p.state == breakerClosed:
-			healthy = append(healthy, ranked{l: l, score: p.scoreLocked()})
+		case !ok || p.state == breakerClosed:
+			ladder = append(ladder, l)
 		case p.allowLocked(now):
 			probes = append(probes, l)
 		default:
 			cooling = append(cooling, l)
 		}
-	}
-	h.mu.Unlock()
-	sort.SliceStable(healthy, func(i, j int) bool { return healthy[i].score < healthy[j].score })
-	ladder = make([]*peerLink, 0, len(links))
-	for i, n := 0, len(healthy); i < n; i++ {
-		ladder = append(ladder, healthy[(rotate+i)%n].l)
 	}
 	probeFrom = len(ladder)
 	ladder = append(ladder, probes...)
@@ -360,13 +324,20 @@ func (h *healthRegistry) order(links []*peerLink, rotate int) (ladder []*peerLin
 	return append(ladder, cooling...), probeFrom, coolFrom
 }
 
-// hedgeDelay returns how long a chunk stream may sit without progress
-// before a hedge is launched: the configured override if set, otherwise
-// p95 of recent stream latencies with headroom, otherwise the default.
+// coolingDown reports whether addr's breaker is open and inside its
+// cooldown: a session set does not dial such a peer until a rung of it
+// launches.
+func (h *healthRegistry) coolingDown(addr string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	p, ok := h.peers[addr]
+	return ok && p.state == breakerOpen && h.now().Before(p.openUntil)
+}
+
+// hedgeDelay returns how long a chunk may make no progress before the
+// ladder launches more rungs: p95 of recent stream latencies with
+// headroom, or the default until enough have been seen.
 func (h *healthRegistry) hedgeDelay() time.Duration {
-	if h.hedgeOverride > 0 {
-		return h.hedgeOverride
-	}
 	h.mu.Lock()
 	n := h.latLen
 	var buf []time.Duration
@@ -400,7 +371,6 @@ func (h *healthRegistry) snapshot(addr string) HealthSnapshot {
 		return HealthSnapshot{Breaker: breakerClosed.String()}
 	}
 	return HealthSnapshot{
-		Latency:     time.Duration(p.ewmaSeconds * float64(time.Second)),
 		Successes:   p.successes,
 		Failures:    p.failures,
 		Sheds:       p.sheds,
@@ -411,7 +381,7 @@ func (h *healthRegistry) snapshot(addr string) HealthSnapshot {
 }
 
 // PeerHealth reports the client's accumulated health view of one peer
-// address: latency EWMA, outcome counts and circuit-breaker state.
+// address: outcome counts, circuit-breaker state and the surplus mark.
 func (c *Client) PeerHealth(addr string) HealthSnapshot {
 	return c.health.snapshot(addr)
 }

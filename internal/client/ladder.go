@@ -10,27 +10,23 @@ package client
 // returned in — its slot of the output file — so every message is
 // copied into that buffer once and eliminated there.
 //
-// Unhedged, every rung launches at t = 0 and breakers are ignored. What
-// a rung asks for depends on what its peer has shown (health.go): a
-// peer whose frames keep arriving after STOP — nothing paces it, so
-// STOP always loses the race — is asked for its share of the
-// generation, ceil(k / such peers of this chunk), and ends its own
-// stream; every other peer is asked for all it holds and stopped at
-// rank k, as the paper's message "5" has it. When the shares have all
-// ended and the generation is still short — a forged or dependent
-// message inside one, a peer holding less than its share, a peer lost
-// mid-share — or a full hedge delay passes without a byte, the rungs
-// whose shares ended are asked again without a limit, and lose the mark
-// that the split did not pay for.
-//
-// With Options.Hedge the rungs are ranked by health and launched one at
-// a time: the chunk starts on the single healthiest peer, and only when
-// no byte arrives for a full hedge delay (p95-based, health.go), or a
-// rung ends without completing the chunk, is it re-issued on the next.
-// Quarantined peers whose breaker cooldown has lapsed ride along as
-// half-open probes so recovery is observed without risking the chunk
-// on them, and a ladder that runs dry launches whatever it has not yet
-// tried — quarantined or not — before giving up.
+// Which rungs launch is the circuit breakers' call (breaker.go). Every
+// rung whose peer's breaker is closed launches at t = 0, and what it
+// asks for depends on what its peer has shown (health.go): a peer whose
+// frames keep arriving after STOP — nothing paces it, so STOP always
+// loses the race — is asked for its share of the generation, ceil(k /
+// such peers of this chunk), and ends its own stream; every other peer
+// is asked for all it holds and stopped at rank k, as the paper's
+// message "5" has it. When the shares have all ended and the generation
+// is still short — a forged or dependent message inside one, a peer
+// holding less than its share, a peer lost mid-share — or a full hedge
+// delay passes without a byte, the rungs whose shares ended are asked
+// again without a limit, and lose the mark that the split did not pay
+// for. A quarantined peer whose cooldown has lapsed rides along as its
+// single half-open probe — its rung waits out the dial if one is in
+// flight, or starts it — so recovery is observed without the chunk
+// depending on it; a peer still cooling down launches only when nothing
+// else is left or running.
 
 import (
 	"context"
@@ -51,6 +47,7 @@ type rung struct {
 	bytes   atomic.Int64
 	limit   uint32 // the share asked for; 0 is everything
 	running bool   // ladder goroutine only
+	probe   bool   // launched as its peer's half-open probe
 	err     error  // written by the stream goroutine, read once its result is in
 }
 
@@ -121,10 +118,8 @@ func (pl *pipelines) close() {
 // is not consulted) and decodes it in out, which must be exactly
 // req.Params.DataLen bytes — the chunk's slot of the file being
 // assembled — and is decoded in place when its capacity holds the
-// generation's K chunk-vectors; nil allocates such a buffer. rotate —
-// the chunk index — spreads concurrent hedged chunks across equally
-// healthy peers.
-func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, req FetchRequest,
+// generation's K chunk-vectors; nil allocates such a buffer.
+func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, req FetchRequest,
 	pl *pipelines, out []byte) ([]byte, FetchStats, error) {
 	stats := FetchStats{BytesFrom: make(map[string]uint64, len(links))}
 	fail := func(err error) ([]byte, FetchStats, error) {
@@ -134,10 +129,7 @@ func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, 
 	if len(links) == 0 {
 		return fail(ErrNoPeers)
 	}
-	ladder, probeFrom, coolFrom := links, len(links), len(links)
-	if c.opt.Hedge {
-		ladder, probeFrom, coolFrom = c.health.order(links, rotate)
-	}
+	ladder, probeFrom, coolFrom := c.health.order(links)
 	if out == nil {
 		out = make([]byte, req.Params.DataLen, req.Params.CapacityBytes())
 	}
@@ -188,55 +180,55 @@ func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, rotate int, 
 			results <- i
 		}()
 	}
-	// launchNext re-issues the chunk on the first unlaunched rung below
-	// limit.
-	launchNext := func(limit int) bool {
-		for i := 0; i < limit; i++ {
-			if rungs[i] == nil {
-				launch(i, 0)
-				return true
-			}
+	// probe launches rung i, a probe candidate not yet launched, as its
+	// peer's half-open probe. A peer with no session yet is probed all
+	// the same: the rung waits in session(), which starts the dial of a
+	// peer that was cooling down when the call opened its links.
+	probe := func(i int) bool {
+		if rungs[i] != nil || !c.health.beginProbe(ladder[i].addr) {
+			return false
 		}
-		return false
+		launch(i, 0)
+		rungs[i].probe = true
+		return true
 	}
 	// secondRound asks again, for everything, each peer whose share came
-	// to its orderly end, and drops the mark the share was asked under.
-	secondRound := func() {
+	// to its orderly end, drops the mark the share was asked under, and
+	// returns how many it asked.
+	secondRound := func() (n int) {
 		for i, r := range rungs {
 			if r != nil && r.limit > 0 && !r.running && r.err == nil {
 				c.health.clearOutruns(r.link.addr)
 				c.m.sharesSecondRound.Inc()
 				launch(i, 0)
+				n++
+			}
+		}
+		return n
+	}
+	// lastResort launches every rung not launched yet, the peers the
+	// breakers hold back included: nothing else is left or running.
+	lastResort := func() {
+		for i, r := range rungs {
+			if r == nil {
+				launch(i, 0)
 			}
 		}
 	}
 
-	if c.opt.Hedge {
-		// One primary plus every claimable half-open probe. The probes
-		// are why a quarantined peer can ever be observed recovering:
-		// its single post-cooldown stream runs alongside a healthy
-		// primary, so the chunk never depends on it. Only a peer with a
-		// live session is probed: whether one can be had at all is the
-		// link's own redial loop to find out, and a probe parked on a
-		// dial would be reaped with its slot still claimed. With no
-		// healthy rung the first of the rest doubles as the primary,
-		// unclaimed, and the probe loop skips it — launching it twice
-		// would open a duplicate stream on its session.
-		launch(0, 0)
-		for i := probeFrom; i < coolFrom; i++ {
-			if rungs[i] == nil && ladder[i].connected() && c.health.beginProbe(ladder[i].addr) {
-				launch(i, 0)
-			}
+	limits := c.health.shares(ladder[:probeFrom], req.Params.K)
+	for i := 0; i < probeFrom; i++ {
+		var limit uint32
+		if limits != nil {
+			limit = limits[i]
 		}
-	} else {
-		limits := c.health.shares(ladder, req.Params.K)
-		for i := range ladder {
-			var limit uint32
-			if limits != nil {
-				limit = limits[i]
-			}
-			launch(i, limit)
-		}
+		launch(i, limit)
+	}
+	for i := probeFrom; i < coolFrom; i++ {
+		probe(i)
+	}
+	if outstanding == 0 {
+		lastResort()
 	}
 
 	delay := c.health.hedgeDelay()
@@ -256,39 +248,38 @@ loop:
 				break loop
 			}
 			// The rung ended — exhausted, shed for good, or failed —
-			// without completing the chunk: walk the ladder now rather
-			// than waiting out the hedge timer, and once nothing healthy
-			// is left or running, spend the last resort.
-			if !launchNext(probeFrom) && outstanding == 0 {
-				for launchNext(len(ladder)) {
+			// without completing the chunk.
+			if r.limit > 0 {
+				if sharesOut--; sharesOut == 0 {
+					// Every share is in. Give what they left parked its
+					// verdict (a rung outside the split may be verifying
+					// a group this moment), and if the generation is
+					// short after all, ask again.
+					sink.Settle()
+					if sink.Done() {
+						break loop
+					}
+					secondRound()
 				}
 			}
-			if r.limit == 0 {
-				continue
-			}
-			if sharesOut--; sharesOut == 0 {
-				// Every share is in. Give what they left parked its
-				// verdict (a rung outside the split may be verifying a
-				// group this moment), and if the generation is short
-				// after all, ask again.
-				sink.Settle()
-				if sink.Done() {
-					break loop
-				}
-				secondRound()
+			if outstanding == 0 {
+				lastResort()
 			}
 		case <-timer.C:
 			if progress.Load() == lastProgress && !sink.Done() {
-				// A full hedge delay with not one byte of progress:
-				// re-issue the chunk on the next-healthiest peer. The
-				// straggler keeps running — it may still win — until
-				// the chunk completes and cancel() reaps it. Unhedged
-				// there is no next peer, but there may be peers whose
-				// shares are in while another's is stuck.
-				if launchNext(probeFrom) {
-					c.m.hedgeLaunched.Inc()
+				// A full hedge delay with not one byte of progress: ask
+				// again the peers whose shares are in while another's is
+				// stuck, and probe the candidates whose slot another
+				// chunk has given back since. The stragglers keep
+				// running — they may still win — until the chunk
+				// completes and cancel() reaps them.
+				n := secondRound()
+				for i := probeFrom; i < coolFrom; i++ {
+					if probe(i) {
+						n++
+					}
 				}
-				secondRound()
+				c.m.hedgeLaunched.Add(uint64(n))
 			}
 			lastProgress = progress.Load()
 			timer.Reset(delay)
@@ -304,7 +295,7 @@ loop:
 	// them their verdicts so rank and stats say how far it really got.
 	sink.Settle()
 	completed := sink.Done()
-	c.classify(rungs, completed, delay)
+	c.classify(rungs, completed)
 
 	for _, r := range rungs {
 		// A share asked again in a second round has limit 0 by now.
@@ -342,27 +333,28 @@ loop:
 
 // classify folds every launched rung's final outcome into the health
 // registry (attempts a link retried were observed as they happened).
-// Called after wg.Wait, so err fields are settled.
-func (c *Client) classify(rungs []*rung, completed bool, delay time.Duration) {
+// Called after wg.Wait, so err fields are settled. A peer that
+// contributed nothing to a chunk the others finished has not failed: at
+// the paper's 256 kbit/s one 128 KiB message takes four seconds.
+func (c *Client) classify(rungs []*rung, completed bool) {
 	for _, r := range rungs {
 		if r == nil {
 			continue
 		}
 		addr := r.link.addr
-		elapsed := time.Since(r.started)
 		switch {
 		case errors.Is(r.err, context.Canceled), errors.Is(r.err, context.DeadlineExceeded):
-			// Reaped before it had a session: no evidence either way.
+			// Reaped before it had a session, or while it waited out a
+			// shed: no evidence either way. A probe reaped waiting on
+			// its dial hands its slot back for the next chunk to try
+			// (one that waited out a shed has closed the breaker).
+			if r.probe {
+				c.health.endProbe(addr)
+			}
 		case r.err != nil:
 			c.observe(addr, r.err)
-		case c.opt.Hedge && completed && r.bytes.Load() == 0 && elapsed > delay:
-			// Held a rung for a whole hedge delay and contributed
-			// nothing while another peer finished the chunk: a stall —
-			// the exact pathology hedging exists to route around.
-			c.health.recordFailure(addr)
-			c.m.hedgeStalls.Inc()
 		case completed && r.bytes.Load() > 0:
-			c.health.recordSuccess(addr, elapsed)
+			c.health.recordSuccess(addr, time.Since(r.started))
 		default:
 			// Exhausted its stored messages or arrived too late to
 			// matter: liveness proven, no latency sample.

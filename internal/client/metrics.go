@@ -44,10 +44,10 @@ const (
 	// slot back, or producers parked out of order.
 	MetricDecodeFixupBlocks = "client_decode_fixup_blocks_total"
 
-	// Overload-resilience families (DESIGN.md §15): hedged re-issues,
-	// per-peer circuit breakers, and BUSY sheds observed from peers.
+	// Overload-resilience families (DESIGN.md §15): rungs launched
+	// because a chunk made no progress, per-peer circuit breakers, and
+	// BUSY sheds observed from peers.
 	MetricHedgeLaunched      = "hedge_launched_total"
-	MetricHedgeStalls        = "hedge_stalls_total"
 	MetricBreakerOpens       = "breaker_opens_total"
 	MetricBreakerProbes      = "breaker_probes_total"
 	MetricBreakerRecoveries  = "breaker_recoveries_total"
@@ -57,7 +57,7 @@ const (
 	// Surplus and the split that answers it (DESIGN.md §15): DATA frames
 	// that reached a session after their generation's stream had ended,
 	// by peer address (the first maxSurplusPeers of a client's life, the
-	// rest under peer="other"), and the shares the unhedged ladder asked
+	// rest under peer="other"), and the shares the ladder asked
 	// of peers marked for it — complete, or re-asked unlimited by a
 	// second round.
 	MetricSurplusFrames = "client_surplus_frames_total"
@@ -105,7 +105,6 @@ type clientMetrics struct {
 	surplus   map[string][2]*metrics.Counter // addr → frames, bytes
 
 	hedgeLaunched     *metrics.Counter
-	hedgeStalls       *metrics.Counter
 	breakerOpens      *metrics.Counter
 	breakerProbes     *metrics.Counter
 	breakerRecoveries *metrics.Counter
@@ -149,8 +148,7 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 		reg:               reg,
 		surplus:           make(map[string][2]*metrics.Counter),
 
-		hedgeLaunched:     reg.Counter(MetricHedgeLaunched, "Hedge streams re-issued after a stall on the primary peer."),
-		hedgeStalls:       reg.Counter(MetricHedgeStalls, "Streams judged stalled: held a slot for a full hedge delay yet contributed nothing."),
+		hedgeLaunched:     reg.Counter(MetricHedgeLaunched, "Rungs launched because a chunk made no progress for a hedge delay."),
 		breakerOpens:      reg.Counter(MetricBreakerOpens, "Circuit breakers tripped open by consecutive peer failures."),
 		breakerProbes:     reg.Counter(MetricBreakerProbes, "Half-open probe streams launched against quarantined peers."),
 		breakerRecoveries: reg.Counter(MetricBreakerRecoveries, "Breakers closed again after a successful probe or fetch."),

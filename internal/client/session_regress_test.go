@@ -21,10 +21,16 @@ import (
 // the fake peer's end, with the writer it frames through.
 func pipeSession(t *testing.T) (*PeerSession, net.Conn, *wire.FrameWriter) {
 	t.Helper()
+	return pipeSessionFor(t, bareClient(), "pipe")
+}
+
+// pipeSessionFor is pipeSession for client c, as peer address addr.
+func pipeSessionFor(t *testing.T, c *Client, addr string) (*PeerSession, net.Conn, *wire.FrameWriter) {
+	t.Helper()
 	cli, srv := net.Pipe()
 	s := &PeerSession{
-		c:           bareClient(),
-		addr:        "pipe",
+		c:           c,
+		addr:        addr,
 		conn:        cli,
 		fingerprint: "pipe-peer",
 		fr:          wire.NewFrameReader(cli),

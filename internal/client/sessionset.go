@@ -52,7 +52,9 @@ func (c *Client) newSessionSet(ctx context.Context) *sessionSet {
 }
 
 // open returns the links for addrs in order, one per distinct address,
-// starting the dial of any address not seen before. Dials run
+// starting the dial of any address not seen before — unless its
+// circuit breaker is open and cooling down, in which case the dial
+// waits for a rung of it to launch (session starts it then). Dials run
 // concurrently, so opening n peers costs the slowest dial, not the sum,
 // and an unreachable peer delays no stream but its own.
 func (set *sessionSet) open(addrs []string) []*peerLink {
@@ -60,9 +62,12 @@ func (set *sessionSet) open(addrs []string) []*peerLink {
 	for _, addr := range addrs {
 		l, ok := set.links[addr]
 		if !ok {
-			l = &peerLink{c: set.c, ctx: set.ctx, addr: addr, ready: make(chan struct{})}
+			l = &peerLink{c: set.c, ctx: set.ctx, addr: addr}
 			set.links[addr] = l
-			go l.connect(l.ready)
+			if !set.c.health.coolingDown(addr) {
+				l.ready = make(chan struct{})
+				go l.connect(l.ready)
+			}
 		} else if slices.Contains(out, l) {
 			continue
 		}
@@ -167,13 +172,6 @@ func (l *peerLink) session(ctx context.Context) (*PeerSession, error) {
 	}
 }
 
-// connected reports whether the link has a session right now.
-func (l *peerLink) connected() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sess != nil
-}
-
 // lost retires sess after a connection-level failure, once however many
 // streams report it, and charges the retry budget. It reports false for
 // a session that is still alive: the error was scoped to one stream.
@@ -262,12 +260,15 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // observe folds one stream attempt's outcome into the health registry:
-// a BUSY shed is an honest answer that feeds the ranking score, any
-// other error a failure that feeds the breaker, nil proof of liveness.
+// a BUSY shed is an honest answer that proves liveness, any other error
+// a failure that feeds the breaker, nil proof of liveness. So is a
+// refusal of the one file asked for: a peer that does not hold it may
+// hold the next, and its breaker guards the peer, not the file.
 func (c *Client) observe(addr string, err error) {
 	var busy *wire.Busy
+	var remote *wire.RemoteError
 	switch {
-	case err == nil:
+	case err == nil, errors.As(err, &remote) && remote.Code == wire.CodeUnknownFile:
 		c.health.recordSuccess(addr, 0)
 	case errors.As(err, &busy):
 		c.health.recordShed(addr)

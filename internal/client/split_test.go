@@ -1,23 +1,11 @@
 package client
 
-// The mark behind the split (health.go) and the one ladder property the
-// harness cannot reach from outside: a hedged client never gathers the
-// evidence on its own — it runs too few streams per session — so the
-// mark is planted here.
+// The mark behind the split (health.go): its strikes, clears and
+// ageing, driven on a registry directly.
 
 import (
-	"bytes"
-	"context"
 	"slices"
 	"testing"
-	"time"
-
-	"asymshare/internal/auth"
-	"asymshare/internal/chunk"
-	"asymshare/internal/gf"
-	"asymshare/internal/peer"
-	"asymshare/internal/rlnc"
-	"asymshare/internal/store"
 )
 
 func splitRegistry() (*healthRegistry, []*peerLink) {
@@ -146,74 +134,5 @@ func TestMarkAgesInGenerations(t *testing.T) {
 	// The other three were not touched by any of this.
 	if limits, want := h.shares(links, 8), []uint32{0, 3, 3, 3}; !slices.Equal(limits, want) {
 		t.Fatalf("limits %v, want %v", limits, want)
-	}
-}
-
-// TestHedgedLadderNeverSplits: the hedged ladder needs all k from one
-// peer. With both peers marked a split would ask the primary for k/2
-// and walk to the second for the rest; unsplit, the second peer serves
-// nothing.
-func TestHedgedLadderNeverSplits(t *testing.T) {
-	clientID, err := auth.IdentityFromSeed(bytes.Repeat([]byte{52}, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewWith(clientID, nil, Options{Hedge: true, HedgeDelay: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-
-	secret := bytes.Repeat([]byte{9}, rlnc.SecretLen)
-	data := bytes.Repeat([]byte("hedged, so never split "), 400)[:8192]
-	share, err := chunk.BuildShare("h.bin", data, chunk.Plan{FieldBits: gf.Bits32, M: 256, ChunkSize: 8192}, 77, secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes []*peer.Node
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		id, err := auth.IdentityFromSeed(bytes.Repeat([]byte{byte(53 + i)}, 32))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := peer.New(peer.Config{Identity: id, Store: store.NewMemory()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		batches, err := share.BatchForPeer(i, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Disseminate(ctx, n.Addr().String(), batches[0]); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-		addrs = append(addrs, n.Addr().String())
-		for v := 0; v < surplusStrikes; v++ {
-			c.health.surplusVerdict(n.Addr().String(), true)
-		}
-	}
-
-	got, _, err := c.FetchFile(ctx, addrs, &share.Manifest, secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("decoded bytes differ from original")
-	}
-	served := 0
-	for _, n := range nodes {
-		if len(n.ServedBytes()) > 0 {
-			served++
-		}
-	}
-	if served != 1 {
-		t.Fatalf("%d peers served a hedged chunk between two marked peers, want the primary alone", served)
 	}
 }

@@ -1,7 +1,8 @@
 package metrics
 
 // Exposition: Prometheus text format (version 0.0.4), an opt-in
-// net/http listener, and expvar publication. The text format is a
+// net/http listener that also serves expvar and the runtime profiles,
+// and expvar publication. The text format is a
 // contract: golden-tested in expose_test.go.
 
 import (
@@ -11,6 +12,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 	"sync"
 )
@@ -142,9 +144,14 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Serve starts an HTTP listener exposing the registry at /metrics and
-// the process expvar map at /debug/vars. It returns once the listener
-// is bound; serving continues in the background until Close.
+// Serve starts an HTTP listener exposing the registry at /metrics, the
+// process expvar map at /debug/vars, and net/http/pprof's profiles
+// under /debug/pprof/ (index, cmdline, CPU profile, symbol, trace, and
+// every named profile: goroutine, heap, allocs, block, mutex,
+// threadcreate). Whoever reaches addr can start CPU profiles and
+// traces, so it belongs on loopback or behind a firewall. It returns
+// once the listener is bound; serving continues in the background until
+// Close.
 func Serve(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -153,6 +160,11 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // named profiles too
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{Handler: mux}
 	s := &Server{ln: ln, srv: srv}
 	go func() { _ = srv.Serve(ln) }()

@@ -146,6 +146,33 @@ func TestServeHTTP(t *testing.T) {
 	}
 }
 
+// TestServePprof: the listener that serves /metrics serves the runtime
+// profiles too — the index and a named profile in text form.
+func TestServePprof(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for path, want := range map[string]string{
+		"/debug/pprof/":                  "goroutine",
+		"/debug/pprof/goroutine?debug=1": "goroutine profile: total",
+	} {
+		resp, err := http.Get("http://" + srv.Addr().String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s: status %d, body lacks %q:\n%.300s", path, resp.StatusCode, want, body)
+		}
+	}
+}
+
 func TestPublishExpvarIdempotent(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ev_total", "").Inc()

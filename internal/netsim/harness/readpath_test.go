@@ -3,8 +3,8 @@ package harness
 // One read path (ISSUE 16): every fetch flavour — FetchFile, StreamFile,
 // FetchFileVia, a placed handle — runs on one session set and one chunk
 // ladder, so each must dial every distinct peer exactly once on a
-// healthy fabric, honour Options.Hedge, and survive a mid-stream cut by
-// redialing, with no per-connection fallback to hide behind.
+// healthy fabric, outrun a stalled peer, and survive a mid-stream cut
+// by redialing, with no per-connection fallback to hide behind.
 
 import (
 	"bytes"
@@ -26,14 +26,18 @@ import (
 	"asymshare/internal/transport"
 )
 
-// countingTransport counts the dials a client makes.
+// countingTransport counts the dials a client makes: to addr only,
+// when that is set.
 type countingTransport struct {
 	transport.Transport
+	addr  string
 	dials atomic.Int64
 }
 
 func (ct *countingTransport) DialContext(ctx context.Context, addr string) (net.Conn, error) {
-	ct.dials.Add(1)
+	if ct.addr == "" || ct.addr == addr {
+		ct.dials.Add(1)
+	}
 	return ct.Transport.DialContext(ctx, addr)
 }
 
@@ -126,10 +130,11 @@ func TestEveryFetchFlavourDialsEachPeerOnce(t *testing.T) {
 	}
 }
 
-// TestEveryFetchFlavourHedges: with Options.Hedge the first chunk starts
-// on peer0 alone (a fresh health ladder preserves peer order); its
-// uplink wedges to a trickle after one burst, and every flavour must
-// re-issue the chunk on the next peer instead of waiting it out.
+// TestEveryFetchFlavourHedges: every flavour hedges each chunk across
+// all of its peers at once. peer0's uplink wedges to a trickle after one
+// burst; the other rungs finish every chunk within the stalled-link
+// budget, and peer0's breaker stays closed: a slow peer is not a failed
+// one.
 func TestEveryFetchFlavourHedges(t *testing.T) {
 	seed := Seed(t, 1602)
 	ctx := testCtx(t)
@@ -143,8 +148,8 @@ func TestEveryFetchFlavourHedges(t *testing.T) {
 		t.Run(fl.name, func(t *testing.T) {
 			host := "hedge-" + fl.name
 			c.Fabric.SetLink(c.Peers[0].Host, host, netsim.LinkPolicy{BytesPerSec: 50, Burst: 16 << 10})
-			sys, _, reg := flavourSystem(t, c, host, plan,
-				client.Options{Hedge: true, HedgeDelay: 150 * time.Millisecond})
+			sys, _, _ := flavourSystem(t, c, host, plan, client.Options{})
+			start := time.Now()
 			got, err := fl.fetch(ctx, c, sys, h, secret)
 			if err != nil {
 				t.Fatal(err)
@@ -152,8 +157,11 @@ func TestEveryFetchFlavourHedges(t *testing.T) {
 			if !bytes.Equal(got, data) {
 				t.Fatal("decoded bytes differ from original")
 			}
-			if v := reg.Counter(client.MetricHedgeLaunched, "").Value(); v < 1 {
-				t.Fatalf("hedge_launched_total = %d, want >= 1 (Options.Hedge ignored)", v)
+			if d := time.Since(start); d > stalledBudget {
+				t.Fatalf("fetch took %v behind a 50 B/s peer, want <= %v", d, stalledBudget)
+			}
+			if s := sys.Client().PeerHealth(c.Peers[0].Addr); s.Breaker != "closed" || s.Failures != 0 {
+				t.Fatalf("stalled peer's health %+v, want a closed breaker and no failures", s)
 			}
 		})
 	}

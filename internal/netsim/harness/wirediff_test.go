@@ -3,7 +3,7 @@ package harness
 // The pooled, multiplexed read path under deterministic chaos on the
 // netsim fabric: mid-stream connection cuts, per-link latency and
 // asymmetric rate caps. However the streams are scheduled — every rung
-// at once, a hedged ladder, or hand-driven PeerSessions — the decode
+// at once, a ladder the breakers gate, or hand-driven PeerSessions — the decode
 // must be byte-identical to the original, and every scenario asserts
 // the wire.DefaultPool teardown invariants: all pooled frame buffers
 // released (no leaks) and no double-releases, even on the failure
@@ -56,10 +56,12 @@ func checkDefaultPool(t *testing.T, before wire.PoolStats) {
 	}
 }
 
-// TestWireDifferentialChaos fetches the same generation twice — once
-// with every rung of the chunk ladder launched together, once hedged —
-// while the fabric injects latency, an asymmetric rate cap, and a
-// mid-stream cut on one peer. Both fetches must succeed (the two
+// TestWireDifferentialChaos fetches the same generation twice with one
+// client while the fabric injects latency, an asymmetric rate cap, and
+// a mid-stream cut on one peer: first with every rung of the chunk
+// ladder launched together, then with the cut peer's breaker open — a
+// threshold of one failure, which the cut supplied — so the ladder
+// launches the two survivors only. Both fetches must succeed (the two
 // surviving peers jointly decode) and produce byte-identical output.
 func TestWireDifferentialChaos(t *testing.T) {
 	seed := Seed(t, 7788)
@@ -79,25 +81,28 @@ func TestWireDifferentialChaos(t *testing.T) {
 		t.Fatalf("tracker returned %d peers, want 3", len(addrs))
 	}
 
-	fetch := func(opts client.Options) []byte {
+	// No redials: the same faults hit both fetches.
+	cl := c.UserClient(client.Options{PeerRetries: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	fetch := func(what string) []byte {
 		t.Helper()
-		opts.PeerRetries = -1 // fixed dial sequence: same faults hit both ladders
-		cl := c.UserClient(opts)
 		data, _, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
 		if err != nil {
-			t.Fatalf("fetch (hedge=%v) under chaos: %v", opts.Hedge, err)
+			t.Fatalf("fetch (%s) under chaos: %v", what, err)
 		}
 		return data
 	}
 
-	together := fetch(client.Options{})
-	hedged := fetch(client.Options{Hedge: true, HedgeDelay: 20 * time.Millisecond})
+	together := fetch("every rung")
+	if s := cl.PeerHealth(c.Peers[2].Addr); s.Breaker != "open" {
+		t.Fatalf("cut peer's breaker %q after the first fetch, want open", s.Breaker)
+	}
+	gated := fetch("breaker-gated")
 
 	if !bytes.Equal(together, gen.Data) {
-		t.Fatal("unhedged ladder decoded bytes differ from original")
+		t.Fatal("every-rung ladder decoded bytes differ from original")
 	}
-	if !bytes.Equal(hedged, together) {
-		t.Fatal("hedged ladder output diverges from the unhedged one")
+	if !bytes.Equal(gated, together) {
+		t.Fatal("breaker-gated ladder output diverges from the every-rung one")
 	}
 	checkDefaultPool(t, before)
 }
