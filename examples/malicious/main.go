@@ -144,7 +144,13 @@ func forgedMessageAttack() error {
 		fmt.Printf("peer %s (%s) holds %d messages\n", node.Addr(), kind, len(batch))
 	}
 
-	got, stats, err := c.FetchGeneration(ctx, addrs, params, 99, secret, digests)
+	got, stats, err := c.Fetch(ctx, client.FetchRequest{
+		Peers:   addrs,
+		Params:  params,
+		FileID:  99,
+		Secret:  secret,
+		Digests: digests,
+	})
 	if err != nil {
 		return err
 	}

@@ -14,9 +14,9 @@
 // STOP has been seen to lose the race against, which are asked for
 // their share of the generation up front. One manifest driver
 // walks the chunks with a bounded in-flight window; FetchFile,
-// FetchFileFrom and StreamFile are thin callers of it, Fetch and
-// FetchGeneration its one-chunk case. Per-peer receipts are reported
-// for the user's periodic feedback to its own peer.
+// FetchFileFrom and StreamFile are thin callers of it, Fetch its
+// one-chunk case. Per-peer receipts are reported for the user's
+// periodic feedback to its own peer.
 //
 // A whole-file fetch has no serial tail (DESIGN.md §15). The output is
 // one buffer (chunk.Assembler): chunk i's download owns its slot from
@@ -357,19 +357,6 @@ type FetchRequest struct {
 	// fetch context's deadline is propagated alongside it, letting the
 	// peer drop work whose deadline has already passed.
 	Priority uint8
-}
-
-// FetchGeneration downloads one generation (file-id) from the given
-// peer addresses in parallel and decodes it. It is shorthand for Fetch.
-func (c *Client) FetchGeneration(ctx context.Context, addrs []string, params rlnc.Params,
-	fileID uint64, secret []byte, digests map[uint64]rlnc.Digest) ([]byte, FetchStats, error) {
-	return c.Fetch(ctx, FetchRequest{
-		Peers:   addrs,
-		Params:  params,
-		FileID:  fileID,
-		Secret:  secret,
-		Digests: digests,
-	})
 }
 
 // Fetch downloads one generation from the request's peers and decodes

@@ -257,13 +257,22 @@ func TestPartialStoragePeers(t *testing.T) {
 	}
 
 	// One partial peer is not enough.
-	_, _, err = c.FetchGeneration(ctx, []string{nodeA.Addr().String()}, params, 11, testSecret(), nil)
+	_, _, err = c.Fetch(ctx, client.FetchRequest{
+		Peers:  []string{nodeA.Addr().String()},
+		Params: params,
+		FileID: 11,
+		Secret: testSecret(),
+	})
 	if !errors.Is(err, client.ErrIncomplete) {
 		t.Errorf("single partial peer error = %v, want ErrIncomplete", err)
 	}
 	// Together they decode.
-	got, _, err := c.FetchGeneration(ctx,
-		[]string{nodeA.Addr().String(), nodeB.Addr().String()}, params, 11, testSecret(), nil)
+	got, _, err := c.Fetch(ctx, client.FetchRequest{
+		Peers:  []string{nodeA.Addr().String(), nodeB.Addr().String()},
+		Params: params,
+		FileID: 11,
+		Secret: testSecret(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +331,12 @@ func TestFetchGenerationAllPeersUnreachable(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	// Two dead addresses: the error must mention the dial failures.
-	_, _, err = c.FetchGeneration(ctx, []string{"127.0.0.1:1", "127.0.0.1:2"},
-		params, 1, testSecret(), nil)
+	_, _, err = c.Fetch(ctx, client.FetchRequest{
+		Peers:  []string{"127.0.0.1:1", "127.0.0.1:2"},
+		Params: params,
+		FileID: 1,
+		Secret: testSecret(),
+	})
 	if !errors.Is(err, client.ErrIncomplete) {
 		t.Fatalf("error = %v, want ErrIncomplete", err)
 	}

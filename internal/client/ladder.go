@@ -140,7 +140,6 @@ func (c *Client) fetchChunk(ctx context.Context, links []*peerLink, req FetchReq
 	// Deferred past wg.Wait below: whoever takes the engine next finds
 	// no rung of this chunk still feeding it.
 	defer pl.release(sink)
-	stopSampling := c.m.sampleDecode(sink.Telemetry)
 
 	start := time.Now()
 	streamCtx, cancel := context.WithCancel(ctx)
@@ -288,7 +287,6 @@ loop:
 	cancel()
 	wg.Wait()
 	stats.Elapsed = time.Since(start)
-	stopSampling()
 
 	// Every rung has returned. A generation that fell short may still
 	// hold arrivals parked for a verify group that never filled; give

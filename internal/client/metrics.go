@@ -2,7 +2,6 @@ package client
 
 import (
 	"sync"
-	"time"
 
 	"asymshare/internal/metrics"
 	"asymshare/internal/rlnc"
@@ -23,12 +22,9 @@ const (
 	MetricReceivedBytes      = "client_received_bytes_total"
 	MetricReceivedBytesRate  = "client_received_bytes_rate"
 
-	// Pipeline-engine decode telemetry (DESIGN.md §9): how deep the
-	// payload-elimination queue runs, how busy the worker pool is, and
-	// how many payload bytes the row operations have processed.
-	MetricDecodeQueueDepth  = "client_decode_queue_depth"
-	MetricDecodeBusyWorkers = "client_decode_busy_workers"
-	MetricDecodeElimBytes   = "client_decode_eliminated_bytes_total"
+	// Pipeline-engine decode telemetry (DESIGN.md §9): how many payload
+	// bytes the row operations have processed.
+	MetricDecodeElimBytes = "client_decode_eliminated_bytes_total"
 
 	// The pipeline's staged digest verify (DESIGN.md §9): groups
 	// settled, messages digested by arm, and arrivals that found their
@@ -84,8 +80,6 @@ type clientMetrics struct {
 	received   *metrics.Counter
 	recvRate   *metrics.Rate
 
-	decodeDepth *metrics.Gauge
-	decodeBusy  *metrics.Gauge
 	decodeElim  *metrics.Counter
 	fixupBlocks *metrics.Counter
 
@@ -131,8 +125,6 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 		received:   reg.Counter(MetricReceivedBytes, "Encoded message bytes received from peers."),
 		recvRate:   reg.Rate(MetricReceivedBytesRate, "EWMA download goodput, bytes/second.", metrics.DefaultRateHalfLife),
 
-		decodeDepth: reg.Gauge(MetricDecodeQueueDepth, "Payload elimination jobs queued in the decode pipeline."),
-		decodeBusy:  reg.Gauge(MetricDecodeBusyWorkers, "Decode pipeline workers currently eliminating a segment."),
 		decodeElim:  reg.Counter(MetricDecodeElimBytes, "Payload bytes processed by decode row operations."),
 		fixupBlocks: reg.Counter(MetricDecodeFixupBlocks, "Decoded chunk-vectors moved into place after elimination in another row's slot."),
 
@@ -203,39 +195,6 @@ func (m *clientMetrics) recordFetch(stats FetchStats, decodedBytes int, err erro
 		m.redundant.Add(uint64(red))
 	}
 	m.decoded.Add(uint64(decodedBytes))
-}
-
-// sampleDecode starts a goroutine publishing the pipeline's queue
-// depth and worker utilization gauges while a fetch runs; the returned
-// stop function ends sampling and zeroes the gauges. It is a no-op
-// (returning a no-op stop) without instrumentation.
-func (m *clientMetrics) sampleDecode(telemetry func() rlnc.PipelineTelemetry) func() {
-	if m.decodeDepth == nil {
-		return func() {}
-	}
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(20 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				t := telemetry()
-				m.decodeDepth.Set(float64(t.QueueDepth))
-				m.decodeBusy.Set(float64(t.BusyWorkers))
-			case <-quit:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(quit)
-		<-done
-		m.decodeDepth.Set(0)
-		m.decodeBusy.Set(0)
-	}
 }
 
 // recordDecodeTelemetry folds the pipeline's final counters into the

@@ -65,7 +65,13 @@ func runPartitionFetch(t *testing.T, seed int64) ([]byte, string, *Generation) {
 	// No redials: the dial sequence stays fixed, so the event log is
 	// byte-identical across replays of the same seed.
 	cl := c.UserClient(client.Options{PeerRetries: -1})
-	data, stats, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+	data, stats, err := cl.Fetch(ctx, client.FetchRequest{
+		Peers:   addrs,
+		Params:  gen.Params,
+		FileID:  gen.FileID,
+		Secret:  gen.Secret,
+		Digests: gen.Digests,
+	})
 	if err != nil {
 		t.Fatalf("fetch with partitioned peer: %v", err)
 	}
@@ -109,7 +115,7 @@ func TestPartitionedFetchReplaysFromSeed(t *testing.T) {
 //
 // Before the fix, client.fetchFromPeer treated any EOF as an orderly
 // end-of-stream: the severed connection returned nil, no retry
-// happened, and FetchGeneration failed with ErrIncomplete at rank < k.
+// happened, and the fetch failed with ErrIncomplete at rank < k.
 // With abrupt closes classified as retriable (errPeerAborted) and
 // Options.PeerRetries redialing, the second connection survives
 // (CutConns bounds the cut to the first fetch attempt) and the decode
@@ -127,7 +133,13 @@ func TestFetchRetriesAfterMidStreamCut(t *testing.T) {
 
 	cl := c.UserClient(client.Options{RetryBackoff: 20 * time.Millisecond})
 	addrs := c.Lookup(ctx, HostUser, gen.FileID)
-	data, _, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+	data, _, err := cl.Fetch(ctx, client.FetchRequest{
+		Peers:   addrs,
+		Params:  gen.Params,
+		FileID:  gen.FileID,
+		Secret:  gen.Secret,
+		Digests: gen.Digests,
+	})
 	if err != nil {
 		t.Fatalf("fetch did not fail over to a redial: %v", err)
 	}
@@ -144,8 +156,13 @@ func TestFetchRetriesAfterMidStreamCut(t *testing.T) {
 	gen2 := c2.SeedGeneration(ctx, 43, 8, 512, 4096, 4)
 	c2.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200, CutConns: 2})
 	noRetry := c2.UserClient(client.Options{PeerRetries: -1})
-	_, _, err = noRetry.FetchGeneration(ctx, c2.Lookup(ctx, HostUser, gen2.FileID),
-		gen2.Params, gen2.FileID, gen2.Secret, gen2.Digests)
+	_, _, err = noRetry.Fetch(ctx, client.FetchRequest{
+		Peers:   c2.Lookup(ctx, HostUser, gen2.FileID),
+		Params:  gen2.Params,
+		FileID:  gen2.FileID,
+		Secret:  gen2.Secret,
+		Digests: gen2.Digests,
+	})
 	if !errors.Is(err, client.ErrIncomplete) {
 		t.Fatalf("retry-less fetch after cut = %v, want ErrIncomplete", err)
 	}
@@ -274,7 +291,13 @@ func TestGrantsReconvergeAfterPartitionHeals(t *testing.T) {
 	// receipt for every peer that actually served bytes.
 	fetchAndCredit := func(addrs []string) {
 		t.Helper()
-		_, stats, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+		_, stats, err := cl.Fetch(ctx, client.FetchRequest{
+			Peers:   addrs,
+			Params:  gen.Params,
+			FileID:  gen.FileID,
+			Secret:  gen.Secret,
+			Digests: gen.Digests,
+		})
 		if err != nil {
 			t.Fatalf("fetch from %v: %v", addrs, err)
 		}

@@ -127,7 +127,13 @@ func TestPeerCrashMidDisseminationRecovers(t *testing.T) {
 	// And the peer still serves a full decode on its own. Any batch B
 	// messages acked before the cut also survived, so the union digest
 	// set verifies every stored message.
-	data, stats, err := cl.FetchGeneration(ctx, []string{dp.Addr}, params, fileID, Secret(), digests)
+	data, stats, err := cl.Fetch(ctx, client.FetchRequest{
+		Peers:   []string{dp.Addr},
+		Params:  params,
+		FileID:  fileID,
+		Secret:  Secret(),
+		Digests: digests,
+	})
 	if err != nil {
 		t.Fatalf("fetch from recovered peer: %v", err)
 	}

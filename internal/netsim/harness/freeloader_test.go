@@ -92,7 +92,12 @@ func TestFreeloaderPenalizedOverRealTCP(t *testing.T) {
 			wg.Add(1)
 			go func(i int, u *client.Client) {
 				defer wg.Done()
-				data, stats, err := u.FetchGeneration(ctx, addrs, params, uint64(1000+i), Secret(), nil)
+				data, stats, err := u.Fetch(ctx, client.FetchRequest{
+					Peers:  addrs,
+					Params: params,
+					FileID: uint64(1000 + i),
+					Secret: Secret(),
+				})
 				if err == nil {
 					rates[i][r] = stats.EffectiveRate(len(data))
 					err = u.SendFeedback(ctx, addrs[i], stats.BytesFrom)

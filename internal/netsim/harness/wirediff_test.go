@@ -85,7 +85,13 @@ func TestWireDifferentialChaos(t *testing.T) {
 	cl := c.UserClient(client.Options{PeerRetries: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute})
 	fetch := func(what string) []byte {
 		t.Helper()
-		data, _, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+		data, _, err := cl.Fetch(ctx, client.FetchRequest{
+			Peers:   addrs,
+			Params:  gen.Params,
+			FileID:  gen.FileID,
+			Secret:  gen.Secret,
+			Digests: gen.Digests,
+		})
 		if err != nil {
 			t.Fatalf("fetch (%s) under chaos: %v", what, err)
 		}
@@ -128,7 +134,13 @@ func TestWireMuxDifferentialChaos(t *testing.T) {
 
 	// Reference result through the library's read path.
 	ref := c.UserClient(client.Options{PeerRetries: -1})
-	want, _, err := ref.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+	want, _, err := ref.Fetch(ctx, client.FetchRequest{
+		Peers:   addrs,
+		Params:  gen.Params,
+		FileID:  gen.FileID,
+		Secret:  gen.Secret,
+		Digests: gen.Digests,
+	})
 	if err != nil {
 		t.Fatalf("reference fetch: %v", err)
 	}
@@ -197,7 +209,13 @@ func TestWireDifferentialReplays(t *testing.T) {
 		c.Fabric.SetLink("peer2", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200})
 		addrs := c.Lookup(ctx, HostUser, gen.FileID)
 		cl := c.UserClient(client.Options{PeerRetries: -1})
-		data, _, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+		data, _, err := cl.Fetch(ctx, client.FetchRequest{
+			Peers:   addrs,
+			Params:  gen.Params,
+			FileID:  gen.FileID,
+			Secret:  gen.Secret,
+			Digests: gen.Digests,
+		})
 		if err != nil {
 			t.Fatalf("fetch: %v", err)
 		}

@@ -75,7 +75,12 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 	if err := c.Disseminate(ctx, node.Addr().String(), batch); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.FetchGeneration(ctx, []string{node.Addr().String()}, params, 42, testSecret(), nil)
+	got, _, err := c.Fetch(ctx, client.FetchRequest{
+		Peers:  []string{node.Addr().String()},
+		Params: params,
+		FileID: 42,
+		Secret: testSecret(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

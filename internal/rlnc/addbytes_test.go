@@ -34,12 +34,12 @@ func TestAddBytesMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	msgs := scrambledStream(enc, rng, k)
 
-	byMsg, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+	byMsg, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer byMsg.Close()
-	byBytes, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+	byBytes, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAddBytesMatchesAdd(t *testing.T) {
 func TestAddBytesRejects(t *testing.T) {
 	k := 8
 	enc, digests, _ := pipelineGen(t, gf.Bits8, k, 128, 7)
-	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAddBytesRejects(t *testing.T) {
 func TestAddBytesCallerOwnsBuffer(t *testing.T) {
 	k := 8
 	enc, digests, data := pipelineGen(t, gf.Bits8, k, 128, 17)
-	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAddBytesSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	pipe, err := NewPipeline(gens[0].enc.Params(), gens[0].enc.FileID(), testSecret(), gens[0].digests,
-		PipelineConfig{Workers: 1})
+		PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

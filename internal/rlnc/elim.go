@@ -3,10 +3,10 @@ package rlnc
 // Coefficient-space elimination with recorded row operations. The
 // pipeline runs reduceRowCoeffs under its small acceptance lock — a
 // K-element pass per echelon row, no payload touched — and replays the
-// recorded steps over the payload later, outside the lock, segment by
-// segment on the worker pool. Replaying the identical factor sequence
-// over GF arithmetic is exact, which is what keeps Pipeline output
-// byte-identical to the sequential Decoder.
+// recorded steps over the payload later, outside the lock, on its job
+// runner. Replaying the identical factor sequence over GF arithmetic is
+// exact, which is what keeps Pipeline output byte-identical to the
+// sequential Decoder.
 
 import "asymshare/internal/gf"
 

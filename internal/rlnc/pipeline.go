@@ -23,9 +23,11 @@ package rlnc
 //                touching payload bytes;
 //  3. eliminate — the recorded row operations replayed over the
 //                payload (ChunkBytes() per row, the real cost): handed
-//                to a serial job runner that fans each job's payload
-//                out to a worker pool in cache-sized segments, using
-//                per-factor split product tables (gf.MulTable).
+//                to the engine's one goroutine, a serial job runner
+//                that replays each job over the row's whole
+//                chunk-vector with per-factor split product tables
+//                (gf.MulTable). Decodes run side by side one level up,
+//                a pipeline per chunk in flight (DESIGN.md §9).
 //
 // A parked message is not yet trusted: it has no row, is not counted in
 // Rank or Stats, and no byte of it is read by stage 3 until its digest
@@ -55,7 +57,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -65,28 +66,15 @@ import (
 // ErrPipelineClosed is returned by Add and Decode after Close.
 var ErrPipelineClosed = errors.New("rlnc: pipeline closed")
 
-// PipelineConfig tunes the decode engine. The zero value picks
-// sensible defaults for the host.
-type PipelineConfig struct {
-	// Workers is the number of goroutines eliminating payload
-	// segments, including the serial job runner itself. 0 means
-	// GOMAXPROCS; 1 runs every segment inline on the runner.
-	Workers int
-	// SegmentBytes is the smallest payload slice fanned out to one
-	// worker (8-byte aligned); payloads shorter than 2*SegmentBytes
-	// are eliminated in one piece. 0 means 4096.
-	SegmentBytes int
-}
+// PipelineConfig has no fields: the engine has nothing to tune. It is
+// kept as NewPipeline's last argument so existing callers, which pass
+// PipelineConfig{}, compile unchanged.
+type PipelineConfig struct{}
 
 // PipelineTelemetry is a snapshot of the engine's counters, exported
-// so the client can surface queue depth, worker utilization and decode
-// throughput as metrics.
+// so the client can surface decode work as metrics.
 type PipelineTelemetry struct {
-	QueueDepth      int    // payload jobs enqueued but not yet finished
-	BusyWorkers     int    // workers currently eliminating a segment
-	Workers         int    // size of the worker pool (incl. the runner)
 	Jobs            uint64 // payload jobs completed
-	Segments        uint64 // payload segments eliminated
 	EliminatedBytes uint64 // payload bytes processed by row operations
 
 	VerifyGroups     uint64 // parked groups digested and settled
@@ -110,31 +98,21 @@ type pipeJob struct {
 	dst   int32
 	scale uint32
 	steps []elimStep
-	wg    sync.WaitGroup // outstanding segments
 }
 
-// segTask is one payload slice of a job, claimed by a worker.
-type segTask struct {
-	job    *pipeJob
-	lo, hi int
-	scale  *gf.MulTable
-}
-
-// Pipeline implements Sink with concurrent producers and parallel
-// payload elimination. Construct with NewPipeline, aim it at the
-// generation's output buffer with Retarget, feed it from any number of
-// goroutines, then call DecodeInto once Done; Retarget it at the next
-// generation of the same geometry as often as wanted, and Close when
-// finished with it. An engine nobody aimed draws its own output at its
-// first arrival, and Decode hands that over.
+// Pipeline implements Sink with concurrent producers and payload
+// elimination on a goroutine of its own. Construct with NewPipeline,
+// aim it at the generation's output buffer with Retarget, feed it from
+// any number of goroutines, then call DecodeInto once Done; Retarget it
+// at the next generation of the same geometry as often as wanted, and
+// Close when finished with it. An engine nobody aimed draws its own
+// output at its first arrival, and Decode hands that over.
 type Pipeline struct {
 	params  Params
 	fileID  uint64
 	rows    *RowStream // used under mu, by whoever settles a group
 	digests map[uint64]Digest
 	cb      int // ChunkBytes
-	workers int
-	segMin  int
 
 	mu       sync.Mutex
 	settled  *sync.Cond // a group has been settled, or the engine closed
@@ -170,7 +148,6 @@ type Pipeline struct {
 
 	jobs   chan *pipeJob
 	jobsWG sync.WaitGroup
-	segCh  chan segTask
 	quit   chan struct{}
 	bgWG   sync.WaitGroup
 	jobBuf []pipeJob
@@ -178,10 +155,7 @@ type Pipeline struct {
 
 	closeOnce sync.Once
 
-	depth     atomic.Int64
-	busy      atomic.Int64
 	jobsDone  atomic.Uint64
-	segsDone  atomic.Uint64
 	elimBytes atomic.Uint64
 
 	verifyGroups atomic.Uint64
@@ -194,23 +168,15 @@ type Pipeline struct {
 // NewPipeline prepares a parallel decoder for one generation, mirroring
 // NewDecoder's contract. digests, if non-nil, enables per-message
 // authentication. The engine is aimed at no buffer yet: Retarget aims
-// it, or its first arrival draws one. The returned pipeline owns
-// background goroutines; callers must Close it.
-func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64]Digest, cfg PipelineConfig) (*Pipeline, error) {
+// it, or its first arrival draws one. The returned pipeline owns one
+// background goroutine, the job runner; callers must Close it.
+func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64]Digest, _ PipelineConfig) (*Pipeline, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	gen, err := NewCoeffGenerator(params.Field, params.K, secret)
 	if err != nil {
 		return nil, err
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	segMin := cfg.SegmentBytes &^ 7
-	if segMin <= 0 {
-		segMin = 4096
 	}
 	k := params.K
 	cb := params.ChunkBytes()
@@ -221,8 +187,6 @@ func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64
 		rows:     gen.Stream(),
 		digests:  digests,
 		cb:       cb,
-		workers:  workers,
-		segMin:   segMin,
 		rowFree:  make([][]uint32, k),
 		slotFree: make([]int32, 0, k),
 		seen:     make(map[uint64]bool, 2*k),
@@ -233,7 +197,6 @@ func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64
 		pivotRow: make([]int32, k),
 		parked:   make([]staged, 0, k),
 		jobs:     make(chan *pipeJob, k),
-		segCh:    make(chan segTask, workers*2),
 		quit:     make(chan struct{}),
 		jobBuf:   make([]pipeJob, k),
 		tabs:     make([]gf.MulTable, k+1),
@@ -254,10 +217,6 @@ func NewPipeline(params Params, fileID uint64, secret []byte, digests map[uint64
 
 	p.bgWG.Add(1)
 	go p.runner()
-	for i := 1; i < workers; i++ {
-		p.bgWG.Add(1)
-		go p.segWorker()
-	}
 	return p, nil
 }
 
@@ -279,11 +238,7 @@ func (p *Pipeline) Stats() Stats {
 // Telemetry returns a snapshot of the engine counters.
 func (p *Pipeline) Telemetry() PipelineTelemetry {
 	return PipelineTelemetry{
-		QueueDepth:       int(p.depth.Load()),
-		BusyWorkers:      int(p.busy.Load()),
-		Workers:          p.workers,
 		Jobs:             p.jobsDone.Load(),
-		Segments:         p.segsDone.Load(),
 		EliminatedBytes:  p.elimBytes.Load(),
 		VerifyGroups:     p.verifyGroups.Load(),
 		LaneMessages:     p.laneMsgs.Load(),
@@ -503,7 +458,6 @@ func (p *Pipeline) commit(msg *Message, slot int32, sum Digest) (bool, error) {
 	// holds K jobs, so the send cannot block.
 	if len(steps) > 0 || scale != 1 {
 		p.jobsWG.Add(1)
-		p.depth.Add(1)
 		p.jobs <- job
 	}
 	p.rank.Store(int64(r + 1))
@@ -527,9 +481,7 @@ func (p *Pipeline) Settle() {
 	}
 }
 
-// runner serializes payload jobs: builds the per-factor product tables
-// once per job, splits the payload into segments, farms them out and
-// takes the first segment itself.
+// runner serializes payload jobs, one at a time in enqueue order.
 func (p *Pipeline) runner() {
 	defer p.bgWG.Done()
 	for {
@@ -542,78 +494,27 @@ func (p *Pipeline) runner() {
 	}
 }
 
+// runJob builds the job's per-factor product tables, then replays its
+// recorded row operations over the row's whole chunk-vector. Reads of
+// p.rowSlot entries are ordered by the jobs channel send that happens
+// after the rows were committed under p.mu.
 func (p *Pipeline) runJob(job *pipeJob) {
 	f := p.params.Field
 	n := len(job.steps)
 	for s := 0; s < n; s++ {
 		p.tabs[s].Init(f, job.steps[s].factor)
 	}
-	var scale *gf.MulTable
+	dst := p.slot(p.rowSlot[job.dst])
+	for s := 0; s < n; s++ {
+		p.tabs[s].MulAdd(dst, p.slot(p.rowSlot[job.steps[s].src]))
+	}
 	if job.scale != 1 {
 		p.tabs[n].Init(f, job.scale)
-		scale = &p.tabs[n]
+		p.tabs[n].Mul(dst)
 	}
-
-	segs := 1
-	if p.workers > 1 && p.cb >= 2*p.segMin {
-		segs = min(p.workers, p.cb/p.segMin)
-	}
-	if segs <= 1 {
-		p.busy.Add(1)
-		p.applySeg(job, 0, p.cb, scale)
-		p.busy.Add(-1)
-	} else {
-		per := (p.cb / segs) &^ 7
-		job.wg.Add(segs - 1)
-		lo := per
-		for s := 1; s < segs; s++ {
-			hi := lo + per
-			if s == segs-1 {
-				hi = p.cb
-			}
-			p.segCh <- segTask{job: job, lo: lo, hi: hi, scale: scale}
-			lo = hi
-		}
-		p.busy.Add(1)
-		p.applySeg(job, 0, per, scale)
-		p.busy.Add(-1)
-		job.wg.Wait()
-	}
-	p.depth.Add(-1)
+	p.elimBytes.Add(uint64(p.cb * (n + 1)))
 	p.jobsDone.Add(1)
 	p.jobsWG.Done()
-}
-
-// segWorker eliminates payload segments until Close.
-func (p *Pipeline) segWorker() {
-	defer p.bgWG.Done()
-	for {
-		select {
-		case t := <-p.segCh:
-			p.busy.Add(1)
-			p.applySeg(t.job, t.lo, t.hi, t.scale)
-			p.busy.Add(-1)
-			t.job.wg.Done()
-		case <-p.quit:
-			return
-		}
-	}
-}
-
-// applySeg replays a job's recorded row operations over one payload
-// slice. Reads of p.rowSlot entries are ordered by the jobs/segCh
-// channel sends that happen after the rows were committed under p.mu.
-func (p *Pipeline) applySeg(job *pipeJob, lo, hi int, scale *gf.MulTable) {
-	dst := p.slot(p.rowSlot[job.dst])[lo:hi]
-	for s := range job.steps {
-		src := p.slot(p.rowSlot[job.steps[s].src])[lo:hi]
-		p.tabs[s].MulAdd(dst, src)
-	}
-	if scale != nil {
-		scale.Mul(dst)
-	}
-	p.segsDone.Add(1)
-	p.elimBytes.Add(uint64((hi - lo) * (len(job.steps) + 1)))
 }
 
 // Decode completes the generation and returns the original data,
@@ -690,7 +591,6 @@ func (p *Pipeline) solve() ([]byte, error) {
 				continue
 			}
 			p.jobsWG.Add(1)
-			p.depth.Add(1)
 			p.jobs <- job
 		}
 		p.jobsWG.Wait()
@@ -744,8 +644,8 @@ func (p *Pipeline) placeRows() {
 
 // Retarget points the engine at another generation of the same
 // geometry — same field, K and chunk-vector size; DataLen may differ —
-// keeping the secret and with it the coefficient generator, and every
-// pooled buffer and worker; messages still parked for the old
+// keeping the secret and with it the coefficient generator, every
+// pooled buffer and the job runner; messages still parked for the old
 // generation are dropped unverified. digests replaces the
 // authentication table (nil disables it). out aims the engine: it is
 // the generation's output, DataLen bytes, and the K payload slots are
@@ -795,7 +695,6 @@ func (p *Pipeline) Retarget(params Params, fileID uint64, digests map[uint64]Dig
 	p.solved = false
 	p.rank.Store(0)
 	p.jobsDone.Store(0)
-	p.segsDone.Store(0)
 	p.elimBytes.Store(0)
 	p.verifyGroups.Store(0)
 	p.laneMsgs.Store(0)
@@ -813,7 +712,7 @@ func (p *Pipeline) dropParkedLocked() {
 	p.parked = p.parked[:0]
 }
 
-// Close stops the worker pool. It drains in-flight payload jobs first
+// Close stops the job runner. It drains in-flight payload jobs first
 // and drops what is parked; subsequent Add and Decode calls fail with
 // ErrPipelineClosed. Close is idempotent and safe to call concurrently
 // with producers in Add: one waiting for a group's outcome is woken,

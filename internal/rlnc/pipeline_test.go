@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"asymshare/internal/gf"
 )
@@ -108,20 +110,18 @@ func TestRowStreamMatchesRow(t *testing.T) {
 // more.
 func TestPipelineMatchesSequentialDecoder(t *testing.T) {
 	for _, bits := range []uint{gf.Bits8, gf.Bits16, gf.Bits32} {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("p%d_w%d", bits, workers), func(t *testing.T) {
-				for _, k := range []int{1, 3, 8, 9, 24, 32} {
-					for order := int64(0); order < 4; order++ {
-						pipelineVersusDecoder(t, bits, workers, k, order, false)
-						pipelineVersusDecoder(t, bits, workers, k, order, true)
-					}
+		t.Run(fmt.Sprintf("p%d", bits), func(t *testing.T) {
+			for _, k := range []int{1, 3, 8, 9, 24, 32} {
+				for order := int64(0); order < 4; order++ {
+					pipelineVersusDecoder(t, bits, k, order, false)
+					pipelineVersusDecoder(t, bits, k, order, true)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-func pipelineVersusDecoder(t *testing.T, bits uint, workers, k int, order int64, short bool) {
+func pipelineVersusDecoder(t *testing.T, bits uint, k int, order int64, short bool) {
 	t.Helper()
 	const m = 96
 	what := fmt.Sprintf("k=%d order %d short %v", k, order, short)
@@ -129,7 +129,7 @@ func pipelineVersusDecoder(t *testing.T, bits uint, workers, k int, order int64,
 	if short {
 		dataLen -= 1 + int(order)*7
 	}
-	enc, digests, data := pipelineGenLen(t, bits, k, m, dataLen, int64(bits)*100+int64(workers))
+	enc, digests, data := pipelineGenLen(t, bits, k, m, dataLen, int64(bits)*100+1)
 	msgs := scrambledStream(enc, rand.New(rand.NewSource(42+order)), k)
 	if order == 3 {
 		// Unauthenticated: nothing is parked, the forgeries are decoded
@@ -142,7 +142,7 @@ func pipelineVersusDecoder(t *testing.T, bits uint, workers, k int, order int64,
 		t.Fatal(err)
 	}
 	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests,
-		PipelineConfig{Workers: workers, SegmentBytes: 16})
+		PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestPipelineFixup(t *testing.T) {
 			if !tc.digests {
 				digests = nil
 			}
-			pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 2})
+			pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +256,7 @@ func TestPipelineConcurrentProducers(t *testing.T) {
 	k := 32
 	enc, digests, data := pipelineGen(t, gf.Bits8, k, 256, 77)
 	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests,
-		PipelineConfig{Workers: 2, SegmentBytes: 64})
+		PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +308,33 @@ func TestPipelineConcurrentProducers(t *testing.T) {
 	}
 }
 
+// TestPipelineGoroutineBudget pins the engine's goroutines: one, its
+// job runner, however many cores the host has. Decodes run side by side
+// one level up, a pipeline per chunk in flight, so an engine that fanned
+// out per core would multiply under every fetch. Close must return the
+// count to where it was.
+func TestPipelineGoroutineBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	enc, digests, _ := pipelineGen(t, gf.Bits8, 16, 4096, 9)
+	before := runtime.NumGoroutine()
+	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine() - before; n != 1 {
+		pipe.Close()
+		t.Fatalf("NewPipeline at GOMAXPROCS 8 started %d goroutines, want 1", n)
+	}
+	pipe.Close()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Close, %d before NewPipeline", n, before)
+	}
+}
+
 // retargetGen is generation g of a retarget sequence: its own file-id,
 // data and digests, and — the one geometry freedom Retarget allows — a
 // DataLen that shrinks within the last chunk-vector on odd g.
@@ -334,13 +361,13 @@ func retargetGen(t testing.TB, bits uint, k, m, g int) (*Encoder, map[uint64]Dig
 }
 
 // TestPipelineRetarget decodes 32 different generations through one
-// engine — buffers and workers recycled, file-id, digests
+// engine — buffers and the job runner recycled, file-id, digests
 // and DataLen replaced — and requires every output byte-identical to a
 // fresh sequential Decoder fed the same scrambled stream.
 func TestPipelineRetarget(t *testing.T) {
 	const k, m = 12, 96
 	enc0, dig0, _ := retargetGen(t, gf.Bits8, k, m, 0)
-	pipe, err := NewPipeline(enc0.Params(), enc0.FileID(), testSecret(), dig0, PipelineConfig{Workers: 2})
+	pipe, err := NewPipeline(enc0.Params(), enc0.FileID(), testSecret(), dig0, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +437,7 @@ func TestRetargetRejectsStaleFrames(t *testing.T) {
 	const k, m = 8, 64
 	prev, digPrev, _ := retargetGen(t, gf.Bits8, k, m, 0)
 	next, digNext, data := retargetGen(t, gf.Bits8, k, m, 2)
-	pipe, err := NewPipeline(prev.Params(), prev.FileID(), testSecret(), digPrev, PipelineConfig{Workers: 1})
+	pipe, err := NewPipeline(prev.Params(), prev.FileID(), testSecret(), digPrev, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +475,7 @@ func TestRetargetRejectsStaleFrames(t *testing.T) {
 func TestRetargetRefusesOtherGeometry(t *testing.T) {
 	const k, m = 8, 64
 	enc, digests, data := retargetGen(t, gf.Bits8, k, m, 0)
-	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +522,7 @@ func TestPipelineErrors(t *testing.T) {
 	k := 8
 	enc, digests, _ := pipelineGen(t, gf.Bits8, k, 32, 9)
 	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests,
-		PipelineConfig{Workers: 1})
+		PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +571,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	k := 16
 	enc, digests, _ := pipelineGen(t, gf.Bits8, k, 512, 13)
 	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests,
-		PipelineConfig{Workers: 1})
+		PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func stagedForgedLane(t *testing.T) {
 	for name, forge := range forgeries {
 		for pos := 0; pos < k; pos++ {
 			what := fmt.Sprintf("%s forged in lane %d", name, pos)
-			pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+			pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func stagedForgedLane(t *testing.T) {
 func stagedForgedRepeat(t *testing.T) {
 	const k = 4
 	enc, digests, data := pipelineGen(t, gf.Bits8, k, 64, 6)
-	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func stagedForgedRepeat(t *testing.T) {
 func stagedShortGeneration(t *testing.T) {
 	const k = 9
 	enc, digests, _ := pipelineGen(t, gf.Bits16, k, 64, 8)
-	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func stagedShortGeneration(t *testing.T) {
 func stagedSurplusSkipped(t *testing.T) {
 	const k = 3
 	enc, digests, _ := pipelineGen(t, gf.Bits32, k, 32, 9)
-	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 1})
+	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestStagedConcurrentProducers(t *testing.T) {
 	const producers = 4
 	for _, k := range []int{3, 8, 32} {
 		enc0, dig0, _ := retargetGen(t, gf.Bits8, k, 64, 0)
-		pipe, err := NewPipeline(enc0.Params(), enc0.FileID(), testSecret(), dig0, PipelineConfig{Workers: 2, SegmentBytes: 16})
+		pipe, err := NewPipeline(enc0.Params(), enc0.FileID(), testSecret(), dig0, PipelineConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestStagedConcurrentProducers(t *testing.T) {
 		pipe.Close()
 		slotsSettled(t, pipe, fmt.Sprintf("k=%d closed with messages parked", k))
 
-		pipe, err = NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{Workers: 2})
+		pipe, err = NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests, PipelineConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
