@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-arm64 fmt gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-rlnc-smoke bench-swarm bench-swarm-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet vet-arm64 fmt gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-rlnc-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -109,10 +109,10 @@ race-store: vet
 
 # race-dht exercises the trackerless discovery stack under the race
 # detector: the Kademlia node (tables, iterative lookups, concurrent
-# announce/lookup storms), the Discovery seam with its failover chain,
-# and the rumor-gossip engine's exchange/round machinery.
+# announce/lookup storms), and the Discovery seam with its failover
+# chain.
 race-dht: vet
-	$(GO) test -race ./internal/dht/... ./internal/discovery/... ./internal/gossip/...
+	$(GO) test -race ./internal/dht/... ./internal/discovery/...
 
 # race-fairshare exercises the allocation stack under the race
 # detector: the policy seam and its property/fuzz-seed suites, the
@@ -137,10 +137,11 @@ race-contract: vet
 churn-smoke:
 	$(GO) test -race -run TestChurnRepairKeepsFileFetchable ./internal/netsim/harness/
 
-# swarm-smoke is the CI-sized trackerless acceptance slice: a 128-peer
-# netsim swarm gossips a file, the tracker is killed mid-run, and a
-# cold client still fetches byte-identical plaintext through DHT
-# discovery — plus the failover-direction tests — under -race.
+# swarm-smoke is the CI-sized trackerless acceptance slice: a file is
+# ring-placed on a 128-peer netsim swarm and announced through the DHT,
+# the tracker is killed mid-run, and a cold client still fetches
+# byte-identical plaintext through DHT discovery — plus the
+# failover-direction tests — under -race.
 swarm-smoke:
 	$(GO) test -race -run 'TestSwarmSmoke|TestDiscoveryFailoverNetsim' ./internal/netsim/harness/
 
@@ -238,18 +239,6 @@ benchpairs-test:
 # the fixture scripts/testdata/runpatterns/Makefile.
 runpatterns-test:
 	bash scripts/runpatterns_test.sh
-
-# bench-swarm measures trackerless scaling — DHT lookup hops and gossip
-# dissemination rounds/time against swarm size — leaving the
-# machine-readable report in BENCH_swarm.json (median hops must grow
-# sub-linearly in N; see EXPERIMENTS.md).
-bench-swarm:
-	$(GO) run ./cmd/benchswarm -sizes 64,256,1024 -samples 32 -json BENCH_swarm.json
-
-# bench-swarm-smoke is the quick CI variant: one small swarm, throwaway
-# report — it proves the pipeline runs, not the scaling curve.
-bench-swarm-smoke:
-	$(GO) run ./cmd/benchswarm -sizes 64 -samples 8 -json /tmp/BENCH_swarm_smoke.json
 
 # bench-alloc measures the allocation subsystem — the policy grid
 # (fairness, free-rider payoff, convergence, fidelity under eviction)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"asymshare/internal/auth"
+	"asymshare/internal/core"
 	"asymshare/internal/dht"
 	"asymshare/internal/peer"
 	"asymshare/internal/store"
@@ -35,7 +36,10 @@ func startDHT(t *testing.T) *dht.Node {
 	return n
 }
 
-// TestShareFetchViaDHT drives the -dht flag end to end.
+// TestShareFetchViaDHT drives the trackerless recipe end to end: share
+// ring-placed (-replicas) onto a subset of the peers and announce
+// through the DHT, then fetch resolving holders through another DHT
+// node.
 func TestShareFetchViaDHT(t *testing.T) {
 	dir := t.TempDir()
 	keyPath := filepath.Join(dir, "user.key")
@@ -53,7 +57,7 @@ func TestShareFetchViaDHT(t *testing.T) {
 	}
 
 	var addrs []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		id, err := auth.NewIdentity()
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +83,7 @@ func TestShareFetchViaDHT(t *testing.T) {
 	var shareOut bytes.Buffer
 	err := run([]string{"share", "-key", keyPath, "-file", filePath,
 		"-peers", strings.Join(addrs, ","), "-out", handlePath,
-		"-dht", boot.Addr()}, &shareOut)
+		"-replicas", "3", "-dht", boot.Addr()}, &shareOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +93,15 @@ func TestShareFetchViaDHT(t *testing.T) {
 	m := regexp.MustCompile(`secret \(keep private!\): ([0-9a-f]+)`).FindStringSubmatch(shareOut.String())
 	if m == nil {
 		t.Fatal("no secret printed")
+	}
+	h, err := core.LoadHandleFile(handlePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range h.Manifest.Chunks {
+		if got := h.PeersForChunk(i); len(got) != 3 {
+			t.Fatalf("chunk %d placed on %v, want 3 holders", i, got)
+		}
 	}
 	outPath := filepath.Join(dir, "d.out")
 	err = run([]string{"fetch", "-key", keyPath, "-handle", handlePath,

@@ -10,11 +10,11 @@
 //	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7070 -out video.handle
 //	asymshare fetch   -key user.key -handle video.handle -secret <hex> -out video.mpg
 //
-// Trackerless mode (DHT discovery + rumor gossip; no tracker anywhere):
+// Trackerless mode (DHT discovery, ring placement; no tracker anywhere):
 //
-//	asymshare serve   -key peer.key -store ./data -dht-listen :7272 -gossip-listen :7373          # bootstrap
-//	asymshare serve   -key peer2.key -store ./data2 -dht boot:7272 -gossip-listen :7374           # joins swarm
-//	asymshare share   -key user.key -file video.mpg -gossip -dht boot:7272
+//	asymshare serve   -key peer.key -listen :7070 -store ./data -dht-listen :7272    # bootstrap
+//	asymshare serve   -key peer2.key -listen :7071 -store ./data2 -dht boot:7272     # joins swarm
+//	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7071,c:7072 -replicas 3 -dht boot:7272
 //	asymshare fetch   -key user.key -handle video.mpg.handle -secret <hex> -dht boot:7272 -out video.mpg
 //
 // Other commands:
@@ -58,7 +58,6 @@ import (
 	"asymshare/internal/estimate"
 	"asymshare/internal/fairshare"
 	"asymshare/internal/fsx"
-	"asymshare/internal/gossip"
 	"asymshare/internal/metrics"
 	"asymshare/internal/peer"
 	"asymshare/internal/ring"
@@ -229,9 +228,7 @@ func cmdServe(args []string, out io.Writer) error {
 	capacity := fs.Int64("capacity", 0, "advertised storage-contract capacity in bytes (0 = unlimited)")
 	contractPath := fs.String("contracts", "", "contract-book journal file persisted across restarts (and crashes)")
 	dhtBootstrap := fs.String("dht", "", "join the DHT through this bootstrap node (trackerless mode)")
-	dhtListen := fs.String("dht-listen", "", "serve DHT RPCs on this address (default 127.0.0.1:0 when -dht or -gossip-listen is set)")
-	gossipListen := fs.String("gossip-listen", "", "run a gossip engine over the peer's store on this address (requires the DHT node)")
-	gossipEvery := fs.Duration("gossip-interval", 2*time.Second, "background gossip round interval")
+	dhtListen := fs.String("dht-listen", "", "serve DHT RPCs on this address (default 127.0.0.1:0 when -dht is set)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -332,12 +329,7 @@ func cmdServe(args []string, out io.Writer) error {
 	}
 
 	// Trackerless mode: a serving DHT node makes this peer discoverable
-	// (and a routing/replica host for others), and a gossip engine over
-	// the same store spreads rumored generations — announcing this
-	// peer's serve address for each one it completes.
-	if *gossipListen != "" && *dhtListen == "" && *dhtBootstrap == "" {
-		return errors.New("serve: -gossip-listen requires a DHT node (-dht or -dht-listen)")
-	}
+	// (and a routing/replica host for others).
 	if *dhtListen != "" || *dhtBootstrap != "" {
 		laddr := *dhtListen
 		if laddr == "" {
@@ -347,21 +339,10 @@ func cmdServe(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var gln net.Listener
-		gossipAddr := ""
-		if *gossipListen != "" {
-			// Bind before dht.New so the address rides in contact records.
-			if gln, err = net.Listen("tcp", *gossipListen); err != nil {
-				dln.Close()
-				return err
-			}
-			gossipAddr = gln.Addr().String()
-		}
 		dnode, err := dht.New(dht.Config{
-			Advertise:  dln.Addr().String(),
-			ServeAddr:  node.Addr().String(),
-			GossipAddr: gossipAddr,
-			Metrics:    cfg.Metrics,
+			Advertise: dln.Addr().String(),
+			ServeAddr: node.Addr().String(),
+			Metrics:   cfg.Metrics,
 		})
 		if err != nil {
 			dln.Close()
@@ -382,41 +363,6 @@ func cmdServe(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "dht node %s joined via %s (%d contacts)\n", dnode.Addr(), *dhtBootstrap, dnode.TableSize())
 		} else {
 			fmt.Fprintf(out, "dht bootstrap node on %s\n", dnode.Addr())
-		}
-		if gln != nil {
-			eng, err := gossip.New(gossip.Config{
-				Advertise:     gossipAddr,
-				Store:         st,
-				RoundInterval: *gossipEvery,
-				Metrics:       cfg.Metrics,
-				Contacts: func(n int) []string {
-					cs := dnode.RandomContacts(n)
-					addrs := make([]string, 0, len(cs))
-					for _, c := range cs {
-						if c.Gossip != "" {
-							addrs = append(addrs, c.Gossip)
-						}
-					}
-					return addrs
-				},
-				Announce: func(fileID uint64) {
-					go func() {
-						actx, acancel := context.WithTimeout(context.Background(), 30*time.Second)
-						defer acancel()
-						_ = dnode.Announce(actx, dht.KeyFromFileID(fileID), node.Addr().String(), 0)
-					}()
-				},
-			})
-			if err != nil {
-				gln.Close()
-				return err
-			}
-			if err := eng.StartListener(gln); err != nil {
-				gln.Close()
-				return err
-			}
-			defer eng.Close()
-			fmt.Fprintf(out, "gossip engine on %s (round every %s)\n", gossipAddr, *gossipEvery)
 		}
 	}
 
@@ -446,18 +392,11 @@ func cmdShare(args []string, out io.Writer) error {
 	trackerAddr := fs.String("tracker", "", "tracker to announce the share to")
 	dhtAddr := fs.String("dht", "", "DHT bootstrap node to announce the share through")
 	replicas := fs.Int("replicas", 0, "ring placement: store each chunk on N peers (0 = every peer)")
-	gossipMode := fs.Bool("gossip", false, "disseminate by rumor gossip through the DHT swarm instead of direct pushes (requires -dht; -peers unused)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *keyPath == "" || *filePath == "" {
-		return errors.New("share: -key and -file are required")
-	}
-	if *gossipMode && *dhtAddr == "" {
-		return errors.New("share: -gossip requires -dht")
-	}
-	if !*gossipMode && *peers == "" {
-		return errors.New("share: -peers is required (or use -gossip)")
+	if *keyPath == "" || *filePath == "" || *peers == "" {
+		return errors.New("share: -key, -file and -peers are required")
 	}
 	id, err := loadIdentity(*keyPath)
 	if err != nil {
@@ -470,9 +409,6 @@ func cmdShare(args []string, out io.Writer) error {
 	sys, err := core.NewSystem(id, nil)
 	if err != nil {
 		return err
-	}
-	if *gossipMode {
-		return shareGossip(sys, *filePath, data, *dhtAddr, *outPath, out)
 	}
 	addrs := strings.Split(*peers, ",")
 	var res *core.ShareResult
@@ -523,79 +459,6 @@ func cmdShare(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "announced %d chunks via DHT bootstrap %s\n", len(res.Handle.Manifest.Chunks), *dhtAddr)
 	}
-	return nil
-}
-
-// shareGossip seeds the encoded file into a transient local gossip
-// engine and rumors it into the DHT swarm: each round pushes to random
-// gossip-capable contacts from the routing table, receiving peers
-// announce themselves as they complete generations, and the engine
-// exits once every rumor has gone cold. The handle carries no peer
-// list — fetchers resolve holders through the DHT (fetch -dht).
-func shareGossip(sys *core.System, filePath string, data []byte, dhtAddr, outPath string, out io.Writer) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	node, err := joinDHT(dhtAddr)
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-	gln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	eng, err := gossip.New(gossip.Config{
-		Advertise: gln.Addr().String(),
-		Store:     store.NewMemory(),
-		Contacts: func(n int) []string {
-			cs := node.RandomContacts(n)
-			addrs := make([]string, 0, len(cs))
-			for _, c := range cs {
-				if c.Gossip != "" {
-					addrs = append(addrs, c.Gossip)
-				}
-			}
-			return addrs
-		},
-	})
-	if err != nil {
-		gln.Close()
-		return err
-	}
-	if err := eng.StartListener(gln); err != nil {
-		gln.Close()
-		return err
-	}
-	defer eng.Close()
-
-	res, err := sys.ShareFileGossip(ctx, filePath, data, eng, "")
-	if err != nil {
-		return err
-	}
-	rounds, moved := 0, 0
-	for len(eng.HotRumors()) > 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("share: gossip dissemination timed out after %d rounds: %w", rounds, err)
-		}
-		n, err := eng.Round(ctx)
-		if err != nil {
-			return err
-		}
-		rounds++
-		moved += n
-	}
-	if moved == 0 {
-		return errors.New("share: no gossip-capable peers reachable through the DHT — are peers running serve -gossip-listen?")
-	}
-	handlePath := outPath
-	if handlePath == "" {
-		handlePath = filePath + ".handle"
-	}
-	if err := core.SaveHandleFile(handlePath, &res.Handle); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "gossiped %d bytes as %d seed messages; %d messages moved in %d rounds\nhandle: %s\nsecret (keep private!): %s\nfetch with: asymshare fetch -dht %s ...\n",
-		len(data), res.MessagesSent, moved, rounds, handlePath, hex.EncodeToString(res.Secret), dhtAddr)
 	return nil
 }
 

@@ -186,7 +186,6 @@ var statsSections = map[string]string{
 	"ratelimit": "upload shaping",
 	"tracker":   "tracker discovery",
 	"dht":       "DHT discovery",
-	"gossip":    "rumor gossip",
 	"contract":  "storage contracts (peer book)",
 	"repair":    "proactive repair (owner daemon)",
 }

@@ -1,9 +1,9 @@
 package core
 
 // The write path (DESIGN.md §9, "Write path"): everything the owner
-// sends to peers — a share (flat, ring-placed, gossip-seeded), an
-// update's deltas, a repair's re-minted batches — runs the same bounded
-// pipeline at (destination, generation) granularity:
+// sends to peers — a share (flat or ring-placed), an update's deltas,
+// a repair's re-minted batches — runs the same bounded pipeline at
+// (destination, generation) granularity:
 //
 //	jobs ──► encode workers ──► per-destination sender ──► collector
 //	         (≤ GOMAXPROCS)      (one connection each)      (the caller)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -115,6 +117,40 @@ func TestJoinPopulatesTables(t *testing.T) {
 	for i, n := range nodes {
 		if n.TableSize() == 0 {
 			t.Errorf("node %d knows nobody", i)
+		}
+	}
+}
+
+func TestRandomInBand(t *testing.T) {
+	self := NodeIDFromAddr("self")
+	for band := 0; band < IDLen*8; band++ {
+		if got := bucketIndex(self, randomInBand(self, band)); got != band {
+			t.Fatalf("randomInBand(%d) lands in band %d", band, got)
+		}
+	}
+}
+
+// TestJoinLearnsEveryFartherBand checks that a joiner ends up with a
+// contact in every distance band farther than its own neighbourhood in
+// which the bootstrap knows a node — not only in the subtree its self
+// lookup walks. A band left empty strands lookups for keys in it.
+func TestJoinLearnsEveryFartherBand(t *testing.T) {
+	nodes := buildNetwork(t, 48)
+	joiner := startNode(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := joiner.Join(ctx, nodes[0].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	have := make(map[int]bool)
+	for _, c := range joiner.table.closest(joiner.id, len(nodes)+1) {
+		have[bucketIndex(joiner.id, c.id)] = true
+	}
+	depth := bucketIndex(joiner.id, joiner.table.closest(joiner.id, 1)[0].id)
+	boot := append(nodes[0].table.closest(joiner.id, len(nodes)), parsedContact{id: nodes[0].id})
+	for _, c := range boot {
+		if b := bucketIndex(joiner.id, c.id); b < depth && !have[b] {
+			t.Errorf("joiner has no contact in band %d; the bootstrap knows %s there", b, c.addr)
 		}
 	}
 }
@@ -276,6 +312,106 @@ func TestValueExpiry(t *testing.T) {
 	now = now.Add(2 * time.Hour)
 	if got := n.loadLocal(key); len(got) != 0 {
 		t.Fatalf("after cap expiry = %v", got)
+	}
+}
+
+// TestStoreKeysBounded floods one node with STOREs for fresh keys over
+// real RPCs: its table never holds more than MaxKeys keys,
+// the soonest-expiring keys go first, and once values expire a new
+// STORE reclaims their keys without anyone looking them up.
+func TestStoreKeysBounded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := NewNode(ln.Addr().String(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offset atomic.Int64 // the node's clock runs this far ahead of real time
+	target.now = func() time.Time { return time.Now().Add(time.Duration(offset.Load())) }
+	if err := target.StartListener(ln); err != nil {
+		t.Fatal(err)
+	}
+	defer target.Close()
+	dialer, err := NewNode("dialer", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialer.Close()
+	to := parsedContact{id: target.id, addr: target.Addr()}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// store sends count STOREs for fresh keys on 8 connections at a
+	// time and returns the keys.
+	var next uint64
+	store := func(count int) []ID {
+		keys := make([]ID, count)
+		for i := range keys {
+			next++
+			keys[i] = KeyFromFileID(next)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < count; i += 8 {
+					if err := dialer.storeRPC(ctx, to, keys[i], "v", time.Hour); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	keyCount := func() int {
+		target.mu.Lock()
+		defer target.mu.Unlock()
+		return len(target.values)
+	}
+	held := func(keys []ID) (n int) {
+		target.mu.Lock()
+		defer target.mu.Unlock()
+		for _, k := range keys {
+			if _, ok := target.values[k]; ok {
+				n++
+			}
+		}
+		return n
+	}
+
+	// Three batches of MaxKeys keys, each stored one second later on the
+	// node's clock than the one before: every key of a batch expires
+	// after every key of the batches before it.
+	var batches [3][]ID
+	for i := range batches {
+		offset.Store(int64(i) * int64(time.Second))
+		batches[i] = store(MaxKeys)
+	}
+	if got := keyCount(); got != MaxKeys {
+		t.Fatalf("%d keys stored after %d STOREs, want the cap %d", got, 3*MaxKeys, MaxKeys)
+	}
+	if got := held(batches[0]) + held(batches[1]); got != 0 {
+		t.Errorf("%d keys of the two soonest-expiring batches survived", got)
+	}
+	if got := held(batches[2]); got != MaxKeys {
+		t.Errorf("%d of the last batch's %d keys held, want all", got, MaxKeys)
+	}
+
+	// Past every value's expiry, one STORE for a new key reclaims them.
+	offset.Store(int64(2*time.Second + DefaultTTL + time.Minute))
+	last := store(1)
+	if got := keyCount(); got != 1 || held(last) != 1 {
+		t.Fatalf("%d keys after expiry and one STORE, want only the new one", got)
 	}
 }
 

@@ -81,23 +81,19 @@ func lessDistance(target, a, b ID) bool {
 }
 
 // Contact is a known node. Beyond the DHT RPC address, a contact may
-// carry the node's sibling service addresses: Serve is the peer
-// protocol endpoint (what gets announced for fetches) and Gossip the
-// rumor-dissemination endpoint, so a gossip engine can pick random
-// partners straight out of the routing table without a second lookup.
+// carry Serve, the co-located peer-protocol endpoint (what gets
+// announced for fetches).
 type Contact struct {
-	ID     string `json:"id"` // hex
-	Addr   string `json:"addr"`
-	Serve  string `json:"serve,omitempty"`
-	Gossip string `json:"gossip,omitempty"`
+	ID    string `json:"id"` // hex
+	Addr  string `json:"addr"`
+	Serve string `json:"serve,omitempty"`
 }
 
 // parsedContact pairs the decoded identifier with the addresses.
 type parsedContact struct {
-	id     ID
-	addr   string
-	serve  string
-	gossip string
+	id    ID
+	addr  string
+	serve string
 }
 
 func (c Contact) parse() (parsedContact, error) {
@@ -108,9 +104,9 @@ func (c Contact) parse() (parsedContact, error) {
 	if c.Addr == "" {
 		return parsedContact{}, fmt.Errorf("dht: contact without address")
 	}
-	return parsedContact{id: id, addr: c.Addr, serve: c.Serve, gossip: c.Gossip}, nil
+	return parsedContact{id: id, addr: c.Addr, serve: c.Serve}, nil
 }
 
 func (p parsedContact) wire() Contact {
-	return Contact{ID: p.id.String(), Addr: p.addr, Serve: p.serve, Gossip: p.gossip}
+	return Contact{ID: p.id.String(), Addr: p.addr, Serve: p.serve}
 }

@@ -133,8 +133,22 @@ func (n *Node) Join(ctx context.Context, bootstrapAddr string) error {
 		return fmt.Errorf("dht: join: %w", err)
 	}
 	// Locate ourselves: populates the table with our neighbourhood.
-	_, _, _, err := n.iterativeFind(ctx, n.id, false)
-	return err
+	if _, _, _, err := n.iterativeFind(ctx, n.id, false); err != nil {
+		return err
+	}
+	// The self lookup only walks this node's own subtree. Ask the
+	// bootstrap for contacts in every farther distance band too (one
+	// FIND_NODE per band, Kademlia's join-time bucket refresh): a band
+	// nobody routes this node into stays empty, and a lookup for a key
+	// in it then dead-ends among the nodes of its own subtree.
+	if closest := n.table.closest(n.id, 1); len(closest) > 0 {
+		for band := 0; band < bucketIndex(n.id, closest[0].id); band++ {
+			if _, err := n.findNodeRPC(ctx, boot, randomInBand(n.id, band)); err != nil {
+				return fmt.Errorf("dht: join: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // lookupState tracks an iterative lookup's shortlist.

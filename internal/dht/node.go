@@ -50,6 +50,14 @@ const (
 	// accumulate the whole swarm. Newer announcements evict the
 	// soonest-expiring values.
 	DefaultMaxValuesPerKey = 64
+
+	// MaxKeys bounds the keys one node stores values under. Any dialer
+	// may STORE, and a key nobody looks up again is never read back, so
+	// without a bound the table grows with every fresh key sent to it. A
+	// STORE for a new key at the cap first drops expired values, then,
+	// if the table is still full, evicts the soonest-expiring key — the
+	// policy DefaultMaxValuesPerKey applies within a key.
+	MaxKeys = 4096
 )
 
 // ErrNotFound is returned by Lookup when no value is reachable.
@@ -64,10 +72,9 @@ const (
 // Every request carries the sender's contact so receivers learn the
 // network passively.
 type rpcHeader struct {
-	FromID     string `json:"fromId"`
-	FromAddr   string `json:"fromAddr"`
-	FromServe  string `json:"fromServe,omitempty"`
-	FromGossip string `json:"fromGossip,omitempty"`
+	FromID    string `json:"fromId"`
+	FromAddr  string `json:"fromAddr"`
+	FromServe string `json:"fromServe,omitempty"`
 }
 
 type findNodeReq struct {
@@ -117,11 +124,6 @@ type Config struct {
 	// ServeAddr, when set, rides along in this node's contact records:
 	// the peer-protocol address of the co-located storage peer.
 	ServeAddr string
-
-	// GossipAddr, when set, rides along in contact records: the
-	// co-located gossip engine's address, letting other engines pick
-	// random partners out of their routing tables.
-	GossipAddr string
 
 	// TableCap bounds the routing table; zero means 128.
 	TableCap int
@@ -187,7 +189,6 @@ type Node struct {
 	id         ID
 	advertise  string
 	serveAddr  string
-	gossipAddr string
 	table      *table
 	maxTTL     time.Duration
 	maxValues  int
@@ -235,7 +236,6 @@ func New(cfg Config) (*Node, error) {
 		id:         NodeIDFromAddr(cfg.Advertise),
 		advertise:  cfg.Advertise,
 		serveAddr:  cfg.ServeAddr,
-		gossipAddr: cfg.GossipAddr,
 		table:      newTable(NodeIDFromAddr(cfg.Advertise), cfg.TableCap),
 		maxTTL:     cfg.MaxTTL,
 		maxValues:  cfg.MaxValuesPerKey,
@@ -300,9 +300,9 @@ func (n *Node) Addr() string { return n.advertise }
 func (n *Node) TableSize() int { return n.table.size() }
 
 // RandomContacts returns up to count uniformly random routing-table
-// contacts — the random partner source for rumor gossip. Because node
-// ids are address hashes, the table's closest-to-self neighbourhood is
-// itself a near-uniform sample of the swarm.
+// contacts — the repair daemon's replacement-candidate source. Because
+// node ids are address hashes, the table's closest-to-self
+// neighbourhood is itself a near-uniform sample of the swarm.
 func (n *Node) RandomContacts(count int) []Contact {
 	return wireContacts(n.table.random(count))
 }
@@ -370,15 +370,14 @@ func (n *Node) Refresh(ctx context.Context) {
 
 func (n *Node) header() rpcHeader {
 	return rpcHeader{
-		FromID:     n.id.String(),
-		FromAddr:   n.advertise,
-		FromServe:  n.serveAddr,
-		FromGossip: n.gossipAddr,
+		FromID:    n.id.String(),
+		FromAddr:  n.advertise,
+		FromServe: n.serveAddr,
 	}
 }
 
 func (n *Node) observeSender(h rpcHeader) {
-	c, err := Contact{ID: h.FromID, Addr: h.FromAddr, Serve: h.FromServe, Gossip: h.FromGossip}.parse()
+	c, err := Contact{ID: h.FromID, Addr: h.FromAddr, Serve: h.FromServe}.parse()
 	if err == nil {
 		n.table.observe(c)
 	}
@@ -467,6 +466,9 @@ func (n *Node) storeLocal(key ID, value string, ttlSec int) {
 	defer n.mu.Unlock()
 	m, ok := n.values[key]
 	if !ok {
+		if len(n.values) >= MaxKeys {
+			n.evictKeyLocked()
+		}
 		m = make(map[string]storedValue)
 		n.values[key] = m
 	}
@@ -490,6 +492,36 @@ func (n *Node) storeLocal(key ID, value string, ttlSec int) {
 			break
 		}
 		delete(m, victim)
+	}
+}
+
+// evictKeyLocked makes room for one key: it drops every expired value
+// (and the keys left empty), and if the table is still full it evicts
+// the key whose last value expires soonest.
+func (n *Node) evictKeyLocked() {
+	now := n.now()
+	var victim ID
+	var victimExp time.Time
+	first := true
+	for key, m := range n.values {
+		var last time.Time
+		for v, sv := range m {
+			if sv.expires.Before(now) {
+				delete(m, v)
+			} else if sv.expires.After(last) {
+				last = sv.expires
+			}
+		}
+		if len(m) == 0 {
+			delete(n.values, key)
+			continue
+		}
+		if first || last.Before(victimExp) {
+			victim, victimExp, first = key, last, false
+		}
+	}
+	if len(n.values) >= MaxKeys {
+		delete(n.values, victim)
 	}
 }
 

@@ -2,8 +2,8 @@ package dht
 
 // Concurrency coverage for the routing table and the Alpha-parallel
 // lookup path, meant to run under -race (make race-dht). The seeded
-// package had none; the gossip engine now drives RandomContacts from
-// many goroutines while RPC handlers observe senders concurrently.
+// package had none; the repair daemon's peer source drives RandomContacts
+// from its own goroutines while RPC handlers observe senders concurrently.
 
 import (
 	"context"

@@ -45,6 +45,21 @@ func bucketIndex(self, id ID) int {
 	return IDLen*8 - 1
 }
 
+// randomInBand returns a random id whose bucketIndex from self is band:
+// self's bits above band, band's bit flipped, random bits below.
+func randomInBand(self ID, band int) ID {
+	var id ID
+	for i := range id {
+		id[i] = byte(rand.Intn(256))
+	}
+	i := band / 8
+	copy(id[:i], self[:i])
+	flip := byte(0x80) >> (band % 8)
+	above := ^(flip<<1 - 1) // bits of byte i above band's bit
+	id[i] = self[i]&above | ^self[i]&flip | id[i]&^(above|flip)
+	return id
+}
+
 // observe records a live contact (any node we heard from or about).
 func (t *table) observe(c parsedContact) {
 	if c.id == t.self {

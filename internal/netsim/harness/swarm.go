@@ -1,17 +1,15 @@
 package harness
 
 // Swarm extends the harness to trackerless scale: every storage peer
-// carries a DHT node and a gossip engine besides its serving node, the
-// home seeds generations into its own engine instead of pushing batches
-// peer-by-peer, and rumor rounds spread them across hundreds or
-// thousands of peers. The tracker still boots — as the optional
+// carries a DHT node besides its serving node, so hundreds or thousands
+// of peers form one routing overlay that announces and resolves where
+// ring-placed chunks live. The tracker still boots — as the optional
 // bootstrap seed a Failover chain demotes it to — and tests kill it
 // mid-run to prove fetches and audits survive on DHT discovery alone.
 
 import (
 	"context"
 	"encoding/binary"
-	"net"
 	"strconv"
 	"sync"
 	"testing"
@@ -22,8 +20,6 @@ import (
 	"asymshare/internal/dht"
 	"asymshare/internal/discovery"
 	"asymshare/internal/fairshare"
-	"asymshare/internal/gossip"
-	"asymshare/internal/metrics"
 	"asymshare/internal/netsim"
 	"asymshare/internal/peer"
 	"asymshare/internal/store"
@@ -35,38 +31,26 @@ type SwarmConfig struct {
 	// N is the number of storage peers (hosts "s0".."sN-1").
 	N int
 
-	// Fanout/Budget/MaxIdle tune every gossip engine (zero = package
-	// defaults).
-	Fanout, Budget, MaxIdle int
-
 	// TableCap bounds every DHT routing table (zero = package default).
 	TableCap int
 
 	// RPCTimeout caps one DHT RPC; zero means 2s (tight for netsim).
 	RPCTimeout time.Duration
 
-	// JoinWorkers bounds concurrent DHT joins at boot; zero means 64.
-	JoinWorkers int
-
 	// Policy, when set, becomes the fabric's default link policy —
 	// scaled-down links for large swarms.
 	Policy *netsim.LinkPolicy
-
-	// Metrics, when set, instruments the home's DHT node and gossip
-	// engine.
-	Metrics *metrics.Registry
 }
 
-// SwarmPeer is one swarm member: serving node, DHT node, gossip engine
-// over one shared store.
+// SwarmPeer is one swarm member: a serving node over its store, and a
+// DHT node.
 type SwarmPeer struct {
-	Host   string
-	ID     *auth.Identity
-	Node   *peer.Node
-	Store  *store.Memory
-	DHT    *dht.Node
-	Gossip *gossip.Engine
-	Addr   string // peer-protocol (serving) address
+	Host  string
+	ID    *auth.Identity
+	Node  *peer.Node
+	Store *store.Memory
+	DHT   *dht.Node
+	Addr  string // peer-protocol (serving) address
 }
 
 // Swarm is a booted trackerless-scale deployment.
@@ -75,18 +59,16 @@ type Swarm struct {
 	Tracker     *tracker.Server
 	TrackerAddr string
 
-	Owner      *auth.Identity
-	Home       *peer.Node
-	HomeStore  *store.Memory
-	HomeDHT    *dht.Node
-	HomeGossip *gossip.Engine
-	HomeAddr   string
+	Owner     *auth.Identity
+	Home      *peer.Node
+	HomeStore *store.Memory
+	HomeDHT   *dht.Node
+	HomeAddr  string
 
 	Peers []*SwarmPeer
 
-	cfg        SwarmConfig
-	announceWG sync.WaitGroup
-	t          *testing.T
+	cfg SwarmConfig
+	t   *testing.T
 }
 
 // indexIdentity derives a deterministic identity from a peer index —
@@ -104,9 +86,8 @@ func indexIdentity(t *testing.T, i int) *auth.Identity {
 }
 
 // startSwarmDHT boots one DHT node on host serving RPCs, carrying the
-// co-located serve/gossip addresses in its contact records.
-func startSwarmDHT(t *testing.T, f *netsim.Fabric, host string, cfg SwarmConfig,
-	serveAddr, gossipAddr string, reg *metrics.Registry) *dht.Node {
+// co-located serve address in its contact records.
+func startSwarmDHT(t *testing.T, f *netsim.Fabric, host string, cfg SwarmConfig, serveAddr string) *dht.Node {
 	t.Helper()
 	tr := f.Host(host)
 	ln, err := tr.Listen(":0")
@@ -121,10 +102,8 @@ func startSwarmDHT(t *testing.T, f *netsim.Fabric, host string, cfg SwarmConfig,
 		Advertise:  ln.Addr().String(),
 		Transport:  tr,
 		ServeAddr:  serveAddr,
-		GossipAddr: gossipAddr,
 		TableCap:   cfg.TableCap,
 		RPCTimeout: rpcTimeout,
-		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,37 +115,8 @@ func startSwarmDHT(t *testing.T, f *netsim.Fabric, host string, cfg SwarmConfig,
 	return n
 }
 
-// startSwarmGossip boots one gossip engine on host over st, picking
-// partners from the DHT node's routing table and announcing freshly
-// received generations under the co-located serve address (off the
-// exchange's critical path; WaitAnnounces drains the registrations).
-func (s *Swarm) startSwarmGossip(t *testing.T, host string, ln net.Listener, st *store.Memory,
-	node *dht.Node, serveAddr string, seed int64, reg *metrics.Registry) *gossip.Engine {
-	t.Helper()
-	eng, err := gossip.New(gossip.Config{
-		Advertise: ln.Addr().String(),
-		Transport: s.Fabric.Host(host),
-		Store:     st,
-		Fanout:    s.cfg.Fanout,
-		Budget:    s.cfg.Budget,
-		MaxIdle:   s.cfg.MaxIdle,
-		Seed:      seed,
-		Metrics:   reg,
-		Contacts:  contactsFromDHT(node),
-		Announce:  s.announceHook(node, serveAddr),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.StartListener(ln); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	return eng
-}
-
-// StartSwarm boots a tracker, the home (peer + DHT bootstrap + gossip
-// engine) and cfg.N storage peers, then joins every DHT node through
+// StartSwarm boots a tracker, the home (peer + DHT bootstrap) and
+// cfg.N storage peers, then joins every DHT node through
 // the home. All nodes are cleaned up with the test.
 func StartSwarm(t *testing.T, seed int64, cfg SwarmConfig) *Swarm {
 	t.Helper()
@@ -202,14 +152,7 @@ func StartSwarm(t *testing.T, seed int64, cfg SwarmConfig) *Swarm {
 	s.Home = home
 	s.HomeAddr = home.Addr().String()
 
-	// Gossip listeners bind before DHT nodes so the engine's address can
-	// ride in the node's contact records from the start.
-	homeGossipLn, err := f.Host(HostHome).Listen(":0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.HomeDHT = startSwarmDHT(t, f, HostHome, cfg, s.HomeAddr, homeGossipLn.Addr().String(), cfg.Metrics)
-	s.HomeGossip = s.startSwarmGossip(t, HostHome, homeGossipLn, s.HomeStore, s.HomeDHT, s.HomeAddr, seed+1, cfg.Metrics)
+	s.HomeDHT = startSwarmDHT(t, f, HostHome, cfg, s.HomeAddr)
 
 	s.Peers = make([]*SwarmPeer, cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -225,57 +168,24 @@ func StartSwarm(t *testing.T, seed int64, cfg SwarmConfig) *Swarm {
 		}
 		t.Cleanup(func() { node.Close() })
 		p := &SwarmPeer{Host: host, ID: id, Node: node, Store: st, Addr: node.Addr().String()}
+		p.DHT = startSwarmDHT(t, f, host, cfg, p.Addr)
 		s.Peers[i] = p
-	}
-	for i, p := range s.Peers {
-		gossipLn, err := f.Host(p.Host).Listen(":0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.DHT = startSwarmDHT(t, f, p.Host, cfg, p.Addr, gossipLn.Addr().String(), nil)
-		p.Gossip = s.startSwarmGossip(t, p.Host, gossipLn, p.Store, p.DHT, p.Addr, seed+100+int64(i), nil)
 	}
 
 	s.joinAll()
 	return s
 }
 
-func contactsFromDHT(node *dht.Node) func(int) []string {
-	return func(n int) []string {
-		cs := node.RandomContacts(n)
-		out := make([]string, 0, len(cs))
-		for _, c := range cs {
-			if c.Gossip != "" {
-				out = append(out, c.Gossip)
-			}
-		}
-		return out
-	}
-}
-
-func (s *Swarm) announceHook(node *dht.Node, serveAddr string) func(uint64) {
-	return func(fileID uint64) {
-		s.announceWG.Add(1)
-		go func() {
-			defer s.announceWG.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-			defer cancel()
-			_ = node.Announce(ctx, dht.KeyFromFileID(fileID), serveAddr, 10*time.Minute)
-		}()
-	}
-}
+// joinWorkers bounds concurrent DHT joins and refreshes at boot.
+const joinWorkers = 64
 
 // joinAll joins every peer's DHT node through the home bootstrap with a
 // bounded worker pool.
 func (s *Swarm) joinAll() {
 	s.t.Helper()
-	workers := s.cfg.JoinWorkers
-	if workers <= 0 {
-		workers = 64
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, joinWorkers)
 	var wg sync.WaitGroup
 	errs := make(chan error, len(s.Peers))
 	for _, p := range s.Peers {
@@ -309,10 +219,10 @@ func (s *Swarm) joinAll() {
 
 	// A bucket-refresh wave after the join storm: join-time tables only
 	// hold whatever each node happened to observe on its own way in, so
-	// late joiners are known by few others and gossip can strand them
-	// (rumors go cold before a low-in-degree peer is ever contacted).
-	// Refresh lookups spread every node through the swarm's tables —
-	// the lockstep stand-in for the production RefreshInterval loop.
+	// late joiners are known by few others and lookups routed through
+	// them take extra hops. Refresh lookups spread every node through
+	// the swarm's tables — the lockstep stand-in for the production
+	// RefreshInterval loop.
 	for _, p := range s.Peers {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -323,58 +233,6 @@ func (s *Swarm) joinAll() {
 		}(p)
 	}
 	wg.Wait()
-}
-
-// WaitAnnounces blocks until every in-flight DHT self-registration
-// triggered by gossip deliveries has landed.
-func (s *Swarm) WaitAnnounces() { s.announceWG.Wait() }
-
-// GossipRound drives one lockstep round on the home engine and every
-// peer engine (bounded pool) and reports how many messages moved.
-func (s *Swarm) GossipRound(ctx context.Context) int {
-	s.t.Helper()
-	engines := make([]*gossip.Engine, 0, len(s.Peers)+1)
-	engines = append(engines, s.HomeGossip)
-	for _, p := range s.Peers {
-		engines = append(engines, p.Gossip)
-	}
-	sem := make(chan struct{}, 64)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	moved := 0
-	for _, e := range engines {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(e *gossip.Engine) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			n, _ := e.Round(ctx)
-			mu.Lock()
-			moved += n
-			mu.Unlock()
-		}(e)
-	}
-	wg.Wait()
-	return moved
-}
-
-// Coverage counts the peers whose stores hold at least k messages of
-// every listed generation.
-func (s *Swarm) Coverage(fileIDs []uint64, k int) int {
-	full := 0
-	for _, p := range s.Peers {
-		ok := true
-		for _, id := range fileIDs {
-			if p.Store.Count(id) < k {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			full++
-		}
-	}
-	return full
 }
 
 // UserDHT boots a client-only DHT node dialing from HostUser, joined

