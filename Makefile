@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-arm64 fmt gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-alloc-smoke bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-rlnc-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet vet-arm64 fmt gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-grid-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -186,21 +186,13 @@ crash-smoke:
 bench-metrics:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/metrics/
 
-# bench-rlnc measures the codec engine: the GF region kernels, both
-# decode engines head to head, and the codec grid that backs
-# EXPERIMENTS.md, leaving the machine-readable report in
-# BENCH_rlnc.json, each cell beside its rate in the previous report (at
-# p=8, k=64, 1 MiB, decode-pipeline read 186 MB/s against
-# decode-sequential's 21 MB/s on a 2-core Xeon, one goroutine per
-# pipeline; TestPipelineSteadyStateAllocs pins the 0 B/op claim).
+# bench-rlnc measures the codec engine: the GF region kernels and the
+# codec grid that backs EXPERIMENTS.md — encode and both decode engines
+# head to head over (p, k) on 1 MiB generations (at p=8, k=64,
+# decode-pipeline read 186 MB/s against decode-sequential's 21 MB/s on
+# a 2-core Xeon; TestPipelineSteadyStateAllocs pins the 0 B/op claim).
 bench-rlnc:
-	$(GO) test -bench 'BenchmarkMulAddSlice|BenchmarkDecode' -benchmem -run '^$$' ./internal/gf/ ./internal/rlnc/
-	$(GO) run ./cmd/benchrlc -codec -size 1048576 -reps 5 -before BENCH_rlnc.json -json BENCH_rlnc.json
-
-# bench-rlnc-smoke is the quick CI variant: tiny generations, one rep,
-# throwaway report — it proves the grid runs, not the numbers.
-bench-rlnc-smoke:
-	$(GO) run ./cmd/benchrlc -codec -size 65536 -reps 1 -json /tmp/BENCH_rlnc_smoke.json
+	$(GO) test -bench 'BenchmarkMulAddSlice|BenchmarkCodec' -benchmem -run '^$$' ./internal/gf/ ./internal/rlnc/
 
 # bench-e2e-smoke compiles and exercises cmd/bench, the end-to-end
 # benchmark the growth driver runs (BENCHMARK.json). It is a module of
@@ -240,19 +232,20 @@ benchpairs-test:
 runpatterns-test:
 	bash scripts/runpatterns_test.sh
 
-# bench-alloc measures the allocation subsystem — the policy grid
-# (fairness, free-rider payoff, convergence, fidelity under eviction)
-# and the ledger's realloc tick against 10^5 distinct requesters —
-# leaving the machine-readable report in BENCH_alloc.json (see
-# EXPERIMENTS.md; tracked entries must stay at the bound and the tick
-# must scale with the active set, not the distinct population).
+# bench-alloc measures the allocation subsystem — the ledger's realloc
+# tick against up to 10^5 distinct requesters and the policy grid
+# (fairness, free-rider payoff, convergence, fidelity under eviction);
+# see EXPERIMENTS.md. Tracked entries must stay at the bound and the
+# tick must scale with the active set, not the distinct population.
 bench-alloc:
-	$(GO) run ./cmd/benchalloc -slots 600 -json BENCH_alloc.json
+	$(GO) test -bench 'BenchmarkLedgerRealloc|BenchmarkAllocPolicyGrid' -benchmem -run '^$$' ./internal/fairshare/ ./
 
-# bench-alloc-smoke is the quick CI variant: a short run, throwaway
-# report — it proves the grid and tick bench run, not the numbers.
-bench-alloc-smoke:
-	$(GO) run ./cmd/benchalloc -slots 120 -json /tmp/BENCH_alloc_smoke.json
+# bench-grid-smoke runs every cell of the codec, ledger-tick and
+# policy grids once (about 15 s): it proves the grids run, not the
+# numbers. CI runs it after make ci.
+bench-grid-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkLedgerRealloc|BenchmarkAllocPolicyGrid' -benchtime 1x \
+		./internal/rlnc/ ./internal/fairshare/ ./
 
 # chaos runs the deterministic fault-injection suite — the netsim
 # fabric's own tests plus the end-to-end harness (tracker + peers +

@@ -317,6 +317,105 @@ func BenchmarkAblationAllocators(b *testing.B) {
 	b.ReportMetric(eq2, "liar_eq2_kbps")
 }
 
+// BenchmarkAllocPolicyGrid runs one sim swarm under each allocation
+// policy: 60 honest contributors at 1000 kbps, each requesting in a slot
+// with probability γ = 0.6, and 12 free riders that declare the same
+// capacity, request every slot and serve nothing. Eq. (2) and Eq. (3)
+// run beside equal split, Awasthi & Singh's Biased Contribution Index
+// and Zhang et al.'s differentiated service classes (half the honest
+// users premium, at weight 2). Every policy runs with each peer's ledger
+// at DefaultLedgerBound, far above the 71 counterparts a peer meets,
+// and at bound 64, below it, so ledgers evict throughout. Over the
+// second half of the run it reports the Jain index of the honest users'
+// download, the free riders' download relative to an honest user's
+// (low: freeloading does not pay), and the slot at which honest user
+// 0's cumulative-average download settles within 10 % of its steady
+// state (-1: it never downloads).
+func BenchmarkAllocPolicyGrid(b *testing.B) {
+	const (
+		honestPeers = 60
+		freeRiders  = 12
+		uploadKbps  = 1000
+		gamma       = 0.6
+		seed        = 7
+		slots       = 600
+	)
+	declared := make(map[fairshare.ID]float64, honestPeers+freeRiders)
+	for i := 0; i < honestPeers; i++ {
+		declared[fmt.Sprintf("honest%02d", i)] = uploadKbps
+	}
+	for i := 0; i < freeRiders; i++ {
+		declared[fmt.Sprintf("rider%02d", i)] = uploadKbps // eq3 believes them
+	}
+	policies := []struct {
+		name   string
+		policy fairshare.Allocator
+	}{
+		{"eq2", fairshare.PairwiseProportional{}},
+		{"eq3", fairshare.GlobalProportional{DeclaredUpload: declared}},
+		{"equal", fairshare.EqualSplit{}},
+		{"bci", fairshare.BiasedContribution{}},
+		{"classes", fairshare.Classes{Weights: map[fairshare.ServiceClass]float64{1: 2}}},
+	}
+	for _, pol := range policies {
+		for _, bound := range []int{fairshare.DefaultLedgerBound, 64} {
+			b.Run(fmt.Sprintf("%s/bound=%d", pol.name, bound), func(b *testing.B) {
+				var res *sim.Result
+				for i := 0; i < b.N; i++ {
+					cfg := sim.Config{Slots: slots}
+					for j := 0; j < honestPeers; j++ {
+						cfg.Peers = append(cfg.Peers, sim.PeerConfig{
+							Name:   fmt.Sprintf("honest%02d", j),
+							Upload: trace.Const(uploadKbps),
+							Demand: trace.NewBernoulli(gamma, seed+int64(j)),
+							Policy: pol.policy,
+							Class:  fairshare.ServiceClass(j % 2), // only classes reads it
+							Ledger: fairshare.NewBoundedLedger(fairshare.DefaultInitialCredit, bound),
+						})
+					}
+					for j := 0; j < freeRiders; j++ {
+						cfg.Peers = append(cfg.Peers, sim.PeerConfig{
+							Name:   fmt.Sprintf("rider%02d", j),
+							Upload: trace.Const(uploadKbps),
+							Demand: trace.Always{},
+							Policy: fairshare.Withhold{},
+							Ledger: fairshare.NewBoundedLedger(fairshare.DefaultInitialCredit, bound),
+						})
+					}
+					var err error
+					if res, err = sim.Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				from, to := slots/2, slots
+				honest := make([]float64, honestPeers)
+				honestMean := 0.0
+				for j := range honest {
+					honest[j] = res.MeanDownloadWhileRequesting(j, from, to)
+					honestMean += honest[j] / honestPeers
+				}
+				riders := 0.0
+				for j := 0; j < freeRiders; j++ {
+					riders += res.MeanDownloadWhileRequesting(honestPeers+j, from, to) / freeRiders
+				}
+				share, settle := 0.0, -1
+				if honestMean > 0 {
+					share = riders / honestMean
+				}
+				// The raw series is zero on slots the user does not
+				// request, so only its cumulative average (window = the
+				// whole series) settles inside a tight tolerance.
+				if target := res.MeanDownload(0, from, to); target > 0 {
+					settle = sim.ConvergenceSlot(res.Download[0], target, 0.1, len(res.Download[0]))
+				}
+				b.ReportMetric(sim.JainIndex(honest), "jain")
+				b.ReportMetric(share, "freerider_share")
+				b.ReportMetric(float64(settle), "convergence_slot")
+			})
+		}
+	}
+}
+
 // BenchmarkInnovationOverhead measures the extra messages beyond k a
 // decoder needs across field sizes — the cost of the w.h.p.
 // independence argument, which shrinks as q grows.

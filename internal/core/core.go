@@ -133,7 +133,7 @@ func (s *System) ShareFile(ctx context.Context, name string, data []byte, peerAd
 		}
 	}
 	result := &ShareResult{Secret: secret}
-	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, len(peerAddrs), jobs, s.uploadSinks(peerAddrs))
+	result.MessagesSent, result.BytesSent, err = streamShare(ctx, s.client, share, peerAddrs, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func goldenShare(t *testing.T, ctx context.Context) (*System, *Handle, []byte, [
 			jobs = append(jobs, shareJob{dest: i, chunk: c, rank: i})
 		}
 	}
-	if _, _, err := streamShare(ctx, share, len(addrs), jobs, sys.uploadSinks(addrs)); err != nil {
+	if _, _, err := streamShare(ctx, sys.client, share, addrs, jobs); err != nil {
 		t.Fatal(err)
 	}
 	return sys, &Handle{Manifest: share.Manifest, Peers: addrs}, secret, data, stores

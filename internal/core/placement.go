@@ -58,7 +58,7 @@ func (s *System) ShareFilePlaced(ctx context.Context, name string, data []byte,
 		}
 	}
 	result := &ShareResult{Secret: secret}
-	result.MessagesSent, result.BytesSent, err = streamShare(ctx, share, len(dests.addrs), jobs, s.uploadSinks(dests.addrs))
+	result.MessagesSent, result.BytesSent, err = streamShare(ctx, s.client, share, dests.addrs, jobs)
 	if err != nil {
 		return nil, err
 	}

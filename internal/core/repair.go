@@ -142,6 +142,6 @@ func (s *System) resend(ctx context.Context, h *Handle, secret, data []byte, des
 			return 0, err
 		}
 	}
-	n, _, err := w.stream(ctx, len(dests.addrs), jobs, s.uploadSinks(dests.addrs))
+	n, _, err := w.stream(ctx, s.client, dests.addrs, jobs)
 	return n, err
 }

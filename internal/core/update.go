@@ -85,7 +85,7 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 		}
 	}
 	result := &UpdateResult{ChangedChunks: changed}
-	result.MessagesPatched, result.BytesSent, err = w.stream(ctx, len(dests.addrs), jobs, s.uploadSinks(dests.addrs))
+	result.MessagesPatched, result.BytesSent, err = w.stream(ctx, s.client, dests.addrs, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"asymshare/internal/chunk"
+	"asymshare/internal/client"
 	"asymshare/internal/gf"
 	"asymshare/internal/rlnc"
 )
@@ -43,15 +44,6 @@ const shareInFlightBytes = 4 << 20
 type shareJob struct {
 	dest, chunk, rank int
 	patch             bool
-}
-
-// batchSink is one destination: put delivers one generation's batch
-// (deltas to apply, when patch is set) and returns once it is safely
-// there; done ends the session after the last batch. Both run on the
-// destination's sender goroutine only.
-type batchSink struct {
-	put  func(info *chunk.ChunkInfo, msgs []*rlnc.Message, patch bool) error
-	done func() error
 }
 
 // writeSet is what one run of the pipeline mints from and records into:
@@ -128,28 +120,28 @@ func (b *batchSlot) toDeltas(delta *rlnc.DeltaEncoder) {
 
 // streamShare runs jobs minted from share, what chunk.BuildShare made,
 // through the pipeline.
-func streamShare(ctx context.Context, share *chunk.Share, ndest int, jobs []shareJob,
-	open func(ctx context.Context, dest int) (batchSink, error)) (int, int64, error) {
+func streamShare(ctx context.Context, cl *client.Client, share *chunk.Share, addrs []string, jobs []shareJob) (int, int64, error) {
 	w := writeSet{m: &share.Manifest, encs: make([]*rlnc.Encoder, share.NumChunks())}
 	for i := range w.encs {
 		w.encs[i] = share.Encoder(i)
 	}
-	return w.stream(ctx, ndest, jobs, open)
+	return w.stream(ctx, cl, addrs, jobs)
 }
 
-// stream runs jobs through the pipeline against ndest destinations,
-// each opened by open on its own sender goroutine, and records every
+// stream runs jobs through the pipeline against the destinations
+// addrs (a job's dest indexes them), each sent to over one client
+// upload opened on its own sender goroutine, and records every
 // delivered message's digest in w.m. It returns the messages and
 // message bytes delivered. On the first error — a destination failing,
 // or ctx ending — the siblings are cancelled, that error is returned,
 // and no goroutine outlives the call. Every batch a peer acknowledged
 // is recorded all the same, and a chunk gets its new Sum only if every
 // job for it was delivered.
-func (w *writeSet) stream(ctx context.Context, ndest int, jobs []shareJob,
-	open func(ctx context.Context, dest int) (batchSink, error)) (int, int64, error) {
+func (w *writeSet) stream(ctx context.Context, cl *client.Client, addrs []string, jobs []shareJob) (int, int64, error) {
 	if len(jobs) == 0 {
 		return 0, 0, nil
 	}
+	ndest := len(addrs)
 	kmax, chunkBytes := 0, 0
 	for _, enc := range w.encs {
 		if enc != nil {
@@ -229,22 +221,28 @@ func (w *writeSet) stream(ctx context.Context, ndest int, jobs []shareJob,
 					close(delivered)
 				}
 			}()
-			sink, err := open(ctx, d)
+			fail := func(err error) { cancel(fmt.Errorf("core: upload to %s: %w", addrs[d], err)) }
+			u, err := cl.OpenUpload(ctx, addrs[d])
 			if err != nil {
-				cancel(err)
+				fail(err)
 				return
 			}
 			for slot := range queues[d] {
-				if err := sink.put(&w.m.Chunks[slot.chunk], slot.msgs, slot.patch); err != nil {
-					cancel(err)
+				if slot.patch {
+					err = u.Patch(slot.msgs)
+				} else {
+					err = u.Put(slot.msgs)
+				}
+				if err != nil {
+					fail(err)
 					break
 				}
 				delivered <- slot // the collector drains until the last sender is gone
 			}
 			// After a failure this only closes the connection; the first
 			// error is already the cause.
-			if err := sink.done(); err != nil {
-				cancel(err)
+			if err := u.Close(); err != nil {
+				fail(err)
 			}
 		}(d)
 	}
@@ -291,30 +289,4 @@ func (d *destSet) of(addr string) int {
 		d.addrs = append(d.addrs, addr)
 	}
 	return i
-}
-
-// uploadSinks opens one client upload per destination address.
-func (s *System) uploadSinks(addrs []string) func(ctx context.Context, dest int) (batchSink, error) {
-	return func(ctx context.Context, dest int) (batchSink, error) {
-		addr := addrs[dest]
-		wrap := func(err error) error {
-			if err != nil {
-				return fmt.Errorf("core: upload to %s: %w", addr, err)
-			}
-			return nil
-		}
-		u, err := s.client.OpenUpload(ctx, addr)
-		if err != nil {
-			return batchSink{}, wrap(err)
-		}
-		return batchSink{
-			put: func(_ *chunk.ChunkInfo, msgs []*rlnc.Message, patch bool) error {
-				if patch {
-					return wrap(u.Patch(msgs))
-				}
-				return wrap(u.Put(msgs))
-			},
-			done: func() error { return wrap(u.Close()) },
-		}, nil
-	}
 }

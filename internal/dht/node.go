@@ -137,10 +137,6 @@ type Config struct {
 	// keeping buckets populated as the swarm churns.
 	RefreshInterval time.Duration
 
-	// MaxValuesPerKey bounds the replica set kept per key; zero means
-	// DefaultMaxValuesPerKey.
-	MaxValuesPerKey int
-
 	// Metrics, when set, receives dht_rpcs_total (by RPC type) and the
 	// dht_lookup_hops histogram. Nil disables instrumentation.
 	Metrics *metrics.Registry
@@ -191,7 +187,6 @@ type Node struct {
 	serveAddr  string
 	table      *table
 	maxTTL     time.Duration
-	maxValues  int
 	rpcTimeout time.Duration
 	refresh    time.Duration
 	tr         transport.Transport
@@ -229,16 +224,12 @@ func New(cfg Config) (*Node, error) {
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = DefaultRPCTimeout
 	}
-	if cfg.MaxValuesPerKey <= 0 {
-		cfg.MaxValuesPerKey = DefaultMaxValuesPerKey
-	}
 	n := &Node{
 		id:         NodeIDFromAddr(cfg.Advertise),
 		advertise:  cfg.Advertise,
 		serveAddr:  cfg.ServeAddr,
 		table:      newTable(NodeIDFromAddr(cfg.Advertise), cfg.TableCap),
 		maxTTL:     cfg.MaxTTL,
-		maxValues:  cfg.MaxValuesPerKey,
 		rpcTimeout: cfg.RPCTimeout,
 		refresh:    cfg.RefreshInterval,
 		tr:         cfg.Transport,
@@ -475,7 +466,7 @@ func (n *Node) storeLocal(key ID, value string, ttlSec int) {
 	m[value] = storedValue{expires: n.now().Add(ttl)}
 	// Keep the replica set bounded: evict the soonest-expiring values
 	// (the stalest announcements) so fresh announcers stay resolvable.
-	for len(m) > n.maxValues {
+	for len(m) > DefaultMaxValuesPerKey {
 		var victim string
 		var victimExp time.Time
 		first := true

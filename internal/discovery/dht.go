@@ -43,19 +43,12 @@ type DHTOptions struct {
 
 	// OwnNode, when true, makes Close also close the underlying node.
 	OwnNode bool
-
-	// DefaultTTL is used for zero-TTL announces when tracking refresh
-	// periods; zero means dht.DefaultTTL.
-	DefaultTTL time.Duration
 }
 
 // NewDHT wraps a joined dht.Node as a Discovery.
 func NewDHT(node *dht.Node, opts DHTOptions) (*DHT, error) {
 	if node == nil {
 		return nil, errors.New("discovery: dht node required")
-	}
-	if opts.DefaultTTL <= 0 {
-		opts.DefaultTTL = dht.DefaultTTL
 	}
 	d := &DHT{
 		node:    node,
@@ -80,7 +73,7 @@ func (d *DHT) Announce(ctx context.Context, fileID uint64, addr string, ttl time
 		return ErrBadRecord
 	}
 	if ttl <= 0 {
-		ttl = d.opts.DefaultTTL
+		ttl = dht.DefaultTTL
 	}
 	if err := d.node.Announce(ctx, dht.KeyFromFileID(fileID), addr, ttl); err != nil {
 		return err

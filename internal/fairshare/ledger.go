@@ -102,10 +102,11 @@ func NewLedger(initial float64) *Ledger {
 }
 
 // NewBoundedLedger is NewLedger at a chosen bound (rounded up to a
-// multiple of the shard count; DefaultLedgerBound when bound <= 0). It
-// exists for the eviction tests and cmd/benchalloc's fidelity grid,
-// which must overflow a ledger cheaply; nothing a user configures
-// reaches it.
+// multiple of the shard count; DefaultLedgerBound when bound <= 0). A
+// loaded ledger document rebuilds its ledger at the bound it recorded
+// through it; the eviction tests and the bounded column of the
+// allocation-policy benchmark use it to overflow a ledger cheaply.
+// Nothing a user configures reaches it.
 func NewBoundedLedger(initial float64, bound int) *Ledger {
 	if initial < 0 {
 		initial = 0

@@ -342,32 +342,43 @@ func TestShardedCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
-// BenchmarkLedgerRealloc: a 100k-distinct-requester workload holds
-// memory at the bound and a realloc tick stays O(active requesters),
-// 0 allocs/op.
+// BenchmarkLedgerRealloc is one realloc tick — PairwiseProportional
+// over the active requesters — against a ledger that has seen distinct
+// counterparts, at a bound twice that population (nothing evicted) and
+// at DefaultLedgerBound. At the default the tracked entries stay at the
+// bound and the tick scales with the active set, not the distinct
+// population, at 0 allocs/op.
 func BenchmarkLedgerRealloc(b *testing.B) {
-	const distinct = 100_000
-	const active = 256 // requesters in one realloc tick
-	ids := make([]ID, distinct)
-	for i := range ids {
-		ids[i] = ID(fmt.Sprintf("peer-%06d", i))
-	}
-	reqs := make([]Requester, active)
-	for i := range reqs {
-		reqs[i] = Requester{ID: ids[i*(distinct/active)]}
-	}
-	l := NewLedger(DefaultInitialCredit)
-	for _, id := range ids {
-		l.Credit(id, 1)
-	}
-	if l.Entries() > l.Bound() {
-		b.Fatalf("Entries %d exceeds bound %d", l.Entries(), l.Bound())
-	}
-	p := PairwiseProportional{}
-	req := AllocRequest{Capacity: 1e6, Requesters: reqs, Ledger: l, Scratch: make(Grants, 0, active)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Scratch = p.Allocate(req)[:0]
+	for _, distinct := range []int{10_000, 100_000} {
+		ids := make([]ID, distinct)
+		for i := range ids {
+			ids[i] = ID(fmt.Sprintf("peer-%06d", i))
+		}
+		for _, active := range []int{64, 256, 1024} {
+			for _, bound := range []int{2 * distinct, DefaultLedgerBound} {
+				name := fmt.Sprintf("distinct=%d/active=%d/bound=%d", distinct, active, bound)
+				b.Run(name, func(b *testing.B) {
+					reqs := make([]Requester, active)
+					for i := range reqs {
+						reqs[i] = Requester{ID: ids[i*(distinct/active)]}
+					}
+					l := NewBoundedLedger(DefaultInitialCredit, bound)
+					for i, id := range ids {
+						l.Credit(id, float64(i%97+1))
+					}
+					if l.Entries() > l.Bound() {
+						b.Fatalf("Entries %d exceeds bound %d", l.Entries(), l.Bound())
+					}
+					p := PairwiseProportional{}
+					req := AllocRequest{Capacity: 1e6, Requesters: reqs, Ledger: l, Scratch: make(Grants, 0, active)}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						req.Scratch = p.Allocate(req)[:0]
+					}
+					b.ReportMetric(float64(l.Entries()), "entries")
+				})
+			}
+		}
 	}
 }

@@ -605,63 +605,106 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// benchPipelineDecode measures full-generation decode throughput
-// (bytes of recovered data per second) for one engine.
-func benchDecode(b *testing.B, k, pieceLen int, pipeline bool) {
-	enc, _, _ := pipelineGen(b, gf.Bits8, k, pieceLen, 21)
-	msgs := make([]*Message, 0, k+4)
-	for id := uint64(0); id < uint64(k+4); id++ {
-		msgs = append(msgs, enc.Message(id))
+// BenchmarkCodec is the codec grid on 1 MiB generations, (p, k) over
+// {8, 16} × {32, 64, 128} plus the plan the CLI ships (GF(2^32), k = 8):
+// encode mints the generation's k messages into one reused payload;
+// decode-sequential runs the reference Decoder; decode-pipeline runs
+// the Pipeline aimed as the client aims it, so the engine eliminates
+// inside out and DecodeInto only moves misplaced vectors. Every op
+// counts the generation's bytes (TestPipelineSteadyStateAllocs pins
+// the pipeline's 0 allocs/op).
+func BenchmarkCodec(b *testing.B) {
+	const size = 1 << 20
+	type cell struct {
+		bits uint
+		k    int
 	}
-	out := make([]byte, enc.Params().DataLen)
-	b.SetBytes(int64(enc.Params().DataLen))
-	b.ResetTimer()
-	if pipeline {
-		pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), nil, PipelineConfig{})
-		if err != nil {
-			b.Fatal(err)
+	var grid []cell
+	for _, bits := range []uint{gf.Bits8, gf.Bits16} {
+		for _, k := range []int{32, 64, 128} {
+			grid = append(grid, cell{bits, k})
 		}
-		defer pipe.Close()
-		if err := pipe.Retarget(enc.Params(), enc.FileID(), nil, out); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			for _, msg := range msgs {
-				if pipe.Done() {
-					break
+	}
+	for _, c := range append(grid, cell{gf.Bits32, 8}) {
+		b.Run(fmt.Sprintf("p=%d/k=%d", c.bits, c.k), func(b *testing.B) {
+			params, err := NewParams(gf.MustNew(c.bits), c.k, size/c.k/int(c.bits/8), size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := randomData(rand.New(rand.NewSource(21)), size)
+			enc, err := NewEncoder(params, 7, testSecret(), data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Enough to reach rank k even if a few rows are dependent.
+			msgs := make([]*Message, 0, c.k+4)
+			for id := uint64(0); id < uint64(c.k+4); id++ {
+				msgs = append(msgs, enc.Message(id))
+			}
+			run := func(op string, body func(b *testing.B)) {
+				b.Run(op, func(b *testing.B) {
+					b.SetBytes(size)
+					b.ReportAllocs()
+					body(b)
+				})
+			}
+			run("encode", func(b *testing.B) {
+				payload := make([]byte, params.ChunkBytes())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for id := uint64(0); id < uint64(c.k); id++ {
+						enc.MessageInto(id, payload)
+					}
 				}
-				if _, err := pipe.Add(msg); err != nil {
+			})
+			run("decode-sequential", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dec, err := NewDecoder(params, 7, testSecret(), nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, msg := range msgs {
+						if dec.Done() {
+							break
+						}
+						if _, err := dec.Add(msg); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := dec.Decode(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			run("decode-pipeline", func(b *testing.B) {
+				pipe, err := NewPipeline(params, 7, testSecret(), nil, PipelineConfig{})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			if err := pipe.DecodeInto(out); err != nil {
-				b.Fatal(err)
-			}
-			if err := pipe.Retarget(enc.Params(), enc.FileID(), nil, out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return
-	}
-	for i := 0; i < b.N; i++ {
-		dec, err := NewDecoder(enc.Params(), enc.FileID(), testSecret(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, msg := range msgs {
-			if dec.Done() {
-				break
-			}
-			if _, err := dec.Add(msg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := dec.Decode(); err != nil {
-			b.Fatal(err)
-		}
+				defer pipe.Close()
+				out := make([]byte, params.DataLen, params.CapacityBytes())
+				aim := func() {
+					if err := pipe.Retarget(params, 7, nil, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+				aim()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, msg := range msgs {
+						if pipe.Done() {
+							break
+						}
+						if _, err := pipe.Add(msg); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := pipe.DecodeInto(out); err != nil {
+						b.Fatal(err)
+					}
+					aim()
+				}
+			})
+		})
 	}
 }
-
-// 1 MiB generation at k=64: the acceptance-criteria configuration.
-func BenchmarkDecodeSequential(b *testing.B) { benchDecode(b, 64, 1<<20/64, false) }
-func BenchmarkDecodePipeline(b *testing.B)   { benchDecode(b, 64, 1<<20/64, true) }

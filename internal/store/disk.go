@@ -72,10 +72,9 @@ type DiskOptions struct {
 	Metrics *metrics.Registry
 
 	// CompactMinBytes is the journal size below which compaction never
-	// runs (default 1 MiB). CompactFactor is the size/live ratio above
-	// which it does (default 2.0).
+	// runs (default 1 MiB). Above it, a journal is compacted once it
+	// exceeds defaultCompactFactor times its live content.
 	CompactMinBytes int64
-	CompactFactor   float64
 }
 
 // RecoveryStats describes what startup recovery had to repair.
@@ -152,7 +151,6 @@ type Disk struct {
 	fsys fsx.FS
 
 	compactMinBytes int64
-	compactFactor   float64
 
 	// mu is shared by reads (Get, Messages, Count, Files), which touch
 	// the file only through ReadAt; Put, Drop, compaction and Close
@@ -187,9 +185,6 @@ func OpenDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 	if opts.CompactMinBytes <= 0 {
 		opts.CompactMinBytes = defaultCompactMinBytes
 	}
-	if opts.CompactFactor <= 1 {
-		opts.CompactFactor = defaultCompactFactor
-	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
@@ -197,7 +192,6 @@ func OpenDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 		dir:             dir,
 		fsys:            fsys,
 		compactMinBytes: opts.CompactMinBytes,
-		compactFactor:   opts.CompactFactor,
 		journals:        make(map[uint64]*journalState),
 		quarantined:     opts.Metrics.Counter(MetricQuarantined, "Corrupt data files renamed to .corrupt during recovery."),
 		truncated:       opts.Metrics.Counter(MetricTruncated, "Journals whose torn final record was truncated during recovery."),
@@ -581,7 +575,7 @@ func (d *Disk) appendLocked(msg *rlnc.Message) (*journalState, error) {
 // rename puts the new file under the journal's name. The append handle
 // is closed and reopened by the next append or read.
 func (d *Disk) maybeCompact(fileID uint64, js *journalState) error {
-	if js.size < d.compactMinBytes || float64(js.size) <= d.compactFactor*float64(js.live) {
+	if js.size < d.compactMinBytes || float64(js.size) <= defaultCompactFactor*float64(js.live) {
 		return nil
 	}
 	ids := make([]uint64, 0, len(js.index))
@@ -609,7 +603,7 @@ func (d *Disk) maybeCompact(fileID uint64, js *journalState) error {
 		// next append's reopen re-syncs the directory. Either way the
 		// index must describe the journal the name points at now. The
 		// compacted file is strictly shorter than the one it replaces
-		// (compaction only runs above CompactFactor > 1 times the live
+		// (compaction only runs above defaultCompactFactor > 1 times the live
 		// size), so its length tells the two apart.
 		if info, serr := d.fsys.Stat(js.path); serr == nil && info.Size() == int64(len(buf)) {
 			js.index, js.size = index, int64(len(buf))
