@@ -256,16 +256,17 @@ bench-grid-smoke:
 chaos: vet
 	$(GO) test -race -count=2 ./internal/netsim/...
 
-# fuzz-smoke gives each wire fuzz target, and the differential fuzzers
-# of the two assembly kernels (GF(2^32) region multiply, eight-lane
-# MD5), a short adversarial run on top of the seed corpus (which plain
-# `go test` already replays). New crashers land in the package's
-# testdata/fuzz/.
+# fuzz-smoke gives each wire fuzz target, the DHT request handler every
+# peer port answers unauthenticated, and the differential fuzzers of
+# the two assembly kernels (GF(2^32) region multiply, eight-lane MD5), a
+# short adversarial run on top of the seed corpus (which plain `go test`
+# already replays). New crashers land in the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzFrameReader -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzHandshakeResponder -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzHandshakeInitiator -fuzztime 10s -run '^$$' ./internal/wire/
+	$(GO) test -fuzz FuzzDHTRequest -fuzztime 10s -run '^$$' ./internal/dht/
 	$(GO) test -fuzz FuzzKernel32 -fuzztime 10s -run '^$$' ./internal/gf/
 	$(GO) test -fuzz FuzzDigestBatch -fuzztime 10s -run '^$$' ./internal/rlnc/
 

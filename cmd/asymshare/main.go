@@ -10,12 +10,14 @@
 //	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7070 -out video.handle
 //	asymshare fetch   -key user.key -handle video.handle -secret <hex> -out video.mpg
 //
-// Trackerless mode (DHT discovery, ring placement; no tracker anywhere):
+// Trackerless mode (DHT discovery, ring placement; no tracker anywhere).
+// Every serve answers DHT RPCs on its one -listen port, so any serve is
+// a bootstrap; a joiner listens on a host:port other peers can dial:
 //
-//	asymshare serve   -key peer.key -listen :7070 -store ./data -dht-listen :7272    # bootstrap
-//	asymshare serve   -key peer2.key -listen :7071 -store ./data2 -dht boot:7272     # joins swarm
-//	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7071,c:7072 -replicas 3 -dht boot:7272
-//	asymshare fetch   -key user.key -handle video.mpg.handle -secret <hex> -dht boot:7272 -out video.mpg
+//	asymshare serve   -key peer.key -listen a:7070 -store ./data                     # bootstrap
+//	asymshare serve   -key peer2.key -listen b:7070 -store ./data2 -dht a:7070        # joins swarm
+//	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7070,c:7070 -replicas 3 -dht a:7070
+//	asymshare fetch   -key user.key -handle video.mpg.handle -secret <hex> -dht b:7070 -out video.mpg
 //
 // Other commands:
 //
@@ -42,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -227,13 +228,15 @@ func cmdServe(args []string, out io.Writer) error {
 	metricsAddr := fs.String("metrics", "", "serve Prometheus metrics (/metrics), expvar (/debug/vars) and runtime profiles (/debug/pprof/) on this address, e.g. 127.0.0.1:9090; whoever reaches it can profile the process, so keep it on loopback or behind a firewall")
 	capacity := fs.Int64("capacity", 0, "advertised storage-contract capacity in bytes (0 = unlimited)")
 	contractPath := fs.String("contracts", "", "contract-book journal file persisted across restarts (and crashes)")
-	dhtBootstrap := fs.String("dht", "", "join the DHT through this bootstrap node (trackerless mode)")
-	dhtListen := fs.String("dht-listen", "", "serve DHT RPCs on this address (default 127.0.0.1:0 when -dht is set)")
+	dhtBootstrap := fs.String("dht", "", "join the DHT through this peer (trackerless mode); every serve answers DHT RPCs on its -listen port")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *keyPath == "" || *storeDir == "" {
 		return errors.New("serve: -key and -store are required")
+	}
+	if *dhtBootstrap != "" && !dht.Routable(*listen) {
+		return fmt.Errorf("serve: -dht needs a -listen host other peers can dial, not %q", *listen)
 	}
 	id, err := loadIdentity(*keyPath)
 	if err != nil {
@@ -284,6 +287,7 @@ func cmdServe(args []string, out io.Writer) error {
 		msrv = srv
 		defer msrv.Close()
 	}
+	cfg.DHT = &dht.Config{Metrics: cfg.Metrics}
 	if *ownerHex != "" {
 		owner, err := hex.DecodeString(*ownerHex)
 		if err != nil || len(owner) != 32 {
@@ -328,42 +332,17 @@ func cmdServe(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "metrics on http://%s/metrics (expvar at /debug/vars)\n", msrv.Addr())
 	}
 
-	// Trackerless mode: a serving DHT node makes this peer discoverable
-	// (and a routing/replica host for others).
-	if *dhtListen != "" || *dhtBootstrap != "" {
-		laddr := *dhtListen
-		if laddr == "" {
-			laddr = "127.0.0.1:0"
-		}
-		dln, err := net.Listen("tcp", laddr)
+	// Trackerless mode: the DHT node this peer answers for on its own
+	// port makes it discoverable (and a routing/replica host for others).
+	if *dhtBootstrap != "" {
+		jctx, jcancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := node.DHT().Join(jctx, *dhtBootstrap)
+		jcancel()
 		if err != nil {
-			return err
+			node.Close()
+			return fmt.Errorf("serve: dht join: %w", err)
 		}
-		dnode, err := dht.New(dht.Config{
-			Advertise: dln.Addr().String(),
-			ServeAddr: node.Addr().String(),
-			Metrics:   cfg.Metrics,
-		})
-		if err != nil {
-			dln.Close()
-			return err
-		}
-		if err := dnode.StartListener(dln); err != nil {
-			dln.Close()
-			return err
-		}
-		defer dnode.Close()
-		if *dhtBootstrap != "" {
-			jctx, jcancel := context.WithTimeout(context.Background(), 30*time.Second)
-			err := dnode.Join(jctx, *dhtBootstrap)
-			jcancel()
-			if err != nil {
-				return fmt.Errorf("serve: dht join: %w", err)
-			}
-			fmt.Fprintf(out, "dht node %s joined via %s (%d contacts)\n", dnode.Addr(), *dhtBootstrap, dnode.TableSize())
-		} else {
-			fmt.Fprintf(out, "dht bootstrap node on %s\n", dnode.Addr())
-		}
+		fmt.Fprintf(out, "dht joined via %s (%d contacts)\n", *dhtBootstrap, node.DHT().TableSize())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -464,7 +443,7 @@ func cmdShare(args []string, out io.Writer) error {
 
 // joinDHT joins the DHT as a client-only node through a bootstrap.
 func joinDHT(bootstrap string) (*dht.Node, error) {
-	node, err := dht.NewNode("client/"+bootstrap, 0)
+	node, err := dht.New(dht.Config{})
 	if err != nil {
 		return nil, err
 	}

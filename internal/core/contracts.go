@@ -111,9 +111,10 @@ func (s *System) NewRepairDaemon(h *Handle, secret, data []byte, set *contract.S
 }
 
 // DHTPeerSource adapts a DHT node's routing table into the repair
-// daemon's replacement-candidate source: up to n uniformly random
-// contacts that advertise a serving address. Because node ids are
-// address hashes, the sample is near-uniform over the live swarm —
+// daemon's replacement-candidate source: the addresses of up to n
+// uniformly random contacts — each a peer's own address, since a peer
+// answers DHT RPCs on its one port. Because node ids are address
+// hashes, the sample is near-uniform over the live swarm —
 // the discovery liveness signal the daemon leans on (a contact still
 // in the table answered an RPC recently; the keyed probe then
 // verifies it for real before any batch is placed).
@@ -121,9 +122,7 @@ func DHTPeerSource(node *dht.Node) repair.PeerSource {
 	return func(_ context.Context, n int) []string {
 		var addrs []string
 		for _, c := range node.RandomContacts(n) {
-			if c.Serve != "" {
-				addrs = append(addrs, c.Serve)
-			}
+			addrs = append(addrs, c.Addr)
 		}
 		return addrs
 	}

@@ -5,31 +5,36 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"asymshare/internal/auth"
 	"asymshare/internal/chunk"
 	"asymshare/internal/core"
 	"asymshare/internal/dht"
 	"asymshare/internal/discovery"
+	"asymshare/internal/peer"
+	"asymshare/internal/store"
 )
 
+// startDHTNode starts a storage peer on loopback and returns the DHT
+// node it answers for on its own port.
 func startDHTNode(t *testing.T) *dht.Node {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	id, err := auth.NewIdentity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := dht.NewNode(ln.Addr().String(), 0)
+	p, err := peer.New(peer.Config{Identity: id, Store: store.NewMemory(), DHT: &dht.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.StartListener(ln); err != nil {
+	if err := p.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { n.Close() })
-	return n
+	t.Cleanup(func() { p.Close() })
+	return p.DHT()
 }
 
 // dhtDiscovery resolves and announces through node, once: no
@@ -134,4 +139,28 @@ func buildUnsharedManifest(secret []byte) (*chunk.Manifest, error) {
 		return nil, err
 	}
 	return &share.Manifest, nil
+}
+
+// TestDHTPeerSourceYieldsPeerAddresses checks that the repair daemon's
+// candidates drawn from a DHT table are the storage peers' own
+// addresses — where each answers both DHT RPCs and the peer protocol.
+func TestDHTPeerSourceYieldsPeerAddresses(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	nodes := make([]*dht.Node, 3)
+	for i := range nodes {
+		nodes[i] = startDHTNode(t)
+		if i > 0 {
+			if err := nodes[i].Join(ctx, nodes[0].Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := core.DHTPeerSource(nodes[0])(ctx, 8)
+	slices.Sort(got)
+	want := []string{nodes[1].Addr(), nodes[2].Addr()}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("candidates = %v, want the other peers' addresses %v", got, want)
+	}
 }

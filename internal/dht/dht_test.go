@@ -9,25 +9,55 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"asymshare/internal/wire"
 )
 
-// startNode binds a loopback port, creates a node advertising it, and
-// starts serving.
-func startNode(t *testing.T) *Node {
+// startNode binds a loopback port and serves a node advertising it.
+func startNode(t testing.TB) *Node { return listenNode(t, Config{}) }
+
+// listenNode binds a loopback port, creates a node from cfg advertising
+// it, and answers the node's RPCs there until the test ends.
+func listenNode(t testing.TB, cfg Config) *Node {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(ln.Addr().String(), 0)
+	cfg.Advertise = ln.Addr().String()
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.StartListener(ln); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
+	go serveRPCs(ln, n)
+	t.Cleanup(func() {
+		ln.Close()
+		n.Close()
+	})
 	return n
+}
+
+// serveRPCs answers n's RPCs on ln the way a hosting peer does: each
+// connection carries one request frame, handed to HandleRPC.
+func serveRPCs(ln net.Listener, n *Node) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(DefaultRPCTimeout))
+			typ, b, err := wire.NewFrameReader(conn).Next()
+			if err != nil {
+				return
+			}
+			defer b.Release()
+			if reply, body, ok := n.HandleRPC(typ, b.Bytes()); ok {
+				_ = wire.NewFrameWriter(conn).WriteFrame(reply, body)
+			}
+		}()
+	}
 }
 
 // buildNetwork boots count nodes, all joined through the first.
@@ -82,8 +112,10 @@ func TestContactParse(t *testing.T) {
 	if _, err := (Contact{ID: "bad", Addr: "x"}).parse(); err == nil {
 		t.Error("bad id accepted")
 	}
-	if _, err := (Contact{ID: good.ID}).parse(); err == nil {
-		t.Error("missing addr accepted")
+	for _, addr := range []string{"", "x", "client/x:1:2", ":7272", "0.0.0.0:7272", "[::]:7272"} {
+		if _, err := (Contact{ID: good.ID, Addr: addr}).parse(); err == nil {
+			t.Errorf("unroutable addr %q accepted", addr)
+		}
 	}
 }
 
@@ -191,19 +223,7 @@ func TestCappedTableAnnouncePlacement(t *testing.T) {
 	const n = 40
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := New(Config{Advertise: ln.Addr().String(), TableCap: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := node.StartListener(ln); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { node.Close() })
-		nodes[i] = node
+		nodes[i] = listenNode(t, Config{TableCap: 6})
 	}
 	for i := 1; i < n; i++ {
 		if err := nodes[i].Join(ctx, nodes[0].Addr()); err != nil {
@@ -293,7 +313,7 @@ func TestLookupSurvivesReplicaFailures(t *testing.T) {
 }
 
 func TestValueExpiry(t *testing.T) {
-	n, err := NewNode("local:1", time.Hour)
+	n, err := New(Config{MaxTTL: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,17 +344,16 @@ func TestStoreKeysBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := NewNode(ln.Addr().String(), 0)
+	defer ln.Close()
+	target, err := New(Config{Advertise: ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var offset atomic.Int64 // the node's clock runs this far ahead of real time
 	target.now = func() time.Time { return time.Now().Add(time.Duration(offset.Load())) }
-	if err := target.StartListener(ln); err != nil {
-		t.Fatal(err)
-	}
+	go serveRPCs(ln, target)
 	defer target.Close()
-	dialer, err := NewNode("dialer", 0)
+	dialer, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,8 +447,49 @@ func TestJoinDeadBootstrap(t *testing.T) {
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := NewNode("", 0); err == nil {
-		t.Error("empty advertise accepted")
+	if _, err := New(Config{Advertise: "no-port"}); err == nil {
+		t.Error("advertise address without a port accepted")
+	}
+	n, err := New(Config{})
+	if err != nil {
+		t.Fatalf("client-only node: %v", err)
+	}
+	defer n.Close()
+	if h := n.header(); h.FromAddr != "" || h.FromID != n.ID().String() {
+		t.Errorf("client-only header = %+v, want its id and no address", h)
+	}
+}
+
+// TestClientOnlyNodeStaysOutOfTables joins a client-only node, which no
+// peer serves and so no one can dial, and has it look a key up and
+// announce one: no served node may record it as a contact.
+func TestClientOnlyNodeStaysOutOfTables(t *testing.T) {
+	nodes := buildNetwork(t, 3)
+	client, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := client.Join(ctx, nodes[0].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Announce(ctx, KeyFromFileID(3), "peer:1", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Lookup(ctx, KeyFromFileID(3)); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range nodes {
+		for _, c := range n.table.closest(client.ID(), len(nodes)+1) {
+			if c.id == client.ID() || c.addr == "" {
+				t.Errorf("node %d recorded the client-only node as %+v", i, c)
+			}
+		}
+		if got := n.TableSize(); got != len(nodes)-1 {
+			t.Errorf("node %d knows %d contacts, want the %d other served nodes", i, got, len(nodes)-1)
+		}
 	}
 }
 
@@ -448,19 +508,7 @@ func BenchmarkLookup(b *testing.B) {
 	// latency including the iterative routing.
 	nodes := make([]*Node, 12)
 	for i := range nodes {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := NewNode(ln.Addr().String(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := n.StartListener(ln); err != nil {
-			b.Fatal(err)
-		}
-		defer n.Close()
-		nodes[i] = n
+		nodes[i] = startNode(b)
 	}
 	ctx := context.Background()
 	for i := 1; i < len(nodes); i++ {

@@ -14,8 +14,12 @@
 //   - values are soft-state (TTL) strings, replicated on the K nodes
 //     closest to the key, exactly like tracker announcements.
 //
-// RPCs run over short-lived TCP connections using the asymshare wire
-// framing with JSON payloads: PING, FIND_NODE, STORE and FIND_VALUE.
+// RPCs run over short-lived connections using the asymshare wire
+// framing with JSON payloads: PING, FIND_NODE, STORE and FIND_VALUE. A
+// node has no listener of its own: the storage peer that hosts it
+// answers on its one port, routing a connection whose first frame is a
+// DHT type (IsRPC) to Node.HandleRPC, so a contact's address is the
+// peer's address.
 package dht
 
 import (
@@ -24,6 +28,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"net"
 )
 
 // IDLen is the identifier length in bytes.
@@ -80,33 +85,45 @@ func lessDistance(target, a, b ID) bool {
 	return bytes.Compare(da[:], db[:]) < 0
 }
 
-// Contact is a known node. Beyond the DHT RPC address, a contact may
-// carry Serve, the co-located peer-protocol endpoint (what gets
-// announced for fetches).
+// Contact is a known node: its id and the address it answers RPCs on,
+// the listen address of the peer that hosts it.
 type Contact struct {
-	ID    string `json:"id"` // hex
-	Addr  string `json:"addr"`
-	Serve string `json:"serve,omitempty"`
+	ID   string `json:"id"` // hex
+	Addr string `json:"addr"`
 }
 
-// parsedContact pairs the decoded identifier with the addresses.
+// parsedContact pairs the decoded identifier with the address.
 type parsedContact struct {
-	id    ID
-	addr  string
-	serve string
+	id   ID
+	addr string
 }
 
+// parse decodes a contact, refusing one whose address another host
+// could not dial: empty, not host:port, or an unspecified host
+// (0.0.0.0, ::) — what a client-only node or a wildcard listener would
+// advertise.
 func (c Contact) parse() (parsedContact, error) {
 	id, err := ParseID(c.ID)
 	if err != nil {
 		return parsedContact{}, err
 	}
-	if c.Addr == "" {
-		return parsedContact{}, fmt.Errorf("dht: contact without address")
+	if !Routable(c.Addr) {
+		return parsedContact{}, fmt.Errorf("dht: contact address %q is not routable", c.Addr)
 	}
-	return parsedContact{id: id, addr: c.Addr, serve: c.Serve}, nil
+	return parsedContact{id: id, addr: c.Addr}, nil
+}
+
+// Routable reports whether addr is host:port with a host other hosts
+// can dial: not empty and not the unspecified address.
+func Routable(addr string) bool {
+	host, _, err := net.SplitHostPort(addr)
+	if err != nil || host == "" {
+		return false
+	}
+	ip := net.ParseIP(host)
+	return ip == nil || !ip.IsUnspecified()
 }
 
 func (p parsedContact) wire() Contact {
-	return Contact{ID: p.id.String(), Addr: p.addr, Serve: p.serve}
+	return Contact{ID: p.id.String(), Addr: p.addr}
 }

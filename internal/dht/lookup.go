@@ -275,9 +275,9 @@ func (n *Node) Announce(ctx context.Context, key ID, value string, ttl time.Dura
 	if err != nil {
 		return err
 	}
-	// Count ourselves as a candidate replica only if we can serve.
+	// Count ourselves as a candidate replica only if a peer serves us.
 	all := append([]parsedContact{}, targets...)
-	if n.Serving() {
+	if n.advertise != "" {
 		all = append(all, parsedContact{id: n.id, addr: n.advertise})
 	}
 	sort.Slice(all, func(i, j int) bool {

@@ -6,7 +6,6 @@ package dht
 import (
 	"bytes"
 	"context"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -14,29 +13,12 @@ import (
 	"asymshare/internal/metrics"
 )
 
-func startMeteredNode(t *testing.T, reg *metrics.Registry) *Node {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(Config{Advertise: ln.Addr().String(), Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.StartListener(ln); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	return n
-}
-
 func TestPrometheusExpositionRows(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	reg := metrics.NewRegistry()
-	a := startMeteredNode(t, reg)
-	b := startMeteredNode(t, nil)
+	a := listenNode(t, Config{Metrics: reg})
+	b := startNode(t)
 	if err := a.Join(ctx, b.Addr()); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,11 +71,13 @@ const (
 )
 
 // Every request carries the sender's contact so receivers learn the
-// network passively.
+// network passively. A node no peer serves sends no address. Nodes
+// built before the DHT shared the peer's port also send "fromServe",
+// their peer address; it is ignored, since the RPC address is the one
+// that routes.
 type rpcHeader struct {
-	FromID    string `json:"fromId"`
-	FromAddr  string `json:"fromAddr"`
-	FromServe string `json:"fromServe,omitempty"`
+	FromID   string `json:"fromId"`
+	FromAddr string `json:"fromAddr,omitempty"`
 }
 
 type findNodeReq struct {
@@ -109,8 +112,10 @@ type storedValue struct {
 
 // Config configures a Node.
 type Config struct {
-	// Advertise is the RPC address other nodes dial, and the node-id
-	// seed. Required.
+	// Advertise is the address the node answers RPCs on — the listen
+	// address of the peer that hosts it (see peer.Config.DHT) — and the
+	// node-id seed. Empty makes a client-only node: a random id, no
+	// address in its requests, never a replica.
 	Advertise string
 
 	// MaxTTL caps stored value lifetimes; zero means DefaultTTL.
@@ -121,21 +126,12 @@ type Config struct {
 	// the DHT runs identically on TCP and inside the simulator.
 	Transport transport.Transport
 
-	// ServeAddr, when set, rides along in this node's contact records:
-	// the peer-protocol address of the co-located storage peer.
-	ServeAddr string
-
 	// TableCap bounds the routing table; zero means 128.
 	TableCap int
 
 	// RPCTimeout caps one RPC when the caller's context has no tighter
 	// deadline; zero means DefaultRPCTimeout.
 	RPCTimeout time.Duration
-
-	// RefreshInterval, when positive, runs a background table refresh
-	// (a lookup of the node's own id plus a random id) at this period,
-	// keeping buckets populated as the swarm churns.
-	RefreshInterval time.Duration
 
 	// Metrics, when set, receives dht_rpcs_total (by RPC type) and the
 	// dht_lookup_hops histogram. Nil disables instrumentation.
@@ -180,40 +176,37 @@ func (m *nodeMetrics) rpcCounter(t wire.Type) *metrics.Counter {
 	return nil
 }
 
-// Node is one DHT participant.
+// Node is one DHT participant. It holds no listener: the peer that
+// hosts it hands each request to HandleRPC.
 type Node struct {
 	id         ID
 	advertise  string
-	serveAddr  string
 	table      *table
 	maxTTL     time.Duration
 	rpcTimeout time.Duration
-	refresh    time.Duration
 	tr         transport.Transport
 	m          nodeMetrics
 	now        func() time.Time
 
-	mu      sync.Mutex
-	values  map[ID]map[string]storedValue // key -> value -> expiry
-	ln      net.Listener
-	serving bool
-	closed  bool
-	wg      sync.WaitGroup
-	ctx     context.Context
-	cancel  context.CancelFunc
+	mu     sync.Mutex
+	values map[ID]map[string]storedValue // key -> value -> expiry
+	closed bool
+	wg     sync.WaitGroup
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
-// NewNode creates a node that will advertise the given address to
-// other nodes (usually the listen address). maxTTL caps stored value
-// lifetimes; zero means DefaultTTL.
-func NewNode(advertise string, maxTTL time.Duration) (*Node, error) {
-	return New(Config{Advertise: advertise, MaxTTL: maxTTL})
-}
-
-// New creates a node from a full configuration.
+// New creates a node. A node with an advertised address refreshes its
+// table every DefaultTTL until Close.
 func New(cfg Config) (*Node, error) {
-	if cfg.Advertise == "" {
-		return nil, errors.New("dht: advertise address required")
+	var id ID
+	if cfg.Advertise != "" {
+		if _, _, err := net.SplitHostPort(cfg.Advertise); err != nil {
+			return nil, fmt.Errorf("dht: advertise address: %w", err)
+		}
+		id = NodeIDFromAddr(cfg.Advertise)
+	} else if _, err := rand.Read(id[:]); err != nil {
+		return nil, fmt.Errorf("dht: node id: %w", err)
 	}
 	if cfg.MaxTTL <= 0 {
 		cfg.MaxTTL = DefaultTTL
@@ -225,60 +218,22 @@ func New(cfg Config) (*Node, error) {
 		cfg.RPCTimeout = DefaultRPCTimeout
 	}
 	n := &Node{
-		id:         NodeIDFromAddr(cfg.Advertise),
+		id:         id,
 		advertise:  cfg.Advertise,
-		serveAddr:  cfg.ServeAddr,
-		table:      newTable(NodeIDFromAddr(cfg.Advertise), cfg.TableCap),
+		table:      newTable(id, cfg.TableCap),
 		maxTTL:     cfg.MaxTTL,
 		rpcTimeout: cfg.RPCTimeout,
-		refresh:    cfg.RefreshInterval,
 		tr:         cfg.Transport,
 		m:          newNodeMetrics(cfg.Metrics),
 		now:        time.Now,
 	}
 	n.values = make(map[ID]map[string]storedValue)
 	n.ctx, n.cancel = context.WithCancel(context.Background())
-	return n, nil
-}
-
-// StartListener starts serving on a pre-bound listener whose address
-// matches the advertised one (used with ":0" binds: bind first, then
-// New with the real address).
-func (n *Node) StartListener(ln net.Listener) error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return errors.New("dht: node closed")
-	}
-	n.ln = ln
-	n.serving = true
-	n.mu.Unlock()
-	n.wg.Add(1)
-	go n.acceptLoop()
-	if n.refresh > 0 {
+	if n.advertise != "" {
 		n.wg.Add(1)
 		go n.refreshLoop()
 	}
-	return nil
-}
-
-// Serving reports whether the node accepts RPCs (a client-only node —
-// one that never started a listener — must not count itself as a
-// value replica, since nobody could read from it).
-func (n *Node) Serving() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.serving
-}
-
-// Start listens on the advertised address via the node's transport and
-// serves.
-func (n *Node) Start() error {
-	ln, err := n.tr.Listen(n.advertise)
-	if err != nil {
-		return fmt.Errorf("dht: listen: %w", err)
-	}
-	return n.StartListener(ln)
+	return n, nil
 }
 
 // ID returns the node identifier.
@@ -298,7 +253,8 @@ func (n *Node) RandomContacts(count int) []Contact {
 	return wireContacts(n.table.random(count))
 }
 
-// Close stops the node.
+// Close stops the node: its refresh loop ends and HandleRPC answers
+// nothing more.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -306,39 +262,19 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	ln := n.ln
 	n.mu.Unlock()
 	n.cancel()
-	if ln != nil {
-		ln.Close()
-	}
 	n.wg.Wait()
 	return nil
 }
 
-func (n *Node) acceptLoop() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.ln.Accept()
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer conn.Close()
-			_ = conn.SetDeadline(n.now().Add(n.rpcTimeout))
-			n.handle(conn)
-		}()
-	}
-}
-
-// refreshLoop periodically re-runs the self lookup (repopulating the
-// neighbourhood) and a random-target lookup (discovering far buckets),
-// so the table tracks the live swarm instead of its join-time snapshot.
+// refreshLoop re-runs the self lookup (repopulating the neighbourhood)
+// and a random-target lookup (discovering far buckets) once per
+// DefaultTTL, so the table tracks the live swarm instead of its
+// join-time snapshot.
 func (n *Node) refreshLoop() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.refresh)
+	ticker := time.NewTicker(DefaultTTL)
 	defer ticker.Stop()
 	for {
 		select {
@@ -355,87 +291,91 @@ func (n *Node) Refresh(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, 4*n.rpcTimeout)
 	defer cancel()
 	_, _, _, _ = n.iterativeFind(ctx, n.id, false)
-	random := NodeIDFromAddr(fmt.Sprintf("refresh:%s:%d", n.advertise, n.now().UnixNano()))
+	random := NodeIDFromAddr(fmt.Sprintf("refresh:%s:%d", n.id, n.now().UnixNano()))
 	_, _, _, _ = n.iterativeFind(ctx, random, false)
 }
 
 func (n *Node) header() rpcHeader {
-	return rpcHeader{
-		FromID:    n.id.String(),
-		FromAddr:  n.advertise,
-		FromServe: n.serveAddr,
-	}
+	return rpcHeader{FromID: n.id.String(), FromAddr: n.advertise}
 }
 
+// observeSender records the sender of a request; parse drops one with
+// no routable address.
 func (n *Node) observeSender(h rpcHeader) {
-	c, err := Contact{ID: h.FromID, Addr: h.FromAddr, Serve: h.FromServe}.parse()
-	if err == nil {
+	if c, err := (Contact{ID: h.FromID, Addr: h.FromAddr}).parse(); err == nil {
 		n.table.observe(c)
 	}
 }
 
-func (n *Node) handle(conn net.Conn) {
-	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
-	t, b, err := fr.Next()
-	if err != nil {
-		return
+// IsRPC reports whether t is a DHT frame type (96–103): the range a
+// hosting peer routes to HandleRPC, disjoint from the peer and tracker
+// protocols, so a connection's first frame tells the two apart.
+func IsRPC(t wire.Type) bool { return t >= typePing && t <= typeValues }
+
+// HandleRPC answers one request frame: PING, FIND_NODE, STORE or
+// FIND_VALUE. It returns the reply frame, or ok false when there is
+// none — a malformed request, a frame that is not a request, or a
+// closed node. Any dialer may call it: the DHT is unauthenticated, and
+// STORE is bounded by MaxKeys and DefaultMaxValuesPerKey.
+func (n *Node) HandleRPC(t wire.Type, payload []byte) (reply wire.Type, body []byte, ok bool) {
+	if n.ctx.Err() != nil {
+		return 0, nil, false
 	}
-	defer b.Release()
-	payload := b.Bytes()
 	switch t {
 	case typePing:
 		var req findNodeReq // header only
 		if json.Unmarshal(payload, &req) == nil {
 			n.observeSender(req.rpcHeader)
 		}
-		_ = fw.WriteFrame(typePong, nil)
+		return typePong, nil, true
 	case typeFindNode:
 		var req findNodeReq
 		if err := json.Unmarshal(payload, &req); err != nil {
-			return
+			return 0, nil, false
 		}
 		n.observeSender(req.rpcHeader)
 		target, err := ParseID(req.Target)
 		if err != nil {
-			return
+			return 0, nil, false
 		}
-		reply(fw, typeNodes, nodesResp{Contacts: wireContacts(n.table.closest(target, K))})
+		return marshalReply(typeNodes, nodesResp{Contacts: wireContacts(n.table.closest(target, K))})
 	case typeStore:
 		var req storeReq
 		if err := json.Unmarshal(payload, &req); err != nil {
-			return
+			return 0, nil, false
 		}
 		n.observeSender(req.rpcHeader)
 		key, err := ParseID(req.Key)
 		if err != nil || req.Value == "" {
-			return
+			return 0, nil, false
 		}
 		n.storeLocal(key, req.Value, req.TTLSec)
-		_ = fw.WriteFrame(typeStored, nil)
+		return typeStored, nil, true
 	case typeFindValue:
 		var req findValueReq
 		if err := json.Unmarshal(payload, &req); err != nil {
-			return
+			return 0, nil, false
 		}
 		n.observeSender(req.rpcHeader)
 		key, err := ParseID(req.Key)
 		if err != nil {
-			return
+			return 0, nil, false
 		}
 		resp := valuesResp{Values: n.loadLocal(key)}
 		if len(resp.Values) == 0 {
 			resp.Contacts = wireContacts(n.table.closest(key, K))
 		}
-		reply(fw, typeValues, resp)
+		return marshalReply(typeValues, resp)
 	}
+	return 0, nil, false
 }
 
-func reply(fw *wire.FrameWriter, t wire.Type, v any) {
+func marshalReply(t wire.Type, v any) (wire.Type, []byte, bool) {
 	blob, err := json.Marshal(v)
 	if err != nil {
-		return
+		return 0, nil, false
 	}
-	_ = fw.WriteFrame(t, blob)
+	return t, blob, true
 }
 
 func wireContacts(cs []parsedContact) []Contact {

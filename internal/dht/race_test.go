@@ -8,7 +8,6 @@ package dht
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -53,24 +52,6 @@ func TestTableConcurrentObserveClosestRandom(t *testing.T) {
 	}
 }
 
-// startTCPNode boots a serving node on a real localhost listener.
-func startTCPNode(t *testing.T) *Node {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewNode(ln.Addr().String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.StartListener(ln); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	return n
-}
-
 func TestConcurrentLookupsAndAnnounces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -78,7 +59,7 @@ func TestConcurrentLookupsAndAnnounces(t *testing.T) {
 	const nodes = 6
 	net_ := make([]*Node, nodes)
 	for i := range net_ {
-		net_[i] = startTCPNode(t)
+		net_[i] = startNode(t)
 	}
 	for i := 1; i < nodes; i++ {
 		if err := net_[i].Join(ctx, net_[0].Addr()); err != nil {

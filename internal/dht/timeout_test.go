@@ -35,7 +35,7 @@ func stallListener(t *testing.T) net.Listener {
 
 func TestRPCHonorsCallerDeadline(t *testing.T) {
 	ln := stallListener(t)
-	n, err := NewNode("127.0.0.1:1", 0)
+	n, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestRPCHonorsCallerDeadline(t *testing.T) {
 
 func TestRPCHonorsCallerCancellation(t *testing.T) {
 	ln := stallListener(t)
-	n, err := NewNode("127.0.0.1:1", 0)
+	n, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLookupBoundedByContextUnderStalls(t *testing.T) {
 	// A shortlist full of stalling contacts: the whole iterative lookup
 	// must return once the context budget is spent, not 3s per wave.
 	stall := stallListener(t)
-	n, err := New(Config{Advertise: "127.0.0.1:1", RPCTimeout: 10 * time.Second})
+	n, err := New(Config{RPCTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

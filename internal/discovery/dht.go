@@ -86,14 +86,6 @@ func (d *DHT) Announce(ctx context.Context, fileID uint64, addr string, ttl time
 	return nil
 }
 
-// Forget drops a record from the refresh book (e.g. after the peer
-// stopped storing the file); the DHT copy ages out at its TTL.
-func (d *DHT) Forget(fileID uint64, addr string) {
-	d.mu.Lock()
-	delete(d.records, record{fileID, addr})
-	d.mu.Unlock()
-}
-
 // Lookup implements Discovery.
 func (d *DHT) Lookup(ctx context.Context, fileID uint64) ([]string, error) {
 	addrs, err := d.node.Lookup(ctx, dht.KeyFromFileID(fileID))

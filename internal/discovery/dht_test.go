@@ -1,34 +1,38 @@
 package discovery
 
-// The DHT wrapper over real TCP nodes: records are soft state, so the
+// The DHT wrapper over real TCP nodes, each hosted on a storage peer: records are soft state, so the
 // refresher must keep an announced record resolvable past its TTL, and
 // Close must let it age out.
 
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
+	"asymshare/internal/auth"
 	"asymshare/internal/dht"
+	"asymshare/internal/peer"
+	"asymshare/internal/store"
 )
 
+// startDHTNode starts a storage peer on loopback and returns the DHT
+// node it answers for on its own port.
 func startDHTNode(t *testing.T) *dht.Node {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	id, err := auth.NewIdentity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := dht.NewNode(ln.Addr().String(), 0)
+	p, err := peer.New(peer.Config{Identity: id, Store: store.NewMemory(), DHT: &dht.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.StartListener(ln); err != nil {
+	if err := p.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { n.Close() })
-	return n
+	t.Cleanup(func() { p.Close() })
+	return p.DHT()
 }
 
 func TestDHTDiscoveryAnnounceLookup(t *testing.T) {

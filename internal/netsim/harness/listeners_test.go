@@ -4,7 +4,8 @@ package harness
 // never sends a HELLO: no stored byte leaves, and nothing the stranger
 // offers is stored or announced. A peer's upload is split among
 // requesters by Eq. (2) on the authenticated peer protocol only; a
-// second door would serve outside that split. The probes speak the
+// second door would serve outside that split, so each peer has exactly
+// one port, where it also answers DHT RPCs. The probes speak the
 // rumor-gossip exchange (OFFER / WANT / DATA / PULL / DONE on frame
 // types 112–116, JSON id lists) that once ran on its own listener
 // beside the peer port, plus the peer protocol's own PUT and DATA
@@ -129,10 +130,15 @@ func TestNoListenerServesOrStoresWithoutHello(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	listeners := s.Fabric.Host(holder.Host).Listeners()
-	if !slices.Contains(listeners, holder.Addr) || !slices.Contains(listeners, holder.DHT.Addr()) {
-		t.Fatalf("listeners %v miss the peer port %s or the DHT port %s", listeners, holder.Addr, holder.DHT.Addr())
+	for _, p := range s.Peers {
+		if got := s.Fabric.Host(p.Host).Listeners(); len(got) != 1 || got[0] != p.Addr {
+			t.Fatalf("host %s listens on %v, want only the peer's address %s", p.Host, got, p.Addr)
+		}
 	}
+	if got := s.Fabric.Host(HostHome).Listeners(); len(got) != 1 || got[0] != s.HomeAddr {
+		t.Fatalf("home listens on %v, want only the peer's address %s", got, s.HomeAddr)
+	}
+	listeners := s.Fabric.Host(holder.Host).Listeners()
 	scan := s.Fabric.Host("scan")
 	for _, addr := range listeners {
 		// Offer one held message id, and pull whatever is offered back.

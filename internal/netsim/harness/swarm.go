@@ -1,8 +1,8 @@
 package harness
 
 // Swarm extends the harness to trackerless scale: every storage peer
-// carries a DHT node besides its serving node, so hundreds or thousands
-// of peers form one routing overlay that announces and resolves where
+// answers DHT RPCs on its own port, so hundreds or thousands of peers
+// form one routing overlay that announces and resolves where
 // ring-placed chunks live. The tracker still boots — as the optional
 // bootstrap seed a Failover chain demotes it to — and tests kill it
 // mid-run to prove fetches and audits survive on DHT discovery alone.
@@ -42,15 +42,15 @@ type SwarmConfig struct {
 	Policy *netsim.LinkPolicy
 }
 
-// SwarmPeer is one swarm member: a serving node over its store, and a
-// DHT node.
+// SwarmPeer is one swarm member: a serving node over its store, and
+// the DHT node it answers for on the same address.
 type SwarmPeer struct {
 	Host  string
 	ID    *auth.Identity
 	Node  *peer.Node
 	Store *store.Memory
 	DHT   *dht.Node
-	Addr  string // peer-protocol (serving) address
+	Addr  string // the peer's one listen address
 }
 
 // Swarm is a booted trackerless-scale deployment.
@@ -85,39 +85,19 @@ func indexIdentity(t *testing.T, i int) *auth.Identity {
 	return id
 }
 
-// startSwarmDHT boots one DHT node on host serving RPCs, carrying the
-// co-located serve address in its contact records.
-func startSwarmDHT(t *testing.T, f *netsim.Fabric, host string, cfg SwarmConfig, serveAddr string) *dht.Node {
-	t.Helper()
-	tr := f.Host(host)
-	ln, err := tr.Listen(":0")
-	if err != nil {
-		t.Fatal(err)
-	}
+// dhtConfig is the DHT configuration every swarm node shares.
+func (cfg SwarmConfig) dhtConfig() *dht.Config {
 	rpcTimeout := cfg.RPCTimeout
 	if rpcTimeout <= 0 {
 		rpcTimeout = 2 * time.Second
 	}
-	n, err := dht.New(dht.Config{
-		Advertise:  ln.Addr().String(),
-		Transport:  tr,
-		ServeAddr:  serveAddr,
-		TableCap:   cfg.TableCap,
-		RPCTimeout: rpcTimeout,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.StartListener(ln); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	return n
+	return &dht.Config{TableCap: cfg.TableCap, RPCTimeout: rpcTimeout}
 }
 
-// StartSwarm boots a tracker, the home (peer + DHT bootstrap) and
-// cfg.N storage peers, then joins every DHT node through
-// the home. All nodes are cleaned up with the test.
+// StartSwarm boots a tracker, the home (the DHT bootstrap) and cfg.N
+// storage peers, each answering DHT RPCs on its own port, then joins
+// every peer's DHT node through the home. All nodes are cleaned up
+// with the test.
 func StartSwarm(t *testing.T, seed int64, cfg SwarmConfig) *Swarm {
 	t.Helper()
 	f := netsim.NewFabric(seed)
@@ -141,6 +121,7 @@ func StartSwarm(t *testing.T, seed int64, cfg SwarmConfig) *Swarm {
 		Owner:     s.Owner.Public(),
 		Ledger:    fairshare.NewLedger(0),
 		Transport: f.Host(HostHome),
+		DHT:       cfg.dhtConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,15 +132,14 @@ func StartSwarm(t *testing.T, seed int64, cfg SwarmConfig) *Swarm {
 	t.Cleanup(func() { home.Close() })
 	s.Home = home
 	s.HomeAddr = home.Addr().String()
-
-	s.HomeDHT = startSwarmDHT(t, f, HostHome, cfg, s.HomeAddr)
+	s.HomeDHT = home.DHT()
 
 	s.Peers = make([]*SwarmPeer, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		host := "s" + strconv.Itoa(i)
 		st := store.NewMemory()
 		id := indexIdentity(t, i)
-		node, err := peer.New(peer.Config{Identity: id, Store: st, Transport: f.Host(host)})
+		node, err := peer.New(peer.Config{Identity: id, Store: st, Transport: f.Host(host), DHT: cfg.dhtConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,9 +147,7 @@ func StartSwarm(t *testing.T, seed int64, cfg SwarmConfig) *Swarm {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { node.Close() })
-		p := &SwarmPeer{Host: host, ID: id, Node: node, Store: st, Addr: node.Addr().String()}
-		p.DHT = startSwarmDHT(t, f, host, cfg, p.Addr)
-		s.Peers[i] = p
+		s.Peers[i] = &SwarmPeer{Host: host, ID: id, Node: node, Store: st, DHT: node.DHT(), Addr: node.Addr().String()}
 	}
 
 	s.joinAll()
@@ -221,8 +199,8 @@ func (s *Swarm) joinAll() {
 	// hold whatever each node happened to observe on its own way in, so
 	// late joiners are known by few others and lookups routed through
 	// them take extra hops. Refresh lookups spread every node through
-	// the swarm's tables — the lockstep stand-in for the production
-	// RefreshInterval loop.
+	// the swarm's tables — one round of the refresh every peer-hosted
+	// node runs each dht.DefaultTTL, run at once instead of waiting.
 	for _, p := range s.Peers {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -236,19 +214,13 @@ func (s *Swarm) joinAll() {
 }
 
 // UserDHT boots a client-only DHT node dialing from HostUser, joined
-// through the given bootstrap address.
+// through the given bootstrap address. No peer serves it, so it sends
+// no address and enters no one's table.
 func (s *Swarm) UserDHT(ctx context.Context, bootstrap string) *dht.Node {
 	s.t.Helper()
-	rpcTimeout := s.cfg.RPCTimeout
-	if rpcTimeout <= 0 {
-		rpcTimeout = 2 * time.Second
-	}
-	n, err := dht.New(dht.Config{
-		Advertise:  "user:dht-client",
-		Transport:  s.Fabric.Host(HostUser),
-		TableCap:   s.cfg.TableCap,
-		RPCTimeout: rpcTimeout,
-	})
+	cfg := s.cfg.dhtConfig()
+	cfg.Transport = s.Fabric.Host(HostUser)
+	n, err := dht.New(*cfg)
 	if err != nil {
 		s.t.Fatal(err)
 	}

@@ -279,7 +279,6 @@ func TestDiscoveryFailoverNetsim(t *testing.T) {
 	// primary mechanism answers ErrNotFound — retriable — and the
 	// chain falls back to the tracker.
 	lonelyNode, err := dht.New(dht.Config{
-		Advertise:  "user:lonely-dht",
 		Transport:  s.Fabric.Host(HostUser),
 		RPCTimeout: time.Second,
 	})

@@ -1,7 +1,9 @@
 package peer
 
-// Per-connection protocol handling. After the mutual handshake the peer
-// processes PUT (initialization uploads), GET / GET_MUX (download
+// Per-connection protocol handling. A connection whose first frame is
+// a DHT request (Config.DHT) carries that one request, answered by the
+// hosted DHT node without a handshake. After the mutual handshake the
+// peer processes PUT (initialization uploads), GET / GET_MUX (download
 // requests, served by shaped writer goroutines), STOP, FEEDBACK (owner
 // only) and BYE frames. DATA writes and control replies share the
 // connection, so every write after the handshake — ERROR frames
@@ -32,6 +34,7 @@ import (
 	"time"
 
 	"asymshare/internal/auth"
+	"asymshare/internal/dht"
 	"asymshare/internal/fairshare"
 	"asymshare/internal/ratelimit"
 	"asymshare/internal/wire"
@@ -125,6 +128,14 @@ func (n *Node) handleConn(conn net.Conn) {
 	fr := wire.NewFrameReader(conn)
 	cw := newConnWriter(conn)
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	// Route on the first frame: a DHT request (never a HELLO) is the
+	// connection's only frame and needs no handshake; anything else
+	// must open one. A failed Peek fails the handshake's read the same
+	// way.
+	if t, err := fr.Peek(); err == nil && dht.IsRPC(t) {
+		n.answerDHT(fr, cw.fw)
+		return
+	}
 	clientKey, role, err := wire.ResponderHandshake(fr, cw.fw, n.cfg.Identity, n.cfg.Trusted)
 	if err != nil {
 		n.log.Debug("handshake failed", "remote", conn.RemoteAddr().String(), "err", err)
@@ -170,6 +181,23 @@ func (n *Node) handleConn(conn net.Conn) {
 		if done {
 			return
 		}
+	}
+}
+
+// answerDHT answers the one DHT request a connection carries through
+// the hosted node; a peer that hosts none answers nothing.
+func (n *Node) answerDHT(fr *wire.FrameReader, fw *wire.FrameWriter) {
+	if n.dht == nil {
+		return
+	}
+	t, b, err := fr.Next()
+	if err != nil {
+		return
+	}
+	reply, body, ok := n.dht.HandleRPC(t, b.Bytes())
+	b.Release()
+	if ok {
+		_ = fw.WriteFrame(reply, body)
 	}
 }
 

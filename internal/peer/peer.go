@@ -21,6 +21,7 @@ import (
 
 	"asymshare/internal/auth"
 	"asymshare/internal/contract"
+	"asymshare/internal/dht"
 	"asymshare/internal/estimate"
 	"asymshare/internal/fairshare"
 	"asymshare/internal/fsx"
@@ -132,6 +133,15 @@ type Config struct {
 	// refusing anyone. Zero means unlimited (no admission control).
 	MaxStreams int
 
+	// DHT, when set, makes the peer host a DHT node on its own listener
+	// (content location without a tracker): a connection whose first
+	// frame is a DHT request goes to the node instead of the handshake.
+	// Start builds the node from this configuration with Advertise set
+	// to the listen address, which also seeds its id, and Transport
+	// defaulting to the peer's; DHT returns it. Nil leaves DHT frames
+	// unanswered.
+	DHT *dht.Config
+
 	// Transport provides the listener; nil means real TCP
 	// (transport.Default). Tests inject an in-memory netsim fabric
 	// here to drive the node through latency, loss and partitions.
@@ -164,6 +174,7 @@ type Node struct {
 	bookRec   contract.Recovery
 
 	ln     net.Listener
+	dht    *dht.Node
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -314,13 +325,29 @@ func (n *Node) Start(addr string) error {
 	if err != nil {
 		return fmt.Errorf("peer: listen: %w", err)
 	}
+	var dn *dht.Node
+	if n.cfg.DHT != nil {
+		dcfg := *n.cfg.DHT
+		dcfg.Advertise = ln.Addr().String()
+		if dcfg.Transport == nil {
+			dcfg.Transport = tr
+		}
+		if dn, err = dht.New(dcfg); err != nil {
+			ln.Close()
+			return fmt.Errorf("peer: %w", err)
+		}
+	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		ln.Close()
+		if dn != nil {
+			dn.Close()
+		}
 		return ErrClosed
 	}
 	n.ln = ln
+	n.dht = dn
 	n.mu.Unlock()
 
 	n.wg.Add(2)
@@ -350,6 +377,14 @@ func (n *Node) Addr() net.Addr {
 		return nil
 	}
 	return n.ln.Addr()
+}
+
+// DHT returns the DHT node the peer hosts, or nil before Start or
+// without Config.DHT.
+func (n *Node) DHT() *dht.Node {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.dht
 }
 
 // Ledger exposes the node's receipt ledger (shared, concurrent-safe).
@@ -393,13 +428,16 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	ln := n.ln
+	ln, dn := n.ln, n.dht
 	n.mu.Unlock()
 	n.cancel()
 	if ln != nil {
 		ln.Close()
 	}
 	n.wg.Wait()
+	if dn != nil {
+		dn.Close()
+	}
 	return n.book.Close()
 }
 

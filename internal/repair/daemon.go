@@ -164,7 +164,6 @@ type Daemon struct {
 	rng   *rand.Rand // guarded by runMu
 
 	mu      sync.Mutex
-	last    Report
 	started bool
 	closed  bool
 
@@ -274,13 +273,6 @@ func (d *Daemon) loop() {
 			}
 		}
 	}
-}
-
-// LastReport returns the most recent round's report.
-func (d *Daemon) LastReport() Report {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.last
 }
 
 // Watermarks recomputes the per-chunk rank-margin watermark from the
@@ -450,9 +442,6 @@ func (d *Daemon) RunOnce(ctx context.Context) (Report, error) {
 	d.m.messages.Add(uint64(rep.Messages))
 	d.m.bytes.Add(uint64(rep.Bytes))
 
-	d.mu.Lock()
-	d.last = rep
-	d.mu.Unlock()
 	d.log.Debug("repair round",
 		"probed", rep.Probed, "passed", rep.Passed, "failed", rep.Failed, "dead", rep.Dead,
 		"renewed", rep.Renewed, "replacements", rep.Replacements,

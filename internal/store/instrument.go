@@ -68,9 +68,6 @@ func Instrument(s Store, reg *metrics.Registry) Store {
 	}
 }
 
-// Unwrap returns the underlying Store.
-func (i *instrumented) Unwrap() Store { return i.inner }
-
 // Put implements Store.
 func (i *instrumented) Put(msg *rlnc.Message) error {
 	start := time.Now()

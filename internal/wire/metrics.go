@@ -45,9 +45,9 @@ func Instrument(reg *metrics.Registry) {
 		return
 	}
 	m := &wireMetrics{reg: reg}
-	// Eager-create the protocol's own frame types so the families and
-	// their common series are visible from the very first scrape.
-	for t := TypeHello; t <= TypeAuditResponse; t++ {
+	// Eager-create every defined frame type's series so the families
+	// and their series are visible from the very first scrape.
+	for t := TypeHello; t <= lastType; t++ {
 		m.counter(&m.sent, MetricFramesSent, t)
 		m.counter(&m.sentBytes, MetricBytesSent, t)
 		m.counter(&m.recv, MetricFramesRecv, t)

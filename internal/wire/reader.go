@@ -102,6 +102,16 @@ func (fr *FrameReader) fill(need int) error {
 	return nil
 }
 
+// Peek returns the next frame's type without consuming the frame, so
+// a listener can route a connection on its first frame before reading
+// it.
+func (fr *FrameReader) Peek() (Type, error) {
+	if err := fr.fill(1); err != nil {
+		return 0, err
+	}
+	return Type(fr.buf[fr.lo]), nil
+}
+
 // Next reads one frame. The returned buffer holds the payload; the
 // caller owns its single reference. On error no buffer is returned and
 // nothing needs releasing.

@@ -409,6 +409,31 @@ func TestFrameReaderExpect(t *testing.T) {
 	checkPool(t, pool)
 }
 
+// TestFrameReaderPeek pins Peek's contract: it names the next frame's
+// type without consuming it, so the Next after it reads that frame
+// whole; an empty stream is io.EOF, as for Next.
+func TestFrameReaderPeek(t *testing.T) {
+	pool := NewPool()
+	stream := appendFrame(appendFrame(nil, TypeHello, []byte("hi")), TypeBye, nil)
+	fr := NewFrameReaderPool(bytes.NewReader(stream), pool)
+	for _, want := range []frame{{TypeHello, []byte("hi")}, {TypeBye, []byte{}}} {
+		for i := 0; i < 2; i++ {
+			if got, err := fr.Peek(); err != nil || got != want.Type {
+				t.Fatalf("Peek = %v, %v; want %v", got, err, want.Type)
+			}
+		}
+		typ, b, err := fr.Next()
+		if err != nil || typ != want.Type || !bytes.Equal(b.Bytes(), want.Payload) {
+			t.Fatalf("Next after Peek = %v %q, %v; want %v %q", typ, b.Bytes(), err, want.Type, want.Payload)
+		}
+		b.Release()
+	}
+	if _, err := fr.Peek(); err != io.EOF {
+		t.Errorf("Peek at end of stream = %v, want io.EOF", err)
+	}
+	checkPool(t, pool)
+}
+
 func TestStreamErrorRoundTrip(t *testing.T) {
 	e := StreamError{FileID: 0xDEADBEEF42, Code: CodeUnknownFile, Reason: "file 7"}
 	var got StreamError

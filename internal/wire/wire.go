@@ -48,6 +48,10 @@ const (
 	TypeGetMux                          // multiplexed get: failures scoped to the stream, not the conn
 	TypeStreamError                     // terminal error for one multiplexed stream
 	TypeBusy                            // load shed: request refused or preempted, retry after a delay
+
+	// lastType is the highest defined frame type: loops over every
+	// type run TypeHello..lastType.
+	lastType = TypeBusy
 )
 
 func (t Type) String() string {

@@ -75,8 +75,8 @@ func TestExpect(t *testing.T) {
 }
 
 func TestTypeString(t *testing.T) {
-	for ty := TypeHello; ty <= TypeBye; ty++ {
-		if s := ty.String(); s == "" || s[0] == 'T' && s != "TYPE(0)" && len(s) > 8 && s[:5] == "TYPE(" {
+	for ty := TypeHello; ty <= lastType; ty++ {
+		if s := ty.String(); strings.HasPrefix(s, "TYPE(") {
 			t.Errorf("missing name for type %d", ty)
 		}
 	}
