@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-arm64 fmt gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-grid-smoke chaos churn-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet vet-arm64 fmt gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-grid-smoke chaos churn-smoke examples-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -67,9 +67,9 @@ wire-audit:
 	$(GO) test -run 'TestSplitUnshapedPeersServeWhatTheManifestNeeds|TestSplitLeavesPacedPeersAlone' -count=1 ./internal/netsim/harness/
 
 # race-audit exercises the audit path — the spot-check round, its two
-# callers (core.SpotCheck and the repair daemon's probe) and the ledger
-# their debits land in — under the race detector. Run before touching
-# any of them.
+# callers (core.SpotCheck, which core.Repair runs over every message,
+# and the repair daemon's probe) and the ledger their debits land in —
+# under the race detector. Run before touching any of them.
 race-audit: vet
 	$(GO) test -race ./internal/audit/... ./internal/core/... ./internal/repair/... ./internal/fairshare/...
 
@@ -270,10 +270,20 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzKernel32 -fuzztime 10s -run '^$$' ./internal/gf/
 	$(GO) test -fuzz FuzzDigestBatch -fuzztime 10s -run '^$$' ./internal/rlnc/
 
+# examples-smoke runs every program under examples/ to completion and
+# fails on the first that exits non-zero: `build` only compiles them.
+# About 12 s, most of it examples/remoteaccess.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d >/dev/null || { echo "$$d failed"; exit 1; }; \
+	done
+
 # ci is what the GitHub workflow runs: the gofmt check, the
-# generated-kernel check, every package once plain, once under the detector, the gates, the
-# bench-pairs verdict's test, the -run pattern check, and the end-to-end
-# benchmark's smoke.
-ci: fmt vet vet-arm64 gen-check build test race gates benchpairs-test runpatterns-test bench-e2e-smoke
+# generated-kernel check, every package once plain, once under the
+# detector, the gates, the bench-pairs verdict's test, the -run pattern
+# check, the examples run to completion, and the end-to-end benchmark's
+# smoke.
+ci: fmt vet vet-arm64 gen-check build test race gates benchpairs-test runpatterns-test examples-smoke bench-e2e-smoke
 
 check: ci

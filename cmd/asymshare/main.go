@@ -22,13 +22,15 @@
 // Other commands:
 //
 //	asymshare update  -key user.key -handle video.handle -secret <hex> -old v1.mpg -new v2.mpg
-//	asymshare list    -key user.key -peer host:7070
-//	asymshare audit   -key user.key -handle video.handle
 //	asymshare spotcheck -key user.key -handle video.handle -secret <hex> [-sample 8] [-feedback host:7070]
-//	asymshare auditdemo [-honest 2] [-size 4096] [-sample 8]
 //	asymshare repair  -key user.key -handle video.handle -secret <hex> -file video.mpg
+//	asymshare auditdemo [-honest 2] [-size 4096] [-sample 8]
 //	asymshare contracts -key user.key -peer host:7070
 //	asymshare stats   -addr 127.0.0.1:9090 [-filter peer_]
+//
+// spotcheck is the one retention audit: keyed challenges the peers must
+// answer with MACs over the stored bytes. repair runs it over every
+// message of every batch and re-sends each batch that fails.
 //
 // Storage peers advertise a contract capacity with `serve -capacity`
 // (bytes; 0 = unlimited) and journal accepted obligations across
@@ -88,10 +90,6 @@ func run(args []string, out io.Writer) error {
 		return cmdFetch(args[1:], out)
 	case "update":
 		return cmdUpdate(args[1:], out)
-	case "list":
-		return cmdList(args[1:], out)
-	case "audit":
-		return cmdAudit(args[1:], out)
 	case "spotcheck":
 		return cmdSpotCheck(args[1:], out)
 	case "auditdemo":
@@ -601,79 +599,9 @@ func cmdUpdate(args []string, out io.Writer) error {
 	return nil
 }
 
-func cmdList(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("list", flag.ContinueOnError)
-	keyPath := fs.String("key", "", "user key file (required)")
-	peerAddr := fs.String("peer", "", "peer address (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *keyPath == "" || *peerAddr == "" {
-		return errors.New("list: -key and -peer are required")
-	}
-	id, err := loadIdentity(*keyPath)
-	if err != nil {
-		return err
-	}
-	c, err := client.New(id, nil)
-	if err != nil {
-		return err
-	}
-	files, err := c.ListFiles(context.Background(), *peerAddr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%d stored generations on %s\n", len(files), *peerAddr)
-	for _, f := range files {
-		fmt.Fprintf(out, "  file %016x: %d messages\n", f.FileID, f.Messages)
-	}
-	return nil
-}
-
 // loadHandle reads a handle file.
 func loadHandle(path string) (*core.Handle, error) {
 	return core.LoadHandleFile(path)
-}
-
-func cmdAudit(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
-	keyPath := fs.String("key", "", "user key file (required)")
-	handlePath := fs.String("handle", "", "handle file (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *keyPath == "" || *handlePath == "" {
-		return errors.New("audit: -key and -handle are required")
-	}
-	id, err := loadIdentity(*keyPath)
-	if err != nil {
-		return err
-	}
-	handle, err := loadHandle(*handlePath)
-	if err != nil {
-		return err
-	}
-	sys, err := core.NewSystem(id, nil)
-	if err != nil {
-		return err
-	}
-	report, err := sys.Audit(context.Background(), handle)
-	if err != nil {
-		return err
-	}
-	for _, addr := range handle.Peers {
-		status := "OK"
-		if n := report.MissingByPeer[addr]; n > 0 {
-			status = fmt.Sprintf("%d incomplete batches", n)
-		}
-		fmt.Fprintf(out, "%s: %s\n", addr, status)
-	}
-	if report.Healthy() {
-		fmt.Fprintln(out, "replication healthy")
-	} else {
-		fmt.Fprintln(out, "replication DEGRADED - run 'asymshare repair'")
-	}
-	return nil
 }
 
 // cmdContracts lists the caller's storage contracts on one peer: the

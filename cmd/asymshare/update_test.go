@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,21 +15,32 @@ import (
 	"asymshare/internal/store"
 )
 
-// TestUpdateAndListSubcommands drives share -> update -> fetch -> list
-// end to end through the CLI.
-func TestUpdateAndListSubcommands(t *testing.T) {
+// cliShare starts one memory-store peer, shares a random file of size
+// bytes to it through the CLI, and returns the paths and secret later
+// commands need, with the peer's store for injecting damage.
+type cliShare struct {
+	key, handle, file, secret string
+	store                     *store.Memory
+}
+
+func shareToOnePeer(t *testing.T, size int, seed int64) cliShare {
+	t.Helper()
 	dir := t.TempDir()
-	keyPath := filepath.Join(dir, "user.key")
+	sh := cliShare{
+		key:    filepath.Join(dir, "user.key"),
+		handle: filepath.Join(dir, "f.handle"),
+		file:   filepath.Join(dir, "f.bin"),
+		store:  store.NewMemory(),
+	}
 	var discard bytes.Buffer
-	if err := run([]string{"keygen", "-out", keyPath}, &discard); err != nil {
+	if err := run([]string{"keygen", "-out", sh.key}, &discard); err != nil {
 		t.Fatal(err)
 	}
-
 	id, err := auth.NewIdentity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := peer.New(peer.Config{Identity: id, Store: store.NewMemory()})
+	node, err := peer.New(peer.Config{Identity: id, Store: sh.store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,36 +48,70 @@ func TestUpdateAndListSubcommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	addr := node.Addr().String()
 
-	oldPath := filepath.Join(dir, "v1.bin")
-	oldData := make([]byte, 20<<10)
-	rand.New(rand.NewSource(1)).Read(oldData)
-	if err := os.WriteFile(oldPath, oldData, 0o644); err != nil {
+	data := make([]byte, size)
+	rand.New(rand.NewSource(seed)).Read(data)
+	if err := os.WriteFile(sh.file, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	handlePath := filepath.Join(dir, "v.handle")
 	var shareOut bytes.Buffer
-	if err := run([]string{"share", "-key", keyPath, "-file", oldPath, "-peers", addr, "-out", handlePath}, &shareOut); err != nil {
+	err = run([]string{"share", "-key", sh.key, "-file", sh.file, "-peers", node.Addr().String(), "-out", sh.handle}, &shareOut)
+	if err != nil {
 		t.Fatal(err)
 	}
 	m := regexp.MustCompile(`secret \(keep private!\): ([0-9a-f]+)`).FindStringSubmatch(shareOut.String())
 	if m == nil {
 		t.Fatal("no secret printed")
 	}
-	secret := m[1]
+	sh.secret = m[1]
+	return sh
+}
+
+// spotcheck runs the spotcheck command and returns its output.
+func (sh cliShare) spotcheck(t *testing.T) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run([]string{"spotcheck", "-key", sh.key, "-handle", sh.handle, "-secret", sh.secret}, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
+// repairShare runs the repair command with file as the original and
+// returns the number of messages it re-uploaded.
+func (sh cliShare) repair(t *testing.T, file string) int {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run([]string{"repair", "-key", sh.key, "-handle", sh.handle, "-secret", sh.secret, "-file", file}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	if _, err := fmt.Sscanf(out.String(), "re-uploaded %d messages", &n); err != nil {
+		t.Fatalf("repair output %q: %v", out.String(), err)
+	}
+	return n
+}
+
+// TestUpdateAndSpotCheckSubcommands drives share -> update -> fetch ->
+// spotcheck end to end through the CLI: the digests update wrote into
+// the handle are the ones the peer now proves.
+func TestUpdateAndSpotCheckSubcommands(t *testing.T) {
+	sh := shareToOnePeer(t, 20<<10, 1)
+	oldData, err := os.ReadFile(sh.file)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Edit the file in place and push the delta.
 	newData := bytes.Clone(oldData)
 	copy(newData[5000:5100], bytes.Repeat([]byte{0x42}, 100))
-	newPath := filepath.Join(dir, "v2.bin")
+	newPath := filepath.Join(filepath.Dir(sh.file), "v2.bin")
 	if err := os.WriteFile(newPath, newData, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var updOut bytes.Buffer
-	err = run([]string{"update", "-key", keyPath, "-handle", handlePath,
-		"-secret", secret, "-old", oldPath, "-new", newPath}, &updOut)
+	err = run([]string{"update", "-key", sh.key, "-handle", sh.handle,
+		"-secret", sh.secret, "-old", sh.file, "-new", newPath}, &updOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +120,10 @@ func TestUpdateAndListSubcommands(t *testing.T) {
 	}
 
 	// Fetch returns the new version.
-	outPath := filepath.Join(dir, "v.out")
-	if err := run([]string{"fetch", "-key", keyPath, "-handle", handlePath,
-		"-secret", secret, "-out", outPath}, &discard); err != nil {
+	outPath := filepath.Join(filepath.Dir(sh.file), "v.out")
+	var discard bytes.Buffer
+	if err := run([]string{"fetch", "-key", sh.key, "-handle", sh.handle,
+		"-secret", sh.secret, "-out", outPath}, &discard); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(outPath)
@@ -87,13 +134,8 @@ func TestUpdateAndListSubcommands(t *testing.T) {
 		t.Fatal("fetched file is not the updated version")
 	}
 
-	// List shows the stored generation.
-	var listOut bytes.Buffer
-	if err := run([]string{"list", "-key", keyPath, "-peer", addr}, &listOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(listOut.String(), "1 stored generations") {
-		t.Errorf("list output: %q", listOut.String())
+	if out := sh.spotcheck(t); !strings.Contains(out, "all retention audits passed") {
+		t.Errorf("spotcheck after update: %q", out)
 	}
 }
 
@@ -102,84 +144,64 @@ func TestUpdateListMissingFlags(t *testing.T) {
 	if err := run([]string{"update", "-key", "k"}, &out); err == nil {
 		t.Error("update without required flags accepted")
 	}
-	if err := run([]string{"list"}, &out); err == nil {
-		t.Error("list without required flags accepted")
+	// list and audit are retired: spotcheck is the one retention check.
+	for _, retired := range []string{"list", "audit"} {
+		if err := run([]string{retired, "-key", "k"}, &out); err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Errorf("retired %s command: %v, want unknown command", retired, err)
+		}
 	}
 }
 
+// TestAuditRepairSubcommands: a peer loses its store; spotcheck says
+// so, repair re-sends the lost batch, and spotcheck passes again.
 func TestAuditRepairSubcommands(t *testing.T) {
-	dir := t.TempDir()
-	keyPath := filepath.Join(dir, "user.key")
-	var discard bytes.Buffer
-	if err := run([]string{"keygen", "-out", keyPath}, &discard); err != nil {
-		t.Fatal(err)
-	}
-	st := store.NewMemory()
-	id, err := auth.NewIdentity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := peer.New(peer.Config{Identity: id, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { node.Close() })
-	addr := node.Addr().String()
-
-	filePath := filepath.Join(dir, "f.bin")
-	data := make([]byte, 12<<10)
-	rand.New(rand.NewSource(2)).Read(data)
-	if err := os.WriteFile(filePath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	handlePath := filepath.Join(dir, "f.handle")
-	var shareOut bytes.Buffer
-	if err := run([]string{"share", "-key", keyPath, "-file", filePath, "-peers", addr, "-out", handlePath}, &shareOut); err != nil {
-		t.Fatal(err)
-	}
-	m := regexp.MustCompile(`secret \(keep private!\): ([0-9a-f]+)`).FindStringSubmatch(shareOut.String())
-	if m == nil {
-		t.Fatal("no secret printed")
+	sh := shareToOnePeer(t, 12<<10, 2)
+	if out := sh.spotcheck(t); !strings.Contains(out, "all retention audits passed") {
+		t.Errorf("spotcheck of a fresh share: %q", out)
 	}
 
-	var auditOut bytes.Buffer
-	if err := run([]string{"audit", "-key", keyPath, "-handle", handlePath}, &auditOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(auditOut.String(), "replication healthy") {
-		t.Errorf("audit output: %q", auditOut.String())
-	}
-
-	// Lose the data and verify audit flags it and repair restores it.
-	for _, fid := range st.Files() {
-		if err := st.Drop(fid); err != nil {
+	for _, fid := range sh.store.Files() {
+		if err := sh.store.Drop(fid); err != nil {
 			t.Fatal(err)
 		}
 	}
-	auditOut.Reset()
-	if err := run([]string{"audit", "-key", keyPath, "-handle", handlePath}, &auditOut); err != nil {
-		t.Fatal(err)
+	if out := sh.spotcheck(t); !strings.Contains(out, "retention DEGRADED") {
+		t.Errorf("spotcheck after loss: %q", out)
 	}
-	if !strings.Contains(auditOut.String(), "DEGRADED") {
-		t.Errorf("audit after loss: %q", auditOut.String())
+	if n := sh.repair(t, sh.file); n == 0 {
+		t.Error("repair re-uploaded nothing after loss")
 	}
-	var repairOut bytes.Buffer
-	if err := run([]string{"repair", "-key", keyPath, "-handle", handlePath,
-		"-secret", m[1], "-file", filePath}, &repairOut); err != nil {
-		t.Fatal(err)
+	if out := sh.spotcheck(t); !strings.Contains(out, "all retention audits passed") {
+		t.Errorf("spotcheck after repair: %q", out)
 	}
-	if strings.Contains(repairOut.String(), "re-uploaded 0 messages") {
-		t.Errorf("repair output: %q", repairOut.String())
+}
+
+// TestRepairSubcommandMendsCorruptedBatch: the peer keeps every message
+// id with garbage bytes, so a count of what it stores looks whole.
+// spotcheck flags it, repair re-sends it, and spotcheck passes again.
+func TestRepairSubcommandMendsCorruptedBatch(t *testing.T) {
+	sh := shareToOnePeer(t, 12<<10, 4)
+	for _, fid := range sh.store.Files() {
+		msgs, err := sh.store.Messages(fid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			bad := m.Clone()
+			bad.Payload[0] ^= 0xFF
+			if err := sh.store.Put(bad); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	auditOut.Reset()
-	if err := run([]string{"audit", "-key", keyPath, "-handle", handlePath}, &auditOut); err != nil {
-		t.Fatal(err)
+	if out := sh.spotcheck(t); !strings.Contains(out, "retention DEGRADED") {
+		t.Errorf("spotcheck after in-place corruption: %q", out)
 	}
-	if !strings.Contains(auditOut.String(), "replication healthy") {
-		t.Errorf("audit after repair: %q", auditOut.String())
+	if n := sh.repair(t, sh.file); n == 0 {
+		t.Error("repair re-uploaded nothing for a corrupted batch")
+	}
+	if out := sh.spotcheck(t); !strings.Contains(out, "all retention audits passed") {
+		t.Errorf("spotcheck after repair: %q", out)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Placement: the "geographic data robustness" story. A file is placed
 // on a consistent-hashing ring (PAST-style) with 2 replicas per
 // generation across 5 peers, so each peer stores only ~40% of the
-// data. One peer then suffers a disk failure; the audit spots the
-// damage and repair regenerates exactly the lost batches from the
-// original data — deterministically, because every message is a pure
+// data. One peer then suffers a disk failure; the keyed spot-check
+// spots the damage and repair regenerates exactly the lost batches from
+// the original data — deterministically, because every message is a pure
 // function of (file-id, message-id, secret).
 package main
 
@@ -80,11 +80,11 @@ func run() error {
 		fmt.Printf("  %s stores %d messages\n", addr, st.TotalMessages())
 	}
 
-	report, err := sys.Audit(ctx, &res.Handle)
+	report, err := sys.SpotCheck(ctx, &res.Handle, res.Secret, core.SpotCheckOptions{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("audit: healthy=%v (%d batches tracked)\n\n", report.Healthy(), report.TotalBatches)
+	fmt.Printf("spot-check: all passed=%v (%d batches checked)\n\n", report.AllPassed(), len(report.Verdicts))
 
 	// Disaster: one peer loses its whole store.
 	victim := res.Handle.ChunkPeers[0][0]
@@ -95,11 +95,12 @@ func run() error {
 	}
 	fmt.Printf("disk failure at %s: store wiped\n", victim)
 
-	report, err = sys.Audit(ctx, &res.Handle)
+	report, err = sys.SpotCheck(ctx, &res.Handle, res.Secret, core.SpotCheckOptions{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("audit: healthy=%v, missing batches: %v\n", report.Healthy(), report.MissingByPeer[victim])
+	fmt.Printf("spot-check: all passed=%v, failed chunks at %s: %v\n",
+		report.AllPassed(), victim, report.FailedChunks[victim])
 
 	// Even degraded, the file still fetches (the other replica serves).
 	got, _, err := sys.FetchFile(ctx, &res.Handle, res.Secret)
@@ -115,10 +116,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	report, err = sys.Audit(ctx, &res.Handle)
+	report, err = sys.SpotCheck(ctx, &res.Handle, res.Secret, core.SpotCheckOptions{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("repair re-uploaded %d messages; audit healthy=%v\n", n, report.Healthy())
+	if !report.AllPassed() {
+		return fmt.Errorf("spot-check after repair failed: %v", report.FailedChunks)
+	}
+	fmt.Printf("repair re-uploaded %d messages; spot-check all passed=%v\n", n, report.AllPassed())
 	return nil
 }

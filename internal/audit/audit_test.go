@@ -38,23 +38,26 @@ type storeProber struct {
 	calls  int
 }
 
-func (p *storeProber) Audit(_ context.Context, addr string, ch wire.AuditChallenge) (*wire.AuditResponse, string, error) {
+func (p *storeProber) Audit(_ context.Context, addr string, chs []wire.AuditChallenge, _ time.Duration) ([]*wire.AuditResponse, string, error) {
 	p.calls++
 	st, ok := p.stores[addr]
 	if !ok {
 		return nil, "", errors.New("no such peer")
 	}
-	resp := &wire.AuditResponse{FileID: ch.FileID}
-	for _, id := range ch.MessageIDs {
-		proof := wire.AuditProof{MessageID: id}
-		if msg, err := st.Get(ch.FileID, id); err == nil {
-			d := msg.Digest()
-			proof.Present = true
-			proof.MAC = auth.AuditMAC(ch.Key, ch.FileID, id, d[:])
+	resps := make([]*wire.AuditResponse, len(chs))
+	for i, ch := range chs {
+		resps[i] = &wire.AuditResponse{FileID: ch.FileID}
+		for _, id := range ch.MessageIDs {
+			proof := wire.AuditProof{MessageID: id}
+			if msg, err := st.Get(ch.FileID, id); err == nil {
+				d := msg.Digest()
+				proof.Present = true
+				proof.MAC = auth.AuditMAC(ch.Key, ch.FileID, id, d[:])
+			}
+			resps[i].Proofs = append(resps[i].Proofs, proof)
 		}
-		resp.Proofs = append(resp.Proofs, proof)
 	}
-	return resp, "fp-" + addr, nil
+	return resps, "fp-" + addr, nil
 }
 
 func TestBuildChallengeSamplesDistinctIDs(t *testing.T) {
@@ -207,13 +210,17 @@ func TestAuditorDropperDebited(t *testing.T) {
 	}
 }
 
-// deadProber never answers within the attempt timeout.
+// deadProber never answers within the round-trip timeout.
 type deadProber struct{ calls int }
 
-func (p *deadProber) Audit(ctx context.Context, _ string, _ wire.AuditChallenge) (*wire.AuditResponse, string, error) {
+func (p *deadProber) Audit(ctx context.Context, _ string, _ []wire.AuditChallenge, timeout time.Duration) ([]*wire.AuditResponse, string, error) {
 	p.calls++
-	<-ctx.Done()
-	return nil, "", ctx.Err()
+	select {
+	case <-ctx.Done():
+		return nil, "", ctx.Err()
+	case <-time.After(timeout):
+		return nil, "", context.DeadlineExceeded
+	}
 }
 
 func TestAuditorTimeoutRetriesWithBackoffThenPenalizes(t *testing.T) {
@@ -254,6 +261,63 @@ func TestAuditorTimeoutRetriesWithBackoffThenPenalizes(t *testing.T) {
 	}
 	if v := verdicts[0]; v.Outcome != Timeout || v.Attempts != 1 || prober.calls != 1 {
 		t.Errorf("no-retry verdict %+v after %d probe calls, want one Timeout attempt", v, prober.calls)
+	}
+}
+
+// cutProber answers honestly, except that its first probe of each
+// address in cut gets through only the first challenge and then fails.
+// It records the challenge count of every probe per address.
+type cutProber struct {
+	storeProber
+	cut  map[string]bool
+	sent map[string][]int
+}
+
+func (p *cutProber) Audit(ctx context.Context, addr string, chs []wire.AuditChallenge, timeout time.Duration) ([]*wire.AuditResponse, string, error) {
+	p.sent[addr] = append(p.sent[addr], len(chs))
+	resps, fp, err := p.storeProber.Audit(ctx, addr, chs, timeout)
+	if p.cut[addr] && err == nil {
+		p.cut[addr] = false
+		return resps[:1], fp, errors.New("connection reset")
+	}
+	return resps, fp, err
+}
+
+// TestRoundProbesEachAddressOnceAndRetriesOnlyUnanswered: targets are
+// grouped by address into one probe each, a failed probe is retried for
+// the challenges it left unanswered only, and verdicts stay aligned
+// with the targets whatever their order.
+func TestRoundProbesEachAddressOnceAndRetriesOnlyUnanswered(t *testing.T) {
+	a, b := store.NewMemory(), store.NewMemory()
+	targets := []Target{
+		{Addr: "a", FileID: 1, Digests: mkMessages(t, a, 1, 4)},
+		{Addr: "b", FileID: 1, Digests: mkMessages(t, b, 1, 4)},
+		{Addr: "a", FileID: 2, Digests: mkMessages(t, a, 2, 4)},
+		{Addr: "a", FileID: 3, Digests: mkMessages(t, a, 3, 4)},
+	}
+	prober := &cutProber{
+		storeProber: storeProber{stores: map[string]store.Store{"a": a, "b": b}},
+		cut:         map[string]bool{"a": true},
+		sent:        make(map[string][]int),
+	}
+	verdicts, err := Round(context.Background(), prober, []byte("s"), targets, Options{SampleSize: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prober.sent["a"]; len(got) != 2 || got[0] != 3 || got[1] != 2 {
+		t.Errorf("probes of a carried %v challenges, want [3 2]: one probe, then a retry of the unanswered two", got)
+	}
+	if got := prober.sent["b"]; len(got) != 1 || got[0] != 1 {
+		t.Errorf("probes of b carried %v challenges, want [1]", got)
+	}
+	wantAttempts := []int{1, 1, 2, 2}
+	for i, v := range verdicts {
+		if v.Addr != targets[i].Addr || v.FileID != targets[i].FileID {
+			t.Errorf("verdict %d is for %s file %d, want %s file %d", i, v.Addr, v.FileID, targets[i].Addr, targets[i].FileID)
+		}
+		if v.Outcome != Pass || v.Attempts != wantAttempts[i] || v.Peer != "fp-"+v.Addr {
+			t.Errorf("verdict %d = %+v, want Pass after %d attempts", i, v, wantAttempts[i])
+		}
 	}
 }
 

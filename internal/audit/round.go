@@ -1,7 +1,8 @@
 package audit
 
-// Round is the whole audit loop: one keyed spot-check per target, with
-// a timeout per attempt and retries with exponential backoff. It keeps
+// Round is the whole audit loop: one keyed spot-check per target, every
+// target of one address sent over one connection, with a timeout per
+// round trip and retries with exponential backoff. It keeps
 // no state between calls — the caller decides when to check (the CLI's
 // spotcheck, the repair daemon's rounds) and where debits go. It is
 // transport-agnostic: anything that can deliver a challenge and return
@@ -19,10 +20,13 @@ import (
 	"asymshare/internal/wire"
 )
 
-// Prober delivers one challenge to a peer and returns its response and
-// the peer's ledger identity. client.Client satisfies this.
+// Prober delivers one peer's challenges over one connection, one at a
+// time, each round trip bounded by timeout. It returns the responses to
+// a prefix of chs, in order, the peer's ledger identity if it learned
+// it, and the error that left the rest unanswered. client.Client
+// satisfies this.
 type Prober interface {
-	Audit(ctx context.Context, addr string, ch wire.AuditChallenge) (*wire.AuditResponse, string, error)
+	Audit(ctx context.Context, addr string, chs []wire.AuditChallenge, timeout time.Duration) ([]*wire.AuditResponse, string, error)
 }
 
 // Defaults used when the corresponding Options field is zero.
@@ -76,7 +80,8 @@ type Verdict struct {
 	Tally   Tally
 	Penalty float64 // ledger units the caller should debit
 
-	// Attempts is how many probes were sent (1 + retries used).
+	// Attempts is how many probes carried this target's challenge
+	// (1 + retries used).
 	Attempts int
 
 	// Err is the last transport error for Timeout verdicts.
@@ -109,12 +114,14 @@ type Options struct {
 	// credit-equivalent of the data it no longer proves.
 	PenaltyPerMessage float64
 
-	// Timeout bounds one probe attempt; zero means DefaultTimeout.
+	// Timeout bounds one round trip (the first includes the dial);
+	// zero means DefaultTimeout.
 	Timeout time.Duration
 
 	// MaxRetries is how many times a failed probe is retried with
-	// exponential backoff before the audit is declared a Timeout; zero
-	// means DefaultMaxRetries, negative disables retries.
+	// exponential backoff, for the challenges it left unanswered,
+	// before their audits are declared a Timeout; zero means
+	// DefaultMaxRetries, negative disables retries.
 	MaxRetries int
 
 	// Seed makes sampling deterministic; zero seeds from the current
@@ -125,11 +132,13 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Round audits every target once, in order, and returns one verdict per
-// target — fewer if ctx ends first. Penalties are assessed on the
-// verdicts, never applied: the caller relays them (SendAuditVerdicts).
-// A missing prober or secret, or an invalid target, is an error before
-// anything is sent.
+// Round audits every target once and returns one verdict per target,
+// verdicts[i] for targets[i]. All of one address's challenges share one
+// probe, so a peer is dialled once per attempt however many targets it
+// holds. Penalties are assessed on the verdicts, never applied: the
+// caller relays them (SendAuditVerdicts). A missing prober or secret,
+// or an invalid target, is an error before anything is sent; a round
+// that ctx cut short is ctx's error.
 func Round(ctx context.Context, p Prober, secret []byte, targets []Target, opt Options) ([]Verdict, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: prober is required", ErrBadConfig)
@@ -162,30 +171,45 @@ func Round(ctx context.Context, p Prober, secret []byte, targets []Target, opt O
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	out := make([]Verdict, 0, len(targets))
+	chs := make([]wire.AuditChallenge, len(targets))
+	var addrs []string
+	byAddr := make(map[string][]int)
 	for i := range targets {
+		var err error
+		if chs[i], err = BuildChallenge(rng, secret, &targets[i], opt.SampleSize); err != nil {
+			return nil, fmt.Errorf("audit: challenge for %s file %d: %w", targets[i].Addr, targets[i].FileID, err)
+		}
+		addr := targets[i].Addr
+		if byAddr[addr] == nil {
+			addrs = append(addrs, addr)
+		}
+		byAddr[addr] = append(byAddr[addr], i)
+	}
+	out := make([]Verdict, len(targets))
+	for _, addr := range addrs {
 		if ctx.Err() != nil {
 			break
 		}
-		ch, err := BuildChallenge(rng, secret, &targets[i], opt.SampleSize)
-		if err != nil {
-			return out, fmt.Errorf("audit: challenge for %s file %d: %w", targets[i].Addr, targets[i].FileID, err)
-		}
-		out = append(out, check(ctx, p, &targets[i], ch, &opt))
+		check(ctx, p, addr, targets, chs, byAddr[addr], &opt, out)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("audit: round cut short: %w", err)
 	}
 	return out, nil
 }
 
-// check sends one challenge, retrying failed attempts with backoff,
-// and judges the answer.
-func check(ctx context.Context, p Prober, t *Target, ch wire.AuditChallenge, opt *Options) Verdict {
-	v := Verdict{Addr: t.Addr, Peer: t.Peer, FileID: t.FileID}
+// check sends the challenges of targets idx, all held at addr, retrying
+// with backoff the ones a failed attempt left unanswered, and judges
+// each answer into out.
+func check(ctx context.Context, p Prober, addr string, targets []Target, chs []wire.AuditChallenge, idx []int, opt *Options, out []Verdict) {
 	var (
-		resp *wire.AuditResponse
-		err  error
+		peer    string
+		err     error
+		batch   []wire.AuditChallenge
+		backoff = retryBackoff
 	)
-	backoff := retryBackoff
-	for attempt := 0; attempt <= opt.MaxRetries; attempt++ {
+	pending := idx
+	for attempt := 0; attempt <= opt.MaxRetries && len(pending) > 0; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -197,37 +221,55 @@ func check(ctx context.Context, p Prober, t *Target, ch wire.AuditChallenge, opt
 			}
 			backoff *= 2
 		}
-		attemptCtx, cancel := context.WithTimeout(ctx, opt.Timeout)
-		var fingerprint string
-		resp, fingerprint, err = p.Audit(attemptCtx, t.Addr, ch)
-		cancel()
-		v.Attempts++
+		batch = batch[:0]
+		for _, i := range pending {
+			batch = append(batch, chs[i])
+			out[i].Attempts++
+		}
+		var (
+			resps       []*wire.AuditResponse
+			fingerprint string
+		)
+		resps, fingerprint, err = p.Audit(ctx, addr, batch, opt.Timeout)
 		if fingerprint != "" {
-			v.Peer = fingerprint
+			peer = fingerprint
 		}
-		if err == nil {
-			break
+		resps = resps[:min(len(resps), len(pending))]
+		for j, resp := range resps {
+			i := pending[j]
+			if out[i].Tally = VerifyResponse(chs[i], resp, targets[i].Digests); out[i].Tally.Passed() {
+				out[i].Outcome = Pass
+			} else {
+				out[i].Outcome = Fail
+			}
 		}
-		opt.Logger.Debug("audit probe failed", "addr", t.Addr, "attempt", attempt+1, "err", err)
+		pending = pending[len(resps):]
+		if err != nil {
+			opt.Logger.Debug("audit probe failed", "addr", addr, "attempt", attempt+1,
+				"unanswered", len(pending), "err", err)
+		}
+	}
+	for _, i := range pending {
+		n := len(chs[i].MessageIDs)
+		out[i].Outcome, out[i].Err = Timeout, err
+		out[i].Tally = Tally{Sampled: n, Missing: n}
 	}
 
-	if err != nil {
-		v.Outcome, v.Err = Timeout, err
-		v.Tally = Tally{Sampled: len(ch.MessageIDs), Missing: len(ch.MessageIDs)}
-	} else if v.Tally = VerifyResponse(ch, resp, t.Digests); v.Tally.Passed() {
-		v.Outcome = Pass
-	} else {
-		v.Outcome = Fail
-	}
-	if v.Outcome != Pass {
-		perMessage := opt.PenaltyPerMessage
-		if perMessage <= 0 {
-			perMessage = float64(max(t.MessageBytes, 1))
+	for _, i := range idx {
+		t, v := &targets[i], &out[i]
+		v.Addr, v.Peer, v.FileID = t.Addr, t.Peer, t.FileID
+		if peer != "" {
+			v.Peer = peer
 		}
-		v.Penalty = perMessage * float64(v.Tally.Missing+v.Tally.Forged)
+		if v.Outcome != Pass {
+			perMessage := opt.PenaltyPerMessage
+			if perMessage <= 0 {
+				perMessage = float64(max(t.MessageBytes, 1))
+			}
+			v.Penalty = perMessage * float64(v.Tally.Missing+v.Tally.Forged)
+		}
+		opt.Logger.Info("audit verdict", "addr", v.Addr, "peer", v.Peer, "file", v.FileID,
+			"outcome", v.Outcome.String(), "proven", v.Tally.Proven, "sampled", v.Tally.Sampled,
+			"penalty", v.Penalty, "attempts", v.Attempts)
 	}
-	opt.Logger.Info("audit verdict", "addr", v.Addr, "peer", v.Peer, "file", v.FileID,
-		"outcome", v.Outcome.String(), "proven", v.Tally.Proven, "sampled", v.Tally.Sampled,
-		"penalty", v.Penalty, "attempts", v.Attempts)
-	return v
 }

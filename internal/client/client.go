@@ -217,11 +217,11 @@ func (c *Client) Disseminate(ctx context.Context, addr string, msgs []*rlnc.Mess
 	return u.Close()
 }
 
-// roundTrip is every control RPC: dial, one request frame, the expected
-// reply handed to decode (nil: an empty acknowledgement), BYE. It rides
-// Upload's context binding, so a peer that authenticates and goes mute
-// costs the caller its context, not forever. The peer's key fingerprint
-// is returned whenever the dial succeeded.
+// roundTrip is every one-shot control RPC: dial, one request frame,
+// the expected reply handed to decode (nil: an empty acknowledgement),
+// BYE. It rides Upload's context binding, so a peer that authenticates
+// and goes mute costs the caller its context, not forever. The peer's
+// key fingerprint is returned whenever the dial succeeded.
 func (c *Client) roundTrip(ctx context.Context, addr, verb string, req wire.Type, payload []byte,
 	reply wire.Type, decode func([]byte) error) (string, error) {
 	u, err := c.OpenUpload(ctx, addr)
@@ -245,15 +245,6 @@ func (c *Client) roundTrip(ctx context.Context, addr, verb string, req wire.Type
 		return fingerprint, fmt.Errorf("client: %s %s: %w", verb, addr, u.ctxErr(err))
 	}
 	return fingerprint, nil
-}
-
-// ListFiles asks a peer which generations it stores (identifiers and
-// message counts only — no payloads), letting an owner audit where its
-// data is replicated.
-func (c *Client) ListFiles(ctx context.Context, addr string) ([]wire.FileEntry, error) {
-	var list wire.FileList
-	_, err := c.roundTrip(ctx, addr, "list", wire.TypeList, nil, wire.TypeFileList, list.Unmarshal)
-	return list.Files, err
 }
 
 // SendFeedback delivers per-peer receipt reports to the user's own

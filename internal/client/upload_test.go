@@ -238,11 +238,10 @@ func TestControlRPCsHonourContextAgainstMutePeer(t *testing.T) {
 	addr := ln.Addr().String()
 	amounts := map[string]uint64{"someone": 1}
 	rpcs := map[string]func(context.Context) error{
-		"ListFiles":         func(ctx context.Context) error { _, err := c.ListFiles(ctx, addr); return err },
 		"SendFeedback":      func(ctx context.Context) error { return c.SendFeedback(ctx, addr, amounts) },
 		"SendAuditVerdicts": func(ctx context.Context) error { return c.SendAuditVerdicts(ctx, addr, amounts) },
 		"Audit": func(ctx context.Context) error {
-			_, _, err := c.Audit(ctx, addr, wire.AuditChallenge{FileID: 1})
+			_, _, err := c.Audit(ctx, addr, []wire.AuditChallenge{{FileID: 1}}, time.Minute)
 			return err
 		},
 		"ProposeContract": func(ctx context.Context) error {

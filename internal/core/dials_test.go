@@ -2,6 +2,8 @@ package core_test
 
 // The write path opens one connection per destination per call: an
 // update or a repair touching several chunks of a peer dials it once.
+// A spot-check round probes each peer on one connection per attempt,
+// however many chunks it holds.
 
 import (
 	"bytes"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"asymshare/internal/audit"
 	"asymshare/internal/client"
 	"asymshare/internal/core"
 	"asymshare/internal/transport"
@@ -64,7 +67,7 @@ func TestUpdateFileDialsEachPeerOnce(t *testing.T) {
 	}
 }
 
-func TestRepairDialsOnceToListAndOnceToUpload(t *testing.T) {
+func TestRepairDialsOnceToProbeAndOnceToUpload(t *testing.T) {
 	tr := new(countingTransport)
 	sys, err := core.NewSystem(identity(t, 170), nil, core.WithPlan(smallPlan()),
 		core.WithClientOptions(client.Options{Transport: tr}))
@@ -94,9 +97,42 @@ func TestRepairDialsOnceToListAndOnceToUpload(t *testing.T) {
 		t.Errorf("repair uploaded %d messages, want the lost batch's %d", n, k)
 	}
 	if got := tr.dials.Load(); got != 3 {
-		t.Errorf("repair of one lost batch on 2 peers dialled %d times, want 3: one LIST each, one upload", got)
+		t.Errorf("repair of one lost batch on 2 peers dialled %d times, want 3: one probe each, one upload", got)
 	}
 	if back, _, err := sys.FetchFile(ctx, &res.Handle, res.Secret); err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("fetch after repair: %v, identical=%v", err, bytes.Equal(back, data))
+	}
+}
+
+func TestSpotCheckDialsUnreachablePeerPerRoundNotPerChunk(t *testing.T) {
+	tr := new(countingTransport)
+	sys, err := core.NewSystem(identity(t, 175), nil, core.WithPlan(smallPlan()),
+		core.WithClientOptions(client.Options{Transport: tr}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := startPeer(t, 176)
+	addrs := []string{gone.Addr().String(), startPeer(t, 177).Addr().String()}
+	data := make([]byte, 2200) // 3 chunks under smallPlan
+	rand.New(rand.NewSource(18)).Read(data)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := sys.ShareFile(ctx, "gone.bin", data, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+
+	tr.dials.Store(0)
+	report, err := sys.SpotCheck(ctx, &res.Handle, res.Secret, core.SpotCheckOptions{Sample: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := report.FailedChunks[addrs[0]]; len(got) != 3 || report.Stats.Timeouts != 3 {
+		t.Fatalf("unreachable peer: failed chunks %v, %d timeouts; want all 3 chunks timed out", got, report.Stats.Timeouts)
+	}
+	if want := int64(1 + 1 + audit.DefaultMaxRetries); tr.dials.Load() != want {
+		t.Errorf("spot-check round dialled %d times, want %d: one to the live peer, 1+%d to the unreachable one for all its chunks",
+			tr.dials.Load(), want, audit.DefaultMaxRetries)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"asymshare/internal/peer"
 	"asymshare/internal/ring"
 	"asymshare/internal/store"
+	"asymshare/internal/wire"
 )
 
 func TestShareFilePlacedRoundTrip(t *testing.T) {
@@ -91,16 +92,17 @@ func TestShareFilePlacedRoundTrip(t *testing.T) {
 		t.Errorf("rejected = %d", stats.Rejected)
 	}
 
-	// Audit understands placement: healthy now...
-	report, err := sys.Audit(ctx, &res.Handle)
+	// The spot-check understands placement: every placed batch passes...
+	full := core.SpotCheckOptions{Sample: wire.MaxAuditSample}
+	report, err := sys.SpotCheck(ctx, &res.Handle, res.Secret, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Healthy() {
-		t.Fatalf("placed share unhealthy: %+v", report)
+	if !report.AllPassed() {
+		t.Fatalf("placed share failed its spot-check: %v", report.FailedChunks)
 	}
-	if report.TotalBatches != 5*replicas {
-		t.Errorf("TotalBatches = %d, want %d", report.TotalBatches, 5*replicas)
+	if len(report.Verdicts) != 5*replicas {
+		t.Errorf("%d batches checked, want %d", len(report.Verdicts), 5*replicas)
 	}
 
 	// ...and repair restores a responsible peer after data loss.
@@ -108,26 +110,26 @@ func TestShareFilePlacedRoundTrip(t *testing.T) {
 	if err := stores[victim].Drop(res.Handle.Manifest.Chunks[0].FileID); err != nil {
 		t.Fatal(err)
 	}
-	report, err = sys.Audit(ctx, &res.Handle)
+	report, err = sys.SpotCheck(ctx, &res.Handle, res.Secret, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Healthy() {
-		t.Fatal("audit missed placed loss")
+	if report.AllPassed() {
+		t.Fatal("spot-check missed placed loss")
 	}
 	n, err := sys.Repair(ctx, &res.Handle, res.Secret, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("repair uploaded nothing")
+	if n != res.Handle.Manifest.Chunks[0].K {
+		t.Fatalf("repair uploaded %d messages, want the lost batch's %d", n, res.Handle.Manifest.Chunks[0].K)
 	}
-	report, err = sys.Audit(ctx, &res.Handle)
+	report, err = sys.SpotCheck(ctx, &res.Handle, res.Secret, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Healthy() {
-		t.Fatalf("still unhealthy after placed repair: %+v", report)
+	if !report.AllPassed() {
+		t.Fatalf("still failing after placed repair: %v", report.FailedChunks)
 	}
 
 	// The handle (with placement) survives serialization.

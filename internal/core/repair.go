@@ -1,12 +1,11 @@
 package core
 
-// Replication audit and repair. Because every message is a
-// deterministic function of (file-id, message-id, secret), the owner
-// can regenerate any peer's batch from the original data at any time —
-// so a peer that lost its store (disk failure, eviction) is repaired
-// with a plain re-dissemination, no inter-peer transfer or decode
-// needed. This realizes the paper's "geographic data robustness"
-// operationally.
+// Retention repair. Because every message is a deterministic function
+// of (file-id, message-id, secret), the owner can regenerate any peer's
+// batch from the original data at any time — so a peer that lost or
+// corrupted its copy is repaired with a plain re-dissemination, no
+// inter-peer transfer or decode needed. This realizes the paper's
+// "geographic data robustness" operationally.
 
 import (
 	"context"
@@ -14,31 +13,8 @@ import (
 
 	"asymshare/internal/chunk"
 	"asymshare/internal/rlnc"
+	"asymshare/internal/wire"
 )
-
-// AuditReport describes replication health for one handle.
-type AuditReport struct {
-	// MissingByPeer maps peer address to the number of (chunk, peer)
-	// batches that are absent or incomplete there.
-	MissingByPeer map[string]int
-
-	// TotalBatches is the number of batches expected across all peers.
-	TotalBatches int
-
-	// incomplete lists, per peer address, the chunks MissingByPeer
-	// counts: Repair's work list.
-	incomplete map[string][]int
-}
-
-// Healthy reports whether every expected batch is fully present.
-func (a *AuditReport) Healthy() bool {
-	for _, n := range a.MissingByPeer {
-		if n > 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // batchRank returns the batch index addr was assigned for chunk i
 // (its position among the chunk's holders), or -1.
@@ -51,43 +27,10 @@ func (h *Handle) batchRank(addr string, i int) int {
 	return -1
 }
 
-// Audit LISTs each peer's stored inventory once and checks it against
-// the handle, respecting ring placement when present: a peer should
-// hold k messages of every chunk placed on it.
-func (s *System) Audit(ctx context.Context, h *Handle) (*AuditReport, error) {
-	if h == nil || len(h.Peers) == 0 {
-		return nil, fmt.Errorf("%w: missing peers", ErrBadHandle)
-	}
-	report := &AuditReport{
-		MissingByPeer: make(map[string]int, len(h.Peers)),
-		incomplete:    make(map[string][]int),
-	}
-	for _, addr := range h.Peers {
-		files, err := s.client.ListFiles(ctx, addr)
-		if err != nil {
-			return nil, fmt.Errorf("core: audit %s: %w", addr, err)
-		}
-		have := make(map[uint64]int, len(files))
-		for _, f := range files {
-			have[f.FileID] = f.Messages
-		}
-		for i, info := range h.Manifest.Chunks {
-			if h.batchRank(addr, i) < 0 {
-				continue
-			}
-			if have[info.FileID] < info.K {
-				report.incomplete[addr] = append(report.incomplete[addr], i)
-			}
-			report.TotalBatches++
-		}
-		report.MissingByPeer[addr] = len(report.incomplete[addr])
-	}
-	return report, nil
-}
-
-// Repair re-disseminates every incomplete batch found by Audit,
-// regenerating the messages from the original data. It returns the
-// number of messages re-uploaded.
+// Repair spot-checks every message of every batch the handle places
+// (up to wire.MaxAuditSample a batch) and re-sends each batch that did
+// not pass — missing, corrupted or unreachable — at its rank,
+// regenerated from data. It returns the number of messages re-uploaded.
 func (s *System) Repair(ctx context.Context, h *Handle, secret, data []byte) (int, error) {
 	if h == nil || len(h.Peers) == 0 {
 		return 0, fmt.Errorf("%w: missing peers", ErrBadHandle)
@@ -96,14 +39,14 @@ func (s *System) Repair(ctx context.Context, h *Handle, secret, data []byte) (in
 		return 0, fmt.Errorf("%w: data is %d bytes, manifest says %d",
 			ErrBadHandle, len(data), h.Manifest.TotalSize)
 	}
-	report, err := s.Audit(ctx, h)
+	report, err := s.SpotCheck(ctx, h, secret, SpotCheckOptions{Sample: wire.MaxAuditSample})
 	if err != nil {
 		return 0, err
 	}
 	var dests destSet
 	var jobs []shareJob
 	for _, addr := range h.Peers {
-		for _, i := range report.incomplete[addr] {
+		for _, i := range report.FailedChunks[addr] {
 			jobs = append(jobs, shareJob{dest: dests.of(addr), chunk: i, rank: h.batchRank(addr, i)})
 		}
 	}

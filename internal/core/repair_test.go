@@ -11,24 +11,27 @@ import (
 	"asymshare/internal/core"
 	"asymshare/internal/peer"
 	"asymshare/internal/store"
+	"asymshare/internal/wire"
 )
 
-func TestAuditAndRepair(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	data := make([]byte, 2200) // 3 chunks under smallPlan
-	rng.Read(data)
+// fullCheck samples every message of every batch, as Repair does.
+var fullCheck = core.SpotCheckOptions{Sample: wire.MaxAuditSample}
 
-	sys, err := core.NewSystem(identity(t, 120), nil, core.WithPlan(smallPlan()))
+// repairFixture shares 3 chunks of data (under smallPlan) to two
+// peers and returns the stores the test injects damage into.
+func repairFixture(t *testing.T, ctx context.Context, seed int64, b byte) (*core.System, *core.ShareResult, []byte, []*store.Memory, []string) {
+	t.Helper()
+	data := make([]byte, 2200)
+	rand.New(rand.NewSource(seed)).Read(data)
+	sys, err := core.NewSystem(identity(t, b), nil, core.WithPlan(smallPlan()))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Keep store references so the test can inject data loss.
 	stores := make([]*store.Memory, 2)
 	var addrs []string
 	for i := range stores {
 		stores[i] = store.NewMemory()
-		node, err := peer.New(peer.Config{Identity: identity(t, byte(121+i)), Store: stores[i]})
+		node, err := peer.New(peer.Config{Identity: identity(t, b+1+byte(i)), Store: stores[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,39 +41,53 @@ func TestAuditAndRepair(t *testing.T) {
 		t.Cleanup(func() { node.Close() })
 		addrs = append(addrs, node.Addr().String())
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	res, err := sys.ShareFile(ctx, "precious.dat", data, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys, res, data, stores, addrs
+}
 
-	report, err := sys.Audit(ctx, &res.Handle)
+// corruptInPlace flips a byte of every message st holds for fileID,
+// keeping the message ids and count the peer reports.
+func corruptInPlace(t *testing.T, st *store.Memory, fileID uint64) {
+	t.Helper()
+	msgs, err := st.Messages(fileID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Healthy() {
-		t.Fatalf("fresh share unhealthy: %+v", report)
+	for _, m := range msgs {
+		bad := m.Clone()
+		bad.Payload[0] ^= 0xFF
+		if err := st.Put(bad); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if report.TotalBatches != 2*3 {
-		t.Errorf("TotalBatches = %d, want 6", report.TotalBatches)
+}
+
+func TestAuditAndRepair(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	sys, res, data, stores, addrs := repairFixture(t, ctx, 21, 120)
+
+	report, err := sys.SpotCheck(ctx, &res.Handle, res.Secret, fullCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.AllPassed() || len(report.Verdicts) != 2*3 {
+		t.Fatalf("fresh share: %d batches checked, failed %v; want 6, none", len(report.Verdicts), report.FailedChunks)
 	}
 
 	// Disaster: peer 0 loses one generation entirely.
-	lost := res.Handle.Manifest.Chunks[1].FileID
-	if err := stores[0].Drop(lost); err != nil {
+	if err := stores[0].Drop(res.Handle.Manifest.Chunks[1].FileID); err != nil {
 		t.Fatal(err)
 	}
-	report, err = sys.Audit(ctx, &res.Handle)
+	report, err = sys.SpotCheck(ctx, &res.Handle, res.Secret, fullCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Healthy() {
-		t.Fatal("audit missed the lost generation")
-	}
-	if report.MissingByPeer[addrs[0]] != 1 || report.MissingByPeer[addrs[1]] != 0 {
-		t.Errorf("MissingByPeer = %v", report.MissingByPeer)
+	if failed := report.FailedChunks[addrs[0]]; len(failed) != 1 || failed[0] != 1 || len(report.FailedChunks) != 1 {
+		t.Fatalf("FailedChunks = %v, want chunk 1 on %s only", report.FailedChunks, addrs[0])
 	}
 
 	// Repair regenerates and re-uploads exactly the lost batch.
@@ -78,15 +95,15 @@ func TestAuditAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("repair uploaded nothing")
+	if k := res.Handle.Manifest.Chunks[1].K; n != k {
+		t.Fatalf("repair uploaded %d messages, want the lost batch's %d", n, k)
 	}
-	report, err = sys.Audit(ctx, &res.Handle)
+	report, err = sys.SpotCheck(ctx, &res.Handle, res.Secret, fullCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Healthy() {
-		t.Fatalf("still unhealthy after repair: %+v", report)
+	if !report.AllPassed() {
+		t.Fatalf("still failing after repair: %v", report.FailedChunks)
 	}
 
 	// A second repair is a no-op.
@@ -108,14 +125,45 @@ func TestAuditAndRepair(t *testing.T) {
 	}
 }
 
+// TestRepairResendsBatchCorruptedInPlace: a peer keeps every message id
+// of a batch, so the count it would report is intact, but the bytes are
+// garbage. Repair re-sends exactly that batch, and a full spot-check
+// passes after.
+func TestRepairResendsBatchCorruptedInPlace(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	sys, res, data, stores, _ := repairFixture(t, ctx, 22, 125)
+
+	victim := res.Handle.Manifest.Chunks[1]
+	corruptInPlace(t, stores[0], victim.FileID)
+	if n := stores[0].Count(victim.FileID); n != victim.K {
+		t.Fatalf("corruption changed the stored count to %d, want %d", n, victim.K)
+	}
+
+	n, err := sys.Repair(ctx, &res.Handle, res.Secret, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != victim.K {
+		t.Fatalf("repair uploaded %d messages, want the corrupted batch's %d", n, victim.K)
+	}
+	report, err := sys.SpotCheck(ctx, &res.Handle, res.Secret, fullCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.AllPassed() {
+		t.Fatalf("full spot-check after repair failed: %v", report.FailedChunks)
+	}
+}
+
 func TestAuditRepairValidation(t *testing.T) {
 	sys, err := core.NewSystem(identity(t, 130), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := sys.Audit(ctx, nil); !errors.Is(err, core.ErrBadHandle) {
-		t.Errorf("nil handle audit error = %v", err)
+	if _, err := sys.SpotCheck(ctx, nil, nil, core.SpotCheckOptions{}); !errors.Is(err, core.ErrBadHandle) {
+		t.Errorf("nil handle spot-check error = %v", err)
 	}
 	if _, err := sys.Repair(ctx, nil, nil, nil); !errors.Is(err, core.ErrBadHandle) {
 		t.Errorf("nil handle repair error = %v", err)

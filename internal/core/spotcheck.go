@@ -1,13 +1,10 @@
 package core
 
-// Keyed retention spot-checks over a share handle. The count-based
-// Audit in repair.go trusts the peer's LIST answer — a peer that lied
-// about its inventory, or kept garbage bytes under the right ids,
-// would pass it while the data is gone. SpotCheck closes that gap with
-// internal/audit's keyed challenges: each (peer, chunk) obligation is
-// probed cryptographically, failures are debited, and RepairFailed
-// force-re-disseminates exactly the batches that failed, ignoring
-// whatever inventory the peer claims.
+// Keyed retention spot-checks over a share handle, the one retention
+// check: each (peer, chunk) obligation is probed with internal/audit's
+// keyed challenges, so a peer that lost the data, or kept garbage bytes
+// under the right ids, fails and is debited. Repair (repair.go) re-sends
+// every batch that fails a spot-check of all its messages.
 
 import (
 	"context"
@@ -53,9 +50,9 @@ type SpotCheckReport struct {
 func (r *SpotCheckReport) AllPassed() bool { return len(r.FailedChunks) == 0 }
 
 // SpotCheck runs one keyed spot-check round over every (peer, chunk)
-// obligation in the handle, respecting ring placement. It contacts
-// every peer even after failures — the point is a complete damage
-// report, not a quick abort.
+// obligation in the handle, respecting ring placement, with one
+// connection per peer. It contacts every peer even after failures — the
+// point is a complete damage report, not a quick abort.
 func (s *System) SpotCheck(ctx context.Context, h *Handle, secret []byte, opts SpotCheckOptions) (*SpotCheckReport, error) {
 	if h == nil || len(h.Peers) == 0 {
 		return nil, fmt.Errorf("%w: missing peers", ErrBadHandle)
@@ -129,41 +126,4 @@ func (s *System) ReportSpotCheck(ctx context.Context, ownPeerAddr string, r *Spo
 		return nil
 	}
 	return s.client.SendAuditVerdicts(ctx, ownPeerAddr, r.Debits)
-}
-
-// RepairFailed regenerates and re-disseminates every batch that failed
-// a spot-check, regardless of the inventory the peer claims. Unlike
-// Repair, it never consults LIST: the cryptographic verdict already
-// established the data is unusable there. The batches are re-minted at
-// their original ranks and sent through the write path, so no new
-// digests are minted and the handle needs no re-persisting. Returns the
-// number of messages re-uploaded.
-func (s *System) RepairFailed(ctx context.Context, h *Handle, secret, data []byte, r *SpotCheckReport) (int, error) {
-	if h == nil || len(h.Peers) == 0 {
-		return 0, fmt.Errorf("%w: missing peers", ErrBadHandle)
-	}
-	if r == nil || r.AllPassed() {
-		return 0, nil
-	}
-	if int64(len(data)) != h.Manifest.TotalSize {
-		return 0, fmt.Errorf("%w: data is %d bytes, manifest says %d",
-			ErrBadHandle, len(data), h.Manifest.TotalSize)
-	}
-	var dests destSet
-	var jobs []shareJob
-	for _, addr := range h.Peers {
-		for _, i := range r.FailedChunks[addr] {
-			if i < 0 || i >= len(h.Manifest.Chunks) {
-				return 0, fmt.Errorf("%w: chunk index %d out of range", ErrBadHandle, i)
-			}
-			if rank := h.batchRank(addr, i); rank >= 0 { // else placement changed since the audit
-				jobs = append(jobs, shareJob{dest: dests.of(addr), chunk: i, rank: rank})
-			}
-		}
-	}
-	n, err := s.resend(ctx, h, secret, data, &dests, jobs)
-	if err != nil {
-		return n, fmt.Errorf("core: repair after failed audit: %w", err)
-	}
-	return n, nil
 }

@@ -11,10 +11,9 @@ import (
 	"asymshare/internal/store"
 )
 
-// TestSpotCheckCatchesSilentCorruption covers the case count-based
-// Audit cannot: a peer that keeps the right message inventory but the
-// wrong bytes. The spot-check must fail it, assess a debit, and
-// RepairFailed must restore retrievability.
+// TestSpotCheckCatchesSilentCorruption: a peer that keeps the right
+// message inventory but the wrong bytes fails the spot-check and is
+// debited; its honest neighbour is not.
 func TestSpotCheckCatchesSilentCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	data := make([]byte, 2200) // 3 chunks under smallPlan
@@ -67,29 +66,7 @@ func TestSpotCheckCatchesSilentCorruption(t *testing.T) {
 
 	// Peer 0 silently corrupts every message of chunk 1: inventory
 	// counts stay perfect, the bytes are garbage.
-	victim := res.Handle.Manifest.Chunks[1].FileID
-	msgs, err := stores[0].Messages(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs {
-		bad := m.Clone()
-		bad.Payload[0] ^= 0xFF
-		if err := stores[0].Put(bad); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The count-based audit is fooled...
-	countReport, err := sys.Audit(ctx, &res.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !countReport.Healthy() {
-		t.Fatal("count-based audit unexpectedly noticed the corruption")
-	}
-
-	// ...the keyed spot-check is not.
+	corruptInPlace(t, stores[0], res.Handle.Manifest.Chunks[1].FileID)
 	report, err = sys.SpotCheck(ctx, &res.Handle, res.Secret, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -112,31 +89,5 @@ func TestSpotCheckCatchesSilentCorruption(t *testing.T) {
 	}
 	if report.Stats.Failed != 1 || report.Stats.Passed != 5 {
 		t.Errorf("stats = %+v", report.Stats)
-	}
-
-	// RepairFailed restores the batch without consulting the peer's
-	// (lying) inventory; the next round is clean.
-	n, err := sys.RepairFailed(ctx, &res.Handle, res.Secret, data, report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("RepairFailed uploaded nothing")
-	}
-	report, err = sys.SpotCheck(ctx, &res.Handle, res.Secret, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.AllPassed() {
-		t.Fatalf("still failing after repair: %+v", report.FailedChunks)
-	}
-
-	// A clean report makes RepairFailed a no-op.
-	n, err = sys.RepairFailed(ctx, &res.Handle, res.Secret, data, report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("no-op repair uploaded %d messages", n)
 	}
 }

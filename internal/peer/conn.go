@@ -233,21 +233,6 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 			delete(cs.active, stop.FileID)
 		}
 		cs.mu.Unlock()
-	case wire.TypeList:
-		list := wire.FileList{}
-		for _, fileID := range n.cfg.Store.Files() {
-			list.Files = append(list.Files, wire.FileEntry{
-				FileID:   fileID,
-				Messages: n.cfg.Store.Count(fileID),
-			})
-		}
-		blob, err := list.Marshal()
-		if err != nil {
-			return true
-		}
-		if err := cs.cw.writeFrame(wire.TypeFileList, blob); err != nil {
-			return true
-		}
 	case wire.TypeAuditChallenge:
 		if err := n.handleAudit(cs.cw, client, payload); err != nil {
 			n.log.Debug("audit failed", "client", client, "err", err)

@@ -35,11 +35,11 @@ func (r *recorder) bytes() []byte {
 }
 
 // TestConnErrorFramesTakeTheWriteLock: the ERROR frames dispatch sends
-// for a malformed STOP, a malformed GET and an unexpected frame wait
-// for the connection's write lock like every other write. A stream
-// holds that lock across a DATA frame's header and payload, which are
-// two writes on a transport without writev; an ERROR that skipped the
-// lock could land between them.
+// for a malformed STOP, a malformed GET and an unexpected frame (the
+// retired LIST among them) wait for the connection's write lock like
+// every other write. A stream holds that lock across a DATA frame's
+// header and payload, which are two writes on a transport without
+// writev; an ERROR that skipped the lock could land between them.
 func TestConnErrorFramesTakeTheWriteLock(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -49,6 +49,7 @@ func TestConnErrorFramesTakeTheWriteLock(t *testing.T) {
 		{"malformed STOP", wire.TypeStop, []byte{1, 2, 3}},
 		{"malformed GET", wire.TypeGet, []byte{1, 2, 3}},
 		{"unexpected frame", wire.TypeChallenge, nil},
+		{"retired LIST", wire.TypeList, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var rec recorder

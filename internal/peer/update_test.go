@@ -169,40 +169,3 @@ func TestPatchUnknownMessageFails(t *testing.T) {
 		t.Error("patch for unknown message accepted")
 	}
 }
-
-func TestListFiles(t *testing.T) {
-	node := startPeer(t, peer.Config{Identity: identity(t, 245), Store: store.NewMemory()})
-	c, err := client.New(identity(t, 246), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// Empty store lists empty.
-	files, err := c.ListFiles(ctx, node.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 0 {
-		t.Errorf("empty store list = %v", files)
-	}
-	// Store two generations.
-	msgs := []*rlnc.Message{
-		{FileID: 10, MessageID: 1, Payload: []byte{1}},
-		{FileID: 10, MessageID: 2, Payload: []byte{2}},
-		{FileID: 20, MessageID: 1, Payload: []byte{3}},
-	}
-	if err := c.Disseminate(ctx, node.Addr().String(), msgs); err != nil {
-		t.Fatal(err)
-	}
-	files, err = c.ListFiles(ctx, node.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 {
-		t.Fatalf("list = %v", files)
-	}
-	if files[0].FileID != 10 || files[0].Messages != 2 || files[1].FileID != 20 || files[1].Messages != 1 {
-		t.Errorf("list contents = %v", files)
-	}
-}

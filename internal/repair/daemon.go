@@ -1,18 +1,26 @@
+// Package repair is the proactive repair daemon. Because every message
+// is a pure function of (file-id, message-id, secret), repair needs no
+// inter-peer transfer and no decode — the owner regenerates any batch
+// at will, the paper's "geographic data robustness" made operational.
+// Reactive repair (core.System.Repair) re-mints at the batches'
+// original ranks and sends through core's write path; the daemon mints
+// fresh batches at never-used ranks (Daemon.mintFresh) and places each
+// under its own contract.
 package repair
 
-// The proactive repair daemon. Each round it sweeps the owner's
-// contract holdings (internal/contract.Set) and acts on the three
-// churn signals the subsystem produces: keyed audit verdicts
-// (internal/audit — a holder that cannot prove retention has lost the
-// data), liveness (a holder that cannot be reached at all has left the
-// swarm; discovery supplies replacement candidates), and contract
-// expiry (an obligation nobody renewed is not a replica). From the
-// surviving holdings it computes a rank-margin watermark per chunk —
-// surviving innovative coefficients over k — and when a chunk's full
-// replicas fall below the target R it negotiates contracts with fresh
-// peers and re-disseminates newly minted batches at never-used ranks,
-// BEFORE decodability is threatened: the watermark triggers at margin
-// < R while the file is still decodable at margin ≥ 1.
+// Each round the daemon sweeps the owner's contract holdings
+// (internal/contract.Set) and acts on the three churn signals the
+// subsystem produces: keyed audit verdicts (internal/audit — a holder
+// that cannot prove retention has lost the data), liveness (a holder
+// that cannot be reached at all has left the swarm; discovery supplies
+// replacement candidates), and contract expiry (an obligation nobody
+// renewed is not a replica). From the surviving holdings it computes a
+// rank-margin watermark per chunk — surviving innovative coefficients
+// over k — and when a chunk's full replicas fall below the target R it
+// negotiates contracts with fresh peers and re-disseminates newly
+// minted batches at never-used ranks, BEFORE decodability is
+// threatened: the watermark triggers at margin < R while the file is
+// still decodable at margin ≥ 1.
 
 import (
 	"context"
@@ -104,7 +112,7 @@ type Config struct {
 	// DefaultSample.
 	Sample int
 
-	// ProbeTimeout bounds one audit probe; zero means the audit
+	// ProbeTimeout bounds one audit round trip; zero means the audit
 	// default.
 	ProbeTimeout time.Duration
 
@@ -154,7 +162,6 @@ type Report struct {
 // Daemon runs proactive repair rounds.
 type Daemon struct {
 	cfg    Config
-	eng    *Engine
 	pieces [][]byte
 	log    *slog.Logger
 	clock  func() time.Time
@@ -211,7 +218,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg:    cfg,
-		eng:    &Engine{Manifest: cfg.Manifest, Secret: cfg.Secret},
 		pieces: chunk.Split(cfg.Data, cfg.Manifest.Plan.ChunkSize),
 		log:    cfg.Logger,
 		clock:  cfg.Clock,
@@ -558,7 +564,7 @@ func (d *Daemon) placeReplica(ctx context.Context, i int, info chunk.ChunkInfo, 
 		rank = r
 	}
 	rank++
-	batch, err := d.eng.Mint(Task{Addr: addr, Chunk: i, Rank: rank, Fresh: true}, d.pieces[i])
+	batch, err := d.mintFresh(i, rank)
 	if err != nil {
 		return false, err
 	}
@@ -599,6 +605,34 @@ func (d *Daemon) placeReplica(ctx context.Context, i int, info chunk.ChunkInfo, 
 		rep.Bytes += int64(len(m.Payload) + rlnc.MessageHeaderBytes)
 	}
 	return true, nil
+}
+
+// mintFresh regenerates the k messages of batch rank for chunk i from
+// the chunk's original piece and records their digests into the
+// manifest before returning them: recording-before-upload is the
+// crash-safe order, since an orphan digest is harmless but an uploaded
+// batch without digests is unfetchable. Callers hold runMu, which
+// serializes the manifest writes.
+func (d *Daemon) mintFresh(i, rank int) ([]*rlnc.Message, error) {
+	info := d.cfg.Manifest.Chunks[i]
+	params, err := info.Params(d.cfg.Manifest.Plan)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := rlnc.NewEncoder(params, info.FileID, d.cfg.Secret, d.pieces[i])
+	if err != nil {
+		return nil, err
+	}
+	batch, err := enc.BatchForPeer(rank, params.K)
+	if err != nil {
+		return nil, fmt.Errorf("repair: batch rank %d chunk %d: %w", rank, i, err)
+	}
+	digests := make([]rlnc.Digest, len(batch))
+	rlnc.DigestBatch(digests, batch)
+	for j, msg := range batch {
+		info.Digests[msg.MessageID] = digests[j]
+	}
+	return batch, nil
 }
 
 // newContractID draws a fresh non-zero contract id.

@@ -100,7 +100,7 @@ func (f *fakeSwarm) Disseminate(_ context.Context, addr string, msgs []*rlnc.Mes
 	return nil
 }
 
-func (f *fakeSwarm) Audit(_ context.Context, addr string, ch wire.AuditChallenge) (*wire.AuditResponse, string, error) {
+func (f *fakeSwarm) Audit(_ context.Context, addr string, chs []wire.AuditChallenge, _ time.Duration) ([]*wire.AuditResponse, string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.dead[addr] {
@@ -110,17 +110,20 @@ func (f *fakeSwarm) Audit(_ context.Context, addr string, ch wire.AuditChallenge
 	if !ok {
 		return nil, "", errors.New("no such peer")
 	}
-	resp := &wire.AuditResponse{FileID: ch.FileID}
-	for _, id := range ch.MessageIDs {
-		proof := wire.AuditProof{MessageID: id}
-		if msg, err := st.Get(ch.FileID, id); err == nil {
-			d := msg.Digest()
-			proof.Present = true
-			proof.MAC = auth.AuditMAC(ch.Key, ch.FileID, id, d[:])
+	resps := make([]*wire.AuditResponse, len(chs))
+	for i, ch := range chs {
+		resps[i] = &wire.AuditResponse{FileID: ch.FileID}
+		for _, id := range ch.MessageIDs {
+			proof := wire.AuditProof{MessageID: id}
+			if msg, err := st.Get(ch.FileID, id); err == nil {
+				d := msg.Digest()
+				proof.Present = true
+				proof.MAC = auth.AuditMAC(ch.Key, ch.FileID, id, d[:])
+			}
+			resps[i].Proofs = append(resps[i].Proofs, proof)
 		}
-		resp.Proofs = append(resp.Proofs, proof)
 	}
-	return resp, "fp-" + addr, nil
+	return resps, "fp-" + addr, nil
 }
 
 func (f *fakeSwarm) ProposeContract(_ context.Context, addr string, p wire.ContractPropose) (wire.ContractGrant, string, error) {
@@ -198,7 +201,6 @@ type fixture struct {
 	share   *chunk.Share
 	swarm   *fakeSwarm
 	set     *contract.Set
-	eng     *Engine
 	nextID  uint64
 	holders []string
 }
@@ -216,15 +218,14 @@ func newFixture(t *testing.T, dataLen, holders int, clock func() time.Time, expi
 		swarm: newFakeSwarm(clock),
 		set:   contract.NewSet(),
 	}
-	fx.eng = &Engine{Manifest: &share.Manifest, Secret: share.Secret}
-	pieces := chunk.Split(data, share.Manifest.Plan.ChunkSize)
+	minter := fx.daemon(t, Config{})
 	for r := 0; r < holders; r++ {
 		addr := string(rune('a'+r)) + ":1"
 		fx.swarm.addPeer(addr)
 		fx.holders = append(fx.holders, addr)
 		for ci := range share.Manifest.Chunks {
 			fx.nextID++
-			batch, err := fx.eng.Mint(Task{Addr: addr, Chunk: ci, Rank: r, Fresh: true}, pieces[ci])
+			batch, err := minter.mintFresh(ci, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,26 +278,21 @@ func (fx *fixture) daemon(t *testing.T, cfg Config) *Daemon {
 	return d
 }
 
-func TestEngineMintFreshIsDeterministicAndRecordsDigests(t *testing.T) {
-	data := testData(1024)
-	share, err := chunk.BuildShare("f", data, testPlan(), 7, []byte("s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &Engine{Manifest: &share.Manifest, Secret: share.Secret}
-	pieces := chunk.Split(data, share.Manifest.Plan.ChunkSize)
+func TestDaemonMintFreshIsDeterministicAndRecordsDigests(t *testing.T) {
+	fx := newFixture(t, 1024, 0, time.Now, time.Now())
+	d := fx.daemon(t, Config{})
+	chunk0 := &fx.share.Manifest.Chunks[0]
 
-	batch, err := eng.Mint(Task{Chunk: 0, Rank: 3, Fresh: true}, pieces[0])
+	batch, err := d.mintFresh(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := share.Manifest.Chunks[0].K
-	if len(batch) != k {
-		t.Fatalf("minted %d messages, want k=%d", len(batch), k)
+	if len(batch) != chunk0.K {
+		t.Fatalf("minted %d messages, want k=%d", len(batch), chunk0.K)
 	}
-	digests := digestsForRank(share.Manifest.Chunks[0].Digests, 3)
-	if len(digests) != k {
-		t.Fatalf("recorded %d fresh digests, want %d", len(digests), k)
+	digests := digestsForRank(chunk0.Digests, 3)
+	if len(digests) != chunk0.K {
+		t.Fatalf("recorded %d fresh digests, want %d", len(digests), chunk0.K)
 	}
 	for _, m := range batch {
 		if digests[m.MessageID] != m.Digest() {
@@ -305,7 +301,7 @@ func TestEngineMintFreshIsDeterministicAndRecordsDigests(t *testing.T) {
 	}
 	// Determinism: re-minting the same rank yields the same batch, so a
 	// crashed repair can be replayed without new manifest state.
-	again, err := eng.Mint(Task{Chunk: 0, Rank: 3}, pieces[0])
+	again, err := d.mintFresh(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +310,10 @@ func TestEngineMintFreshIsDeterministicAndRecordsDigests(t *testing.T) {
 			t.Fatalf("re-mint diverged at message %d", i)
 		}
 	}
-	if got := maxMintedRank(share.Manifest.Chunks[0].Digests); got != 3 {
+	if got := len(digestsForRank(chunk0.Digests, 3)); got != chunk0.K {
+		t.Fatalf("re-mint left %d digests at rank 3, want %d", got, chunk0.K)
+	}
+	if got := maxMintedRank(chunk0.Digests); got != 3 {
 		t.Fatalf("maxMintedRank = %d, want 3", got)
 	}
 }

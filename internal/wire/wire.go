@@ -35,8 +35,8 @@ const (
 	TypeError                           // terminal error with reason
 	TypeBye                             // orderly close
 	TypePatch                           // apply a delta message to a stored message
-	TypeList                            // request the peer's stored file inventory
-	TypeFileList                        // inventory response
+	TypeList                            // retired inventory request: reserved, answered "unexpected frame"
+	TypeFileList                        // retired inventory response: reserved, never sent
 	TypeAuditChallenge                  // keyed spot-check over sampled stored messages
 	TypeAuditResponse                   // per-message possession proofs
 	TypeContractPropose                 // owner offers a storage obligation
@@ -329,33 +329,6 @@ func (f *Feedback) Marshal() ([]byte, error) {
 func (f *Feedback) Unmarshal(b []byte) error {
 	if err := json.Unmarshal(b, f); err != nil {
 		return fmt.Errorf("%w: feedback: %v", ErrBadFrame, err)
-	}
-	return nil
-}
-
-// FileList is the response to a LIST request: the peer's stored
-// inventory, without payloads (identifiers and counts only — a peer
-// cannot leak content it cannot itself decode, but the listing helps
-// owners audit replication).
-type FileList struct {
-	Files []FileEntry `json:"files"`
-}
-
-// FileEntry describes one stored generation.
-type FileEntry struct {
-	FileID   uint64 `json:"fileId"`
-	Messages int    `json:"messages"`
-}
-
-// Marshal serializes the list as JSON (low-rate control traffic).
-func (l *FileList) Marshal() ([]byte, error) {
-	return json.Marshal(l)
-}
-
-// Unmarshal parses a list.
-func (l *FileList) Unmarshal(b []byte) error {
-	if err := json.Unmarshal(b, l); err != nil {
-		return fmt.Errorf("%w: file list: %v", ErrBadFrame, err)
 	}
 	return nil
 }

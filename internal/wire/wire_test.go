@@ -329,24 +329,6 @@ func TestHandshakeKeyMismatch(t *testing.T) {
 	}
 }
 
-func TestFileListRoundTrip(t *testing.T) {
-	l := FileList{Files: []FileEntry{{FileID: 7, Messages: 3}, {FileID: 9, Messages: 1}}}
-	blob, err := l.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got FileList
-	if err := got.Unmarshal(blob); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Files) != 2 || got.Files[0].FileID != 7 || got.Files[1].Messages != 1 {
-		t.Fatalf("round trip: %+v", got)
-	}
-	if err := got.Unmarshal([]byte("{bad")); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("bad list error = %v", err)
-	}
-}
-
 func TestRemoteErrorString(t *testing.T) {
 	e := &RemoteError{Code: CodeUnknownFile, Reason: "gone"}
 	if got := e.Error(); !strings.Contains(got, "gone") || !strings.Contains(got, "2") {
