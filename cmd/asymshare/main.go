@@ -10,6 +10,12 @@
 //	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7070 -out video.handle
 //	asymshare fetch   -key user.key -handle video.handle -secret <hex> -out video.mpg
 //
+// Discovery: share announces through -tracker host:7000, -dht
+// peer:7070 or both; fetch resolves through one of them (-dht when both
+// are given) and never falls back on the other. An announcement lives
+// one TTL (10 min; the tracker's -ttl can raise its cap) and nothing
+// re-announces it.
+//
 // Trackerless mode (DHT discovery, ring placement; no tracker anywhere).
 // Every serve answers DHT RPCs on its one -listen port, so any serve is
 // a bootstrap; a joiner listens on a host:port other peers can dial:
@@ -30,7 +36,8 @@
 //
 // spotcheck is the one retention audit: keyed challenges the peers must
 // answer with MACs over the stored bytes. repair runs it over every
-// message of every batch and re-sends each batch that fails.
+// message of every batch and re-sends each batch that fails; a holder
+// that does not answer is skipped and named, and repair exits non-zero.
 //
 // Storage peers advertise a contract capacity with `serve -capacity`
 // (bytes; 0 = unlimited) and journal accepted obligations across
@@ -426,12 +433,12 @@ func cmdShare(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "announced %d chunks to tracker %s\n", len(res.Handle.Manifest.Chunks), *trackerAddr)
 	}
 	if *dhtAddr != "" {
-		d, err := dhtDiscovery(*dhtAddr)
+		node, err := joinDHT(*dhtAddr)
 		if err != nil {
 			return err
 		}
-		defer d.Close()
-		if err := sys.AnnounceHandleVia(context.Background(), d, &res.Handle, 0); err != nil {
+		defer node.Close()
+		if err := sys.AnnounceHandleVia(context.Background(), discovery.NewDHT(node), &res.Handle, 0); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "announced %d chunks via DHT bootstrap %s\n", len(res.Handle.Manifest.Chunks), *dhtAddr)
@@ -439,7 +446,8 @@ func cmdShare(args []string, out io.Writer) error {
 	return nil
 }
 
-// joinDHT joins the DHT as a client-only node through a bootstrap.
+// joinDHT joins the DHT as a client-only node through a bootstrap;
+// the caller closes it, which leaves the DHT.
 func joinDHT(bootstrap string) (*dht.Node, error) {
 	node, err := dht.New(dht.Config{})
 	if err != nil {
@@ -452,22 +460,6 @@ func joinDHT(bootstrap string) (*dht.Node, error) {
 		return nil, err
 	}
 	return node, nil
-}
-
-// dhtDiscovery joins the DHT through a bootstrap and resolves and
-// announces through it, once: records are not re-announced, and Close
-// leaves the DHT.
-func dhtDiscovery(bootstrap string) (discovery.Discovery, error) {
-	node, err := joinDHT(bootstrap)
-	if err != nil {
-		return nil, err
-	}
-	d, err := discovery.NewDHT(node, discovery.DHTOptions{ReannounceInterval: -1, OwnNode: true})
-	if err != nil {
-		node.Close()
-		return nil, err
-	}
-	return d, nil
 }
 
 func cmdFetch(args []string, out io.Writer) error {
@@ -511,19 +503,22 @@ func cmdFetch(args []string, out io.Writer) error {
 	var d discovery.Discovery
 	switch {
 	case *dhtAddr != "":
-		d, err = dhtDiscovery(*dhtAddr)
+		node, err := joinDHT(*dhtAddr)
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		d = discovery.NewDHT(node)
 	case *trackerAddr != "":
-		d, err = discovery.NewTracker(*trackerAddr, nil)
-	}
-	if err != nil {
-		return err
+		if d, err = discovery.NewTracker(*trackerAddr, nil); err != nil {
+			return err
+		}
 	}
 	var (
 		data  []byte
 		stats client.FetchStats
 	)
 	if d != nil {
-		defer d.Close()
 		data, stats, err = sys.FetchFileVia(ctx, d, &handle.Manifest, secret)
 	} else {
 		data, stats, err = sys.FetchFile(ctx, handle, secret)
@@ -677,10 +672,9 @@ func cmdRepair(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// An unreachable holder fails the command, but only after every
+	// batch that could be mended was re-sent and counted.
 	n, err := sys.Repair(context.Background(), handle, secret, data)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(out, "re-uploaded %d messages\n", n)
-	return nil
+	return err
 }

@@ -17,9 +17,10 @@ import (
 
 // cliShare starts one memory-store peer, shares a random file of size
 // bytes to it through the CLI, and returns the paths and secret later
-// commands need, with the peer's store for injecting damage.
+// commands need, with the peer and its store for injecting damage.
 type cliShare struct {
 	key, handle, file, secret string
+	peer                      *peer.Node
 	store                     *store.Memory
 }
 
@@ -48,6 +49,7 @@ func shareToOnePeer(t *testing.T, size int, seed int64) cliShare {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
+	sh.peer = node
 
 	data := make([]byte, size)
 	rand.New(rand.NewSource(seed)).Read(data)
@@ -202,6 +204,23 @@ func TestRepairSubcommandMendsCorruptedBatch(t *testing.T) {
 	}
 	if out := sh.spotcheck(t); !strings.Contains(out, "all retention audits passed") {
 		t.Errorf("spotcheck after repair: %q", out)
+	}
+}
+
+// TestRepairSubcommandNamesUnreachableHolder: with the only holder
+// down, repair prints what it re-sent, nothing, and exits with an error
+// naming the holder.
+func TestRepairSubcommandNamesUnreachableHolder(t *testing.T) {
+	sh := shareToOnePeer(t, 12<<10, 5)
+	addr := sh.peer.Addr().String()
+	sh.peer.Close()
+	var out bytes.Buffer
+	err := run([]string{"repair", "-key", sh.key, "-handle", sh.handle, "-secret", sh.secret, "-file", sh.file}, &out)
+	if err == nil || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("repair with its holder down: err = %v, want one naming %s", err, addr)
+	}
+	if !strings.Contains(out.String(), "re-uploaded 0 messages") {
+		t.Errorf("repair output %q, want the re-uploaded count", out.String())
 	}
 }
 

@@ -37,18 +37,6 @@ func startDHTNode(t *testing.T) *dht.Node {
 	return p.DHT()
 }
 
-// dhtDiscovery resolves and announces through node, once: no
-// re-announce loop.
-func dhtDiscovery(t *testing.T, node *dht.Node) discovery.Discovery {
-	t.Helper()
-	d, err := discovery.NewDHT(node, discovery.DHTOptions{ReannounceInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
-	return d
-}
-
 func TestAnnounceAndFetchViaDHT(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data := make([]byte, 2500)
@@ -80,7 +68,7 @@ func TestAnnounceAndFetchViaDHT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := owner.AnnounceHandleVia(ctx, dhtDiscovery(t, dhtNodes[1]), &res.Handle, 0); err != nil {
+	if err := owner.AnnounceHandleVia(ctx, discovery.NewDHT(dhtNodes[1]), &res.Handle, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -90,7 +78,7 @@ func TestAnnounceAndFetchViaDHT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := remote.FetchFileVia(ctx, dhtDiscovery(t, dhtNodes[4]), &res.Handle.Manifest, res.Secret)
+	got, stats, err := remote.FetchFileVia(ctx, discovery.NewDHT(dhtNodes[4]), &res.Handle.Manifest, res.Secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +103,7 @@ func TestFetchViaDHTUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = sys.FetchFileVia(ctx, dhtDiscovery(t, node), share, secret)
+	_, _, err = sys.FetchFileVia(ctx, discovery.NewDHT(node), share, secret)
 	if !errors.Is(err, dht.ErrNotFound) {
 		t.Errorf("unknown key fetch error = %v, want ErrNotFound", err)
 	}
@@ -126,7 +114,7 @@ func TestAnnounceHandleDHTValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AnnounceHandleVia(context.Background(), dhtDiscovery(t, startDHTNode(t)), nil, 0); !errors.Is(err, core.ErrBadHandle) {
+	if err := sys.AnnounceHandleVia(context.Background(), discovery.NewDHT(startDHTNode(t)), nil, 0); !errors.Is(err, core.ErrBadHandle) {
 		t.Errorf("nil handle error = %v", err)
 	}
 }

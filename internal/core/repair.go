@@ -10,7 +10,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
+	"asymshare/internal/audit"
 	"asymshare/internal/chunk"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/wire"
@@ -28,9 +31,12 @@ func (h *Handle) batchRank(addr string, i int) int {
 }
 
 // Repair spot-checks every message of every batch the handle places
-// (up to wire.MaxAuditSample a batch) and re-sends each batch that did
-// not pass — missing, corrupted or unreachable — at its rank,
-// regenerated from data. It returns the number of messages re-uploaded.
+// (up to wire.MaxAuditSample a batch) and re-sends, at its rank and
+// regenerated from data, each batch whose holder answered and failed
+// the check: missing or corrupted. A holder that did not answer is
+// skipped; once the other batches are sent, Repair returns an error
+// naming every such holder. It returns the number of messages
+// re-uploaded.
 func (s *System) Repair(ctx context.Context, h *Handle, secret, data []byte) (int, error) {
 	if h == nil || len(h.Peers) == 0 {
 		return 0, fmt.Errorf("%w: missing peers", ErrBadHandle)
@@ -43,16 +49,32 @@ func (s *System) Repair(ctx context.Context, h *Handle, secret, data []byte) (in
 	if err != nil {
 		return 0, err
 	}
-	var dests destSet
-	var jobs []shareJob
-	for _, addr := range h.Peers {
-		for _, i := range report.FailedChunks[addr] {
-			jobs = append(jobs, shareJob{dest: dests.of(addr), chunk: i, rank: h.batchRank(addr, i)})
+	chunkOf := make(map[uint64]int, len(h.Manifest.Chunks))
+	for i, info := range h.Manifest.Chunks {
+		chunkOf[info.FileID] = i
+	}
+	var (
+		dests       destSet
+		jobs        []shareJob
+		unreachable []string
+	)
+	for _, v := range report.Verdicts {
+		switch v.Outcome {
+		case audit.Fail:
+			i := chunkOf[v.FileID]
+			jobs = append(jobs, shareJob{dest: dests.of(v.Addr), chunk: i, rank: h.batchRank(v.Addr, i)})
+		case audit.Timeout:
+			if !slices.Contains(unreachable, v.Addr) {
+				unreachable = append(unreachable, v.Addr)
+			}
 		}
 	}
 	n, err := s.resend(ctx, h, secret, data, &dests, jobs)
 	if err != nil {
 		return n, fmt.Errorf("core: repair: %w", err)
+	}
+	if len(unreachable) > 0 {
+		return n, fmt.Errorf("core: repair: unreachable holders not repaired: %s", strings.Join(unreachable, ", "))
 	}
 	return n, nil
 }

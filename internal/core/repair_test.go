@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,6 +154,47 @@ func TestRepairResendsBatchCorruptedInPlace(t *testing.T) {
 	}
 	if !report.AllPassed() {
 		t.Fatalf("full spot-check after repair failed: %v", report.FailedChunks)
+	}
+}
+
+// TestRepairSkipsUnreachableHolder: with one holder down, Repair still
+// re-sends the batch the live holder lost, and then fails with an error
+// naming the holder it could not reach.
+func TestRepairSkipsUnreachableHolder(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	data := make([]byte, 2200) // 3 chunks under smallPlan
+	rand.New(rand.NewSource(23)).Read(data)
+	sys, err := core.NewSystem(identity(t, 135), nil, core.WithPlan(smallPlan()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, _ := startPeerOn(t, 136)
+	live, st := startPeerOn(t, 137)
+	addrs := []string{gone.Addr().String(), live.Addr().String()}
+	res, err := sys.ShareFile(ctx, "halfdown.bin", data, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := res.Handle.Manifest.Chunks[1]
+	if err := st.Drop(victim.FileID); err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+
+	n, err := sys.Repair(ctx, &res.Handle, res.Secret, data)
+	if err == nil || !strings.Contains(err.Error(), addrs[0]) {
+		t.Fatalf("repair with %s down: err = %v, want one naming it", addrs[0], err)
+	}
+	if n != victim.K {
+		t.Fatalf("repair uploaded %d messages, want the lost batch's %d", n, victim.K)
+	}
+	report, err := sys.SpotCheck(ctx, &res.Handle, res.Secret, fullCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed := report.FailedChunks[addrs[1]]; len(failed) != 0 {
+		t.Fatalf("live holder still fails chunks %v after repair", failed)
 	}
 }
 

@@ -35,7 +35,7 @@ type SpotCheckReport struct {
 	Verdicts []audit.Verdict
 
 	// FailedChunks maps peer address to the chunk indexes whose audit
-	// did not pass there — the re-dissemination work list.
+	// did not pass there, failed or timed out.
 	FailedChunks map[string][]int
 
 	// Debits maps peer ledger identity (key fingerprint) to the total

@@ -1,11 +1,11 @@
 package core
 
-// Discovery-seam integration: announce and fetch against any
-// discovery.Discovery — tracker, DHT, or a failover chain — so the
-// layers above never hard-code a location mechanism. A caller builds
-// the mechanism it wants (discovery.NewTracker, discovery.NewDHT) and
-// hands it here; these are the only announce and discovery-fetch entry
-// points.
+// Discovery-seam integration: announce and fetch against a
+// discovery.Discovery, the tracker or the DHT, so the layers above
+// never hard-code a location mechanism. A caller builds the one it
+// wants (discovery.NewTracker, discovery.NewDHT) and hands it here;
+// these are the only announce and discovery-fetch entry points. An
+// announcement lives one TTL: nothing here announces it again.
 
 import (
 	"context"

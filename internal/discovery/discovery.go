@@ -1,143 +1,33 @@
 // Package discovery defines the content-location seam: mapping a
 // generation's file-id to the addresses of the peers storing its
 // messages. The paper assumes a central tracker plays this role
-// (Sec. II); this package makes that one implementation among several —
-// the Kademlia-style DHT is the primary, trackerless path, and Failover
-// composes them so the tracker degrades into an optional bootstrap
-// seed. Everything above (core, harness, CLI) programs against the
-// interface and neither knows nor cares which mechanism resolved a
-// peer.
+// (Sec. II); this package has two implementations, the tracker and the
+// Kademlia-style DHT every storage peer answers on its own port. A
+// caller picks one per call. Everything above (core, harness, CLI)
+// programs against the interface and neither knows nor cares which
+// mechanism resolved a peer.
 package discovery
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net"
 	"time"
 )
 
 // ErrNotFound is returned by Lookup when the mechanism worked but no
-// peer is registered for the file-id. It is a fallback-worthy outcome:
-// another mechanism may know peers this one does not.
+// peer is registered for the file-id.
 var ErrNotFound = errors.New("discovery: no peers found")
 
-// ErrBadRecord is returned for malformed announce/lookup inputs. It is
-// fatal: every mechanism will reject the same input the same way.
+// ErrBadRecord is returned for an announce with an empty address.
 var ErrBadRecord = errors.New("discovery: malformed record")
 
 // Discovery resolves file-ids to storage peer addresses.
 //
 // Announce registers addr as holding messages of fileID for ttl (zero
-// requests the mechanism's maximum). Lookup returns the known
-// addresses, or ErrNotFound if there are none. Close releases any
-// background state (re-announce loops, owned nodes); the Discovery is
-// unusable afterwards.
+// requests the mechanism's maximum). Nothing re-announces: a record
+// lapses one ttl after the call. Lookup returns the known addresses,
+// or ErrNotFound if there are none.
 type Discovery interface {
 	Announce(ctx context.Context, fileID uint64, addr string, ttl time.Duration) error
 	Lookup(ctx context.Context, fileID uint64) ([]string, error)
-	Close() error
 }
-
-// Retriable reports whether err names an outcome worth trying on
-// another discovery mechanism: the record may exist elsewhere
-// (ErrNotFound), or this mechanism was unreachable (dial failures,
-// deadlines, cancellation, partitions). Fatal errors — malformed
-// records, protocol violations — fail everywhere alike, so a failover
-// chain surfaces them immediately instead of burning the remaining
-// budget on mechanisms that will reject them too.
-func Retriable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrBadRecord) {
-		return false
-	}
-	if errors.Is(err, ErrNotFound) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled) {
-		return true
-	}
-	var netErr net.Error
-	if errors.As(err, &netErr) {
-		return true
-	}
-	// Unrecognized errors are treated as transport-ish: trying the next
-	// mechanism is cheap relative to failing a fetch outright.
-	return true
-}
-
-// Failover chains discovery mechanisms, primary first.
-//
-// Lookup consults mechanisms in order and returns the first non-empty
-// answer, falling through only on Retriable errors; a fatal error
-// aborts the chain. Announce registers the record with every mechanism
-// (the DHT for the trackerless path AND the tracker bootstrap seed,
-// say) and succeeds if at least one accepted it.
-type Failover struct {
-	chain []Discovery
-}
-
-// NewFailover builds a failover chain; the first mechanism is primary.
-func NewFailover(chain ...Discovery) (*Failover, error) {
-	if len(chain) == 0 {
-		return nil, errors.New("discovery: failover needs at least one mechanism")
-	}
-	return &Failover{chain: chain}, nil
-}
-
-// Announce implements Discovery: best-effort on every mechanism.
-func (f *Failover) Announce(ctx context.Context, fileID uint64, addr string, ttl time.Duration) error {
-	var firstErr error
-	ok := 0
-	for _, d := range f.chain {
-		if err := d.Announce(ctx, fileID, addr, ttl); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			if !Retriable(err) {
-				return err
-			}
-			continue
-		}
-		ok++
-	}
-	if ok == 0 {
-		return fmt.Errorf("discovery: announce failed on all %d mechanisms: %w", len(f.chain), firstErr)
-	}
-	return nil
-}
-
-// Lookup implements Discovery: first mechanism with an answer wins.
-func (f *Failover) Lookup(ctx context.Context, fileID uint64) ([]string, error) {
-	var firstErr error
-	for _, d := range f.chain {
-		addrs, err := d.Lookup(ctx, fileID)
-		if err == nil && len(addrs) > 0 {
-			return addrs, nil
-		}
-		if err == nil {
-			err = ErrNotFound
-		}
-		if !Retriable(err) {
-			return nil, err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, fmt.Errorf("discovery: all %d mechanisms failed: %w", len(f.chain), firstErr)
-}
-
-// Close closes every mechanism in the chain.
-func (f *Failover) Close() error {
-	var firstErr error
-	for _, d := range f.chain {
-		if err := d.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-var _ Discovery = (*Failover)(nil)

@@ -1,8 +1,7 @@
 package discovery
 
 // The tracker-backed implementation: the paper's central
-// content-location service, now just one Discovery among several —
-// typically the bootstrap seed behind the DHT in a Failover chain.
+// content-location service.
 
 import (
 	"context"
@@ -11,19 +10,16 @@ import (
 
 	"asymshare/internal/tracker"
 	"asymshare/internal/transport"
-	"asymshare/internal/wire"
 )
 
-// DefaultTrackerTimeout bounds one tracker round-trip so a dead
-// tracker fails fast enough for a Failover chain to consult the next
-// mechanism within the caller's budget.
-const DefaultTrackerTimeout = 3 * time.Second
+// trackerTimeout bounds one tracker round-trip, so a dead tracker
+// fails a call that carries no deadline of its own.
+const trackerTimeout = 3 * time.Second
 
 // Tracker resolves and announces through one tracker server.
 type Tracker struct {
-	addr    string
-	tr      transport.Transport
-	timeout time.Duration
+	addr string
+	tr   transport.Transport
 }
 
 // NewTracker returns a tracker-backed Discovery. tr nil means real TCP.
@@ -34,25 +30,7 @@ func NewTracker(addr string, tr transport.Transport) (*Tracker, error) {
 	if tr == nil {
 		tr = transport.Default
 	}
-	return &Tracker{addr: addr, tr: tr, timeout: DefaultTrackerTimeout}, nil
-}
-
-// SetTimeout overrides the per-call budget; d <= 0 restores the
-// default.
-func (t *Tracker) SetTimeout(d time.Duration) {
-	if d <= 0 {
-		d = DefaultTrackerTimeout
-	}
-	t.timeout = d
-}
-
-// Addr returns the tracker server address.
-func (t *Tracker) Addr() string { return t.addr }
-
-// callCtx derives the per-call context: the caller's, capped at the
-// tracker timeout so one dead server cannot eat a chain's whole budget.
-func (t *Tracker) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(ctx, t.timeout)
+	return &Tracker{addr: addr, tr: tr}, nil
 }
 
 // Announce implements Discovery.
@@ -60,43 +38,23 @@ func (t *Tracker) Announce(ctx context.Context, fileID uint64, addr string, ttl 
 	if addr == "" {
 		return ErrBadRecord
 	}
-	ctx, cancel := t.callCtx(ctx)
+	ctx, cancel := context.WithTimeout(ctx, trackerTimeout)
 	defer cancel()
-	err := tracker.Announce(ctx, t.tr, t.addr, fileID, addr, ttl)
-	return classifyTracker(err)
+	return tracker.Announce(ctx, t.tr, t.addr, fileID, addr, ttl)
 }
 
 // Lookup implements Discovery.
 func (t *Tracker) Lookup(ctx context.Context, fileID uint64) ([]string, error) {
-	ctx, cancel := t.callCtx(ctx)
+	ctx, cancel := context.WithTimeout(ctx, trackerTimeout)
 	defer cancel()
 	addrs, err := tracker.Lookup(ctx, t.tr, t.addr, fileID)
 	if err != nil {
-		return nil, classifyTracker(err)
+		return nil, err
 	}
 	if len(addrs) == 0 {
 		return nil, ErrNotFound
 	}
 	return addrs, nil
-}
-
-// Close implements Discovery; the tracker client is stateless.
-func (t *Tracker) Close() error { return nil }
-
-// classifyTracker maps tracker protocol rejections onto the fatal
-// ErrBadRecord class; everything else stays retriable.
-func classifyTracker(err error) error {
-	if err == nil {
-		return nil
-	}
-	var remote *wire.RemoteError
-	if errors.As(err, &remote) && remote.Code == wire.CodeBadRequest {
-		return errors.Join(ErrBadRecord, err)
-	}
-	if errors.Is(err, tracker.ErrBadRequest) {
-		return errors.Join(ErrBadRecord, err)
-	}
-	return err
 }
 
 var _ Discovery = (*Tracker)(nil)

@@ -68,7 +68,6 @@ var fetchFlavours = []struct {
 		if err != nil {
 			return nil, err
 		}
-		defer d.Close()
 		if err := sys.AnnounceHandleVia(ctx, d, h, 0); err != nil {
 			return nil, err
 		}

@@ -3,9 +3,9 @@ package harness
 // Swarm extends the harness to trackerless scale: every storage peer
 // answers DHT RPCs on its own port, so hundreds or thousands of peers
 // form one routing overlay that announces and resolves where
-// ring-placed chunks live. The tracker still boots — as the optional
-// bootstrap seed a Failover chain demotes it to — and tests kill it
-// mid-run to prove fetches and audits survive on DHT discovery alone.
+// ring-placed chunks live. The tracker still boots, and tests kill it
+// mid-run to prove that nothing on the trackerless path dials it:
+// fetches and audits resolve through DHT discovery alone.
 
 import (
 	"context"
@@ -18,7 +18,6 @@ import (
 	"asymshare/internal/auth"
 	"asymshare/internal/client"
 	"asymshare/internal/dht"
-	"asymshare/internal/discovery"
 	"asymshare/internal/fairshare"
 	"asymshare/internal/netsim"
 	"asymshare/internal/peer"
@@ -229,26 +228,6 @@ func (s *Swarm) UserDHT(ctx context.Context, bootstrap string) *dht.Node {
 		s.t.Fatalf("user dht join: %v", err)
 	}
 	return n
-}
-
-// UserFailover builds the user's discovery chain: DHT primary, tracker
-// bootstrap seed as fallback, both dialing from HostUser.
-func (s *Swarm) UserFailover(node *dht.Node) *discovery.Failover {
-	s.t.Helper()
-	d, err := discovery.NewDHT(node, discovery.DHTOptions{ReannounceInterval: -1})
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	trk, err := discovery.NewTracker(s.TrackerAddr, s.Fabric.Host(HostUser))
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	f, err := discovery.NewFailover(d, trk)
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	s.t.Cleanup(func() { f.Close() })
-	return f
 }
 
 // Client returns a client dialing from the given fabric host.

@@ -3,7 +3,7 @@ package peer
 // Per-connection protocol handling. A connection whose first frame is
 // a DHT request (Config.DHT) carries that one request, answered by the
 // hosted DHT node without a handshake. After the mutual handshake the
-// peer processes PUT (initialization uploads), GET / GET_MUX (download
+// peer processes PUT (initialization uploads), GET_MUX (download
 // requests, served by shaped writer goroutines), STOP, FEEDBACK (owner
 // only) and BYE frames. DATA writes and control replies share the
 // connection, so every write after the handshake — ERROR frames
@@ -18,10 +18,10 @@ package peer
 // the payload handed to writev untouched — so a DATA frame reaches the
 // socket without marshaling and without steady-state allocation.
 //
-// GET_MUX requests differ from legacy GET only in failure scoping: a
-// refused or failed stream is answered with a STREAM_ERROR frame naming
-// the file-id and the connection (and every other stream on it) stays
-// usable, where the legacy path answers with a connection-level ERROR.
+// A refused or failed GET_MUX stream is answered with a STREAM_ERROR
+// frame naming the file-id, and the connection (and every other stream
+// on it) stays usable. The retired per-connection GET frame gets the
+// "unexpected frame" ERROR, like any frame the peer does not serve.
 
 import (
 	"context"
@@ -217,10 +217,8 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 			n.log.Debug("patch failed", "client", client, "err", err)
 			return true
 		}
-	case wire.TypeGet:
-		return cs.handleGet(payload, false)
 	case wire.TypeGetMux:
-		return cs.handleGet(payload, true)
+		return cs.handleGet(payload)
 	case wire.TypeStop:
 		var stop wire.Stop
 		if err := stop.Unmarshal(payload); err != nil {
@@ -273,23 +271,22 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 	return false
 }
 
-// handleGet starts one download stream. mux selects the failure scope:
-// stream-scoped STREAM_ERROR frames that leave the connection (and its
-// other streams) running, versus the legacy connection-level ERROR. A
-// payload that does not even parse is a connection fault either way.
-func (cs *connState) handleGet(payload []byte, mux bool) bool {
+// handleGet starts one download stream. A refusal is a STREAM_ERROR
+// that leaves the connection (and its other streams) running; a
+// payload that does not even parse is a connection fault.
+func (cs *connState) handleGet(payload []byte) bool {
 	var get wire.Get
 	if err := get.Unmarshal(payload); err != nil {
 		_ = cs.cw.writeErrorFrame(wire.CodeBadRequest, "malformed get")
 		return true
 	}
-	if err := cs.n.startStream(cs, get, mux); err != nil {
+	if err := cs.n.startStream(cs, get); err != nil {
 		var remote *wire.RemoteError
 		if !errors.As(err, &remote) {
 			cs.n.log.Debug("get failed", "client", cs.client, "err", err)
 		}
 		// The refusal frame has been sent; the connection stays open for
-		// further requests in both modes.
+		// further requests.
 	}
 	return false
 }
@@ -395,19 +392,15 @@ func (n *Node) handleAudit(cw *connWriter, client fairshare.ID, payload []byte) 
 	return cw.writeFrame(wire.TypeAuditResponse, resp.Marshal())
 }
 
-// startStream begins serving a GET request on its own goroutine. The
+// startStream begins serving a GET_MUX request on its own goroutine. The
 // stream is in cs.active from before that goroutine starts until just
 // before the requester is told it is over, so STOP always finds the
 // stream it names and a finished stream leaves nothing behind. Only the
 // connection's read loop adds entries, which is why the duplicate check
 // and the insert need not share one critical section.
-func (n *Node) startStream(cs *connState, get wire.Get, mux bool) error {
+func (n *Node) startStream(cs *connState, get wire.Get) error {
 	refuse := func(code uint16, reason string) error {
-		if mux {
-			_ = cs.cw.writeStreamError(get.FileID, code, reason)
-		} else {
-			_ = cs.cw.writeErrorFrame(code, reason)
-		}
+		_ = cs.cw.writeStreamError(get.FileID, code, reason)
 		return &wire.RemoteError{Code: code}
 	}
 	cs.mu.Lock()

@@ -35,9 +35,9 @@ func (r *recorder) bytes() []byte {
 }
 
 // TestConnErrorFramesTakeTheWriteLock: the ERROR frames dispatch sends
-// for a malformed STOP, a malformed GET and an unexpected frame (the
-// retired LIST among them) wait for the connection's write lock like
-// every other write. A stream holds that lock across a DATA frame's
+// for a malformed STOP, a malformed GET_MUX and an unexpected frame (the
+// retired LIST and GET among them, answered by name) wait for the
+// connection's write lock like every other write. A stream holds that lock across a DATA frame's
 // header and payload, which are two writes on a transport without
 // writev; an ERROR that skipped the lock could land between them.
 func TestConnErrorFramesTakeTheWriteLock(t *testing.T) {
@@ -45,11 +45,13 @@ func TestConnErrorFramesTakeTheWriteLock(t *testing.T) {
 		name    string
 		typ     wire.Type
 		payload []byte
+		reason  string
 	}{
-		{"malformed STOP", wire.TypeStop, []byte{1, 2, 3}},
-		{"malformed GET", wire.TypeGet, []byte{1, 2, 3}},
-		{"unexpected frame", wire.TypeChallenge, nil},
-		{"retired LIST", wire.TypeList, nil},
+		{"malformed STOP", wire.TypeStop, []byte{1, 2, 3}, "malformed stop"},
+		{"malformed GET_MUX", wire.TypeGetMux, []byte{1, 2, 3}, "malformed get"},
+		{"unexpected frame", wire.TypeChallenge, nil, "unexpected frame CHALLENGE"},
+		{"retired LIST", wire.TypeList, nil, "unexpected frame LIST"},
+		{"retired GET", wire.TypeGet, (&wire.Get{FileID: 9}).Marshal(), "unexpected frame GET"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var rec recorder
@@ -68,8 +70,8 @@ func TestConnErrorFramesTakeTheWriteLock(t *testing.T) {
 			}
 			_, err := wire.NewFrameReader(bytes.NewReader(rec.bytes())).Expect(wire.TypeData)
 			var remote *wire.RemoteError
-			if !errors.As(err, &remote) || remote.Code != wire.CodeBadRequest {
-				t.Fatalf("answer = %v, want ERROR(CodeBadRequest)", err)
+			if !errors.As(err, &remote) || remote.Code != wire.CodeBadRequest || remote.Reason != tc.reason {
+				t.Fatalf("answer = %v, want ERROR(CodeBadRequest, %q)", err, tc.reason)
 			}
 		})
 	}

@@ -72,7 +72,7 @@ func TestRottenRecordIsAStreamErrorNotData(t *testing.T) {
 	}()
 
 	get := wire.Get{FileID: fileID}
-	if cs.handleGet(get.Marshal(), true) {
+	if cs.handleGet(get.Marshal()) {
 		t.Fatal("handleGet closed the connection")
 	}
 	select {

@@ -61,7 +61,7 @@ func TestInstantStreamsLeaveNoEntry(t *testing.T) {
 	cs, wg := handConn(t, n, io.Discard)
 	for fileID := uint64(1); fileID <= streams; fileID++ {
 		get := wire.Get{FileID: fileID, Limit: 2}
-		if cs.handleGet(get.Marshal(), true) {
+		if cs.handleGet(get.Marshal()) {
 			t.Fatal("handleGet closed the connection")
 		}
 	}
@@ -105,7 +105,7 @@ func TestDuplicateGetLeavesFirstStreamStoppable(t *testing.T) {
 	}()
 
 	get := wire.Get{FileID: fileID}
-	if cs.handleGet(get.Marshal(), true) {
+	if cs.handleGet(get.Marshal()) {
 		t.Fatal("first GET closed the connection")
 	}
 	cs.mu.Lock()
@@ -118,7 +118,7 @@ func TestDuplicateGetLeavesFirstStreamStoppable(t *testing.T) {
 	cancelFirst := first.cancel
 	first.cancel = func() { close(stopped); cancelFirst() }
 
-	if cs.handleGet(get.Marshal(), true) {
+	if cs.handleGet(get.Marshal()) {
 		t.Fatal("duplicate GET closed the connection")
 	}
 	select {

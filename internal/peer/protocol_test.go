@@ -5,7 +5,6 @@ package peer_test
 // keep serving others.
 
 import (
-	"errors"
 	"net"
 	"testing"
 	"time"
@@ -84,11 +83,11 @@ func TestPeerRejectsGarbageBeforeHandshake(t *testing.T) {
 func TestPeerRejectsMalformedGet(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 202), Store: store.NewMemory()})
 	fr, fw := dialAuthed(t, node, identity(t, 203))
-	if err := fw.WriteFrame(wire.TypeGet, []byte{1, 2, 3}); err != nil {
+	if err := fw.WriteFrame(wire.TypeGetMux, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if ty, err := nextType(fr); err == nil && ty != wire.TypeError {
-		t.Errorf("malformed GET answered with %s", ty)
+		t.Errorf("malformed GET_MUX answered with %s", ty)
 	}
 }
 
@@ -202,54 +201,5 @@ func TestPeerFrameSizeLimitEnforced(t *testing.T) {
 	// Any response must be an error frame or a close, never a CHALLENGE.
 	if n >= 1 && wire.Type(buf[0]) == wire.TypeChallenge {
 		t.Error("peer proceeded with handshake after oversize frame header")
-	}
-}
-
-// TestPeerStillServesLegacyGet pins the per-connection GET now that no
-// client code sends it: a stored generation streams as DATA frames
-// followed by STOP, and a refusal is a connection-level ERROR — where
-// GET_MUX would answer STREAM_ERROR and keep the connection. The frame
-// is input from outside the program until HELLO carries a version.
-func TestPeerStillServesLegacyGet(t *testing.T) {
-	st := store.NewMemory()
-	for id := uint64(1); id <= 3; id++ {
-		if err := st.Put(&rlnc.Message{FileID: 9, MessageID: id, Payload: []byte{byte(id), 2, 3, 4}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	node := startPeer(t, peer.Config{Identity: identity(t, 212), Store: st})
-
-	fr, fw := dialAuthed(t, node, identity(t, 213))
-	get := wire.Get{FileID: 9}
-	if err := fw.WriteFrame(wire.TypeGet, get.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		b, err := fr.Expect(wire.TypeData)
-		if err != nil {
-			t.Fatalf("message %d of a legacy GET: %v", i, err)
-		}
-		var msg rlnc.Message
-		err = msg.UnmarshalBinary(b.Bytes())
-		b.Release()
-		if err != nil || msg.FileID != 9 {
-			t.Fatalf("message %d = %+v, %v", i, msg, err)
-		}
-	}
-	eos, err := fr.Expect(wire.TypeStop)
-	if err != nil {
-		t.Fatalf("legacy GET not ended with STOP: %v", err)
-	}
-	eos.Release()
-
-	fr, fw = dialAuthed(t, node, identity(t, 213))
-	get = wire.Get{FileID: 404}
-	if err := fw.WriteFrame(wire.TypeGet, get.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	_, err = fr.Expect(wire.TypeData)
-	var remote *wire.RemoteError
-	if !errors.As(err, &remote) || remote.Code != wire.CodeUnknownFile {
-		t.Fatalf("legacy GET for an unknown file answered %v, want ERROR(CodeUnknownFile)", err)
 	}
 }
