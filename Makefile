@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-arm64 fmt gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-contract race-wire race-fairshare race-overload bench-alloc bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-grid-smoke chaos churn-smoke examples-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
+.PHONY: build test vet vet-arm64 fmt gen-check race gates wire-audit race-audit race-metrics race-codec race-store race-dht race-wire race-fairshare race-overload bench-alloc bench-e2e-smoke bench-metrics bench-pairs benchpairs-test runpatterns-test bench-rlnc bench-grid-smoke chaos churn-smoke examples-smoke crash-smoke fuzz-smoke overload-smoke swarm-smoke ci check
 
 build:
 	$(GO) build ./...
@@ -66,12 +66,12 @@ gates:
 wire-audit:
 	$(GO) test -run 'TestSplitUnshapedPeersServeWhatTheManifestNeeds|TestSplitLeavesPacedPeersAlone' -count=1 ./internal/netsim/harness/
 
-# race-audit exercises the audit path — the spot-check round, its two
-# callers (core.SpotCheck, which core.Repair runs over every message,
-# and the repair daemon's probe) and the ledger their debits land in —
-# under the race detector. Run before touching any of them.
+# race-audit exercises the audit path — the spot-check round, its
+# caller core.SpotCheck (which core.Repair runs over every message) and
+# the ledger its debits land in — under the race detector. Run before
+# touching any of them.
 race-audit: vet
-	$(GO) test -race ./internal/audit/... ./internal/core/... ./internal/repair/... ./internal/fairshare/...
+	$(GO) test -race ./internal/audit/... ./internal/core/... ./internal/fairshare/...
 
 # race-metrics exercises the observability layer and everything that
 # writes into it concurrently: scrape-while-write in the registry, the
@@ -122,28 +122,20 @@ race-dht: vet
 race-fairshare: vet gates
 	$(GO) test -race ./internal/fairshare/... ./internal/estimate/... ./internal/peer/...
 
-# race-contract exercises the storage-contract subsystem under the
-# race detector: the journaled book/set, the wire frames, the peer
-# handlers and client RPCs, and the proactive repair daemon whose
-# ticker races its own Close.
-race-contract: vet
-	$(GO) test -race ./internal/contract/... ./internal/repair/... ./internal/peer/... ./internal/client/...
-
-# churn-smoke is the proactive-repair acceptance slice: 30% of the
-# storage peers holding a file are killed and blackholed, the repair
-# daemon restores the replica watermark on spare peers within a 3x
-# traffic budget, a cold client still fetches byte-identical plaintext,
-# and contract state on both sides survives a power cut — under -race.
+# churn-smoke is the churn acceptance slice: 3 of the 5 storage peers
+# holding a file are killed and blackholed, a cold client still fetches
+# byte-identical plaintext, and repair re-sends nothing and names
+# exactly the dead holders — under -race, about 10 s.
 churn-smoke:
-	$(GO) test -race -run TestChurnRepairKeepsFileFetchable ./internal/netsim/harness/
+	$(GO) test -race -run TestChurnKeepsFileFetchable ./internal/netsim/harness/
 
 # swarm-smoke is the CI-sized trackerless acceptance slice: a file is
 # ring-placed on a 128-peer netsim swarm and announced through the DHT,
 # the tracker is killed mid-run, and a cold client still fetches
 # byte-identical plaintext through DHT discovery alone — plus each
 # mechanism's own faults (a blackholed tracker, an empty-address
-# announce, an unjoined DHT node) — under -race, about 10 s. ci runs it
-# as its own step; race already covers the same tests as part of
+# announce, an unjoined DHT node) — under -race, about 10 s. ci does not
+# run it: race already runs these tests twice as part of
 # ./internal/netsim/...
 swarm-smoke:
 	$(GO) test -race -run 'TestSwarmSmoke|TestDiscoveryFaultsNetsim' ./internal/netsim/harness/
@@ -284,9 +276,9 @@ examples-smoke:
 
 # ci is what the GitHub workflow runs: the gofmt check, the
 # generated-kernel check, every package once plain, once under the
-# detector, the trackerless swarm slice under the detector, the gates,
+# detector (the fault-sweeping ones twice), the gates,
 # the bench-pairs verdict's test, the -run pattern check, the examples
 # run to completion, and the end-to-end benchmark's smoke.
-ci: fmt vet vet-arm64 gen-check build test race swarm-smoke gates benchpairs-test runpatterns-test examples-smoke bench-e2e-smoke
+ci: fmt vet vet-arm64 gen-check build test race gates benchpairs-test runpatterns-test examples-smoke bench-e2e-smoke
 
 check: ci

@@ -13,8 +13,9 @@
 // Discovery: share announces through -tracker host:7000, -dht
 // peer:7070 or both; fetch resolves through one of them (-dht when both
 // are given) and never falls back on the other. An announcement lives
-// one TTL (10 min; the tracker's -ttl can raise its cap) and nothing
-// re-announces it.
+// one TTL (10 min; the tracker's -ttl can raise its cap). Every serve
+// re-announces each file it stores in the DHT every half TTL, so a DHT
+// record lives as long as its holder; a tracker record lapses.
 //
 // Trackerless mode (DHT discovery, ring placement; no tracker anywhere).
 // Every serve answers DHT RPCs on its one -listen port, so any serve is
@@ -31,17 +32,12 @@
 //	asymshare spotcheck -key user.key -handle video.handle -secret <hex> [-sample 8] [-feedback host:7070]
 //	asymshare repair  -key user.key -handle video.handle -secret <hex> -file video.mpg
 //	asymshare auditdemo [-honest 2] [-size 4096] [-sample 8]
-//	asymshare contracts -key user.key -peer host:7070
 //	asymshare stats   -addr 127.0.0.1:9090 [-filter peer_]
 //
 // spotcheck is the one retention audit: keyed challenges the peers must
 // answer with MACs over the stored bytes. repair runs it over every
 // message of every batch and re-sends each batch that fails; a holder
 // that does not answer is skipped and named, and repair exits non-zero.
-//
-// Storage peers advertise a contract capacity with `serve -capacity`
-// (bytes; 0 = unlimited) and journal accepted obligations across
-// restarts with `serve -contracts <path>`.
 package main
 
 import (
@@ -103,8 +99,6 @@ func run(args []string, out io.Writer) error {
 		return cmdAuditDemo(args[1:], out)
 	case "repair":
 		return cmdRepair(args[1:], out)
-	case "contracts":
-		return cmdContracts(args[1:], out)
 	case "stats":
 		return cmdStats(args[1:], out)
 	default:
@@ -231,8 +225,6 @@ func cmdServe(args []string, out io.Writer) error {
 	ledgerPath := fs.String("ledger", "", "receipt-ledger checkpoint file persisted across restarts (and crashes)")
 	ckptEvery := fs.Duration("checkpoint", fairshare.DefaultCheckpointInterval, "ledger checkpoint interval")
 	metricsAddr := fs.String("metrics", "", "serve Prometheus metrics (/metrics), expvar (/debug/vars) and runtime profiles (/debug/pprof/) on this address, e.g. 127.0.0.1:9090; whoever reaches it can profile the process, so keep it on loopback or behind a firewall")
-	capacity := fs.Int64("capacity", 0, "advertised storage-contract capacity in bytes (0 = unlimited)")
-	contractPath := fs.String("contracts", "", "contract-book journal file persisted across restarts (and crashes)")
 	dhtBootstrap := fs.String("dht", "", "join the DHT through this peer (trackerless mode); every serve answers DHT RPCs on its -listen port")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -275,8 +267,6 @@ func cmdServe(args []string, out io.Writer) error {
 		Estimator:          est,
 		LedgerPath:         *ledgerPath,
 		CheckpointInterval: *ckptEvery,
-		CapacityBytes:      *capacity,
-		ContractPath:       *contractPath,
 		Logger:             slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	}
 	var msrv *metrics.Server
@@ -313,19 +303,6 @@ func cmdServe(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "ledger slots at %s unreadable (%d corrupt); starting fresh\n", *ledgerPath, rec.CorruptSlots)
 		default:
 			fmt.Fprintf(out, "no ledger at %s; starting fresh\n", *ledgerPath)
-		}
-	}
-	if *contractPath != "" {
-		rec := node.ContractRecovery()
-		switch {
-		case rec.Active > 0 || rec.Records > 0:
-			fmt.Fprintf(out, "contract book recovered from %s (%d active obligations", *contractPath, rec.Active)
-			if rec.Truncated {
-				fmt.Fprint(out, ", torn tail truncated")
-			}
-			fmt.Fprintln(out, ")")
-		default:
-			fmt.Fprintf(out, "no contract book at %s; starting fresh\n", *contractPath)
 		}
 	}
 	if err := node.Start(*listen); err != nil {
@@ -597,47 +574,6 @@ func cmdUpdate(args []string, out io.Writer) error {
 // loadHandle reads a handle file.
 func loadHandle(path string) (*core.Handle, error) {
 	return core.LoadHandleFile(path)
-}
-
-// cmdContracts lists the caller's storage contracts on one peer: the
-// book's aggregate capacity/used counters plus each obligation with
-// its remaining term. Peers only reveal the requesting owner's own
-// contracts, so the listing is exactly what this key placed there.
-func cmdContracts(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("contracts", flag.ContinueOnError)
-	keyPath := fs.String("key", "", "user key file (required)")
-	peerAddr := fs.String("peer", "", "peer address (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *keyPath == "" || *peerAddr == "" {
-		return errors.New("contracts: -key and -peer are required")
-	}
-	id, err := loadIdentity(*keyPath)
-	if err != nil {
-		return err
-	}
-	c, err := client.New(id, nil)
-	if err != nil {
-		return err
-	}
-	info, err := c.ListContracts(context.Background(), *peerAddr)
-	if err != nil {
-		return err
-	}
-	capStr := "unlimited"
-	if info.CapacityBytes > 0 {
-		capStr = fmt.Sprintf("%d bytes", info.CapacityBytes)
-	}
-	fmt.Fprintf(out, "peer %s: %d bytes obligated, capacity %s\n", *peerAddr, info.UsedBytes, capStr)
-	fmt.Fprintf(out, "%d contracts held by this key\n", len(info.Contracts))
-	now := time.Now()
-	for _, e := range info.Contracts {
-		left := time.Unix(e.ExpiresUnix, 0).Sub(now).Round(time.Second)
-		fmt.Fprintf(out, "  contract %016x: file %016x, %d messages, %d bytes, expires in %s\n",
-			e.ContractID, e.FileID, e.Messages, e.Bytes, left)
-	}
-	return nil
 }
 
 func cmdRepair(args []string, out io.Writer) error {

@@ -186,8 +186,6 @@ var statsSections = map[string]string{
 	"ratelimit": "upload shaping",
 	"tracker":   "tracker discovery",
 	"dht":       "DHT discovery",
-	"contract":  "storage contracts (peer book)",
-	"repair":    "proactive repair (owner daemon)",
 }
 
 // statsSubSections splits large subsystems on a two-segment prefix —

@@ -146,10 +146,16 @@ func TestUpdateListMissingFlags(t *testing.T) {
 	if err := run([]string{"update", "-key", "k"}, &out); err == nil {
 		t.Error("update without required flags accepted")
 	}
-	// list and audit are retired: spotcheck is the one retention check.
-	for _, retired := range []string{"list", "audit"} {
+	// list and audit are retired: spotcheck is the one retention check;
+	// and so are storage contracts: repair is the one repair path.
+	for _, retired := range []string{"list", "audit", "contracts"} {
 		if err := run([]string{retired, "-key", "k"}, &out); err == nil || !strings.Contains(err.Error(), "unknown command") {
 			t.Errorf("retired %s command: %v, want unknown command", retired, err)
+		}
+	}
+	for _, retired := range []string{"-capacity", "-contracts"} {
+		if err := run([]string{"serve", retired, "1"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("retired serve %s flag: %v, want flag provided but not defined", retired, err)
 		}
 	}
 }

@@ -4,7 +4,7 @@ package audit
 // target of one address sent over one connection, with a timeout per
 // round trip and retries with exponential backoff. It keeps
 // no state between calls — the caller decides when to check (the CLI's
-// spotcheck, the repair daemon's rounds) and where debits go. It is
+// spotcheck, core.System.Repair) and where debits go. It is
 // transport-agnostic: anything that can deliver a challenge and return
 // the response — the real client.Client, or an in-process fake in
 // tests — plugs in as a Prober.

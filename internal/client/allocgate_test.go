@@ -19,7 +19,7 @@ import (
 // at 0.95–1.08 MB, with 512 KiB of headroom on top. It leaves no room
 // for a decode arena beside the output (K × 128 KiB per engine in the
 // window, 4 MiB in all, which put the total at 5.14 MB): every chunk is
-// eliminated inside its slot of the file (DESIGN.md §15).
+// eliminated inside its slot of the file (DESIGN.md §14).
 const fetchAllocSlack = 1_600_000
 
 // TestFetchFileSteadyStateAllocs: once warm, a FetchFile allocates

@@ -1,6 +1,6 @@
 package client
 
-// Per-peer circuit breaker (DESIGN.md §15). A peer that fails
+// Per-peer circuit breaker (DESIGN.md §14). A peer that fails
 // BreakerThreshold consecutive times is quarantined: the chunk ladder
 // launches no rung of it — and its session set does not dial it — until
 // its cooldown lapses, then admits exactly one half-open probe stream,

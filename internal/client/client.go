@@ -18,7 +18,7 @@
 // one-chunk case. Per-peer receipts are reported for the user's
 // periodic feedback to its own peer.
 //
-// A whole-file fetch has no serial tail (DESIGN.md §15). The output is
+// A whole-file fetch has no serial tail (DESIGN.md §14). The output is
 // one buffer (chunk.Assembler): chunk i's download owns its slot from
 // launch until the driver's deliver callback marks it Done, decodes
 // straight into it, and from Done on the slot is read-only. The driver

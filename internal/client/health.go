@@ -1,6 +1,6 @@
 package client
 
-// Per-peer health tracking for the chunk ladder (DESIGN.md §15). Every
+// Per-peer health tracking for the chunk ladder (DESIGN.md §14). Every
 // peer the client talks to accumulates failure and shed counts and a
 // circuit-breaker state (breaker.go), which order reads to decide which
 // rungs of a chunk launch at once, which ride along as a half-open
@@ -61,7 +61,7 @@ const (
 	// the mark lapses; no verdict (the call ended first), and the next
 	// probe is a period away. One unsplit generation in 64 costs ≈ 3 %
 	// extra bytes where all four peers of a fetch probe together
-	// (DESIGN.md §15).
+	// (DESIGN.md §14).
 	sharePeriod = 64
 )
 

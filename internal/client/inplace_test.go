@@ -1,6 +1,6 @@
 package client_test
 
-// The read path's tail (DESIGN.md §15): chunks decode in place, each
+// The read path's tail (DESIGN.md §14): chunks decode in place, each
 // is checked against its sum as soon as it is decoded, and the window's
 // pipelines are reused. These tests pin that no flavour returns a byte
 // unverified, with the error classes callers have always got, and that

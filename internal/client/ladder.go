@@ -1,6 +1,6 @@
 package client
 
-// The chunk ladder (DESIGN.md §15): the one way a generation is
+// The chunk ladder (DESIGN.md §14): the one way a generation is
 // downloaded. Every link of the session set is a rung, every rung
 // streams into one shared RLNC pipeline, and the chunk is done at rank
 // k — whichever stream delivers the last innovative message wins, and
@@ -52,7 +52,7 @@ type rung struct {
 }
 
 // pipelines is the free list of warm decode engines one fetch call owns
-// (DESIGN.md §15): a chunk takes one, retargets it at its generation
+// (DESIGN.md §14): a chunk takes one, retargets it at its generation
 // and its output, and hands it back once its rungs have all returned,
 // so a manifest of n chunks builds as many engines as it has chunks in
 // flight, not n.

@@ -40,7 +40,7 @@ const (
 	// slot back, or producers parked out of order.
 	MetricDecodeFixupBlocks = "client_decode_fixup_blocks_total"
 
-	// Overload-resilience families (DESIGN.md §15): rungs launched
+	// Overload-resilience families (DESIGN.md §14): rungs launched
 	// because a chunk made no progress, per-peer circuit breakers, and
 	// BUSY sheds observed from peers.
 	MetricHedgeLaunched      = "hedge_launched_total"
@@ -50,7 +50,7 @@ const (
 	MetricBreakerOpenCurrent = "breaker_open_current"
 	MetricShedsObserved      = "client_sheds_observed_total"
 
-	// Surplus and the split that answers it (DESIGN.md §15): DATA frames
+	// Surplus and the split that answers it (DESIGN.md §14): DATA frames
 	// that reached a session after their generation's stream had ended,
 	// by peer address (the first maxSurplusPeers of a client's life, the
 	// rest under peer="other"), and the shares the ladder asked
@@ -62,7 +62,7 @@ const (
 
 	// Decode engines built (rlnc.NewPipeline) rather than taken warm
 	// from a fetch call's free list: O(window) per manifest, not
-	// O(chunks) (DESIGN.md §15).
+	// O(chunks) (DESIGN.md §14).
 	MetricPipelinesBuilt = "client_pipelines_built_total"
 )
 

@@ -1,6 +1,6 @@
 package client
 
-// The half-open probe on the chunk ladder (DESIGN.md §15), white-box:
+// The half-open probe on the chunk ladder (DESIGN.md §14), white-box:
 // a chunk whose only peer is a probe candidate launches its rung once,
 // as the probe; a fresh call probes a cooled-down peer while its dial is
 // still in flight; a probe rung driven through each way it can end

@@ -7,7 +7,7 @@ package client
 // bytes. Every fetch flavour runs on sessions (sessionset.go); GET_MUX
 // is the only download request the client sends.
 //
-// Buffer ownership (DESIGN.md §13): the demux loop owns each frame
+// Buffer ownership (DESIGN.md §12): the demux loop owns each frame
 // buffer from FrameReader.Next until it hands it to a stream's frame
 // channel, where ownership transfers to the stream's Fetch loop, which
 // releases it after feeding the decoder. Frames for unknown or dead

@@ -224,7 +224,7 @@ func TestUploadSurfacesPeerRefusal(t *testing.T) {
 // TestControlRPCsHonourContextAgainstMutePeer: every one-round-trip RPC
 // used to clear the conn deadline after the handshake and then read
 // with no deadline and no cancel hook, so a peer that authenticated and
-// went mute held the caller (and repair.Daemon's round) forever.
+// went mute held the caller (and a spot-check round) forever.
 func TestControlRPCsHonourContextAgainstMutePeer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -244,19 +244,6 @@ func TestControlRPCsHonourContextAgainstMutePeer(t *testing.T) {
 			_, _, err := c.Audit(ctx, addr, []wire.AuditChallenge{{FileID: 1}}, time.Minute)
 			return err
 		},
-		"ProposeContract": func(ctx context.Context) error {
-			_, _, err := c.ProposeContract(ctx, addr, wire.ContractPropose{})
-			return err
-		},
-		"RenewContract": func(ctx context.Context) error {
-			_, err := c.RenewContract(ctx, addr, wire.ContractRenew{})
-			return err
-		},
-		"ReleaseContract": func(ctx context.Context) error {
-			_, err := c.ReleaseContract(ctx, addr, wire.ContractRelease{})
-			return err
-		},
-		"ListContracts": func(ctx context.Context) error { _, err := c.ListContracts(ctx, addr); return err },
 	}
 	for name, rpc := range rpcs {
 		t.Run(name, func(t *testing.T) {

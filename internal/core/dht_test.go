@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -127,28 +126,4 @@ func buildUnsharedManifest(secret []byte) (*chunk.Manifest, error) {
 		return nil, err
 	}
 	return &share.Manifest, nil
-}
-
-// TestDHTPeerSourceYieldsPeerAddresses checks that the repair daemon's
-// candidates drawn from a DHT table are the storage peers' own
-// addresses — where each answers both DHT RPCs and the peer protocol.
-func TestDHTPeerSourceYieldsPeerAddresses(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	nodes := make([]*dht.Node, 3)
-	for i := range nodes {
-		nodes[i] = startDHTNode(t)
-		if i > 0 {
-			if err := nodes[i].Join(ctx, nodes[0].Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	got := core.DHTPeerSource(nodes[0])(ctx, 8)
-	slices.Sort(got)
-	want := []string{nodes[1].Addr(), nodes[2].Addr()}
-	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		t.Fatalf("candidates = %v, want the other peers' addresses %v", got, want)
-	}
 }

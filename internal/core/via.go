@@ -5,7 +5,9 @@ package core
 // never hard-code a location mechanism. A caller builds the one it
 // wants (discovery.NewTracker, discovery.NewDHT) and hands it here;
 // these are the only announce and discovery-fetch entry points. An
-// announcement lives one TTL: nothing here announces it again.
+// announcement lives one TTL: nothing here announces it again. A DHT
+// record stays alive because the peer holding the chunk re-announces
+// it every half TTL (peer.Config.DHT); a tracker record lapses.
 
 import (
 	"context"

@@ -245,14 +245,6 @@ func (n *Node) Addr() string { return n.advertise }
 // TableSize reports how many contacts the node knows.
 func (n *Node) TableSize() int { return n.table.size() }
 
-// RandomContacts returns up to count uniformly random routing-table
-// contacts — the repair daemon's replacement-candidate source. Because
-// node ids are address hashes, the table's closest-to-self
-// neighbourhood is itself a near-uniform sample of the swarm.
-func (n *Node) RandomContacts(count int) []Contact {
-	return wireContacts(n.table.random(count))
-}
-
 // Close stops the node: its refresh loop ends and HandleRPC answers
 // nothing more.
 func (n *Node) Close() error {

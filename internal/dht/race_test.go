@@ -1,9 +1,9 @@
 package dht
 
 // Concurrency coverage for the routing table and the Alpha-parallel
-// lookup path, meant to run under -race (make race-dht). The seeded
-// package had none; the repair daemon's peer source drives RandomContacts
-// from its own goroutines while RPC handlers observe senders concurrently.
+// lookup path, meant to run under -race (make race-dht): lookups and
+// announces from many goroutines while RPC handlers observe senders
+// concurrently.
 
 import (
 	"context"
@@ -39,7 +39,7 @@ func TestTableConcurrentObserveClosestRandom(t *testing.T) {
 				case 1:
 					tb.closest(NodeIDFromAddr(fmt.Sprintf("t%d", i)), K)
 				case 2:
-					tb.random(5)
+					tb.size()
 				case 3:
 					tb.remove(raceContact(t, g*1000+i-3).id)
 				}
@@ -94,7 +94,7 @@ func TestConcurrentLookupsAndAnnounces(t *testing.T) {
 		go func(i int, n *Node) {
 			defer wg.Done()
 			n.Refresh(ctx)
-			n.RandomContacts(4)
+			n.TableSize()
 		}(i, n)
 	}
 	wg.Wait()

@@ -128,23 +128,6 @@ func (t *table) closest(target ID, k int) []parsedContact {
 	return out
 }
 
-// random returns up to k contacts drawn uniformly without replacement.
-func (t *table) random(k int) []parsedContact {
-	t.mu.Lock()
-	all := make([]parsedContact, 0, len(t.contacts))
-	for _, c := range t.contacts {
-		all = append(all, c)
-	}
-	t.mu.Unlock()
-	// Map iteration order is already randomized, but not uniformly;
-	// shuffle for an unbiased sample.
-	rand.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
 // size returns the contact count.
 func (t *table) size() int {
 	t.mu.Lock()

@@ -1,226 +1,91 @@
 package harness
 
-// Churn-repair scenario (make churn-smoke): 30% of the storage peers
-// holding a file vanish permanently — killed and blackholed, the
-// netsim analogue of a machine leaving the swarm for good — and the
-// proactive repair daemon restores the replica target on spare peers
-// without the owner in the loop. The file stays fetchable
-// byte-identical from a cold client, the repair traffic stays within
-// 3x the minimum replacement bytes, and both sides of the contract
-// state survive a power cut: a replacement peer reboots with its
-// obligations in the journaled book, and the owner's holdings set
-// replays to the exact watermark.
+// Churn scenario (make churn-smoke): 3 of the 5 storage peers holding
+// a file vanish permanently — killed and blackholed, the netsim
+// analogue of a machine leaving the swarm for good. Every holder keeps
+// a full-rank batch of every chunk, so the file stays fetchable
+// byte-identical from a cold client, and the owner's repair, which can
+// only re-send to a holder that answers, re-sends nothing and names
+// exactly the dead holders.
 
 import (
 	"bytes"
-	"context"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"asymshare/internal/chunk"
 	"asymshare/internal/client"
-	"asymshare/internal/contract"
 	"asymshare/internal/core"
-	"asymshare/internal/fsx"
 	"asymshare/internal/gf"
-	"asymshare/internal/repair"
 )
 
-func TestChurnRepairKeepsFileFetchable(t *testing.T) {
+func TestChurnKeepsFileFetchable(t *testing.T) {
 	seed := Seed(t, 29)
 	ctx := testCtx(t)
 
-	// 10 storage peers: 9 in-memory plus one durable spare whose book
-	// and store live on a crashable filesystem.
-	c := Start(t, seed, 9)
-	pefs := fsx.NewErrFS(seed + 1)
-	dp := c.StartDurablePeer(pefs, "durable", 60, c.Owner.Public())
-
+	const holders = 5
+	c := Start(t, seed, holders)
 	plan := chunk.Plan{FieldBits: gf.Bits8, M: 128, ChunkSize: 1024}
 	data := bytes.Repeat([]byte("churned swarm "), 3000/14+1)[:3000]
+	// Repair's spot-check probes the holders one after another, and a
+	// blackholed one costs a retry ladder of three dials plus 1.5 s of
+	// backoff: a 500 ms dial bound keeps that near 3 s a holder, where
+	// three attempts of audit.DefaultTimeout would take 16.5 s.
 	sys, err := core.NewSystem(c.Owner, nil, core.WithPlan(plan),
-		core.WithClientOptions(client.Options{Transport: c.Fabric.Host(HostUser)}))
+		core.WithClientOptions(client.Options{Transport: c.Fabric.Host(HostUser), DialTimeout: 500 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Share to 5 holders (replica target R = 5), then upgrade every
-	// placement into a contract recorded in a journaled holdings set.
-	const target = 5
-	holders := make([]string, target)
-	for i := range holders {
-		holders[i] = c.Peers[i].Addr
+	addrs := make([]string, holders)
+	for i := range addrs {
+		addrs[i] = c.Peers[i].Addr
 	}
-	res, err := sys.ShareFile(ctx, "churn.bin", data, holders)
+	res, err := sys.ShareFile(ctx, "churn.bin", data, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := len(res.Handle.Manifest.Chunks)
-	if chunks < 2 {
-		t.Fatalf("want a multi-chunk share, got %d chunks", chunks)
+	if n := len(res.Handle.Manifest.Chunks); n < 2 {
+		t.Fatalf("want a multi-chunk share, got %d chunks", n)
 	}
 
-	oefs := fsx.NewErrFS(seed + 2)
-	if err := oefs.MkdirAll("/owner", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	set, _, err := contract.OpenSet(oefs, "/owner/contracts.j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := sys.NegotiateContracts(ctx, &res.Handle, set, time.Hour); err != nil || n != target*chunks {
-		t.Fatalf("NegotiateContracts = %d, %v; want %d contracts", n, err, target*chunks)
-	}
-
-	// The daemon draws replacements from a fixed spare pool and
-	// persists the handle (fresh digests) to the owner's disk before
-	// every replacement upload.
-	const handlePath = "/owner/handle.json"
-	if err := core.SaveHandleFileFS(oefs, handlePath, &res.Handle); err != nil {
-		t.Fatal(err)
-	}
-	spares := []string{dp.Addr, c.Peers[5].Addr, c.Peers[6].Addr}
-	d, err := sys.NewRepairDaemon(&res.Handle, res.Secret, data, set, repair.Config{
-		Target:       target,
-		TTL:          time.Hour,
-		Peers:        func(context.Context, int) []string { return spares },
-		ProbeTimeout: 500 * time.Millisecond,
-		Seed:         seed,
-		OwnPeerAddr:  c.HomeAddr,
-		Persist: func() error {
-			return core.SaveHandleFileFS(oefs, handlePath, &res.Handle)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	// Permanent churn: 3 of the 10 storage peers (30%) — all of them
-	// holders — are killed and blackholed, so probes time out instead
-	// of failing fast.
+	// Permanent churn: 3 of the 5 holders (60%) are killed and
+	// blackholed, so dials and probes time out instead of failing fast.
+	var dead []string
 	for _, i := range []int{1, 2, 3} {
 		c.Peers[i].Node.Close()
 		c.Fabric.Blackhole(c.Peers[i].Host)
+		dead = append(dead, c.Peers[i].Addr)
 	}
 
-	rep, err := d.RunOnce(ctx)
-	if err != nil {
-		t.Fatalf("repair round: %v", err)
-	}
-	if rep.Dead != 3*chunks {
-		t.Errorf("dead holdings = %d, want %d", rep.Dead, 3*chunks)
-	}
-	if rep.Replacements != 3*chunks {
-		t.Errorf("replacements = %d, want %d", rep.Replacements, 3*chunks)
-	}
-	if rep.MinWatermark != float64(target) {
-		t.Errorf("min watermark after repair = %v, want %d", rep.MinWatermark, target)
-	}
-
-	// Repair traffic budget: at most 3x the minimum replacement bytes
-	// (one full-rank batch per lost replica per chunk).
-	var minBytes int64
-	for _, info := range res.Handle.Manifest.Chunks {
-		params, err := info.Params(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		minBytes += 3 * int64(info.K) * int64(params.MessageBytes())
-	}
-	if rep.Bytes <= 0 || rep.Bytes > 3*minBytes {
-		t.Errorf("repair bytes = %d, want in (0, %d] (3x minimum)", rep.Bytes, 3*minBytes)
-	}
-
-	// Steady state: a second round finds nothing to do.
-	rep2, err := d.RunOnce(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Dead != 0 || rep2.Replacements != 0 || rep2.Failed != 0 {
-		t.Errorf("second round not quiescent: %+v", rep2)
-	}
-
-	// Cold fetch from a fresh host using only the (persisted) handle
-	// and the live holder set: byte-identical.
-	fetchHandle := liveHandle(t, &res.Handle, set)
 	cold, err := core.NewSystem(c.Owner, nil, core.WithPlan(plan),
 		core.WithClientOptions(client.Options{Transport: c.Fabric.Host("cold")}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := cold.FetchFile(ctx, fetchHandle, res.Secret)
+	got, _, err := cold.FetchFile(ctx, &res.Handle, res.Secret)
 	if err != nil {
 		t.Fatalf("cold fetch after churn: %v", err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("cold fetch differs from original after churn repair")
+		t.Fatal("cold fetch differs from original after churn")
 	}
 
-	// Peer-side kill -9: the durable replacement power-cuts and
-	// reboots with its contract book, obligations, and batches intact.
-	if err := dp.Restart(c); err != nil {
-		t.Fatalf("restart durable replacement: %v", err)
+	// The live holders pass their spot-checks, so repair re-sends
+	// nothing, and it cannot re-send to a holder that is gone.
+	n, err := sys.Repair(ctx, &res.Handle, res.Secret, data)
+	if n != 0 {
+		t.Errorf("repair re-sent %d messages, want 0", n)
 	}
-	brec := dp.Node.ContractRecovery()
-	if brec.Active != chunks {
-		t.Fatalf("recovered book = %+v, want %d active contracts", brec, chunks)
+	const prefix = "core: repair: unreachable holders not repaired: "
+	if err == nil || !strings.HasPrefix(err.Error(), prefix) {
+		t.Fatalf("repair error = %v, want one naming the dead holders", err)
 	}
-	got2, _, err := cold.FetchFile(ctx, fetchHandle, res.Secret)
-	if err != nil {
-		t.Fatalf("fetch after replacement reboot: %v", err)
+	named := strings.Split(strings.TrimPrefix(err.Error(), prefix), ", ")
+	slices.Sort(named)
+	slices.Sort(dead)
+	if !slices.Equal(named, dead) {
+		t.Fatalf("repair named %v, want exactly the dead holders %v", named, dead)
 	}
-	if !bytes.Equal(got2, data) {
-		t.Fatal("fetch differs after replacement peer reboot")
-	}
-
-	// Owner-side kill -9: the holdings journal and handle file replay
-	// to the exact post-repair state — the recovered daemon sees the
-	// watermark at target without touching the network.
-	if err := set.Close(); err != nil {
-		t.Fatal(err)
-	}
-	oefs.Reboot()
-	set2, orec, err := contract.OpenSet(oefs, "/owner/contracts.j")
-	if err != nil {
-		t.Fatalf("reopen holdings journal: %v", err)
-	}
-	defer set2.Close()
-	if orec.Active != target*chunks {
-		t.Fatalf("owner recovery = %+v, want %d active holdings", orec, target*chunks)
-	}
-	h2, err := core.LoadHandleFileFS(oefs, handlePath)
-	if err != nil {
-		t.Fatalf("reload handle: %v", err)
-	}
-	d2, err := sys.NewRepairDaemon(h2, res.Secret, data, set2, repair.Config{Target: target})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	for i, w := range d2.Watermarks() {
-		if w != float64(target) {
-			t.Errorf("recovered watermark[%d] = %v, want %d", i, w, target)
-		}
-	}
-}
-
-// liveHandle rebuilds a fetch handle whose peer list is the current
-// live holder set recorded in the holdings journal.
-func liveHandle(t *testing.T, h *core.Handle, set *contract.Set) *core.Handle {
-	t.Helper()
-	seen := make(map[string]bool)
-	var addrs []string
-	for _, hd := range set.Holdings() {
-		if !seen[hd.Addr] {
-			seen[hd.Addr] = true
-			addrs = append(addrs, hd.Addr)
-		}
-	}
-	sort.Strings(addrs)
-	if len(addrs) == 0 {
-		t.Fatal("no live holders in the contract set")
-	}
-	return &core.Handle{Manifest: h.Manifest, Peers: addrs}
 }

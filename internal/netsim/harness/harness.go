@@ -163,18 +163,12 @@ func (c *Cluster) startPeer(host string, key byte, cfg peer.Config) *Peer {
 // checkpoints to the same filesystem — an fsx.ErrFS, so tests can
 // power-cut the peer's disk deterministically and reboot it.
 type DurablePeer struct {
-	Host         string
-	ID           *auth.Identity
-	Owner        ed25519.PublicKey
-	FS           *fsx.ErrFS
-	Dir          string // store directory on FS
-	LedgerPath   string // ledger checkpoint path on FS
-	ContractPath string // contract journal path on FS
-
-	// Capacity is the advertised contract capacity in bytes (0 =
-	// unlimited). Set it before StartDurablePeer boots the node — or
-	// between Restart calls to simulate an operator reconfiguring.
-	Capacity int64
+	Host       string
+	ID         *auth.Identity
+	Owner      ed25519.PublicKey
+	FS         *fsx.ErrFS
+	Dir        string // store directory on FS
+	LedgerPath string // ledger checkpoint path on FS
 
 	Node  *peer.Node
 	Store *store.Disk
@@ -187,13 +181,12 @@ type DurablePeer struct {
 func (c *Cluster) StartDurablePeer(efs *fsx.ErrFS, host string, keyByte byte, owner ed25519.PublicKey) *DurablePeer {
 	c.t.Helper()
 	p := &DurablePeer{
-		Host:         host,
-		ID:           testIdentity(c.t, keyByte),
-		Owner:        owner,
-		FS:           efs,
-		Dir:          "/" + host + "/store",
-		LedgerPath:   "/" + host + "/ledger",
-		ContractPath: "/" + host + "/contracts.j",
+		Host:       host,
+		ID:         testIdentity(c.t, keyByte),
+		Owner:      owner,
+		FS:         efs,
+		Dir:        "/" + host + "/store",
+		LedgerPath: "/" + host + "/ledger",
 	}
 	if err := efs.MkdirAll(p.Dir, 0o755); err != nil {
 		c.t.Fatal(err)
@@ -219,8 +212,6 @@ func (p *DurablePeer) boot(c *Cluster) error {
 		Owner:              p.Owner,
 		LedgerPath:         p.LedgerPath,
 		CheckpointInterval: time.Hour,
-		CapacityBytes:      p.Capacity,
-		ContractPath:       p.ContractPath,
 		FS:                 p.FS,
 		Transport:          c.Fabric.Host(p.Host),
 	})

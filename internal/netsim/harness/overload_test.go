@@ -1,6 +1,6 @@
 package harness
 
-// Overload-resilience scenarios (make overload-smoke, DESIGN.md §15).
+// Overload-resilience scenarios (make overload-smoke, DESIGN.md §14).
 //
 // Flash crowd: sixteen clients with exponentially spaced fairness
 // standings storm one storage peer whose admission bound holds four

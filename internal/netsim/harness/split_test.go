@@ -1,6 +1,6 @@
 package harness
 
-// The split (ISSUE 22, DESIGN.md §15): a peer whose DATA frames keep
+// The split (DESIGN.md §14): a peer whose DATA frames keep
 // arriving after STOP is asked for its share of each generation through
 // GET's Limit; a peer that something paces is asked for everything and
 // stopped at rank k, as before. What crosses the wire is asserted from

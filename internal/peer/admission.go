@@ -1,6 +1,6 @@
 package peer
 
-// Bounded admission and standing-aware load shedding (DESIGN.md §15).
+// Bounded admission and standing-aware load shedding (DESIGN.md §14).
 //
 // When Config.MaxStreams caps the serve path, a request arriving at the
 // bound is not queued behind unbounded work: the node either preempts

@@ -266,7 +266,7 @@ func TestAdmissionRefusalScanAllocs(t *testing.T) {
 }
 
 // TestServeStreamDropsExpiredDeadline pins the deadline propagation
-// contract (DESIGN.md §15): a stream whose wire-carried deadline has
+// contract (DESIGN.md §14): a stream whose wire-carried deadline has
 // passed is dropped before a single byte is served — the requester
 // gets a terminal BUSY/CodeExpired and the accounting records it.
 func TestServeStreamDropsExpiredDeadline(t *testing.T) {

@@ -236,25 +236,6 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 			n.log.Debug("audit failed", "client", client, "err", err)
 			return true
 		}
-	case wire.TypeContractPropose:
-		if err := n.handleContractPropose(cs.cw, client, payload); err != nil {
-			n.log.Debug("contract propose failed", "client", client, "err", err)
-			return true
-		}
-	case wire.TypeContractRenew:
-		if err := n.handleContractRenew(cs.cw, client, payload); err != nil {
-			n.log.Debug("contract renew failed", "client", client, "err", err)
-			return true
-		}
-	case wire.TypeContractRelease:
-		if err := n.handleContractRelease(cs.cw, client, payload); err != nil {
-			n.log.Debug("contract release failed", "client", client, "err", err)
-			return true
-		}
-	case wire.TypeContractList:
-		if err := n.handleContractList(cs.cw, client); err != nil {
-			return true
-		}
 	case wire.TypeFeedback:
 		n.handleFeedback(cs.clientKey, client, payload)
 		// Acknowledge so the sender knows the credits landed before

@@ -36,11 +36,16 @@ func (r *recorder) bytes() []byte {
 
 // TestConnErrorFramesTakeTheWriteLock: the ERROR frames dispatch sends
 // for a malformed STOP, a malformed GET_MUX and an unexpected frame (the
-// retired LIST and GET among them, answered by name) wait for the
-// connection's write lock like every other write. A stream holds that lock across a DATA frame's
+// retired LIST, GET and storage-contract frames among them, answered by
+// name) wait for the connection's write lock like every other write. A stream holds that lock across a DATA frame's
 // header and payload, which are two writes on a transport without
 // writev; an ERROR that skipped the lock could land between them.
 func TestConnErrorFramesTakeTheWriteLock(t *testing.T) {
+	// Well-formed frames from an owner built before storage contracts
+	// were retired: contract 1 for file 9, one 64-byte message, 60 s.
+	propose := append(make([]byte, 7), 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 60)
+	renew := append(make([]byte, 7), 1, 0, 0, 0, 60)
+	release := append(make([]byte, 7), 1)
 	for _, tc := range []struct {
 		name    string
 		typ     wire.Type
@@ -52,6 +57,10 @@ func TestConnErrorFramesTakeTheWriteLock(t *testing.T) {
 		{"unexpected frame", wire.TypeChallenge, nil, "unexpected frame CHALLENGE"},
 		{"retired LIST", wire.TypeList, nil, "unexpected frame LIST"},
 		{"retired GET", wire.TypeGet, (&wire.Get{FileID: 9}).Marshal(), "unexpected frame GET"},
+		{"retired CONTRACT_PROPOSE", wire.TypeContractPropose, propose, "unexpected frame CONTRACT_PROPOSE"},
+		{"retired CONTRACT_RENEW", wire.TypeContractRenew, renew, "unexpected frame CONTRACT_RENEW"},
+		{"retired CONTRACT_RELEASE", wire.TypeContractRelease, release, "unexpected frame CONTRACT_RELEASE"},
+		{"retired CONTRACT_LIST", wire.TypeContractList, nil, "unexpected frame CONTRACT_LIST"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var rec recorder

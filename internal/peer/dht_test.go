@@ -3,8 +3,10 @@ package peer_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -121,5 +123,66 @@ func TestPeerWithoutDHTAnswersNoDHTFrame(t *testing.T) {
 	}
 	if n := node.StoredBytes(); n != 0 || st.TotalMessages() != 0 {
 		t.Fatalf("peer stored %d bytes, %d messages from a DHT frame", n, st.TotalMessages())
+	}
+}
+
+// TestPeerReannouncesStoredFiles: a record the owner announces once
+// outlives its TTL while a DHT-hosting peer holds the file, because the
+// peer re-announces each stored file-id under its own address every
+// half TTL; once the peer closes, the record lapses.
+func TestPeerReannouncesStoredFiles(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	bootstrap := startPeer(t, peer.Config{Identity: identity(t, 43), Store: store.NewMemory(), DHT: &dht.Config{MaxTTL: ttl}})
+	st := store.NewMemory()
+	if err := st.Put(&rlnc.Message{FileID: 77, MessageID: 1, Payload: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	holder, err := peer.New(peer.Config{Identity: identity(t, 44), Store: st, DHT: &dht.Config{MaxTTL: ttl}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	holderAddr := holder.Addr().String()
+	if err := holder.DHT().Join(ctx, bootstrap.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	clientNode := func() *dht.Node {
+		n, err := dht.New(dht.Config{MaxTTL: ttl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		if err := n.Join(ctx, bootstrap.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	key := dht.KeyFromFileID(77)
+	if err := clientNode().Announce(ctx, key, holderAddr, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	time.Sleep(4 * ttl)
+	user := clientNode()
+	if got, err := user.Lookup(ctx, key); err != nil || len(got) != 1 || got[0] != holderAddr {
+		t.Fatalf("lookup 4 TTLs after the one announce = %v, %v; want [%s]", got, err, holderAddr)
+	}
+
+	holder.Close()
+	gone := time.Now().Add(3 * ttl)
+	for {
+		got, err := user.Lookup(ctx, key)
+		if errors.Is(err, dht.ErrNotFound) || (err == nil && !slices.Contains(got, holderAddr)) {
+			return
+		}
+		if time.Now().After(gone) {
+			t.Fatalf("lookup 3 TTLs after the holder closed = %v, %v; want it gone", got, err)
+		}
+		time.Sleep(ttl / 10)
 	}
 }

@@ -27,7 +27,7 @@ const (
 	MetricAuditSampled   = "peer_audit_messages_sampled_total"
 	MetricAuditHeld      = "peer_audit_messages_held_total"
 
-	// Overload-resilience families (DESIGN.md §15).
+	// Overload-resilience families (DESIGN.md §14).
 	MetricOverloadSheds    = "overload_sheds_total"
 	MetricOverloadPreempts = "overload_preempts_total"
 	MetricOverloadExpired  = "overload_expired_total"

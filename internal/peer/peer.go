@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"asymshare/internal/auth"
-	"asymshare/internal/contract"
 	"asymshare/internal/dht"
 	"asymshare/internal/estimate"
 	"asymshare/internal/fairshare"
@@ -97,19 +96,6 @@ type Config struct {
 	// durable state deterministically.
 	FS fsx.FS
 
-	// CapacityBytes is the peer's advertised storage capacity for
-	// contracted obligations, in payload bytes. A proposal that would
-	// push the obligated total past it is refused with a typed
-	// over-capacity error while the owner is still on the line. Zero
-	// or negative means unlimited.
-	CapacityBytes int64
-
-	// ContractPath, when set, journals accepted obligations there
-	// (through FS) so a kill -9 never forgets an acknowledged
-	// contract; see internal/contract. Empty keeps the book in
-	// memory.
-	ContractPath string
-
 	// ReallocInterval is how often stream rates are recomputed; zero
 	// means DefaultReallocInterval.
 	ReallocInterval time.Duration
@@ -124,7 +110,7 @@ type Config struct {
 	MaxConns int
 
 	// MaxStreams bounds concurrently served download streams (the
-	// admission queue of DESIGN.md §15). At the bound, a new request
+	// admission queue of DESIGN.md §14). At the bound, a new request
 	// either preempts the active stream with the lowest (priority,
 	// fairness standing) — free riders shed first, high-standing
 	// requesters protected — or is refused with a typed BUSY /
@@ -138,8 +124,9 @@ type Config struct {
 	// frame is a DHT request goes to the node instead of the handshake.
 	// Start builds the node from this configuration with Advertise set
 	// to the listen address, which also seeds its id, and Transport
-	// defaulting to the peer's; DHT returns it. Nil leaves DHT frames
-	// unanswered.
+	// defaulting to the peer's; DHT returns it. The peer re-announces
+	// every stored file-id under its address once per half of MaxTTL.
+	// Nil leaves DHT frames unanswered.
 	DHT *dht.Config
 
 	// Transport provides the listener; nil means real TCP
@@ -170,8 +157,6 @@ type Node struct {
 	m         nodeMetrics
 	ckpt      *fairshare.Checkpointer
 	ledgerRec fairshare.LedgerRecovery
-	book      *contract.Book
-	bookRec   contract.Recovery
 
 	ln     net.Listener
 	dht    *dht.Node
@@ -274,17 +259,6 @@ func New(cfg Config) (*Node, error) {
 	if n.ledger == nil {
 		n.ledger = fairshare.NewLedger(fairshare.DefaultInitialCredit)
 	}
-	book, bookRec, err := contract.OpenBook(contract.BookConfig{
-		Capacity: cfg.CapacityBytes,
-		Path:     cfg.ContractPath,
-		FS:       cfg.FS,
-		Metrics:  cfg.Metrics,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("peer: recover contract book: %w", err)
-	}
-	n.book = book
-	n.bookRec = bookRec
 	if n.alloc == nil {
 		n.alloc = fairshare.PairwiseProportional{}
 	}
@@ -353,6 +327,10 @@ func (n *Node) Start(addr string) error {
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.reallocLoop()
+	if dn != nil {
+		n.wg.Add(1)
+		go n.reannounceLoop(dn)
+	}
 	if n.ckpt != nil {
 		// Close cancels n.ctx before wg.Wait, so Run's shutdown path
 		// writes one final checkpoint before Close returns.
@@ -367,6 +345,35 @@ func (n *Node) Start(addr string) error {
 	}
 	n.log.Info("peer started", "addr", ln.Addr().String(), "fingerprint", n.cfg.Identity.Fingerprint())
 	return nil
+}
+
+// reannounceLoop announces every stored file-id under the peer's own
+// address once per half of its DHT node's MaxTTL, so a record the
+// owner announced once stays resolvable for as long as this peer holds
+// the file, and lapses within a TTL of the peer leaving.
+func (n *Node) reannounceLoop(dn *dht.Node) {
+	defer n.wg.Done()
+	ttl := n.cfg.DHT.MaxTTL
+	if ttl <= 0 {
+		ttl = dht.DefaultTTL
+	}
+	ticker := time.NewTicker(ttl / 2)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-n.ctx.Done():
+			return
+		case <-ticker.C:
+		}
+		for _, id := range n.cfg.Store.Files() {
+			if err := dn.Announce(n.ctx, dht.KeyFromFileID(id), dn.Addr(), 0); err != nil {
+				if n.ctx.Err() != nil {
+					return
+				}
+				n.log.Debug("dht re-announce failed", "file", id, "err", err)
+			}
+		}
+	}
 }
 
 // Addr returns the listen address, or nil before Start.
@@ -389,13 +396,6 @@ func (n *Node) DHT() *dht.Node {
 
 // Ledger exposes the node's receipt ledger (shared, concurrent-safe).
 func (n *Node) Ledger() *fairshare.Ledger { return n.ledger }
-
-// Contracts exposes the node's obligation book (concurrent-safe).
-func (n *Node) Contracts() *contract.Book { return n.book }
-
-// ContractRecovery reports what New found at Config.ContractPath. The
-// zero value is returned when the node has no durable book.
-func (n *Node) ContractRecovery() contract.Recovery { return n.bookRec }
 
 // LedgerRecovery reports what New found at Config.LedgerPath. The
 // zero value is returned when the node has no durable ledger.
@@ -438,7 +438,7 @@ func (n *Node) Close() error {
 	if dn != nil {
 		dn.Close()
 	}
-	return n.book.Close()
+	return nil
 }
 
 // ServedBytes reports the total bytes served per downloader

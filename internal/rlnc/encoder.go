@@ -133,8 +133,8 @@ func (e *Encoder) Message(messageID uint64) *Message {
 
 // batchStride separates the message-id ranges assigned to different
 // peers, leaving room for the encoder to skip linearly dependent ids:
-// batch rank r owns ids [r·2^32, (r+1)·2^32). BatchRank, RankDigests
-// and MaxBatchRank are the layout's only readers outside the encoder.
+// batch rank r owns ids [r·2^32, (r+1)·2^32). BatchRank and
+// RankDigests are the layout's only readers outside the encoder.
 const batchStride = uint64(1) << 32
 
 // BatchRank returns the batch rank whose id range holds messageID.
@@ -150,18 +150,6 @@ func RankDigests(all map[uint64]Digest, rank int) map[uint64]Digest {
 		}
 	}
 	return out
-}
-
-// MaxBatchRank returns the highest batch rank any of the digests was
-// minted at, or -1 for none.
-func MaxBatchRank(all map[uint64]Digest) int {
-	max := -1
-	for id := range all {
-		if r := BatchRank(id); r > max {
-			max = r
-		}
-	}
-	return max
 }
 
 // BatchForPeer generates the batch of up to k messages destined for the

@@ -10,7 +10,7 @@ import (
 // defines it: every id BatchForPeer(r, k) mints maps back to r through
 // BatchRank — also the ids past a dependent row the scan skipped —
 // RankDigests over a generation's digest map returns exactly batch r's
-// ids, and MaxBatchRank the highest rank minted. GF(2^4) makes skipped
+// ids. GF(2^4) makes skipped
 // rows common enough that some file id in the sweep has one.
 func TestBatchRankLayout(t *testing.T) {
 	ranks := []int{0, 1, 7}
@@ -54,15 +54,9 @@ func TestBatchRankLayout(t *testing.T) {
 			if got := RankDigests(all, 2); len(got) != 0 {
 				t.Fatalf("file %d k=%d: unminted rank 2 has %d digests", fileID, k, len(got))
 			}
-			if got := MaxBatchRank(all); got != 7 {
-				t.Fatalf("file %d k=%d: MaxBatchRank = %d, want 7", fileID, k, got)
-			}
 		}
 	}
 	if !skipped {
 		t.Fatal("no batch in the sweep skipped a dependent row; the sweep no longer covers that case")
-	}
-	if got := MaxBatchRank(nil); got != -1 {
-		t.Fatalf("MaxBatchRank of no digests = %d, want -1", got)
 	}
 }

@@ -166,7 +166,7 @@ type Pipeline struct {
 }
 
 // NewPipeline prepares a parallel decoder for one generation, mirroring
-// NewDecoder's contract. digests, if non-nil, enables per-message
+// NewDecoder's contract: digests, if non-nil, enables per-message
 // authentication. The engine is aimed at no buffer yet: Retarget aims
 // it, or its first arrival draws one. The returned pipeline owns one
 // background goroutine, the job runner; callers must Close it.

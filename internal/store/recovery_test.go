@@ -305,7 +305,7 @@ func crashWorkload() []*rlnc.Message {
 }
 
 // verifyRecovered opens the store after a fault and checks the
-// durability contract. acked[i] reports whether work[i]'s Put returned
+// durability contract: acked[i] reports whether work[i]'s Put returned
 // success.
 func verifyRecovered(t *testing.T, efs *fsx.ErrFS, dir string, work []*rlnc.Message, acked []bool, label string) {
 	t.Helper()

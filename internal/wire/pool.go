@@ -1,7 +1,7 @@
 package wire
 
 // Pooled, reference-counted frame buffers — the allocation story of the
-// zero-copy hot path (DESIGN.md §13). A FrameReader hands every frame
+// zero-copy hot path (DESIGN.md §12). A FrameReader hands every frame
 // payload out in a *Buf drawn from a Pool; ownership transfers with the
 // value, and whoever holds the last reference returns the memory to the
 // pool with Release. The pool keeps per-size-class free lists so a

@@ -5,7 +5,7 @@ package wire
 // BYE. It buffers the underlying stream in one window, parses
 // length-prefixed frames out of it, and hands each payload out in a
 // reference-counted *Buf drawn from its Pool — the caller owns the
-// buffer and must Release it (or hand ownership on; see DESIGN.md §13).
+// buffer and must Release it (or hand ownership on; see DESIGN.md §12).
 // Because the window may hold bytes past the frame just returned, a
 // second reader over the same stream would lose them: the handshake and
 // everything after it share the connection's reader. Frame boundaries,

@@ -39,12 +39,12 @@ const (
 	TypeFileList                        // retired inventory response: reserved, never sent
 	TypeAuditChallenge                  // keyed spot-check over sampled stored messages
 	TypeAuditResponse                   // per-message possession proofs
-	TypeContractPropose                 // owner offers a storage obligation
-	TypeContractGrant                   // peer accepted (or renewed/released) an obligation
-	TypeContractRenew                   // owner extends an obligation's term
-	TypeContractRelease                 // owner releases an obligation early
-	TypeContractList                    // request the peer's obligation book
-	TypeContractInfo                    // obligation book response
+	TypeContractPropose                 // retired storage-contract offer: reserved, answered "unexpected frame"
+	TypeContractGrant                   // retired storage-contract reply: reserved, never sent
+	TypeContractRenew                   // retired storage-contract renewal: reserved, answered "unexpected frame"
+	TypeContractRelease                 // retired storage-contract release: reserved, answered "unexpected frame"
+	TypeContractList                    // retired storage-contract listing: reserved, answered "unexpected frame"
+	TypeContractInfo                    // retired storage-contract listing reply: reserved, never sent
 	TypeGetMux                          // multiplexed get: failures scoped to the stream, not the conn
 	TypeStreamError                     // terminal error for one multiplexed stream
 	TypeBusy                            // load shed: request refused or preempted, retry after a delay
@@ -335,15 +335,16 @@ func (f *Feedback) Unmarshal(b []byte) error {
 
 // Error codes carried in ErrorMsg.
 const (
-	CodeAuthFailed      uint16 = 1
-	CodeUnknownFile     uint16 = 2
-	CodeBadRequest      uint16 = 3
-	CodeInternal        uint16 = 4
-	CodeNotPermitted    uint16 = 5
-	CodeOverCapacity    uint16 = 6 // contract would exceed the peer's advertised capacity
-	CodeUnknownContract uint16 = 7 // renew/release of an obligation the peer does not hold
-	CodeBusy            uint16 = 8 // admission refused or stream preempted under overload
-	CodeExpired         uint16 = 9 // the request's deadline passed before it could be served
+	CodeAuthFailed   uint16 = 1
+	CodeUnknownFile  uint16 = 2
+	CodeBadRequest   uint16 = 3
+	CodeInternal     uint16 = 4
+	CodeNotPermitted uint16 = 5
+	// Codes 6 and 7 were the retired storage contracts' over-capacity
+	// and unknown-contract refusals; like frame types 18–23 they are
+	// reserved and must not be reused.
+	CodeBusy    uint16 = 8 // admission refused or stream preempted under overload
+	CodeExpired uint16 = 9 // the request's deadline passed before it could be served
 )
 
 // ErrorMsg is a terminal protocol error.

@@ -11,7 +11,7 @@ package wire
 // state allocates nothing. WriteFrame is queue-and-flush for the
 // one-frame control replies.
 //
-// Ownership (DESIGN.md §13): plain Queue/QueueSpan payloads must stay
+// Ownership (DESIGN.md §12): plain Queue/QueueSpan payloads must stay
 // valid until Flush returns; QueueBuf transfers ownership of a pooled
 // *Buf to the writer, which releases it after the flush — success or
 // not.
