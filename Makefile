@@ -107,12 +107,11 @@ race-wire: vet gates
 race-store: vet
 	$(GO) test -race -count=2 ./internal/fsx/... ./internal/store/... ./internal/fairshare/...
 
-# race-dht exercises the trackerless discovery stack under the race
-# detector: the Kademlia node (tables, iterative lookups, concurrent
-# announce/lookup storms), and the DHT implementation of the Discovery
-# seam.
+# race-dht exercises the discovery stack under the race detector: the
+# Kademlia node (tables, iterative lookups, concurrent announce/lookup
+# storms).
 race-dht: vet
-	$(GO) test -race ./internal/dht/... ./internal/discovery/...
+	$(GO) test -race ./internal/dht/...
 
 # race-fairshare exercises the allocation stack under the race
 # detector: the policy seam and its property/fuzz-seed suites, the
@@ -129,12 +128,12 @@ race-fairshare: vet gates
 churn-smoke:
 	$(GO) test -race -run TestChurnKeepsFileFetchable ./internal/netsim/harness/
 
-# swarm-smoke is the CI-sized trackerless acceptance slice: a file is
+# swarm-smoke is the CI-sized discovery acceptance slice: a file is
 # ring-placed on a 128-peer netsim swarm and announced through the DHT,
-# the tracker is killed mid-run, and a cold client still fetches
-# byte-identical plaintext through DHT discovery alone — plus each
-# mechanism's own faults (a blackholed tracker, an empty-address
-# announce, an unjoined DHT node) — under -race, about 10 s. ci does not
+# and a cold client fetches byte-identical plaintext with every holder
+# resolved through it — plus the DHT's own faults (an empty-address
+# announce, an unjoined node, a lookup through a blackholed directory)
+# — under -race, about 10 s. ci does not
 # run it: race already runs these tests twice as part of
 # ./internal/netsim/...
 swarm-smoke:
@@ -243,8 +242,8 @@ bench-grid-smoke:
 		./internal/rlnc/ ./internal/fairshare/ ./
 
 # chaos runs the deterministic fault-injection suite — the netsim
-# fabric's own tests plus the end-to-end harness (tracker + peers +
-# clients over simulated partitions, blackholes and drops) — twice,
+# fabric's own tests plus the end-to-end harness (peers + clients over
+# simulated partitions, blackholes and drops) — twice,
 # under the race detector (the netsim half of `race`). Every harness
 # test logs its fabric seed (shown with -v and on failure); replay an
 # exact failure with NETSIM_SEED=<seed> make chaos.

@@ -18,7 +18,7 @@ import (
 	"asymshare/internal/store"
 )
 
-// TestShareFetchViaDHT drives the trackerless recipe end to end: share
+// TestShareFetchViaDHT drives the discovery recipe end to end: share
 // ring-placed (-replicas) onto a subset of the peers and announce
 // through the DHT, then fetch resolving holders through another DHT
 // node.
@@ -123,5 +123,22 @@ func TestServeDHTListenFlags(t *testing.T) {
 	err := run([]string{"serve", "-key", keyPath, "-store", filepath.Join(dir, "s"), retired, "127.0.0.1:0"}, &out)
 	if err == nil || !strings.Contains(err.Error(), retired) {
 		t.Errorf("serve %s: err = %v, want it to name the flag", retired, err)
+	}
+}
+
+// TestRetiredDiscoveryFlags: the DHT is the one discovery mechanism, so
+// share and fetch refuse -tracker, and serve refuses the class weights
+// of the retired classes policy.
+func TestRetiredDiscoveryFlags(t *testing.T) {
+	var out bytes.Buffer
+	for _, args := range [][]string{
+		{"share", "-tracker", "x"},
+		{"fetch", "-tracker", "x"},
+		{"serve", "-class-weights", "1:2"},
+	} {
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v, want flag provided but not defined", args, err)
+		}
 	}
 }

@@ -10,16 +10,12 @@
 //	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7070 -out video.handle
 //	asymshare fetch   -key user.key -handle video.handle -secret <hex> -out video.mpg
 //
-// Discovery: share announces through -tracker host:7000, -dht
-// peer:7070 or both; fetch resolves through one of them (-dht when both
-// are given) and never falls back on the other. An announcement lives
-// one TTL (10 min; the tracker's -ttl can raise its cap). Every serve
-// re-announces each file it stores in the DHT every half TTL, so a DHT
-// record lives as long as its holder; a tracker record lapses.
-//
-// Trackerless mode (DHT discovery, ring placement; no tracker anywhere).
-// Every serve answers DHT RPCs on its one -listen port, so any serve is
-// a bootstrap; a joiner listens on a host:port other peers can dial:
+// Discovery is the DHT every serve answers on its one -listen port, so
+// any serve is a bootstrap; a joiner listens on a host:port other peers
+// can dial. share -dht announces each chunk's holders, and fetch -dht
+// resolves them instead of reading the handle's peer list. A record
+// lives one TTL (10 min), and every serve re-announces each file it
+// stores every half TTL, so a record lives as long as its holder:
 //
 //	asymshare serve   -key peer.key -listen a:7070 -store ./data                     # bootstrap
 //	asymshare serve   -key peer2.key -listen b:7070 -store ./data2 -dht a:7070        # joins swarm
@@ -51,7 +47,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -60,7 +55,6 @@ import (
 	"asymshare/internal/client"
 	"asymshare/internal/core"
 	"asymshare/internal/dht"
-	"asymshare/internal/discovery"
 	"asymshare/internal/estimate"
 	"asymshare/internal/fairshare"
 	"asymshare/internal/fsx"
@@ -143,57 +137,18 @@ func cmdKeygen(args []string, out io.Writer) error {
 	return nil
 }
 
-// parsePolicy maps the -policy flag to an allocator. weights is the
-// -class-weights spec ("1:2,2:4"), meaningful only for classes.
-func parsePolicy(name, weights string) (fairshare.Allocator, error) {
-	if weights != "" && name != "classes" {
-		return nil, fmt.Errorf("-class-weights requires -policy classes (got %q)", name)
-	}
+// parsePolicy maps the -policy flag to an allocator.
+func parsePolicy(name string) (fairshare.Allocator, error) {
 	switch name {
 	case "eq2":
 		return fairshare.PairwiseProportional{}, nil
-	case "eq3":
-		// The CLI carries no declaration channel yet, so every requester
-		// declares zero and the policy equal-splits; the flag exists so
-		// the baseline is runnable end to end.
-		return fairshare.GlobalProportional{}, nil
 	case "equal":
 		return fairshare.EqualSplit{}, nil
 	case "bci":
 		return fairshare.BiasedContribution{}, nil
-	case "classes":
-		w, err := parseClassWeights(weights)
-		if err != nil {
-			return nil, err
-		}
-		return fairshare.Classes{Weights: w}, nil
 	default:
-		return nil, fmt.Errorf("unknown -policy %q (want eq2, eq3, equal, bci, or classes)", name)
+		return nil, fmt.Errorf("unknown -policy %q (want eq2, equal, or bci)", name)
 	}
-}
-
-// parseClassWeights parses "class:weight,class:weight" pairs.
-func parseClassWeights(spec string) (map[fairshare.ServiceClass]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := make(map[fairshare.ServiceClass]float64)
-	for _, pair := range strings.Split(spec, ",") {
-		c, w, ok := strings.Cut(pair, ":")
-		if !ok {
-			return nil, fmt.Errorf("malformed -class-weights entry %q (want class:weight)", pair)
-		}
-		class, err := strconv.ParseUint(strings.TrimSpace(c), 10, 8)
-		if err != nil {
-			return nil, fmt.Errorf("class in %q: %w", pair, err)
-		}
-		weight, err := strconv.ParseFloat(strings.TrimSpace(w), 64)
-		if err != nil {
-			return nil, fmt.Errorf("weight in %q: %w", pair, err)
-		}
-		out[fairshare.ServiceClass(class)] = weight
-	}
-	return out, nil
 }
 
 // parseEstimator maps the -estimate flag to a capacity estimator (nil
@@ -218,14 +173,13 @@ func cmdServe(args []string, out io.Writer) error {
 	storeDir := fs.String("store", "", "message store directory (required)")
 	upload := fs.Float64("upload", 0, "upload capacity in bytes/s (0 = unshaped; with -estimate, a ceiling on the estimate)")
 	maxStreams := fs.Int("max-streams", 0, "admission cap on concurrently served download streams; excess requests are shed BUSY with a retry-after hint (0 = unlimited)")
-	policyName := fs.String("policy", "eq2", "allocation policy: eq2 (pairwise proportional), eq3 (declared upload; degrades to equal without declarations), bci (biased contribution index), classes (class-weighted), equal")
-	classWeights := fs.String("class-weights", "", "service-class weights for -policy classes, e.g. 1:2,2:4 (unlisted classes weigh 1)")
+	policyName := fs.String("policy", "eq2", "allocation policy: eq2 (pairwise proportional), bci (biased contribution index), equal")
 	estName := fs.String("estimate", "off", "online upload-capacity estimation: off, ewma (percentile-of-history), probe (packet-train max)")
 	ownerHex := fs.String("owner", "", "owner public key (hex) allowed to send feedback")
 	ledgerPath := fs.String("ledger", "", "receipt-ledger checkpoint file persisted across restarts (and crashes)")
 	ckptEvery := fs.Duration("checkpoint", fairshare.DefaultCheckpointInterval, "ledger checkpoint interval")
 	metricsAddr := fs.String("metrics", "", "serve Prometheus metrics (/metrics), expvar (/debug/vars) and runtime profiles (/debug/pprof/) on this address, e.g. 127.0.0.1:9090; whoever reaches it can profile the process, so keep it on loopback or behind a firewall")
-	dhtBootstrap := fs.String("dht", "", "join the DHT through this peer (trackerless mode); every serve answers DHT RPCs on its -listen port")
+	dhtBootstrap := fs.String("dht", "", "join the DHT through this peer; every serve answers DHT RPCs on its -listen port")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -247,7 +201,7 @@ func cmdServe(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "store recovery: %d torn tails truncated, %d files quarantined, %d legacy files migrated\n",
 			rec.TruncatedTails, rec.QuarantinedFiles, rec.MigratedLegacy)
 	}
-	policy, err := parsePolicy(*policyName, *classWeights)
+	policy, err := parsePolicy(*policyName)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
@@ -314,8 +268,8 @@ func cmdServe(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "metrics on http://%s/metrics (expvar at /debug/vars)\n", msrv.Addr())
 	}
 
-	// Trackerless mode: the DHT node this peer answers for on its own
-	// port makes it discoverable (and a routing/replica host for others).
+	// The DHT node this peer answers for on its own port makes it
+	// discoverable (and a routing/replica host for others).
 	if *dhtBootstrap != "" {
 		jctx, jcancel := context.WithTimeout(context.Background(), 30*time.Second)
 		err := node.DHT().Join(jctx, *dhtBootstrap)
@@ -350,7 +304,6 @@ func cmdShare(args []string, out io.Writer) error {
 	filePath := fs.String("file", "", "file to share (required)")
 	peers := fs.String("peers", "", "comma-separated peer addresses (required)")
 	outPath := fs.String("out", "", "handle output path (default <file>.handle)")
-	trackerAddr := fs.String("tracker", "", "tracker to announce the share to")
 	dhtAddr := fs.String("dht", "", "DHT bootstrap node to announce the share through")
 	replicas := fs.Int("replicas", 0, "ring placement: store each chunk on N peers (0 = every peer)")
 	if err := fs.Parse(args); err != nil {
@@ -399,23 +352,13 @@ func cmdShare(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "shared %d bytes as %d messages to %d peers\nhandle: %s\nsecret (keep private!): %s\n",
 		len(data), res.MessagesSent, len(addrs), handlePath, hex.EncodeToString(res.Secret))
-	if *trackerAddr != "" {
-		d, err := discovery.NewTracker(*trackerAddr, nil)
-		if err != nil {
-			return err
-		}
-		if err := sys.AnnounceHandleVia(context.Background(), d, &res.Handle, 0); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "announced %d chunks to tracker %s\n", len(res.Handle.Manifest.Chunks), *trackerAddr)
-	}
 	if *dhtAddr != "" {
 		node, err := joinDHT(*dhtAddr)
 		if err != nil {
 			return err
 		}
 		defer node.Close()
-		if err := sys.AnnounceHandleVia(context.Background(), discovery.NewDHT(node), &res.Handle, 0); err != nil {
+		if err := sys.AnnounceHandleVia(context.Background(), node, &res.Handle, 0); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "announced %d chunks via DHT bootstrap %s\n", len(res.Handle.Manifest.Chunks), *dhtAddr)
@@ -446,8 +389,7 @@ func cmdFetch(args []string, out io.Writer) error {
 	secretHex := fs.String("secret", "", "hex coding secret from 'share' (required)")
 	outPath := fs.String("out", "", "output path (required)")
 	feedback := fs.String("feedback", "", "own peer address to report receipts to")
-	trackerAddr := fs.String("tracker", "", "resolve peers through this tracker instead of the handle's list")
-	dhtAddr := fs.String("dht", "", "resolve peers through the DHT via this bootstrap node")
+	dhtAddr := fs.String("dht", "", "resolve peers through the DHT via this bootstrap node instead of the handle's list")
 	deadline := fs.Duration("deadline", 0, "abandon the fetch after this long; propagated to peers so they drop work that can no longer arrive in time (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -477,26 +419,17 @@ func cmdFetch(args []string, out io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	var d discovery.Discovery
-	switch {
-	case *dhtAddr != "":
-		node, err := joinDHT(*dhtAddr)
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		d = discovery.NewDHT(node)
-	case *trackerAddr != "":
-		if d, err = discovery.NewTracker(*trackerAddr, nil); err != nil {
-			return err
-		}
-	}
 	var (
 		data  []byte
 		stats client.FetchStats
 	)
-	if d != nil {
-		data, stats, err = sys.FetchFileVia(ctx, d, &handle.Manifest, secret)
+	if *dhtAddr != "" {
+		node, joinErr := joinDHT(*dhtAddr)
+		if joinErr != nil {
+			return joinErr
+		}
+		defer node.Close()
+		data, stats, err = sys.FetchFileVia(ctx, node, &handle.Manifest, secret)
 	} else {
 		data, stats, err = sys.FetchFile(ctx, handle, secret)
 	}

@@ -203,13 +203,11 @@ func TestFetchBadSecretOrHandle(t *testing.T) {
 
 func TestParsePolicyAndEstimator(t *testing.T) {
 	for name, want := range map[string]fairshare.Allocator{
-		"eq2":     fairshare.PairwiseProportional{},
-		"eq3":     fairshare.GlobalProportional{},
-		"equal":   fairshare.EqualSplit{},
-		"bci":     fairshare.BiasedContribution{},
-		"classes": fairshare.Classes{},
+		"eq2":   fairshare.PairwiseProportional{},
+		"equal": fairshare.EqualSplit{},
+		"bci":   fairshare.BiasedContribution{},
 	} {
-		got, err := parsePolicy(name, "")
+		got, err := parsePolicy(name)
 		if err != nil {
 			t.Errorf("parsePolicy(%q) error: %v", name, err)
 			continue
@@ -218,24 +216,12 @@ func TestParsePolicyAndEstimator(t *testing.T) {
 			t.Errorf("parsePolicy(%q) = %T, want %T", name, got, want)
 		}
 	}
-	if _, err := parsePolicy("nope", ""); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if _, err := parsePolicy("eq2", "1:2"); err == nil {
-		t.Error("-class-weights accepted without -policy classes")
-	}
-
-	p, err := parsePolicy("classes", "1:2, 3:0.5")
-	if err != nil {
-		t.Fatalf("class weights: %v", err)
-	}
-	cl := p.(fairshare.Classes)
-	if cl.Weights[1] != 2 || cl.Weights[3] != 0.5 {
-		t.Errorf("weights = %v", cl.Weights)
-	}
-	for _, bad := range []string{"1", "x:2", "1:y", "999:2"} {
-		if _, err := parsePolicy("classes", bad); err == nil {
-			t.Errorf("malformed -class-weights %q accepted", bad)
+	// eq3 and classes are not serve policies: a live peer has no
+	// declaration source and sets no service class, so each would grant
+	// what equal or eq2 does.
+	for _, name := range []string{"nope", "eq3", "classes"} {
+		if _, err := parsePolicy(name); err == nil {
+			t.Errorf("policy %q accepted", name)
 		}
 	}
 

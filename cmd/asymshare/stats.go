@@ -184,7 +184,6 @@ var statsSections = map[string]string{
 	"audit":     "retention audits",
 	"store":     "message store",
 	"ratelimit": "upload shaping",
-	"tracker":   "tracker discovery",
 	"dht":       "DHT discovery",
 }
 

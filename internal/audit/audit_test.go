@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,14 +34,15 @@ func mkMessages(t *testing.T, st store.Store, fileID uint64, n int) map[uint64]r
 }
 
 // storeProber answers challenges honestly from per-address stores —
-// the in-process stand-in for client.Client + peer.Node.
+// the in-process stand-in for client.Client + peer.Node. Round calls it
+// concurrently for distinct addresses.
 type storeProber struct {
 	stores map[string]store.Store
-	calls  int
+	calls  atomic.Int64
 }
 
 func (p *storeProber) Audit(_ context.Context, addr string, chs []wire.AuditChallenge, _ time.Duration) ([]*wire.AuditResponse, string, error) {
-	p.calls++
+	p.calls.Add(1)
 	st, ok := p.stores[addr]
 	if !ok {
 		return nil, "", errors.New("no such peer")
@@ -211,10 +214,10 @@ func TestAuditorDropperDebited(t *testing.T) {
 }
 
 // deadProber never answers within the round-trip timeout.
-type deadProber struct{ calls int }
+type deadProber struct{ calls atomic.Int64 }
 
 func (p *deadProber) Audit(ctx context.Context, _ string, _ []wire.AuditChallenge, timeout time.Duration) ([]*wire.AuditResponse, string, error) {
-	p.calls++
+	p.calls.Add(1)
 	select {
 	case <-ctx.Done():
 		return nil, "", ctx.Err()
@@ -238,8 +241,8 @@ func TestAuditorTimeoutRetriesWithBackoffThenPenalizes(t *testing.T) {
 	if v.Outcome != Timeout || v.Peer != "fp-dead" {
 		t.Fatalf("verdict = %+v", v)
 	}
-	if v.Attempts != 3 || prober.calls != 3 {
-		t.Errorf("attempts = %d (probe calls %d), want 3", v.Attempts, prober.calls)
+	if v.Attempts != 3 || prober.calls.Load() != 3 {
+		t.Errorf("attempts = %d (probe calls %d), want 3", v.Attempts, prober.calls.Load())
 	}
 	// Backoff between attempts: retryBackoff, then twice that, beyond
 	// the three timeouts.
@@ -252,15 +255,48 @@ func TestAuditorTimeoutRetriesWithBackoffThenPenalizes(t *testing.T) {
 	}
 
 	// Negative MaxRetries sends exactly one probe.
-	prober.calls = 0
+	prober.calls.Store(0)
 	verdicts, err = Round(context.Background(), prober, []byte("s"),
 		[]Target{{Addr: "dead", FileID: 1, Digests: digests}},
 		Options{Timeout: 20 * time.Millisecond, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := verdicts[0]; v.Outcome != Timeout || v.Attempts != 1 || prober.calls != 1 {
-		t.Errorf("no-retry verdict %+v after %d probe calls, want one Timeout attempt", v, prober.calls)
+	if v := verdicts[0]; v.Outcome != Timeout || v.Attempts != 1 || prober.calls.Load() != 1 {
+		t.Errorf("no-retry verdict %+v after %d probe calls, want one Timeout attempt", v, prober.calls.Load())
+	}
+}
+
+// TestRoundProbesAddressesConcurrently: three dead holders cost one
+// retry ladder between them, not one each, and every verdict still
+// belongs to its own target.
+func TestRoundProbesAddressesConcurrently(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	digests := mkMessages(t, store.NewMemory(), 1, 8)
+	targets := []Target{
+		{Addr: "d0", FileID: 1, Digests: digests},
+		{Addr: "d1", FileID: 1, Digests: digests},
+		{Addr: "d2", FileID: 1, Digests: digests},
+	}
+	prober := &deadProber{}
+	start := time.Now()
+	verdicts, err := Round(context.Background(), prober, []byte("s"), targets,
+		Options{Timeout: timeout, MaxRetries: 1, SampleSize: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One ladder: two attempts and the backoff between them.
+	ladder := 2*timeout + retryBackoff
+	if elapsed := time.Since(start); elapsed >= 2*ladder {
+		t.Fatalf("round over 3 dead holders took %v, want under two %v retry ladders", elapsed, ladder)
+	}
+	for i, v := range verdicts {
+		if v.Addr != targets[i].Addr || v.Outcome != Timeout || v.Attempts != 2 {
+			t.Errorf("verdict %d = %+v, want a Timeout for %s after 2 attempts", i, v, targets[i].Addr)
+		}
+	}
+	if n := prober.calls.Load(); n != 6 {
+		t.Errorf("%d probe calls, want 6: two per holder", n)
 	}
 }
 
@@ -269,13 +305,16 @@ func TestAuditorTimeoutRetriesWithBackoffThenPenalizes(t *testing.T) {
 // It records the challenge count of every probe per address.
 type cutProber struct {
 	storeProber
+	mu   sync.Mutex
 	cut  map[string]bool
 	sent map[string][]int
 }
 
 func (p *cutProber) Audit(ctx context.Context, addr string, chs []wire.AuditChallenge, timeout time.Duration) ([]*wire.AuditResponse, string, error) {
-	p.sent[addr] = append(p.sent[addr], len(chs))
 	resps, fp, err := p.storeProber.Audit(ctx, addr, chs, timeout)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.sent[addr] = append(p.sent[addr], len(chs))
 	if p.cut[addr] && err == nil {
 		p.cut[addr] = false
 		return resps[:1], fp, errors.New("connection reset")
@@ -339,8 +378,8 @@ func TestRoundRejectsBadConfig(t *testing.T) {
 	if _, err := Round(ctx, prober, []byte("s"), []Target{good, {Addr: "a", FileID: 1}}, Options{}); !errors.Is(err, ErrBadTarget) {
 		t.Error("target without digests accepted")
 	}
-	if prober.calls != 0 {
-		t.Errorf("rejected rounds sent %d probes", prober.calls)
+	if n := prober.calls.Load(); n != 0 {
+		t.Errorf("rejected rounds sent %d probes", n)
 	}
 }
 

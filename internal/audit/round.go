@@ -15,6 +15,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"sync"
 	"time"
 
 	"asymshare/internal/wire"
@@ -23,8 +24,9 @@ import (
 // Prober delivers one peer's challenges over one connection, one at a
 // time, each round trip bounded by timeout. It returns the responses to
 // a prefix of chs, in order, the peer's ledger identity if it learned
-// it, and the error that left the rest unanswered. client.Client
-// satisfies this.
+// it, and the error that left the rest unanswered. Round calls it
+// concurrently for distinct addresses, never for one address twice at
+// once. client.Client satisfies this.
 type Prober interface {
 	Audit(ctx context.Context, addr string, chs []wire.AuditChallenge, timeout time.Duration) ([]*wire.AuditResponse, string, error)
 }
@@ -39,6 +41,11 @@ const (
 // retryBackoff is the delay before the first retry of a failed probe,
 // doubling per retry.
 const retryBackoff = 500 * time.Millisecond
+
+// roundWorkers bounds how many addresses one round probes at once, so
+// a round with unreachable holders costs about one retry ladder, not
+// one per holder, without a dial storm on a large handle.
+const roundWorkers = 16
 
 // Outcome classifies one completed audit.
 type Outcome int
@@ -135,8 +142,9 @@ type Options struct {
 // Round audits every target once and returns one verdict per target,
 // verdicts[i] for targets[i]. All of one address's challenges share one
 // probe, so a peer is dialled once per attempt however many targets it
-// holds. Penalties are assessed on the verdicts, never applied: the
-// caller relays them (SendAuditVerdicts). A missing prober or secret,
+// holds, and up to roundWorkers addresses are probed concurrently.
+// Penalties are assessed on the verdicts, never applied: the caller
+// relays them (SendAuditVerdicts). A missing prober or secret,
 // or an invalid target, is an error before anything is sent; a round
 // that ctx cut short is ctx's error.
 func Round(ctx context.Context, p Prober, secret []byte, targets []Target, opt Options) ([]Verdict, error) {
@@ -185,13 +193,25 @@ func Round(ctx context.Context, p Prober, secret []byte, targets []Target, opt O
 		}
 		byAddr[addr] = append(byAddr[addr], i)
 	}
+	// Each check writes only the verdicts of its own address's targets.
 	out := make([]Verdict, len(targets))
+	sem := make(chan struct{}, roundWorkers)
+	var wg sync.WaitGroup
 	for _, addr := range addrs {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+		}
 		if ctx.Err() != nil {
 			break
 		}
-		check(ctx, p, addr, targets, chs, byAddr[addr], &opt, out)
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			check(ctx, p, addr, targets, chs, byAddr[addr], &opt, out)
+		}()
 	}
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("audit: round cut short: %w", err)
 	}

@@ -10,9 +10,9 @@ import (
 
 	"asymshare/internal/auth"
 	"asymshare/internal/chunk"
+	"asymshare/internal/client"
 	"asymshare/internal/core"
 	"asymshare/internal/dht"
-	"asymshare/internal/discovery"
 	"asymshare/internal/peer"
 	"asymshare/internal/store"
 )
@@ -67,7 +67,7 @@ func TestAnnounceAndFetchViaDHT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := owner.AnnounceHandleVia(ctx, discovery.NewDHT(dhtNodes[1]), &res.Handle, 0); err != nil {
+	if err := owner.AnnounceHandleVia(ctx, dhtNodes[1], &res.Handle, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,7 +77,7 @@ func TestAnnounceAndFetchViaDHT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := remote.FetchFileVia(ctx, discovery.NewDHT(dhtNodes[4]), &res.Handle.Manifest, res.Secret)
+	got, stats, err := remote.FetchFileVia(ctx, dhtNodes[4], &res.Handle.Manifest, res.Secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +102,9 @@ func TestFetchViaDHTUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = sys.FetchFileVia(ctx, discovery.NewDHT(node), share, secret)
-	if !errors.Is(err, dht.ErrNotFound) {
-		t.Errorf("unknown key fetch error = %v, want ErrNotFound", err)
+	_, _, err = sys.FetchFileVia(ctx, node, share, secret)
+	if !errors.Is(err, dht.ErrNotFound) || !errors.Is(err, client.ErrNoPeers) {
+		t.Errorf("unknown key fetch error = %v, want ErrNotFound and ErrNoPeers", err)
 	}
 }
 
@@ -113,8 +113,18 @@ func TestAnnounceHandleDHTValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AnnounceHandleVia(context.Background(), discovery.NewDHT(startDHTNode(t)), nil, 0); !errors.Is(err, core.ErrBadHandle) {
+	if err := sys.AnnounceHandleVia(context.Background(), startDHTNode(t), nil, 0); !errors.Is(err, core.ErrBadHandle) {
 		t.Errorf("nil handle error = %v", err)
+	}
+}
+
+func TestAnnounceHandleValidation(t *testing.T) {
+	sys, err := core.NewSystem(identity(t, 97), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AnnounceHandleVia(context.Background(), startDHTNode(t), &core.Handle{}, 0); !errors.Is(err, core.ErrBadHandle) {
+		t.Errorf("empty handle error = %v", err)
 	}
 }
 

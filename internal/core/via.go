@@ -1,13 +1,11 @@
 package core
 
-// Discovery-seam integration: announce and fetch against a
-// discovery.Discovery, the tracker or the DHT, so the layers above
-// never hard-code a location mechanism. A caller builds the one it
-// wants (discovery.NewTracker, discovery.NewDHT) and hands it here;
-// these are the only announce and discovery-fetch entry points. An
-// announcement lives one TTL: nothing here announces it again. A DHT
+// DHT integration: announce and fetch through a joined dht.Node, the
+// one content-location mechanism. Every storage peer answers DHT RPCs
+// on its own port (peer.Config.DHT), so any peer is a bootstrap. An
+// announcement lives one TTL: nothing here announces it again. The
 // record stays alive because the peer holding the chunk re-announces
-// it every half TTL (peer.Config.DHT); a tracker record lapses.
+// it every half TTL.
 
 import (
 	"context"
@@ -17,19 +15,19 @@ import (
 
 	"asymshare/internal/chunk"
 	"asymshare/internal/client"
-	"asymshare/internal/discovery"
+	"asymshare/internal/dht"
 )
 
 // AnnounceHandleVia registers every (chunk file-id -> peer address)
-// pair of a handle with a discovery mechanism, honoring per-chunk
-// placement. A zero ttl requests the mechanism's maximum.
-func (s *System) AnnounceHandleVia(ctx context.Context, d discovery.Discovery, h *Handle, ttl time.Duration) error {
+// pair of a handle in the DHT through node, honoring per-chunk
+// placement. A zero ttl requests the node's maximum.
+func (s *System) AnnounceHandleVia(ctx context.Context, node *dht.Node, h *Handle, ttl time.Duration) error {
 	if h == nil || len(h.Peers) == 0 {
 		return fmt.Errorf("%w: missing peers", ErrBadHandle)
 	}
 	for i, info := range h.Manifest.Chunks {
 		for _, addr := range h.PeersForChunk(i) {
-			if err := d.Announce(ctx, info.FileID, addr, ttl); err != nil {
+			if err := node.Announce(ctx, dht.KeyFromFileID(info.FileID), addr, ttl); err != nil {
 				return fmt.Errorf("core: announce chunk %d: %w", info.FileID, err)
 			}
 		}
@@ -37,14 +35,14 @@ func (s *System) AnnounceHandleVia(ctx context.Context, d discovery.Discovery, h
 	return nil
 }
 
-// FetchFileVia retrieves a file resolving each chunk's peers through a
-// discovery mechanism — the user needs only the manifest, the secret,
-// and a way to discover.
-func (s *System) FetchFileVia(ctx context.Context, d discovery.Discovery,
+// FetchFileVia retrieves a file resolving each chunk's peers through
+// the DHT — the user needs only the manifest, the secret, and a joined
+// node. A chunk nobody announced fails with client.ErrNoPeers.
+func (s *System) FetchFileVia(ctx context.Context, node *dht.Node,
 	m *chunk.Manifest, secret []byte) ([]byte, client.FetchStats, error) {
 	return s.client.FetchFileFrom(ctx, m, secret, func(ctx context.Context, i int) ([]string, error) {
-		addrs, err := d.Lookup(ctx, m.Chunks[i].FileID)
-		if errors.Is(err, discovery.ErrNotFound) || (err == nil && len(addrs) == 0) {
+		addrs, err := node.Lookup(ctx, dht.KeyFromFileID(m.Chunks[i].FileID))
+		if errors.Is(err, dht.ErrNotFound) {
 			return nil, fmt.Errorf("core: %w", errors.Join(client.ErrNoPeers, err))
 		}
 		if err != nil {

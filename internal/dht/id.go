@@ -1,7 +1,7 @@
 // Package dht implements a Kademlia-style distributed hash table for
 // decentralized content location — the role Chord/Pastry/Tapestry play
 // in the paper's related work (Sec. II): mapping a file-id to the
-// addresses of the peers storing its messages, with no central tracker.
+// addresses of the peers storing its messages, with no central server.
 //
 // Design notes (documented simplifications versus full Kademlia):
 //
@@ -12,7 +12,7 @@
 //     preserves lookup convergence for the network sizes a bandwidth
 //     co-op realistically has (tens to hundreds of peers);
 //   - values are soft-state (TTL) strings, replicated on the K nodes
-//     closest to the key, exactly like tracker announcements.
+//     closest to the key; a holder re-announces to keep them alive.
 //
 // RPCs run over short-lived connections using the asymshare wire
 // framing with JSON payloads: PING, FIND_NODE, STORE and FIND_VALUE. A

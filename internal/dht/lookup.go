@@ -266,8 +266,11 @@ func dedupe(in []string) []string {
 
 // Announce replicates key -> value on the K nodes closest to key
 // (including this node if it is among them). A zero ttl uses the
-// node's maximum.
+// node's maximum. An empty value is ErrEmptyValue.
 func (n *Node) Announce(ctx context.Context, key ID, value string, ttl time.Duration) error {
+	if value == "" {
+		return ErrEmptyValue
+	}
 	if ttl <= 0 {
 		ttl = n.maxTTL
 	}

@@ -15,8 +15,7 @@ import (
 	"asymshare/internal/wire"
 )
 
-// RPC frame types, in a range disjoint from the peer and tracker
-// protocols.
+// RPC frame types, in a range disjoint from the peer protocol.
 const (
 	typePing wire.Type = 96 + iota
 	typePong
@@ -63,6 +62,11 @@ const (
 
 // ErrNotFound is returned by Lookup when no value is reachable.
 var ErrNotFound = errors.New("dht: value not found")
+
+// ErrEmptyValue is returned by Announce for an empty value, before any
+// RPC: a node drops a STORE of one unanswered, and that would cost the
+// announcer its replicas' table entries.
+var ErrEmptyValue = errors.New("dht: empty value")
 
 // Exported metric names (see DESIGN.md §7).
 const (
@@ -300,8 +304,8 @@ func (n *Node) observeSender(h rpcHeader) {
 }
 
 // IsRPC reports whether t is a DHT frame type (96–103): the range a
-// hosting peer routes to HandleRPC, disjoint from the peer and tracker
-// protocols, so a connection's first frame tells the two apart.
+// hosting peer routes to HandleRPC, disjoint from the peer protocol,
+// so a connection's first frame tells the two apart.
 func IsRPC(t wire.Type) bool { return t >= typePing && t <= typeValues }
 
 // HandleRPC answers one request frame: PING, FIND_NODE, STORE or

@@ -58,10 +58,7 @@ func runPartitionFetch(t *testing.T, seed int64) ([]byte, string, *Generation) {
 	c.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{Latency: 2 * time.Millisecond})
 	c.Fabric.SetLink("peer2", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200})
 
-	addrs := c.Lookup(ctx, HostUser, gen.FileID)
-	if len(addrs) != 3 {
-		t.Fatalf("tracker returned %d peers, want 3", len(addrs))
-	}
+	addrs := gen.Holders
 	// No redials: the dial sequence stays fixed, so the event log is
 	// byte-identical across replays of the same seed.
 	cl := c.UserClient(client.Options{PeerRetries: -1})
@@ -132,7 +129,7 @@ func TestFetchRetriesAfterMidStreamCut(t *testing.T) {
 	c.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200, CutConns: 2})
 
 	cl := c.UserClient(client.Options{RetryBackoff: 20 * time.Millisecond})
-	addrs := c.Lookup(ctx, HostUser, gen.FileID)
+	addrs := gen.Holders
 	data, _, err := cl.Fetch(ctx, client.FetchRequest{
 		Peers:   addrs,
 		Params:  gen.Params,
@@ -157,7 +154,7 @@ func TestFetchRetriesAfterMidStreamCut(t *testing.T) {
 	c2.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200, CutConns: 2})
 	noRetry := c2.UserClient(client.Options{PeerRetries: -1})
 	_, _, err = noRetry.Fetch(ctx, client.FetchRequest{
-		Peers:   c2.Lookup(ctx, HostUser, gen2.FileID),
+		Peers:   gen2.Holders,
 		Params:  gen2.Params,
 		FileID:  gen2.FileID,
 		Secret:  gen2.Secret,
@@ -323,7 +320,7 @@ func TestGrantsReconvergeAfterPartitionHeals(t *testing.T) {
 	// Phase 2: peer1 partitioned. The fetch fails over to peer0 and
 	// completes; only peer0 earns receipts, so its grant pulls ahead.
 	c.Fabric.Partition("island", c.Peers[1].Host)
-	fetchAndCredit(c.Lookup(ctx, HostUser, gen.FileID))
+	fetchAndCredit(gen.Holders)
 	if got := ledger.Received(fp1); got != 1000 {
 		t.Fatalf("partitioned peer earned receipts: %v", got)
 	}

@@ -1,5 +1,5 @@
-// Package harness boots a full asymshare deployment — tracker, the
-// owner's home peer, N storage peers and any number of user clients —
+// Package harness boots a full asymshare deployment — the owner's
+// home peer, N storage peers and any number of user clients —
 // entirely in-process over a netsim fabric. Chaos tests use it to
 // drive the real protocol stack (wire framing, mutual handshakes,
 // rlnc streams, audits, the fairness ledger) through latency, loss,
@@ -25,15 +25,13 @@ import (
 	"asymshare/internal/peer"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/store"
-	"asymshare/internal/tracker"
 )
 
 // Host names used by the cluster. Storage peers are "peer0",
 // "peer1", … and user clients typically dial from HostUser.
 const (
-	HostTracker = "tracker"
-	HostHome    = "home"
-	HostUser    = "user"
+	HostHome = "home"
+	HostUser = "user"
 )
 
 // Seed returns the fabric seed for a test: NETSIM_SEED when set (so a
@@ -68,14 +66,11 @@ type Peer struct {
 
 // Cluster is a booted in-process deployment.
 type Cluster struct {
-	Fabric  *netsim.Fabric
-	Tracker *tracker.Server
-	Owner   *auth.Identity
-	Home    *peer.Node // the owner's own peer; holds the fairness ledger
-	Peers   []*Peer
-
-	TrackerAddr string
-	HomeAddr    string
+	Fabric   *netsim.Fabric
+	Owner    *auth.Identity
+	Home     *peer.Node // the owner's own peer; holds the fairness ledger
+	Peers    []*Peer
+	HomeAddr string
 
 	t *testing.T
 }
@@ -98,21 +93,13 @@ func Secret() []byte {
 	return s
 }
 
-// Start boots a tracker, the owner's home peer and n storage peers
+// Start boots the owner's home peer and n storage peers
 // over a fresh fabric with the given seed. All nodes are cleaned up
 // with the test.
 func Start(t *testing.T, seed int64, n int) *Cluster {
 	t.Helper()
 	f := netsim.NewFabric(seed)
 	c := &Cluster{Fabric: f, Owner: testIdentity(t, 199), t: t}
-
-	c.Tracker = tracker.NewServer(0)
-	c.Tracker.SetTransport(f.Host(HostTracker))
-	if err := c.Tracker.Start(":0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Tracker.Close() })
-	c.TrackerAddr = c.Tracker.Addr().String()
 
 	home, err := peer.New(peer.Config{
 		Identity:  testIdentity(t, 200),
@@ -261,12 +248,14 @@ type Generation struct {
 	Secret  []byte
 	Data    []byte
 	Digests map[uint64]rlnc.Digest // every message, across all peers
+	Holders []string               // the peer addresses it was disseminated to
 }
 
 // SeedGeneration encodes dataLen bytes into one generation of k pieces
 // and disseminates perPeer encoded messages to every storage peer over
-// the fabric, announcing each holder to the tracker. The owner client
-// uploads from HostUser.
+// the fabric. The owner client uploads from HostUser; a scenario reads
+// the holders from the generation, so no discovery dial joins the
+// fabric's event log.
 func (c *Cluster) SeedGeneration(ctx context.Context, fileID uint64, k, pieceLen, dataLen, perPeer int) *Generation {
 	c.t.Helper()
 	params, err := rlnc.NewParams(gf.MustNew(gf.Bits8), k, pieceLen, dataLen)
@@ -301,20 +290,7 @@ func (c *Cluster) SeedGeneration(ctx context.Context, fileID uint64, k, pieceLen
 			p.Digests[msg.MessageID] = sums[j]
 			gen.Digests[msg.MessageID] = sums[j]
 		}
-		if err := tracker.Announce(ctx, c.Fabric.Host(HostUser), c.TrackerAddr,
-			fileID, p.Addr, time.Minute); err != nil {
-			c.t.Fatalf("announce %s: %v", p.Host, err)
-		}
+		gen.Holders = append(gen.Holders, p.Addr)
 	}
 	return gen
-}
-
-// Lookup asks the tracker which peers hold fileID, dialing from host.
-func (c *Cluster) Lookup(ctx context.Context, host string, fileID uint64) []string {
-	c.t.Helper()
-	addrs, err := tracker.Lookup(ctx, c.Fabric.Host(host), c.TrackerAddr, fileID)
-	if err != nil {
-		c.t.Fatalf("lookup from %s: %v", host, err)
-	}
-	return addrs
 }

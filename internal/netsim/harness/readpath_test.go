@@ -18,7 +18,7 @@ import (
 	"asymshare/internal/chunk"
 	"asymshare/internal/client"
 	"asymshare/internal/core"
-	"asymshare/internal/discovery"
+	"asymshare/internal/dht"
 	"asymshare/internal/gf"
 	"asymshare/internal/metrics"
 	"asymshare/internal/netsim"
@@ -62,16 +62,24 @@ var fetchFlavours = []struct {
 		return io.ReadAll(r)
 	}},
 	{"FetchFileVia", func(ctx context.Context, c *Cluster, sys *core.System, h *core.Handle, secret []byte) ([]byte, error) {
-		// The cluster's tracker, reached over its own transport so the
-		// lookups stay out of the client's dial count.
-		d, err := discovery.NewTracker(c.TrackerAddr, c.Fabric.Host(HostUser))
+		// A one-node DHT, reached from a client-only node on HostUser
+		// so the lookups stay out of the client's dial count.
+		dir, err := startDirectory(c.t, c.Fabric, dht.Config{})
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.AnnounceHandleVia(ctx, d, h, 0); err != nil {
+		node, err := dht.New(dht.Config{Transport: c.Fabric.Host(HostUser)})
+		if err != nil {
 			return nil, err
 		}
-		data, _, err := sys.FetchFileVia(ctx, d, &h.Manifest, secret)
+		defer node.Close()
+		if err := node.Join(ctx, dir.Addr().String()); err != nil {
+			return nil, err
+		}
+		if err := sys.AnnounceHandleVia(ctx, node, h, 0); err != nil {
+			return nil, err
+		}
+		data, _, err := sys.FetchFileVia(ctx, node, &h.Manifest, secret)
 		return data, err
 	}},
 	{"placed", func(ctx context.Context, c *Cluster, sys *core.System, h *core.Handle, secret []byte) ([]byte, error) {

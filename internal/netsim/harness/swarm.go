@@ -1,11 +1,9 @@
 package harness
 
-// Swarm extends the harness to trackerless scale: every storage peer
-// answers DHT RPCs on its own port, so hundreds or thousands of peers
-// form one routing overlay that announces and resolves where
-// ring-placed chunks live. The tracker still boots, and tests kill it
-// mid-run to prove that nothing on the trackerless path dials it:
-// fetches and audits resolve through DHT discovery alone.
+// Swarm extends the harness to DHT scale: every storage peer answers
+// DHT RPCs on its own port, so hundreds or thousands of peers form one
+// routing overlay that announces and resolves where ring-placed chunks
+// live. Fetches and audits resolve their holders through it.
 
 import (
 	"context"
@@ -22,7 +20,6 @@ import (
 	"asymshare/internal/netsim"
 	"asymshare/internal/peer"
 	"asymshare/internal/store"
-	"asymshare/internal/tracker"
 )
 
 // SwarmConfig sizes and tunes a swarm.
@@ -52,11 +49,9 @@ type SwarmPeer struct {
 	Addr  string // the peer's one listen address
 }
 
-// Swarm is a booted trackerless-scale deployment.
+// Swarm is a booted DHT-scale deployment.
 type Swarm struct {
-	Fabric      *netsim.Fabric
-	Tracker     *tracker.Server
-	TrackerAddr string
+	Fabric *netsim.Fabric
 
 	Owner     *auth.Identity
 	Home      *peer.Node
@@ -93,7 +88,7 @@ func (cfg SwarmConfig) dhtConfig() *dht.Config {
 	return &dht.Config{TableCap: cfg.TableCap, RPCTimeout: rpcTimeout}
 }
 
-// StartSwarm boots a tracker, the home (the DHT bootstrap) and cfg.N
+// StartSwarm boots the home (the DHT bootstrap) and cfg.N
 // storage peers, each answering DHT RPCs on its own port, then joins
 // every peer's DHT node through the home. All nodes are cleaned up
 // with the test.
@@ -104,14 +99,6 @@ func StartSwarm(t *testing.T, seed int64, cfg SwarmConfig) *Swarm {
 		f.SetDefaultPolicy(*cfg.Policy)
 	}
 	s := &Swarm{Fabric: f, Owner: testIdentity(t, 199), cfg: cfg, t: t}
-
-	s.Tracker = tracker.NewServer(0)
-	s.Tracker.SetTransport(f.Host(HostTracker))
-	if err := s.Tracker.Start(":0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Tracker.Close() })
-	s.TrackerAddr = s.Tracker.Addr().String()
 
 	s.HomeStore = store.NewMemory()
 	home, err := peer.New(peer.Config{
@@ -240,11 +227,4 @@ func (s *Swarm) Client(host string, id *auth.Identity, opts client.Options) *cli
 		s.t.Fatal(err)
 	}
 	return cl
-}
-
-// KillTracker shuts the tracker down and blackholes its host — the
-// trackerless-mode fault every swarm scenario injects.
-func (s *Swarm) KillTracker() {
-	s.Tracker.Close()
-	s.Fabric.Blackhole(HostTracker)
 }

@@ -1,9 +1,9 @@
 package harness
 
-// Trackerless-scale scenarios: a file is ring-placed across large
-// swarms and announced through the DHT, the tracker dies mid-run, and a
-// cold client still fetches byte-identical plaintext — and keyed audits
-// still debit — through DHT discovery alone.
+// DHT-scale scenarios: a file is ring-placed across large swarms and
+// announced through the DHT, and a cold client that knows only a swarm
+// peer fetches byte-identical plaintext — and keyed audits debit — with
+// holders resolved through the DHT.
 
 import (
 	"bytes"
@@ -20,10 +20,11 @@ import (
 	"asymshare/internal/client"
 	"asymshare/internal/core"
 	"asymshare/internal/dht"
-	"asymshare/internal/discovery"
 	"asymshare/internal/gf"
 	"asymshare/internal/netsim"
+	"asymshare/internal/peer"
 	"asymshare/internal/ring"
+	"asymshare/internal/store"
 )
 
 // swarmPlan keeps generations tiny: GF(2^8), 64-symbol payloads,
@@ -57,15 +58,15 @@ func disseminate(t *testing.T, ctx context.Context, s *Swarm, data []byte) *core
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AnnounceHandleVia(ctx, discovery.NewDHT(s.HomeDHT), &res.Handle, 0); err != nil {
+	if err := sys.AnnounceHandleVia(ctx, s.HomeDHT, &res.Handle, 0); err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// coldFetch resolves every chunk through disc and fetches with a fresh
-// client.
-func coldFetch(t *testing.T, ctx context.Context, s *Swarm, disc discovery.Discovery,
+// coldFetch resolves every chunk through the joined node and fetches
+// with a fresh client.
+func coldFetch(t *testing.T, ctx context.Context, s *Swarm, node *dht.Node,
 	res *core.ShareResult) []byte {
 	t.Helper()
 	remote, err := core.NewSystem(indexIdentity(t, 1_000_000), nil, core.WithPlan(swarmPlan()),
@@ -73,9 +74,9 @@ func coldFetch(t *testing.T, ctx context.Context, s *Swarm, disc discovery.Disco
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, stats, err := remote.FetchFileVia(ctx, disc, &res.Handle.Manifest, res.Secret)
+	data, stats, err := remote.FetchFileVia(ctx, node, &res.Handle.Manifest, res.Secret)
 	if err != nil {
-		t.Fatalf("trackerless fetch: %v", err)
+		t.Fatalf("DHT-resolved fetch: %v", err)
 	}
 	if stats.Innovative == 0 {
 		t.Fatal("fetch recorded no innovative messages")
@@ -85,9 +86,8 @@ func coldFetch(t *testing.T, ctx context.Context, s *Swarm, disc discovery.Disco
 
 // TestSwarmTrackerlessThousandPeers is the scale acceptance scenario:
 // a 1024-peer swarm on scaled-down links, ring placement from the home,
-// DHT lookups that stay within a few hops, the tracker killed mid-run,
-// then a cold client fetch and keyed audits that debit the home ledger
-// — all via DHT discovery.
+// DHT lookups that stay within a few hops, then a cold client fetch and
+// keyed audits that debit the home ledger — all via DHT discovery.
 func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-peer swarm scenario skipped in -short")
@@ -136,23 +136,20 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 		keys, lookupsPerKey, float64(sum)/float64(len(hops)),
 		quantile(hops, 0.5), quantile(hops, 0.9), hops[len(hops)-1])
 
-	// The user's DHT node joins through a swarm peer (not the home) —
-	// then the tracker dies for good.
-	disc := discovery.NewDHT(s.UserDHT(ctx, s.Peers[17].DHT.Addr()))
-	s.KillTracker()
-
-	got := coldFetch(t, ctx, s, disc, res)
+	// The user's DHT node joins through a swarm peer, not the home.
+	userDHT := s.UserDHT(ctx, s.Peers[17].DHT.Addr())
+	got := coldFetch(t, ctx, s, userDHT, res)
 	if !bytes.Equal(got, data) {
-		t.Fatal("trackerless fetch is not byte-identical")
+		t.Fatal("DHT-resolved fetch is not byte-identical")
 	}
 
 	// Keyed audits against DHT-discovered holders. The audit targets
 	// come out of discovery, not the test's own bookkeeping; the handle's
 	// placement says which batch each holder was given.
 	info := res.Handle.Manifest.Chunks[0]
-	addrs, err := disc.Lookup(ctx, info.FileID)
+	addrs, err := userDHT.Lookup(ctx, dht.KeyFromFileID(info.FileID))
 	if err != nil {
-		t.Fatalf("post-kill audit lookup: %v", err)
+		t.Fatalf("audit lookup: %v", err)
 	}
 	byAddr := make(map[string]*SwarmPeer, len(s.Peers))
 	for _, p := range s.Peers {
@@ -228,7 +225,7 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 
 // TestSwarmSmoke is the CI-sized variant (make swarm-smoke): 128 peers
 // with latency-scaled links, ring placement announced through the DHT,
-// tracker killed, trackerless fetch byte-identical.
+// and a DHT-resolved fetch byte-identical.
 func TestSwarmSmoke(t *testing.T) {
 	seed := Seed(t, 77)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -243,20 +240,17 @@ func TestSwarmSmoke(t *testing.T) {
 	rng.Read(data)
 	res := disseminate(t, ctx, s, data)
 
-	disc := discovery.NewDHT(s.UserDHT(ctx, s.Peers[3].DHT.Addr()))
-	s.KillTracker()
-
-	got := coldFetch(t, ctx, s, disc, res)
+	got := coldFetch(t, ctx, s, s.UserDHT(ctx, s.Peers[3].DHT.Addr()), res)
 	if !bytes.Equal(got, data) {
-		t.Fatal("trackerless fetch is not byte-identical")
+		t.Fatal("DHT-resolved fetch is not byte-identical")
 	}
 }
 
-// TestDiscoveryFaultsNetsim pins how each mechanism fails on its own,
-// with no second mechanism behind it: a blackholed tracker's lookup
-// errors out within its per-call cap even when the caller sets no
-// deadline, both mechanisms refuse an empty-address announce with
-// ErrBadRecord, and a DHT node that never joined answers ErrNotFound.
+// TestDiscoveryFaultsNetsim pins how DHT discovery fails: an
+// empty-address announce is refused before any RPC, a node that never
+// joined answers ErrNotFound, and a lookup through a dead directory
+// errors out within its RPC timeout even when the caller sets no
+// deadline.
 func TestDiscoveryFaultsNetsim(t *testing.T) {
 	seed := Seed(t, 55)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -267,49 +261,73 @@ func TestDiscoveryFaultsNetsim(t *testing.T) {
 	data := make([]byte, 600)
 	rng.Read(data)
 	res := disseminate(t, ctx, s, data)
-	fileID := res.Handle.Manifest.Chunks[0].FileID
+	key := dht.KeyFromFileID(res.Handle.Manifest.Chunks[0].FileID)
 
-	trk, err := discovery.NewTracker(s.TrackerAddr, s.Fabric.Host(HostUser))
-	if err != nil {
-		t.Fatal(err)
+	userDHT := s.UserDHT(ctx, s.Peers[2].DHT.Addr())
+	if addrs, err := userDHT.Lookup(ctx, key); err != nil || len(addrs) == 0 {
+		t.Fatalf("lookup = %v, %v; want the announced holders", addrs, err)
 	}
-	if err := trk.Announce(ctx, fileID, s.HomeAddr, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	userDHT := discovery.NewDHT(s.UserDHT(ctx, s.Peers[2].DHT.Addr()))
-	for name, d := range map[string]discovery.Discovery{"tracker": trk, "dht": userDHT} {
-		if addrs, err := d.Lookup(ctx, fileID); err != nil || len(addrs) == 0 {
-			t.Fatalf("%s lookup = %v, %v; want the announced holders", name, addrs, err)
-		}
-		if err := d.Announce(ctx, fileID, "", time.Minute); !errors.Is(err, discovery.ErrBadRecord) {
-			t.Fatalf("%s empty-addr announce = %v, want ErrBadRecord", name, err)
-		}
+	if err := userDHT.Announce(ctx, key, "", time.Minute); !errors.Is(err, dht.ErrEmptyValue) {
+		t.Fatalf("empty-addr announce = %v, want ErrEmptyValue", err)
 	}
 
-	lonelyNode, err := dht.New(dht.Config{
-		Transport:  s.Fabric.Host(HostUser),
-		RPCTimeout: time.Second,
-	})
+	const rpcTimeout = time.Second
+	lonelyNode, err := dht.New(dht.Config{Transport: s.Fabric.Host(HostUser), RPCTimeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lonelyNode.Close() })
-	if _, err := discovery.NewDHT(lonelyNode).Lookup(ctx, fileID); !errors.Is(err, discovery.ErrNotFound) {
+	if _, err := lonelyNode.Lookup(ctx, key); !errors.Is(err, dht.ErrNotFound) {
 		t.Fatalf("unjoined DHT lookup = %v, want ErrNotFound", err)
 	}
 
-	// A blackholed host swallows the dial; the tracker's 3 s per-call
-	// cap ends the lookup, not a caller deadline.
-	s.Fabric.Blackhole(HostTracker)
+	// A one-node directory on its own host, which the lonely node joins
+	// and announces to. Once the host is blackholed its one contact
+	// swallows the dial, and the RPC timeout ends the lookup, not a
+	// caller deadline.
+	dir, err := startDirectory(t, s.Fabric, dht.Config{RPCTimeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lonelyNode.Join(ctx, dir.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if err := lonelyNode.Announce(ctx, key, s.HomeAddr, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if addrs, err := lonelyNode.Lookup(ctx, key); err != nil || len(addrs) != 1 {
+		t.Fatalf("directory lookup = %v, %v; want [%s]", addrs, err, s.HomeAddr)
+	}
+	s.Fabric.Blackhole("directory")
 	start := time.Now()
-	if _, err := trk.Lookup(context.Background(), fileID); err == nil {
-		t.Fatal("lookup on a blackholed tracker succeeded")
+	_, err = lonelyNode.Lookup(context.Background(), key)
+	if err == nil {
+		t.Fatal("lookup through a blackholed directory succeeded")
 	}
 	elapsed := time.Since(start)
-	if elapsed > 5*time.Second {
-		t.Fatalf("blackholed tracker lookup took %v, want its 3s cap plus slack", elapsed)
+	if elapsed > 2*rpcTimeout {
+		t.Fatalf("blackholed directory lookup took %v, want one %v RPC timeout plus slack", elapsed, rpcTimeout)
 	}
-	t.Logf("blackholed tracker lookup failed after %v", elapsed)
+	t.Logf("blackholed directory lookup failed after %v: %v", elapsed, err)
+}
+
+// startDirectory boots a one-node DHT on the fabric host "directory":
+// a storage peer that holds nothing and answers DHT RPCs. t closes it.
+func startDirectory(t *testing.T, f *netsim.Fabric, cfg dht.Config) (*peer.Node, error) {
+	dir, err := peer.New(peer.Config{
+		Identity:  testIdentity(t, 250),
+		Store:     store.NewMemory(),
+		Transport: f.Host("directory"),
+		DHT:       &cfg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := dir.Start(":0"); err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { dir.Close() })
+	return dir, nil
 }
 
 // quantile reads the q-quantile of sorted, interpolating between ranks.

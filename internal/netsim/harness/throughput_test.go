@@ -44,10 +44,7 @@ func TestHighBandwidthFetchApproachesLinkOptimum(t *testing.T) {
 		c.Fabric.SetLink(HostUser, p.Host, netsim.LinkPolicy{Latency: linkDelay})
 	}
 
-	addrs := c.Lookup(ctx, HostUser, gen.FileID)
-	if len(addrs) != peers {
-		t.Fatalf("tracker returned %d peers, want %d", len(addrs), peers)
-	}
+	addrs := gen.Holders
 	cl := c.UserClient(client.Options{})
 	data, stats, err := cl.Fetch(ctx, client.FetchRequest{
 		Peers:   addrs,

@@ -76,10 +76,7 @@ func TestWireDifferentialChaos(t *testing.T) {
 	c.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{BytesPerSec: 512 << 10})
 	c.Fabric.SetLink("peer2", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200})
 
-	addrs := c.Lookup(ctx, HostUser, gen.FileID)
-	if len(addrs) != 3 {
-		t.Fatalf("tracker returned %d peers, want 3", len(addrs))
-	}
+	addrs := gen.Holders
 
 	// No redials: the same faults hit both fetches.
 	cl := c.UserClient(client.Options{PeerRetries: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute})
@@ -130,7 +127,7 @@ func TestWireMuxDifferentialChaos(t *testing.T) {
 	c.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{BytesPerSec: 512 << 10})
 	c.Fabric.SetLink("peer2", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200})
 
-	addrs := c.Lookup(ctx, HostUser, gen.FileID)
+	addrs := gen.Holders
 
 	// Reference result through the library's read path.
 	ref := c.UserClient(client.Options{PeerRetries: -1})
@@ -207,7 +204,7 @@ func TestWireDifferentialReplays(t *testing.T) {
 		c.Fabric.SetLink("peer0", HostUser, netsim.LinkPolicy{Latency: 2 * time.Millisecond})
 		c.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{Latency: 2 * time.Millisecond})
 		c.Fabric.SetLink("peer2", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200})
-		addrs := c.Lookup(ctx, HostUser, gen.FileID)
+		addrs := gen.Holders
 		cl := c.UserClient(client.Options{PeerRetries: -1})
 		data, _, err := cl.Fetch(ctx, client.FetchRequest{
 			Peers:   addrs,

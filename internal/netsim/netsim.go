@@ -7,7 +7,7 @@
 // identically from its seed regardless of goroutine scheduling — the
 // EventLog captures every fault-model decision for comparison.
 //
-// The fabric exists to drive the real peer/client/tracker protocol
+// The fabric exists to drive the real peer/client/DHT protocol
 // stack through adversity deterministically under go test -race; see
 // internal/netsim/harness for the end-to-end chaos suite.
 package netsim
@@ -25,7 +25,7 @@ import (
 
 // Fabric is one simulated network. Hosts are named; addresses are
 // "host:port" strings, so listener addresses round-trip through the
-// tracker and manifests exactly like real TCP addresses.
+// DHT and manifests exactly like real TCP addresses.
 type Fabric struct {
 	seed   int64
 	events *EventLog

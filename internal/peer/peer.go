@@ -120,7 +120,7 @@ type Config struct {
 	MaxStreams int
 
 	// DHT, when set, makes the peer host a DHT node on its own listener
-	// (content location without a tracker): a connection whose first
+	// (content location): a connection whose first
 	// frame is a DHT request goes to the node instead of the handshake.
 	// Start builds the node from this configuration with Advertise set
 	// to the listen address, which also seeds its id, and Transport

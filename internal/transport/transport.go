@@ -1,5 +1,5 @@
 // Package transport defines the network seam between the protocol
-// stack (peer, client, tracker) and the medium it runs over. The
+// stack (peer, client, DHT) and the medium it runs over. The
 // default implementation is real TCP; internal/netsim provides an
 // in-memory fabric with injectable latency, bandwidth caps, drops and
 // partitions so the same wire code can be driven deterministically

@@ -20,7 +20,7 @@ import (
 
 const (
 	// frameReaderMinWindow is the fill buffer a reader starts with: the
-	// replies of a handshake, a DHT RPC or a tracker round trip fit, so
+	// replies of a handshake or a DHT RPC fit, so
 	// a short-lived connection never pays for more.
 	frameReaderMinWindow = 4 << 10
 

@@ -20,7 +20,8 @@ import (
 // Type identifies a frame.
 type Type uint8
 
-// Frame types.
+// Frame types. Outside this range, 64–67 were the retired tracker's
+// and stay reserved, and 96–103 are the DHT's (dht.IsRPC).
 const (
 	TypeHello           Type = iota + 1 // connection opener: role + public key
 	TypeChallenge                       // authentication nonce
