@@ -115,7 +115,7 @@ race-dht: vet
 
 # race-fairshare exercises the allocation stack under the race
 # detector: the policy seam and its property/fuzz-seed suites, the
-# ledger, the capacity estimators, and the peer realloc loop that
+# ledger, the capacity estimator, and the peer realloc loop that
 # consumes all three — then the alloc gates, plain. Run before touching
 # a policy, the ledger or the realloc loop.
 race-fairshare: vet gates

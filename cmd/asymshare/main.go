@@ -6,7 +6,7 @@
 //
 //	asymshare keygen  -out user.key
 //	asymshare serve   -key peer.key -listen :7070 -store ./data -upload 262144
-//	asymshare serve   -key peer.key -store ./data -policy eq2 -estimate ewma   # adaptive allocation
+//	asymshare serve   -key peer.key -store ./data -policy eq2 -estimate ewma   # divide a measured capacity (-estimate off|ewma)
 //	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7070 -out video.handle
 //	asymshare fetch   -key user.key -handle video.handle -secret <hex> -out video.mpg
 //
@@ -153,16 +153,14 @@ func parsePolicy(name string) (fairshare.Allocator, error) {
 
 // parseEstimator maps the -estimate flag to a capacity estimator (nil
 // for off: the node divides the configured -upload constant).
-func parseEstimator(name string) (estimate.Estimator, error) {
+func parseEstimator(name string) (*estimate.History, error) {
 	switch name {
 	case "off", "":
 		return nil, nil
 	case "ewma":
-		return estimate.NewHistory(0, 0), nil
-	case "probe":
-		return estimate.NewProbe(0, 0), nil
+		return estimate.NewHistory(), nil
 	default:
-		return nil, fmt.Errorf("unknown -estimate %q (want off, ewma, or probe)", name)
+		return nil, fmt.Errorf("unknown -estimate %q (want off or ewma)", name)
 	}
 }
 
@@ -174,7 +172,7 @@ func cmdServe(args []string, out io.Writer) error {
 	upload := fs.Float64("upload", 0, "upload capacity in bytes/s (0 = unshaped; with -estimate, a ceiling on the estimate)")
 	maxStreams := fs.Int("max-streams", 0, "admission cap on concurrently served download streams; excess requests are shed BUSY with a retry-after hint (0 = unlimited)")
 	policyName := fs.String("policy", "eq2", "allocation policy: eq2 (pairwise proportional), bci (biased contribution index), equal")
-	estName := fs.String("estimate", "off", "online upload-capacity estimation: off, ewma (percentile-of-history), probe (packet-train max)")
+	estName := fs.String("estimate", "off", "online upload-capacity estimation: off, or ewma (EWMA of the p90 flush-train rate; with -upload, capped at it)")
 	ownerHex := fs.String("owner", "", "owner public key (hex) allowed to send feedback")
 	ledgerPath := fs.String("ledger", "", "receipt-ledger checkpoint file persisted across restarts (and crashes)")
 	ckptEvery := fs.Duration("checkpoint", fairshare.DefaultCheckpointInterval, "ledger checkpoint interval")

@@ -181,7 +181,6 @@ var statsSections = map[string]string{
 	"peer":      "peer node",
 	"client":    "client fetch path",
 	"fairshare": "fairness ledger & allocator",
-	"audit":     "retention audits",
 	"store":     "message store",
 	"ratelimit": "upload shaping",
 	"dht":       "DHT discovery",

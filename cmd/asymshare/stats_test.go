@@ -4,7 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"asymshare/internal/client"
+	"asymshare/internal/dht"
+	"asymshare/internal/estimate"
+	"asymshare/internal/fairshare"
 	"asymshare/internal/metrics"
+	"asymshare/internal/peer"
+	"asymshare/internal/store"
+	"asymshare/internal/wire"
 )
 
 func TestStatsScrapeAndRender(t *testing.T) {
@@ -111,6 +118,45 @@ func TestStatsSection(t *testing.T) {
 	for _, c := range cases {
 		if got := statsSection(c.name); got != c.want {
 			t.Errorf("statsSection(%q) = %q, want %q", c.name, got, c.want)
+		}
+	}
+
+	// Every heading names families that exist: each key is the prefix
+	// of at least one exported metric name.
+	exported := []string{
+		peer.MetricConnections, peer.MetricConnsActive, peer.MetricConnsShed, peer.MetricAcceptErrors,
+		peer.MetricStreamsActive, peer.MetricCapacity, peer.MetricGrantedRate, peer.MetricReallocDur,
+		peer.MetricServedBytes, peer.MetricServedRate, peer.MetricStoredBytes, peer.MetricFeedback,
+		peer.MetricAuditsAnswered, peer.MetricAuditSampled, peer.MetricAuditHeld,
+		peer.MetricOverloadSheds, peer.MetricOverloadPreempts, peer.MetricOverloadExpired,
+		peer.MetricOverloadBrownout, peer.MetricOverloadAdmitted, peer.MetricWaitSeconds,
+		peer.MetricThrottled, client.MetricFetchDuration, client.MetricFetches, client.MetricMessages,
+		client.MetricInnovativeMessages, client.MetricRedundantMessages, client.MetricRejectedMessages,
+		client.MetricDecodedBytes, client.MetricReceivedBytes, client.MetricReceivedBytesRate,
+		client.MetricDecodeElimBytes, client.MetricVerifyGroups, client.MetricVerifyMessages,
+		client.MetricVerifySkipped, client.MetricDecodeFixupBlocks, client.MetricHedgeLaunched,
+		client.MetricBreakerOpens, client.MetricBreakerProbes, client.MetricBreakerRecoveries,
+		client.MetricBreakerOpenCurrent, client.MetricShedsObserved, client.MetricSurplusFrames,
+		client.MetricSurplusBytes, client.MetricShares, client.MetricPipelinesBuilt,
+		wire.MetricFramesSent, wire.MetricFramesRecv, wire.MetricBytesSent, wire.MetricBytesReceived,
+		fairshare.MetricCreditEvents, fairshare.MetricDebitEvents, fairshare.MetricCreditedUnits,
+		fairshare.MetricDebitedUnits, fairshare.MetricLedgerEvictions, fairshare.MetricLedgerEntries,
+		fairshare.MetricLedgerTailSum, fairshare.MetricCheckpoints, fairshare.MetricCheckpointErrors,
+		fairshare.MetricCheckpointDuration, fairshare.MetricCheckpointGeneration,
+		fairshare.MetricPolicyPrefix, estimate.MetricEstimateRate, estimate.MetricEstimateSamples,
+		estimate.MetricEstimateSampleRate, store.MetricOpDuration, store.MetricOpErrors,
+		store.MetricQuarantined, store.MetricTruncated, store.MetricCompactions,
+		dht.MetricRPCs, dht.MetricLookupHops,
+	}
+	for _, table := range []map[string]string{statsSections, statsSubSections} {
+		for key := range table {
+			found := false
+			for _, name := range exported {
+				found = found || strings.HasPrefix(name, key+"_")
+			}
+			if !found {
+				t.Errorf("section %q prefixes no exported metric name", key)
+			}
 		}
 	}
 }

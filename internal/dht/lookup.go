@@ -195,15 +195,18 @@ func (s *lookupState) nextBatch() []parsedContact {
 }
 
 // iterativeFind runs the Kademlia lookup. With wantValue it returns
-// the first values found; otherwise it converges on the K closest
-// contacts to target, returned as the shortlist. The shortlist — not
-// the routing table, which a TableCap may have thinned — is the
-// authoritative closest-set for replica placement. The returned hop
+// the first values found, ErrUnreachable when every RPC it sent
+// failed, and ErrNotFound otherwise; without, it converges on the K
+// closest contacts to target, returned as the shortlist. The
+// shortlist — not the routing table, which a TableCap may have
+// thinned — is the authoritative closest-set for replica placement. The returned hop
 // count is the number of Alpha-parallel query rounds issued.
 func (n *Node) iterativeFind(ctx context.Context, target ID, wantValue bool) ([]string, []parsedContact, int, error) {
 	state := &lookupState{target: target, queried: make(map[ID]bool)}
 	state.add(n.table.closest(target, K))
 	hops := 0
+	answered := false // some RPC succeeded
+	var lastErr error
 
 	closest := func() []parsedContact {
 		if len(state.short) > K {
@@ -217,24 +220,28 @@ func (n *Node) iterativeFind(ctx context.Context, target ID, wantValue bool) ([]
 		}
 		batch := state.nextBatch()
 		if len(batch) == 0 {
-			if wantValue {
-				return nil, closest(), hops, ErrNotFound
+			if !wantValue {
+				return nil, closest(), hops, nil
 			}
-			return nil, closest(), hops, nil
+			if hops > 0 && !answered {
+				return nil, closest(), hops, fmt.Errorf("%w: %w", ErrUnreachable, lastErr)
+			}
+			return nil, closest(), hops, ErrNotFound
 		}
 		hops++
 		type result struct {
 			values   []string
 			contacts []parsedContact
+			err      error
 		}
 		results := make(chan result, len(batch))
 		for _, c := range batch {
 			go func(c parsedContact) {
 				var res result
 				if wantValue {
-					res.values, res.contacts, _ = n.findValueRPC(ctx, c, target)
+					res.values, res.contacts, res.err = n.findValueRPC(ctx, c, target)
 				} else {
-					res.contacts, _ = n.findNodeRPC(ctx, c, target)
+					res.contacts, res.err = n.findNodeRPC(ctx, c, target)
 				}
 				results <- res
 			}(c)
@@ -242,6 +249,11 @@ func (n *Node) iterativeFind(ctx context.Context, target ID, wantValue bool) ([]
 		var values []string
 		for range batch {
 			res := <-results
+			if res.err != nil {
+				lastErr = res.err
+			} else {
+				answered = true
+			}
 			values = append(values, res.values...)
 			state.add(res.contacts)
 		}

@@ -60,8 +60,14 @@ const (
 	MaxKeys = 4096
 )
 
-// ErrNotFound is returned by Lookup when no value is reachable.
+// ErrNotFound is returned by Lookup when the contacts it reached hold
+// no value, or when it knows no contact to ask.
 var ErrNotFound = errors.New("dht: value not found")
+
+// ErrUnreachable is returned by Lookup when it asked at least one
+// contact and none answered: the directory, not the key, is missing.
+// The error wraps the last RPC failure.
+var ErrUnreachable = errors.New("dht: no contact answered")
 
 // ErrEmptyValue is returned by Announce for an empty value, before any
 // RPC: a node drops a STORE of one unanswered, and that would cost the

@@ -4,31 +4,40 @@
 // (following Andreica & Tapus, "Efficient Upload Bandwidth Estimation
 // and Communication Resource Allocation" — see PAPERS.md).
 //
-// The wire layer feeds each estimator Samples: how many bytes one
-// socket flush moved and how long the flush took. Crucially these
-// time the *drain rate of the link*, not the token-bucket-shaped
-// application rate — a stream granted 10 KB/s by the allocator still
-// drains its batches at full link speed, so the samples see capacity
-// even while the policy is withholding it. Small flushes ride buffers
-// and overestimate wildly; callers aggregate writes into trains of at
-// least MinTrainBytes before emitting a sample (see peer.Node).
+// The serve path feeds a History one Sample per socket flush: how many
+// bytes the flush moved and how long it took. Crucially these time the
+// *drain rate of the link*, not the token-bucket-shaped application
+// rate — a stream granted 10 KB/s by the allocator still drains its
+// batches at full link speed, so the samples see capacity even while
+// the policy is withholding it. Small flushes ride buffers and
+// overestimate wildly, so History aggregates flushes into trains of at
+// least MinTrainBytes and times each train as one rate.
 //
-// Two estimators are provided: History, an EWMA-smoothed percentile
-// over a sliding window (robust to cross-traffic dips), and Probe, a
-// packet-train analogue that takes the window maximum (converges
-// fastest, trusts the single cleanest train). Both are safe for
-// concurrent use and answer 0 until they have enough samples.
+// History answers an EWMA-smoothed percentile over a sliding window of
+// train rates (robust to cross-traffic dips). It is safe for
+// concurrent use and answers 0 until it has enough trains.
 package estimate
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
+
+	"asymshare/internal/metrics"
 )
 
-// MinTrainBytes is the smallest transfer callers should aggregate
-// before emitting one Sample. Below this, socket and shaper burst
-// buffers (64 KiB order) dominate the timing and the rate reads high.
+// Estimator metric names (see DESIGN.md §7). Named under the
+// fairshare_ prefix because the estimate exists to feed the fairshare
+// allocator's capacity input.
+const (
+	MetricEstimateRate       = "fairshare_estimate_bytes_per_second"
+	MetricEstimateSamples    = "fairshare_estimate_samples_total"
+	MetricEstimateSampleRate = "fairshare_estimate_sample_rate"
+)
+
+// MinTrainBytes is the smallest train History times as one rate.
+// Below this, socket and shaper burst buffers (64 KiB order) dominate
+// the timing and the rate reads high.
 const MinTrainBytes = 1 << 20
 
 // Sample is one observed transfer: Bytes moved in Duration.
@@ -45,190 +54,116 @@ func (s Sample) rate() float64 {
 	return float64(s.Bytes) / s.Duration.Seconds()
 }
 
-// Estimator consumes transfer samples and answers the current upload
-// capacity estimate in bytes/second, 0 while still warming up.
-type Estimator interface {
-	Observe(s Sample)
-	Estimate() float64
-}
-
-// DefaultWindow is the sliding-window length (samples) used when a
-// constructor is given a non-positive window.
-const DefaultWindow = 32
-
-// DefaultPercentile is History's default window percentile.
-const DefaultPercentile = 0.9
-
-// DefaultAlpha is History's default EWMA smoothing weight for a new
-// window percentile.
-const DefaultAlpha = 0.25
-
-// minSamples is how many samples an estimator wants before answering;
-// a single flush timing is too noisy to steer allocation.
-const minSamples = 3
-
-// window is a fixed-size ring of sample rates.
-type window struct {
-	rates []float64
-	next  int
-	full  bool
-}
-
-func newWindow(n int) window {
-	if n <= 0 {
-		n = DefaultWindow
-	}
-	return window{rates: make([]float64, n)}
-}
-
-func (w *window) push(r float64) {
-	w.rates[w.next] = r
-	w.next++
-	if w.next == len(w.rates) {
-		w.next, w.full = 0, true
-	}
-}
-
-func (w *window) len() int {
-	if w.full {
-		return len(w.rates)
-	}
-	return w.next
-}
-
-// snapshot appends the live rates to buf.
-func (w *window) snapshot(buf []float64) []float64 {
-	return append(buf, w.rates[:w.len()]...)
-}
+const (
+	// windowLen is how many train rates the percentile is taken over.
+	windowLen = 32
+	// percentile is the window percentile History answers.
+	percentile = 0.9
+	// alpha is the EWMA smoothing weight for a new window percentile.
+	alpha = 0.25
+	// minSamples is how many trains History wants before answering; a
+	// single timing is too noisy to steer allocation.
+	minSamples = 3
+)
 
 // History estimates capacity as an EWMA-smoothed percentile of the
-// sample-rate window: the percentile discards the slow tail (flushes
+// train-rate window: the percentile discards the slow tail (trains
 // that lost the link to cross-traffic) without chasing the single
 // fastest outlier, and the EWMA keeps the answer from jumping when one
-// sample rotates out of the window. Create with NewHistory.
+// train rotates out of the window. Create with NewHistory.
 type History struct {
-	mu   sync.Mutex
-	win  window
-	pct  float64
-	a    float64
-	ewma float64
-	seen int
-	buf  []float64
+	mu    sync.Mutex
+	train Sample // flushes not yet MinTrainBytes long
+	rates [windowLen]float64
+	next  int
+	full  bool
+	ewma  float64
+	seen  int
+
+	// Instruments; nil (recording nothing) until Instrument.
+	rate    *metrics.Gauge
+	samples *metrics.Counter
+	last    *metrics.Gauge
 }
 
-var _ Estimator = (*History)(nil)
+// NewHistory returns an empty History.
+func NewHistory() *History { return &History{} }
 
-// NewHistory returns a History over the last `win` samples (DefaultWindow
-// if <= 0) answering the pct percentile (DefaultPercentile if outside
-// (0, 1]).
-func NewHistory(win int, pct float64) *History {
-	if pct <= 0 || pct > 1 {
-		pct = DefaultPercentile
-	}
-	return &History{win: newWindow(win), pct: pct, a: DefaultAlpha}
+// Instrument publishes the train count, the last train's rate and the
+// current estimate into reg, and returns h. Call it before the first
+// Observe; a nil registry records nothing.
+func (h *History) Instrument(reg *metrics.Registry) *History {
+	h.rate = reg.Gauge(MetricEstimateRate, "Current upload capacity estimate.")
+	h.samples = reg.Counter(MetricEstimateSamples, "Transfer samples fed to the capacity estimator.")
+	h.last = reg.Gauge(MetricEstimateSampleRate, "Rate of the last transfer sample observed.")
+	return h
 }
 
-// Observe implements Estimator.
+// Observe adds one flush to the current train. Once the train holds
+// MinTrainBytes it becomes one rate in the window and a new train
+// starts. Unusable samples are ignored.
 func (h *History) Observe(s Sample) {
-	r := s.rate()
-	if r <= 0 {
+	if s.rate() <= 0 {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.win.push(r)
+	h.train.Bytes += s.Bytes
+	h.train.Duration += s.Duration
+	if h.train.Bytes < MinTrainBytes {
+		return
+	}
+	r := h.train.rate()
+	h.train = Sample{}
+	h.rates[h.next] = r
+	if h.next++; h.next == windowLen {
+		h.next, h.full = 0, true
+	}
 	h.seen++
-	h.buf = h.win.snapshot(h.buf[:0])
-	sort.Float64s(h.buf)
-	idx := int(h.pct*float64(len(h.buf))) - 1
+	n := h.next
+	if h.full {
+		n = windowLen
+	}
+	sorted := h.rates // a copy: the window keeps arrival order
+	slices.Sort(sorted[:n])
+	idx := int(percentile*float64(n)) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	p := h.buf[idx]
-	if h.ewma == 0 {
+	if p := sorted[idx]; h.ewma == 0 {
 		h.ewma = p
-		return
+	} else {
+		h.ewma += alpha * (p - h.ewma)
 	}
-	h.ewma += h.a * (p - h.ewma)
+	h.samples.Inc()
+	h.last.Set(r)
+	h.rate.Set(h.estimateLocked())
 }
 
-// Estimate implements Estimator.
+// Estimate returns the current capacity estimate in bytes/second, 0
+// while still warming up.
 func (h *History) Estimate() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.estimateLocked()
+}
+
+func (h *History) estimateLocked() float64 {
 	if h.seen < minSamples {
 		return 0
 	}
 	return h.ewma
 }
 
-// Probe is the packet-train estimator: capacity is the fastest train
-// in the window. A train that was timed cleanly (no scheduling stall,
-// no competing flush) drains at exactly the link rate, and every form
-// of interference only makes trains *slower* — so the maximum is the
-// best single observation of capacity. Create with NewProbe.
-type Probe struct {
-	mu   sync.Mutex
-	win  window
-	min  int64
-	seen int
-}
-
-var _ Estimator = (*Probe)(nil)
-
-// NewProbe returns a Probe over the last `win` qualifying samples
-// (DefaultWindow if <= 0). Samples smaller than minBytes are ignored
-// as too short to time (MinTrainBytes if <= 0).
-func NewProbe(win int, minBytes int64) *Probe {
-	if minBytes <= 0 {
-		minBytes = MinTrainBytes
-	}
-	return &Probe{win: newWindow(win), min: minBytes}
-}
-
-// Observe implements Estimator.
-func (p *Probe) Observe(s Sample) {
-	if s.Bytes < p.min {
-		return
-	}
-	r := s.rate()
-	if r <= 0 {
-		return
-	}
-	p.mu.Lock()
-	p.win.push(r)
-	p.seen++
-	p.mu.Unlock()
-}
-
-// Estimate implements Estimator.
-func (p *Probe) Estimate() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.seen < minSamples {
-		return 0
-	}
-	var max float64
-	for _, r := range p.win.rates[:p.win.len()] {
-		if r > max {
-			max = r
-		}
-	}
-	return max
-}
-
-// Clamp bounds an estimate to [min, max]; non-positive bounds are
-// ignored, and a zero (warming-up) estimate passes through unchanged
-// so callers can distinguish "unknown" from "slow".
-func Clamp(est, min, max float64) float64 {
+// Clamp bounds an estimate to max; a non-positive max is ignored, and
+// a zero (warming-up) estimate passes through unchanged so callers can
+// distinguish "unknown" from "slow".
+func Clamp(est, max float64) float64 {
 	if est <= 0 {
 		return 0
 	}
-	if min > 0 && est < min {
-		est = min
-	}
 	if max > 0 && est > max {
-		est = max
+		return max
 	}
 	return est
 }

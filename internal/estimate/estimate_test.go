@@ -33,7 +33,7 @@ func within(got, want, tol float64) bool {
 }
 
 func TestHistoryWarmup(t *testing.T) {
-	h := NewHistory(0, 0)
+	h := NewHistory()
 	if h.Estimate() != 0 {
 		t.Error("estimate before any samples")
 	}
@@ -47,7 +47,7 @@ func TestHistoryWarmup(t *testing.T) {
 		t.Errorf("estimate = %v, want ~1e6", got)
 	}
 	// Unusable samples are ignored, not counted toward warm-up.
-	h2 := NewHistory(0, 0)
+	h2 := NewHistory()
 	for i := 0; i < 10; i++ {
 		h2.Observe(Sample{Bytes: 0, Duration: time.Second})
 	}
@@ -61,15 +61,15 @@ func TestHistoryWarmup(t *testing.T) {
 // percentile estimate.
 func TestHistoryConverges(t *testing.T) {
 	const link = 4e6
-	h := NewHistory(0, 0)
-	for i := 0; i < 2*DefaultWindow; i++ {
+	h := NewHistory()
+	for i := 0; i < 2*windowLen; i++ {
 		h.Observe(sampleAt(link))
 	}
 	if got := h.Estimate(); !within(got, link, 0.01) {
 		t.Errorf("steady-state estimate = %v, want ~%v", got, link)
 	}
 	// 1 dip in 8: the 90th percentile still reads the link rate.
-	for i := 0; i < 2*DefaultWindow; i++ {
+	for i := 0; i < 2*windowLen; i++ {
 		if i%8 == 0 {
 			h.Observe(sampleAt(link / 10))
 		} else {
@@ -80,7 +80,7 @@ func TestHistoryConverges(t *testing.T) {
 		t.Errorf("estimate with dips = %v, want within 5%% of %v", got, link)
 	}
 	// A real capacity change is tracked, not pinned to history.
-	for i := 0; i < 4*DefaultWindow; i++ {
+	for i := 0; i < 4*windowLen; i++ {
 		h.Observe(sampleAt(link / 2))
 	}
 	if got := h.Estimate(); !within(got, link/2, 0.05) {
@@ -88,98 +88,55 @@ func TestHistoryConverges(t *testing.T) {
 	}
 }
 
-func TestProbeWarmupAndMax(t *testing.T) {
-	p := NewProbe(0, 0)
-	if p.Estimate() != 0 {
-		t.Error("estimate before any samples")
-	}
-	// Short probes are ignored entirely.
-	for i := 0; i < 10; i++ {
-		p.Observe(Sample{Bytes: 64 << 10, Duration: time.Millisecond})
-	}
-	if p.Estimate() != 0 {
-		t.Error("sub-train probes produced an estimate")
-	}
-	p.Observe(sampleAt(1e6))
-	p.Observe(sampleAt(3e6))
-	p.Observe(sampleAt(2e6))
-	if got := p.Estimate(); !within(got, 3e6, 0.01) {
-		t.Errorf("estimate = %v, want the window max 3e6", got)
-	}
-	// The max rotates out of the window eventually.
-	for i := 0; i < DefaultWindow; i++ {
-		p.Observe(sampleAt(1.5e6))
-	}
-	if got := p.Estimate(); !within(got, 1.5e6, 0.01) {
-		t.Errorf("estimate after rotation = %v, want 1.5e6", got)
-	}
-}
-
-func TestProbeCustomMinBytes(t *testing.T) {
-	p := NewProbe(4, 1000)
-	p.Observe(Sample{Bytes: 999, Duration: time.Second})
-	p.Observe(Sample{Bytes: 1000, Duration: time.Second})
-	p.Observe(Sample{Bytes: 1000, Duration: time.Second})
-	if p.Estimate() != 0 {
-		t.Error("sub-minimum sample counted toward warm-up")
-	}
-	p.Observe(Sample{Bytes: 2000, Duration: time.Second})
-	if got := p.Estimate(); !within(got, 2000, 1e-9) {
-		t.Errorf("estimate = %v", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
-	cases := []struct{ est, min, max, want float64 }{
-		{0, 10, 100, 0},     // warming up passes through
-		{-5, 10, 100, 0},    // nonsense reads as unknown
-		{5, 10, 100, 10},    // below floor
-		{500, 10, 100, 100}, // above ceiling
-		{50, 10, 100, 50},   // in range
-		{50, 0, 0, 50},      // no bounds
-		{500, 0, 100, 100},  // ceiling only
+	cases := []struct{ est, max, want float64 }{
+		{0, 100, 0},     // warming up passes through
+		{-5, 100, 0},    // nonsense reads as unknown
+		{500, 100, 100}, // above ceiling
+		{50, 100, 50},   // in range
+		{50, 0, 50},     // no ceiling
 	}
 	for _, c := range cases {
-		if got := Clamp(c.est, c.min, c.max); got != c.want {
-			t.Errorf("Clamp(%v, %v, %v) = %v, want %v", c.est, c.min, c.max, got, c.want)
+		if got := Clamp(c.est, c.max); got != c.want {
+			t.Errorf("Clamp(%v, %v) = %v, want %v", c.est, c.max, got, c.want)
 		}
 	}
 }
 
 func TestEstimatorsConcurrent(t *testing.T) {
-	for _, e := range []Estimator{NewHistory(0, 0), NewProbe(0, 0)} {
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 200; i++ {
-					e.Observe(sampleAt(1e6))
-					_ = e.Estimate()
-				}
-			}()
-		}
-		wg.Wait()
-		if got := e.Estimate(); !within(got, 1e6, 0.01) {
-			t.Errorf("%T concurrent estimate = %v", e, got)
-		}
+	h := NewHistory()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				h.Observe(sampleAt(1e6))
+				_ = h.Estimate()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := h.Estimate(); !within(got, 1e6, 0.01) {
+		t.Errorf("concurrent estimate = %v", got)
 	}
 }
 
 func TestInstrument(t *testing.T) {
-	if Instrument(nil, metrics.NewRegistry()) != nil {
-		t.Error("instrumenting nil estimator invented one")
+	// A nil registry records nothing and estimates as usual.
+	h := NewHistory().Instrument(nil)
+	for i := 0; i < minSamples; i++ {
+		h.Observe(sampleAt(2e6))
 	}
-	h := NewHistory(0, 0)
-	if got := Instrument(h, nil); got != Estimator(h) {
-		t.Error("nil registry did not pass estimator through")
+	if got := h.Estimate(); !within(got, 2e6, 0.01) {
+		t.Errorf("uninstrumented estimate = %v", got)
 	}
 	reg := metrics.NewRegistry()
-	e := Instrument(h, reg)
+	h = NewHistory().Instrument(reg)
 	for i := 0; i < minSamples; i++ {
-		e.Observe(sampleAt(2e6))
+		h.Observe(sampleAt(2e6))
 	}
-	if got := e.Estimate(); !within(got, 2e6, 0.01) {
+	if got := h.Estimate(); !within(got, 2e6, 0.01) {
 		t.Errorf("instrumented estimate = %v", got)
 	}
 	snap := reg.Snapshot()
@@ -194,5 +151,23 @@ func TestInstrument(t *testing.T) {
 	}
 	if !within(byName[MetricEstimateRate], 2e6, 0.01) || !within(byName[MetricEstimateSampleRate], 2e6, 0.01) {
 		t.Errorf("estimate gauges = %v / %v", byName[MetricEstimateRate], byName[MetricEstimateSampleRate])
+	}
+}
+
+// TestHistoryAggregatesTrains: flushes shorter than MinTrainBytes
+// accumulate into one train, timed as one rate over their summed bytes
+// and durations.
+func TestHistoryAggregatesTrains(t *testing.T) {
+	h := NewHistory()
+	const half = MinTrainBytes / 2
+	for i := 0; i < minSamples; i++ {
+		h.Observe(Sample{Bytes: half, Duration: 250 * time.Millisecond})
+		if h.Estimate() != 0 {
+			t.Fatalf("estimate with %d whole trains and half of the next", i)
+		}
+		h.Observe(Sample{Bytes: half, Duration: 750 * time.Millisecond})
+	}
+	if got := h.Estimate(); !within(got, MinTrainBytes, 1e-9) {
+		t.Errorf("estimate = %v, want one train of %d bytes a second", got, MinTrainBytes)
 	}
 }

@@ -40,7 +40,7 @@ func TestEstimatorConvergesToLinkRate(t *testing.T) {
 	c := Start(t, seed, 0)
 
 	// Boot the serving peer by hand: estimator, no configured capacity.
-	est := estimate.NewHistory(0, 0)
+	est := estimate.NewHistory()
 	st := store.NewMemory()
 	node, err := peer.New(peer.Config{
 		Identity:  testIdentity(t, 1),

@@ -52,11 +52,13 @@ func TestFlashCrowdShedsFreeRidersAndKeepsGoodput(t *testing.T) {
 	// The hot peer is built by hand: shaped uplink, bounded admission,
 	// a small stream burst so the token buckets cannot hide the cap,
 	// and a fast realloc tick so handoffs re-divide capacity promptly.
+	hotReg := metrics.NewRegistry()
 	hot := c.startPeer("hot", 77, peer.Config{
 		UploadBytesPerSec: capBps,
 		StreamBurst:       4096,
 		MaxStreams:        maxStreams,
 		ReallocInterval:   50 * time.Millisecond,
+		Metrics:           hotReg,
 	}).Node
 
 	gen := c.SeedGeneration(ctx, 0xF1A5, k, pieceLen, k*pieceLen, k)
@@ -72,7 +74,8 @@ func TestFlashCrowdShedsFreeRidersAndKeepsGoodput(t *testing.T) {
 		hot.Ledger().Credit(fps[i], float64(uint64(1)<<i))
 	}
 
-	reg := metrics.NewRegistry()
+	// Each client counts the BUSY sheds it observes on its own registry.
+	regs := make([]*metrics.Registry, crowd)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -82,7 +85,8 @@ func TestFlashCrowdShedsFreeRidersAndKeepsGoodput(t *testing.T) {
 	start := time.Now()
 	for i := 0; i < crowd; i++ {
 		cl := c.Client("u"+fmt.Sprint(i), ids[i], client.Options{})
-		cl.Instrument(reg)
+		regs[i] = metrics.NewRegistry()
+		cl.Instrument(regs[i])
 		wg.Add(1)
 		go func(i int, cl *client.Client) {
 			defer wg.Done()
@@ -125,23 +129,29 @@ func TestFlashCrowdShedsFreeRidersAndKeepsGoodput(t *testing.T) {
 			goodput, elapsed, min, capBps)
 	}
 
-	st := hot.OverloadStats()
-	if st.Sheds == 0 {
+	sheds := hotReg.Counter(peer.MetricOverloadSheds, "").Value()
+	preempts := hotReg.Counter(peer.MetricOverloadPreempts, "").Value()
+	if sheds == 0 {
 		t.Fatal("4x offered load produced zero sheds; admission control inert")
 	}
 	// Shed ordering: the top-standing quartile is never the victim —
-	// the weakest active stream always outranks nobody above it.
-	for i := crowd - crowd/4; i < crowd; i++ {
-		if n := st.ShedsByClient[fps[i]]; n != 0 {
+	// the weakest active stream always outranks nobody above it. A shed,
+	// refusal or preemption, is a BUSY frame to its requester, so each
+	// client's own count shows whether it was shed.
+	var observed uint64
+	for i := 0; i < crowd; i++ {
+		n := regs[i].Counter(client.MetricShedsObserved, "").Value()
+		observed += n
+		if i >= crowd-crowd/4 && n != 0 {
 			t.Errorf("top-quartile client %d shed %d times, want 0", i, n)
 		}
 	}
 	// And the clients saw the BUSY frames as typed sheds, not failures.
-	if v := reg.Counter(client.MetricShedsObserved, "").Value(); v == 0 {
+	if observed == 0 {
 		t.Error("clients observed no BUSY sheds despite peer-side sheds")
 	}
 	t.Logf("crowd of %d done in %v: goodput %.0f B/s (cap %d), sheds %d (preempts %d)",
-		crowd, elapsed, goodput, capBps, st.Sheds, st.Preempts)
+		crowd, elapsed, goodput, capBps, sheds, preempts)
 }
 
 // shareOverloadFile shares a multi-chunk file over the cluster's peers

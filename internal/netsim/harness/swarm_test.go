@@ -250,7 +250,8 @@ func TestSwarmSmoke(t *testing.T) {
 // empty-address announce is refused before any RPC, a node that never
 // joined answers ErrNotFound, and a lookup through a dead directory
 // errors out within its RPC timeout even when the caller sets no
-// deadline.
+// deadline, as ErrUnreachable: a fetch through it reports the
+// directory down, not the file without holders.
 func TestDiscoveryFaultsNetsim(t *testing.T) {
 	seed := Seed(t, 55)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -308,7 +309,27 @@ func TestDiscoveryFaultsNetsim(t *testing.T) {
 	if elapsed > 2*rpcTimeout {
 		t.Fatalf("blackholed directory lookup took %v, want one %v RPC timeout plus slack", elapsed, rpcTimeout)
 	}
+	if !errors.Is(err, dht.ErrUnreachable) || errors.Is(err, dht.ErrNotFound) {
+		t.Fatalf("blackholed directory lookup = %v, want ErrUnreachable, not ErrNotFound", err)
+	}
 	t.Logf("blackholed directory lookup failed after %v: %v", elapsed, err)
+
+	// The failed RPC dropped the directory from the routing table; join
+	// it again, then lose it again under a fetch.
+	s.Fabric.Restore("directory")
+	if err := lonelyNode.Join(ctx, dir.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	s.Fabric.Blackhole("directory")
+	remote, err := core.NewSystem(indexIdentity(t, 1_000_001), nil, core.WithPlan(swarmPlan()),
+		core.WithClientOptions(client.Options{Transport: s.Fabric.Host(HostUser)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = remote.FetchFileVia(ctx, lonelyNode, &res.Handle.Manifest, res.Secret)
+	if !errors.Is(err, dht.ErrUnreachable) || errors.Is(err, client.ErrNoPeers) {
+		t.Fatalf("fetch through a blackholed directory = %v, want ErrUnreachable, not ErrNoPeers", err)
+	}
 }
 
 // startDirectory boots a one-node DHT on the fabric host "directory":

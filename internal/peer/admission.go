@@ -12,10 +12,7 @@ package peer
 // in which every stream serves with halved batch sizes, trading peak
 // throughput for admission headroom.
 
-import (
-	"asymshare/internal/fairshare"
-	"asymshare/internal/wire"
-)
+import "asymshare/internal/wire"
 
 const (
 	// busyRetryAfterMillis is the back-off hint carried by every
@@ -100,7 +97,8 @@ func (n *Node) shedStream(victim *stream, reason string) {
 			notify(wire.CodeBusy, busyRetryAfterMillis, reason)
 		}()
 	}
-	n.recordShed(victim.client, true)
+	n.m.overloadSheds.Inc()
+	n.m.overloadPreempts.Inc()
 }
 
 // updateBrownoutLocked recomputes the brownout flag from the active
@@ -123,47 +121,4 @@ func (n *Node) currentBatchBytes() int {
 		return serveBatchBytes / 2
 	}
 	return serveBatchBytes
-}
-
-// recordShed accounts one refused or preempted request.
-func (n *Node) recordShed(client fairshare.ID, preempt bool) {
-	n.statsMu.Lock()
-	n.sheds++
-	if preempt {
-		n.preempts++
-	}
-	n.shedsByClient[client]++
-	n.statsMu.Unlock()
-	n.m.overloadSheds.Inc()
-	if preempt {
-		n.m.overloadPreempts.Inc()
-	}
-}
-
-// recordExpired accounts one stream dropped because its propagated
-// deadline passed before (or while) it was served.
-func (n *Node) recordExpired() {
-	n.statsMu.Lock()
-	n.expired++
-	n.statsMu.Unlock()
-	n.m.overloadExpired.Inc()
-}
-
-// OverloadStats reports the node's shed/preempt/expiry accounting.
-type OverloadStats struct {
-	Sheds         int64 // refusals + preemptions, total
-	Preempts      int64 // sheds that made room for a higher-standing requester
-	Expired       int64 // streams dropped on a passed deadline
-	ShedsByClient map[fairshare.ID]int64
-}
-
-// OverloadStats snapshots the overload accounting.
-func (n *Node) OverloadStats() OverloadStats {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	by := make(map[fairshare.ID]int64, len(n.shedsByClient))
-	for k, v := range n.shedsByClient {
-		by[k] = v
-	}
-	return OverloadStats{Sheds: n.sheds, Preempts: n.preempts, Expired: n.expired, ShedsByClient: by}
 }

@@ -12,6 +12,7 @@ import (
 
 	"asymshare/internal/auth"
 	"asymshare/internal/fairshare"
+	"asymshare/internal/metrics"
 	"asymshare/internal/ratelimit"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/store"
@@ -43,6 +44,11 @@ func admissionNode(t testing.TB, cfg Config) *Node {
 	return n
 }
 
+// count reads one counter family of the node's registry.
+func count(reg *metrics.Registry, name string) uint64 {
+	return reg.Counter(name, "").Value()
+}
+
 // fakeStream fabricates a registered-shape stream without a network
 // connection.
 func fakeStream(client fairshare.ID, priority uint8) *stream {
@@ -70,13 +76,16 @@ func TestAdmissionUnlimitedWithoutMaxStreams(t *testing.T) {
 // stream with the weakest standing; a lower-standing request is
 // refused with a retry hint.
 func TestAdmissionShedsLowestStandingFirst(t *testing.T) {
-	n := admissionNode(t, Config{UploadBytesPerSec: 1e6, MaxStreams: 2})
+	reg := metrics.NewRegistry()
+	n := admissionNode(t, Config{UploadBytesPerSec: 1e6, MaxStreams: 2, Metrics: reg})
 	n.ledger.Credit("freerider", 1)
 	n.ledger.Credit("steady", 1000)
 	n.ledger.Credit("vip", 1_000_000)
 	n.ledger.Credit("weak", 0.5)
 
 	free := fakeStream("freerider", 0)
+	freeCtx, cancelFree := context.WithCancel(context.Background())
+	free.cancel = cancelFree
 	steady := fakeStream("steady", 0)
 	if v := n.admitStream(free); !v.ok {
 		t.Fatalf("first admit refused: %+v", v)
@@ -90,7 +99,7 @@ func TestAdmissionShedsLowestStandingFirst(t *testing.T) {
 	if v := n.admitStream(fakeStream("weak", 0)); v.ok || v.retryAfterMillis == 0 {
 		t.Fatalf("weak newcomer at capacity: verdict %+v, want refusal with retry hint", v)
 	}
-	n.recordShed("weak", false)
+	n.m.overloadSheds.Inc()
 
 	// A stronger newcomer preempts the free rider, not the steady
 	// contributor.
@@ -110,12 +119,15 @@ func TestAdmissionShedsLowestStandingFirst(t *testing.T) {
 		t.Fatalf("post-preemption active set wrong: free=%v vip=%v steady=%v", freeActive, vipActive, steadyActive)
 	}
 
-	st := n.OverloadStats()
-	if st.Sheds != 2 || st.Preempts != 1 {
-		t.Fatalf("overload stats %+v, want 2 sheds (1 preempt)", st)
+	sheds, preempts := count(reg, MetricOverloadSheds), count(reg, MetricOverloadPreempts)
+	if sheds != 2 || preempts != 1 {
+		t.Fatalf("overload counters: %d sheds (%d preempts), want 2 sheds (1 preempt)", sheds, preempts)
 	}
-	if st.ShedsByClient["freerider"] != 1 {
-		t.Fatalf("free rider shed count %d, want 1", st.ShedsByClient["freerider"])
+	// The free rider was shed exactly once: the one preemption cancelled
+	// its stream and took it out of the active set, and the one refusal
+	// was weak's, which never held a stream.
+	if freeCtx.Err() == nil {
+		t.Fatal("free rider's stream still running after its shed")
 	}
 }
 
@@ -159,7 +171,8 @@ func TestAdmissionEqualStandingDoesNotThrash(t *testing.T) {
 // return without waiting on that write — blocking here would wedge the
 // admitting connection's dispatcher on a third party's socket.
 func TestShedStreamDoesNotBlockOnVictimWriter(t *testing.T) {
-	n := admissionNode(t, Config{UploadBytesPerSec: 1e6})
+	reg := metrics.NewRegistry()
+	n := admissionNode(t, Config{UploadBytesPerSec: 1e6, Metrics: reg})
 	ctx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) }) // runs before n.Close's wg.Wait
@@ -189,8 +202,8 @@ func TestShedStreamDoesNotBlockOnVictimWriter(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("victim never received its best-effort BUSY notification")
 	}
-	if st := n.OverloadStats(); st.Sheds != 1 || st.Preempts != 1 {
-		t.Fatalf("overload stats %+v, want 1 shed (1 preempt)", st)
+	if sheds, preempts := count(reg, MetricOverloadSheds), count(reg, MetricOverloadPreempts); sheds != 1 || preempts != 1 {
+		t.Fatalf("overload counters: %d sheds (%d preempts), want 1 shed (1 preempt)", sheds, preempts)
 	}
 }
 
@@ -270,7 +283,8 @@ func TestAdmissionRefusalScanAllocs(t *testing.T) {
 // passed is dropped before a single byte is served — the requester
 // gets a terminal BUSY/CodeExpired and the accounting records it.
 func TestServeStreamDropsExpiredDeadline(t *testing.T) {
-	n := admissionNode(t, Config{UploadBytesPerSec: 1e6})
+	reg := metrics.NewRegistry()
+	n := admissionNode(t, Config{UploadBytesPerSec: 1e6, Metrics: reg})
 	var buf bytes.Buffer
 	cw := newConnWriter(&buf)
 	s := fakeStream("late", 0)
@@ -279,8 +293,8 @@ func TestServeStreamDropsExpiredDeadline(t *testing.T) {
 
 	n.serveStream(context.Background(), cw, s, []*rlnc.Message{{}})
 
-	if st := n.OverloadStats(); st.Expired != 1 {
-		t.Fatalf("Expired = %d, want 1", st.Expired)
+	if got := count(reg, MetricOverloadExpired); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricOverloadExpired, got)
 	}
 	fr := wire.NewFrameReader(bytes.NewReader(buf.Bytes()))
 	b, err := fr.Expect(wire.TypeBusy)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"asymshare/internal/auth"
+	"asymshare/internal/metrics"
 	"asymshare/internal/peer"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/store"
@@ -69,7 +70,8 @@ func TestAuditAnswersHeldAndMissing(t *testing.T) {
 	if err := st.Put(msg); err != nil {
 		t.Fatal(err)
 	}
-	node := startPeer(t, peer.Config{Identity: identity(t, 224), Store: st})
+	reg := metrics.NewRegistry()
+	node := startPeer(t, peer.Config{Identity: identity(t, 224), Store: st, Metrics: reg})
 	fr, fw := dialAuthed(t, node, identity(t, 225))
 
 	ch := auditChallenge(9, 4, 77)
@@ -102,9 +104,11 @@ func TestAuditAnswersHeldAndMissing(t *testing.T) {
 	}
 
 	// The connection survives an audit: counters advanced, BYE works.
-	served, sampled, heldN := node.AuditStats()
+	served := reg.Counter(peer.MetricAuditsAnswered, "").Value()
+	sampled := reg.Counter(peer.MetricAuditSampled, "").Value()
+	heldN := reg.Counter(peer.MetricAuditHeld, "").Value()
 	if served != 1 || sampled != 2 || heldN != 1 {
-		t.Errorf("AuditStats = (%d,%d,%d), want (1,2,1)", served, sampled, heldN)
+		t.Errorf("audit counters = (%d,%d,%d), want (1,2,1)", served, sampled, heldN)
 	}
 	if err := fw.WriteFrame(wire.TypeBye, nil); err != nil {
 		t.Fatal(err)

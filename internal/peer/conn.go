@@ -35,6 +35,7 @@ import (
 
 	"asymshare/internal/auth"
 	"asymshare/internal/dht"
+	"asymshare/internal/estimate"
 	"asymshare/internal/fairshare"
 	"asymshare/internal/ratelimit"
 	"asymshare/internal/wire"
@@ -288,7 +289,7 @@ func (n *Node) handlePut(cw *connWriter, client fairshare.ID, payload []byte) er
 	if err := n.cfg.Store.Put(&msg); err != nil {
 		return err
 	}
-	n.recordStored(len(payload))
+	n.m.storedBytes.Add(uint64(len(payload)))
 	return cw.writeFrame(wire.TypePutOK, nil)
 }
 
@@ -367,7 +368,9 @@ func (n *Node) handleAudit(cw *connWriter, client fairshare.ID, payload []byte) 
 		}
 		resp.Proofs = append(resp.Proofs, proof)
 	}
-	n.recordAudit(proven, len(ch.MessageIDs))
+	n.m.auditsAnswered.Inc()
+	n.m.auditSampled.Add(uint64(len(ch.MessageIDs)))
+	n.m.auditHeld.Add(uint64(proven))
 	n.log.Debug("audit answered", "client", client, "file", ch.FileID,
 		"sampled", len(ch.MessageIDs), "held", proven)
 	return cw.writeFrame(wire.TypeAuditResponse, resp.Marshal())
@@ -436,7 +439,7 @@ func (n *Node) startStream(cs *connState, get wire.Get) error {
 	}
 	if !verdict.ok {
 		cancel()
-		n.recordShed(cs.client, false)
+		n.m.overloadSheds.Inc()
 		_ = cw.writeBusy(get.FileID, wire.CodeBusy, verdict.retryAfterMillis, "at stream capacity")
 		return &wire.RemoteError{Code: wire.CodeBusy}
 	}
@@ -485,7 +488,7 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		// propagated deadline passes, every further byte would arrive
 		// too late to matter, so tell the requester and free the slot.
 		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
-			n.recordExpired()
+			n.m.overloadExpired.Inc()
 			_ = cw.writeBusy(s.fileID, wire.CodeExpired, 0, "deadline passed")
 			return false
 		}
@@ -543,7 +546,9 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		if err != nil {
 			return false
 		}
-		n.recordFlush(sent, flushDur)
+		if n.est != nil {
+			n.est.Observe(estimate.Sample{Bytes: int64(sent), Duration: flushDur})
+		}
 		n.recordServed(s.client, sent)
 	}
 	return ctx.Err() == nil

@@ -13,6 +13,7 @@ import (
 	"asymshare/internal/auth"
 	"asymshare/internal/client"
 	"asymshare/internal/dht"
+	"asymshare/internal/metrics"
 	"asymshare/internal/peer"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/store"
@@ -89,7 +90,8 @@ func TestPeerAnswersDHTOnItsOwnPort(t *testing.T) {
 // peer stores nothing.
 func TestPeerWithoutDHTAnswersNoDHTFrame(t *testing.T) {
 	st := store.NewMemory()
-	node := startPeer(t, peer.Config{Identity: identity(t, 42), Store: st})
+	reg := metrics.NewRegistry()
+	node := startPeer(t, peer.Config{Identity: identity(t, 42), Store: st, Metrics: reg})
 	if node.DHT() != nil {
 		t.Fatal("a peer without Config.DHT hosts a DHT node")
 	}
@@ -121,7 +123,7 @@ func TestPeerWithoutDHTAnswersNoDHTFrame(t *testing.T) {
 		b.Release()
 		t.Fatalf("peer answered a DHT STORE with frame type %d", typ)
 	}
-	if n := node.StoredBytes(); n != 0 || st.TotalMessages() != 0 {
+	if n := reg.Counter(peer.MetricStoredBytes, "").Value(); n != 0 || st.TotalMessages() != 0 {
 		t.Fatalf("peer stored %d bytes, %d messages from a DHT frame", n, st.TotalMessages())
 	}
 }

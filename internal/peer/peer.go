@@ -66,8 +66,9 @@ type Config struct {
 
 	// Estimator, when set, measures the real upload capacity online
 	// from flush timings (see internal/estimate) and the realloc loop
-	// divides the estimate instead of the configured constant.
-	Estimator estimate.Estimator
+	// divides the estimate instead of the configured constant. New
+	// publishes its fairshare_estimate_* families into Metrics.
+	Estimator *estimate.History
 
 	// Allocator divides capacity among concurrent downloaders; nil
 	// means the paper's pairwise-proportional rule.
@@ -151,7 +152,7 @@ type Node struct {
 	cfg       Config
 	ledger    *fairshare.Ledger
 	alloc     fairshare.Allocator
-	est       estimate.Estimator
+	est       *estimate.History
 	log       *slog.Logger
 	interval  time.Duration
 	m         nodeMetrics
@@ -181,25 +182,8 @@ type Node struct {
 	// threshold; serve loops read it per batch to halve their sizes.
 	brownout atomic.Bool
 
-	// Estimator sample train: flush timings aggregate here until
-	// estimate.MinTrainBytes have been observed, then emit one Sample
-	// (small flushes ride socket buffers and would read fast).
-	trainMu    sync.Mutex
-	trainBytes int64
-	trainDur   time.Duration
-
-	statsMu       sync.Mutex
-	bytesOut      map[fairshare.ID]int64 // per-downloader served bytes
-	putBytesIn    int64
-	auditsServed  int64 // challenges answered
-	auditsSampled int64 // messages probed across challenges
-	auditsHeld    int64 // probed messages actually held
-
-	// Overload accounting (under statsMu); see OverloadStats.
-	sheds         int64
-	preempts      int64
-	expired       int64
-	shedsByClient map[fairshare.ID]int64
+	statsMu  sync.Mutex
+	bytesOut map[fairshare.ID]int64 // per-downloader served bytes
 
 	ownersMu sync.Mutex
 	owners   map[uint64]fairshare.ID // file-id -> first uploader
@@ -231,17 +215,16 @@ func New(cfg Config) (*Node, error) {
 		return nil, errors.New("peer: config requires a store")
 	}
 	n := &Node{
-		cfg:           cfg,
-		ledger:        cfg.Ledger,
-		alloc:         cfg.Allocator,
-		est:           cfg.Estimator,
-		log:           cfg.Logger,
-		interval:      cfg.ReallocInterval,
-		streams:       make(map[*stream]struct{}),
-		posBuf:        make(map[fairshare.ID]int),
-		bytesOut:      make(map[fairshare.ID]int64),
-		owners:        make(map[uint64]fairshare.ID),
-		shedsByClient: make(map[fairshare.ID]int64),
+		cfg:      cfg,
+		ledger:   cfg.Ledger,
+		alloc:    cfg.Allocator,
+		est:      cfg.Estimator,
+		log:      cfg.Logger,
+		interval: cfg.ReallocInterval,
+		streams:  make(map[*stream]struct{}),
+		posBuf:   make(map[fairshare.ID]int),
+		bytesOut: make(map[fairshare.ID]int64),
+		owners:   make(map[uint64]fairshare.ID),
 	}
 	if cfg.LedgerPath != "" {
 		led, rec, err := fairshare.RecoverLedger(cfg.FS, cfg.LedgerPath, fairshare.DefaultInitialCredit)
@@ -273,7 +256,9 @@ func New(cfg Config) (*Node, error) {
 		n.cfg.Store = store.Instrument(n.cfg.Store, cfg.Metrics)
 		n.ledger.Instrument(cfg.Metrics)
 		n.alloc = fairshare.InstrumentAllocator(n.alloc, cfg.Metrics)
-		n.est = estimate.Instrument(n.est, cfg.Metrics)
+		if n.est != nil {
+			n.est.Instrument(cfg.Metrics)
+		}
 	}
 	if cfg.LedgerPath != "" {
 		n.ckpt = fairshare.NewCheckpointer(fairshare.CheckpointConfig{
@@ -453,13 +438,6 @@ func (n *Node) ServedBytes() map[fairshare.ID]int64 {
 	return out
 }
 
-// StoredBytes reports the total bytes accepted via PUT.
-func (n *Node) StoredBytes() int64 {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.putBytesIn
-}
-
 // Accept-loop backoff bounds. Transient accept failures (EMFILE,
 // ECONNABORTED, momentary stack trouble) must not kill the daemon: the
 // loop sleeps an exponentially growing, capped interval and tries
@@ -571,7 +549,7 @@ func (n *Node) currentCapacity() float64 {
 	if n.est == nil {
 		return configured
 	}
-	if e := estimate.Clamp(n.est.Estimate(), 0, configured); e > 0 {
+	if e := estimate.Clamp(n.est.Estimate(), configured); e > 0 {
 		return e
 	}
 	return configured
@@ -652,28 +630,6 @@ func (n *Node) reallocateLocked() {
 	n.m.reallocDur.ObserveSince(start)
 }
 
-// recordFlush aggregates one flush timing into the estimator sample
-// train (no-op without an estimator). Individual flushes are too small
-// to time — socket and shaper burst buffers absorb them — so bytes and
-// active-drain durations accumulate until a full train has passed,
-// then emit one Sample.
-func (n *Node) recordFlush(bytes int, dur time.Duration) {
-	if n.est == nil || bytes <= 0 || dur <= 0 {
-		return
-	}
-	n.trainMu.Lock()
-	n.trainBytes += int64(bytes)
-	n.trainDur += dur
-	if n.trainBytes < estimate.MinTrainBytes {
-		n.trainMu.Unlock()
-		return
-	}
-	s := estimate.Sample{Bytes: n.trainBytes, Duration: n.trainDur}
-	n.trainBytes, n.trainDur = 0, 0
-	n.trainMu.Unlock()
-	n.est.Observe(s)
-}
-
 // registerLocked adds an admitted stream and gives it a sane rate
 // immediately rather than waiting out the first tick. Callers hold mu.
 func (n *Node) registerLocked(s *stream) {
@@ -705,33 +661,6 @@ func (n *Node) recordServed(client fairshare.ID, bytes int) {
 	n.statsMu.Unlock()
 	n.m.servedBytes.Add(uint64(bytes))
 	n.m.servedRate.Mark(uint64(bytes))
-}
-
-func (n *Node) recordStored(bytes int) {
-	n.statsMu.Lock()
-	n.putBytesIn += int64(bytes)
-	n.statsMu.Unlock()
-	n.m.storedBytes.Add(uint64(bytes))
-}
-
-func (n *Node) recordAudit(held, sampled int) {
-	n.statsMu.Lock()
-	n.auditsServed++
-	n.auditsSampled += int64(sampled)
-	n.auditsHeld += int64(held)
-	n.statsMu.Unlock()
-	n.m.auditsAnswered.Inc()
-	n.m.auditSampled.Add(uint64(sampled))
-	n.m.auditHeld.Add(uint64(held))
-}
-
-// AuditStats reports the challenges this peer has answered: how many
-// challenges arrived, how many messages they probed, and how many of
-// those the store still held. A healthy peer has held == sampled.
-func (n *Node) AuditStats() (served, sampled, held int64) {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.auditsServed, n.auditsSampled, n.auditsHeld
 }
 
 // claimFile records the first uploader of a file-id as its owner and

@@ -12,6 +12,7 @@ import (
 	"asymshare/internal/chunk"
 	"asymshare/internal/client"
 	"asymshare/internal/gf"
+	"asymshare/internal/metrics"
 	"asymshare/internal/peer"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/store"
@@ -87,10 +88,12 @@ func TestDisseminateAndFetchSinglePeer(t *testing.T) {
 
 	peerID := identity(t, 2)
 	userID := identity(t, 3)
+	reg := metrics.NewRegistry()
 	node := startPeer(t, peer.Config{
 		Identity: peerID,
 		Store:    store.NewMemory(),
 		Trusted:  auth.NewTrustSet(userID.Public()),
+		Metrics:  reg,
 	})
 
 	c, err := client.New(userID, auth.NewTrustSet(peerID.Public()))
@@ -102,8 +105,8 @@ func TestDisseminateAndFetchSinglePeer(t *testing.T) {
 	if err := c.Disseminate(ctx, node.Addr().String(), batch); err != nil {
 		t.Fatal(err)
 	}
-	if got := node.StoredBytes(); got == 0 {
-		t.Error("StoredBytes = 0 after dissemination")
+	if got := reg.Counter(peer.MetricStoredBytes, "").Value(); got == 0 {
+		t.Errorf("%s = 0 after dissemination", peer.MetricStoredBytes)
 	}
 
 	got, stats, err := c.Fetch(ctx, client.FetchRequest{
