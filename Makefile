@@ -129,11 +129,12 @@ churn-smoke:
 	$(GO) test -race -run TestChurnKeepsFileFetchable ./internal/netsim/harness/
 
 # swarm-smoke is the CI-sized discovery acceptance slice: a file is
-# ring-placed on a 128-peer netsim swarm and announced through the DHT,
-# and a cold client fetches byte-identical plaintext with every holder
-# resolved through it — plus the DHT's own faults (an empty-address
-# announce, an unjoined node, a lookup through a blackholed directory)
-# — under -race, about 10 s. ci does not
+# ring-placed on a 128-peer netsim swarm whose holders announce
+# themselves through the DHT, and a cold client fetches byte-identical
+# plaintext with every holder resolved through it — plus the DHT's own
+# faults (a client-only announce, an unjoined node, a lookup through a
+# blackholed directory and again once it is back) — under -race,
+# about 10 s. ci does not
 # run it: race already runs these tests twice as part of
 # ./internal/netsim/...
 swarm-smoke:

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,13 +15,14 @@ import (
 	"asymshare/internal/auth"
 	"asymshare/internal/core"
 	"asymshare/internal/dht"
+	"asymshare/internal/netsim/harness"
 	"asymshare/internal/peer"
 	"asymshare/internal/store"
 )
 
 // TestShareFetchViaDHT drives the discovery recipe end to end: share
-// ring-placed (-replicas) onto a subset of the peers and announce
-// through the DHT, then fetch resolving holders through another DHT
+// ring-placed (-replicas) onto a subset of the peers, whose holders
+// announce themselves, then fetch resolving holders through another DHT
 // node.
 func TestShareFetchViaDHT(t *testing.T) {
 	dir := t.TempDir()
@@ -66,12 +68,9 @@ func TestShareFetchViaDHT(t *testing.T) {
 	var shareOut bytes.Buffer
 	err := run([]string{"share", "-key", keyPath, "-file", filePath,
 		"-peers", strings.Join(addrs, ","), "-out", handlePath,
-		"-replicas", "3", "-dht", addrs[0]}, &shareOut)
+		"-replicas", "3"}, &shareOut)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(shareOut.String(), "announced") {
-		t.Errorf("share output: %q", shareOut.String())
 	}
 	m := regexp.MustCompile(`secret \(keep private!\): ([0-9a-f]+)`).FindStringSubmatch(shareOut.String())
 	if m == nil {
@@ -85,6 +84,17 @@ func TestShareFetchViaDHT(t *testing.T) {
 		if got := h.PeersForChunk(i); len(got) != 3 {
 			t.Fatalf("chunk %d placed on %v, want 3 holders", i, got)
 		}
+	}
+	// Each holder announces a chunk when its first PUT lands, far
+	// sooner than the half-TTL re-announce: wait until every chunk
+	// resolves to its three holders.
+	user, err := joinDHT(addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer user.Close()
+	if err := harness.AwaitHolders(ctx, user, h); err != nil {
+		t.Fatal(err)
 	}
 	outPath := filepath.Join(dir, "d.out")
 	err = run([]string{"fetch", "-key", keyPath, "-handle", handlePath,
@@ -101,10 +111,13 @@ func TestShareFetchViaDHT(t *testing.T) {
 	}
 }
 
-// TestServeDHTListenFlags pins serve's one-port surface: -dht refuses a
-// -listen whose host other peers could not dial, naming the flag, and
-// the retired second-port flag is refused by name. (Spelled in halves
-// so a grep for the flag finds no Go source that still knows it.)
+// TestServeDHTListenFlags pins serve's one-port surface: serve refuses
+// a -listen whose host other peers could not dial, naming the flag,
+// with -dht or without it (the first serve joins nobody, but it still
+// announces its own address), before it creates its -store directory;
+// and the retired second-port flag is
+// refused by name. (Spelled in halves so a grep for the flag finds no
+// Go source that still knows it.)
 func TestServeDHTListenFlags(t *testing.T) {
 	dir := t.TempDir()
 	keyPath := filepath.Join(dir, "p.key")
@@ -113,10 +126,25 @@ func TestServeDHTListenFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, listen := range []string{":0", "0.0.0.0:0", "[::]:0"} {
-		err := run([]string{"serve", "-key", keyPath, "-store", filepath.Join(dir, "s"),
-			"-listen", listen, "-dht", "127.0.0.1:1"}, &out)
-		if err == nil || !strings.Contains(err.Error(), "-listen") {
-			t.Errorf("serve -dht -listen %s: err = %v, want it to name -listen", listen, err)
+		for _, extra := range [][]string{{"-dht", "127.0.0.1:1"}, nil} {
+			storeDir := filepath.Join(dir, "refused")
+			args := append([]string{"serve", "-key", keyPath, "-store", storeDir,
+				"-listen", listen}, extra...)
+			// A serve that starts blocks until a signal: give up on it
+			// (and leave it running) rather than hang the test.
+			done := make(chan error, 1)
+			go func() { done <- run(args, io.Discard) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "-listen") {
+					t.Errorf("serve -listen %s %v: err = %v, want it to name -listen", listen, extra, err)
+				}
+				if _, err := os.Stat(storeDir); !os.IsNotExist(err) {
+					t.Errorf("serve -listen %s %v left its -store behind (%v)", listen, extra, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("serve -listen %s %v is serving, want it refused", listen, extra)
+			}
 		}
 	}
 	retired := "-dht" + "-listen"
@@ -127,13 +155,15 @@ func TestServeDHTListenFlags(t *testing.T) {
 }
 
 // TestRetiredDiscoveryFlags: the DHT is the one discovery mechanism, so
-// share and fetch refuse -tracker, and serve refuses the class weights
-// of the retired classes policy.
+// share and fetch refuse -tracker; holders announce themselves, so
+// share refuses -dht; and serve refuses the class weights of the
+// retired classes policy.
 func TestRetiredDiscoveryFlags(t *testing.T) {
 	var out bytes.Buffer
 	for _, args := range [][]string{
 		{"share", "-tracker", "x"},
 		{"fetch", "-tracker", "x"},
+		{"share", "-dht", "x"},
 		{"serve", "-class-weights", "1:2"},
 	} {
 		err := run(args, &out)

@@ -11,15 +11,15 @@
 //	asymshare fetch   -key user.key -handle video.handle -secret <hex> -out video.mpg
 //
 // Discovery is the DHT every serve answers on its one -listen port, so
-// any serve is a bootstrap; a joiner listens on a host:port other peers
-// can dial. share -dht announces each chunk's holders, and fetch -dht
-// resolves them instead of reading the handle's peer list. A record
-// lives one TTL (10 min), and every serve re-announces each file it
-// stores every half TTL, so a record lives as long as its holder:
+// any serve is a bootstrap; each listens on a host:port other peers can
+// dial, and announces that address for a chunk when its first PUT
+// lands and every half TTL (10 min), so a record lives as long as its
+// holder. fetch -dht resolves the holders instead of reading the
+// handle's peer list:
 //
 //	asymshare serve   -key peer.key -listen a:7070 -store ./data                     # bootstrap
 //	asymshare serve   -key peer2.key -listen b:7070 -store ./data2 -dht a:7070        # joins swarm
-//	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7070,c:7070 -replicas 3 -dht a:7070
+//	asymshare share   -key user.key -file video.mpg -peers a:7070,b:7070,c:7070 -replicas 3
 //	asymshare fetch   -key user.key -handle video.mpg.handle -secret <hex> -dht b:7070 -out video.mpg
 //
 // Other commands:
@@ -184,8 +184,8 @@ func cmdServe(args []string, out io.Writer) error {
 	if *keyPath == "" || *storeDir == "" {
 		return errors.New("serve: -key and -store are required")
 	}
-	if *dhtBootstrap != "" && !dht.Routable(*listen) {
-		return fmt.Errorf("serve: -dht needs a -listen host other peers can dial, not %q", *listen)
+	if !dht.Routable(*listen) { // checked before the store is opened
+		return fmt.Errorf("serve: -listen needs a host other peers can dial, not %q", *listen)
 	}
 	id, err := loadIdentity(*keyPath)
 	if err != nil {
@@ -302,7 +302,6 @@ func cmdShare(args []string, out io.Writer) error {
 	filePath := fs.String("file", "", "file to share (required)")
 	peers := fs.String("peers", "", "comma-separated peer addresses (required)")
 	outPath := fs.String("out", "", "handle output path (default <file>.handle)")
-	dhtAddr := fs.String("dht", "", "DHT bootstrap node to announce the share through")
 	replicas := fs.Int("replicas", 0, "ring placement: store each chunk on N peers (0 = every peer)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -350,17 +349,6 @@ func cmdShare(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "shared %d bytes as %d messages to %d peers\nhandle: %s\nsecret (keep private!): %s\n",
 		len(data), res.MessagesSent, len(addrs), handlePath, hex.EncodeToString(res.Secret))
-	if *dhtAddr != "" {
-		node, err := joinDHT(*dhtAddr)
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		if err := sys.AnnounceHandleVia(context.Background(), node, &res.Handle, 0); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "announced %d chunks via DHT bootstrap %s\n", len(res.Handle.Manifest.Chunks), *dhtAddr)
-	}
 	return nil
 }
 

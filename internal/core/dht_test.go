@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"asymshare/internal/client"
 	"asymshare/internal/core"
 	"asymshare/internal/dht"
+	"asymshare/internal/netsim/harness"
 	"asymshare/internal/peer"
 	"asymshare/internal/store"
 )
@@ -36,12 +38,15 @@ func startDHTNode(t *testing.T) *dht.Node {
 	return p.DHT()
 }
 
+// TestAnnounceAndFetchViaDHT: the storage peers a file is shared onto
+// announce themselves as its holders, with no announce from the owner,
+// and a remote user resolves and fetches with only manifest + secret.
 func TestAnnounceAndFetchViaDHT(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data := make([]byte, 2500)
 	rng.Read(data)
 
-	// A small DHT: 5 nodes joined through the first.
+	// A small DHT: 5 storage peers joined through the first.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	dhtNodes := make([]*dht.Node, 5)
@@ -54,20 +59,20 @@ func TestAnnounceAndFetchViaDHT(t *testing.T) {
 		}
 	}
 
-	// Storage peers and the share.
+	// The share lands on two of them.
 	owner, err := core.NewSystem(identity(t, 160), nil, core.WithPlan(smallPlan()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var addrs []string
-	for i := byte(0); i < 2; i++ {
-		addrs = append(addrs, startPeer(t, 161+i).Addr().String())
-	}
+	addrs := []string{dhtNodes[1].Addr(), dhtNodes[2].Addr()}
+	sort.Strings(addrs)
 	res, err := owner.ShareFile(ctx, "dht.bin", data, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := owner.AnnounceHandleVia(ctx, dhtNodes[1], &res.Handle, 0); err != nil {
+
+	// Each holder announces every chunk on its first PUT.
+	if err := harness.AwaitHolders(ctx, dhtNodes[4], &res.Handle); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,26 +110,6 @@ func TestFetchViaDHTUnknown(t *testing.T) {
 	_, _, err = sys.FetchFileVia(ctx, node, share, secret)
 	if !errors.Is(err, dht.ErrNotFound) || !errors.Is(err, client.ErrNoPeers) {
 		t.Errorf("unknown key fetch error = %v, want ErrNotFound and ErrNoPeers", err)
-	}
-}
-
-func TestAnnounceHandleDHTValidation(t *testing.T) {
-	sys, err := core.NewSystem(identity(t, 171), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AnnounceHandleVia(context.Background(), startDHTNode(t), nil, 0); !errors.Is(err, core.ErrBadHandle) {
-		t.Errorf("nil handle error = %v", err)
-	}
-}
-
-func TestAnnounceHandleValidation(t *testing.T) {
-	sys, err := core.NewSystem(identity(t, 97), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AnnounceHandleVia(context.Background(), startDHTNode(t), &core.Handle{}, 0); !errors.Is(err, core.ErrBadHandle) {
-		t.Errorf("empty handle error = %v", err)
 	}
 }
 

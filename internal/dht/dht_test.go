@@ -2,9 +2,12 @@ package dht
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,21 +196,24 @@ func TestAnnounceAndLookupAcrossNetwork(t *testing.T) {
 	defer cancel()
 
 	key := KeyFromFileID(12345)
-	if err := nodes[3].Announce(ctx, key, "peerA:7070", 0); err != nil {
+	if err := nodes[3].Announce(ctx, key); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[7].Announce(ctx, key, "peerB:7070", 0); err != nil {
+	if err := nodes[7].Announce(ctx, key); err != nil {
 		t.Fatal(err)
 	}
 
-	// Every node can resolve the key, regardless of where it announced.
+	// Every node can resolve the key to both holders' own addresses,
+	// regardless of where they announced.
+	want := []string{nodes[3].Addr(), nodes[7].Addr()}
+	sort.Strings(want)
 	for i, n := range nodes {
 		got, err := n.Lookup(ctx, key)
 		if err != nil {
 			t.Fatalf("node %d lookup: %v", i, err)
 		}
-		if len(got) != 2 || got[0] != "peerA:7070" || got[1] != "peerB:7070" {
-			t.Fatalf("node %d lookup = %v", i, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("node %d lookup = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -237,7 +243,7 @@ func TestCappedTableAnnouncePlacement(t *testing.T) {
 	}
 
 	key := KeyFromFileID(777)
-	if err := nodes[1].Announce(ctx, key, "peerX:7070", 0); err != nil {
+	if err := nodes[1].Announce(ctx, key); err != nil {
 		t.Fatal(err)
 	}
 	for i, node := range nodes {
@@ -245,8 +251,8 @@ func TestCappedTableAnnouncePlacement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %d lookup with capped tables: %v", i, err)
 		}
-		if len(got) != 1 || got[0] != "peerX:7070" {
-			t.Fatalf("node %d lookup = %v", i, got)
+		if len(got) != 1 || got[0] != nodes[1].Addr() {
+			t.Fatalf("node %d lookup = %v, want [%s]", i, got, nodes[1].Addr())
 		}
 	}
 }
@@ -295,7 +301,7 @@ func TestLookupSurvivesReplicaFailures(t *testing.T) {
 	defer cancel()
 
 	key := KeyFromFileID(777)
-	if err := nodes[1].Announce(ctx, key, "peerZ:7070", 0); err != nil {
+	if err := nodes[1].Announce(ctx, key); err != nil {
 		t.Fatal(err)
 	}
 	// Kill a third of the network (values live on K=8 replicas, so a
@@ -307,8 +313,8 @@ func TestLookupSurvivesReplicaFailures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lookup after failures: %v", err)
 	}
-	if len(got) != 1 || got[0] != "peerZ:7070" {
-		t.Fatalf("lookup = %v", got)
+	if len(got) != 1 || got[0] != nodes[1].Addr() {
+		t.Fatalf("lookup = %v, want [%s]", got, nodes[1].Addr())
 	}
 }
 
@@ -353,7 +359,9 @@ func TestStoreKeysBounded(t *testing.T) {
 	target.now = func() time.Time { return time.Now().Add(time.Duration(offset.Load())) }
 	go serveRPCs(ln, target)
 	defer target.Close()
-	dialer, err := New(Config{})
+	// A STORE is kept only as its sender's own address, so the dialer
+	// advertises one; nothing needs to listen there.
+	dialer, err := New(Config{Advertise: "127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +386,7 @@ func TestStoreKeysBounded(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < count; i += 8 {
-					if err := dialer.storeRPC(ctx, to, keys[i], "v", time.Hour); err != nil {
+					if err := dialer.storeRPC(ctx, to, keys[i]); err != nil {
 						errs <- err
 						return
 					}
@@ -434,6 +442,84 @@ func TestStoreKeysBounded(t *testing.T) {
 	}
 }
 
+// TestStoreKeepsOnlySendersOwnAddress: a replica keeps a STORE's value
+// only when it is the sender's own routable address, the one record a
+// holder writes. Any other STORE gets no reply and stores nothing.
+func TestStoreKeepsOnlySendersOwnAddress(t *testing.T) {
+	n, err := New(Config{Advertise: "replica:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	key := KeyFromFileID(9)
+	store := func(fromAddr, value string) bool {
+		body, err := json.Marshal(storeReq{
+			rpcHeader: rpcHeader{FromID: NodeIDFromAddr(fromAddr).String(), FromAddr: fromAddr},
+			Key:       key.String(),
+			Value:     value,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, ok := n.HandleRPC(typeStore, body)
+		return ok
+	}
+	for _, tc := range []struct{ name, from, value string }{
+		{"another holder's address", "sender:1", "holder:1"},
+		{"no sender address", "", "holder:1"},
+		{"no sender address or value", "", ""},
+		{"wildcard sender", "[::]:7070", "[::]:7070"},
+		{"unspecified IPv4 sender", "0.0.0.0:7070", "0.0.0.0:7070"},
+		{"port-only sender", ":7070", ":7070"},
+	} {
+		if store(tc.from, tc.value) {
+			t.Errorf("%s: STORE answered", tc.name)
+		}
+		if got := n.loadLocal(key); len(got) != 0 {
+			t.Fatalf("%s: replica holds %v, want nothing", tc.name, got)
+		}
+	}
+	if !store("holder:1", "holder:1") {
+		t.Fatal("STORE of the sender's own address not answered")
+	}
+	if got := n.loadLocal(key); len(got) != 1 || got[0] != "holder:1" {
+		t.Fatalf("replica holds %v, want [holder:1]", got)
+	}
+}
+
+// TestTableKeepsContactThroughFailures: a contact survives fewer than
+// maxFails failed RPCs in a row, an answer or an observation clears the
+// count, the maxFails-th failure evicts it, and the last contact is
+// never evicted.
+func TestTableKeepsContactThroughFailures(t *testing.T) {
+	tb := newTable(NodeIDFromAddr("self:0"), 8)
+	a := parsedContact{id: NodeIDFromAddr("a:1"), addr: "a:1"}
+	b := parsedContact{id: NodeIDFromAddr("b:1"), addr: "b:1"}
+	tb.observe(a)
+	tb.observe(b)
+	fail := func(c parsedContact, times int) {
+		for i := 0; i < times; i++ {
+			tb.outcome(c.id, false)
+		}
+	}
+	fail(a, maxFails-1)
+	tb.outcome(a.id, true)
+	fail(a, maxFails-1)
+	tb.observe(a)
+	fail(a, maxFails-1)
+	if tb.size() != 2 {
+		t.Fatalf("table size = %d after %d failures in a row, want both contacts kept", tb.size(), maxFails-1)
+	}
+	fail(a, 1)
+	if got := tb.closest(a.id, 2); len(got) != 1 || got[0].id != b.id {
+		t.Fatalf("table holds %v after %d failures in a row, want only b", got, maxFails)
+	}
+	fail(b, 2*maxFails)
+	if tb.size() != 1 {
+		t.Fatal("the last contact was evicted")
+	}
+}
+
 func TestJoinDeadBootstrap(t *testing.T) {
 	n := startNode(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -447,8 +533,13 @@ func TestJoinDeadBootstrap(t *testing.T) {
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := New(Config{Advertise: "no-port"}); err == nil {
-		t.Error("advertise address without a port accepted")
+	// A node's address is the one record it announces, so one no other
+	// host can dial is refused: no port, or a wildcard host.
+	for _, addr := range []string{"no-port", ":1", "0.0.0.0:1", "[::]:1"} {
+		if n, err := New(Config{Advertise: addr}); err == nil {
+			n.Close()
+			t.Errorf("unroutable advertise address %q accepted", addr)
+		}
 	}
 	n, err := New(Config{})
 	if err != nil {
@@ -461,8 +552,9 @@ func TestNewNodeValidation(t *testing.T) {
 }
 
 // TestClientOnlyNodeStaysOutOfTables joins a client-only node, which no
-// peer serves and so no one can dial, and has it look a key up and
-// announce one: no served node may record it as a contact.
+// peer serves and so no one can dial, and has it look up a key a served
+// node announced: no served node may record it as a contact. It cannot
+// announce, since it has no address of its own to offer.
 func TestClientOnlyNodeStaysOutOfTables(t *testing.T) {
 	nodes := buildNetwork(t, 3)
 	client, err := New(Config{})
@@ -475,11 +567,14 @@ func TestClientOnlyNodeStaysOutOfTables(t *testing.T) {
 	if err := client.Join(ctx, nodes[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Announce(ctx, KeyFromFileID(3), "peer:1", 0); err != nil {
+	if err := client.Announce(ctx, KeyFromFileID(3)); !errors.Is(err, ErrClientOnly) {
+		t.Fatalf("client-only announce = %v, want ErrClientOnly", err)
+	}
+	if err := nodes[1].Announce(ctx, KeyFromFileID(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Lookup(ctx, KeyFromFileID(3)); err != nil {
-		t.Fatal(err)
+	if got, err := client.Lookup(ctx, KeyFromFileID(3)); err != nil || len(got) != 1 || got[0] != nodes[1].Addr() {
+		t.Fatalf("client lookup = %v, %v; want [%s]", got, err, nodes[1].Addr())
 	}
 	for i, n := range nodes {
 		for _, c := range n.table.closest(client.ID(), len(nodes)+1) {
@@ -517,7 +612,7 @@ func BenchmarkLookup(b *testing.B) {
 		}
 	}
 	key := KeyFromFileID(42)
-	if err := nodes[1].Announce(ctx, key, "peer:1", 0); err != nil {
+	if err := nodes[1].Announce(ctx, key); err != nil {
 		b.Fatal(err)
 	}
 	// Benchmark from a node that is NOT a replica-local hit if

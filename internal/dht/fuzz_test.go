@@ -10,8 +10,10 @@ import (
 // FuzzDHTRequest feeds arbitrary frames to HandleRPC, the handler any
 // dialer of a peer's port reaches with a DHT first frame: it must never
 // panic, answer a request only with that request's response type (and
-// a decodable body where one is due), answer nothing else, and never
-// hold more than MaxKeys keys or DefaultMaxValuesPerKey values per key.
+// a decodable body where one is due), answer nothing else, answer a
+// STORE only when its value is its sender's address, hold only
+// routable values, and never hold more than MaxKeys keys or
+// DefaultMaxValuesPerKey values per key.
 func FuzzDHTRequest(f *testing.F) {
 	id := NodeIDFromAddr("sender:1").String()
 	key := KeyFromFileID(1).String()
@@ -23,13 +25,14 @@ func FuzzDHTRequest(f *testing.F) {
 		{typePing, "{" + header + "}"},
 		{typePing, ""},
 		{typeFindNode, "{" + header + `,"target":"` + key + `"}`},
-		{typeStore, "{" + header + `,"key":"` + key + `","value":"peer:1","ttlSec":60}`},
+		{typeStore, "{" + header + `,"key":"` + key + `","value":"sender:1","ttlSec":60}`},
 		{typeStore, `{"key":"` + key + `","value":"peer:2","ttlSec":-5}`},
 		{typeFindValue, "{" + header + `,"key":"` + key + `"}`},
 		{typeFindValue, `{"key":"zz"}`},
 		{typePong, "{}"},
 		{typeValues, `{"values":["x"]}`},
 		{wire.TypeHello, "{}"},
+		{typeStore, "{" + header + `,"key":"` + key + `","value":"other:2","ttlSec":60}`},
 	} {
 		f.Add(uint8(seed.t), []byte(seed.body))
 	}
@@ -63,6 +66,11 @@ func FuzzDHTRequest(f *testing.F) {
 			if err := json.Unmarshal(body, &resp); err != nil {
 				t.Fatalf("FIND_VALUE reply does not decode: %v", err)
 			}
+		case ok && reply == typeStored:
+			var st storeReq
+			if err := json.Unmarshal(payload, &st); err != nil || st.Value != st.FromAddr {
+				t.Fatalf("STORE of value %q from %q answered (%v), want only the sender's own address", st.Value, st.FromAddr, err)
+			}
 		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -72,6 +80,11 @@ func FuzzDHTRequest(f *testing.F) {
 		for k, vs := range n.values {
 			if len(vs) > DefaultMaxValuesPerKey {
 				t.Fatalf("key %s holds %d values, above %d", k, len(vs), DefaultMaxValuesPerKey)
+			}
+			for v := range vs {
+				if !Routable(v) {
+					t.Fatalf("key %s holds unroutable value %q", k, v)
+				}
 			}
 		}
 	})

@@ -94,8 +94,9 @@ type Contact struct {
 
 // parsedContact pairs the decoded identifier with the address.
 type parsedContact struct {
-	id   ID
-	addr string
+	id    ID
+	addr  string
+	fails int // in the routing table: RPCs to it that failed in a row
 }
 
 // parse decodes a contact, refusing one whose address another host

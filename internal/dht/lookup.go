@@ -23,7 +23,7 @@ import (
 // ERROR reply is a *wire.RemoteError.
 func (n *Node) rpc(ctx context.Context, addr string, reqType wire.Type, req any,
 	respType wire.Type, resp any) error {
-	n.m.rpcCounter(reqType).Inc()
+	n.m.rpcs[reqType].Inc()
 	rpcCtx, cancel := context.WithTimeout(ctx, n.rpcTimeout) // deadline = min(ctx, now+RPCTimeout)
 	defer cancel()
 	conn, err := n.tr.DialContext(rpcCtx, addr)
@@ -77,8 +77,8 @@ func (n *Node) findNodeRPC(ctx context.Context, c parsedContact, target ID) ([]p
 	var resp nodesResp
 	err := n.rpc(ctx, c.addr, typeFindNode,
 		findNodeReq{rpcHeader: n.header(), Target: target.String()}, typeNodes, &resp)
+	n.table.outcome(c.id, err == nil)
 	if err != nil {
-		n.table.remove(c.id)
 		return nil, err
 	}
 	return n.absorb(resp.Contacts), nil
@@ -89,24 +89,22 @@ func (n *Node) findValueRPC(ctx context.Context, c parsedContact, key ID) ([]str
 	var resp valuesResp
 	err := n.rpc(ctx, c.addr, typeFindValue,
 		findValueReq{rpcHeader: n.header(), Key: key.String()}, typeValues, &resp)
+	n.table.outcome(c.id, err == nil)
 	if err != nil {
-		n.table.remove(c.id)
 		return nil, nil, err
 	}
 	return resp.Values, n.absorb(resp.Contacts), nil
 }
 
-// storeRPC stores a value on one node.
-func (n *Node) storeRPC(ctx context.Context, c parsedContact, key ID, value string, ttl time.Duration) error {
+// storeRPC stores this node's own address under key on one node.
+func (n *Node) storeRPC(ctx context.Context, c parsedContact, key ID) error {
 	err := n.rpc(ctx, c.addr, typeStore, storeReq{
 		rpcHeader: n.header(),
 		Key:       key.String(),
-		Value:     value,
-		TTLSec:    int(ttl / time.Second),
+		Value:     n.advertise,
+		TTLSec:    int(n.maxTTL / time.Second),
 	}, typeStored, nil)
-	if err != nil {
-		n.table.remove(c.id)
-	}
+	n.table.outcome(c.id, err == nil)
 	return err
 }
 
@@ -126,12 +124,12 @@ func (n *Node) absorb(cs []Contact) []parsedContact {
 
 // Join bootstraps the node into the network through one known address.
 func (n *Node) Join(ctx context.Context, bootstrapAddr string) error {
-	boot := parsedContact{id: NodeIDFromAddr(bootstrapAddr), addr: bootstrapAddr}
-	n.table.observe(boot)
+	// A bootstrap enters the table only once it answers.
 	if err := n.Ping(ctx, bootstrapAddr); err != nil {
-		n.table.remove(boot.id)
 		return fmt.Errorf("dht: join: %w", err)
 	}
+	boot := parsedContact{id: NodeIDFromAddr(bootstrapAddr), addr: bootstrapAddr}
+	n.table.observe(boot)
 	// Locate ourselves: populates the table with our neighbourhood.
 	if _, _, _, err := n.iterativeFind(ctx, n.id, false); err != nil {
 		return err
@@ -276,42 +274,27 @@ func dedupe(in []string) []string {
 	return out
 }
 
-// Announce replicates key -> value on the K nodes closest to key
-// (including this node if it is among them). A zero ttl uses the
-// node's maximum. An empty value is ErrEmptyValue.
-func (n *Node) Announce(ctx context.Context, key ID, value string, ttl time.Duration) error {
-	if value == "" {
-		return ErrEmptyValue
-	}
-	if ttl <= 0 {
-		ttl = n.maxTTL
+// Announce records this node's own address as a holder of key on the
+// K nodes closest to key (this node among them if it is one), for the
+// node's MaxTTL. A client-only node has no address: ErrClientOnly.
+func (n *Node) Announce(ctx context.Context, key ID) error {
+	if n.advertise == "" {
+		return ErrClientOnly
 	}
 	_, targets, _, err := n.iterativeFind(ctx, key, false)
 	if err != nil {
 		return err
 	}
-	// Count ourselves as a candidate replica only if a peer serves us.
-	all := append([]parsedContact{}, targets...)
-	if n.advertise != "" {
-		all = append(all, parsedContact{id: n.id, addr: n.advertise})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].id == all[j].id {
-			return false
-		}
-		return lessDistance(key, all[i].id, all[j].id)
-	})
-	if len(all) > K {
-		all = all[:K]
-	}
+	all := append(targets, parsedContact{id: n.id, addr: n.advertise})
+	sort.Slice(all, func(i, j int) bool { return lessDistance(key, all[i].id, all[j].id) })
 	stored := 0
-	for _, c := range all {
+	for _, c := range all[:min(len(all), K)] {
 		if c.id == n.id {
-			n.storeLocal(key, value, int(ttl/time.Second))
+			n.storeLocal(key, n.advertise, 0)
 			stored++
 			continue
 		}
-		if err := n.storeRPC(ctx, c, key, value, ttl); err == nil {
+		if err := n.storeRPC(ctx, c, key); err == nil {
 			stored++
 		}
 	}

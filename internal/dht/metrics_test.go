@@ -25,7 +25,7 @@ func TestPrometheusExpositionRows(t *testing.T) {
 	if err := a.Ping(ctx, b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Announce(ctx, KeyFromFileID(1), "peer:1", time.Minute); err != nil {
+	if err := a.Announce(ctx, KeyFromFileID(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Lookup(ctx, KeyFromFileID(1)); err != nil {

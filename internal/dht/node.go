@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -69,10 +68,9 @@ var ErrNotFound = errors.New("dht: value not found")
 // The error wraps the last RPC failure.
 var ErrUnreachable = errors.New("dht: no contact answered")
 
-// ErrEmptyValue is returned by Announce for an empty value, before any
-// RPC: a node drops a STORE of one unanswered, and that would cost the
-// announcer its replicas' table entries.
-var ErrEmptyValue = errors.New("dht: empty value")
+// ErrClientOnly is returned by Announce, before any RPC, on a node with
+// no advertised address: the one value a node may announce.
+var ErrClientOnly = errors.New("dht: client-only node cannot announce")
 
 // Exported metric names (see DESIGN.md §7).
 const (
@@ -122,10 +120,10 @@ type storedValue struct {
 
 // Config configures a Node.
 type Config struct {
-	// Advertise is the address the node answers RPCs on — the listen
-	// address of the peer that hosts it (see peer.Config.DHT) — and the
-	// node-id seed. Empty makes a client-only node: a random id, no
-	// address in its requests, never a replica.
+	// Advertise is the address the node answers RPCs on (the hosting
+	// peer's listen address, see peer.Config.DHT), its id seed and the
+	// one value it announces; New refuses one that is not routable.
+	// Empty makes a client-only node: a random id, no address sent.
 	Advertise string
 
 	// MaxTTL caps stored value lifetimes; zero means DefaultTTL.
@@ -148,42 +146,20 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// nodeMetrics holds the node's instrument handles; the zero value
-// (every field nil) records nothing.
+// nodeMetrics holds the node's instrument handles; with a nil
+// registry every handle is nil and records nothing.
 type nodeMetrics struct {
-	rpcPing      *metrics.Counter
-	rpcFindNode  *metrics.Counter
-	rpcStore     *metrics.Counter
-	rpcFindValue *metrics.Counter
-	lookupHops   *metrics.Histogram
+	rpcs       map[wire.Type]*metrics.Counter // by request type
+	lookupHops *metrics.Histogram
 }
 
 func newNodeMetrics(reg *metrics.Registry) nodeMetrics {
-	if reg == nil {
-		return nodeMetrics{}
+	m := nodeMetrics{rpcs: make(map[wire.Type]*metrics.Counter),
+		lookupHops: reg.Histogram(MetricLookupHops, "Iterative lookup round count.", metrics.UnitNone)}
+	for t, name := range map[wire.Type]string{typePing: "ping", typeFindNode: "find_node", typeStore: "store", typeFindValue: "find_value"} {
+		m.rpcs[t] = reg.Counter(MetricRPCs, "DHT RPCs issued, by type.", metrics.L("type", name))
 	}
-	const help = "DHT RPCs issued, by type."
-	return nodeMetrics{
-		rpcPing:      reg.Counter(MetricRPCs, help, metrics.L("type", "ping")),
-		rpcFindNode:  reg.Counter(MetricRPCs, help, metrics.L("type", "find_node")),
-		rpcStore:     reg.Counter(MetricRPCs, help, metrics.L("type", "store")),
-		rpcFindValue: reg.Counter(MetricRPCs, help, metrics.L("type", "find_value")),
-		lookupHops:   reg.Histogram(MetricLookupHops, "Iterative lookup round count.", metrics.UnitNone),
-	}
-}
-
-func (m *nodeMetrics) rpcCounter(t wire.Type) *metrics.Counter {
-	switch t {
-	case typePing:
-		return m.rpcPing
-	case typeFindNode:
-		return m.rpcFindNode
-	case typeStore:
-		return m.rpcStore
-	case typeFindValue:
-		return m.rpcFindValue
-	}
-	return nil
+	return m
 }
 
 // Node is one DHT participant. It holds no listener: the peer that
@@ -211,8 +187,8 @@ type Node struct {
 func New(cfg Config) (*Node, error) {
 	var id ID
 	if cfg.Advertise != "" {
-		if _, _, err := net.SplitHostPort(cfg.Advertise); err != nil {
-			return nil, fmt.Errorf("dht: advertise address: %w", err)
+		if !Routable(cfg.Advertise) {
+			return nil, fmt.Errorf("dht: advertise address %q is not a host:port other hosts can dial", cfg.Advertise)
 		}
 		id = NodeIDFromAddr(cfg.Advertise)
 	} else if _, err := rand.Read(id[:]); err != nil {
@@ -301,12 +277,14 @@ func (n *Node) header() rpcHeader {
 	return rpcHeader{FromID: n.id.String(), FromAddr: n.advertise}
 }
 
-// observeSender records the sender of a request; parse drops one with
-// no routable address.
-func (n *Node) observeSender(h rpcHeader) {
-	if c, err := (Contact{ID: h.FromID, Addr: h.FromAddr}).parse(); err == nil {
-		n.table.observe(c)
+// observeSender records the sender of a request and returns it; ok is
+// false, and nothing recorded, when parse refuses its address.
+func (n *Node) observeSender(h rpcHeader) (sender parsedContact, ok bool) {
+	sender, err := (Contact{ID: h.FromID, Addr: h.FromAddr}).parse()
+	if err == nil {
+		n.table.observe(sender)
 	}
+	return sender, err == nil
 }
 
 // IsRPC reports whether t is a DHT frame type (96–103): the range a
@@ -317,8 +295,9 @@ func IsRPC(t wire.Type) bool { return t >= typePing && t <= typeValues }
 // HandleRPC answers one request frame: PING, FIND_NODE, STORE or
 // FIND_VALUE. It returns the reply frame, or ok false when there is
 // none — a malformed request, a frame that is not a request, or a
-// closed node. Any dialer may call it: the DHT is unauthenticated, and
-// STORE is bounded by MaxKeys and DefaultMaxValuesPerKey.
+// closed node. Any dialer may call it: the DHT is unauthenticated, so a
+// STORE is kept only if its value is the sender's own routable address,
+// and is bounded by MaxKeys and DefaultMaxValuesPerKey.
 func (n *Node) HandleRPC(t wire.Type, payload []byte) (reply wire.Type, body []byte, ok bool) {
 	if n.ctx.Err() != nil {
 		return 0, nil, false
@@ -346,9 +325,9 @@ func (n *Node) HandleRPC(t wire.Type, payload []byte) (reply wire.Type, body []b
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return 0, nil, false
 		}
-		n.observeSender(req.rpcHeader)
+		sender, ok := n.observeSender(req.rpcHeader)
 		key, err := ParseID(req.Key)
-		if err != nil || req.Value == "" {
+		if err != nil || !ok || req.Value != sender.addr {
 			return 0, nil, false
 		}
 		n.storeLocal(key, req.Value, req.TTLSec)

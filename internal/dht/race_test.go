@@ -41,7 +41,7 @@ func TestTableConcurrentObserveClosestRandom(t *testing.T) {
 				case 2:
 					tb.size()
 				case 3:
-					tb.remove(raceContact(t, g*1000+i-3).id)
+					tb.outcome(raceContact(t, g*1000+i-3).id, i%8 == 7)
 				}
 			}
 		}(g)
@@ -77,7 +77,7 @@ func TestConcurrentLookupsAndAnnounces(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 5; k++ {
 				key := KeyFromFileID(uint64(k % 3))
-				if err := n.Announce(ctx, key, fmt.Sprintf("peer-%d-%d:1", i, k), time.Minute); err != nil {
+				if err := n.Announce(ctx, key); err != nil {
 					errs <- fmt.Errorf("announce node %d key %d: %w", i, k, err)
 					return
 				}

@@ -23,6 +23,10 @@ type table struct {
 	contacts map[ID]parsedContact
 }
 
+// maxFails is how many RPCs in a row a contact may fail before the
+// table forgets it: one lost exchange is not a dead node (Kademlia).
+const maxFails = 3
+
 func newTable(self ID, capacity int) *table {
 	if capacity <= 0 {
 		capacity = 128
@@ -68,7 +72,7 @@ func (t *table) observe(c parsedContact) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.contacts[c.id]; ok {
-		t.contacts[c.id] = c // refresh address
+		t.contacts[c.id] = c // refresh address, clear failures
 		return
 	}
 	t.contacts[c.id] = c
@@ -101,11 +105,24 @@ func (t *table) observe(c parsedContact) {
 	delete(t.contacts, worst)
 }
 
-// remove drops a dead contact.
-func (t *table) remove(id ID) {
+// outcome records one RPC to a contact: an answer clears its failures,
+// and the maxFails-th in a row evicts it, unless it is the last
+// contact, which the node keeps to reach the network again.
+func (t *table) outcome(id ID, answered bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.contacts, id)
+	c, ok := t.contacts[id]
+	if !ok {
+		return
+	}
+	c.fails++
+	if answered {
+		c.fails = 0
+	}
+	t.contacts[id] = c
+	if c.fails >= maxFails && len(t.contacts) > 1 {
+		delete(t.contacts, id)
+	}
 }
 
 // closest returns up to k known contacts nearest to target.

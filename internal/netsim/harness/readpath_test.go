@@ -11,6 +11,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"asymshare/internal/gf"
 	"asymshare/internal/metrics"
 	"asymshare/internal/netsim"
+	"asymshare/internal/peer"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/transport"
 )
@@ -62,21 +64,18 @@ var fetchFlavours = []struct {
 		return io.ReadAll(r)
 	}},
 	{"FetchFileVia", func(ctx context.Context, c *Cluster, sys *core.System, h *core.Handle, secret []byte) ([]byte, error) {
-		// A one-node DHT, reached from a client-only node on HostUser
-		// so the lookups stay out of the client's dial count.
-		dir, err := startDirectory(c.t, c.Fabric, dht.Config{})
-		if err != nil {
-			return nil, err
-		}
+		// The holders of a startDHTCluster announced themselves on their
+		// first PUT. A client-only node on HostUser resolves them, so the
+		// lookups stay out of the client's dial count.
 		node, err := dht.New(dht.Config{Transport: c.Fabric.Host(HostUser)})
 		if err != nil {
 			return nil, err
 		}
 		defer node.Close()
-		if err := node.Join(ctx, dir.Addr().String()); err != nil {
+		if err := node.Join(ctx, c.Peers[0].Addr); err != nil {
 			return nil, err
 		}
-		if err := sys.AnnounceHandleVia(ctx, node, h, 0); err != nil {
+		if err := AwaitHolders(ctx, node, h); err != nil {
 			return nil, err
 		}
 		data, _, err := sys.FetchFileVia(ctx, node, &h.Manifest, secret)
@@ -91,6 +90,24 @@ var fetchFlavours = []struct {
 		data, _, err := sys.FetchFile(ctx, &placed, secret)
 		return data, err
 	}},
+}
+
+// startDHTCluster is Start with n peers that each answer DHT RPCs on
+// their own address, joined through the first, so every holder
+// announces what it is given and FetchFileVia can resolve it.
+func startDHTCluster(t *testing.T, seed int64, n int) *Cluster {
+	t.Helper()
+	c := Start(t, seed, 0)
+	ctx := testCtx(t)
+	for i := 0; i < n; i++ {
+		p := c.startPeer("peer"+strconv.Itoa(i), byte(1+i), peer.Config{DHT: &dht.Config{}})
+		if i > 0 {
+			if err := p.Node.DHT().Join(ctx, c.Peers[0].Addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return c
 }
 
 // flavourSystem builds the core.System a flavour fetches with: its own
@@ -115,7 +132,7 @@ func flavourSystem(t *testing.T, c *Cluster, host string, plan chunk.Plan,
 func TestEveryFetchFlavourDialsEachPeerOnce(t *testing.T) {
 	seed := Seed(t, 1601)
 	ctx := testCtx(t)
-	c := Start(t, seed, 3)
+	c := startDHTCluster(t, seed, 3)
 	plan := chunk.Plan{FieldBits: gf.Bits8, M: 1024, ChunkSize: 16 << 10}
 	data, h, secret := shareOverloadFile(t, ctx, c, plan, 128<<10) // 8 chunks
 
@@ -145,7 +162,7 @@ func TestEveryFetchFlavourDialsEachPeerOnce(t *testing.T) {
 func TestEveryFetchFlavourHedges(t *testing.T) {
 	seed := Seed(t, 1602)
 	ctx := testCtx(t)
-	c := Start(t, seed, 3)
+	c := startDHTCluster(t, seed, 3)
 	// 64 KiB chunks of 4 KiB pieces: each chunk far outsizes the
 	// stalled link's burst, so the wedge always bites mid-chunk.
 	plan := chunk.Plan{FieldBits: gf.Bits8, M: 4096, ChunkSize: 64 << 10}

@@ -8,6 +8,9 @@ package harness
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 
 	"asymshare/internal/auth"
 	"asymshare/internal/client"
+	"asymshare/internal/core"
 	"asymshare/internal/dht"
 	"asymshare/internal/fairshare"
 	"asymshare/internal/netsim"
@@ -227,4 +231,26 @@ func (s *Swarm) Client(host string, id *auth.Identity, opts client.Options) *cli
 		s.t.Fatal(err)
 	}
 	return cl
+}
+
+// AwaitHolders polls node until every chunk of h resolves to exactly
+// its placed holders, for at most 10 s: far below the 5 min half-TTL
+// re-announce, so only the holders' first-PUT announces can meet it.
+func AwaitHolders(ctx context.Context, node *dht.Node, h *core.Handle) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for i, info := range h.Manifest.Chunks {
+		want := slices.Clone(h.PeersForChunk(i))
+		sort.Strings(want)
+		for {
+			got, err := node.Lookup(ctx, dht.KeyFromFileID(info.FileID))
+			if err == nil && slices.Equal(got, want) {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("chunk %d resolves to %v (%v) after 10 s, want its holders %v", i, got, err, want)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	return nil
 }

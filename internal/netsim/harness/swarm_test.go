@@ -1,9 +1,9 @@
 package harness
 
-// DHT-scale scenarios: a file is ring-placed across large swarms and
-// announced through the DHT, and a cold client that knows only a swarm
-// peer fetches byte-identical plaintext — and keyed audits debit — with
-// holders resolved through the DHT.
+// DHT-scale scenarios: a file is ring-placed across large swarms, its
+// holders announce themselves through the DHT, and a cold client that
+// knows only a swarm peer fetches byte-identical plaintext — and keyed
+// audits debit — with holders resolved through the DHT.
 
 import (
 	"bytes"
@@ -37,8 +37,9 @@ func swarmPlan() chunk.Plan {
 const swarmReplicas = 3
 
 // disseminate ring-places data from the home onto swarmReplicas of the
-// swarm peers per chunk and announces every holder through the home's
-// DHT node — what `share -replicas N -dht` does.
+// swarm peers per chunk — what `share -replicas N` does — and waits
+// until the home's DHT node resolves every chunk to its holders, which
+// announce themselves when their first PUT lands.
 func disseminate(t *testing.T, ctx context.Context, s *Swarm, data []byte) *core.ShareResult {
 	t.Helper()
 	sys, err := core.NewSystem(s.Owner, nil, core.WithPlan(swarmPlan()),
@@ -58,7 +59,7 @@ func disseminate(t *testing.T, ctx context.Context, s *Swarm, data []byte) *core
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AnnounceHandleVia(ctx, s.HomeDHT, &res.Handle, 0); err != nil {
+	if err := AwaitHolders(ctx, s.HomeDHT, &res.Handle); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -116,7 +117,7 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	hops := make([]int, 0, keys*lookupsPerKey)
 	for i := 0; i < keys; i++ {
 		key := dht.KeyFromFileID(rng.Uint64())
-		if err := s.HomeDHT.Announce(ctx, key, s.HomeAddr, 0); err != nil {
+		if err := s.HomeDHT.Announce(ctx, key); err != nil {
 			t.Fatalf("announce sample key %d: %v", i, err)
 		}
 		for j := 0; j < lookupsPerKey; j++ {
@@ -224,8 +225,8 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 }
 
 // TestSwarmSmoke is the CI-sized variant (make swarm-smoke): 128 peers
-// with latency-scaled links, ring placement announced through the DHT,
-// and a DHT-resolved fetch byte-identical.
+// with latency-scaled links, ring placement whose holders announce
+// themselves through the DHT, and a DHT-resolved fetch byte-identical.
 func TestSwarmSmoke(t *testing.T) {
 	seed := Seed(t, 77)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -246,12 +247,14 @@ func TestSwarmSmoke(t *testing.T) {
 	}
 }
 
-// TestDiscoveryFaultsNetsim pins how DHT discovery fails: an
-// empty-address announce is refused before any RPC, a node that never
-// joined answers ErrNotFound, and a lookup through a dead directory
-// errors out within its RPC timeout even when the caller sets no
-// deadline, as ErrUnreachable: a fetch through it reports the
-// directory down, not the file without holders.
+// TestDiscoveryFaultsNetsim pins how DHT discovery fails: a client-only
+// node's announce is refused before any RPC (it has no address of its
+// own to announce), a node that never joined answers ErrNotFound, and a
+// lookup through a dead directory errors out within its RPC timeout
+// even when the caller sets no deadline, as ErrUnreachable: a fetch
+// through it reports the directory down, not the file without holders.
+// That failed RPC does not cost the node its only contact: once the
+// directory is back, the node resolves again without joining again.
 func TestDiscoveryFaultsNetsim(t *testing.T) {
 	seed := Seed(t, 55)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -268,8 +271,8 @@ func TestDiscoveryFaultsNetsim(t *testing.T) {
 	if addrs, err := userDHT.Lookup(ctx, key); err != nil || len(addrs) == 0 {
 		t.Fatalf("lookup = %v, %v; want the announced holders", addrs, err)
 	}
-	if err := userDHT.Announce(ctx, key, "", time.Minute); !errors.Is(err, dht.ErrEmptyValue) {
-		t.Fatalf("empty-addr announce = %v, want ErrEmptyValue", err)
+	if err := userDHT.Announce(ctx, key); !errors.Is(err, dht.ErrClientOnly) {
+		t.Fatalf("client-only announce = %v, want ErrClientOnly", err)
 	}
 
 	const rpcTimeout = time.Second
@@ -282,22 +285,24 @@ func TestDiscoveryFaultsNetsim(t *testing.T) {
 		t.Fatalf("unjoined DHT lookup = %v, want ErrNotFound", err)
 	}
 
-	// A one-node directory on its own host, which the lonely node joins
-	// and announces to. Once the host is blackholed its one contact
-	// swallows the dial, and the RPC timeout ends the lookup, not a
-	// caller deadline.
+	// A one-node directory on its own host, which the lonely node joins.
+	// The directory announces itself under the key (it holds nothing;
+	// only the lookups read the record). Once the host is blackholed the
+	// lonely node's one contact swallows the dial, and the RPC timeout
+	// ends the lookup, not a caller deadline.
 	dir, err := startDirectory(t, s.Fabric, dht.Config{RPCTimeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lonelyNode.Join(ctx, dir.Addr().String()); err != nil {
+	dirAddr := dir.Addr().String()
+	if err := lonelyNode.Join(ctx, dirAddr); err != nil {
 		t.Fatal(err)
 	}
-	if err := lonelyNode.Announce(ctx, key, s.HomeAddr, time.Minute); err != nil {
+	if err := dir.DHT().Announce(ctx, key); err != nil {
 		t.Fatal(err)
 	}
-	if addrs, err := lonelyNode.Lookup(ctx, key); err != nil || len(addrs) != 1 {
-		t.Fatalf("directory lookup = %v, %v; want [%s]", addrs, err, s.HomeAddr)
+	if addrs, err := lonelyNode.Lookup(ctx, key); err != nil || len(addrs) != 1 || addrs[0] != dirAddr {
+		t.Fatalf("directory lookup = %v, %v; want [%s]", addrs, err, dirAddr)
 	}
 	s.Fabric.Blackhole("directory")
 	start := time.Now()
@@ -314,11 +319,12 @@ func TestDiscoveryFaultsNetsim(t *testing.T) {
 	}
 	t.Logf("blackholed directory lookup failed after %v: %v", elapsed, err)
 
-	// The failed RPC dropped the directory from the routing table; join
-	// it again, then lose it again under a fetch.
+	// The failed RPC left the directory in the routing table, its only
+	// contact: once the host is back the lookup resolves again with no
+	// second Join. Then the directory is lost again under a fetch.
 	s.Fabric.Restore("directory")
-	if err := lonelyNode.Join(ctx, dir.Addr().String()); err != nil {
-		t.Fatal(err)
+	if addrs, err := lonelyNode.Lookup(ctx, key); err != nil || len(addrs) != 1 || addrs[0] != dirAddr {
+		t.Fatalf("lookup once the directory is back = %v, %v; want [%s] without joining again", addrs, err, dirAddr)
 	}
 	s.Fabric.Blackhole("directory")
 	remote, err := core.NewSystem(indexIdentity(t, 1_000_001), nil, core.WithPlan(swarmPlan()),

@@ -274,7 +274,8 @@ func (cs *connState) handleGet(payload []byte) bool {
 }
 
 // handlePut stores one uploaded message. The first uploader of a
-// file-id becomes its owner; writes from anyone else are refused.
+// file-id becomes its owner; writes from anyone else are refused. The
+// first message stored for a file-id queues its DHT announce.
 func (n *Node) handlePut(cw *connWriter, client fairshare.ID, payload []byte) error {
 	// msg aliases the frame buffer, which is recycled when this returns:
 	// Store.Put copies what it keeps.
@@ -286,8 +287,19 @@ func (n *Node) handlePut(cw *connWriter, client fairshare.ID, payload []byte) er
 		_ = cw.writeErrorFrame(wire.CodeNotPermitted, "file owned by another user")
 		return fmt.Errorf("put for file %d owned by another user", msg.FileID)
 	}
+	fresh := n.cfg.DHT != nil && n.cfg.Store.Count(msg.FileID) == 0
 	if err := n.cfg.Store.Put(&msg); err != nil {
 		return err
+	}
+	if fresh {
+		// Hand over without waiting on the DHT; pending loses no id.
+		n.ownersMu.Lock()
+		n.pending = append(n.pending, msg.FileID)
+		n.ownersMu.Unlock()
+		select {
+		case n.wake <- struct{}{}:
+		default: // already signalled: the loop takes the whole list
+		}
 	}
 	n.m.storedBytes.Add(uint64(len(payload)))
 	return cw.writeFrame(wire.TypePutOK, nil)

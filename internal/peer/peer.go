@@ -125,8 +125,8 @@ type Config struct {
 	// frame is a DHT request goes to the node instead of the handshake.
 	// Start builds the node from this configuration with Advertise set
 	// to the listen address, which also seeds its id, and Transport
-	// defaulting to the peer's; DHT returns it. The peer re-announces
-	// every stored file-id under its address once per half of MaxTTL.
+	// defaulting to the peer's; DHT returns it. The peer announces each
+	// stored file-id under it at its first PUT and every half MaxTTL.
 	// Nil leaves DHT frames unanswered.
 	DHT *dht.Config
 
@@ -185,8 +185,10 @@ type Node struct {
 	statsMu  sync.Mutex
 	bytesOut map[fairshare.ID]int64 // per-downloader served bytes
 
-	ownersMu sync.Mutex
+	ownersMu sync.Mutex              // guards owners and pending
 	owners   map[uint64]fairshare.ID // file-id -> first uploader
+	pending  []uint64                // newly stored file-ids reannounceLoop has yet to announce
+	wake     chan struct{}           // one slot, filled when pending grows
 }
 
 // stream is one active download being served.
@@ -225,6 +227,7 @@ func New(cfg Config) (*Node, error) {
 		posBuf:   make(map[fairshare.ID]int),
 		bytesOut: make(map[fairshare.ID]int64),
 		owners:   make(map[uint64]fairshare.ID),
+		wake:     make(chan struct{}, 1),
 	}
 	if cfg.LedgerPath != "" {
 		led, rec, err := fairshare.RecoverLedger(cfg.FS, cfg.LedgerPath, fairshare.DefaultInitialCredit)
@@ -332,10 +335,10 @@ func (n *Node) Start(addr string) error {
 	return nil
 }
 
-// reannounceLoop announces every stored file-id under the peer's own
-// address once per half of its DHT node's MaxTTL, so a record the
-// owner announced once stays resolvable for as long as this peer holds
-// the file, and lapses within a TTL of the peer leaving.
+// reannounceLoop announces under the peer's own address each file-id
+// handlePut queues, and every stored one once per half of its DHT
+// node's MaxTTL: a record resolves from the first PUT for as long as
+// this peer holds the file, and lapses within a TTL of it leaving.
 func (n *Node) reannounceLoop(dn *dht.Node) {
 	defer n.wg.Done()
 	ttl := n.cfg.DHT.MaxTTL
@@ -345,13 +348,19 @@ func (n *Node) reannounceLoop(dn *dht.Node) {
 	ticker := time.NewTicker(ttl / 2)
 	defer ticker.Stop()
 	for {
+		var ids []uint64
 		select {
 		case <-n.ctx.Done():
 			return
+		case <-n.wake:
+			n.ownersMu.Lock()
+			ids, n.pending = n.pending, nil
+			n.ownersMu.Unlock()
 		case <-ticker.C:
+			ids = n.cfg.Store.Files()
 		}
-		for _, id := range n.cfg.Store.Files() {
-			if err := dn.Announce(n.ctx, dht.KeyFromFileID(id), dn.Addr(), 0); err != nil {
+		for _, id := range ids {
+			if err := dn.Announce(n.ctx, dht.KeyFromFileID(id)); err != nil {
 				if n.ctx.Err() != nil {
 					return
 				}
