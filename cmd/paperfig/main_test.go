@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -42,17 +45,34 @@ func TestTable1Target(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// TestQuickSimTargets compares each deterministic -quick target's
+// output byte for byte with its golden file, so a change to the slot
+// loop or a figure that moves any number shows here. Regenerate with
+// go test ./cmd/paperfig -run TestQuickSimTargets -update.
 func TestQuickSimTargets(t *testing.T) {
-	for _, target := range []string{"fig5a", "fig5b", "fig6", "fig7", "fig8a", "fig8b"} {
+	for _, target := range []string{
+		"fig5a", "fig5b", "fig6", "fig7", "fig8a", "fig8b",
+		"ablation-liar", "ablation-tft", "ablation-decay", "robustness", "churn",
+	} {
 		var out bytes.Buffer
 		if err := run([]string{"-quick", target}, &out); err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}
-		if !strings.Contains(out.String(), target) {
-			t.Errorf("%s output missing id header", target)
+		golden := filepath.Join("testdata", target+".tsv")
+		if *update {
+			if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		if len(strings.Split(out.String(), "\n")) < 10 {
-			t.Errorf("%s output suspiciously short", target)
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s output differs from %s:\n%s", target, golden, out.String())
 		}
 	}
 }
