@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"asymshare/internal/eventsim"
 	"asymshare/internal/fairshare"
 	"asymshare/internal/figures"
 	"asymshare/internal/gf"
@@ -321,11 +320,10 @@ func BenchmarkAblationAllocators(b *testing.B) {
 // policy: 60 honest contributors at 1000 kbps, each requesting in a slot
 // with probability γ = 0.6, and 12 free riders that declare the same
 // capacity, request every slot and serve nothing. Eq. (2) and Eq. (3)
-// run beside equal split, Awasthi & Singh's Biased Contribution Index
-// and Zhang et al.'s differentiated service classes (half the honest
-// users premium, at weight 2). Every policy runs with each peer's ledger
-// at DefaultLedgerBound, far above the 71 counterparts a peer meets,
-// and at bound 64, below it, so ledgers evict throughout. Over the
+// run beside equal split and Awasthi & Singh's Biased Contribution
+// Index. Every policy runs with each peer's ledger at
+// DefaultLedgerBound, far above the 71 counterparts a peer meets, and
+// at bound 64, below it, so ledgers evict throughout. Over the
 // second half of the run it reports the Jain index of the honest users'
 // download, the free riders' download relative to an honest user's
 // (low: freeloading does not pay), and the slot at which honest user
@@ -355,7 +353,6 @@ func BenchmarkAllocPolicyGrid(b *testing.B) {
 		{"eq3", fairshare.GlobalProportional{DeclaredUpload: declared}},
 		{"equal", fairshare.EqualSplit{}},
 		{"bci", fairshare.BiasedContribution{}},
-		{"classes", fairshare.Classes{Weights: map[fairshare.ServiceClass]float64{1: 2}}},
 	}
 	for _, pol := range policies {
 		for _, bound := range []int{fairshare.DefaultLedgerBound, 64} {
@@ -369,7 +366,6 @@ func BenchmarkAllocPolicyGrid(b *testing.B) {
 							Upload: trace.Const(uploadKbps),
 							Demand: trace.NewBernoulli(gamma, seed+int64(j)),
 							Policy: pol.policy,
-							Class:  fairshare.ServiceClass(j % 2), // only classes reads it
 							Ledger: fairshare.NewBoundedLedger(fairshare.DefaultInitialCredit, bound),
 						})
 					}
@@ -555,25 +551,22 @@ func BenchmarkCoeffRow(b *testing.B) {
 	}
 }
 
-// BenchmarkEventSimCrossValidation runs the message-granular simulator
-// against the fluid model on the same saturated scenario and reports
-// the worst disagreement between their steady-state rates.
-func BenchmarkEventSimCrossValidation(b *testing.B) {
+// BenchmarkWholeMessageCrossValidation runs the slot model with whole
+// 256-kbit messages against its fluid split on the same saturated
+// scenario and reports the worst disagreement between their
+// steady-state rates.
+func BenchmarkWholeMessageCrossValidation(b *testing.B) {
 	uploads := []float64{200, 500, 800, 1100}
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		evCfg := eventsim.Config{Duration: 3000, Seed: 1}
+		msgCfg := sim.Config{Slots: 3000, MessageKbits: 256}
 		flCfg := sim.Config{Slots: 3000}
 		for j, u := range uploads {
-			name := fmt.Sprintf("p%d", j)
-			evCfg.Peers = append(evCfg.Peers, eventsim.PeerConfig{
-				Name: name, UploadKbps: u, Demand: trace.Always{},
-			})
-			flCfg.Peers = append(flCfg.Peers, sim.PeerConfig{
-				Name: name, Upload: trace.Const(u), Demand: trace.Always{},
-			})
+			p := sim.PeerConfig{Name: fmt.Sprintf("p%d", j), Upload: trace.Const(u), Demand: trace.Always{}}
+			msgCfg.Peers = append(msgCfg.Peers, p)
+			flCfg.Peers = append(flCfg.Peers, p)
 		}
-		evRes, err := eventsim.Run(evCfg)
+		msgRes, err := sim.Run(msgCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -583,9 +576,8 @@ func BenchmarkEventSimCrossValidation(b *testing.B) {
 		}
 		worst = 0
 		for j := range uploads {
-			dev := abs(evRes.MeanRateKbps(j)-flRes.MeanDownload(j, 2000, 3000)) /
-				flRes.MeanDownload(j, 2000, 3000)
-			if dev > worst {
+			fl := flRes.MeanDownload(j, 2000, 3000)
+			if dev := abs(msgRes.MeanDownload(j, 1500, 3000)-fl) / fl; dev > worst {
 				worst = dev
 			}
 		}
@@ -600,7 +592,7 @@ func BenchmarkQuantization(b *testing.B) {
 	var tbl *figures.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		tbl, err = figures.Quantization(2500, []float64{64, 16384}, 9)
+		tbl, err = figures.Quantization(2500, []float64{64, 16384})
 		if err != nil {
 			b.Fatal(err)
 		}

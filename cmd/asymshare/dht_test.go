@@ -52,7 +52,7 @@ func TestShareFetchViaDHT(t *testing.T) {
 		t.Cleanup(func() { node.Close() })
 		addrs = append(addrs, node.Addr().String())
 		if i > 0 {
-			if err := node.DHT().Join(ctx, addrs[0]); err != nil {
+			if err := node.Join(ctx, addrs[0]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -270,7 +270,7 @@ func cmdServe(args []string, out io.Writer) error {
 	// discoverable (and a routing/replica host for others).
 	if *dhtBootstrap != "" {
 		jctx, jcancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err := node.DHT().Join(jctx, *dhtBootstrap)
+		err := node.Join(jctx, *dhtBootstrap)
 		jcancel()
 		if err != nil {
 			node.Close()

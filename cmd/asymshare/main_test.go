@@ -216,9 +216,8 @@ func TestParsePolicyAndEstimator(t *testing.T) {
 			t.Errorf("parsePolicy(%q) = %T, want %T", name, got, want)
 		}
 	}
-	// eq3 and classes are not serve policies: a live peer has no
-	// declaration source and sets no service class, so each would grant
-	// what equal or eq2 does.
+	// eq3 is not a serve policy: a live peer has no declaration source,
+	// so it would grant what equal does. classes is no policy at all.
 	for _, name := range []string{"nope", "eq3", "classes"} {
 		if _, err := parsePolicy(name); err == nil {
 			t.Errorf("policy %q accepted", name)

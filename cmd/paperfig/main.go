@@ -1,15 +1,23 @@
 // Command paperfig regenerates every table and figure of the paper's
-// evaluation as TSV on stdout.
+// evaluation, and the ablations beside them, as TSV on stdout.
 //
 // Usage:
 //
-//	paperfig [flags] <fig1|table1|table2|fig5a|fig5b|fig6|fig7|fig8a|fig8b|all>
+//	paperfig [flags] <target>
+//
+// Targets:
+//
+//	fig1 table1 table2 fig5a fig5b fig6 fig7 fig8a fig8b
+//	all             the nine above
+//	ablation-liar ablation-tft ablation-decay robustness churn quantization
+//	ablations       the six above
 //
 // Flags:
 //
-//	-slots N        override simulated seconds for fig5a/fig5b/fig8a/fig8b
+//	-slots N        override simulated seconds for fig5a/fig5b/fig8a/fig8b,
+//	                ablation-*, churn and quantization
 //	-slots-per-hour N  time resolution for fig6/fig7 (default 3600)
-//	-seed N         RNG seed for the duty-cycle experiments
+//	-seed N         RNG seed for table2, fig6/fig7, robustness and churn
 //	-quick          shrink every experiment for a fast smoke run
 package main
 
@@ -157,7 +165,7 @@ func emit(out io.Writer, target string, slots, slotsPerHour int, seed int64, qui
 		if quick {
 			sizes = []float64{64, 4096}
 		}
-		tbl, err := figures.Quantization(float64(slots), sizes, seed)
+		tbl, err := figures.Quantization(slots, sizes)
 		if err != nil {
 			return err
 		}

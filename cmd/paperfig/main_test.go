@@ -54,7 +54,7 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 func TestQuickSimTargets(t *testing.T) {
 	for _, target := range []string{
 		"fig5a", "fig5b", "fig6", "fig7", "fig8a", "fig8b",
-		"ablation-liar", "ablation-tft", "ablation-decay", "robustness", "churn",
+		"ablation-liar", "ablation-tft", "ablation-decay", "robustness", "churn", "quantization",
 	} {
 		var out bytes.Buffer
 		if err := run([]string{"-quick", target}, &out); err != nil {

@@ -5,20 +5,19 @@ package fairshare
 // users currently requesting, how much do I give each of them?
 //
 // The seam is request/response: the caller builds an AllocRequest
-// carrying the (possibly estimated) capacity, the requesters with
-// per-requester context (service class, bandwidth already taken), and
-// a read-only LedgerView; the policy returns Grants — one typed Grant
-// per requester, in request order. Policies never see a mutable ledger
-// and callers never alias a policy-owned map: the Grants slice is the
-// caller's (req.Scratch is reused when provided), so a realloc tick on
-// the peer hot path runs without allocating.
+// carrying the (possibly estimated) capacity, the requesters with the
+// bandwidth each has already taken, and a read-only LedgerView; the
+// policy returns Grants — one typed Grant per requester, in request
+// order. Policies never see a mutable ledger and callers never alias a
+// policy-owned map: the Grants slice is the caller's (req.Scratch is
+// reused when provided), so a realloc tick on the peer hot path runs
+// without allocating.
 //
 // Honest peers run PairwiseProportional (Eq. 2). The other policies
 // are the paper's baselines, the adversarial strategies of Sec. V, and
-// two post-paper rules: the Biased Contribution Index (Awasthi &
-// Singh) and class-weighted differentiated service (Zhang et al.).
-// Theorem 1 guarantees an honest user's payoff no matter which of
-// these the other peers run.
+// one post-paper rule: the Biased Contribution Index (Awasthi &
+// Singh). Theorem 1 guarantees an honest user's payoff no matter which
+// of these the other peers run.
 
 // LedgerView is the read-only standing a policy may consult: the
 // cumulative bandwidth this peer has received from a counterpart.
@@ -30,19 +29,11 @@ type LedgerView interface {
 	Received(from ID) float64
 }
 
-// ServiceClass labels a requester's differentiated-service tier. Zero
-// is the default (weight 1) class; higher classes carry whatever
-// weight the Classes policy assigns them.
-type ServiceClass uint8
-
 // Requester is one requesting user plus the per-requester context a
 // policy may weigh.
 type Requester struct {
 	// ID identifies the requester.
 	ID ID
-
-	// Class is the requester's service tier (used by Classes).
-	Class ServiceClass
 
 	// Taken is the cumulative bandwidth this peer has already granted
 	// the requester (used by BiasedContribution). Callers that do not

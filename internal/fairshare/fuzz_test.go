@@ -38,11 +38,7 @@ func FuzzAllocate(f *testing.F) {
 			if mask&(1<<i) == 0 {
 				continue
 			}
-			reqs = append(reqs, Requester{
-				ID:    id,
-				Class: ServiceClass(i % 3),
-				Taken: float64(takenRaw),
-			})
+			reqs = append(reqs, Requester{ID: id, Taken: float64(takenRaw)})
 		}
 		req := AllocRequest{Capacity: capacity, Requesters: reqs, Ledger: book}
 		policies := []Allocator{
@@ -53,7 +49,6 @@ func FuzzAllocate(f *testing.F) {
 			Favor{Members: map[ID]bool{"b": true, "d": true}},
 			TitForTat{N: 3},
 			BiasedContribution{Beta: 0.7},
-			Classes{Weights: map[ServiceClass]float64{1: 2, 2: 0.5}},
 		}
 		for _, p := range policies {
 			g := p.Allocate(req)

@@ -19,8 +19,8 @@ const (
 )
 
 // PolicyName returns the short CLI/metrics name of a built-in policy
-// ("eq2", "eq3", "equal", "withhold", "favor", "titfortat", "bci",
-// "classes"), or "custom" for anything else.
+// ("eq2", "eq3", "equal", "withhold", "favor", "titfortat", "bci"),
+// or "custom" for anything else.
 func PolicyName(a Allocator) string {
 	switch a.(type) {
 	case PairwiseProportional:
@@ -37,8 +37,6 @@ func PolicyName(a Allocator) string {
 		return "titfortat"
 	case BiasedContribution:
 		return "bci"
-	case Classes:
-		return "classes"
 	case timedAllocator:
 		return PolicyName(a.(timedAllocator).inner)
 	default:

@@ -1,8 +1,7 @@
 package fairshare
 
-// Post-paper allocation policies: the Biased Contribution Index of
-// Awasthi & Singh and the class-weighted differentiated service of
-// Zhang et al. (see PAPERS.md). Both ride the same AllocRequest seam
+// Post-paper allocation policy: the Biased Contribution Index of
+// Awasthi & Singh (see PAPERS.md). It rides the same AllocRequest seam
 // as the paper's Eq. (2)/(3) rules.
 
 // DefaultBCIBeta is the default bias of BiasedContribution toward
@@ -44,53 +43,6 @@ func (b BiasedContribution) Allocate(req AllocRequest) Grants {
 			taken = 0
 		}
 		w := (beta*recv + eps) / (beta*recv + (1-beta)*taken + eps)
-		out = append(out, Grant{ID: r.ID, Rate: w})
-	}
-	return distributeWeights(req.Capacity, out)
-}
-
-// Classes implements differentiated service classes (Zhang et al.):
-// each requester's weight is its class weight times its contribution
-// standing, so a premium class receives proportionally more bandwidth
-// at equal contribution while free riders still starve within every
-// class.
-type Classes struct {
-	// Weights maps a ServiceClass to its multiplier. Classes absent
-	// from the map (including the zero class) weigh 1; non-positive
-	// weights exclude the class entirely.
-	Weights map[ServiceClass]float64
-}
-
-var _ Allocator = Classes{}
-
-// classWeight returns the multiplier for c.
-func (cl Classes) classWeight(c ServiceClass) float64 {
-	if w, ok := cl.Weights[c]; ok {
-		return w
-	}
-	return 1
-}
-
-// Allocate implements Allocator.
-func (cl Classes) Allocate(req AllocRequest) Grants {
-	out := req.grants()
-	view := req.view()
-	var total float64
-	for _, r := range req.Requesters {
-		total += view.Received(r.ID)
-	}
-	for _, r := range req.Requesters {
-		cw := cl.classWeight(r.Class)
-		if cw < 0 {
-			cw = 0
-		}
-		// Contribution standing scales within the class; the equal-
-		// weight bootstrap mirrors PairwiseProportional when nobody
-		// has contributed yet.
-		w := cw
-		if total > 0 {
-			w = cw * view.Received(r.ID)
-		}
 		out = append(out, Grant{ID: r.ID, Rate: w})
 	}
 	return distributeWeights(req.Capacity, out)

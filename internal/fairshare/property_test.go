@@ -17,7 +17,6 @@ func allPolicies(ids []ID) (serving, withholding []Allocator) {
 		TitForTat{N: 2},
 		BiasedContribution{},
 		BiasedContribution{Beta: 0.5},
-		Classes{Weights: map[ServiceClass]float64{0: 1, 1: 4}},
 	}
 	withholding = []Allocator{
 		Withhold{},
@@ -75,18 +74,14 @@ func TestAllocationConservationProperty(t *testing.T) {
 	}
 	serving, withholding := allPolicies(ids)
 
-	prop := func(capRaw uint16, mask, classBits uint8, takenRaw uint16, useBounded bool) bool {
+	prop := func(capRaw uint16, mask uint8, takenRaw uint16, useBounded bool) bool {
 		capacity := float64(capRaw)
 		var reqs []Requester
 		for i, id := range ids {
 			if mask&(1<<i) == 0 {
 				continue
 			}
-			reqs = append(reqs, Requester{
-				ID:    id,
-				Class: ServiceClass(classBits >> (uint(i) % 4) & 1),
-				Taken: float64(takenRaw) * float64(i),
-			})
+			reqs = append(reqs, Requester{ID: id, Taken: float64(takenRaw) * float64(i)})
 		}
 		var view LedgerView = exact
 		if useBounded {
@@ -127,7 +122,6 @@ func TestScratchReuseNoAlloc(t *testing.T) {
 		{"eq2", PairwiseProportional{}},
 		{"equal", EqualSplit{}},
 		{"bci", BiasedContribution{}},
-		{"classes", Classes{}},
 		{"withhold", Withhold{}},
 	} {
 		scratch := make(Grants, 0, len(reqs))
@@ -173,39 +167,6 @@ func TestBiasedContributionIndex(t *testing.T) {
 	}
 }
 
-// TestClassesWeighting pins differentiated service: same standing,
-// premium class gets proportionally more; free riders starve in every
-// class.
-func TestClassesWeighting(t *testing.T) {
-	l := NewLedger(0)
-	l.Credit("basic", 100)
-	l.Credit("premium", 100)
-	cl := Classes{Weights: map[ServiceClass]float64{1: 3}}
-	g := cl.Allocate(AllocRequest{
-		Capacity: 400,
-		Requesters: []Requester{
-			{ID: "basic", Class: 0},
-			{ID: "premium", Class: 1},
-			{ID: "freerider", Class: 1},
-		},
-		Ledger: l,
-	})
-	if !almostEqual(g.Rate("basic"), 100) || !almostEqual(g.Rate("premium"), 300) {
-		t.Errorf("class weighting off: %v", g)
-	}
-	if g.Rate("freerider") != 0 {
-		t.Errorf("free rider got %v despite zero standing", g.Rate("freerider"))
-	}
-	// Bootstrap: nobody has standing — class weights alone divide.
-	g = cl.Allocate(AllocRequest{
-		Capacity:   400,
-		Requesters: []Requester{{ID: "x", Class: 0}, {ID: "y", Class: 1}},
-	})
-	if !almostEqual(g.Rate("x"), 100) || !almostEqual(g.Rate("y"), 300) {
-		t.Errorf("bootstrap class split: %v", g)
-	}
-}
-
 // unnamedPolicy is an out-of-package-style Allocator PolicyName has no
 // name for.
 type unnamedPolicy struct{}
@@ -222,7 +183,6 @@ func TestPolicyName(t *testing.T) {
 		"favor":     Favor{},
 		"titfortat": TitForTat{},
 		"bci":       BiasedContribution{},
-		"classes":   Classes{},
 		"custom":    unnamedPolicy{},
 	}
 	for want, p := range cases {

@@ -122,7 +122,7 @@ func TestChurnValidation(t *testing.T) {
 }
 
 func TestQuantizationFairnessDegradesWithMessageSize(t *testing.T) {
-	tbl, err := Quantization(3000, []float64{64, 16384}, 9)
+	tbl, err := Quantization(3000, []float64{64, 16384})
 	if err != nil {
 		t.Fatal(err)
 	}

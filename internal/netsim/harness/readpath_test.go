@@ -102,7 +102,7 @@ func startDHTCluster(t *testing.T, seed int64, n int) *Cluster {
 	for i := 0; i < n; i++ {
 		p := c.startPeer("peer"+strconv.Itoa(i), byte(1+i), peer.Config{DHT: &dht.Config{}})
 		if i > 0 {
-			if err := p.Node.DHT().Join(ctx, c.Peers[0].Addr); err != nil {
+			if err := p.Node.Join(ctx, c.Peers[0].Addr); err != nil {
 				t.Fatal(err)
 			}
 		}

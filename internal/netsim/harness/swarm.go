@@ -166,7 +166,7 @@ func (s *Swarm) joinAll() {
 			// retries ride out the initial stampede on slow machines.
 			var lastErr error
 			for attempt := 0; attempt < 4; attempt++ {
-				if lastErr = p.DHT.Join(ctx, s.HomeDHT.Addr()); lastErr == nil {
+				if lastErr = p.Node.Join(ctx, s.HomeDHT.Addr()); lastErr == nil {
 					return
 				}
 				select {

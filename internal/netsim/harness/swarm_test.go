@@ -110,9 +110,11 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 
 	// Lookup hops from random members. One key's figure mostly reports
 	// where its replicas landed, so the home announces 24 random keys
-	// and each is looked up 16 times. The 1024-peer benchmark this
-	// scenario replaced read median 2, p90 3 hops at TableCap 32; the
-	// figures are logged, not gated.
+	// and each is looked up 16 times. Over NETSIM_SEED 1–20 the mean
+	// read 2.52–2.72 (2.57 at the default seed), the median 2–3, the
+	// p90 4 on every seed and the max 5–6. The gate is p90 <= 4 and
+	// mean <= 2.9: a routing change that adds a round to a tenth of
+	// the lookups, or a fifth of a round on average, fails it.
 	const keys, lookupsPerKey = 24, 16
 	hops := make([]int, 0, keys*lookupsPerKey)
 	for i := 0; i < keys; i++ {
@@ -133,9 +135,12 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	for _, h := range hops {
 		sum += h
 	}
+	mean, p90 := float64(sum)/float64(len(hops)), quantile(hops, 0.9)
 	t.Logf("lookup hops over %d keys x %d lookups: mean %.2f, median %.1f, p90 %.1f, max %d",
-		keys, lookupsPerKey, float64(sum)/float64(len(hops)),
-		quantile(hops, 0.5), quantile(hops, 0.9), hops[len(hops)-1])
+		keys, lookupsPerKey, mean, quantile(hops, 0.5), p90, hops[len(hops)-1])
+	if p90 > 4 || mean > 2.9 {
+		t.Errorf("lookup hops: p90 %.1f (bound 4), mean %.2f (bound 2.9)", p90, mean)
+	}
 
 	// The user's DHT node joins through a swarm peer, not the home.
 	userDHT := s.UserDHT(ctx, s.Peers[17].DHT.Addr())

@@ -292,14 +292,7 @@ func (n *Node) handlePut(cw *connWriter, client fairshare.ID, payload []byte) er
 		return err
 	}
 	if fresh {
-		// Hand over without waiting on the DHT; pending loses no id.
-		n.ownersMu.Lock()
-		n.pending = append(n.pending, msg.FileID)
-		n.ownersMu.Unlock()
-		select {
-		case n.wake <- struct{}{}:
-		default: // already signalled: the loop takes the whole list
-		}
+		n.announce(msg.FileID)
 	}
 	n.m.storedBytes.Add(uint64(len(payload)))
 	return cw.writeFrame(wire.TypePutOK, nil)

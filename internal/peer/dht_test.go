@@ -49,7 +49,7 @@ func TestPeerAnswersDHTOnItsOwnPort(t *testing.T) {
 	}
 	holder := startPeer(t, peer.Config{Identity: identity(t, 39), Store: store.NewMemory(), DHT: &dht.Config{}})
 	holderAddr := holder.Addr().String()
-	if err := holder.DHT().Join(ctx, addr); err != nil {
+	if err := holder.Join(ctx, addr); err != nil {
 		t.Fatal(err)
 	}
 	key := dht.KeyFromFileID(77)
@@ -162,7 +162,7 @@ func TestPeerReannouncesStoredFiles(t *testing.T) {
 		holderID := identity(t, 46)
 		holder := startPeer(t, peer.Config{Identity: holderID, Store: store.NewMemory(), DHT: cfg()})
 		holderAddr := holder.Addr().String()
-		if err := holder.DHT().Join(ctx, bootstrap.Addr().String()); err != nil {
+		if err := holder.Join(ctx, bootstrap.Addr().String()); err != nil {
 			t.Fatal(err)
 		}
 		user := clientNode(t, bootstrap.Addr().String())
@@ -229,7 +229,8 @@ func TestPeerReannouncesStoredFiles(t *testing.T) {
 		const ttl = 300 * time.Millisecond
 		bootstrap := startPeer(t, peer.Config{Identity: identity(t, 43), Store: store.NewMemory(), DHT: &dht.Config{MaxTTL: ttl}})
 		// The file is in the store before the peer starts, as after a
-		// restart: no PUT announces it, only the tick.
+		// restart: no PUT announces it. Join announces it once; only
+		// the tick keeps it resolving past its TTL.
 		st := store.NewMemory()
 		if err := st.Put(&rlnc.Message{FileID: 77, MessageID: 1, Payload: []byte{1}}); err != nil {
 			t.Fatal(err)
@@ -243,7 +244,7 @@ func TestPeerReannouncesStoredFiles(t *testing.T) {
 		}
 		defer holder.Close()
 		holderAddr := holder.Addr().String()
-		if err := holder.DHT().Join(ctx, bootstrap.Addr().String()); err != nil {
+		if err := holder.Join(ctx, bootstrap.Addr().String()); err != nil {
 			t.Fatal(err)
 		}
 		key := dht.KeyFromFileID(77)
@@ -265,6 +266,84 @@ func TestPeerReannouncesStoredFiles(t *testing.T) {
 				t.Fatalf("lookup 3 TTLs after the holder closed = %v, %v; want it gone", got, err)
 			}
 			time.Sleep(ttl / 10)
+		}
+	})
+}
+
+// TestRestartedHolderAnnouncesWhatItHolds: a holder restarted on its
+// store announces every file-id the store holds as soon as its DHT node
+// reaches anyone: on Join, or at Start for a bootstrap that joins
+// nobody. With an hour's TTL the re-announce tick cannot fire in the
+// test, so only that announce can make the key resolve to the new
+// address.
+func TestRestartedHolderAnnouncesWhatItHolds(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	key := dht.KeyFromFileID(80)
+	holding := func(t *testing.T) peer.Config {
+		st := store.NewMemory()
+		if err := st.Put(&rlnc.Message{FileID: 80, MessageID: 1, Payload: []byte{1}}); err != nil {
+			t.Fatal(err)
+		}
+		return peer.Config{Identity: identity(t, 49), Store: st, DHT: &dht.Config{MaxTTL: time.Hour}}
+	}
+	userVia := func(t *testing.T, bootstrap string) *dht.Node {
+		user, err := dht.New(dht.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { user.Close() })
+		if err := user.Join(ctx, bootstrap); err != nil {
+			t.Fatal(err)
+		}
+		return user
+	}
+	resolves := func(t *testing.T, user *dht.Node, addr string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			got, err := user.Lookup(ctx, key)
+			if err == nil && slices.Contains(got, addr) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("lookup 2 s after the restart = %v, %v; want %s among them", got, err, addr)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+
+	t.Run("joiner", func(t *testing.T) {
+		bootstrap := startPeer(t, peer.Config{Identity: identity(t, 48), Store: store.NewMemory(), DHT: &dht.Config{MaxTTL: time.Hour}})
+		cfg := holding(t)
+		holder := startPeer(t, cfg)
+		if err := holder.Join(ctx, bootstrap.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		// The first PUT of the file announced it network-wide.
+		if err := holder.DHT().Announce(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+		user := userVia(t, bootstrap.Addr().String())
+		resolves(t, user, holder.Addr().String())
+
+		// The bootstrap keeps the old address for its hour and answers
+		// the user's lookup with it, so the new address resolves only
+		// if the restarted holder's Join put it there too.
+		holder.Close()
+		holder = startPeer(t, cfg)
+		if err := holder.Join(ctx, bootstrap.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		resolves(t, user, holder.Addr().String())
+	})
+
+	t.Run("bootstrap", func(t *testing.T) {
+		cfg := holding(t)
+		for restart := 0; restart < 2; restart++ {
+			holder := startPeer(t, cfg)
+			resolves(t, userVia(t, holder.Addr().String()), holder.Addr().String())
+			holder.Close()
 		}
 	})
 }

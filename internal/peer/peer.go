@@ -187,7 +187,7 @@ type Node struct {
 
 	ownersMu sync.Mutex              // guards owners and pending
 	owners   map[uint64]fairshare.ID // file-id -> first uploader
-	pending  []uint64                // newly stored file-ids reannounceLoop has yet to announce
+	pending  []uint64                // file-ids reannounceLoop has yet to announce
 	wake     chan struct{}           // one slot, filled when pending grows
 }
 
@@ -318,6 +318,9 @@ func (n *Node) Start(addr string) error {
 	if dn != nil {
 		n.wg.Add(1)
 		go n.reannounceLoop(dn)
+		// A bootstrap joins nobody: what the store already holds is
+		// recorded here, where every lookup through it starts.
+		n.announce(n.cfg.Store.Files()...)
 	}
 	if n.ckpt != nil {
 		// Close cancels n.ctx before wg.Wait, so Run's shutdown path
@@ -335,10 +338,42 @@ func (n *Node) Start(addr string) error {
 	return nil
 }
 
+// Join joins the peer's DHT node to the network through bootstrap,
+// then announces every file-id its store already holds: a peer
+// restarted on its store resolves again as soon as it has joined, not
+// half a TTL later.
+func (n *Node) Join(ctx context.Context, bootstrap string) error {
+	dn := n.DHT()
+	if dn == nil {
+		return errors.New("peer: join: no DHT node (Config.DHT unset, or not started)")
+	}
+	if err := dn.Join(ctx, bootstrap); err != nil {
+		return err
+	}
+	n.announce(n.cfg.Store.Files()...)
+	return nil
+}
+
+// announce queues file-ids for reannounceLoop without waiting on the
+// DHT; pending loses no id.
+func (n *Node) announce(ids ...uint64) {
+	if len(ids) == 0 {
+		return
+	}
+	n.ownersMu.Lock()
+	n.pending = append(n.pending, ids...)
+	n.ownersMu.Unlock()
+	select {
+	case n.wake <- struct{}{}:
+	default: // already signalled: the loop takes the whole list
+	}
+}
+
 // reannounceLoop announces under the peer's own address each file-id
-// handlePut queues, and every stored one once per half of its DHT
-// node's MaxTTL: a record resolves from the first PUT for as long as
-// this peer holds the file, and lapses within a TTL of it leaving.
+// Start, Join and handlePut queue, and every stored one once per half
+// of its DHT node's MaxTTL: a record resolves from the first PUT for
+// as long as this peer holds the file, and lapses within a TTL of it
+// leaving.
 func (n *Node) reannounceLoop(dn *dht.Node) {
 	defer n.wg.Done()
 	ttl := n.cfg.DHT.MaxTTL

@@ -5,6 +5,12 @@
 // current upload capacity among the requesting users according to its
 // allocation policy, using only its local receipt ledger — exactly the
 // model of Sec. IV-A.
+//
+// By default each grant is delivered as a fluid rate. With
+// Config.MessageKbits set, peers instead send whole encoded messages,
+// so Sec. III-D's quantization error of large messages can be
+// measured on the same loop, and Config.AuditEvery adds the retention
+// audits that debit peers who dropped what they stored.
 package sim
 
 import (
@@ -33,14 +39,21 @@ type PeerConfig struct {
 	// Eq. (2) pairwise-proportional rule.
 	Policy fairshare.Allocator
 
-	// Class is the user's differentiated-service tier, seen by peers
-	// running the fairshare.Classes policy. Zero is the default class.
-	Class fairshare.ServiceClass
-
 	// Ledger is the peer's receipt ledger; nil means a fresh one at
 	// Config.InitialCredit.
 	Ledger *fairshare.Ledger
+
+	// DropsStored models a storage free-rider: the peer accepted its
+	// share of the dissemination but silently discarded it, so every
+	// retention audit of it fails. It still uploads, and earns ledger
+	// credit, like any other peer; only audits reveal the loss.
+	DropsStored bool
 }
+
+// AuditPenaltyKbits is the ledger debit for one failed retention
+// audit: the default spot-check sample of eight 256-kbit messages,
+// all missing.
+const AuditPenaltyKbits = 8 * 256
 
 // Config describes a simulation run.
 type Config struct {
@@ -58,6 +71,20 @@ type Config struct {
 	// factor each slot — the paper's future-work suggestion for faster
 	// adaptation. 0 or >= 1 disables decay.
 	LedgerDecay float64
+
+	// MessageKbits, if positive, delivers grants as whole messages of
+	// this size instead of a fluid rate. Each peer banks its granted
+	// total every slot and, while the bank holds a message, sends one
+	// to the requester with the smallest Exchanged/grant — weighted
+	// fair queueing, so long-run service stays proportional to Eq. (2)
+	// while each slot's split is quantized.
+	MessageKbits float64
+
+	// AuditEvery, if positive, runs a retention audit every AuditEvery
+	// slots: every user spot-checks every other peer and debits its
+	// ledger entry for each DropsStored peer by AuditPenaltyKbits, as
+	// audit verdicts feed fairshare.Ledger.Debit in the real system.
+	AuditEvery int
 }
 
 // Result holds per-slot series for every peer.
@@ -82,6 +109,10 @@ type Result struct {
 
 	// Ledgers are the final receipt ledgers, indexed like Names.
 	Ledgers []*fairshare.Ledger
+
+	// AuditDebits[i] is the total ledger debit assessed against peer i
+	// by failed retention audits, summed over all auditors.
+	AuditDebits []float64
 }
 
 // Run executes the simulation.
@@ -116,12 +147,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Names:      make([]string, n),
-		Download:   make([][]float64, n),
-		Upload:     make([][]float64, n),
-		Requesting: make([][]bool, n),
-		Exchanged:  make([][]float64, n),
-		Ledgers:    make([]*fairshare.Ledger, n),
+		Names:       make([]string, n),
+		Download:    make([][]float64, n),
+		Upload:      make([][]float64, n),
+		Requesting:  make([][]bool, n),
+		Exchanged:   make([][]float64, n),
+		Ledgers:     make([]*fairshare.Ledger, n),
+		AuditDebits: make([]float64, n),
 	}
 	policies := make([]fairshare.Allocator, n)
 	for i, p := range cfg.Peers {
@@ -147,13 +179,27 @@ func Run(cfg Config) (*Result, error) {
 	requesters := make([]fairshare.Requester, 0, n)
 	reqIdx := make([]int, 0, n) // peer index of each requester
 	allocs := make([]fairshare.Grants, n)
+	banked := make([]float64, n) // granted kbits not yet sent as a message
 	for t := 0; t < cfg.Slots; t++ {
+		if cfg.AuditEvery > 0 && t > 0 && t%cfg.AuditEvery == 0 {
+			for p, pc := range cfg.Peers {
+				if !pc.DropsStored {
+					continue
+				}
+				for u, l := range res.Ledgers {
+					if u != p {
+						l.Debit(pc.Name, AuditPenaltyKbits)
+						res.AuditDebits[p] += AuditPenaltyKbits
+					}
+				}
+			}
+		}
 		requesters = requesters[:0]
 		reqIdx = reqIdx[:0]
 		for i, p := range cfg.Peers {
 			if p.Demand.Requests(t) {
 				res.Requesting[i][t] = true
-				requesters = append(requesters, fairshare.Requester{ID: p.Name, Class: p.Class})
+				requesters = append(requesters, fairshare.Requester{ID: p.Name})
 				reqIdx = append(reqIdx, i)
 			}
 		}
@@ -177,20 +223,43 @@ func Run(cfg Config) (*Result, error) {
 				Scratch:    allocs[i],
 			})
 		}
-		// Phase 2: apply transfers and credit receipts.
-		for i, p := range cfg.Peers {
-			for g, grant := range allocs[i] {
-				amt := grant.Rate
-				if amt <= 0 {
-					continue
+		// Phase 2: apply transfers and credit receipts. Peer j measures
+		// what it received from peer i; this is the only bookkeeping
+		// Eq. (2) needs.
+		send := func(i, j int, amt float64) {
+			res.Download[j][t] += amt
+			res.Upload[i][t] += amt
+			res.Exchanged[i][j] += amt
+			res.Ledgers[j].Credit(cfg.Peers[i].Name, amt)
+		}
+		for i := range cfg.Peers {
+			if cfg.MessageKbits <= 0 {
+				for g, grant := range allocs[i] {
+					if grant.Rate > 0 {
+						send(i, reqIdx[g], grant.Rate)
+					}
 				}
-				j := reqIdx[g]
-				res.Download[j][t] += amt
-				res.Upload[i][t] += amt
-				res.Exchanged[i][j] += amt
-				// Peer j measures what it received from peer i; this is
-				// the only bookkeeping Eq. (2) needs.
-				res.Ledgers[j].Credit(p.Name, amt)
+				continue
+			}
+			var granted float64
+			for _, grant := range allocs[i] {
+				if grant.Rate > 0 {
+					granted += grant.Rate
+				}
+			}
+			banked[i] += granted
+			for banked[i] >= cfg.MessageKbits {
+				best, bestKey := -1, 0.0
+				for g, grant := range allocs[i] {
+					if grant.Rate <= 0 {
+						continue
+					}
+					if key := res.Exchanged[i][reqIdx[g]] / grant.Rate; best < 0 || key < bestKey {
+						best, bestKey = reqIdx[g], key
+					}
+				}
+				banked[i] -= cfg.MessageKbits
+				send(i, best, cfg.MessageKbits)
 			}
 		}
 		if cfg.LedgerDecay > 0 && cfg.LedgerDecay < 1 {

@@ -144,7 +144,7 @@ got="$(check "$fixture")"
 for want in \
 	"stale: gates: 'TestScratchReuseNoAllocation' matches no test in ./internal/wire/ ./internal/fairshare/" \
 	"stale: gates: ./internal/fairshare/ has no test matching 'SteadyStateAllocs|TestScratchReuseNoAllocation'" \
-	"stale: paper-rates: ./internal/eventsim/ has no test matching 'TestPaperRates'" \
+	"stale: paper-rates: ./internal/sim/ has no test matching 'TestPaperRates'" \
 	"stale: bench-codec: 'BenchmarkDecodePipeline' matches no benchmark in ./internal/rlnc/" \
 	"stale: bench-codec: ./internal/rlnc/ has no benchmark matching 'BenchmarkDecodePipeline'"; do
 	if grep -qxF -- "$want" <<<"$got"; then
