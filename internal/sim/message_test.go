@@ -33,6 +33,33 @@ func TestSaturatedConvergesToOwnUploadWholeMessages(t *testing.T) {
 	}
 }
 
+func TestConservationWholeMessages(t *testing.T) {
+	uploads := []float64{100, 300, 700}
+	cfg := messageConfig(uploads, 200, 256)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt := 0; tt < cfg.Slots; tt++ {
+		var down, up float64
+		for i := range cfg.Peers {
+			down += res.Download[i][tt]
+			up += res.Upload[i][tt]
+		}
+		if math.Abs(down-up) > 1e-6 {
+			t.Fatalf("slot %d: download %v != upload %v", tt, down, up)
+		}
+	}
+	// Saturated peers send their full capacity, less what is still
+	// banked: under one message each.
+	for i, u := range uploads {
+		sent := res.MeanUpload(i, 0, cfg.Slots) * float64(cfg.Slots)
+		if want := u * float64(cfg.Slots); sent > want+1e-6 || sent < want-cfg.MessageKbits-1e-6 {
+			t.Errorf("peer %d sent %v kbit, capacity %v", i, sent, want)
+		}
+	}
+}
+
 func TestCrossValidationAgainstFluidSim(t *testing.T) {
 	// Same scenario with whole messages and with the fluid split;
 	// steady-state rates must agree within a modest tolerance.

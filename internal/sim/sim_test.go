@@ -48,37 +48,27 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestConservationOfBandwidth(t *testing.T) {
-	uploads := []float64{100, 300, 700}
-	for _, msg := range []float64{0, 256} {
-		cfg := saturatedConfig(uploads, 200)
-		cfg.MessageKbits = msg
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := saturatedConfig([]float64{100, 300, 700}, 200)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totalCapacity := 1100.0
+	for tt := 0; tt < cfg.Slots; tt++ {
+		var down, up float64
+		for i := range cfg.Peers {
+			down += res.Download[i][tt]
+			up += res.Upload[i][tt]
 		}
-		totalCapacity := 1100.0
-		for tt := 0; tt < cfg.Slots; tt++ {
-			var down, up float64
-			for i := range cfg.Peers {
-				down += res.Download[i][tt]
-				up += res.Upload[i][tt]
-			}
-			if math.Abs(down-up) > 1e-6 {
-				t.Fatalf("message %v, slot %d: download %v != upload %v", msg, tt, down, up)
-			}
-			// All peers are saturated and honest: the full capacity is
-			// used, every slot by the fluid split.
-			if msg == 0 && math.Abs(up-totalCapacity) > 1e-6 {
-				t.Fatalf("slot %d: granted %v, want full capacity %v", tt, up, totalCapacity)
-			}
+		if math.Abs(down-up) > 1e-6 {
+			t.Fatalf("slot %d: download %v != upload %v", tt, down, up)
 		}
-		// Whole messages send the full capacity too, less what is
-		// still banked: under one message per peer.
-		for i, u := range uploads {
-			sent := res.MeanUpload(i, 0, cfg.Slots) * float64(cfg.Slots)
-			if want := u * float64(cfg.Slots); sent > want+1e-6 || sent < want-msg-1e-6 {
-				t.Errorf("message %v: peer %d sent %v kbit, capacity %v", msg, i, sent, want)
-			}
+		if up > totalCapacity+1e-6 {
+			t.Fatalf("slot %d: granted %v exceeds capacity %v", tt, up, totalCapacity)
+		}
+		// All peers are saturated and honest: the full capacity is used.
+		if math.Abs(up-totalCapacity) > 1e-6 {
+			t.Fatalf("slot %d: granted %v, want full capacity %v", tt, up, totalCapacity)
 		}
 	}
 }
