@@ -39,7 +39,9 @@ gen-check:
 # race runs every package under the race detector once — twice
 # (-count=2) for the packages whose tests sweep crash points, injected
 # faults or seeded fabric schedules, where the second pass over a warm
-# process is the point. NETSIM_SEED=<seed> replays a harness failure.
+# process is the point. NETSIM_SEED=<seed> replays a harness test's
+# fabric draws; the swarm scenarios' routing tables are built
+# concurrently and do not replay (see chaos).
 RACE_TWICE = ./internal/fsx/... ./internal/store/... ./internal/fairshare/... ./internal/netsim/...
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v -E '/internal/(fsx|store|fairshare|netsim)(/|$$)')
@@ -246,15 +248,21 @@ bench-grid-smoke:
 # fabric's own tests plus the end-to-end harness (peers + clients over
 # simulated partitions, blackholes and drops) — twice,
 # under the race detector (the netsim half of `race`). Every harness
-# test logs its fabric seed (shown with -v and on failure); replay an
-# exact failure with NETSIM_SEED=<seed> make chaos.
+# test logs its fabric seed (shown with -v and on failure);
+# NETSIM_SEED=<seed> make chaos replays its fabric draws. The swarm
+# scenarios replay their data, placement and sample keys but not their
+# routing tables or lookup hops: StartSwarm joins through a worker pool
+# and lookups query Alpha contacts in parallel, so a failed hop gate
+# logs its hop histogram instead.
 chaos: vet
 	$(GO) test -race -count=2 ./internal/netsim/...
 
 # fuzz-smoke gives each wire fuzz target, the DHT request handler every
-# peer port answers unauthenticated, and the differential fuzzers of
-# the two assembly kernels (GF(2^32) region multiply, eight-lane MD5), a
-# short adversarial run on top of the seed corpus (which plain `go test`
+# peer port answers unauthenticated, the differential fuzzers of the two
+# assembly kernels (GF(2^32) region multiply, eight-lane MD5), the
+# message parser every PUT and PATCH payload goes through, and the
+# handle loader every command that reads a handle starts with, a short
+# adversarial run on top of the seed corpus (which plain `go test`
 # already replays). New crashers land in the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s -run '^$$' ./internal/wire/
@@ -264,6 +272,8 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDHTRequest -fuzztime 10s -run '^$$' ./internal/dht/
 	$(GO) test -fuzz FuzzKernel32 -fuzztime 10s -run '^$$' ./internal/gf/
 	$(GO) test -fuzz FuzzDigestBatch -fuzztime 10s -run '^$$' ./internal/rlnc/
+	$(GO) test -fuzz FuzzMessageUnmarshal -fuzztime 10s -run '^$$' ./internal/rlnc/
+	$(GO) test -fuzz FuzzLoadHandle -fuzztime 10s -run '^$$' ./internal/core/
 
 # examples-smoke runs every program under examples/ to completion and
 # fails on the first that exits non-zero: `build` only compiles them.

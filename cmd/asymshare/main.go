@@ -195,9 +195,9 @@ func cmdServe(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if rec := st.Recovery(); rec.TruncatedTails > 0 || rec.QuarantinedFiles > 0 || rec.MigratedLegacy > 0 {
-		fmt.Fprintf(out, "store recovery: %d torn tails truncated, %d files quarantined, %d legacy files migrated\n",
-			rec.TruncatedTails, rec.QuarantinedFiles, rec.MigratedLegacy)
+	if rec := st.Recovery(); rec.TruncatedTails > 0 || rec.QuarantinedFiles > 0 {
+		fmt.Fprintf(out, "store recovery: %d torn tails truncated, %d files quarantined\n",
+			rec.TruncatedTails, rec.QuarantinedFiles)
 	}
 	policy, err := parsePolicy(*policyName)
 	if err != nil {

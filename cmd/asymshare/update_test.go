@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/md5"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -138,6 +141,70 @@ func TestUpdateAndSpotCheckSubcommands(t *testing.T) {
 
 	if out := sh.spotcheck(t); !strings.Contains(out, "all retention audits passed") {
 		t.Errorf("spotcheck after update: %q", out)
+	}
+}
+
+// TestSumlessHandleRefused: a handle written before chunks carried
+// sums — no "sum" on any chunk, a whole-file "contentMd5" instead — is
+// refused at load by every command that reads a handle. Each exits
+// non-zero naming the handle and saying to share again, writes no
+// output, and leaves the handle byte-identical.
+func TestSumlessHandleRefused(t *testing.T) {
+	sh := shareToOnePeer(t, 3000, 4)
+	data, err := os.ReadFile(sh.file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(sh.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// UseNumber: a file-id is a uint64 that a float64 would round.
+	var doc map[string]any
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	manifest := doc["manifest"].(map[string]any)
+	for _, c := range manifest["chunks"].([]any) {
+		delete(c.(map[string]any), "sum")
+	}
+	digest := md5.Sum(data)
+	manifest["contentMd5"] = hex.EncodeToString(digest[:])
+	old, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sh.handle, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Dir(sh.file)
+	outPath := filepath.Join(dir, "back.bin")
+	newPath := filepath.Join(dir, "v2.bin")
+	if err := os.WriteFile(newPath, append([]byte{data[0] ^ 1}, data[1:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-key", sh.key, "-handle", sh.handle, "-secret", sh.secret}
+	for _, args := range [][]string{
+		append([]string{"fetch", "-out", outPath}, common...),
+		append([]string{"fetch", "-out", outPath, "-dht", sh.peer.Addr().String()}, common...),
+		append([]string{"update", "-old", sh.file, "-new", newPath}, common...),
+		append([]string{"spotcheck"}, common...),
+		append([]string{"repair", "-file", sh.file}, common...),
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), sh.handle) || !strings.Contains(err.Error(), "share the file again") {
+			t.Errorf("%s %s: err = %v, want a refusal naming the handle", args[0], args[1], err)
+		}
+		if after, err := os.ReadFile(sh.handle); err != nil || !bytes.Equal(after, old) {
+			t.Errorf("%s %s: the handle changed on disk (%v)", args[0], args[1], err)
+		}
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Errorf("a refused fetch wrote -out (%v)", err)
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 
 // Assembler reassembles a file in place: one output buffer sized from
 // the manifest, a Slot per chunk for its decoder to write into, a done
-// flag per chunk, and Finish. It checks no content itself — a chunk is
+// flag per chunk, and Finish. It checks no content itself: a chunk is
 // verified against its Sum (ChunkInfo.CheckSum) by whoever decoded it,
-// before Done — except for a manifest of the older format, whose
-// whole-file ContentMD5 Finish verifies.
+// before Done.
 //
 // The buffer's capacity reaches past the file by the last chunk's
 // padding to whole chunk-vectors, so a decoder can eliminate all K of
@@ -25,8 +24,7 @@ import (
 // what orders the writers before it.
 type Assembler struct {
 	out  []byte
-	offs []int  // offs[i] is where chunk i starts; offs[len] == len(out)
-	want string // a legacy manifest's ContentMD5, or ""
+	offs []int // offs[i] is where chunk i starts; offs[len] == len(out)
 	done []bool
 }
 
@@ -40,7 +38,6 @@ func NewAssembler(m *Manifest) (*Assembler, error) {
 	a := &Assembler{
 		out:  make([]byte, m.TotalSize, m.TotalSize+int64(pad)),
 		offs: make([]int, len(m.Chunks)+1),
-		want: m.ContentMD5,
 		done: make([]bool, len(m.Chunks)),
 	}
 	for i, c := range m.Chunks {
@@ -64,16 +61,12 @@ func (a *Assembler) Slot(i int) []byte {
 func (a *Assembler) Done(i int) { a.done[i] = true }
 
 // Finish returns the assembled file once every chunk is Done. A gap is
-// ErrChunkMissing, a legacy content digest that does not match
-// ErrBadManifest; either way no data is returned.
+// ErrChunkMissing, and no data is returned.
 func (a *Assembler) Finish() ([]byte, error) {
 	for i, ok := range a.done {
 		if !ok {
 			return nil, fmt.Errorf("%w: chunk %d", ErrChunkMissing, i)
 		}
-	}
-	if a.want != "" && ContentDigest(a.out) != a.want {
-		return nil, fmt.Errorf("%w: assembled content digest mismatch", ErrBadManifest)
 	}
 	return a.out[:len(a.out):len(a.out)], nil
 }

@@ -13,8 +13,7 @@ import (
 
 // assembleReference is Assemble written the long way round: append
 // every chunk into a fresh buffer, checking each against its sum as
-// refSum (sum_test.go, crypto/md5 alone) computes it, then the legacy
-// whole-file digest where the manifest has one. The differential
+// refSum (sum_test.go, crypto/md5 alone) computes it. The differential
 // baseline.
 func assembleReference(m *Manifest, chunks [][]byte) ([]byte, error) {
 	if err := m.Validate(); err != nil {
@@ -31,13 +30,10 @@ func assembleReference(m *Manifest, chunks [][]byte) ([]byte, error) {
 		if len(c) != m.Chunks[i].DataLen {
 			return nil, fmt.Errorf("%w: chunk %d is %d bytes", ErrBadManifest, i, len(c))
 		}
-		if info := m.Chunks[i]; info.HasSum() && refSum(m.Plan, info, c) != info.Sum {
+		if info := m.Chunks[i]; refSum(m.Plan, info, c) != info.Sum {
 			return nil, fmt.Errorf("%w: chunk %d sum mismatch", ErrBadManifest, i)
 		}
 		out = append(out, c...)
-	}
-	if m.ContentMD5 != "" && ContentDigest(out) != m.ContentMD5 {
-		return nil, fmt.Errorf("%w: assembled content digest mismatch", ErrBadManifest)
 	}
 	return out, nil
 }
@@ -55,15 +51,14 @@ func testManifest(t testing.TB, size int, seed int64) (*Manifest, []byte) {
 	return &share.Manifest, data
 }
 
-// preSums returns m as a share written before chunks carried sums
-// published it: no Sum anywhere, the whole file's MD5 in ContentMD5.
-func preSums(m *Manifest, data []byte) *Manifest {
+// withoutSums returns a copy of m with no Sum on any chunk: the
+// manifest a share written before chunks carried sums published.
+func withoutSums(m *Manifest) *Manifest {
 	old := *m
 	old.Chunks = append([]ChunkInfo(nil), m.Chunks...)
 	for i := range old.Chunks {
 		old.Chunks[i].Sum = rlnc.Digest{}
 	}
-	old.ContentMD5 = ContentDigest(data)
 	return &old
 }
 
@@ -154,25 +149,26 @@ func TestAssemblerShortLastChunk(t *testing.T) {
 	}
 }
 
-// TestAssemblerWrongDigestReturnsNoData: the one check the assembler
-// still makes itself, a pre-sums manifest's ContentMD5.
+// TestAssemblerWrongDigestReturnsNoData: a chunk that does not hash to
+// its Sum, and a manifest with no Sum to hash against, both end in
+// ErrBadManifest with no data — the second before any buffer exists.
 func TestAssemblerWrongDigestReturnsNoData(t *testing.T) {
 	m, data := testManifest(t, 4*512, 4)
-	m = preSums(m, data)
 	if got, err := Assemble(m, Split(data, 512)); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("pre-sums manifest: err %v, identical %v", err, bytes.Equal(got, data))
+		t.Fatalf("summed manifest: err %v, identical %v", err, bytes.Equal(got, data))
 	}
-	m.ContentMD5 = ContentDigest([]byte("some other file"))
-	a, err := NewAssembler(m)
-	if err != nil {
-		t.Fatal(err)
+	wrong := *m
+	wrong.Chunks = append([]ChunkInfo(nil), m.Chunks...)
+	wrong.Chunks[2].Sum = m.Chunks[1].Sum
+	if got, err := Assemble(&wrong, Split(data, 512)); !errors.Is(err, ErrBadManifest) || got != nil {
+		t.Fatalf("wrong sum: Assemble = (%d bytes, %v), want (nil, ErrBadManifest)", len(got), err)
 	}
-	for i := range m.Chunks {
-		fill(a, m, data, i)
+	old := withoutSums(m)
+	if a, err := NewAssembler(old); !errors.Is(err, ErrBadManifest) || a != nil {
+		t.Fatalf("sum-less manifest: NewAssembler = (%v, %v), want (nil, ErrBadManifest)", a, err)
 	}
-	got, err := a.Finish()
-	if !errors.Is(err, ErrBadManifest) || got != nil {
-		t.Fatalf("Finish = (%d bytes, %v), want (nil, ErrBadManifest)", len(got), err)
+	if got, err := Assemble(old, Split(data, 512)); !errors.Is(err, ErrBadManifest) || got != nil {
+		t.Fatalf("sum-less manifest: Assemble = (%d bytes, %v), want (nil, ErrBadManifest)", len(got), err)
 	}
 }
 
@@ -191,26 +187,6 @@ func TestAssemblerMissingSlot(t *testing.T) {
 	}
 }
 
-// TestAssemblerEmptyDigestSkipsHashing: the assembler checks no
-// content of its own accord — sums are its callers' to check before
-// Done — and a pre-sums manifest without a ContentMD5 has no check.
-func TestAssemblerEmptyDigestSkipsHashing(t *testing.T) {
-	m, data := testManifest(t, 4*512, 6)
-	m = preSums(m, data)
-	m.ContentMD5 = ""
-	a, err := NewAssembler(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m.Chunks {
-		fill(a, m, data, i)
-	}
-	a.Slot(1)[0] ^= 1 // nothing left to notice
-	if _, err := a.Finish(); err != nil {
-		t.Fatalf("digest-free Finish: %v", err)
-	}
-}
-
 func TestAssemblerRejectsInvalidManifest(t *testing.T) {
 	m, _ := testManifest(t, 4*512, 7)
 	m.TotalSize++
@@ -221,18 +197,15 @@ func TestAssemblerRejectsInvalidManifest(t *testing.T) {
 
 // TestAssembleMatchesReference runs Assemble and assembleReference over
 // the table the package's Assemble tests use — round trip, short, nil
-// and wrong-size chunks, corrupted content under sums, under a pre-sums
-// content digest and under neither, a tampered sum, mixed sums, the
-// empty file — and requires the same bytes and the same error class
-// from both.
+// and wrong-size chunks, corrupted content, a tampered sum, sums
+// missing from some chunks or all, the empty file — and requires the
+// same bytes and the same error class from both.
 func TestAssembleMatchesReference(t *testing.T) {
 	m, data := testManifest(t, 700, 8)
 	pieces := Split(data, 512)
 	corrupt := [][]byte{bytes.Clone(pieces[0]), pieces[1]}
 	corrupt[0][3] ^= 1
-	old := preSums(m, data)
-	noDigest := *old
-	noDigest.ContentMD5 = ""
+	old := withoutSums(m)
 	badSum := *m
 	badSum.Chunks = append([]ChunkInfo(nil), m.Chunks...)
 	badSum.Chunks[1].Sum[15] ^= 0x80
@@ -240,10 +213,10 @@ func TestAssembleMatchesReference(t *testing.T) {
 	mixed.Chunks = []ChunkInfo{m.Chunks[0], old.Chunks[1]}
 	badTotal := *m
 	badTotal.TotalSize++
-	// BuildShare refuses empty data; a hand-written manifest need not.
+	// BuildShare refuses empty data, and Validate a hand-written
+	// manifest of it: no k is the one ParamsForSize picks for 0 bytes.
 	empty := &Manifest{Plan: testPlan(), Chunks: []ChunkInfo{{FileID: 1, K: 1}}}
 	empty.Chunks[0].Sum = empty.Chunks[0].SumOf(empty.Plan, nil)
-	emptyOld := &Manifest{Plan: testPlan(), Chunks: []ChunkInfo{{FileID: 1, K: 1}}, ContentMD5: ContentDigest(nil)}
 
 	cases := []struct {
 		name   string
@@ -256,21 +229,19 @@ func TestAssembleMatchesReference(t *testing.T) {
 		{"nil chunk", m, [][]byte{pieces[0], nil}},
 		{"wrong-size chunk", m, [][]byte{pieces[0], make([]byte, 10)}},
 		{"corrupted content", m, corrupt},
-		{"pre-sums round trip", old, pieces},
-		{"corrupted content, pre-sums digest", old, corrupt},
-		{"corrupted content, no digest", &noDigest, corrupt},
 		{"tampered sum", &badSum, pieces},
 		{"sums on some chunks only", &mixed, pieces},
+		{"no sums", old, pieces},
 		{"invalid manifest", &badTotal, pieces},
 		{"empty file", empty, [][]byte{{}}},
 		{"empty file, nil chunk", empty, [][]byte{nil}},
-		{"empty file, pre-sums", emptyOld, [][]byte{{}}},
 	}
 	wantClass := map[string]error{
-		"corrupted content":                  ErrBadManifest,
-		"corrupted content, pre-sums digest": ErrBadManifest,
-		"tampered sum":                       ErrBadManifest,
-		"sums on some chunks only":           ErrBadManifest,
+		"corrupted content":        ErrBadManifest,
+		"tampered sum":             ErrBadManifest,
+		"sums on some chunks only": ErrBadManifest,
+		"no sums":                  ErrBadManifest,
+		"empty file":               ErrBadManifest,
 	}
 	for _, tc := range cases {
 		want, wantErr := assembleReference(tc.m, tc.chunks)

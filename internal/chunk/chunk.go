@@ -11,9 +11,9 @@ import (
 	"crypto/md5"
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 
 	"asymshare/internal/gf"
 	"asymshare/internal/rlnc"
@@ -44,12 +44,13 @@ func DefaultPlan() Plan {
 	return Plan{FieldBits: gf.Bits32, M: 1 << 15, ChunkSize: DefaultChunkSize}
 }
 
-// Validate checks the plan invariants.
+// Validate checks the plan invariants. m is capped at MaxInt32 so that
+// no vector length computed from it overflows.
 func (p Plan) Validate() error {
 	if _, err := gf.New(p.FieldBits); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadManifest, err)
 	}
-	if p.M <= 0 || p.ChunkSize <= 0 {
+	if p.M <= 0 || p.M > math.MaxInt32 || p.ChunkSize <= 0 {
 		return fmt.Errorf("%w: m=%d chunkSize=%d", ErrBadManifest, p.M, p.ChunkSize)
 	}
 	if p.M*int(p.FieldBits)%8 != 0 {
@@ -100,8 +101,8 @@ type ChunkInfo struct {
 	DataLen int    `json:"dataLen"`
 	K       int    `json:"k"`
 
-	// Sum is the end-to-end digest of the chunk's plaintext (SumOf);
-	// all zero in a manifest written before chunks carried one.
+	// Sum is the end-to-end digest of the chunk's plaintext (SumOf).
+	// Validate refuses a manifest in which any chunk's is all zero.
 	Sum rlnc.Digest `json:"sum"`
 
 	Digests map[uint64]rlnc.Digest `json:"digests,omitempty"`
@@ -150,18 +151,11 @@ func (c *ChunkInfo) SumOf(plan Plan, data []byte) rlnc.Digest {
 	return sum
 }
 
-// HasSum reports whether the manifest recorded a Sum for this chunk.
-func (c *ChunkInfo) HasSum() bool { return c.Sum != rlnc.Digest{} }
-
 // CheckSum verifies data, the chunk as decoded, against the recorded
 // Sum: ErrBadManifest when it is not the chunk's DataLen bytes, would
 // not fit its K vectors (bytes past them would go unhashed), or hashes
-// to another sum. A chunk without a Sum passes — a manifest of that
-// format is checked whole, by Assembler.Finish.
+// to another sum.
 func (c *ChunkInfo) CheckSum(plan Plan, data []byte) error {
-	if !c.HasSum() {
-		return nil
-	}
 	if len(data) != c.DataLen || len(data) > c.K*gf.VecBytes(plan.FieldBits, plan.M) {
 		return fmt.Errorf("%w: chunk %#x is %d bytes, manifest says %d in %d vectors",
 			ErrBadManifest, c.FileID, len(data), c.DataLen, c.K)
@@ -182,7 +176,9 @@ func (c ChunkInfo) Params(plan Plan) (rlnc.Params, error) {
 }
 
 // Manifest is the metadata a user carries to reassemble a shared file:
-// the plan, the ordered chunk list, and the total size. The coding
+// the plan, the ordered chunk list (each chunk with its Sum and its
+// message digests), and the total size. There is one format: Validate
+// refuses a manifest with any chunk that lacks a Sum. The coding
 // secret is deliberately NOT part of the manifest — the manifest may be
 // replicated for robustness, while the secret stays with the owner.
 type Manifest struct {
@@ -190,22 +186,12 @@ type Manifest struct {
 	TotalSize int64       `json:"totalSize"`
 	Plan      Plan        `json:"plan"`
 	Chunks    []ChunkInfo `json:"chunks"`
-
-	// ContentMD5 is read-only legacy: the hex MD5 of the whole file, the
-	// end-to-end check of manifests written before every chunk carried
-	// a Sum. Nothing writes it; where one is present a whole-file fetch
-	// still verifies it (Assembler.Finish).
-	ContentMD5 string `json:"contentMd5,omitempty"`
 }
 
-// ContentDigest returns the hex MD5 of a file body, the form of the
-// legacy Manifest.ContentMD5.
-func ContentDigest(data []byte) string {
-	sum := md5.Sum(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// Validate checks structural consistency of the manifest.
+// Validate checks structural consistency of the manifest: every chunk
+// carries a Sum, and a K that is the one ParamsForSize picks for its
+// DataLen, so nothing sized from K (an Assembler's buffer, a decoder's
+// capacity) can be asked for more than the data needs.
 func (m *Manifest) Validate() error {
 	if err := m.Plan.Validate(); err != nil {
 		return err
@@ -213,17 +199,23 @@ func (m *Manifest) Validate() error {
 	if len(m.Chunks) == 0 {
 		return fmt.Errorf("%w: no chunks", ErrBadManifest)
 	}
+	vecBytes := gf.VecBytes(m.Plan.FieldBits, m.Plan.M)
 	var total int64
 	for i, c := range m.Chunks {
-		if c.DataLen < 0 || c.K <= 0 {
-			return fmt.Errorf("%w: chunk %d has dataLen=%d k=%d", ErrBadManifest, i, c.DataLen, c.K)
+		k := c.DataLen / vecBytes
+		if c.DataLen%vecBytes != 0 {
+			k++
+		}
+		if c.DataLen <= 0 || c.K != k {
+			return fmt.Errorf("%w: chunk %d has dataLen=%d k=%d, want dataLen>0 and k=%d",
+				ErrBadManifest, i, c.DataLen, c.K, k)
 		}
 		if i < len(m.Chunks)-1 && c.DataLen != m.Plan.ChunkSize {
 			return fmt.Errorf("%w: interior chunk %d is %d bytes, want %d",
 				ErrBadManifest, i, c.DataLen, m.Plan.ChunkSize)
 		}
-		if c.HasSum() != m.Chunks[0].HasSum() {
-			return fmt.Errorf("%w: chunk %d has a sum and chunk 0 none, or the reverse", ErrBadManifest, i)
+		if c.Sum == (rlnc.Digest{}) {
+			return fmt.Errorf("%w: chunk %d has no sum", ErrBadManifest, i)
 		}
 		total += int64(c.DataLen)
 	}

@@ -155,34 +155,55 @@ func TestBatchForPeerDeterministicDigests(t *testing.T) {
 	}
 }
 
+// TestManifestValidateErrors: every row but "valid" breaks one rule of
+// the one manifest format. The k rows are what keeps a forged manifest
+// from sizing an Assembler's buffer: a 10-byte chunk claiming k = 2^40
+// would have NewAssembler ask for 64 TiB at this plan.
 func TestManifestValidateErrors(t *testing.T) {
-	m := &Manifest{Plan: testPlan()}
-	if err := m.Validate(); !errors.Is(err, ErrBadManifest) {
-		t.Errorf("no-chunk manifest error = %v", err)
+	valid := func() *Manifest {
+		m := &Manifest{Plan: testPlan(), TotalSize: 612, Chunks: []ChunkInfo{
+			{FileID: 1, DataLen: 512, K: 8},
+			{FileID: 2, DataLen: 100, K: 2},
+		}}
+		m.Chunks[0].Sum[0], m.Chunks[1].Sum[0] = 1, 1
+		return m
 	}
-	m.Chunks = []ChunkInfo{{FileID: 1, DataLen: 100, K: 2}, {FileID: 2, DataLen: 100, K: 2}}
-	m.TotalSize = 200
-	if err := m.Validate(); !errors.Is(err, ErrBadManifest) {
-		t.Errorf("short interior chunk error = %v", err)
+	cases := []struct {
+		name   string
+		mutate func(m *Manifest)
+	}{
+		{"valid", func(*Manifest) {}},
+		{"no chunks", func(m *Manifest) { m.Chunks, m.TotalSize = nil, 0 }},
+		{"short interior chunk", func(m *Manifest) { m.Chunks[0].DataLen, m.Chunks[0].K, m.TotalSize = 100, 2, 200 }},
+		{"total mismatch", func(m *Manifest) { m.TotalSize = 999 }},
+		{"no sum on the last chunk", func(m *Manifest) { m.Chunks[1].Sum = rlnc.Digest{} }},
+		{"no sum on the first chunk", func(m *Manifest) { m.Chunks[0].Sum = rlnc.Digest{} }},
+		{"no sum anywhere", func(m *Manifest) { m.Chunks[0].Sum, m.Chunks[1].Sum = rlnc.Digest{}, rlnc.Digest{} }},
+		{"k far past the data", func(m *Manifest) {
+			m.Chunks = m.Chunks[1:]
+			m.Chunks[0].DataLen, m.Chunks[0].K, m.TotalSize = 10, 1<<40, 10
+		}},
+		{"k one past the data", func(m *Manifest) { m.Chunks[1].K = 3 }},
+		{"k short of the data", func(m *Manifest) { m.Chunks[0].K = 7 }},
+		{"zero k", func(m *Manifest) { m.Chunks[1].K = 0 }},
+		{"empty chunk", func(m *Manifest) {
+			m.Chunks = m.Chunks[:1]
+			m.Chunks[0].DataLen, m.Chunks[0].K, m.TotalSize = 0, 1, 0
+		}},
+		{"negative length", func(m *Manifest) { m.Chunks[1].DataLen, m.TotalSize = -1, 511 }},
+		{"m past MaxInt32", func(m *Manifest) { m.Plan.M = 1 << 61 }},
 	}
-	m.Chunks[0].DataLen = 512
-	m.TotalSize = 612
-	if err := m.Validate(); err != nil {
-		t.Errorf("valid manifest rejected: %v", err)
-	}
-	m.TotalSize = 999
-	if err := m.Validate(); !errors.Is(err, ErrBadManifest) {
-		t.Errorf("total mismatch error = %v", err)
-	}
-	// Sums are on every chunk or on none.
-	m.TotalSize = 612
-	m.Chunks[1].Sum[0] = 1
-	if err := m.Validate(); !errors.Is(err, ErrBadManifest) {
-		t.Errorf("sum on the second chunk only: error = %v", err)
-	}
-	m.Chunks[0].Sum[0] = 1
-	if err := m.Validate(); err != nil {
-		t.Errorf("sums on both chunks rejected: %v", err)
+	for _, tc := range cases {
+		m := valid()
+		tc.mutate(m)
+		err := m.Validate()
+		if tc.name == "valid" {
+			if err != nil {
+				t.Errorf("valid manifest rejected: %v", err)
+			}
+		} else if !errors.Is(err, ErrBadManifest) {
+			t.Errorf("%s: Validate = %v, want ErrBadManifest", tc.name, err)
+		}
 	}
 }
 
@@ -230,7 +251,7 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 		t.Errorf("digest count %d vs %d", got.DigestCount(), share.Manifest.DigestCount())
 	}
 	for i, c := range got.Chunks {
-		if !c.HasSum() || c.Sum != share.Manifest.Chunks[i].Sum {
+		if c.Sum == (rlnc.Digest{}) || c.Sum != share.Manifest.Chunks[i].Sum {
 			t.Errorf("chunk %d: sum %v came back as %v", i, share.Manifest.Chunks[i].Sum, c.Sum)
 		}
 	}
@@ -270,36 +291,6 @@ func TestBuildShareValidation(t *testing.T) {
 	}
 	if _, err := BuildShare("x", make([]byte, 10), testPlan(), 1, nil); err == nil {
 		t.Error("empty secret accepted")
-	}
-}
-
-func TestAssembleVerifiesContentDigest(t *testing.T) {
-	data := []byte("hello chunked world, this is some content")
-	share, err := BuildShare("c.txt", data, Plan{FieldBits: gf.Bits8, M: 8, ChunkSize: 64}, 1, testSecret())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !share.Manifest.Chunks[0].HasSum() || share.Manifest.ContentMD5 != "" {
-		t.Fatal("BuildShare records a sum per chunk and no whole-file digest")
-	}
-	good, err := Assemble(&share.Manifest, [][]byte{data})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(good, data) {
-		t.Fatal("assemble mismatch")
-	}
-	// A corrupted chunk of the right size must be caught by its sum.
-	bad := bytes.Clone(data)
-	bad[3] ^= 1
-	if _, err := Assemble(&share.Manifest, [][]byte{bad}); !errors.Is(err, ErrBadManifest) {
-		t.Errorf("corrupted assembly error = %v", err)
-	}
-	// A manifest from before the sums, and without the whole-file digest
-	// those carried, has no check to fail.
-	share.Manifest.Chunks[0].Sum = rlnc.Digest{}
-	if _, err := Assemble(&share.Manifest, [][]byte{bad}); err != nil {
-		t.Errorf("digest-free assembly error = %v", err)
 	}
 }
 

@@ -422,9 +422,9 @@ func (c *Client) FetchFile(ctx context.Context, addrs []string, m *chunk.Manifes
 // The file is assembled in place (chunk.Assembler): every chunk decodes
 // straight into its slot of one output buffer and is verified there
 // against its Sum while the downloads behind it still run. No byte is
-// returned until every chunk's sum — for a manifest written before
-// chunks had one, its whole-file ContentMD5 — and every per-message
-// digest have passed.
+// returned until every chunk's sum and every per-message digest have
+// passed. A manifest that fails Validate (one without a Sum on every
+// chunk, say) is refused before any peer is resolved or dialled.
 func (c *Client) FetchFileFrom(ctx context.Context, m *chunk.Manifest, secret []byte,
 	peersFor func(ctx context.Context, chunk int) ([]string, error)) ([]byte, FetchStats, error) {
 	total := FetchStats{BytesFrom: make(map[string]uint64)}

@@ -56,6 +56,8 @@ type Stream struct {
 // them in order. At most prefetch+1 chunks are in flight, so the fetch
 // never races far ahead of playback; they share one session per peer,
 // which lives until the last chunk is fetched or the Stream is closed.
+// A manifest that fails Validate (one without a Sum on every chunk, so
+// chunks no sum has checked would play) is refused before any dial.
 func (c *Client) StreamFile(ctx context.Context, addrs []string, m *chunk.Manifest,
 	secret []byte, opts StreamOptions) (*Stream, error) {
 	if err := m.Validate(); err != nil {

@@ -3,11 +3,13 @@ package core_test
 // The write path opens one connection per destination per call: an
 // update or a repair touching several chunks of a peer dials it once.
 // A spot-check round probes each peer on one connection per attempt,
-// however many chunks it holds.
+// however many chunks it holds. A manifest that fails validation costs
+// no dial at all.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"asymshare/internal/audit"
+	"asymshare/internal/chunk"
 	"asymshare/internal/client"
 	"asymshare/internal/core"
 	"asymshare/internal/transport"
@@ -134,5 +137,61 @@ func TestSpotCheckDialsUnreachablePeerPerRoundNotPerChunk(t *testing.T) {
 	if want := int64(1 + 1 + audit.DefaultMaxRetries); tr.dials.Load() != want {
 		t.Errorf("spot-check round dialled %d times, want %d: one to the live peer, 1+%d to the unreachable one for all its chunks",
 			tr.dials.Load(), want, audit.DefaultMaxRetries)
+	}
+}
+
+// TestSumlessManifestRefusedBeforeAnyDial: a manifest without a Sum on
+// every chunk — the format shares had before chunks carried one — is
+// refused by every fetch flavour and by UpdateFile with
+// chunk.ErrBadManifest, before a single dial. StreamFile would
+// otherwise play chunks no sum had checked.
+func TestSumlessManifestRefusedBeforeAnyDial(t *testing.T) {
+	tr := new(countingTransport)
+	sys, err := core.NewSystem(identity(t, 180), nil, core.WithPlan(smallPlan()),
+		core.WithClientOptions(client.Options{Transport: tr}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{startPeer(t, 181).Addr().String(), startPeer(t, 182).Addr().String()}
+	data := make([]byte, 2500) // 3 chunks under smallPlan
+	rand.New(rand.NewSource(18)).Read(data)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := sys.ShareFile(ctx, "old.bin", data, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &res.Handle
+	stripSums(h)
+	edited := bytes.Clone(data)
+	edited[0] ^= 1
+
+	tr.dials.Store(0)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"FetchFile", func() error {
+			_, _, err := sys.FetchFile(ctx, h, res.Secret)
+			return err
+		}},
+		{"StreamFile", func() error {
+			s, err := sys.Client().StreamFile(ctx, h.Peers, &h.Manifest, res.Secret, client.StreamOptions{})
+			if err == nil {
+				s.Close()
+			}
+			return err
+		}},
+		{"UpdateFile", func() error {
+			_, err := sys.UpdateFile(ctx, h, res.Secret, data, edited)
+			return err
+		}},
+	} {
+		if err := tc.run(); !errors.Is(err, chunk.ErrBadManifest) {
+			t.Errorf("%s on a sum-less manifest: %v, want chunk.ErrBadManifest", tc.name, err)
+		}
+		if n := tr.dials.Swap(0); n != 0 {
+			t.Errorf("%s on a sum-less manifest dialled %d times", tc.name, n)
+		}
 	}
 }

@@ -3,18 +3,12 @@ package core
 // The write path's golden: what ShareFile runs — BuildShare, streamShare
 // onto real peers — with the two random draws (secret, base file-id)
 // pinned, so the manifest it publishes can be compared byte for byte
-// with testdata/golden_manifest.json. Beside it sits
-// testdata/presums_manifest.json, the manifest the same share published
-// before chunks carried sums (a whole-file contentMd5 instead), kept
-// verbatim: the golden must differ from it in exactly that, and the
-// fixture — the format of every handle written until then — must still
-// fetch and still be checked.
+// with testdata/golden_manifest.json.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"math/rand"
 	"os"
 	"testing"
@@ -112,32 +106,10 @@ func TestShareManifestMatchesGolden(t *testing.T) {
 		t.Fatalf("manifest records %d digests", n)
 	}
 
-	// Against the pre-sums fixture only contentMd5 went and sum came:
-	// same geometry, every per-message digest byte for byte.
-	old, oldBlob := readManifest(t, "testdata/presums_manifest.json")
-	if old.ContentMD5 != chunk.ContentDigest(data) || bytes.Contains(oldBlob, []byte(`"sum"`)) {
-		t.Fatal("the pre-sums fixture is not one: it carries the file's contentMd5 and no sum")
-	}
-	if golden.ContentMD5 != "" || bytes.Contains(want, []byte("contentMd5")) {
-		t.Error("the golden still carries a contentMd5")
-	}
-	if golden.Name != old.Name || golden.TotalSize != old.TotalSize || golden.Plan != old.Plan || len(golden.Chunks) != len(old.Chunks) {
-		t.Fatalf("golden describes %q/%d/%+v/%d chunks, the fixture %q/%d/%+v/%d",
-			golden.Name, golden.TotalSize, golden.Plan, len(golden.Chunks), old.Name, old.TotalSize, old.Plan, len(old.Chunks))
-	}
 	pieces := chunk.Split(data, golden.Plan.ChunkSize)
 	for i, c := range golden.Chunks {
-		o := old.Chunks[i]
-		if c.FileID != o.FileID || c.DataLen != o.DataLen || c.K != o.K || len(c.Digests) != len(o.Digests) {
-			t.Fatalf("chunk %d: geometry or digest count differs from the fixture's", i)
-		}
-		for id, d := range o.Digests {
-			if c.Digests[id] != d {
-				t.Fatalf("chunk %d message %#x: digest differs from the fixture's", i, id)
-			}
-		}
-		if o.HasSum() || !c.HasSum() || c.Sum != c.SumOf(golden.Plan, pieces[i]) {
-			t.Errorf("chunk %d: fixture has a sum (%v), or the golden's (%v) is not its plaintext's", i, o.HasSum(), c.Sum)
+		if c.Sum != c.SumOf(golden.Plan, pieces[i]) {
+			t.Errorf("chunk %d: the golden's sum %v is not its plaintext's", i, c.Sum)
 		}
 	}
 
@@ -171,38 +143,5 @@ func TestShareManifestMatchesGolden(t *testing.T) {
 	}
 	if stats.Rejected == 0 {
 		t.Error("the forged message was not rejected")
-	}
-}
-
-// TestPreSumsManifestStillFetches: a handle written before chunks
-// carried sums — the fixture, over the very messages the golden share
-// stores — fetches byte-identical, is still held to its ContentMD5, and
-// cannot be half-converted.
-func TestPreSumsManifestStillFetches(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	sys, h, secret, data, _ := goldenShare(t, ctx)
-	old, _ := readManifest(t, "testdata/presums_manifest.json")
-	oldHandle := &Handle{Manifest: *old, Peers: h.Peers}
-
-	back, stats, err := sys.FetchFile(ctx, oldHandle, secret)
-	if err != nil || !bytes.Equal(back, data) || stats.Rejected != 0 {
-		t.Fatalf("fetch of the pre-sums handle: %v, identical=%v, %d rejected", err, bytes.Equal(back, data), stats.Rejected)
-	}
-
-	tampered := *oldHandle
-	tampered.Manifest.ContentMD5 = chunk.ContentDigest([]byte("another file"))
-	if back, _, err := sys.FetchFile(ctx, &tampered, secret); !errors.Is(err, chunk.ErrBadManifest) || back != nil {
-		t.Fatalf("tampered ContentMD5: (%d bytes, %v), want (nil, ErrBadManifest)", len(back), err)
-	}
-
-	mixed := *oldHandle
-	mixed.Manifest.Chunks = append([]chunk.ChunkInfo(nil), old.Chunks...)
-	mixed.Manifest.Chunks[2].Sum = h.Manifest.Chunks[2].Sum
-	if err := mixed.Manifest.Validate(); !errors.Is(err, chunk.ErrBadManifest) {
-		t.Fatalf("sum on one chunk of six validates: %v", err)
-	}
-	if back, _, err := sys.FetchFile(ctx, &mixed, secret); !errors.Is(err, chunk.ErrBadManifest) || back != nil {
-		t.Fatalf("mixed manifest: (%d bytes, %v), want (nil, ErrBadManifest)", len(back), err)
 	}
 }

@@ -33,7 +33,10 @@ func SaveHandleFileFS(fsys fsx.FS, path string, h *Handle) error {
 	return nil
 }
 
-// LoadHandleFile reads a handle previously written by SaveHandleFile.
+// LoadHandleFile reads a handle previously written by SaveHandleFile
+// and validates its manifest. A handle that fails (one written before
+// chunks carried sums, say) is refused with chunk.ErrBadManifest
+// naming the path, and the file is left as it was.
 func LoadHandleFile(path string) (*Handle, error) {
 	return LoadHandleFileFS(fsx.OS, path)
 }
@@ -47,6 +50,9 @@ func LoadHandleFileFS(fsys fsx.FS, path string) (*Handle, error) {
 	var h Handle
 	if err := json.Unmarshal(blob, &h); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrBadHandle, path, err)
+	}
+	if err := h.Manifest.Validate(); err != nil {
+		return nil, fmt.Errorf("core: handle %s: %w; share the file again for a handle this version reads", path, err)
 	}
 	return &h, nil
 }

@@ -57,7 +57,7 @@ func TestShareFilePlacedRoundTrip(t *testing.T) {
 		t.Fatalf("ChunkPeers = %d entries", len(res.Handle.ChunkPeers))
 	}
 	for i, piece := range chunk.Split(data, res.Handle.Manifest.Plan.ChunkSize) {
-		if info := res.Handle.Manifest.Chunks[i]; !info.HasSum() || info.CheckSum(res.Handle.Manifest.Plan, piece) != nil {
+		if info := res.Handle.Manifest.Chunks[i]; info.CheckSum(res.Handle.Manifest.Plan, piece) != nil {
 			t.Errorf("placed share publishes sum %v for chunk %d, not its plaintext's", info.Sum, i)
 		}
 	}

@@ -29,9 +29,7 @@ type UpdateResult struct {
 // write path, and refreshes the manifest for the changed chunks: a
 // holder's message digests as that holder acknowledges, a chunk's Sum
 // once every holder has. Both versions must have the handle's original
-// size; resizes need a fresh ShareFile. A handle written before chunks
-// carried sums leaves a successful update with one on every chunk and
-// no ContentMD5.
+// size; resizes need a fresh ShareFile.
 func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, newData []byte) (*UpdateResult, error) {
 	if h == nil || len(h.Peers) == 0 {
 		return nil, fmt.Errorf("%w: missing peers", ErrBadHandle)
@@ -45,7 +43,7 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 	if err != nil {
 		return nil, err
 	}
-	// Valid means chunks and pieces pair up, and sums are on all or none.
+	// Valid means chunks and pieces pair up, and every chunk has a sum.
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -55,9 +53,7 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 		m:      m,
 		encs:   make([]*rlnc.Encoder, len(m.Chunks)),
 		deltas: make([]*rlnc.DeltaEncoder, len(m.Chunks)),
-	}
-	if m.Chunks[0].HasSum() {
-		w.sums = make([]rlnc.Digest, len(m.Chunks))
+		sums:   make([]rlnc.Digest, len(m.Chunks)),
 	}
 	var dests destSet
 	var jobs []shareJob
@@ -73,9 +69,7 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 		if w.encs[i], err = rlnc.NewEncoder(params, info.FileID, secret, newChunks[i]); err != nil {
 			return nil, err
 		}
-		if w.sums != nil {
-			w.sums[i] = info.SumOf(m.Plan, newChunks[i])
-		}
+		w.sums[i] = info.SumOf(m.Plan, newChunks[i])
 		// Each holder keeps the batch its rank was minted with; batch
 		// message-ids depend only on (file-id, secret), so the owner
 		// recomputes them without contacting anyone — or minting the
@@ -88,12 +82,6 @@ func (s *System) UpdateFile(ctx context.Context, h *Handle, secret, oldData, new
 	result.MessagesPatched, result.BytesSent, err = w.stream(ctx, s.client, dests.addrs, jobs)
 	if err != nil {
 		return nil, err
-	}
-	if !m.Chunks[0].HasSum() {
-		for i, piece := range newChunks {
-			m.Chunks[i].Sum = m.Chunks[i].SumOf(m.Plan, piece)
-		}
-		m.ContentMD5 = ""
 	}
 	return result, nil
 }

@@ -69,8 +69,8 @@ func TestUpdateFilePropagatesEdit(t *testing.T) {
 			t.Errorf("chunk %d: sum %v, a fresh share of the new version has %v", i, m.Chunks[i].Sum, fresh.Manifest.Chunks[i].Sum)
 		}
 	}
-	if m.Chunks[1].Sum == sumsBefore[1] || m.ContentMD5 != "" {
-		t.Errorf("changed chunk kept its sum, or the update wrote ContentMD5 %q", m.ContentMD5)
+	if m.Chunks[1].Sum == sumsBefore[1] {
+		t.Error("changed chunk kept its sum")
 	}
 
 	got, stats, err := sys.FetchFile(ctx, &res.Handle, res.Secret)
@@ -92,90 +92,6 @@ func sums(m *chunk.Manifest) []rlnc.Digest {
 		out[i] = c.Sum
 	}
 	return out
-}
-
-// preSums rewrites h as ShareFile published it before chunks carried
-// sums: none anywhere, the whole file's MD5 in ContentMD5.
-func preSums(h *core.Handle, data []byte) {
-	for i := range h.Manifest.Chunks {
-		h.Manifest.Chunks[i].Sum = rlnc.Digest{}
-	}
-	h.Manifest.ContentMD5 = chunk.ContentDigest(data)
-}
-
-// TestUpdateFilePreSumsHandleComesOutSummed: a handle of the older
-// format leaves a successful UpdateFile — one that changed nothing
-// included — with a sum on every chunk and no ContentMD5, and fetches
-// verified; a failed one leaves it exactly as it was.
-func TestUpdateFilePreSumsHandleComesOutSummed(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	oldData := make([]byte, 3000)
-	rng.Read(oldData)
-	newData := bytes.Clone(oldData)
-	copy(newData[2100:2150], bytes.Repeat([]byte{0xEF}, 50)) // chunk 2
-	sys, err := core.NewSystem(identity(t, 130), nil, core.WithPlan(smallPlan()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	for _, tc := range []struct {
-		name string
-		next []byte
-		fail bool
-	}{
-		{"edit", newData, false},
-		{"no change", oldData, false},
-		{"peer hangs up", newData, true},
-	} {
-		addrs := []string{startPeer(t, 131).Addr().String(), startPeer(t, 132).Addr().String()}
-		res, err := sys.ShareFile(ctx, "old.txt", oldData, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := &res.Handle
-		preSums(h, oldData)
-		if back, _, err := sys.FetchFile(ctx, h, res.Secret); err != nil || !bytes.Equal(back, oldData) {
-			t.Fatalf("%s: pre-sums handle does not fetch: %v", tc.name, err)
-		}
-		if tc.fail {
-			h.Peers[1], _ = fakePeer(t, 133, 0, false)
-		}
-		_, err = sys.UpdateFile(ctx, h, res.Secret, oldData, tc.next)
-		if tc.fail {
-			if err == nil {
-				t.Fatalf("%s: update succeeded", tc.name)
-			}
-			for i, c := range h.Manifest.Chunks {
-				if c.HasSum() {
-					t.Errorf("%s: failed update left a sum on chunk %d", tc.name, i)
-				}
-			}
-			if h.Manifest.ContentMD5 != chunk.ContentDigest(oldData) {
-				t.Errorf("%s: failed update moved ContentMD5 to %q", tc.name, h.Manifest.ContentMD5)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		fresh, err := chunk.BuildShare("old.txt", tc.next, h.Manifest.Plan, h.Manifest.Chunks[0].FileID, res.Secret)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range h.Manifest.Chunks {
-			if !c.HasSum() || c.Sum != fresh.Manifest.Chunks[i].Sum {
-				t.Errorf("%s: chunk %d sum %v, a fresh share has %v", tc.name, i, c.Sum, fresh.Manifest.Chunks[i].Sum)
-			}
-		}
-		if h.Manifest.ContentMD5 != "" {
-			t.Errorf("%s: handle still carries ContentMD5 %q", tc.name, h.Manifest.ContentMD5)
-		}
-		if back, _, err := sys.FetchFile(ctx, h, res.Secret); err != nil || !bytes.Equal(back, tc.next) {
-			t.Errorf("%s: fetch after update: %v, identical=%v", tc.name, err, bytes.Equal(back, tc.next))
-		}
-	}
 }
 
 func TestUpdateFileNoChange(t *testing.T) {
@@ -271,7 +187,7 @@ func TestUpdateFileFailedPatchKeepsContentDigest(t *testing.T) {
 		h := &res.Handle
 		sumsBefore := sums(&h.Manifest)
 		for i, piece := range chunk.Split(oldData, h.Manifest.Plan.ChunkSize) {
-			if info := h.Manifest.Chunks[i]; !info.HasSum() || info.CheckSum(h.Manifest.Plan, piece) != nil {
+			if info := h.Manifest.Chunks[i]; info.CheckSum(h.Manifest.Plan, piece) != nil {
 				t.Fatalf("shared handle has sum %v for chunk %d", info.Sum, i)
 			}
 		}

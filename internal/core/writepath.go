@@ -49,8 +49,9 @@ type shareJob struct {
 // writeSet is what one run of the pipeline mints from and records into:
 // the manifest, and per chunk the encoder of the version the holders
 // are to hold (nil for a chunk no job names), the delta encoder from
-// the version they hold now (patch jobs only), and the Sum the chunk
-// gets once its last job is delivered (nil sums: every Sum stays).
+// the version they hold now and the Sum the chunk gets once its last
+// job is delivered (patch runs only: a share or a repair keeps every
+// Sum).
 type writeSet struct {
 	m      *chunk.Manifest
 	encs   []*rlnc.Encoder
@@ -262,7 +263,7 @@ func (w *writeSet) stream(ctx context.Context, cl *client.Client, addrs []string
 		}
 		sent += len(slot.msgs)
 		left[slot.chunk]--
-		if left[slot.chunk] == 0 && w.sums != nil {
+		if left[slot.chunk] == 0 && slot.patch {
 			info.Sum = w.sums[slot.chunk]
 		}
 		free <- slot

@@ -3,8 +3,9 @@ package harness
 // End-to-end chaos tests: the real protocol stack — wire framing,
 // mutual handshakes, rlnc streams, audits, the fairness ledger —
 // driven through deterministic fault injection on a netsim fabric.
-// Every test logs its fabric seed; rerun any failure exactly with
-// NETSIM_SEED=<seed> go test ./internal/netsim/harness/...
+// Every test logs its fabric seed; rerun a failure's seeded draws with
+// NETSIM_SEED=<seed> go test ./internal/netsim/harness/... (the swarm
+// scenarios' routing tables are built concurrently and do not replay).
 
 import (
 	"bytes"

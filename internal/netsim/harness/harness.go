@@ -35,8 +35,10 @@ const (
 )
 
 // Seed returns the fabric seed for a test: NETSIM_SEED when set (so a
-// logged failure replays exactly), otherwise the fallback. The chosen
-// seed is logged either way — a failing run prints the line to rerun.
+// logged failure replays its seeded draws), otherwise the fallback. The
+// chosen seed is logged either way — a failing run prints the line to
+// rerun. What goroutines race to decide (a swarm's concurrent joins,
+// say) does not replay.
 func Seed(t *testing.T, fallback int64) int64 {
 	t.Helper()
 	seed := fallback

@@ -89,6 +89,13 @@ func coldFetch(t *testing.T, ctx context.Context, s *Swarm, node *dht.Node,
 // a 1024-peer swarm on scaled-down links, ring placement from the home,
 // DHT lookups that stay within a few hops, then a cold client fetch and
 // keyed audits that debit the home ledger — all via DHT discovery.
+//
+// NETSIM_SEED replays the data, the placement and the sample keys, not
+// the routing tables: StartSwarm joins through a pool of workers and
+// each lookup queries Alpha contacts in parallel, so the hop figures
+// vary between runs of one seed (2.57, 2.53, 2.55 at 4242). A failed
+// hop gate therefore logs its own evidence: the hop histogram and the
+// home's table size.
 func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-peer swarm scenario skipped in -short")
@@ -139,7 +146,12 @@ func TestSwarmTrackerlessThousandPeers(t *testing.T) {
 	t.Logf("lookup hops over %d keys x %d lookups: mean %.2f, median %.1f, p90 %.1f, max %d",
 		keys, lookupsPerKey, mean, quantile(hops, 0.5), p90, hops[len(hops)-1])
 	if p90 > 4 || mean > 2.9 {
-		t.Errorf("lookup hops: p90 %.1f (bound 4), mean %.2f (bound 2.9)", p90, mean)
+		hist := make(map[int]int)
+		for _, h := range hops {
+			hist[h]++
+		}
+		t.Errorf("lookup hops: p90 %.1f (bound 4), mean %.2f (bound 2.9); lookups per hop count %v, home table %d contacts",
+			p90, mean, hist, s.HomeDHT.TableSize())
 	}
 
 	// The user's DHT node joins through a swarm peer, not the home.

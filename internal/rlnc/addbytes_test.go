@@ -1,7 +1,7 @@
 package rlnc
 
 // Differential coverage for the zero-copy ingest path: AddBytes must be
-// observationally identical to UnmarshalBinary + Add for every message
+// observationally identical to ViewMessage + Add for every message
 // class (innovative, duplicate, redundant, corrupt, foreign, short),
 // and must hold the same steady-state zero-allocation guarantee.
 
@@ -97,9 +97,9 @@ func TestAddBytesRejects(t *testing.T) {
 	if _, err := pipe.AddBytes(marshal(t, unknown)); !errors.Is(err, ErrBadDigest) {
 		t.Errorf("unknown message-id error = %v", err)
 	}
-	// The short buffer is a parse failure — the legacy path would die
-	// in UnmarshalBinary before reaching the sink — so only the three
-	// well-formed rejects are accounted.
+	// The short buffer is a parse failure — ViewMessage refuses it too,
+	// before anything reaches the sink — so only the three well-formed
+	// rejects are accounted.
 	st := pipe.Stats()
 	if st.Received != 3 || st.Rejected != 3 {
 		t.Errorf("stats after rejects: %+v", st)

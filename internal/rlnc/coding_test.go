@@ -202,40 +202,44 @@ func TestMessageRoundTrip(t *testing.T) {
 	if len(buf) != 16+4 {
 		t.Fatalf("serialized length %d", len(buf))
 	}
-	var got Message
-	if err := got.UnmarshalBinary(buf); err != nil {
+	got, err := ViewMessage(buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got.FileID != m.FileID || got.MessageID != m.MessageID || !bytes.Equal(got.Payload, m.Payload) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	// Unmarshal copies the payload.
+	// ViewMessage aliases the payload: the caller copies what it keeps.
 	buf[16] ^= 0xFF
-	if got.Payload[0] == buf[16] {
-		t.Error("UnmarshalBinary aliases input buffer")
+	if got.Payload[0] != buf[16] {
+		t.Error("ViewMessage copied the payload")
 	}
 }
 
 func TestMessageUnmarshalShort(t *testing.T) {
-	var m Message
-	if err := m.UnmarshalBinary(make([]byte, 15)); !errors.Is(err, ErrShortMessage) {
-		t.Errorf("short unmarshal error = %v", err)
+	if _, err := ViewMessage(make([]byte, 15)); !errors.Is(err, ErrShortMessage) {
+		t.Errorf("short parse error = %v", err)
 	}
 }
 
+// TestMessageReadWrite: the serve path's framing — PutHeader, then the
+// payload — writes MarshalBinary's bytes, and ViewMessage reads them
+// back.
 func TestMessageReadWrite(t *testing.T) {
 	m := &Message{FileID: 9, MessageID: 10, Payload: []byte{5, 6, 7, 8, 9, 10}}
-	var buf bytes.Buffer
-	n, err := m.WriteTo(&buf)
-	if err != nil || n != int64(16+6) {
-		t.Fatalf("WriteTo = %d, %v", n, err)
+	framed := make([]byte, MessageHeaderBytes, MessageHeaderBytes+len(m.Payload))
+	m.PutHeader(framed)
+	framed = append(framed, m.Payload...)
+	want, err := m.MarshalBinary()
+	if err != nil || !bytes.Equal(framed, want) {
+		t.Fatalf("PutHeader+payload = %x, MarshalBinary = %x (%v)", framed, want, err)
 	}
-	got, err := ReadMessage(&buf, 6)
+	got, err := ViewMessage(framed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.FileID != 9 || got.MessageID != 10 || !bytes.Equal(got.Payload, m.Payload) {
-		t.Fatalf("ReadMessage mismatch: %+v", got)
+		t.Fatalf("ViewMessage mismatch: %+v", got)
 	}
 }
 

@@ -248,6 +248,9 @@ func TestEncoderConcurrentMinting(t *testing.T) {
 	wg.Wait()
 }
 
+// FuzzMessageUnmarshal drives ViewMessage, the parser every PUT and
+// PATCH payload goes through: it never panics, and what it accepts
+// marshals back to the same bytes.
 func FuzzMessageUnmarshal(f *testing.F) {
 	msg := Message{FileID: 1, MessageID: 2, Payload: []byte{1, 2, 3}}
 	seed, err := msg.MarshalBinary()
@@ -258,8 +261,8 @@ func FuzzMessageUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 16))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var m Message
-		if err := m.UnmarshalBinary(data); err != nil {
+		m, err := ViewMessage(data)
+		if err != nil {
 			return
 		}
 		// A successful parse must round-trip.

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 const headerBytes = 16
@@ -79,6 +78,7 @@ func (m *Message) MarshalBinary() ([]byte, error) {
 // Payload aliases data, so the message is only good for as long as the
 // caller owns data — for handing a received frame to something that
 // copies what it keeps (a store.Store) or only reads it (ApplyDelta).
+// It is the one parser of the Fig. 3 layout.
 func ViewMessage(data []byte) (Message, error) {
 	if len(data) < headerBytes {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrShortMessage, len(data))
@@ -88,41 +88,6 @@ func ViewMessage(data []byte) (Message, error) {
 		MessageID: binary.BigEndian.Uint64(data[8:]),
 		Payload:   data[headerBytes:],
 	}, nil
-}
-
-// UnmarshalBinary parses a serialized message. The payload is copied.
-func (m *Message) UnmarshalBinary(data []byte) error {
-	v, err := ViewMessage(data)
-	if err != nil {
-		return err
-	}
-	v.Payload = append([]byte{}, v.Payload...)
-	*m = v
-	return nil
-}
-
-// WriteTo writes the serialized message to w.
-func (m *Message) WriteTo(w io.Writer) (int64, error) {
-	buf, err := m.MarshalBinary()
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(buf)
-	return int64(n), err
-}
-
-// ReadMessage reads one message with a payload of exactly payloadLen
-// bytes from r.
-func ReadMessage(r io.Reader, payloadLen int) (*Message, error) {
-	buf := make([]byte, headerBytes+payloadLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	var m Message
-	if err := m.UnmarshalBinary(buf); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }
 
 // Clone returns a deep copy of the message. The payload is appended to

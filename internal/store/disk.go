@@ -21,13 +21,13 @@ package store
 // the prefix kept; interior corruption quarantines the file as
 // `<name>.corrupt` — preserved for inspection, never silently dropped,
 // never fatal to the rest of the store — and re-journals the undamaged
-// prefix. Files in the pre-journal format (no magic) are migrated on
-// first open. All filesystem access goes through an fsx.FS so the
-// recovery paths are exercised under deterministic fault injection.
+// prefix. A file without the journal magic (one from before the
+// journal format, whose records carry no checksum) is quarantined
+// whole. All filesystem access goes through an fsx.FS so the recovery
+// paths are exercised under deterministic fault injection.
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -82,13 +82,10 @@ type RecoveryStats struct {
 	// TruncatedTails counts journals whose final, torn record was cut.
 	TruncatedTails int
 
-	// QuarantinedFiles counts data files renamed to `<name>.corrupt`
-	// because of interior corruption; their undamaged prefix was kept.
+	// QuarantinedFiles counts data files renamed to `<name>.corrupt`:
+	// journals with interior corruption, whose undamaged prefix was
+	// kept, and files without the journal magic, of which nothing was.
 	QuarantinedFiles int
-
-	// MigratedLegacy counts pre-journal files rewritten into the
-	// journal format.
-	MigratedLegacy int
 }
 
 // recordRef locates a message's latest record in its journal.
@@ -273,7 +270,9 @@ func (d *Disk) recoverFile(path string) error {
 	if n == 4 && string(magic[:]) == journalMagic {
 		err = d.recoverJournal(f, path, size)
 	} else {
-		err = d.recoverLegacy(f, path, size)
+		// Not a journal: a file from before the journal format, or
+		// damage. Its records carry no checksums, so none is served.
+		err = d.quarantine(path, fmt.Errorf("%w: %s: no journal magic", ErrCorrupt, path))
 	}
 	f.Close()
 	return err
@@ -346,90 +345,8 @@ func (d *Disk) recoverJournal(f fsx.File, path string, size int64) error {
 	return nil
 }
 
-// recoverLegacy parses a pre-journal file ([4-byte len][Fig. 3 record]
-// concatenation, no checksums) positioned after a 4-byte read, and
-// migrates it to the journal format. Without checksums a parse failure
-// cannot be blamed on a torn tail, so damage quarantines the file,
-// keeping the structurally-sound prefix. Legacy files are small and
-// rare, so this path holds the parsed messages.
-func (d *Disk) recoverLegacy(f fsx.File, path string, size int64) error {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: %s: %w", path, err)
-	}
-	var (
-		recs   []*rlnc.Message
-		lenBuf [4]byte
-		broken error
-	)
-	for {
-		if _, err := io.ReadFull(f, lenBuf[:]); err != nil {
-			if err != io.EOF {
-				broken = fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-			}
-			break
-		}
-		payloadLen := binary.BigEndian.Uint32(lenBuf[:])
-		if payloadLen > maxRecordPayload {
-			broken = fmt.Errorf("%w: %s: record of %d bytes", ErrCorrupt, path, payloadLen)
-			break
-		}
-		msg, err := rlnc.ReadMessage(f, int(payloadLen))
-		if err != nil {
-			broken = fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-			break
-		}
-		recs = append(recs, msg)
-	}
-	if broken != nil {
-		if err := d.quarantine(path, broken); err != nil {
-			return err
-		}
-		return d.journalMessages(recs)
-	}
-	d.stats.MigratedLegacy++
-	if err := d.journalMessages(recs); err != nil {
-		return err
-	}
-	for _, js := range d.journals {
-		if js.path == path {
-			return nil // the name now holds a journal
-		}
-	}
-	if err := d.fsys.Remove(path); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return d.fsys.SyncDir(d.dir)
-}
-
-// journalMessages atomically writes parsed legacy records as journals,
-// one per file-id, and indexes what it wrote.
-func (d *Disk) journalMessages(recs []*rlnc.Message) error {
-	byFile := make(map[uint64][]*rlnc.Message)
-	var order []uint64
-	for _, msg := range recs {
-		if _, ok := byFile[msg.FileID]; !ok {
-			order = append(order, msg.FileID)
-		}
-		byFile[msg.FileID] = append(byFile[msg.FileID], msg)
-	}
-	for _, fid := range order {
-		js := newJournal(d.pathFor(fid))
-		buf := encodeHeader(fid)
-		for _, msg := range byFile[fid] {
-			js.note(msg.MessageID, int64(len(buf)), int64(recordHdrLen+len(msg.Payload)))
-			buf = appendRecord(buf, msg)
-		}
-		if err := fsx.WriteFileAtomic(d.fsys, js.path, buf, 0o644); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		js.size = int64(len(buf))
-		d.journals[fid] = js
-	}
-	return nil
-}
-
 // quarantine renames a damaged file to `<name>.corrupt`; the caller
-// re-journals whatever valid prefix it recovered. The cause is
+// re-journals whatever valid prefix it recovered, if any. The cause is
 // absorbed, not returned: one rotten file must not stop the node from
 // serving everything else it holds.
 func (d *Disk) quarantine(path string, cause error) error {

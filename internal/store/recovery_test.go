@@ -3,7 +3,8 @@ package store
 // Crash-recovery tests for the journaled disk backend. The table cases
 // hand-craft specific damage (torn tails, bit flips, truncations) and
 // assert the recovery policy: torn tails are cut, interior corruption
-// is quarantined, and neither is fatal. The sweep tests run the store
+// and files without the journal magic are quarantined, and none of it
+// is fatal. The sweep tests run the store
 // on fsx.ErrFS and inject a fault at every single filesystem operation
 // of a Put workload, asserting the durability contract: every
 // acknowledged Put survives, every surviving message is byte-identical
@@ -12,9 +13,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -122,9 +125,9 @@ func TestJournalRecoveryTable(t *testing.T) {
 			quarantined: 1,
 		},
 		{
-			name:        "legacy file with damaged tail keeps parsed prefix",
-			data:        append(legacyBytes(m1, m2), 0, 0, 0, 9, 1, 2),
-			wantIDs:     []uint64{1, 2},
+			name:        "pre-journal file is quarantined whole",
+			data:        preJournalBytes(m1, m2),
+			wantIDs:     nil,
 			quarantined: 1,
 		},
 	}
@@ -183,46 +186,53 @@ func TestJournalRecoveryTable(t *testing.T) {
 	}
 }
 
-// legacyBytes renders the pre-journal format: [4-byte len][Fig. 3
-// record] concatenated.
-func legacyBytes(msgs ...*rlnc.Message) []byte {
-	var buf bytes.Buffer
-	var lenBuf [4]byte
+// preJournalBytes renders the format data files had before the
+// journal: [4-byte len][Fig. 3 record] concatenated, no magic and no
+// checksum.
+func preJournalBytes(msgs ...*rlnc.Message) []byte {
+	var buf []byte
 	for _, m := range msgs {
-		lenBuf[0] = byte(len(m.Payload) >> 24)
-		lenBuf[1] = byte(len(m.Payload) >> 16)
-		lenBuf[2] = byte(len(m.Payload) >> 8)
-		lenBuf[3] = byte(len(m.Payload))
-		buf.Write(lenBuf[:])
-		m.WriteTo(&buf)
+		rec, _ := m.MarshalBinary()
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Payload)))
+		buf = append(buf, rec...)
 	}
-	return buf.Bytes()
+	return buf
 }
 
-func TestDiskMigratesLegacyFormat(t *testing.T) {
+// TestDiskQuarantinesPreJournalFile: a data file without the journal
+// magic is renamed to `<name>.corrupt` with its bytes intact and none of
+// its records indexed, while the store opens and serves its journals;
+// the file-id takes a fresh journal on its next PUT.
+func TestDiskQuarantinesPreJournalFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "2a.dat")
-	if err := os.WriteFile(path, legacyBytes(msg(0x2A, 1, 1, 2), msg(0x2A, 2, 3)), 0o644); err != nil {
+	old := preJournalBytes(msg(0x2A, 1, 1, 2), msg(0x2A, 2, 3))
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "3b.dat"), journalBytes(0x3B, msg(0x3B, 7, 9, 9)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d, err := OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Recovery().MigratedLegacy != 1 {
-		t.Errorf("MigratedLegacy = %d", d.Recovery().MigratedLegacy)
+	if r := d.Recovery(); r.QuarantinedFiles != 1 || r.TruncatedTails != 0 {
+		t.Errorf("recovery = %+v, want one file quarantined", r)
 	}
-	if got := d.Count(0x2A); got != 2 {
-		t.Fatalf("Count = %d", got)
+	if got := d.Count(0x2A); got != 0 {
+		t.Errorf("Count(0x2A) = %d: a pre-journal record is served", got)
 	}
-	// The file is now a journal and appends keep working.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("pre-journal file still under its name: %v", err)
 	}
-	if string(data[:4]) != journalMagic {
-		t.Fatalf("file not migrated to journal format: %x", data[:4])
+	if kept, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(kept, old) {
+		t.Errorf("quarantined bytes differ from the file's (%v)", err)
 	}
+	if m, err := d.Get(0x3B, 7); err != nil || !bytes.Equal(m.Payload, []byte{9, 9}) {
+		t.Fatalf("journal beside it: %v, %v", m, err)
+	}
+
 	if err := d.Put(msg(0x2A, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +240,11 @@ func TestDiskMigratesLegacyFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := again.Count(0x2A); got != 3 {
-		t.Errorf("Count after migrate+append+reopen = %d", got)
+	if got := again.Count(0x2A); got != 1 {
+		t.Errorf("Count(0x2A) after a fresh PUT and reopen = %d, want 1", got)
 	}
-	if again.Recovery().MigratedLegacy != 0 {
-		t.Error("migration ran twice")
+	if r := again.Recovery(); r.QuarantinedFiles != 0 {
+		t.Errorf("reopen quarantined again: %+v", r)
 	}
 }
 
