@@ -488,50 +488,6 @@ func BenchmarkRobustness(b *testing.B) {
 	b.ReportMetric(tbl.Cells[0][3], "success_at_boundary")
 }
 
-// BenchmarkRecode measures relay recombination throughput — the
-// operation the paper's verbatim-forwarding design avoids on peers.
-func BenchmarkRecode(b *testing.B) {
-	for _, bits := range []uint{gf.Bits8, gf.Bits32} {
-		field := gf.MustNew(bits)
-		b.Run(fmt.Sprintf("GF2_%d", bits), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(4))
-			const k, m = 16, 4096
-			params, err := rlnc.NewParams(field, k, m, k*gf.VecBytes(field.Bits(), m))
-			if err != nil {
-				b.Fatal(err)
-			}
-			secret := make([]byte, rlnc.SecretLen)
-			rng.Read(secret)
-			data := make([]byte, params.DataLen)
-			rng.Read(data)
-			enc, err := rlnc.NewEncoder(params, 1, secret, data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen, err := rlnc.NewCoeffGenerator(field, k, secret)
-			if err != nil {
-				b.Fatal(err)
-			}
-			relay, err := rlnc.NewRecoder(params, 1, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for id := uint64(0); id < k; id++ {
-				if err := relay.Absorb(rlnc.PacketFromMessage(gen, enc.Message(id))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(params.ChunkBytes()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := relay.Emit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCoeffRow measures secret-coefficient derivation, the
 // owner-side cost the coefficient-header mode trades for bandwidth.
 func BenchmarkCoeffRow(b *testing.B) {

@@ -72,9 +72,12 @@ type Table2Options struct {
 
 // Table2 measures decode time across the (q, m) grid: for each cell it
 // encodes DataBytes of random data into k messages and times the
-// incremental Gaussian decode, exactly the computation a user performs
-// at download time. Encoding and decoding are the same computation up
-// to the matrix inverse (Sec. V-B), so one number characterizes both.
+// sequential reference decoder (rlnc.Decoder) reducing them. A fetch
+// runs the parallel rlnc.Pipeline instead, which does the same field
+// arithmetic spread over workers, so a cell is the single-core cost of
+// a download's decode. Encoding and decoding are the same computation
+// up to the matrix inverse (Sec. V-B), so one number characterizes
+// both.
 func Table2(opts Table2Options) (*Table, error) {
 	dataBytes := opts.DataBytes
 	if dataBytes <= 0 {

@@ -421,19 +421,6 @@ func (e *ErrFS) SyncDir(dir string) error {
 	return nil
 }
 
-// DurableNames lists the names that would survive a crash right now,
-// sorted. Test helper.
-func (e *ErrFS) DurableNames() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.dur))
-	for name := range e.dur {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // errFile is a handle on an ErrFS inode.
 type errFile struct {
 	fs    *ErrFS

@@ -24,16 +24,16 @@ func Example() {
 	// a + a = 0 (characteristic 2)
 }
 
-// ExampleField_AddScaledSlice shows the packed-vector hot path used by
-// the encoder: dst += c * src, symbol-wise.
-func ExampleField_AddScaledSlice() {
+// ExampleMulAddSlice shows the packed-vector hot path used by the
+// encoder: dst += c * src, symbol-wise.
+func ExampleMulAddSlice() {
 	f := gf.MustNew(gf.Bits8)
 	dst := []byte{0, 0, 0, 0}
 	src := []byte{1, 2, 3, 4}
-	f.AddScaledSlice(dst, src, 2) // dst = 2*src over GF(256)
+	gf.MulAddSlice(f, dst, src, 2) // dst = 2*src over GF(256)
 	fmt.Println(dst)
 	// Applying the same scaled addition again cancels (characteristic 2).
-	f.AddScaledSlice(dst, src, 2)
+	gf.MulAddSlice(f, dst, src, 2)
 	fmt.Println(dst)
 	// Output:
 	// [2 4 6 8]

@@ -7,14 +7,17 @@
 //   - element arithmetic through the Field interface (Add, Mul, Inv, ...),
 //     where elements are uint32 values whose top bits beyond the field
 //     width are zero; and
-//   - packed-slice arithmetic (AddScaledSlice, ScaleSlice) which operates
-//     on symbol vectors packed into byte slices. Packed vectors are the
-//     representation used for encoded message payloads, so these routines
-//     are the hot path of encoding and decoding.
+//   - region kernels (MulAddSlice, MulSlice and the reusable MulTable)
+//     which operate on symbol vectors packed into byte slices. Packed
+//     vectors are the representation used for encoded message payloads,
+//     so these kernels are the hot path of encoding and decoding. Each
+//     width has one region implementation: split product tables for
+//     p <= 16 (with an AVX2 arm for p = 4 and 8), and the GF(2^32)
+//     kernel of kernel32.go.
 //
 // Fields with p <= 16 use discrete log/antilog tables built from a
 // primitive polynomial; GF(2^32) uses carry-less shift-and-xor
-// multiplication with per-constant window tables for the slice routines.
+// multiplication for elements.
 package gf
 
 import (
@@ -70,15 +73,6 @@ type Field interface {
 	// Exp returns a raised to the power n (with a^0 == 1, 0^n == 0 for
 	// n > 0).
 	Exp(a uint32, n uint64) uint32
-
-	// AddScaledSlice computes dst[i] += c * src[i] symbol-wise over
-	// packed vectors. dst and src must have equal length, a whole number
-	// of symbols, and must not overlap unless they are the same slice
-	// with c == 0.
-	AddScaledSlice(dst, src []byte, c uint32)
-
-	// ScaleSlice computes dst[i] = c * dst[i] symbol-wise in place.
-	ScaleSlice(dst []byte, c uint32)
 }
 
 // Primitive polynomials used for each supported width. The value is the

@@ -2,9 +2,8 @@ package gf
 
 // GF(2^32) implementation. Log/antilog tables are infeasible at this
 // size, so element products use carry-less shift-and-xor multiplication
-// reduced by the primitive polynomial x^32 + x^22 + x^2 + x + 1. The
-// packed-slice routines are thin callers of the region kernel in
-// kernel32.go, the one GF(2^32) region implementation.
+// reduced by the primitive polynomial x^32 + x^22 + x^2 + x + 1. Region
+// products go through the kernel in kernel32.go.
 
 type gf32Field struct{}
 
@@ -62,12 +61,4 @@ func (f gf32Field) Div(a, b uint32) (uint32, error) {
 
 func (f gf32Field) Exp(a uint32, n uint64) uint32 {
 	return expGeneric(f, a, n)
-}
-
-func (f gf32Field) AddScaledSlice(dst, src []byte, c uint32) {
-	MulAddSlice(f, dst, src, c)
-}
-
-func (f gf32Field) ScaleSlice(dst []byte, c uint32) {
-	MulSlice(f, dst, c)
 }

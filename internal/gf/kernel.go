@@ -38,8 +38,8 @@ func kernelTables(f Field) (*tableField, bool) {
 }
 
 // MulAddSlice computes dst[i] ^= c*src[i] over packed symbol vectors,
-// like Field.AddScaledSlice, but word-at-a-time with per-constant split
-// tables. dst and src must have equal length and must not overlap.
+// word-at-a-time with per-constant split tables. dst and src must have
+// equal length and must not overlap. f must come from New.
 func MulAddSlice(f Field, dst, src []byte, c uint32) {
 	c &= f.Mask()
 	if len(dst) != len(src) {
@@ -58,26 +58,11 @@ func MulAddSlice(f Field, dst, src []byte, c uint32) {
 		m.mulAdd(dst, src)
 		return
 	}
-	tf, ok := kernelTables(f)
-	if !ok {
-		f.AddScaledSlice(dst, src, c)
-		return
-	}
+	tf := f.(*tableField)
 	switch tf.bits {
-	case Bits4:
+	case Bits4, Bits8:
 		var lo, hi [16]byte
-		tf.pairNibbleTablesInto(&lo, &hi, c)
-		if haveVecP8 {
-			n := mulAddVecP8(&lo, &hi, dst, src)
-			mulAddNibbleTail(&lo, &hi, dst[n:], src[n:])
-			return
-		}
-		var row [256]byte
-		expandNibbleRow(&row, &lo, &hi)
-		mulAddBytes(&row, dst, src)
-	case Bits8:
-		var lo, hi [16]byte
-		tf.nibbleTablesInto(&lo, &hi, c)
+		tf.nibbleSplitInto(&lo, &hi, c)
 		if haveVecP8 {
 			n := mulAddVecP8(&lo, &hi, dst, src)
 			mulAddNibbleTail(&lo, &hi, dst[n:], src[n:])
@@ -88,13 +73,11 @@ func MulAddSlice(f Field, dst, src []byte, c uint32) {
 		var lo, hi [256]uint16
 		tf.byteTablesInto(&lo, &hi, c)
 		mulAddByteSplit(&lo, &hi, dst, src)
-	default:
-		f.AddScaledSlice(dst, src, c)
 	}
 }
 
-// MulSlice computes dst[i] = c*dst[i] in place, like Field.ScaleSlice,
-// using the same split-table word kernels.
+// MulSlice computes dst[i] = c*dst[i] in place using the same
+// split-table word kernels. f must come from New.
 func MulSlice(f Field, dst []byte, c uint32) {
 	c &= f.Mask()
 	if c == 1 {
@@ -110,32 +93,23 @@ func MulSlice(f Field, dst []byte, c uint32) {
 		m.mul(dst)
 		return
 	}
-	tf, ok := kernelTables(f)
-	if !ok {
-		f.ScaleSlice(dst, c)
-		return
-	}
+	tf := f.(*tableField)
 	switch tf.bits {
-	case Bits4:
+	case Bits4, Bits8:
 		var lo, hi [16]byte
-		tf.pairNibbleTablesInto(&lo, &hi, c)
-		mulNibbleInPlace(&lo, &hi, dst)
-	case Bits8:
-		var lo, hi [16]byte
-		tf.nibbleTablesInto(&lo, &hi, c)
+		tf.nibbleSplitInto(&lo, &hi, c)
 		mulNibbleInPlace(&lo, &hi, dst)
 	case Bits16:
 		var lo, hi [256]uint16
 		tf.byteTablesInto(&lo, &hi, c)
 		mulByteSplit(&lo, &hi, dst)
-	default:
-		f.ScaleSlice(dst, c)
 	}
 }
 
 // MulAddWords computes dst[i] ^= c*src[i] over unpacked coefficient
-// rows (one symbol per uint32), replacing per-element Mul loops in the
-// matrix code. Values must already be reduced to the field mask.
+// rows (one symbol per uint32), replacing per-element Mul loops in
+// rlnc's row elimination. Values must already be reduced to the field
+// mask.
 func MulAddWords(f Field, dst, src []uint32, c uint32) {
 	c &= f.Mask()
 	if len(dst) != len(src) {
@@ -265,6 +239,16 @@ func (f *tableField) pairNibbleTablesInto(lo, hi *[16]byte, c uint32) {
 	}
 }
 
+// nibbleSplitInto fills the nibble split tables of a byte-packed width
+// (p=4 pairs or p=8), so one kernel serves both.
+func (f *tableField) nibbleSplitInto(lo, hi *[16]byte, c uint32) {
+	if f.bits == Bits4 {
+		f.pairNibbleTablesInto(lo, hi, c)
+	} else {
+		f.nibbleTablesInto(lo, hi, c)
+	}
+}
+
 func expandNibbleRow(row *[256]byte, lo, hi *[16]byte) {
 	for b := 0; b < 256; b++ {
 		row[b] = lo[b&0xF] ^ hi[b>>4]
@@ -298,9 +282,9 @@ func mulNibbleInPlace(lo, hi *[16]byte, dst []byte) {
 
 // --- word kernels ---
 
-// mulAddNibbleSplit is the p=8 MulAddSlice core: 16 nibble lookups per
-// 64-bit word, no 256-entry expansion (the build cost would dominate
-// small regions).
+// mulAddNibbleSplit is the scalar p=4/p=8 MulAddSlice core: 16 nibble
+// lookups per 64-bit word, no 256-entry expansion (the build cost would
+// dominate small regions).
 func mulAddNibbleSplit(lo, hi *[16]byte, dst, src []byte) {
 	n := len(src) &^ 7
 	for i := 0; i < n; i += 8 {
@@ -370,7 +354,8 @@ func mulByteSplit(lo, hi *[256]uint16, dst []byte) {
 }
 
 // mulAddBytes applies a full 256-entry product row: dst[i] ^= row[src[i]],
-// 8 lookups per word. Used for p=4 packed pairs and p=8 expanded rows.
+// 8 lookups per word. MulTable's scalar p=4/p=8 path, where the row is
+// built once and reused.
 func mulAddBytes(row *[256]byte, dst, src []byte) {
 	n := len(src) &^ 7
 	for i := 0; i < n; i += 8 {
@@ -419,48 +404,34 @@ func mulBytes(row *[256]byte, dst []byte) {
 // no-op). A MulTable is plain data: value assignment copies it, and it
 // is safe for concurrent *readers* after Init returns.
 type MulTable struct {
-	f    Field
 	bits uint
 	c    uint32
 
-	lo8    [16]byte    // p=4/p=8 low-nibble split (PSHUFB mask on amd64)
-	hi8    [16]byte    // p=4/p=8 high-nibble split
-	row8   [256]byte   // p=4/p=8 expanded byte row for the scalar path
-	lo16   [256]uint16 // p=16 low-byte split
-	hi16   [256]uint16 // p=16 high-byte split
-	m32    mul32       // p=32 affine blocks or byte-window tables
-	kernel bool        // table kernels available (every built-in field)
+	lo8  [16]byte    // p=4/p=8 low-nibble split (PSHUFB mask on amd64)
+	hi8  [16]byte    // p=4/p=8 high-nibble split
+	row8 [256]byte   // p=4/p=8 expanded byte row for the scalar path
+	lo16 [256]uint16 // p=16 low-byte split
+	hi16 [256]uint16 // p=16 high-byte split
+	m32  mul32       // p=32 affine blocks or byte-window tables
 }
 
-// Init (re)builds the table for constant c over f.
+// Init (re)builds the table for constant c over f, which must come
+// from New.
 func (t *MulTable) Init(f Field, c uint32) {
 	c &= f.Mask()
-	t.f = f
 	t.c = c
 	t.bits = f.Bits()
-	if _, ok := f.(gf32Field); ok {
-		t.kernel = true
-		if c > 1 {
-			t.m32.init(c)
-		}
-		return
+	if c <= 1 {
+		return // MulAdd and Mul never read the tables for 0 or 1
 	}
-	tf, ok := kernelTables(f)
-	t.kernel = ok
-	if !ok || c == 0 {
-		return
-	}
-	switch tf.bits {
-	case Bits4:
-		tf.pairNibbleTablesInto(&t.lo8, &t.hi8, c)
-		expandNibbleRow(&t.row8, &t.lo8, &t.hi8)
-	case Bits8:
-		tf.nibbleTablesInto(&t.lo8, &t.hi8, c)
-		expandNibbleRow(&t.row8, &t.lo8, &t.hi8)
+	switch t.bits {
+	case Bits32:
+		t.m32.init(c)
 	case Bits16:
-		tf.byteTablesInto(&t.lo16, &t.hi16, c)
+		f.(*tableField).byteTablesInto(&t.lo16, &t.hi16, c)
 	default:
-		t.kernel = false
+		f.(*tableField).nibbleSplitInto(&t.lo8, &t.hi8, c)
+		expandNibbleRow(&t.row8, &t.lo8, &t.hi8)
 	}
 }
 
@@ -476,8 +447,6 @@ func (t *MulTable) MulAdd(dst, src []byte) {
 	case t.c == 0:
 	case t.c == 1:
 		AddSlice(dst, src)
-	case !t.kernel:
-		t.f.AddScaledSlice(dst, src, t.c)
 	case t.bits == Bits32:
 		t.m32.mulAdd(dst, src)
 	case t.bits == Bits16:
@@ -496,8 +465,6 @@ func (t *MulTable) Mul(dst []byte) {
 	case t.c == 1:
 	case t.c == 0:
 		clear(dst)
-	case !t.kernel:
-		t.f.ScaleSlice(dst, t.c)
 	case t.bits == Bits32:
 		t.m32.mul(dst)
 	case t.bits == Bits16:

@@ -18,3 +18,15 @@ func useKernel32Arm(tb testing.TB, arm string) {
 	haveAVX512 = arm == "avx512"
 	haveGFNI = arm != "portable"
 }
+
+// useKernelArm is useKernel32Arm for the p <= 16 dispatch: "avx2" keeps
+// the nibble kernel (skipping tb on a host without it), "portable"
+// forces the scalar word kernels.
+func useKernelArm(tb testing.TB, arm string) {
+	host := haveVecP8
+	if arm == "avx2" && !host {
+		tb.Skip("host lacks AVX2")
+	}
+	tb.Cleanup(func() { haveVecP8 = host })
+	haveVecP8 = arm == "avx2"
+}

@@ -10,3 +10,10 @@ func useKernel32Arm(tb testing.TB, arm string) {
 		tb.Skipf("no %s arm off amd64", arm)
 	}
 }
+
+// Off amd64 the p <= 16 kernels are the scalar ones only.
+func useKernelArm(tb testing.TB, arm string) {
+	if arm != "portable" {
+		tb.Skipf("no %s arm off amd64", arm)
+	}
+}

@@ -31,9 +31,6 @@ func arms32() []arm32 {
 		{"MulAddSlice/MulSlice",
 			func(c uint32, dst, src []byte) { MulAddSlice(f, dst, src, c) },
 			func(c uint32, dst []byte) { MulSlice(f, dst, c) }},
-		{"Field.AddScaledSlice/ScaleSlice",
-			func(c uint32, dst, src []byte) { f.AddScaledSlice(dst, src, c) },
-			func(c uint32, dst []byte) { f.ScaleSlice(dst, c) }},
 		{"MulTable",
 			func(c uint32, dst, src []byte) {
 				var t MulTable

@@ -118,6 +118,104 @@ func TestMulTableMatchesOneShotKernels(t *testing.T) {
 	}
 }
 
+// kernelArms are the arms of the p <= 16 dispatch: the AVX2 nibble
+// kernel, then the scalar word kernels every other machine runs.
+var kernelArms = []string{"avx2", "portable"}
+
+// TestKernelPortableDispatch runs the p <= 16 differential with the
+// dispatch forced down each arm the host has, so the scalar word
+// kernels — the only p <= 16 region code on arm64 and pre-AVX2 amd64 —
+// are proven on an AVX2 machine too: every length 0..67 bytes (word
+// bulk, sub-word tail, the vector arm's 32-byte step and a p = 16
+// dangling byte), 0..3 bytes of misalignment, c = 0, 1 and random.
+func TestKernelPortableDispatch(t *testing.T) {
+	for _, arm := range kernelArms {
+		t.Run(arm, func(t *testing.T) {
+			useKernelArm(t, arm)
+			rng := rand.New(rand.NewSource(49))
+			for _, bits := range []uint{Bits4, Bits8, Bits16} {
+				f := MustNew(bits)
+				for n := 0; n <= 67; n++ {
+					for off := 0; off < 4; off++ {
+						for _, c := range []uint32{0, 1, 2, f.Mask(), rng.Uint32(), rng.Uint32()} {
+							src := randVec(rng, off+n)[off:]
+							dst := randVec(rng, off+n)[off:]
+							if err := checkKernel(f, c&f.Mask(), dst, src); err != nil {
+								t.Fatalf("n=%d off=%d: %v", n, off, err)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzSplitKernels lets the fuzzer pick the width (4, 8 or 16), the
+// dispatch arm, the constant, the data and the misalignment; every
+// p <= 16 entry point must agree with the per-symbol reference.
+func FuzzSplitKernels(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint32(0xB), []byte("0123456789abcdef0123456789abcdef0123456"), uint8(1))
+	f.Add(uint8(1), uint8(1), uint32(0xA7), []byte("0123456789abcdef0123456789abcdef0123456789"), uint8(2))
+	f.Add(uint8(2), uint8(1), uint32(1), []byte{1, 2, 3, 4, 5}, uint8(0))
+	f.Add(uint8(2), uint8(0), uint32(0), []byte{}, uint8(3))
+	f.Fuzz(func(t *testing.T, width, arm uint8, c uint32, data []byte, off uint8) {
+		field := MustNew([]uint{Bits4, Bits8, Bits16}[width%3])
+		useKernelArm(t, kernelArms[int(arm)%len(kernelArms)])
+		o := int(off % 4)
+		if len(data) < o {
+			return
+		}
+		src := data[o:]
+		dst := make([]byte, o+len(src))[o:]
+		for i := range dst {
+			dst[i] = byte(i*29 + 5)
+		}
+		if err := checkKernel(field, c&field.Mask(), dst, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// checkKernel runs MulAddSlice, MulSlice and MulTable.MulAdd/Mul on
+// copies of dst and reports the first that diverges from the per-symbol
+// reference. Only c = 1 (a plain XOR) and c = 0 (a plain clear) touch
+// the dangling byte of an odd-length p = 16 vector.
+func checkKernel(f Field, c uint32, dst, src []byte) error {
+	whole := VecBytes(f.Bits(), VecSymbols(f.Bits(), len(dst)))
+	wantAdd := bytes.Clone(dst)
+	mulAddSliceRef(f, wantAdd, src, c)
+	if c == 1 {
+		for i := whole; i < len(dst); i++ {
+			wantAdd[i] ^= src[i]
+		}
+	}
+	wantMul := bytes.Clone(dst)
+	mulSliceRef(f, wantMul, c)
+	if c == 0 {
+		clear(wantMul)
+	}
+	var tab MulTable
+	tab.Init(f, c)
+	for _, op := range []struct {
+		name string
+		want []byte
+		run  func(d []byte)
+	}{
+		{"MulAddSlice", wantAdd, func(d []byte) { MulAddSlice(f, d, src, c) }},
+		{"MulSlice", wantMul, func(d []byte) { MulSlice(f, d, c) }},
+		{"MulTable.MulAdd", wantAdd, func(d []byte) { tab.MulAdd(d, src) }},
+		{"MulTable.Mul", wantMul, func(d []byte) { tab.Mul(d) }},
+	} {
+		got := bytes.Clone(dst)
+		op.run(got)
+		if !bytes.Equal(got, op.want) {
+			return fmt.Errorf("GF(2^%d) %s c=%#x len=%d diverges", f.Bits(), op.name, c, len(dst))
+		}
+	}
+	return nil
+}
+
 func TestMulAddWordsMatchesMulLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, bits := range []uint{Bits4, Bits8, Bits16, Bits32} {
@@ -153,8 +251,8 @@ func TestMulAddWordsMatchesMulLoop(t *testing.T) {
 }
 
 // BenchmarkMulAddSlice compares the split-table word kernels against
-// the per-symbol reference and the field's own byte-at-a-time path —
-// the speedup the decode pipeline is built on. At p = 32 the kernel row
+// the per-symbol reference — the speedup the decode pipeline is built
+// on. At p = 32 the kernel row
 // has one sub-row per arm the host has (avx512, avx2, portable).
 func BenchmarkMulAddSlice(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
@@ -193,12 +291,6 @@ func BenchmarkMulAddSlice(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					tab.MulAdd(dst, src)
-				}
-			})
-			b.Run(fmt.Sprintf("field/p%d/%dB", bits, n), func(b *testing.B) {
-				b.SetBytes(int64(n))
-				for i := 0; i < b.N; i++ {
-					f.AddScaledSlice(dst, src, c)
 				}
 			})
 			b.Run(fmt.Sprintf("persym/p%d/%dB", bits, n), func(b *testing.B) {

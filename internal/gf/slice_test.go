@@ -6,12 +6,6 @@ import (
 	"testing"
 )
 
-func randomVec(rng *rand.Rand, n int) []byte {
-	v := make([]byte, n)
-	rng.Read(v)
-	return v
-}
-
 func TestVecBytesSymbols(t *testing.T) {
 	tests := []struct {
 		bits  uint
@@ -73,113 +67,62 @@ func TestSetSymDoesNotDisturbNeighbors(t *testing.T) {
 	}
 }
 
-// addScaledRef is a symbol-at-a-time reference implementation.
-func addScaledRef(f Field, dst, src []byte, c uint32) {
-	m := VecSymbols(f.Bits(), len(src))
-	for i := 0; i < m; i++ {
-		s := GetSym(f.Bits(), src, i)
-		d := GetSym(f.Bits(), dst, i)
-		SetSym(f.Bits(), dst, i, f.Add(d, f.Mul(c, s)))
-	}
-}
-
-func TestAddScaledSliceMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, f := range allFields(t) {
-		for trial := 0; trial < 30; trial++ {
-			n := VecBytes(f.Bits(), 64)
-			src := randomVec(rng, n)
-			dst := randomVec(rng, n)
-			c := rng.Uint32() & f.Mask()
-
-			want := bytes.Clone(dst)
-			addScaledRef(f, want, src, c)
-
-			got := bytes.Clone(dst)
-			f.AddScaledSlice(got, src, c)
-
-			if !bytes.Equal(got, want) {
-				t.Fatalf("GF(2^%d) c=%#x:\n got %x\nwant %x", f.Bits(), c, got, want)
-			}
-		}
-	}
-}
-
-func TestAddScaledSliceSpecialConstants(t *testing.T) {
+// The c = 0, c = 1, cancelling and inverse cases kernel_test.go's
+// random-constant differentials seldom or never draw.
+func TestMulAddSliceSpecialConstants(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, f := range allFields(t) {
 		n := VecBytes(f.Bits(), 32)
-		src := randomVec(rng, n)
-		dst := randomVec(rng, n)
+		src := randVec(rng, n)
+		dst := randVec(rng, n)
 
 		// c = 0 leaves dst untouched.
 		got := bytes.Clone(dst)
-		f.AddScaledSlice(got, src, 0)
+		MulAddSlice(f, got, src, 0)
 		if !bytes.Equal(got, dst) {
-			t.Errorf("GF(2^%d): AddScaledSlice with c=0 modified dst", f.Bits())
+			t.Errorf("GF(2^%d): MulAddSlice with c=0 modified dst", f.Bits())
 		}
 
 		// c = 1 is a plain XOR.
 		got = bytes.Clone(dst)
-		f.AddScaledSlice(got, src, 1)
+		MulAddSlice(f, got, src, 1)
 		want := bytes.Clone(dst)
 		AddSlice(want, src)
 		if !bytes.Equal(got, want) {
-			t.Errorf("GF(2^%d): AddScaledSlice with c=1 != XOR", f.Bits())
+			t.Errorf("GF(2^%d): MulAddSlice with c=1 != XOR", f.Bits())
 		}
 
 		// Applying the same scaled addition twice cancels out.
 		c := rng.Uint32()&f.Mask() | 1
 		got = bytes.Clone(dst)
-		f.AddScaledSlice(got, src, c)
-		f.AddScaledSlice(got, src, c)
+		MulAddSlice(f, got, src, c)
+		MulAddSlice(f, got, src, c)
 		if !bytes.Equal(got, dst) {
-			t.Errorf("GF(2^%d): double AddScaledSlice did not cancel", f.Bits())
+			t.Errorf("GF(2^%d): double MulAddSlice did not cancel", f.Bits())
 		}
 	}
 }
 
-func TestScaleSliceMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, f := range allFields(t) {
-		for trial := 0; trial < 20; trial++ {
-			n := VecBytes(f.Bits(), 48)
-			vec := randomVec(rng, n)
-			c := rng.Uint32() & f.Mask()
-
-			want := make([]byte, n)
-			f.AddScaledSlice(want, vec, c) // 0 + c*vec
-
-			got := bytes.Clone(vec)
-			f.ScaleSlice(got, c)
-
-			if !bytes.Equal(got, want) {
-				t.Fatalf("GF(2^%d) c=%#x: ScaleSlice mismatch", f.Bits(), c)
-			}
-		}
-	}
-}
-
-func TestScaleSliceInverseRestores(t *testing.T) {
+func TestMulSliceInverseRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, f := range allFields(t) {
 		n := VecBytes(f.Bits(), 40)
-		vec := randomVec(rng, n)
+		vec := randVec(rng, n)
 		c := rng.Uint32()&f.Mask() | 1
 		inv, err := f.Inv(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := bytes.Clone(vec)
-		f.ScaleSlice(got, c)
-		f.ScaleSlice(got, inv)
+		MulSlice(f, got, c)
+		MulSlice(f, got, inv)
 		if !bytes.Equal(got, vec) {
 			t.Fatalf("GF(2^%d): scaling by c then c^-1 did not restore", f.Bits())
 		}
 	}
 }
 
-func TestAddScaledSliceLengthMismatchPanics(t *testing.T) {
+func TestMulAddSliceLengthMismatchPanics(t *testing.T) {
 	for _, f := range allFields(t) {
 		func() {
 			defer func() {
@@ -187,7 +130,7 @@ func TestAddScaledSliceLengthMismatchPanics(t *testing.T) {
 					t.Errorf("GF(2^%d): no panic on length mismatch", f.Bits())
 				}
 			}()
-			f.AddScaledSlice(make([]byte, 8), make([]byte, 4), 1)
+			MulAddSlice(f, make([]byte, 8), make([]byte, 4), 1)
 		}()
 	}
 }
@@ -210,30 +153,6 @@ func TestAddSliceLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	AddSlice(make([]byte, 3), make([]byte, 4))
-}
-
-func BenchmarkAddScaledSlice(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	for _, bits := range Widths() {
-		f := MustNew(bits)
-		for _, symbols := range []int{1 << 10, 1 << 15} {
-			n := VecBytes(bits, symbols)
-			src := randomVec(rng, n)
-			dst := randomVec(rng, n)
-			c := rng.Uint32()&f.Mask() | 1
-			name := benchName(bits, symbols)
-			b.Run(name, func(b *testing.B) {
-				b.SetBytes(int64(n))
-				for i := 0; i < b.N; i++ {
-					f.AddScaledSlice(dst, src, c)
-				}
-			})
-		}
-	}
-}
-
-func benchName(bits uint, symbols int) string {
-	return "GF2_" + itoa(int(bits)) + "/m=" + itoa(symbols)
 }
 
 func itoa(n int) string {

@@ -106,112 +106,3 @@ func (f *tableField) Exp(a uint32, n uint64) uint32 {
 	e := (uint64(f.log[a]) * (n % uint64(f.q-1))) % uint64(f.q-1)
 	return f.exp[e]
 }
-
-func (f *tableField) AddScaledSlice(dst, src []byte, c uint32) {
-	c &= f.mask
-	if len(dst) != len(src) {
-		panic("gf: AddScaledSlice length mismatch")
-	}
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		AddSlice(dst, src)
-		return
-	}
-	switch f.bits {
-	case Bits4:
-		f.addScaled4(dst, src, c)
-	case Bits8:
-		f.addScaled8(dst, src, c)
-	case Bits16:
-		f.addScaled16(dst, src, c)
-	default:
-		panic("gf: unreachable table width")
-	}
-}
-
-func (f *tableField) ScaleSlice(dst []byte, c uint32) {
-	c &= f.mask
-	if c == 1 {
-		return
-	}
-	if c == 0 {
-		clear(dst)
-		return
-	}
-	switch f.bits {
-	case Bits4:
-		row := f.packedNibbleTable(c)
-		for i, b := range dst {
-			dst[i] = row[b]
-		}
-	case Bits8:
-		lc := f.log[c]
-		for i, b := range dst {
-			if b != 0 {
-				dst[i] = byte(f.exp[lc+f.log[b]])
-			}
-		}
-	case Bits16:
-		lc := f.log[c]
-		for i := 0; i+1 < len(dst); i += 2 {
-			s := uint32(dst[i]) | uint32(dst[i+1])<<8
-			if s == 0 {
-				continue
-			}
-			p := f.exp[lc+f.log[s]]
-			dst[i] = byte(p)
-			dst[i+1] = byte(p >> 8)
-		}
-	}
-}
-
-// packedNibbleTable returns a 256-entry table mapping a packed byte
-// (two GF(16) symbols) to the packed byte of both symbols multiplied
-// by c.
-func (f *tableField) packedNibbleTable(c uint32) [256]byte {
-	var nib [16]byte
-	lc := f.log[c]
-	for s := uint32(1); s < 16; s++ {
-		nib[s] = byte(f.exp[lc+f.log[s]])
-	}
-	var row [256]byte
-	for b := 0; b < 256; b++ {
-		row[b] = nib[b&0xF] | nib[b>>4]<<4
-	}
-	return row
-}
-
-func (f *tableField) addScaled4(dst, src []byte, c uint32) {
-	row := f.packedNibbleTable(c)
-	for i, b := range src {
-		dst[i] ^= row[b]
-	}
-}
-
-func (f *tableField) addScaled8(dst, src []byte, c uint32) {
-	// A flat 256-entry product row turns the inner loop into a single
-	// table lookup + xor per byte.
-	var row [256]byte
-	lc := f.log[c]
-	for s := uint32(1); s < 256; s++ {
-		row[s] = byte(f.exp[lc+f.log[s]])
-	}
-	for i, b := range src {
-		dst[i] ^= row[b]
-	}
-}
-
-func (f *tableField) addScaled16(dst, src []byte, c uint32) {
-	lc := f.log[c]
-	for i := 0; i+1 < len(src); i += 2 {
-		s := uint32(src[i]) | uint32(src[i+1])<<8
-		if s == 0 {
-			continue
-		}
-		p := f.exp[lc+f.log[s]]
-		dst[i] ^= byte(p)
-		dst[i+1] ^= byte(p >> 8)
-	}
-}

@@ -64,18 +64,12 @@ func (f *Fabric) Seed() int64 { return f.seed }
 // Events returns the fabric's fault-model event log.
 func (f *Fabric) Events() *EventLog { return f.events }
 
-// SetLink sets the policy for src→dst traffic (directional; call
-// twice or use SetDuplex for both ways).
+// SetLink sets the policy for src→dst traffic. It is directional:
+// call it once per direction to shape both ways.
 func (f *Fabric) SetLink(src, dst string, p LinkPolicy) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.policies[dirKey{src, dst}] = p
-}
-
-// SetDuplex sets the same policy on both directions of a host pair.
-func (f *Fabric) SetDuplex(a, b string, p LinkPolicy) {
-	f.SetLink(a, b, p)
-	f.SetLink(b, a, p)
 }
 
 // SetDefaultPolicy sets the policy used for links with no explicit

@@ -11,6 +11,19 @@ import (
 	"asymshare/internal/gf"
 )
 
+func testFields(t *testing.T) []gf.Field {
+	t.Helper()
+	out := make([]gf.Field, 0, 4)
+	for _, bits := range gf.Widths() {
+		f, err := gf.New(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
 func testSecret() []byte {
 	s := make([]byte, SecretLen)
 	for i := range s {
@@ -471,57 +484,6 @@ func TestDecodeBeforeDone(t *testing.T) {
 	if _, err := dec.Decode(); !errors.Is(err, ErrNotDecodable) {
 		t.Errorf("early Decode error = %v", err)
 	}
-}
-
-func TestAddRawMode(t *testing.T) {
-	// Classic coefficients-in-header mode: random rows, explicit coeffs.
-	rng := rand.New(rand.NewSource(41))
-	f := gf.MustNew(gf.Bits8)
-	k := 10
-	p := mustParams(t, f, k, 16, k*16)
-	data := randomData(rng, p.DataLen)
-	enc, err := NewEncoder(p, 8, testSecret(), data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(p, 8, testSecret(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed raw combinations built from random coefficients applied to
-	// the true chunks (simulating a re-encoding relay).
-	cb := p.ChunkBytes()
-	chunks := make([][]byte, k)
-	for j := range chunks {
-		chunks[j] = make([]byte, cb)
-		copy(chunks[j], data[j*cb:min(len(data), (j+1)*cb)])
-	}
-	for !dec.Done() {
-		coeffs := make([]uint32, k)
-		payload := make([]byte, cb)
-		for j := range coeffs {
-			coeffs[j] = rng.Uint32() & f.Mask()
-			f.AddScaledSlice(payload, chunks[j], coeffs[j])
-		}
-		if _, err := dec.offer(nil, coeffs, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := dec.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("raw-mode decode mismatch")
-	}
-	// Validation paths.
-	if _, err := dec.offer(nil, make([]uint32, k-1), make([]byte, cb)); !errors.Is(err, ErrBadParams) {
-		t.Errorf("bad coeff len error = %v", err)
-	}
-	if _, err := dec.offer(nil, make([]uint32, k), make([]byte, cb-1)); !errors.Is(err, ErrBadParams) {
-		t.Errorf("bad payload len error = %v", err)
-	}
-	_ = enc
 }
 
 func TestEncoderValidation(t *testing.T) {

@@ -121,13 +121,3 @@ func (s *RowStream) RowInto(fileID, messageID uint64, row []uint32) {
 		}
 	}
 }
-
-// RowMatrix returns the coefficient rows for the given message ids as a
-// matrix, in id order.
-func (g *CoeffGenerator) RowMatrix(fileID uint64, messageIDs []uint64) *Matrix {
-	m := NewMatrix(g.field, len(messageIDs), g.k)
-	for i, id := range messageIDs {
-		g.RowInto(fileID, id, m.Row(i))
-	}
-	return m
-}

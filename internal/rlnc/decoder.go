@@ -15,6 +15,8 @@ package rlnc
 import (
 	"errors"
 	"fmt"
+
+	"asymshare/internal/gf"
 )
 
 // ErrBadDigest is returned when a message fails digest authentication.
@@ -66,77 +68,49 @@ func (d *Decoder) Rank() int { return len(d.echelon) }
 // Done reports whether enough innovative messages have arrived.
 func (d *Decoder) Done() bool { return d.Rank() >= d.params.K }
 
-// Needed returns how many more innovative messages are required.
-func (d *Decoder) Needed() int { return d.params.K - d.Rank() }
-
 // Stats returns the message accounting so far (see the Stats type for
 // the bucket invariant).
 func (d *Decoder) Stats() Stats { return d.stats }
 
 // Add folds one message into the system and reports whether it was
-// innovative. Messages for other files and authentication failures
-// return errors; dependent or duplicate messages return (false, nil).
+// innovative. Its coefficient row is re-derived from the secret, never
+// read off the wire. Messages for other files and authentication
+// failures return errors; dependent or duplicate messages return
+// (false, nil).
 func (d *Decoder) Add(msg *Message) (bool, error) {
-	return d.offer(msg, nil, nil)
-}
-
-// offer is the single verification/elimination path behind Add.
-// Exactly one of msg or (coeffs, payload) is set: with msg the
-// coefficient row is re-derived from the secret and the message is
-// authenticated and de-duplicated; with explicit coeffs — the classic
-// coefficients-in-header mode, which the package's tests use to decode
-// relay recombinations — those keyed checks do not apply.
-func (d *Decoder) offer(msg *Message, coeffs []uint32, payload []byte) (bool, error) {
 	d.stats.Received++
-	if msg != nil {
-		payload = msg.Payload
-		if msg.FileID != d.fileID {
-			d.stats.Rejected++
-			return false, fmt.Errorf("%w: got file %d, want %d", ErrWrongFile, msg.FileID, d.fileID)
-		}
-	} else if len(coeffs) != d.params.K {
+	if msg.FileID != d.fileID {
 		d.stats.Rejected++
-		return false, fmt.Errorf("%w: %d coefficients, want %d", ErrBadParams, len(coeffs), d.params.K)
+		return false, fmt.Errorf("%w: got file %d, want %d", ErrWrongFile, msg.FileID, d.fileID)
 	}
-	if len(payload) != d.params.ChunkBytes() {
+	if len(msg.Payload) != d.params.ChunkBytes() {
 		d.stats.Rejected++
 		return false, fmt.Errorf("%w: payload %d bytes, want %d",
-			ErrBadParams, len(payload), d.params.ChunkBytes())
+			ErrBadParams, len(msg.Payload), d.params.ChunkBytes())
 	}
 	// Checks in order of cost, as the Pipeline stages them: a message
 	// that cannot matter — its id already verified, or the generation
 	// complete — is settled without being hashed.
-	if msg != nil {
-		want, known := d.digests[msg.MessageID]
-		switch {
-		case d.digests != nil && !known:
-			d.stats.Rejected++
-			return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msg.MessageID)
-		case d.seen[msg.MessageID]:
-			d.stats.Duplicate++
-			return false, nil
-		case d.Done():
-			d.stats.Redundant++
-			return false, nil
-		case d.digests != nil && msg.Digest() != want:
-			d.stats.Rejected++
-			return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msg.MessageID)
-		}
-		d.seen[msg.MessageID] = true
-	} else if d.Done() {
+	want, known := d.digests[msg.MessageID]
+	switch {
+	case d.digests != nil && !known:
+		d.stats.Rejected++
+		return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msg.MessageID)
+	case d.seen[msg.MessageID]:
+		d.stats.Duplicate++
+		return false, nil
+	case d.Done():
 		d.stats.Redundant++
 		return false, nil
+	case d.digests != nil && msg.Digest() != want:
+		d.stats.Rejected++
+		return false, fmt.Errorf("%w: message-id %d", ErrBadDigest, msg.MessageID)
 	}
+	d.seen[msg.MessageID] = true
 
-	var row []uint32
-	if msg != nil {
-		row = d.gen.Row(d.fileID, msg.MessageID)
-	} else {
-		row = make([]uint32, len(coeffs))
-		copy(row, coeffs)
-	}
-	p := make([]byte, len(payload))
-	copy(p, payload)
+	row := d.gen.Row(d.fileID, msg.MessageID)
+	p := make([]byte, len(msg.Payload))
+	copy(p, msg.Payload)
 	return d.addRow(row, p), nil
 }
 
@@ -175,7 +149,7 @@ func (d *Decoder) Decode() ([]byte, error) {
 				continue
 			}
 			addScaledRow(f, d.echelon[r], d.echelon[i], factor)
-			f.AddScaledSlice(d.payloads[r], d.payloads[i], factor)
+			gf.MulAddSlice(f, d.payloads[r], d.payloads[i], factor)
 		}
 	}
 
@@ -186,14 +160,4 @@ func (d *Decoder) Decode() ([]byte, error) {
 		copy(out[d.pivots[i]*cb:], d.payloads[i])
 	}
 	return out[:d.params.DataLen], nil
-}
-
-// CoefficientMatrix returns the current RREF coefficient rows, mainly
-// for tests and diagnostics.
-func (d *Decoder) CoefficientMatrix() *Matrix {
-	m := NewMatrix(d.params.Field, len(d.echelon), d.params.K)
-	for i, r := range d.echelon {
-		copy(m.Row(i), r)
-	}
-	return m
 }

@@ -47,3 +47,15 @@ func reduceRowCoeffs(f gf.Field, cand []uint32, echelon [][]uint32, pivots []int
 	}
 	return steps, inv, true
 }
+
+// scaleRow multiplies every element of row by c through gf's
+// split-table word kernel.
+func scaleRow(f gf.Field, row []uint32, c uint32) {
+	gf.MulWords(f, row, c)
+}
+
+// addScaledRow computes dst += c * src element-wise through gf's
+// split-table word kernel.
+func addScaledRow(f gf.Field, dst, src []uint32, c uint32) {
+	gf.MulAddWords(f, dst, src, c)
+}

@@ -255,7 +255,7 @@ func reduceRow(f gf.Field, cand []uint32, echelon [][]uint32, pivots []int,
 		factor := cand[p] // echelon rows have unit pivots
 		addScaledRow(f, cand, er, factor)
 		if payload != nil {
-			f.AddScaledSlice(payload, echelonPayloads[i], factor)
+			gf.MulAddSlice(f, payload, echelonPayloads[i], factor)
 		}
 	}
 	lead := leadingIndex(cand)
@@ -270,7 +270,7 @@ func reduceRow(f gf.Field, cand []uint32, echelon [][]uint32, pivots []int,
 	if inv != 1 {
 		scaleRow(f, cand, inv)
 		if payload != nil {
-			f.ScaleSlice(payload, inv)
+			gf.MulSlice(f, payload, inv)
 		}
 	}
 	return true

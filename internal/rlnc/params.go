@@ -21,10 +21,6 @@ var (
 
 	// ErrDataTooLarge is returned when the input does not fit in k chunks.
 	ErrDataTooLarge = errors.New("rlnc: data exceeds generation capacity")
-
-	// ErrSingular is returned when inverting a rank-deficient or
-	// non-square matrix.
-	ErrSingular = errors.New("rlnc: matrix is singular")
 )
 
 // Params fixes the coding geometry of one generation: the field, the
